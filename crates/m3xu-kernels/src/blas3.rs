@@ -37,7 +37,7 @@
 //! (verification prices only the `T(T+1)/2` scheduled tiles).
 
 use crate::blocking::KPlan;
-use crate::context::{self, GemmSample, M3xuContext};
+use crate::context::{self, GemmSample, M3xuContext, SimdChunks};
 use crate::gemm::{
     check_precision, AbftElem, GemmPrecision, GemmResult, PackedElem, SendPtr, ACC_SCRATCH, DPU,
     MAX_EPOCH_ATTEMPTS, MAX_TILE_ATTEMPTS,
@@ -349,6 +349,7 @@ where
                 operand_bytes: 0,
                 pack_ns: 0,
                 exec_ns: 0,
+                simd: SimdChunks::default(),
             });
         }
         return Ok(GemmResult {
@@ -384,6 +385,7 @@ where
 
     let plan = KPlan::new(frag.k, k, n, E::VAL_BYTES);
     let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
+    let simd = SimdChunks::default();
     let t_exec = Instant::now();
     let mut ke0 = 0usize;
     while ke0 < k {
@@ -413,15 +415,14 @@ where
                 }
             }
             DPU.with(|dpu| {
-                let mut dpu = dpu.borrow_mut();
-                let mut kb = ke0;
-                while kb < ke1 {
-                    let kbend = (kb + plan.kc1).min(ke1);
-                    E::execute_panel(
-                        &mut dpu, &pa, &pb, i0, rows, j0, cols, kb, kbend, frag.k, acc,
-                    );
-                    kb = kbend;
-                }
+                simd.meter(&mut dpu.borrow_mut(), |dpu| {
+                    let mut kb = ke0;
+                    while kb < ke1 {
+                        let kbend = (kb + plan.kc1).min(ke1);
+                        E::execute_panel(dpu, &pa, &pb, i0, rows, j0, cols, kb, kbend, frag.k, acc);
+                        kb = kbend;
+                    }
+                })
             });
             // Epilogue. Off-diagonal triangular tiles lie entirely inside
             // the triangle, so they (like full-region tiles) bulk-store;
@@ -479,6 +480,7 @@ where
             operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
             pack_ns,
             exec_ns,
+            simd,
         });
         cx.put_scratch(pa.into_storage(), pb.into_storage());
     }
@@ -585,6 +587,7 @@ where
                 operand_bytes: 0,
                 pack_ns: 0,
                 exec_ns: 0,
+                simd: SimdChunks::default(),
             });
         }
         return Ok((
@@ -816,6 +819,7 @@ where
             operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
             pack_ns,
             exec_ns,
+            simd: SimdChunks::default(),
         });
         cx.put_scratch(pa.into_storage(), pb.into_storage());
     }

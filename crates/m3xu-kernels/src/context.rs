@@ -13,7 +13,7 @@
 //!
 //! Every kernel module lowers to the two GEMM flavours of the
 //! [`GemmExecutor`] trait, so a context (or any custom executor) can be
-//! threaded through the FFT recursion, the convolution lowerings, the CG
+//! threaded through the FFT levels, the convolution lowerings, the CG
 //! solver, and the rest via the `*_on` entry points. The module-level
 //! free functions remain as thin wrappers over the process-wide
 //! [`default_context`], which resolves `M3XU_THREADS` exactly once.
@@ -23,6 +23,7 @@ use crate::gemm::{self, GemmPrecision, GemmResult};
 use crate::pool::{self, WorkerPool};
 use crate::{conv2d, conv_grad, fft, knn, poly, solver};
 use m3xu_fp::complex::Complex;
+use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::fault::{FaultPlan, FaultSummary};
 use m3xu_mxu::matrix::{MatOp, Matrix, MirrorView, OpView, Triangle};
@@ -69,6 +70,36 @@ pub(crate) struct GemmSample {
     pub pack_ns: u64,
     /// Wall time executing fragments across the pool, ns.
     pub exec_ns: u64,
+    /// SIMD counters of the call (see [`SimdChunks`]).
+    pub simd: SimdChunks,
+}
+
+/// Element-chunks a call's SIMD panels reduced on the vector path and
+/// sent to the scalar oracle: the per-tile deltas of each worker's
+/// [`DotProductUnit`] counters, summed into one per-call total.
+#[derive(Default)]
+pub(crate) struct SimdChunks {
+    /// Element-chunks reduced on the vector path.
+    pub chunks: AtomicU64,
+    /// Element-chunks sent to the scalar oracle.
+    pub fallbacks: AtomicU64,
+}
+
+impl SimdChunks {
+    /// Run `f` on `dpu` and add the element-chunks it moved to the total.
+    pub(crate) fn meter<R>(
+        &self,
+        dpu: &mut DotProductUnit,
+        f: impl FnOnce(&mut DotProductUnit) -> R,
+    ) -> R {
+        let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
+        let r = f(dpu);
+        self.chunks
+            .fetch_add(dpu.simd_chunks - chunks, Ordering::Relaxed);
+        self.fallbacks
+            .fetch_add(dpu.simd_fallbacks - fallbacks, Ordering::Relaxed);
+        r
+    }
 }
 
 #[derive(Default)]
@@ -91,6 +122,8 @@ pub(crate) struct ExecCounters {
     faults_detected: AtomicU64,
     faults_corrected: AtomicU64,
     fault_retries: AtomicU64,
+    simd_chunks: AtomicU64,
+    simd_fallbacks: AtomicU64,
     per_mode: [ModeCounters; MODE_COUNT],
 }
 
@@ -103,6 +136,10 @@ impl ExecCounters {
             .fetch_add(s.operand_bytes, Ordering::Relaxed);
         self.pack_ns.fetch_add(s.pack_ns, Ordering::Relaxed);
         self.exec_ns.fetch_add(s.exec_ns, Ordering::Relaxed);
+        self.simd_chunks
+            .fetch_add(s.simd.chunks.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.simd_fallbacks
+            .fetch_add(s.simd.fallbacks.load(Ordering::Relaxed), Ordering::Relaxed);
         let m = &self.per_mode[mode_index(s.mode)];
         m.instructions
             .fetch_add(s.stats.instructions, Ordering::Relaxed);
@@ -139,6 +176,8 @@ impl ExecCounters {
             faults_detected: self.faults_detected.load(Ordering::Relaxed),
             faults_corrected: self.faults_corrected.load(Ordering::Relaxed),
             fault_retries: self.fault_retries.load(Ordering::Relaxed),
+            simd_chunks: self.simd_chunks.load(Ordering::Relaxed),
+            simd_fallbacks: self.simd_fallbacks.load(Ordering::Relaxed),
             per_mode,
         }
     }
@@ -153,6 +192,8 @@ impl ExecCounters {
         self.faults_detected.store(0, Ordering::Relaxed);
         self.faults_corrected.store(0, Ordering::Relaxed);
         self.fault_retries.store(0, Ordering::Relaxed);
+        self.simd_chunks.store(0, Ordering::Relaxed);
+        self.simd_fallbacks.store(0, Ordering::Relaxed);
         for m in &self.per_mode {
             m.instructions.store(0, Ordering::Relaxed);
             m.steps.store(0, Ordering::Relaxed);
@@ -189,6 +230,14 @@ pub struct ExecStats {
     /// Tile re-executions plus epoch re-submissions the checked drivers
     /// performed.
     pub fault_retries: u64,
+    /// Element-chunks (one output element × one fragment chunk) the SIMD
+    /// panels reduced on the vector path.
+    pub simd_chunks: u64,
+    /// Element-chunks the SIMD panels sent to the scalar oracle instead —
+    /// a special operand, or an exponent spread beyond the vector window.
+    /// `simd_fallbacks / (simd_chunks + simd_fallbacks)` is the share of
+    /// the vector path's work that fell off it.
+    pub simd_fallbacks: u64,
     per_mode: [MmaStats; MODE_COUNT],
 }
 
@@ -227,6 +276,8 @@ impl ExecStats {
             faults_detected: self.faults_detected + other.faults_detected,
             faults_corrected: self.faults_corrected + other.faults_corrected,
             fault_retries: self.fault_retries + other.fault_retries,
+            simd_chunks: self.simd_chunks + other.simd_chunks,
+            simd_fallbacks: self.simd_fallbacks + other.simd_fallbacks,
             per_mode,
         }
     }
@@ -250,6 +301,8 @@ impl ExecStats {
                 .faults_corrected
                 .saturating_sub(earlier.faults_corrected),
             fault_retries: self.fault_retries.saturating_sub(earlier.fault_retries),
+            simd_chunks: self.simd_chunks.saturating_sub(earlier.simd_chunks),
+            simd_fallbacks: self.simd_fallbacks.saturating_sub(earlier.simd_fallbacks),
             per_mode,
         }
     }

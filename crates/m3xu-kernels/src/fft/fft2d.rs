@@ -1,8 +1,8 @@
-//! 2-D FFT on the M3XU — row FFTs then column FFTs, each a batch of
+//! 2-D FFT on the M3XU — row FFTs then column FFTs, each one batch of
 //! GEMM-formulated 1-D transforms (the image/signal-processing workloads
 //! the paper's introduction motivates).
 
-use super::{try_gemm_fft_on, C32};
+use super::{gemm_fft_batch, C32};
 use crate::context::{default_context, GemmExecutor};
 use m3xu_fp::complex::Complex;
 use m3xu_mxu::error::M3xuError;
@@ -23,8 +23,8 @@ pub fn try_fft2d(image: &Matrix<C32>) -> Result<(Matrix<C32>, MmaStats), M3xuErr
     try_fft2d_on(default_context(), image)
 }
 
-/// [`try_fft2d`] on an explicit [`GemmExecutor`]: every 1-D transform's
-/// CGEMMs run through `exec`.
+/// [`try_fft2d`] on an explicit [`GemmExecutor`]: the row and the column
+/// transforms each run as one batch, one CGEMM per level, through `exec`.
 pub fn try_fft2d_on<X: GemmExecutor>(
     exec: &X,
     image: &Matrix<C32>,
@@ -38,26 +38,12 @@ pub fn try_fft2d_on<X: GemmExecutor>(
         }
     }
     let mut stats = MmaStats::default();
-    // Row transforms.
-    let mut tmp = Matrix::<C32>::zeros(r, c);
-    for i in 0..r {
-        let (row, s) = try_gemm_fft_on(exec, image.row(i))?;
-        stats.merge(&s);
-        for (j, v) in row.into_iter().enumerate() {
-            tmp.set(i, j, v);
-        }
-    }
-    // Column transforms.
-    let mut out = Matrix::<C32>::zeros(r, c);
-    let tt = tmp.transpose();
-    for j in 0..c {
-        let (col, s) = try_gemm_fft_on(exec, tt.row(j))?;
-        stats.merge(&s);
-        for (i, v) in col.into_iter().enumerate() {
-            out.set(i, j, v);
-        }
-    }
-    Ok((out, stats))
+    // All row transforms as one batch (the image is row-major), then all
+    // column transforms as one batch of the transposed rows.
+    let rows = gemm_fft_batch(exec, image.as_slice(), c, &mut stats)?;
+    let tt = Matrix::from_vec(r, c, rows).transpose();
+    let cols = gemm_fft_batch(exec, tt.as_slice(), r, &mut stats)?;
+    Ok((Matrix::from_vec(c, r, cols).transpose(), stats))
 }
 
 /// Inverse 2-D FFT (scaled by `1/(rows*cols)`). Panics on invalid

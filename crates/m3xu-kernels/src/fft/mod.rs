@@ -7,8 +7,8 @@
 //!   of a SIMT / cuFFT implementation);
 //! * [`gemm_fft`] — the tcFFT formulation: four-step Cooley–Tukey whose
 //!   inner small DFTs are **complex GEMMs** against the DFT matrix,
-//!   executed on the M3XU's FP32C mode. This is what M3XU accelerates
-//!   "directly … without approximations".
+//!   executed on the M3XU's FP32C mode, one GEMM per level. This is what
+//!   M3XU accelerates "directly … without approximations".
 //!
 //! [`perf`] holds the Fig. 6 performance model (cuFFT baseline, the
 //! TF32-extended tcFFT, and M3XU).
@@ -155,8 +155,12 @@ pub const GEMM_RADIX: usize = 16;
 /// 1. the `N1`-point column DFTs are **one complex GEMM**
 ///    `F_{N1} (N1 x N1) x M (N1 x N2)` where `M[j1][j2] = x[j1*N2 + j2]`;
 /// 2. twiddle `T[k1][j2] *= w_N^{k1 j2}`;
-/// 3. each row is an `N2`-point FFT (recursion);
+/// 3. each row is an `N2`-point FFT (the next level);
 /// 4. output interleaves as `X[k1 + N1*k2]`.
+///
+/// All rows of a level are transformed together, so a level costs one
+/// complex GEMM however many sub-transforms it holds: `⌈log16 N⌉`
+/// CGEMMs in all (one up to 16 points, 4 at 65,536).
 ///
 /// Returns the spectrum and the accumulated M3XU MMA statistics.
 /// Panics on an invalid length; see [`try_gemm_fft`] for the fallible
@@ -174,7 +178,7 @@ pub fn try_gemm_fft(x: &[C32]) -> Result<(Vec<C32>, MmaStats), M3xuError> {
 
 /// [`gemm_fft`] on an explicit [`GemmExecutor`] — thread a metered
 /// [`M3xuContext`](crate::context::M3xuContext) (or any custom driver)
-/// through the whole Cooley–Tukey recursion.
+/// through every Cooley–Tukey level.
 pub fn try_gemm_fft_on<X: GemmExecutor>(
     exec: &X,
     x: &[C32],
@@ -190,7 +194,7 @@ pub fn try_gemm_fft_on<X: GemmExecutor>(
         });
     }
     let mut stats = MmaStats::default();
-    let out = gemm_fft_inner(x, exec, &mut stats)?;
+    let out = gemm_fft_batch(exec, x, x.len(), &mut stats)?;
     Ok((out, stats))
 }
 
@@ -215,56 +219,81 @@ where
     try_gemm_fft_on(&ClosureExecutor::new(cgemm), x)
 }
 
-fn gemm_fft_inner<X: GemmExecutor>(
-    x: &[C32],
+/// Transform `x.len() / len` independent `len`-point signals stored back
+/// to back (signal `c` at `x[c * len..(c + 1) * len]`), issuing **one**
+/// complex GEMM per Cooley–Tukey level for the whole batch.
+///
+/// Every level splits each of its `b` signals of length `n = 16 · n2`
+/// exactly as the four-step recursion would, but side by side:
+/// 1. all `b · n2` column DFTs are one `F_16 × [16 × b·n2]` CGEMM, whose
+///    column `c·n2 + j2` holds signal `c`'s samples `j1·n2 + j2`;
+/// 2. the level's twiddle table `w_n^{k1·j2}` is built once and applied
+///    to every signal;
+/// 3. row `k1` of signal `c`'s block becomes sub-signal `16c + k1` of the
+///    next level;
+/// 4. on the way back, sub-spectra interleave as `X_c[k1 + 16·k2]`.
+///
+/// Signals of at most [`GEMM_RADIX`] points end the descent as one
+/// `F_n × [n × b]` CGEMM. Each CGEMM output column depends only on its
+/// own input column (same `K` order, zero seed), so the spectra are
+/// bit-identical to transforming each signal on its own.
+pub(crate) fn gemm_fft_batch<X: GemmExecutor>(
     exec: &X,
+    x: &[C32],
+    len: usize,
     stats: &mut MmaStats,
 ) -> Result<Vec<C32>, M3xuError> {
-    let n = x.len();
-    // Validated at the `try_gemm_fft_on` boundary; the recursion only
-    // ever splits a power of two into `GEMM_RADIX * (n / GEMM_RADIX)`.
-    debug_assert!(n.is_power_of_two());
-    if n <= GEMM_RADIX {
-        // Base case: one complex GEMM against the DFT matrix.
-        let f = cached_dft_matrix(n);
-        let v = Matrix::from_fn(n, 1, |j, _| x[j]);
-        let c = Matrix::zeros(n, 1);
-        let r = exec.try_cgemm_c32(&f, &v, &c)?;
-        stats.merge(&r.stats);
-        return Ok((0..n).map(|k| r.d.get(k, 0)).collect());
-    }
-    let n1 = GEMM_RADIX.min(n);
-    let n2 = n / n1;
-
-    // Step 1: column DFTs as a single N1 x N1 by N1 x N2 complex GEMM.
-    let m = Matrix::from_fn(n1, n2, |j1, j2| x[j1 * n2 + j2]);
-    let f = cached_dft_matrix(n1);
-    let c = Matrix::zeros(n1, n2);
-    let t = exec.try_cgemm_c32(&f, &m, &c)?;
-    stats.merge(&t.stats);
-
-    // Step 2: twiddle factors w_N^{k1 * j2}.
-    let mut rows: Vec<Vec<C32>> = Vec::with_capacity(n1);
-    for k1 in 0..n1 {
-        let mut row: Vec<C32> = Vec::with_capacity(n2);
-        for j2 in 0..n2 {
-            let ang = -2.0 * std::f64::consts::PI * (k1 as f64) * (j2 as f64) / n as f64;
-            let w64 = Complex::<f64>::cis(ang);
-            let w = Complex::new(w64.re as f32, w64.im as f32);
-            row.push(t.d.get(k1, j2) * w);
+    // Validated at the public boundaries: `len` is a power of two, so
+    // every level splits it into `GEMM_RADIX * (n / GEMM_RADIX)`.
+    debug_assert!(len.is_power_of_two() && x.len().is_multiple_of(len));
+    let mut buf = x.to_vec();
+    let mut splits = Vec::new();
+    let mut n = len;
+    while n > GEMM_RADIX {
+        let n2 = n / GEMM_RADIX;
+        let cols = buf.len() / GEMM_RADIX;
+        let m = Matrix::from_fn(GEMM_RADIX, cols, |j1, col| {
+            buf[(col / n2) * n + j1 * n2 + col % n2]
+        });
+        let t = exec.try_cgemm_c32(
+            &cached_dft_matrix(GEMM_RADIX),
+            &m,
+            &Matrix::zeros(GEMM_RADIX, cols),
+        )?;
+        stats.merge(&t.stats);
+        let twiddle: Vec<C32> = (0..GEMM_RADIX * n2)
+            .map(|i| {
+                let (k1, j2) = (i / n2, i % n2);
+                let ang = -2.0 * std::f64::consts::PI * (k1 as f64) * (j2 as f64) / n as f64;
+                let w64 = Complex::<f64>::cis(ang);
+                Complex::new(w64.re as f32, w64.im as f32)
+            })
+            .collect();
+        // Sub-signal (c, k1) lands at `(16c + k1) · n2 = c·n + k1·n2`.
+        for (i, v) in buf.iter_mut().enumerate() {
+            let (c, k1, j2) = (i / n, (i % n) / n2, i % n2);
+            *v = t.d.get(k1, c * n2 + j2) * twiddle[k1 * n2 + j2];
         }
-        rows.push(row);
+        splits.push(n);
+        n = n2;
     }
-
-    // Step 3: row FFTs (recursion), step 4: interleaved write-back.
-    let mut out = vec![C32::ZERO; n];
-    for (k1, row) in rows.iter().enumerate() {
-        let sub = gemm_fft_inner(row, exec, stats)?;
-        for (k2, &v) in sub.iter().enumerate() {
-            out[k1 + n1 * k2] = v;
+    let cols = buf.len() / n;
+    let v = Matrix::from_fn(n, cols, |j, c| buf[c * n + j]);
+    let r = exec.try_cgemm_c32(&cached_dft_matrix(n), &v, &Matrix::zeros(n, cols))?;
+    stats.merge(&r.stats);
+    for (i, y) in buf.iter_mut().enumerate() {
+        *y = r.d.get(i % n, i / n);
+    }
+    let mut out = vec![C32::ZERO; buf.len()];
+    for &n in splits.iter().rev() {
+        let n2 = n / GEMM_RADIX;
+        for (i, &y) in buf.iter().enumerate() {
+            let (c, k1, k2) = (i / n, (i % n) / n2, i % n2);
+            out[c * n + k1 + GEMM_RADIX * k2] = y;
         }
+        std::mem::swap(&mut buf, &mut out);
     }
-    Ok(out)
+    Ok(buf)
 }
 
 /// Maximum relative L2 error between two spectra (for accuracy tests).
@@ -284,10 +313,87 @@ pub fn spectrum_rel_error(got: &[C32], reference: &[C32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::M3xuContext;
 
     fn signal(n: usize, seed: u64) -> Vec<C32> {
         let m = Matrix::random_c32(n, 1, seed);
         (0..n).map(|i| m.get(i, 0)).collect()
+    }
+
+    /// The four-step recursion the level-batched transform replaced, kept
+    /// as its oracle: one CGEMM per sub-transform, each row of a level
+    /// recursed into separately.
+    fn recursive_gemm_fft<X: GemmExecutor>(exec: &X, x: &[C32]) -> Vec<C32> {
+        let n = x.len();
+        if n <= GEMM_RADIX {
+            let v = Matrix::from_fn(n, 1, |j, _| x[j]);
+            let r = exec
+                .try_cgemm_c32(&cached_dft_matrix(n), &v, &Matrix::zeros(n, 1))
+                .unwrap();
+            return (0..n).map(|k| r.d.get(k, 0)).collect();
+        }
+        let (n1, n2) = (GEMM_RADIX, n / GEMM_RADIX);
+        let m = Matrix::from_fn(n1, n2, |j1, j2| x[j1 * n2 + j2]);
+        let t = exec
+            .try_cgemm_c32(&cached_dft_matrix(n1), &m, &Matrix::zeros(n1, n2))
+            .unwrap();
+        let mut out = vec![C32::ZERO; n];
+        for k1 in 0..n1 {
+            let row: Vec<C32> = (0..n2)
+                .map(|j2| {
+                    let ang = -2.0 * std::f64::consts::PI * (k1 as f64) * (j2 as f64) / n as f64;
+                    let w64 = Complex::<f64>::cis(ang);
+                    t.d.get(k1, j2) * Complex::new(w64.re as f32, w64.im as f32)
+                })
+                .collect();
+            for (k2, v) in recursive_gemm_fft(exec, &row).into_iter().enumerate() {
+                out[k1 + n1 * k2] = v;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[C32]) -> Vec<(u32, u32)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn batched_levels_match_the_recursive_oracle_bit_for_bit() {
+        let ctx = M3xuContext::with_threads(2);
+        for p in 0..=16u32 {
+            let n = 1usize << p;
+            let x = signal(n, 40 + p as u64);
+            let want = recursive_gemm_fft(&ctx, &x);
+            let before = ctx.stats();
+            let (got, _) = try_gemm_fft_on(&ctx, &x).unwrap();
+            assert_eq!(bits(&got), bits(&want), "n = {n}");
+            // One CGEMM per level: ceil(log16 n), at least one.
+            let calls = ctx.stats().delta_since(&before).gemm_calls;
+            assert_eq!(calls, p.div_ceil(4).max(1) as u64, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn batched_fft2d_matches_per_row_and_column_oracle_bits() {
+        let ctx = M3xuContext::with_threads(2);
+        for (r, c) in [(1, 1), (1, 32), (32, 1), (8, 16), (64, 32), (16, 256)] {
+            let img = Matrix::random_c32(r, c, (r * 1000 + c) as u64);
+            let mut tmp = Matrix::<C32>::zeros(r, c);
+            for i in 0..r {
+                for (j, v) in recursive_gemm_fft(&ctx, img.row(i)).into_iter().enumerate() {
+                    tmp.set(i, j, v);
+                }
+            }
+            let tt = tmp.transpose();
+            let mut want = Matrix::<C32>::zeros(r, c);
+            for j in 0..c {
+                for (i, v) in recursive_gemm_fft(&ctx, tt.row(j)).into_iter().enumerate() {
+                    want.set(i, j, v);
+                }
+            }
+            let (got, _) = fft2d::try_fft2d_on(&ctx, &img).unwrap();
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{r}x{c}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`baseline`] as the differential-test and benchmark reference.
 
 use crate::blocking::KPlan;
-use crate::context::{self, GemmSample, M3xuContext};
+use crate::context::{self, GemmSample, M3xuContext, SimdChunks};
 use crate::pool::WorkerPool;
 use m3xu_fp::complex::Complex;
 use m3xu_mxu::abft::{self, Checksum};
@@ -373,6 +373,7 @@ fn try_gemm_packed<E: PackedElem>(
                 operand_bytes: 0,
                 pack_ns: 0,
                 exec_ns: 0,
+                simd: SimdChunks::default(),
             });
         }
         return Ok(GemmResult {
@@ -396,6 +397,7 @@ fn try_gemm_packed<E: PackedElem>(
 
     let plan = KPlan::new(frag.k, k, n, E::VAL_BYTES);
     let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
+    let simd = SimdChunks::default();
     let t_exec = Instant::now();
     // L2 epochs: one pool dispatch per `kc2`-deep reduction slice, so the
     // whole tile grid consumes one L2-resident band of `B`'s planes
@@ -431,17 +433,16 @@ fn try_gemm_packed<E: PackedElem>(
                 }
             }
             DPU.with(|dpu| {
-                let mut dpu = dpu.borrow_mut();
                 // L1 panels inside the epoch: each keeps one 8-column
                 // slice of `B` resident across the tile's output rows.
-                let mut kb = ke0;
-                while kb < ke1 {
-                    let kbend = (kb + plan.kc1).min(ke1);
-                    E::execute_panel(
-                        &mut dpu, &pa, &pb, i0, rows, j0, cols, kb, kbend, frag.k, acc,
-                    );
-                    kb = kbend;
-                }
+                simd.meter(&mut dpu.borrow_mut(), |dpu| {
+                    let mut kb = ke0;
+                    while kb < ke1 {
+                        let kbend = (kb + plan.kc1).min(ke1);
+                        E::execute_panel(dpu, &pa, &pb, i0, rows, j0, cols, kb, kbend, frag.k, acc);
+                        kb = kbend;
+                    }
+                })
             });
             // Epilogue: disjoint predicated stores straight into D.
             for (i, row) in acc.chunks_exact(cols).enumerate() {
@@ -475,6 +476,7 @@ fn try_gemm_packed<E: PackedElem>(
             operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
             pack_ns,
             exec_ns,
+            simd,
         });
         cx.put_scratch(pa.into_storage(), pb.into_storage());
     }
@@ -689,6 +691,7 @@ pub(crate) fn try_gemm_abft<E: AbftElem>(
                 operand_bytes: 0,
                 pack_ns: 0,
                 exec_ns: 0,
+                simd: SimdChunks::default(),
             });
         }
         return Ok((
@@ -894,6 +897,7 @@ pub(crate) fn try_gemm_abft<E: AbftElem>(
             operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
             pack_ns,
             exec_ns,
+            simd: SimdChunks::default(),
         });
         cx.put_scratch(pa.into_storage(), pb.into_storage());
     }

@@ -195,6 +195,12 @@ pub struct DotProductUnit {
     pub lane_ops: u64,
     /// Number of steps executed since the last `clear`.
     pub steps: u64,
+    /// Element-chunks the SIMD panels reduced on the vector path (never
+    /// reset: callers meter a region by its delta).
+    pub simd_chunks: u64,
+    /// Element-chunks the SIMD panels sent to the scalar oracle — a
+    /// special operand, or an exponent spread beyond the vector window.
+    pub simd_fallbacks: u64,
 }
 
 impl DotProductUnit {

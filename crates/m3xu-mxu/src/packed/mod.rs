@@ -798,7 +798,9 @@ fn fast_round_f32(sum: i128, pmin: i32) -> f32 {
 /// signed infinity when `finite` is false. Panel kernels keep this form
 /// as the next chunk's seed (see [`simd::ChunkSeed`]) so the f32
 /// assemble/decode round-trip stays off the per-column dependency chain;
-/// [`fast_round_assemble`] turns it into the identical f32 bits.
+/// [`fast_round_assemble`] turns it into the identical f32 bits. The AVX2
+/// panels run the normal-range branch below four columns per register
+/// ([`simd::x86::round_chunk_avx2`]) and call this for the other columns.
 #[inline(always)]
 fn fast_round_parts(sum: i128, pmin: i32) -> (u32, u64, i32, bool) {
     if sum == 0 {
@@ -889,6 +891,44 @@ fn fast_round_assemble(sign: u32, frac: u64, weight: i32, finite: bool) -> f32 {
     let hi = (frac >> 23) as u32;
     let ebits = (weight + 23 + 127) as u32;
     f32::from_bits(sign | ((ebits * hi) << 23) | (frac as u32 & 0x007f_ffff))
+}
+
+/// Every column of a SIMD fragment row, as a bitmask.
+const ROW_MASK: u32 = (1 << simd::COLS) - 1;
+
+/// Call `f` with the index of every set bit of `mask`, lowest first.
+#[inline(always)]
+fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
+/// Scalar drain of column `j`'s exact chunk value `sum · 2^pmin` into its
+/// decoded seed. A result that overflows to infinity is also written to
+/// `acc`, which holds the value of every non-finite column.
+#[inline(always)]
+fn drain_column(
+    seeds: &mut simd::RowSeeds,
+    acc: &mut [f32; simd::COLS],
+    j: usize,
+    sum: i128,
+    pmin: i32,
+) {
+    let (sign, frac, weight, finite) = fast_round_parts(sum, pmin);
+    seeds.set(
+        j,
+        simd::ChunkSeed {
+            mant: frac,
+            pow: weight,
+            neg: sign != 0,
+            finite,
+        },
+    );
+    if !finite {
+        acc[j] = fast_round_assemble(sign, frac, weight, finite);
+    }
 }
 
 /// Fast-path exact reduction of one output element: collects the lane
@@ -1646,6 +1686,7 @@ impl DotProductUnit {
                 }
                 ck0 += klen;
             }
+            seeds.store(row_acc);
         }
     }
 
@@ -1653,12 +1694,21 @@ impl DotProductUnit {
     /// rounding of each column's chunk value, with the per-(element,
     /// chunk) scalar fallback.
     ///
-    /// At the AVX2 level the whole accumulate — operand decode, window
-    /// anchoring, spread check, and the 128-bit shifted sum — runs
-    /// vectorised four columns per register; only the final
-    /// round-to-f32 (a handful of scalar ops per column) and any
-    /// fallback columns run scalar. Below AVX2 the per-column scalar
-    /// accumulate is used unchanged.
+    /// Each column's accumulator threads through the whole `K`-panel in
+    /// decoded form (`seeds`, authoritative for every finite column): the
+    /// rounded mantissa/power feed the next chunk's accumulate directly,
+    /// and the row's f32 values are assembled once, at panel end. `acc`
+    /// is written here only for a column that turns non-finite (whose
+    /// NaN payload the decoded form cannot carry) and for a column that
+    /// drops to the scalar oracle, which reads the f32 back from `seeds`.
+    ///
+    /// At the AVX2 level the accumulate — operand decode, window
+    /// anchoring, spread check, and the 128-bit shifted sum — and the
+    /// normal-range drain run vectorised four columns per register; a
+    /// column the vector drain leaves (zero sum, subnormal or overflowing
+    /// result, leading bit below 25) takes the scalar
+    /// [`fast_round_parts`]. Below AVX2 the per-column scalar accumulate
+    /// and rounder are used unchanged.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_row_chunk<const T: usize>(
@@ -1676,90 +1726,61 @@ impl DotProductUnit {
         epe: usize,
     ) {
         let lanes = (T * epe * epe) as u64;
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = level;
-        // Each column's accumulator threads through consecutive chunks in
-        // decoded form (`seeds`): the rounded result's mantissa/power feed
-        // the next chunk's accumulate directly, and the f32 stores into
-        // `acc` sit off that loop-carried chain. The f32 value and the
-        // decoded form denote the same number, so the fallback arm (which
-        // reads and writes the f32) re-synchronises losslessly.
-        #[cfg(target_arch = "x86_64")]
-        if level == simd::SimdLevel::Avx2 {
-            let mut lo = [0u64; simd::COLS];
-            let mut hi = [0u64; simd::COLS];
-            let mut base = [0i64; simd::COLS];
-            // SAFETY: Avx2 here implies detected host support (levels are
-            // clamped at resolve/set time).
-            let okm = unsafe {
-                simd::x86::accumulate_chunk_avx2(T, prods, seeds, &mut lo, &mut hi, &mut base)
-            } & seeds.finite;
-            for (j, d) in acc.iter_mut().enumerate() {
-                if okm >> j & 1 == 1 {
-                    self.lane_ops += lanes;
+        let okm = match level {
+            #[cfg(target_arch = "x86_64")]
+            simd::SimdLevel::Avx2 => {
+                let (mut lo, mut hi, mut base) =
+                    ([0u64; simd::COLS], [0u64; simd::COLS], [0i64; simd::COLS]);
+                // SAFETY: Avx2 here implies detected host support (levels
+                // are clamped at resolve/set time); the windows are valid
+                // for every column of `okm`.
+                let (okm, rounded) = unsafe {
+                    let okm = simd::x86::accumulate_chunk_avx2(
+                        T, prods, seeds, &mut lo, &mut hi, &mut base,
+                    ) & seeds.finite;
+                    (
+                        okm,
+                        simd::x86::round_chunk_avx2(&lo, &hi, &base, okm, seeds),
+                    )
+                };
+                for_each_bit(okm & !rounded, |j| {
                     let sum = (((hi[j] as u128) << 64) | lo[j] as u128) as i128;
-                    let (sign, frac, weight, finite) = fast_round_parts(sum, base[j] as i32);
-                    *d = fast_round_assemble(sign, frac, weight, finite);
-                    seeds.set(
-                        j,
-                        simd::ChunkSeed {
-                            mant: frac,
-                            pow: weight,
-                            neg: sign != 0,
-                            finite,
-                        },
-                    );
-                } else {
-                    *d = scalar_element_real(
-                        self,
-                        *d,
-                        a.vec(r0 + i),
-                        b.vec(c0 + j),
-                        ck0,
-                        ck0 + T,
-                        epe,
-                        false,
-                        lanes,
-                    );
-                    seeds.set(j, simd::ChunkSeed::decode(*d));
-                }
+                    drain_column(seeds, acc, j, sum, base[j] as i32);
+                });
+                okm
             }
-            return;
-        }
-        for (j, d) in acc.iter_mut().enumerate() {
-            let mut terms = [0f64; T];
-            for (t, term) in terms.iter_mut().enumerate() {
-                *term = prods[t][j];
+            _ => {
+                let mut okm = 0u32;
+                for_each_bit(ROW_MASK, |j| {
+                    let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
+                    let (sum, pmin, o) = simd::exact_chunk_accumulate_seeded(seeds.get(j), &terms);
+                    if o {
+                        okm |= 1 << j;
+                        drain_column(seeds, acc, j, sum, pmin);
+                    }
+                });
+                okm
             }
-            let (sum, pmin, o) = simd::exact_chunk_accumulate_seeded(seeds.get(j), &terms);
-            if o {
-                self.lane_ops += lanes;
-                let (sign, frac, weight, finite) = fast_round_parts(sum, pmin);
-                *d = fast_round_assemble(sign, frac, weight, finite);
-                seeds.set(
-                    j,
-                    simd::ChunkSeed {
-                        mant: frac,
-                        pow: weight,
-                        neg: sign != 0,
-                        finite,
-                    },
-                );
-            } else {
-                *d = scalar_element_real(
-                    self,
-                    *d,
-                    a.vec(r0 + i),
-                    b.vec(c0 + j),
-                    ck0,
-                    ck0 + T,
-                    epe,
-                    false,
-                    lanes,
-                );
-                seeds.set(j, simd::ChunkSeed::decode(*d));
-            }
-        }
+        };
+        let vector = okm.count_ones() as u64;
+        self.lane_ops += lanes * vector;
+        self.simd_chunks += vector;
+        for_each_bit(!okm & ROW_MASK, |j| {
+            self.simd_fallbacks += 1;
+            let d = scalar_element_real(
+                self,
+                seeds.value(j, acc[j]),
+                a.vec(r0 + i),
+                b.vec(c0 + j),
+                ck0,
+                ck0 + T,
+                epe,
+                false,
+                lanes,
+            );
+            acc[j] = d;
+            seeds.set(j, simd::ChunkSeed::decode(d));
+        });
     }
 
     /// SIMD body of the FP32C panel (`frag_k == 1`): per row, per packed
@@ -1847,9 +1868,11 @@ impl DotProductUnit {
                     match (re, im) {
                         (Some(re), Some(im)) => {
                             self.lane_ops += 16;
+                            self.simd_chunks += 1;
                             *d = Complex::new(re, im);
                         }
                         _ => {
+                            self.simd_fallbacks += 1;
                             *d = scalar_element_c32(
                                 self,
                                 *d,
@@ -1867,14 +1890,14 @@ impl DotProductUnit {
     }
 
     /// One FP32C fragment row of the AVX2 panel: both components'
-    /// accumulates run through the vectorised 128-bit window kernel
-    /// (`prods[0..2]` are the real component's terms — the product
-    /// kernel emits `-a_I·b_I` pre-negated — and `prods[2..4]` the
-    /// imaginary's), with the accumulator threaded across the `K`-loop
-    /// in decoded [`simd::RowSeeds`] form exactly like the FP32 panel.
-    /// Either component failing its window sends that (element, k) to
-    /// the whole-element scalar fallback, as in the scalar-accumulate
-    /// body.
+    /// accumulates and drains run through the vectorised 128-bit window
+    /// and rounding kernels (`prods[0..2]` are the real component's terms
+    /// — the product kernel emits `-a_I·b_I` pre-negated — and
+    /// `prods[2..4]` the imaginary's), with the accumulator threaded
+    /// across the `K`-loop in decoded [`simd::RowSeeds`] form exactly
+    /// like the FP32 panel and assembled to f32 once at the end. Either
+    /// component failing its window sends that (element, k) to the
+    /// whole-element scalar fallback, as in the scalar-accumulate body.
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -1913,8 +1936,9 @@ impl DotProductUnit {
             let bim = &bim_plane[k * n + c0..k * n + c0 + simd::COLS];
             simd::row_products_c32(simd::SimdLevel::Avx2, ar, ai, bre, bim, &mut prods);
             // SAFETY: this path is only entered at the Avx2 level, which
-            // is clamped to detected host capability.
-            let okm = unsafe {
+            // is clamped to detected host capability; the windows are
+            // valid for every column of `okm`.
+            let (okm, rounded_r, rounded_i) = unsafe {
                 let okr = simd::x86::accumulate_chunk_avx2(
                     2,
                     &prods[0..2],
@@ -1931,53 +1955,43 @@ impl DotProductUnit {
                     &mut hi_i,
                     &mut base_i,
                 );
-                okr & oki
-            } & sre.finite
-                & sim.finite;
-            for j in 0..simd::COLS {
-                if okm >> j & 1 == 1 {
-                    self.lane_ops += 16;
-                    let sr = (((hi_r[j] as u128) << 64) | lo_r[j] as u128) as i128;
-                    let (sg, fr, w, fin) = fast_round_parts(sr, base_r[j] as i32);
-                    re_acc[j] = fast_round_assemble(sg, fr, w, fin);
-                    sre.set(
-                        j,
-                        simd::ChunkSeed {
-                            mant: fr,
-                            pow: w,
-                            neg: sg != 0,
-                            finite: fin,
-                        },
-                    );
-                    let si = (((hi_i[j] as u128) << 64) | lo_i[j] as u128) as i128;
-                    let (sg, fr, w, fin) = fast_round_parts(si, base_i[j] as i32);
-                    im_acc[j] = fast_round_assemble(sg, fr, w, fin);
-                    sim.set(
-                        j,
-                        simd::ChunkSeed {
-                            mant: fr,
-                            pow: w,
-                            neg: sg != 0,
-                            finite: fin,
-                        },
-                    );
-                } else {
-                    let d = scalar_element_c32(
-                        self,
-                        Complex::new(re_acc[j], im_acc[j]),
-                        a.vec(r0 + i),
-                        b.vec(c0 + j),
-                        k,
-                        k + 1,
-                        16,
-                    );
-                    re_acc[j] = d.re;
-                    im_acc[j] = d.im;
-                    sre.set(j, simd::ChunkSeed::decode(d.re));
-                    sim.set(j, simd::ChunkSeed::decode(d.im));
-                }
-            }
+                let okm = okr & oki & sre.finite & sim.finite;
+                (
+                    okm,
+                    simd::x86::round_chunk_avx2(&lo_r, &hi_r, &base_r, okm, &mut sre),
+                    simd::x86::round_chunk_avx2(&lo_i, &hi_i, &base_i, okm, &mut sim),
+                )
+            };
+            for_each_bit(okm & !rounded_r, |j| {
+                let sum = (((hi_r[j] as u128) << 64) | lo_r[j] as u128) as i128;
+                drain_column(&mut sre, &mut re_acc, j, sum, base_r[j] as i32);
+            });
+            for_each_bit(okm & !rounded_i, |j| {
+                let sum = (((hi_i[j] as u128) << 64) | lo_i[j] as u128) as i128;
+                drain_column(&mut sim, &mut im_acc, j, sum, base_i[j] as i32);
+            });
+            let vector = okm.count_ones() as u64;
+            self.lane_ops += 16 * vector;
+            self.simd_chunks += vector;
+            for_each_bit(!okm & ROW_MASK, |j| {
+                self.simd_fallbacks += 1;
+                let d = scalar_element_c32(
+                    self,
+                    Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j])),
+                    a.vec(r0 + i),
+                    b.vec(c0 + j),
+                    k,
+                    k + 1,
+                    16,
+                );
+                re_acc[j] = d.re;
+                im_acc[j] = d.im;
+                sre.set(j, simd::ChunkSeed::decode(d.re));
+                sim.set(j, simd::ChunkSeed::decode(d.im));
+            });
         }
+        sre.store(&mut re_acc);
+        sim.store(&mut im_acc);
         for (j, d) in row.iter_mut().enumerate() {
             *d = Complex::new(re_acc[j], im_acc[j]);
         }

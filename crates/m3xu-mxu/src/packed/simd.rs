@@ -28,7 +28,12 @@
 //! `f32` value mirrors built at pack time ([`super::PackedOperand`]
 //! stores the `B` side k-major so one load touches 8 consecutive
 //! columns). Each column's products are then decoded and reduced exactly
-//! in the same 128-bit window / rounder as the scalar path.
+//! in the same 128-bit window / rounder as the scalar path. At AVX2 both
+//! halves run four columns per register: `x86::accumulate_chunk_avx2`
+//! builds the windows and `x86::round_chunk_avx2` drains them to FP32
+//! straight into the row's decoded accumulators (`RowSeeds`), which
+//! stay in vector form for a whole `K`-panel; the row's f32 values are
+//! assembled once, at panel end.
 //!
 //! Anything the window cannot prove exact — a non-finite product (which
 //! subsumes every special-operand case), or an exponent spread beyond
@@ -197,11 +202,11 @@ impl ChunkSeed {
 }
 
 /// One fragment row's accumulator seeds in structure-of-arrays form —
-/// the layout the AVX2 accumulate kernel loads directly (64-bit lanes:
-/// significand, power, sign mask). `finite` is a per-column bitset kept
-/// scalar-side; a non-finite column stores a zero contribution and its
-/// cleared bit forces the fallback regardless of what the vector window
-/// computes.
+/// the layout the AVX2 accumulate kernel loads and the AVX2 drain kernel
+/// writes back directly (64-bit lanes: significand, power, sign mask).
+/// `finite` is a per-column bitset kept scalar-side; a non-finite column
+/// stores a zero contribution and its cleared bit forces the fallback
+/// regardless of what the vector window computes.
 pub(crate) struct RowSeeds {
     /// Significand per column (0 for signed zeros and non-finite seeds).
     pub(crate) mant: [u64; COLS],
@@ -246,6 +251,29 @@ impl RowSeeds {
             pow: self.pow[j] as i32,
             neg: self.neg[j] != 0,
             finite: self.finite >> j & 1 == 1,
+        }
+    }
+
+    /// Column `j`'s accumulator as f32. The decoded form is authoritative
+    /// for a finite column (its f32 is only assembled on demand); a
+    /// non-finite column cannot carry a NaN payload here, so its value is
+    /// `stored`, the f32 the row last wrote for it.
+    #[inline(always)]
+    pub(crate) fn value(&self, j: usize, stored: f32) -> f32 {
+        if self.finite >> j & 1 == 1 {
+            let sign = (self.neg[j] as u32) & (1 << 31);
+            super::fast_round_assemble(sign, self.mant[j], self.pow[j] as i32, true)
+        } else {
+            stored
+        }
+    }
+
+    /// Assemble the row's f32 accumulators — once per panel row, not once
+    /// per chunk.
+    #[inline(always)]
+    pub(crate) fn store(&self, acc: &mut [f32; COLS]) {
+        for (j, d) in acc.iter_mut().enumerate() {
+            *d = self.value(j, *d);
         }
     }
 }
@@ -390,6 +418,7 @@ pub(crate) mod x86 {
     /// Caller guarantees AVX2 is available and `prods.len() >= klen`
     /// (with `klen <= MAX_KLEN`).
     #[target_feature(enable = "avx2")]
+    #[inline]
     pub unsafe fn accumulate_chunk_avx2(
         klen: usize,
         prods: &[[f64; COLS]],
@@ -493,6 +522,137 @@ pub(crate) mod x86 {
             okbits |= (_mm256_movemask_pd(_mm256_castsi256_pd(okv)) as u32) << (4 * g);
         }
         okbits
+    }
+
+    /// Vectorised normal-range branch of [`super::super::fast_round_parts`]
+    /// over the windows [`accumulate_chunk_avx2`] produced, four columns
+    /// per register: the rounded significand, power and sign go straight
+    /// back into `seeds`, so a column's accumulator never leaves decoded
+    /// form between chunks.
+    ///
+    /// Only columns in `mask` are considered. Returns the subset rounded
+    /// here: a nonzero sum whose leading bit sits at position 25 or above
+    /// and whose result exponent lies in (-127, 127), so no subnormal,
+    /// overflow or below-window round probe can arise. Every other column
+    /// of `seeds` — masked out, or left to the scalar rounder — is left
+    /// untouched.
+    ///
+    /// Per lane: two's-complement absolute value; the leading-bit
+    /// position read exactly from the top nonzero 32-bit half, which the
+    /// `2^52` magic constant turns into an `f64` whose exponent field is
+    /// that half's `floor(log2)`; frac/round/sticky extraction with
+    /// variable shifts (`vpsrlvq`/`vpsllvq` yield zero for any count of
+    /// 64 or more, negative counts included, which covers both sides of
+    /// `lowbit == 64` without a branch); round-to-nearest-even and its
+    /// renormalising carry.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 is available and that `lo`/`hi`/`base` hold
+    /// valid windows for every column in `mask`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub unsafe fn round_chunk_avx2(
+        lo: &[u64; COLS],
+        hi: &[u64; COLS],
+        base: &[i64; COLS],
+        mask: u32,
+        seeds: &mut RowSeeds,
+    ) -> u32 {
+        let zero = _mm256_setzero_si256();
+        let onev = _mm256_set1_epi64x(1);
+        let low32 = _mm256_set1_epi64x(0xffff_ffff);
+        let c32 = _mm256_set1_epi64x(32);
+        let c64 = _mm256_set1_epi64x(64);
+        let c128 = _mm256_set1_epi64x(128);
+        let c24 = _mm256_set1_epi64x(24);
+        let c23 = _mm256_set1_epi64x(23);
+        let emin = _mm256_set1_epi64x(-127);
+        let emax = _mm256_set1_epi64x(127);
+        // 2^52 + w for a 32-bit w, exactly; its exponent field minus the
+        // bias is floor(log2(w)) once 2^52 is subtracted back off.
+        let magic = _mm256_set1_epi64x(0x4330_0000_0000_0000);
+        let bias = _mm256_set1_epi64x(1023);
+        let lanebits = _mm256_setr_epi64x(1, 2, 4, 8);
+        let mut done = 0u32;
+        for g in 0..COLS / 4 {
+            let o = 4 * g;
+            let m4 = (mask >> o) & 0xf;
+            if m4 == 0 {
+                continue;
+            }
+            let l = _mm256_loadu_si256(lo.as_ptr().add(o) as *const __m256i);
+            let h = _mm256_loadu_si256(hi.as_ptr().add(o) as *const __m256i);
+            let b = _mm256_loadu_si256(base.as_ptr().add(o) as *const __m256i);
+            // |sum|: low half -l, high half ~h + (l == 0) where negative.
+            let neg = _mm256_cmpgt_epi64(zero, h);
+            let lz = _mm256_cmpeq_epi64(l, zero);
+            let al = _mm256_sub_epi64(_mm256_xor_si256(l, neg), neg);
+            let ah = _mm256_sub_epi64(_mm256_xor_si256(h, neg), _mm256_and_si256(neg, lz));
+            // Leading-bit position from the top nonzero 32-bit half. A
+            // zero sum decodes to a large negative position and fails the
+            // range test below.
+            let hz = _mm256_cmpeq_epi64(ah, zero);
+            let x = blendv64(ah, al, hz);
+            let x_hi = _mm256_srli_epi64::<32>(x);
+            let xhz = _mm256_cmpeq_epi64(x_hi, zero);
+            let w = blendv64(x_hi, _mm256_and_si256(x, low32), xhz);
+            let off = _mm256_add_epi64(_mm256_andnot_si256(hz, c64), _mm256_andnot_si256(xhz, c32));
+            let wf = _mm256_sub_pd(
+                _mm256_castsi256_pd(_mm256_or_si256(w, magic)),
+                _mm256_castsi256_pd(magic),
+            );
+            let lead = _mm256_add_epi64(
+                _mm256_sub_epi64(_mm256_srli_epi64::<52>(_mm256_castpd_si256(wf)), bias),
+                off,
+            );
+            let e = _mm256_add_epi64(lead, b);
+            let inmask = _mm256_cmpeq_epi64(
+                _mm256_and_si256(_mm256_set1_epi64x(m4 as i64), lanebits),
+                lanebits,
+            );
+            let ok = _mm256_and_si256(
+                _mm256_and_si256(inmask, _mm256_cmpgt_epi64(lead, c24)),
+                _mm256_and_si256(_mm256_cmpgt_epi64(e, emin), _mm256_cmpgt_epi64(emax, e)),
+            );
+            let okbits = _mm256_movemask_pd(_mm256_castsi256_pd(ok)) as u32;
+            if okbits == 0 {
+                continue;
+            }
+            // lowbit = lead - 24 in [1, 102]: r2 = m >> lowbit (frac:24 |
+            // round:1), sticky = any bit of m below lowbit.
+            let lowbit = _mm256_sub_epi64(lead, c24);
+            let r2 = _mm256_or_si256(
+                _mm256_or_si256(
+                    _mm256_srlv_epi64(al, lowbit),
+                    _mm256_sllv_epi64(ah, _mm256_sub_epi64(c64, lowbit)),
+                ),
+                _mm256_srlv_epi64(ah, _mm256_sub_epi64(lowbit, c64)),
+            );
+            // max(64 - lowbit, 0) via the 32-bit max: the small signed
+            // count's upper half is its sign extension, which max zeroes.
+            let lo_shift = _mm256_max_epi32(_mm256_sub_epi64(c64, lowbit), zero);
+            let below = _mm256_or_si256(
+                _mm256_sllv_epi64(al, lo_shift),
+                _mm256_sllv_epi64(ah, _mm256_sub_epi64(c128, lowbit)),
+            );
+            let sticky = _mm256_andnot_si256(_mm256_cmpeq_epi64(below, zero), onev);
+            let frac = _mm256_srli_epi64::<1>(r2);
+            let round = _mm256_and_si256(r2, onev);
+            let inc =
+                _mm256_and_si256(round, _mm256_or_si256(sticky, _mm256_and_si256(frac, onev)));
+            let frac = _mm256_add_epi64(frac, inc);
+            let carry = _mm256_srli_epi64::<24>(frac);
+            let frac = _mm256_srlv_epi64(frac, carry);
+            let pow = _mm256_add_epi64(_mm256_sub_epi64(e, c23), carry);
+            let mp = seeds.mant.as_mut_ptr().add(o) as *mut __m256i;
+            let pp = seeds.pow.as_mut_ptr().add(o) as *mut __m256i;
+            let np = seeds.neg.as_mut_ptr().add(o) as *mut __m256i;
+            _mm256_storeu_si256(mp, blendv64(_mm256_loadu_si256(mp), frac, ok));
+            _mm256_storeu_si256(pp, blendv64(_mm256_loadu_si256(pp), pow, ok));
+            _mm256_storeu_si256(np, blendv64(_mm256_loadu_si256(np), neg, ok));
+            done |= okbits << o;
+        }
+        done
     }
 
     #[target_feature(enable = "avx2")]
@@ -956,6 +1116,152 @@ mod tests {
         }
         println!("fast_round_f32 throughput: {best:.1} ns/call");
         std::hint::black_box(&sums);
+    }
+
+    /// Run [`x86::round_chunk_avx2`] on one row of windows and check every
+    /// lane against the scalar [`super::super::fast_round_parts`]: a lane
+    /// is rounded by the kernel exactly when it is in `mask` and the
+    /// scalar rounder takes its normal-range branch, the rounded lanes
+    /// carry the scalar result, and every other lane keeps its seed.
+    #[cfg(target_arch = "x86_64")]
+    fn check_round_chunk(sums: &[i128; COLS], base: &[i64; COLS], mask: u32, fill: u64) {
+        let lo = sums.map(|s| s as u64);
+        let hi = sums.map(|s| (s >> 64) as u64);
+        let mut seeds = RowSeeds {
+            mant: [fill; COLS],
+            pow: [fill as i64 ^ 0x55; COLS],
+            neg: [fill.rotate_left(7); COLS],
+            finite: 0xa5,
+        };
+        let before = (seeds.mant, seeds.pow, seeds.neg);
+        // SAFETY: the caller checked AVX2 support.
+        let done = unsafe { x86::round_chunk_avx2(&lo, &hi, base, mask, &mut seeds) };
+        assert_eq!(
+            seeds.finite, 0xa5,
+            "the kernel never touches the finite bits"
+        );
+        for j in 0..COLS {
+            let (sum, pmin) = (sums[j], base[j] as i32);
+            let lead = 127 - sum.unsigned_abs().leading_zeros() as i32;
+            let fast = sum != 0 && lead >= 25 && (-126..127).contains(&(lead + pmin));
+            let want_done = mask >> j & 1 == 1 && fast;
+            assert_eq!(
+                done >> j & 1 == 1,
+                want_done,
+                "lane {j}: sum {sum:#x} pmin {pmin}"
+            );
+            if want_done {
+                let (sign, frac, weight, finite) = super::super::fast_round_parts(sum, pmin);
+                assert!(finite);
+                assert_eq!(
+                    (seeds.mant[j], seeds.pow[j], seeds.neg[j] != 0),
+                    (frac, weight as i64, sign != 0),
+                    "lane {j}: sum {sum:#x} pmin {pmin}"
+                );
+                assert!(seeds.neg[j] == 0 || seeds.neg[j] == u64::MAX);
+            } else {
+                assert_eq!(
+                    (seeds.mant[j], seeds.pow[j], seeds.neg[j]),
+                    (before.0[j], before.1[j], before.2[j]),
+                    "lane {j} must be left untouched"
+                );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn round_chunk_avx2_matches_scalar_rounder_lane_by_lane() {
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // A magnitude with its leading bit at `lead` (0..=126), `below`
+        // giving the bits under it.
+        let at = |lead: u32, below: u128| -> i128 {
+            let m = (1u128 << lead) | (below & ((1u128 << lead) - 1));
+            m as i128
+        };
+        // Random windows: every leading-bit position, both signs, and
+        // anchors that put the result exponent across (-140, 140).
+        for _ in 0..20_000 {
+            let mut sums = [0i128; COLS];
+            let mut base = [0i64; COLS];
+            for j in 0..COLS {
+                let lead = (next() % 127) as u32;
+                // Random bits under the leading one, half the time with a
+                // run of low zeros so the sticky probe must look into the
+                // high half.
+                let mut bits = ((next() as u128) << 64) | next() as u128;
+                if next() & 1 == 1 {
+                    bits &= u128::MAX << (next() % 128);
+                }
+                let mut m = at(lead, bits);
+                if next() % 16 == 0 {
+                    m = 0;
+                }
+                sums[j] = if next() & 1 == 1 { -m } else { m };
+                base[j] = (next() % 281) as i64 - 140 - lead as i64;
+            }
+            check_round_chunk(&sums, &base, (next() & 0xff) as u32, next());
+        }
+        // Edges, each at every lane position under a full mask. `sticky`
+        // is the one bit set below the round bit, if any: the lowest
+        // (bit 0) or the highest (just under the round bit).
+        let frac_tie = |frac: u128, lead: u32, round: bool, sticky: Option<bool>| -> i128 {
+            let lowbit = lead - 24;
+            let mut m = (frac | 1 << 23) << lowbit;
+            if round {
+                m |= 1 << (lowbit - 1);
+            }
+            match sticky {
+                Some(lowest) if lowbit > 1 => m |= 1 << if lowest { 0 } else { lowbit - 2 },
+                _ => {}
+            }
+            m as i128
+        };
+        let mut edges: Vec<(i128, i64)> = Vec::new();
+        for lead in [25u32, 26, 40, 63, 64, 65, 87, 88, 89, 90, 100, 126] {
+            for frac in [0u128, 1, 2, 0x7f_fffe, 0x7f_ffff, 0x12_3457] {
+                for round in [false, true] {
+                    for sticky in [None, Some(true), Some(false)] {
+                        let m = frac_tie(frac, lead, round, sticky);
+                        for e in [-127i64, -126, -125, 0, 125, 126, 127] {
+                            let pmin = e - lead as i64;
+                            edges.push((m, pmin));
+                            edges.push((-m, pmin));
+                        }
+                    }
+                }
+            }
+        }
+        // Leading bit at 24 (scalar rounder) and 25 (vector), below the
+        // round probe; zero sums of either anchor.
+        for lead in [0u32, 1, 23, 24, 25] {
+            edges.push((at(lead, 0x00ab_cdef), -(lead as i64)));
+            edges.push((-at(lead, 0x0012_3457), 3));
+        }
+        edges.push((0, 0));
+        edges.push((0, -150));
+        for (n, &(sum, pmin)) in edges.iter().enumerate() {
+            let mut sums = [0i128; COLS];
+            let mut base = [0i64; COLS];
+            for j in 0..COLS {
+                let (s, p) = edges[(n + j) % edges.len()];
+                sums[j] = s;
+                base[j] = p;
+            }
+            sums[n % COLS] = sum;
+            base[n % COLS] = pmin;
+            check_round_chunk(&sums, &base, 0xff, n as u64);
+            check_round_chunk(&sums, &base, (n as u32 * 37) & 0xff, !(n as u64));
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -17,11 +17,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== cargo test -q"
-cargo test -q
+# Every workspace member, not only the root package: the crates' own
+# unit and integration suites (the rounder and SIMD drain tests in
+# m3xu-mxu, the kernel robustness suite, the serve service suite, the
+# softfloat golden vectors) run here.
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
 
-echo "== cargo test --release -q"
-cargo test --release -q
+echo "== cargo test --release -q --workspace"
+cargo test --release -q --workspace
 
 echo "== cross-validation: functional ExecStats vs analytical model (release)"
 cargo test --release -q --test cross_validation

@@ -575,28 +575,100 @@ fn wall_time_counters_are_nonzero_and_monotone() {
 fn higher_level_kernels_flow_into_the_same_sink() {
     // A kernel routed through a context (here the GEMM-formulated FFT)
     // must meter every internal CGEMM against the analytical model: the
-    // sink's FP32C instruction total is the sum of exact per-problem
-    // counts.
-    let ctx = M3xuContext::with_threads(2);
-    let x: Vec<m3xu::C32> = (0..64)
-        .map(|i| m3xu::Complex::new((i as f32 * 0.11).sin(), (i as f32 * 0.07).cos()))
-        .collect();
-    let (_, stats) = ctx.try_gemm_fft(&x).unwrap();
-    let s = ctx.stats();
-    assert_eq!(s.mode(MxuMode::M3xuFp32c).instructions, stats.instructions);
-    assert!(s.gemm_calls > 0);
+    // sink's FP32C instruction, step and traffic totals are the sums of
+    // the exact counts of the FFT's level shapes — one `F_16 x [16 x N/16]`
+    // CGEMM per split level, then one `F_n x [n x N/n]` base case.
+    for n in [2usize, 16, 64, 4096] {
+        let ctx = M3xuContext::with_threads(2);
+        let x: Vec<m3xu::C32> = (0..n)
+            .map(|i| m3xu::Complex::new((i as f32 * 0.11).sin(), (i as f32 * 0.07).cos()))
+            .collect();
+        let (_, stats) = ctx.try_gemm_fft(&x).unwrap();
+        let mut levels = Vec::new();
+        let mut len = n;
+        while len > 16 {
+            levels.push((16, n / 16, 16));
+            len /= 16;
+        }
+        levels.push((len, n / len, len));
+        let mut want = ExactCounts {
+            instructions: 0,
+            steps: 0,
+            operand_bytes: 0,
+        };
+        for &(m, cols, k) in &levels {
+            let c = exact_counts(
+                Problem {
+                    m,
+                    n: cols,
+                    k,
+                    complex: true,
+                },
+                Engine::M3xuFp32c,
+            )
+            .unwrap();
+            want.instructions += c.instructions;
+            want.steps += c.steps;
+            want.operand_bytes += c.operand_bytes;
+        }
+        let s = ctx.stats();
+        assert_eq!(s.gemm_calls, levels.len() as u64, "n = {n}");
+        assert_eq!(observed(&ctx, MxuMode::M3xuFp32c), want, "n = {n}");
+        assert_eq!(stats.instructions, want.instructions, "n = {n}");
+    }
+}
 
-    // Each recorded CGEMM was individually validated at GEMM granularity
-    // above; spot-check the FFT's base-case shape here too.
-    let base = exact_counts(
-        Problem {
-            m: 16,
-            n: 1,
-            k: 16,
-            complex: true,
-        },
-        Engine::M3xuFp32c,
-    )
-    .unwrap();
-    assert_eq!(base.instructions, 2 * 16);
+#[test]
+fn simd_fallbacks_are_counted_per_element_chunk() {
+    // Every element-chunk a SIMD panel executes is counted once: on the
+    // vector path, or sent to the scalar oracle. Dense random operands
+    // never leave the vector path; the GEMM-FFT's DFT matrices do — their
+    // tiny nonzero components (f32 cos(pi/2) ~ 6e-17, say) put the
+    // exponent spread of a chunk beyond the vector window.
+    use m3xu::mxu::packed::simd::{self, SimdLevel};
+    let vector = simd::level() != SimdLevel::Scalar;
+    let ctx = M3xuContext::with_threads(2);
+    let a = Matrix::<f32>::random(64, 64, 11);
+    let b = Matrix::<f32>::random(64, 64, 12);
+    ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &Matrix::zeros(64, 64));
+    let s = ctx.stats();
+    // 64 x 64 outputs x 32 two-deep chunks.
+    assert_eq!(s.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
+    assert_eq!(s.simd_fallbacks, 0);
+
+    let ca = Matrix::random_c32(64, 64, 13);
+    let cb = Matrix::random_c32(64, 64, 14);
+    ctx.cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64));
+    let d = ctx.stats().delta_since(&s);
+    // 64 x 64 outputs x 64 one-deep chunks.
+    assert_eq!(d.simd_chunks, if vector { 64 * 64 * 64 } else { 0 });
+    assert_eq!(d.simd_fallbacks, 0);
+
+    let x: Vec<m3xu::C32> = (0..4096)
+        .map(|i| m3xu::Complex::new((i as f32 * 0.13).sin(), (i as f32 * 0.05).cos()))
+        .collect();
+    let before = ctx.stats();
+    ctx.try_gemm_fft(&x).unwrap();
+    let f = ctx.stats().delta_since(&before);
+    // Three 16 x 256 x 16 CGEMMs.
+    let total = f.simd_chunks + f.simd_fallbacks;
+    if vector {
+        assert_eq!(total, 3 * 16 * 256 * 16);
+        assert!(
+            f.simd_fallbacks > 0,
+            "the FFT's fallback share must be visible"
+        );
+        eprintln!(
+            "4096-point GEMM-FFT: {:.1}% of element-chunks fell back",
+            100.0 * f.simd_fallbacks as f64 / total as f64
+        );
+    } else {
+        assert_eq!(total, 0);
+    }
+    // The snapshot arithmetic carries the new counters.
+    let m = s.merged(&d);
+    assert_eq!(
+        (m.simd_chunks, m.simd_fallbacks),
+        (s.simd_chunks + d.simd_chunks, 0)
+    );
 }

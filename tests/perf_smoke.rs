@@ -2,9 +2,10 @@
 //!
 //! Opt-in: runs only with `M3XU_PERF_GATE=1` (and never in debug builds,
 //! where the floors are meaningless). The floors are set far below the
-//! measured release numbers — 256³ M3XU-FP32 runs ~6.5x faster than the
-//! forced-scalar packed path on the reference AVX2 host — so only a real
-//! regression (or a Scalar-only host, which the gate skips) trips them.
+//! measured release numbers — 256³ M3XU-FP32 and 128³ M3XU-FP32C both run
+//! ~10x faster than the forced-scalar packed path on a 2-vCPU AVX2 Xeon
+//! — so only a real regression (or a Scalar-only host, which the gate
+//! skips) trips them.
 
 use std::time::Instant;
 
@@ -32,37 +33,48 @@ fn simd_pipeline_beats_scalar_floor() {
     let a = Matrix::<f32>::random(n, n, 0x51);
     let b = Matrix::<f32>::random(n, n, 0x52);
     let c = Matrix::<f32>::zeros(n, n);
-    // Warm (and correctness-anchor) both paths once, then best-of-2 each
-    // to shave scheduler noise.
-    let best = |reps: usize, f: &dyn Fn()| {
+    let fp32 = speedup(entry, &format!("FP32 {n}^3"), &|| {
+        std::hint::black_box(gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c));
+    });
+    let n = 128;
+    let ca = Matrix::random_c32(n, n, 0x53);
+    let cb = Matrix::random_c32(n, n, 0x54);
+    let cc = Matrix::random_c32(n, n, 0x55);
+    let fp32c = speedup(entry, &format!("FP32C {n}^3"), &|| {
+        std::hint::black_box(gemm::cgemm_c32(&ca, &cb, &cc));
+    });
+    // Floor at 3x for both modes (measured ~10x): anything under 3x means
+    // the vector pipeline effectively stopped working.
+    for (mode, s) in [("FP32", fp32), ("FP32C", fp32c)] {
+        assert!(
+            s >= 3.0,
+            "{mode} SIMD pipeline speedup {s:.2}x fell below the 3x floor at {entry:?}"
+        );
+    }
+}
+
+/// Best-of-2 wall time of `f` at the forced-scalar level over the same
+/// at the entry level (each path warmed once first), printed as one row.
+fn speedup(entry: SimdLevel, what: &str, f: &dyn Fn()) -> f64 {
+    let best = || {
+        f();
         let mut best = f64::MAX;
-        for _ in 0..reps {
+        for _ in 0..2 {
             let t = Instant::now();
             f();
             best = best.min(t.elapsed().as_secs_f64());
         }
         best
     };
-    let simd_s = best(2, &|| {
-        std::hint::black_box(gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c));
-    });
+    let simd_s = best();
     simd::set_level(SimdLevel::Scalar);
-    let scalar_s = best(2, &|| {
-        std::hint::black_box(gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c));
-    });
+    let scalar_s = best();
     simd::set_level(entry);
-
     let speedup = scalar_s / simd_s;
     eprintln!(
-        "perf smoke: {n}^3 scalar {:.0} ms, simd {:.0} ms, speedup {speedup:.2}x at {entry:?}",
+        "perf smoke: {what} scalar {:.0} ms, simd {:.0} ms, speedup {speedup:.2}x at {entry:?}",
         scalar_s * 1e3,
         simd_s * 1e3
     );
-    // Floor at 3x: measured ~6.5x on the reference host; anything under
-    // 3x means the vector pipeline effectively stopped working.
-    assert!(
-        speedup >= 3.0,
-        "SIMD pipeline speedup {speedup:.2}x fell below the 3x floor \
-         (scalar {scalar_s:.3}s vs simd {simd_s:.3}s at {entry:?})"
-    );
+    speedup
 }

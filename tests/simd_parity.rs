@@ -198,3 +198,125 @@ fn wide_exponent_spreads_stay_bitwise_identical() {
     }
     simd::set_level(entry);
 }
+
+/// Reduction depth of the long-K cases: past the L1 panel depth of both
+/// value widths on common hosts, so each tile's chain crosses panel edges.
+const LONG_K: usize = 1200;
+
+/// The triggers that knock one column off the vector path at depth `k`:
+/// what `B[k][j]` becomes, and whether `A`'s column `k` is set to 2 so a
+/// `±f32::MAX` entry overflows the sum.
+#[derive(Clone, Copy)]
+enum Trigger {
+    /// A NaN product; the column then stays on the oracle.
+    Nan,
+    /// A ±Inf product; the column then stays on the oracle.
+    Inf(f32),
+    /// A tiny product whose exponent spread from the running sum is far
+    /// beyond the vector window — one chunk on the oracle, then back.
+    Spread,
+    /// A ±`f32::MAX` entry times 2: a finite exact sum that rounds to ±Inf.
+    Overflow(f32),
+}
+
+const TRIGGERS: [Trigger; 7] = [
+    Trigger::Nan,
+    Trigger::Inf(1.0),
+    Trigger::Inf(-1.0),
+    Trigger::Spread,
+    Trigger::Overflow(1.0),
+    Trigger::Overflow(-1.0),
+    Trigger::Spread,
+];
+
+/// Column `j`'s trigger depth: deep in `K`, on both sides of a panel edge.
+fn trigger_depth(j: usize) -> usize {
+    LONG_K / 2 + 17 * j
+}
+
+/// The value `B[k][j]` takes for `t`, and whether `A[.][k]` must be 2.
+fn trigger_value(t: Trigger) -> (f32, bool) {
+    match t {
+        Trigger::Nan => (f32::NAN, false),
+        Trigger::Inf(s) => (s * f32::INFINITY, false),
+        Trigger::Spread => (1.0e-30, false),
+        Trigger::Overflow(s) => (s * f32::MAX, true),
+    }
+}
+
+#[test]
+fn long_k_gemm_columns_leave_the_vector_chain_deep_and_carry_on() {
+    let _guard = LEVEL_LOCK.lock().unwrap();
+    let entry = simd::level();
+    let levels = host_levels();
+    let (m, n) = (9, 32);
+    let mut a = Matrix::<f32>::random(m, LONG_K, 0x10A);
+    let mut b = Matrix::<f32>::random(LONG_K, n, 0x10B);
+    let c = Matrix::<f32>::random(m, n, 0x10C);
+    for j in 0..n {
+        let k = trigger_depth(j);
+        let (v, double_a) = trigger_value(TRIGGERS[j % TRIGGERS.len()]);
+        b.set(k, j, v);
+        if double_a {
+            for i in 0..m {
+                a.set(i, k, 2.0);
+            }
+        }
+    }
+    let want = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    // Each trigger left its mark on the oracle's column.
+    for j in 0..n {
+        for i in 0..m {
+            let v = want.d.get(i, j);
+            match TRIGGERS[j % TRIGGERS.len()] {
+                Trigger::Nan => assert!(v.is_nan()),
+                Trigger::Inf(_) => assert!(v.is_infinite()),
+                Trigger::Spread => assert!(v.is_finite()),
+                Trigger::Overflow(s) => assert_eq!(v, s * f32::INFINITY),
+            }
+        }
+    }
+    for &lvl in &levels {
+        simd::set_level(lvl);
+        let got = gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        assert_bits_f32(&got.d, &want.d, &format!("long-K gemm at {lvl:?}"));
+    }
+    simd::set_level(entry);
+}
+
+#[test]
+fn long_k_cgemm_columns_leave_the_vector_chain_deep_and_carry_on() {
+    let _guard = LEVEL_LOCK.lock().unwrap();
+    let entry = simd::level();
+    let levels = host_levels();
+    let (m, n) = (9, 32);
+    let mut a = Matrix::random_c32(m, LONG_K, 0x20A);
+    let mut b = Matrix::random_c32(LONG_K, n, 0x20B);
+    let c = Matrix::random_c32(m, n, 0x20C);
+    for j in 0..n {
+        let k = trigger_depth(j);
+        let (v, double_a) = trigger_value(TRIGGERS[j % TRIGGERS.len()]);
+        // Alternate the component the trigger lands in.
+        b.set(
+            k,
+            j,
+            if j % 2 == 0 {
+                C32::new(v, 0.0)
+            } else {
+                C32::new(0.0, v)
+            },
+        );
+        if double_a {
+            for i in 0..m {
+                a.set(i, k, C32::new(2.0, 0.0));
+            }
+        }
+    }
+    let want = baseline::cgemm_c32(&a, &b, &c);
+    for &lvl in &levels {
+        simd::set_level(lvl);
+        let got = gemm::cgemm_c32(&a, &b, &c);
+        assert_bits_c32(&got.d, &want.d, &format!("long-K cgemm at {lvl:?}"));
+    }
+    simd::set_level(entry);
+}
