@@ -18,8 +18,8 @@
 //! free functions remain as thin wrappers over the process-wide
 //! [`default_context`], which resolves `M3XU_THREADS` exactly once.
 
-use crate::blas3::{self, Side};
-use crate::gemm::{self, GemmPrecision, GemmResult};
+use crate::blas3::Side;
+use crate::gemm::{self, Call, GemmPrecision, GemmResult, OutRegion};
 use crate::pool::{self, WorkerPool};
 use crate::{conv2d, conv_grad, fft, knn, poly, solver};
 use m3xu_fp::complex::Complex;
@@ -357,8 +357,9 @@ pub struct M3xuContext {
     counters: ExecCounters,
     arena: Mutex<OperandArena>,
     /// Armed fault-injection plan. `None` (the production default when
-    /// `M3XU_FAULT_SEED` is unset) keeps the unchecked drivers on the hot
-    /// path — no checksum work, bit-identical to a plan-free build.
+    /// `M3XU_FAULT_SEED` is unset) keeps the driver's unchecked body on
+    /// the hot path — no checksum work, bit-identical to a plan-free
+    /// build.
     fault: Option<Arc<FaultPlan>>,
 }
 
@@ -391,8 +392,9 @@ impl M3xuContext {
     }
 
     /// Arm this context with an explicit fault-injection plan, overriding
-    /// whatever the environment resolved. FP32 / FP32C GEMMs then run the
-    /// ABFT-checked self-healing driver; every other engine is untouched.
+    /// whatever the environment resolved. Every GEMM and BLAS-3 call on
+    /// this context — every precision, FP32C and emulated FP64 included —
+    /// then runs the driver's ABFT-checked self-healing body.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault = Some(plan);
         self
@@ -488,7 +490,8 @@ impl M3xuContext {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        gemm::try_gemm_f32_ctx(self, precision, a, b, c)
+        self.try_gemm_f32_faulted(precision, a, b, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_f32`], panicking on invalid shapes.
@@ -511,7 +514,7 @@ impl M3xuContext {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        gemm::try_cgemm_c32_ctx(self, a, b, c)
+        self.try_cgemm_c32_faulted(a, b, c).map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_cgemm_c32`], panicking on invalid shapes.
@@ -524,7 +527,7 @@ impl M3xuContext {
     /// returns the [`FaultSummary`] of this one invocation. Every f32
     /// precision is covered — the expected checksums read the packed
     /// buffer entries, so quantising narrow modes verify exactly — and
-    /// with no armed plan the production driver runs and the summary is
+    /// with no armed plan the production body runs and the summary is
     /// zero.
     pub fn try_gemm_f32_faulted(
         &self,
@@ -533,7 +536,9 @@ impl M3xuContext {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        gemm::try_gemm_f32_faulted_ctx(self, precision, a, b, c)
+        gemm::check_precision(precision, true, "gemm_f32")?;
+        let call = Call::new("gemm", precision.mode(), 1.0, 1.0);
+        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
     }
 
     /// [`M3xuContext::try_cgemm_c32`] with fault telemetry; see
@@ -544,11 +549,14 @@ impl M3xuContext {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        gemm::try_cgemm_c32_faulted_ctx(self, a, b, c)
+        let call = Call::new("cgemm", MxuMode::M3xuFp32c, C32::ONE, C32::ONE);
+        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
     }
 
     /// [`M3xuContext::try_gemm_f64`] with fault telemetry; see
-    /// [`M3xuContext::try_gemm_f32_faulted`].
+    /// [`M3xuContext::try_gemm_f32_faulted`]. The residue homomorphism
+    /// extends to every f64 dyadic rational, so the checked body reads
+    /// the five packed mantissa slices directly.
     pub fn try_gemm_f64_faulted(
         &self,
         precision: GemmPrecision,
@@ -556,7 +564,9 @@ impl M3xuContext {
         b: &Matrix<f64>,
         c: &Matrix<f64>,
     ) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
-        gemm::try_gemm_f64_faulted_ctx(self, precision, a, b, c)
+        gemm::check_precision(precision, false, "gemm_f64")?;
+        let call = Call::new("gemm_f64", precision.mode(), 1.0, 1.0);
+        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
     }
 
     /// Fallible tiled emulated-FP64 GEMM `D = A·B + C`, counted into this
@@ -570,7 +580,8 @@ impl M3xuContext {
         b: &Matrix<f64>,
         c: &Matrix<f64>,
     ) -> Result<GemmResult<f64>, M3xuError> {
-        gemm::try_gemm_f64_ctx(self, precision, a, b, c)
+        self.try_gemm_f64_faulted(precision, a, b, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_f64`], panicking on invalid shapes or
@@ -635,7 +646,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        blas3::try_gemm_op_f32_ctx(self, precision, op_a, a, op_b, b, alpha, beta, c)
+        self.try_gemm_op_f32_faulted(precision, op_a, a, op_b, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_op_f32`] with fault telemetry; see
@@ -652,7 +664,10 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        blas3::try_gemm_op_f32_faulted_ctx(self, precision, op_a, a, op_b, b, alpha, beta, c)
+        gemm::check_precision(precision, true, "gemm_op_f32")?;
+        let call = Call::new("gemm_op", precision.mode(), alpha, beta);
+        let (a, b) = (OpView::new(a, op_a), OpView::new(b, op_b));
+        gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
     /// [`M3xuContext::try_gemm_op_f32`], panicking on invalid shapes or
@@ -687,7 +702,8 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        blas3::try_cgemm_op_c32_ctx(self, op_a, a, op_b, b, alpha, beta, c)
+        self.try_cgemm_op_c32_faulted(op_a, a, op_b, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_cgemm_op_c32`] with fault telemetry; see
@@ -703,7 +719,9 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        blas3::try_cgemm_op_c32_faulted_ctx(self, op_a, a, op_b, b, alpha, beta, c)
+        let call = Call::new("cgemm_op", MxuMode::M3xuFp32c, alpha, beta);
+        let (a, b) = (OpView::new(a, op_a), OpView::new(b, op_b));
+        gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
     /// [`M3xuContext::try_cgemm_op_c32`], panicking on invalid shapes.
@@ -736,7 +754,8 @@ impl M3xuContext {
         beta: f64,
         c: &Matrix<f64>,
     ) -> Result<GemmResult<f64>, M3xuError> {
-        blas3::try_gemm_op_f64_ctx(self, precision, op_a, a, op_b, b, alpha, beta, c)
+        self.try_gemm_op_f64_faulted(precision, op_a, a, op_b, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_op_f64`] with fault telemetry; see
@@ -753,7 +772,10 @@ impl M3xuContext {
         beta: f64,
         c: &Matrix<f64>,
     ) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
-        blas3::try_gemm_op_f64_faulted_ctx(self, precision, op_a, a, op_b, b, alpha, beta, c)
+        gemm::check_precision(precision, false, "gemm_op_f64")?;
+        let call = Call::new("gemm_op_f64", precision.mode(), alpha, beta);
+        let (a, b) = (OpView::new(a, op_a), OpView::new(b, op_b));
+        gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
     /// [`M3xuContext::try_gemm_op_f64`], panicking on invalid shapes or
@@ -789,7 +811,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        blas3::try_syrk_f32_ctx(self, precision, tri, op_a, a, alpha, beta, c)
+        self.try_syrk_f32_faulted(precision, tri, op_a, a, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_syrk_f32`] with fault telemetry — verification
@@ -806,7 +829,19 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        blas3::try_syrk_f32_faulted_ctx(self, precision, tri, op_a, a, alpha, beta, c)
+        gemm::check_precision(precision, true, "syrk_f32")?;
+        // The second operand is op(A)'s transpose (`H` collapses to `T`
+        // on real elements).
+        let op_b = match op_a {
+            MatOp::N => MatOp::T,
+            MatOp::T | MatOp::H => MatOp::N,
+        };
+        let call = Call {
+            region: OutRegion::Tri(tri),
+            ..Call::new("syrk", precision.mode(), alpha, beta)
+        };
+        let (a, b) = (OpView::new(a, op_a), OpView::new(a, op_b));
+        gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
     /// [`M3xuContext::try_syrk_f32`], panicking on invalid shapes or
@@ -840,7 +875,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        blas3::try_herk_c32_ctx(self, tri, op_a, a, alpha, beta, c)
+        self.try_herk_c32_faulted(tri, op_a, a, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_herk_c32`] with fault telemetry; see
@@ -855,7 +891,25 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        blas3::try_herk_c32_faulted_ctx(self, tri, op_a, a, alpha, beta, c)
+        let op_b = match op_a {
+            MatOp::N => MatOp::H,
+            MatOp::H => MatOp::N,
+            // `T` has no Hermitian-rank-k meaning.
+            MatOp::T => {
+                return Err(M3xuError::ModeMismatch {
+                    context: "herk(op): op(A) must be N or H",
+                    got: MxuMode::M3xuFp32c,
+                })
+            }
+        };
+        let (alpha, beta) = (C32::new(alpha, 0.0), C32::new(beta, 0.0));
+        let call = Call {
+            region: OutRegion::Tri(tri),
+            real_diag: true,
+            ..Call::new("herk", MxuMode::M3xuFp32c, alpha, beta)
+        };
+        let (a, b) = (OpView::new(a, op_a), OpView::new(a, op_b));
+        gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
     /// [`M3xuContext::try_herk_c32`], panicking on invalid shapes or op.
@@ -888,7 +942,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        blas3::try_symm_f32_ctx(self, precision, side, tri, a, b, alpha, beta, c)
+        self.try_symm_f32_faulted(precision, side, tri, a, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_symm_f32`] with fault telemetry; see
@@ -905,7 +960,15 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        blas3::try_symm_f32_faulted_ctx(self, precision, side, tri, a, b, alpha, beta, c)
+        gemm::check_precision(precision, true, "symm_f32")?;
+        check_square(a, "symm(A): A must be square")?;
+        let call = Call::new("symm", precision.mode(), alpha, beta);
+        let sym = MirrorView::new(a, tri, false);
+        let plan = self.fault.as_deref();
+        match side {
+            Side::Left => gemm::drive(self, &call, &sym, b, c, plan),
+            Side::Right => gemm::drive(self, &call, b, &sym, c, plan),
+        }
     }
 
     /// [`M3xuContext::try_symm_f32`], panicking on invalid shapes or
@@ -941,7 +1004,8 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        blas3::try_hemm_c32_ctx(self, side, tri, a, b, alpha, beta, c)
+        self.try_hemm_c32_faulted(side, tri, a, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_hemm_c32`] with fault telemetry; see
@@ -957,7 +1021,14 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        blas3::try_hemm_c32_faulted_ctx(self, side, tri, a, b, alpha, beta, c)
+        check_square(a, "hemm(A): A must be square")?;
+        let call = Call::new("hemm", MxuMode::M3xuFp32c, alpha, beta);
+        let herm = MirrorView::new(a, tri, true);
+        let plan = self.fault.as_deref();
+        match side {
+            Side::Left => gemm::drive(self, &call, &herm, b, c, plan),
+            Side::Right => gemm::drive(self, &call, b, &herm, c, plan),
+        }
     }
 
     /// [`M3xuContext::try_hemm_c32`], panicking on invalid shapes.
@@ -1255,13 +1326,7 @@ pub trait GemmExecutor {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        if a.rows() != a.cols() {
-            return Err(M3xuError::ShapeMismatch {
-                context: "symm(A): A must be square",
-                expected: (a.rows(), a.rows()),
-                got: (a.rows(), a.cols()),
-            });
-        }
+        check_square(a, "symm(A): A must be square")?;
         let sym = MirrorView::new(a, tri, false).materialize();
         match side {
             Side::Left => {
@@ -1287,19 +1352,25 @@ pub trait GemmExecutor {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        if a.rows() != a.cols() {
-            return Err(M3xuError::ShapeMismatch {
-                context: "hemm(A): A must be square",
-                expected: (a.rows(), a.rows()),
-                got: (a.rows(), a.cols()),
-            });
-        }
+        check_square(a, "hemm(A): A must be square")?;
         let herm = MirrorView::new(a, tri, true).materialize();
         match side {
             Side::Left => self.try_cgemm_op_c32(MatOp::N, &herm, MatOp::N, b, alpha, beta, c),
             Side::Right => self.try_cgemm_op_c32(MatOp::N, b, MatOp::N, &herm, alpha, beta, c),
         }
     }
+}
+
+/// Reject a SYMM/HEMM operand that is not square.
+fn check_square<T>(a: &Matrix<T>, context: &'static str) -> Result<(), M3xuError> {
+    if a.rows() != a.cols() {
+        return Err(M3xuError::ShapeMismatch {
+            context,
+            expected: (a.rows(), a.rows()),
+            got: (a.rows(), a.cols()),
+        });
+    }
+    Ok(())
 }
 
 /// `op(X)` materialized with `alpha` folded elementwise — the same values

@@ -3,19 +3,21 @@
 //!
 //! The wrapper is the chaos-testing seam the serve layer and the test
 //! suites share: any kernel generic over [`GemmExecutor`] (FFT, conv,
-//! CG, …) runs unmodified over a `FaultyExecutor`, and the wrapper
-//! decides per call whether the checked self-healing driver or the
-//! production driver executes.
+//! CG, …) runs unmodified over a `FaultyExecutor`. Armed, each call runs
+//! the one GEMM driver ([`crate::gemm`]) under the wrapper's plan, which
+//! picks the driver's checked self-healing tile body; unarmed, the call
+//! is the context's own.
 //!
 //! Two contracts matter:
 //!
 //! * **Unarmed is free.** A `FaultyExecutor` built with no plan
 //!   ([`FaultyExecutor::unarmed`]) delegates straight to the context —
-//!   bit-identical results, identical counters, no checksum work. The
-//!   differential test suite pins this.
+//!   bit-identical results, identical counters, no checksum work beyond
+//!   the context's own, and a zero summary. The differential test suite
+//!   pins this.
 //! * **Armed is honest.** With a plan, every GEMM precision — true FP32,
 //!   the truncated fast schedule, the quantising narrow engines
-//!   (FP16/BF16/TF32), and FP32C — runs the checked driver: every
+//!   (FP16/BF16/TF32), and FP32C — runs the checked body: every
 //!   recovered run is bit-identical to the oracle, and an unrecoverable
 //!   one returns
 //!   [`M3xuError::FaultDetected`]
@@ -24,11 +26,12 @@
 //!   quantisation happens on both sides of the comparison.)
 
 use crate::context::{GemmExecutor, M3xuContext};
-use crate::gemm::{self, GemmPrecision, GemmResult};
+use crate::gemm::{self, Call, GemmPrecision, GemmResult};
 use m3xu_fp::complex::Complex;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::fault::{FaultPlan, FaultSummary};
 use m3xu_mxu::matrix::Matrix;
+use m3xu_mxu::modes::MxuMode;
 use std::sync::Arc;
 
 type C32 = Complex<f32>;
@@ -79,16 +82,10 @@ impl<'c> FaultyExecutor<'c> {
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
         gemm::check_precision(precision, true, "gemm_f32")?;
         match &self.plan {
-            Some(plan) => gemm::try_gemm_abft(
-                self.ctx.pool(),
-                "gemm",
-                precision.mode(),
-                a,
-                b,
-                c,
-                Some(self.ctx),
-                plan,
-            ),
+            Some(plan) => {
+                let call = Call::new("gemm", precision.mode(), 1.0, 1.0);
+                gemm::drive(self.ctx, &call, a, b, c, Some(plan))
+            }
             None => self
                 .ctx
                 .try_gemm_f32(precision, a, b, c)
@@ -105,16 +102,10 @@ impl<'c> FaultyExecutor<'c> {
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
         match &self.plan {
-            Some(plan) => gemm::try_gemm_abft(
-                self.ctx.pool(),
-                "cgemm",
-                m3xu_mxu::modes::MxuMode::M3xuFp32c,
-                a,
-                b,
-                c,
-                Some(self.ctx),
-                plan,
-            ),
+            Some(plan) => {
+                let call = Call::new("cgemm", MxuMode::M3xuFp32c, C32::ONE, C32::ONE);
+                gemm::drive(self.ctx, &call, a, b, c, Some(plan))
+            }
             None => self
                 .ctx
                 .try_cgemm_c32(a, b, c)

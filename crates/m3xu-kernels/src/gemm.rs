@@ -1,4 +1,5 @@
-//! Tiled GEMM driver over the functional M3XU.
+//! The one tiled GEMM driver over the functional M3XU, and the plain
+//! `D = A·B + C` entry points.
 //!
 //! A CUTLASS-style hierarchical GEMM: the output splits into fragment
 //! tiles, each tile's `K` loop issues fragment-shaped MMA executions, and
@@ -6,16 +7,34 @@
 //! driver — exactly the paper's point that "the programming model …
 //! remain\[s\] the same as the existing Tensor Cores".
 //!
+//! ## One driver, configured per call
+//!
+//! Like the M3XU's multiplier array, the driver is reconfigured per call
+//! rather than duplicated per operation: the crate-private `drive` runs
+//! `D = alpha·a·b + beta·C` over *logical* sources (a plain [`Matrix`],
+//! an `op(X)` [`OpView`](m3xu_mxu::matrix::OpView) or a triangle-stored
+//! [`MirrorView`](m3xu_mxu::matrix::MirrorView)) under a `Call`: the
+//! mode, the scalars, the full or triangular output region and HERK's
+//! real diagonal. Plain GEMM is the call `(N, N, 1, 1, full)` on
+//! `&Matrix` sources; every BLAS-3 operation of [`crate::blas3`] is
+//! another call of the same driver, built by its [`M3xuContext`] method.
+//!
+//! Validation, beta seeding, the tile schedule, packing into the
+//! context's scratch arena and the single per-call accounting sample
+//! exist once. An optional [`FaultPlan`] picks the tile body: unarmed, the
+//! production body runs `kc2` epochs of `kc1` SIMD panels; armed, the
+//! ABFT-checked body verifies every k-chunk and heals what it can.
+//!
 //! ## The packed fragment pipeline
 //!
 //! The driver decodes both operands into [`PackedOperand`] buffer-entry
 //! planes **once per GEMM**, then executes every fragment in place out of
 //! those planes ([`m3xu_mxu::packed`]): no tile copies, no per-fragment
 //! `StepPlan` allocation, no re-decoding of `A` per column tile. Work
-//! distributes over the 2-D output-tile grid through the persistent
-//! [`WorkerPool`] (built once per process — the FFT issues thousands of
-//! small CGEMMs, where per-call thread spawn used to dominate). Results
-//! are bit-identical to the original per-tile path, kept alive in
+//! distributes over the output-tile schedule through the context's
+//! persistent [`WorkerPool`] (the FFT issues thousands of small CGEMMs,
+//! where per-call thread spawn used to dominate). Results are
+//! bit-identical to the original per-tile path, kept alive in
 //! [`baseline`] as the differential-test and benchmark reference.
 
 use crate::blocking::KPlan;
@@ -26,7 +45,7 @@ use m3xu_mxu::abft::{self, Checksum};
 use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::fault::{FaultPlan, FaultSummary, MmaFault, TaskFault};
-use m3xu_mxu::matrix::Matrix;
+use m3xu_mxu::matrix::{MatSource, Matrix, Triangle};
 use m3xu_mxu::mma::{MmaShape, MmaStats};
 use m3xu_mxu::modes::MxuMode;
 use m3xu_mxu::packed::{fragment_stats, PackedOperand, PackedStorage};
@@ -35,14 +54,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Fixed per-tile accumulator scratch the packed driver provisions (one
-/// full fragment, `frag.m * frag.n` elements). Validated against each
-/// mode's fragment shape at entry so a future shape cannot silently
-/// truncate a tile or panic mid-epoch inside a pooled task.
-pub(crate) const ACC_SCRATCH: usize = 64;
+/// Fixed per-tile accumulator scratch the driver provisions (one full
+/// fragment, `frag.m * frag.n` elements). Validated against each mode's
+/// fragment shape at entry so a future shape cannot silently truncate a
+/// tile or panic mid-epoch inside a pooled task.
+const ACC_SCRATCH: usize = 64;
 
-/// Validate the `D = A·B + C` operand shapes shared by every driver.
-fn validate_gemm_shapes<E>(a: &Matrix<E>, b: &Matrix<E>, c: &Matrix<E>) -> Result<(), M3xuError> {
+/// Validate the `D = a·b + C` operand shapes shared by the driver and
+/// the [`baseline`]: `a` is `m x k`, `b` must be `k x n`, `c` `m x n`.
+fn validate_shapes<E, SA, SB>(a: &SA, b: &SB, c: &Matrix<E>) -> Result<(), M3xuError>
+where
+    SA: MatSource<E>,
+    SB: MatSource<E>,
+{
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if b.rows() != k {
         return Err(M3xuError::ShapeMismatch {
@@ -151,20 +175,47 @@ pub fn workers() -> usize {
     context::default_context().threads()
 }
 
-/// An element type the generic packed driver can multiply.
-pub trait PackedElem: Copy + Default + Send + Sync + 'static {
+/// An element type the driver can multiply: the source-generic packers,
+/// the alpha/beta scalar algebra, the SIMD-eligible panel executor, and
+/// the per-k-chunk ABFT checksum pair of the checked body.
+pub(crate) trait GemmElem: Copy + Default + Send + Sync + 'static {
     /// Bytes per reduction element in the packed value plane (`B` side) —
     /// what the cache-blocking plan sizes its panels around.
     const VAL_BYTES: usize;
-    /// Decode the `A` operand (by rows) for `mode`, reusing `storage`'s
-    /// capacity (pass a default [`PackedStorage`] when no arena is
-    /// available).
-    fn pack_a(a: &Matrix<Self>, mode: MxuMode, storage: PackedStorage) -> PackedOperand;
-    /// Decode the `B` operand (by columns) for `mode`, reusing `storage`.
-    fn pack_b(b: &Matrix<Self>, mode: MxuMode, storage: PackedStorage) -> PackedOperand;
-    /// Execute one fragment in place on `acc` (row-major `rows x cols`).
+    /// The alpha/beta scalar type (`f32`, [`Complex<f32>`], `f64`).
+    type Scalar: Copy + Send + Sync + 'static;
+    /// Bitwise `== 1` — the multiplication skip the bit-exactness
+    /// contract of plain GEMM hangs on.
+    fn is_unit(s: Self::Scalar) -> bool;
+    /// Bitwise `== +0.0` — the "never read C" overwrite fast path.
+    fn is_zero(s: Self::Scalar) -> bool;
+    /// `s * x` (the plain IEEE multiply the reference oracle mirrors).
+    fn scale(s: Self::Scalar, x: Self) -> Self;
+    /// The HERK diagonal seed `beta·Re(c)` — imaginary parts of a
+    /// Hermitian diagonal are never referenced (BLAS convention).
+    fn real_diag_seed(beta: Self::Scalar, c: Self) -> Self;
+    /// The value with any imaginary component forced to `+0.0`.
+    fn force_real(x: Self) -> Self;
+    /// Pack rows (the first operand) from any logical source, folding
+    /// `alpha` before quantisation, reusing `storage`'s capacity.
+    fn pack_rows<S: MatSource<Self>>(
+        src: &S,
+        alpha: Self::Scalar,
+        mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand;
+    /// Pack columns (the second operand) from any logical source.
+    fn pack_cols<S: MatSource<Self>>(
+        src: &S,
+        mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand;
+    /// Execute a whole `[k0, kend)` reduction panel on one tile in place
+    /// on `acc` (row-major `rows x cols`), chunked at `frag_k` — one exact
+    /// accumulate and rounding per chunk, eligible for the SIMD row
+    /// pipeline.
     #[allow(clippy::too_many_arguments)]
-    fn execute(
+    fn execute_panel(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -173,332 +224,10 @@ pub trait PackedElem: Copy + Default + Send + Sync + 'static {
         c0: usize,
         cols: usize,
         k0: usize,
-        klen: usize,
+        kend: usize,
+        frag_k: usize,
         acc: &mut [Self],
     );
-    /// Execute a whole `[k0, kend)` reduction panel on one tile, chunked
-    /// at `frag_k` — bit-identical to looping [`PackedElem::execute`]
-    /// over the same chunks, but eligible for the SIMD row pipeline.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [Self],
-    );
-}
-
-impl PackedElem for f32 {
-    const VAL_BYTES: usize = std::mem::size_of::<f32>();
-    fn pack_a(a: &Matrix<f32>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_rows_f32_in(a, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn pack_b(b: &Matrix<f32>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_cols_f32_in(b, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn execute(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f32],
-    ) {
-        dpu.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc);
-    }
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f32],
-    ) {
-        dpu.mma_f32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
-    }
-}
-
-impl PackedElem for Complex<f32> {
-    const VAL_BYTES: usize = std::mem::size_of::<Complex<f32>>();
-    fn pack_a(a: &Matrix<Complex<f32>>, _mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::pack_rows_c32_in(a, storage)
-    }
-    fn pack_b(b: &Matrix<Complex<f32>>, _mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::pack_cols_c32_in(b, storage)
-    }
-    fn execute(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        dpu.mma_c32_into(a, b, r0, rows, c0, cols, k0, klen, acc);
-    }
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        dpu.mma_c32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
-    }
-}
-
-impl PackedElem for f64 {
-    const VAL_BYTES: usize = std::mem::size_of::<f64>();
-    fn pack_a(a: &Matrix<f64>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_rows_f64_in(a, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn pack_b(b: &Matrix<f64>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_cols_f64_in(b, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn execute(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f64],
-    ) {
-        dpu.mma_f64_into(a, b, r0, rows, c0, cols, k0, klen, acc);
-    }
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f64],
-    ) {
-        dpu.mma_f64_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
-    }
-}
-
-/// A raw output pointer the tile tasks write through. Tiles are disjoint
-/// regions of the output, so concurrent writes never alias.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare raw pointer.
-    pub(crate) fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-thread_local! {
-    /// One dot-product unit per thread, reused across every fragment of
-    /// every GEMM — its wide Kulisch registers never hit the allocator on
-    /// the hot path.
-    pub(crate) static DPU: RefCell<DotProductUnit> = RefCell::new(DotProductUnit::new());
-}
-
-/// The generic packed GEMM driver: `D = A·B + C` in `mode` on `pool`.
-///
-/// When a context is attached, the packed operands borrow its scratch
-/// arena and the call's accounting (fragment grid, operand traffic,
-/// per-phase wall time) is recorded into its counter sink.
-fn try_gemm_packed<E: PackedElem>(
-    pool: &WorkerPool,
-    mode: MxuMode,
-    a: &Matrix<E>,
-    b: &Matrix<E>,
-    c: &Matrix<E>,
-    ctx: Option<&M3xuContext>,
-) -> Result<GemmResult<E>, M3xuError> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    validate_gemm_shapes(a, b, c)?;
-
-    let frag = MmaShape::BASELINE_FP16.for_mode(mode);
-    if frag.m * frag.n > ACC_SCRATCH {
-        // The per-tile accumulator is a fixed stack array; a fragment
-        // shape that outgrows it must be rejected up front, not trusted
-        // to a slice-bounds panic inside a pooled task.
-        return Err(M3xuError::FragmentOverflow {
-            needed: frag.m * frag.n,
-            capacity: ACC_SCRATCH,
-        });
-    }
-    let (tiles_m, tiles_n, k_chunks) = frag.grid(m, n, k);
-    let mut d = c.clone();
-    if k_chunks == 0 || m == 0 || n == 0 {
-        if let Some(cx) = ctx {
-            // A degenerate call still counts as a call; it moves no
-            // operand bytes and issues no fragments.
-            cx.counters().record(&GemmSample {
-                mode,
-                stats: MmaStats::default(),
-                tiles: 0,
-                fragments: 0,
-                operand_bytes: 0,
-                pack_ns: 0,
-                exec_ns: 0,
-                simd: SimdChunks::default(),
-            });
-        }
-        return Ok(GemmResult {
-            d,
-            stats: MmaStats::default(),
-        });
-    }
-
-    // Decode each operand exactly once for the whole GEMM — entry planes
-    // *and* the f32 value mirrors the SIMD row kernels read — reusing the
-    // context's packed-operand arena when one is attached. Packing `B`
-    // here hoists it out of every epoch and tile below.
-    let (sa, sb) = match ctx {
-        Some(cx) => cx.take_scratch(),
-        None => (PackedStorage::default(), PackedStorage::default()),
-    };
-    let t_pack = Instant::now();
-    let pa = E::pack_a(a, mode, sa);
-    let pb = E::pack_b(b, mode, sb);
-    let pack_ns = t_pack.elapsed().as_nanos() as u64;
-
-    let plan = KPlan::new(frag.k, k, n, E::VAL_BYTES);
-    let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
-    let simd = SimdChunks::default();
-    let t_exec = Instant::now();
-    // L2 epochs: one pool dispatch per `kc2`-deep reduction slice, so the
-    // whole tile grid consumes one L2-resident band of `B`'s planes
-    // before the next band is touched. Epoch boundaries are fragment
-    // boundaries, so each tile's chunk sequence is identical to the
-    // unblocked loop; tiles re-read their partial sums from `D` between
-    // epochs.
-    let mut ke0 = 0usize;
-    while ke0 < k {
-        let ke1 = (ke0 + plan.kc2).min(k);
-        let first = ke0 == 0;
-        pool.run(tiles_m * tiles_n, |tid| {
-            let (i0, j0) = ((tid / tiles_n) * frag.m, (tid % tiles_n) * frag.n);
-            let rows = frag.m.min(m - i0);
-            let cols = frag.n.min(n - j0);
-            let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
-            let acc = &mut acc[..rows * cols];
-            if first {
-                c.view(i0, j0, rows, cols).copy_into(acc);
-            } else {
-                for (i, row) in acc.chunks_exact_mut(cols).enumerate() {
-                    // SAFETY: this tile owns rows i0..i0+rows, cols
-                    // j0..j0+cols of the output, epochs run sequentially,
-                    // and the pointer outlives the pool run — the reads
-                    // see exactly what the previous epoch's store wrote.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            dptr.get().add((i0 + i) * n + j0) as *const E,
-                            row.as_mut_ptr(),
-                            cols,
-                        );
-                    }
-                }
-            }
-            DPU.with(|dpu| {
-                // L1 panels inside the epoch: each keeps one 8-column
-                // slice of `B` resident across the tile's output rows.
-                simd.meter(&mut dpu.borrow_mut(), |dpu| {
-                    let mut kb = ke0;
-                    while kb < ke1 {
-                        let kbend = (kb + plan.kc1).min(ke1);
-                        E::execute_panel(dpu, &pa, &pb, i0, rows, j0, cols, kb, kbend, frag.k, acc);
-                        kb = kbend;
-                    }
-                })
-            });
-            // Epilogue: disjoint predicated stores straight into D.
-            for (i, row) in acc.chunks_exact(cols).enumerate() {
-                // SAFETY: as above — this tile's disjoint output region.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        row.as_ptr(),
-                        dptr.get().add((i0 + i) * n + j0),
-                        cols,
-                    );
-                }
-            }
-        });
-        ke0 = ke1;
-    }
-    let exec_ns = t_exec.elapsed().as_nanos() as u64;
-
-    // Statistics are a pure function of the fragment grid — identical to
-    // what per-fragment counters would sum to, without any atomics.
-    let frags = (tiles_m * tiles_n * k_chunks) as u64;
-    let stats = fragment_stats(mode, frag).scaled(frags);
-    if let Some(cx) = ctx {
-        cx.counters().record(&GemmSample {
-            mode,
-            stats,
-            tiles: (tiles_m * tiles_n) as u64,
-            fragments: frags,
-            // Rule (c) operand traffic: each operand element moves at the
-            // mode's storage width (2 bytes FP16/BF16, 4 bytes TF32/FP32,
-            // 8 bytes FP32C), not at `size_of::<E>()`.
-            operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
-            pack_ns,
-            exec_ns,
-            simd,
-        });
-        cx.put_scratch(pa.into_storage(), pb.into_storage());
-    }
-    Ok(GemmResult { d, stats })
-}
-
-/// Executions the checked driver grants one k-chunk before declaring its
-/// tile unrecoverable. Sites include the attempt number, so a fault plan
-/// with rate < 1 usually clears within a retry or two (the residual
-/// failure probability is `rate^4` per chunk); a plan with rate 1.0
-/// exhausts them and exercises the error path.
-pub(crate) const MAX_TILE_ATTEMPTS: u64 = 4;
-
-/// Pool-epoch re-submissions the checked driver performs when an injected
-/// task panic (or an abruptly-killed worker) loses a whole epoch.
-pub(crate) const MAX_EPOCH_ATTEMPTS: u64 = 4;
-
-/// An element type the ABFT-checked driver can verify: [`PackedElem`]
-/// plus the per-k-chunk checksum pair — the *expected* side from the
-/// operands and seeds, the *computed* side from the checked MMA's
-/// accumulator state (see [`m3xu_mxu::abft`]).
-pub(crate) trait AbftElem: PackedElem {
     /// Expected checksum of one k-chunk, from the tile's **packed**
     /// operand bands and its pre-chunk accumulator (`seeds`, row-major
     /// `rows × cols`). Reading the packed planes (not the source
@@ -517,10 +246,9 @@ pub(crate) trait AbftElem: PackedElem {
         k0: usize,
         kend: usize,
     ) -> Checksum;
-
-    /// Execute one fragment like [`PackedElem::execute`], additionally
-    /// reporting the computed checksum and (optionally) corrupting one
-    /// product on the way out of the datapath.
+    /// Execute one fragment chunk in place on `acc`, reporting the
+    /// computed checksum and (optionally) corrupting one product on the
+    /// way out of the datapath.
     #[allow(clippy::too_many_arguments)]
     fn execute_checked(
         dpu: &mut DotProductUnit,
@@ -537,7 +265,67 @@ pub(crate) trait AbftElem: PackedElem {
     ) -> Checksum;
 }
 
-impl AbftElem for f32 {
+impl GemmElem for f32 {
+    const VAL_BYTES: usize = std::mem::size_of::<f32>();
+    type Scalar = f32;
+    #[inline]
+    fn is_unit(s: f32) -> bool {
+        s.to_bits() == 1.0f32.to_bits()
+    }
+    #[inline]
+    fn is_zero(s: f32) -> bool {
+        s.to_bits() == 0.0f32.to_bits()
+    }
+    #[inline]
+    fn scale(s: f32, x: f32) -> f32 {
+        s * x
+    }
+    #[inline]
+    fn real_diag_seed(beta: f32, c: f32) -> f32 {
+        if Self::is_zero(beta) {
+            0.0
+        } else if Self::is_unit(beta) {
+            c
+        } else {
+            beta * c
+        }
+    }
+    #[inline]
+    fn force_real(x: f32) -> f32 {
+        x
+    }
+    fn pack_rows<S: MatSource<f32>>(
+        src: &S,
+        alpha: f32,
+        mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand {
+        PackedOperand::try_pack_rows_f32_src_in(src, alpha, mode, storage)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+    fn pack_cols<S: MatSource<f32>>(
+        src: &S,
+        mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand {
+        PackedOperand::try_pack_cols_f32_src_in(src, mode, storage)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+    fn execute_panel(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f32],
+    ) {
+        dpu.mma_f32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+    }
     fn expected_chunk(
         a: &PackedOperand,
         b: &PackedOperand,
@@ -551,7 +339,6 @@ impl AbftElem for f32 {
     ) -> Checksum {
         abft::expected_chunk_packed_f32(a, b, seeds, r0, rows, c0, cols, k0, kend)
     }
-
     fn execute_checked(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
@@ -569,7 +356,67 @@ impl AbftElem for f32 {
     }
 }
 
-impl AbftElem for Complex<f32> {
+impl GemmElem for Complex<f32> {
+    const VAL_BYTES: usize = std::mem::size_of::<Complex<f32>>();
+    type Scalar = Complex<f32>;
+    #[inline]
+    fn is_unit(s: Complex<f32>) -> bool {
+        s.re.to_bits() == 1.0f32.to_bits() && s.im.to_bits() == 0.0f32.to_bits()
+    }
+    #[inline]
+    fn is_zero(s: Complex<f32>) -> bool {
+        s.re.to_bits() == 0.0f32.to_bits() && s.im.to_bits() == 0.0f32.to_bits()
+    }
+    #[inline]
+    fn scale(s: Complex<f32>, x: Complex<f32>) -> Complex<f32> {
+        s * x
+    }
+    #[inline]
+    fn real_diag_seed(beta: Complex<f32>, c: Complex<f32>) -> Complex<f32> {
+        // HERK's beta is real by signature; only its real part and C's
+        // real part participate on the diagonal.
+        if Self::is_zero(beta) {
+            Complex::<f32>::ZERO
+        } else if Self::is_unit(beta) {
+            Complex::new(c.re, 0.0)
+        } else {
+            Complex::new(beta.re * c.re, 0.0)
+        }
+    }
+    #[inline]
+    fn force_real(x: Complex<f32>) -> Complex<f32> {
+        Complex::new(x.re, 0.0)
+    }
+    fn pack_rows<S: MatSource<Complex<f32>>>(
+        src: &S,
+        alpha: Complex<f32>,
+        _mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand {
+        PackedOperand::pack_rows_c32_src_in(src, alpha, storage)
+    }
+    fn pack_cols<S: MatSource<Complex<f32>>>(
+        src: &S,
+        _mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand {
+        PackedOperand::pack_cols_c32_src_in(src, storage)
+    }
+    fn execute_panel(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [Complex<f32>],
+    ) {
+        dpu.mma_c32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+    }
     fn expected_chunk(
         a: &PackedOperand,
         b: &PackedOperand,
@@ -583,7 +430,6 @@ impl AbftElem for Complex<f32> {
     ) -> Checksum {
         abft::expected_chunk_packed_c32(a, b, seeds, r0, rows, c0, cols, k0, kend)
     }
-
     fn execute_checked(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
@@ -601,7 +447,67 @@ impl AbftElem for Complex<f32> {
     }
 }
 
-impl AbftElem for f64 {
+impl GemmElem for f64 {
+    const VAL_BYTES: usize = std::mem::size_of::<f64>();
+    type Scalar = f64;
+    #[inline]
+    fn is_unit(s: f64) -> bool {
+        s.to_bits() == 1.0f64.to_bits()
+    }
+    #[inline]
+    fn is_zero(s: f64) -> bool {
+        s.to_bits() == 0.0f64.to_bits()
+    }
+    #[inline]
+    fn scale(s: f64, x: f64) -> f64 {
+        s * x
+    }
+    #[inline]
+    fn real_diag_seed(beta: f64, c: f64) -> f64 {
+        if Self::is_zero(beta) {
+            0.0
+        } else if Self::is_unit(beta) {
+            c
+        } else {
+            beta * c
+        }
+    }
+    #[inline]
+    fn force_real(x: f64) -> f64 {
+        x
+    }
+    fn pack_rows<S: MatSource<f64>>(
+        src: &S,
+        alpha: f64,
+        mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand {
+        PackedOperand::try_pack_rows_f64_src_in(src, alpha, mode, storage)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+    fn pack_cols<S: MatSource<f64>>(
+        src: &S,
+        mode: MxuMode,
+        storage: PackedStorage,
+    ) -> PackedOperand {
+        PackedOperand::try_pack_cols_f64_src_in(src, mode, storage)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+    fn execute_panel(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f64],
+    ) {
+        dpu.mma_f64_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+    }
     fn expected_chunk(
         a: &PackedOperand,
         b: &PackedOperand,
@@ -615,7 +521,6 @@ impl AbftElem for f64 {
     ) -> Checksum {
         abft::expected_chunk_packed_f64(a, b, seeds, r0, rows, c0, cols, k0, kend)
     }
-
     fn execute_checked(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
@@ -633,418 +538,565 @@ impl AbftElem for f64 {
     }
 }
 
-/// The ABFT-checked, self-healing GEMM driver: the packed pipeline with a
-/// per-k-chunk checksum verification wrapped around every fragment, plus
-/// the fault-injection hooks of `plan`.
-///
-/// Recovery is hierarchical, mirroring the blast radius of each fault
-/// class:
-///
-/// * a **checksum mismatch** restores the chunk's seeds and re-executes
-///   only the corrupted k-chunk (each attempt is a fresh fault site, so
-///   injected corruption usually clears) — up to [`MAX_TILE_ATTEMPTS`]
-///   executions per chunk;
-/// * a **lost pool epoch** (injected task panic, killed worker) is caught
-///   with `catch_unwind` and the whole tile grid re-submitted — tiles are
-///   idempotent, every rerun rewrites the same disjoint output regions —
-///   up to [`MAX_EPOCH_ATTEMPTS`];
-/// * anything that survives both loops surfaces as
-///   [`M3xuError::FaultDetected`] carrying the telemetry counts. The
-///   driver never panics and never returns silently-corrupt data the
-///   checksums can see.
-///
-/// On success the recorded [`GemmSample`] is the *production* sample — a
-/// pure function of the fragment grid, not inflated by retries — so
-/// instruction-count cross-validation holds unchanged; verification work
-/// and re-executions are reported in the [`FaultSummary`] and the
-/// context's fault counters instead.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_abft<E: AbftElem>(
-    pool: &WorkerPool,
-    op: &'static str,
-    mode: MxuMode,
-    a: &Matrix<E>,
-    b: &Matrix<E>,
-    c: &Matrix<E>,
-    ctx: Option<&M3xuContext>,
-    plan: &FaultPlan,
-) -> Result<(GemmResult<E>, FaultSummary), M3xuError> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    validate_gemm_shapes(a, b, c)?;
+/// A raw output pointer the tile tasks write through. Tiles are disjoint
+/// regions of the output, so concurrent writes never alias.
+struct SendPtr<T>(*mut T);
+unsafe impl<T: Send> Send for SendPtr<T> {}
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
+impl<T> SendPtr<T> {
+    /// Accessor (rather than field access) so closures capture the whole
+    /// `Sync` wrapper, not the bare raw pointer.
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
+thread_local! {
+    /// One dot-product unit per thread, reused across every fragment of
+    /// every GEMM — its wide Kulisch registers never hit the allocator on
+    /// the hot path.
+    static DPU: RefCell<DotProductUnit> = RefCell::new(DotProductUnit::new());
+}
+
+/// Executions the checked body grants one k-chunk before declaring its
+/// tile unrecoverable. Sites include the attempt number, so a fault plan
+/// with rate < 1 usually clears within a retry or two (the residual
+/// failure probability is `rate^4` per chunk); a plan with rate 1.0
+/// exhausts them and exercises the error path.
+const MAX_TILE_ATTEMPTS: u64 = 4;
+
+/// Pool-epoch re-submissions the checked body performs when an injected
+/// task panic (or an abruptly-killed worker) loses a whole epoch.
+const MAX_EPOCH_ATTEMPTS: u64 = 4;
+
+/// The output region a driver call writes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OutRegion {
+    /// Every output tile (GEMM/SYMM/HEMM).
+    Full,
+    /// Only tiles intersecting the triangle (SYRK/HERK).
+    Tri(Triangle),
+}
+
+impl OutRegion {
+    /// True if logical output element `(i, j)` is written by this region.
+    #[inline]
+    fn writes(self, i: usize, j: usize) -> bool {
+        match self {
+            OutRegion::Full => true,
+            OutRegion::Tri(t) => t.contains(i, j),
+        }
+    }
+}
+
+/// One driver call's parameters: `D = alpha·a·b + beta·C` in `mode` over
+/// `region`. The operand views (`op`, mirrors, SYRK's second operand)
+/// are the sources handed to [`drive`]; everything else an operation
+/// needs is here.
+pub(crate) struct Call<S> {
+    /// Operation name reported by [`M3xuError::FaultDetected`].
+    pub op: &'static str,
+    /// The engine every fragment executes in.
+    pub mode: MxuMode,
+    /// Folded into the first operand's elements before quantisation
+    /// (bitwise-skipped at 1).
+    pub alpha: S,
+    /// Folded into the tile seeds: 1 reads `C` as is, `+0.0` never reads
+    /// its values.
+    pub beta: S,
+    /// The output region written; the rest of `C` passes through.
+    pub region: OutRegion,
+    /// HERK: diagonal seeds and results are forced exactly real.
+    pub real_diag: bool,
+}
+
+impl<S: Copy> Call<S> {
+    /// A full-output call; plain GEMM is `Call::new(op, mode, 1, 1)`.
+    pub(crate) fn new(op: &'static str, mode: MxuMode, alpha: S, beta: S) -> Self {
+        Call {
+            op,
+            mode,
+            alpha,
+            beta,
+            region: OutRegion::Full,
+            real_diag: false,
+        }
+    }
+
+    /// The beta-folded seed of output element `(i, j)`: a pure function
+    /// of `C`, shared by the up-front fold of `D` and the checked body's
+    /// in-task seeding, so an epoch rerun starts from identical state.
+    #[inline]
+    fn seed<E: GemmElem<Scalar = S>>(&self, c: &Matrix<E>, i: usize, j: usize) -> E {
+        if !self.region.writes(i, j) {
+            c.get(i, j)
+        } else if self.real_diag && i == j {
+            E::real_diag_seed(self.beta, c.get(i, j))
+        } else if E::is_zero(self.beta) {
+            E::default()
+        } else if E::is_unit(self.beta) {
+            c.get(i, j)
+        } else {
+            E::scale(self.beta, c.get(i, j))
+        }
+    }
+}
+
+/// One scheduled output tile: its grid coordinates and clipped extent.
+struct Tile {
+    ti: usize,
+    tj: usize,
+    i0: usize,
+    j0: usize,
+    rows: usize,
+    cols: usize,
+}
+
+/// What both tile bodies share: the packed operands, the tile schedule,
+/// and the output `D` they write through.
+struct Job<'a, E: GemmElem> {
+    call: &'a Call<E::Scalar>,
+    c: &'a Matrix<E>,
+    pa: &'a PackedOperand,
+    pb: &'a PackedOperand,
+    frag: MmaShape,
+    m: usize,
+    n: usize,
+    k: usize,
+    tiles: Vec<(usize, usize)>,
+    d: SendPtr<E>,
+}
+
+impl<E: GemmElem> Job<'_, E> {
+    fn tile(&self, tid: usize) -> Tile {
+        let (ti, tj) = self.tiles[tid];
+        let (i0, j0) = (ti * self.frag.m, tj * self.frag.n);
+        Tile {
+            ti,
+            tj,
+            i0,
+            j0,
+            rows: self.frag.m.min(self.m - i0),
+            cols: self.frag.n.min(self.n - j0),
+        }
+    }
+
+    /// The epilogue: write one finished tile into `D`. Full-region tiles
+    /// and off-diagonal triangular tiles (which lie entirely inside the
+    /// triangle) bulk-store; only the diagonal tiles of a triangular
+    /// region store element-predicated, so the unreferenced triangle of
+    /// `C` stays byte-identical in `D`.
+    fn store(&self, t: &Tile, acc: &[E]) {
+        let n = self.n;
+        if matches!(self.call.region, OutRegion::Full) || t.ti != t.tj {
+            for (i, row) in acc.chunks_exact(t.cols).enumerate() {
+                // SAFETY: this tile owns its disjoint region of D; no
+                // other task touches it, the pointer outlives the pool
+                // run, and epochs (and epoch reruns) run sequentially.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        row.as_ptr(),
+                        self.d.get().add((t.i0 + i) * n + t.j0),
+                        t.cols,
+                    );
+                }
+            }
+            return;
+        }
+        for i in 0..t.rows {
+            for j in 0..t.cols {
+                let (gi, gj) = (t.i0 + i, t.j0 + j);
+                if !self.call.region.writes(gi, gj) {
+                    continue;
+                }
+                let mut v = acc[i * t.cols + j];
+                if self.call.real_diag && gi == gj {
+                    v = E::force_real(v);
+                }
+                // SAFETY: as above — a predicated store into this tile's
+                // disjoint region.
+                unsafe {
+                    *self.d.get().add(gi * n + gj) = v;
+                }
+            }
+        }
+    }
+
+    /// The production body. L2 epochs: one pool dispatch per `kc2`-deep
+    /// reduction slice, so the whole tile schedule consumes one
+    /// L2-resident band of `B`'s planes before the next band is touched.
+    /// Epoch boundaries are fragment boundaries, so each tile's chunk
+    /// sequence is identical to the unblocked loop. Tiles seed from `D`:
+    /// the beta-folded base on the first epoch, the previous epoch's
+    /// partials afterwards (on a diagonal tile the out-of-triangle lanes
+    /// seed the untouched `C` bytes, and the predicated store discards
+    /// them).
+    fn run_unchecked(&self, pool: &WorkerPool, simd: &SimdChunks) {
+        let plan = KPlan::new(self.frag.k, self.k, self.n, E::VAL_BYTES);
+        let mut ke0 = 0usize;
+        while ke0 < self.k {
+            let ke1 = (ke0 + plan.kc2).min(self.k);
+            pool.run(self.tiles.len(), |tid| {
+                let t = self.tile(tid);
+                let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
+                let acc = &mut acc[..t.rows * t.cols];
+                for (i, row) in acc.chunks_exact_mut(t.cols).enumerate() {
+                    // SAFETY: as in `store` — this tile's disjoint region;
+                    // the read sees exactly what the previous epoch stored.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(
+                            self.d.get().add((t.i0 + i) * self.n + t.j0) as *const E,
+                            row.as_mut_ptr(),
+                            t.cols,
+                        );
+                    }
+                }
+                DPU.with(|dpu| {
+                    // L1 panels inside the epoch: each keeps one 8-column
+                    // slice of `B` resident across the tile's output rows.
+                    simd.meter(&mut dpu.borrow_mut(), |dpu| {
+                        let mut kb = ke0;
+                        while kb < ke1 {
+                            let kbend = (kb + plan.kc1).min(ke1);
+                            E::execute_panel(
+                                dpu,
+                                self.pa,
+                                self.pb,
+                                t.i0,
+                                t.rows,
+                                t.j0,
+                                t.cols,
+                                kb,
+                                kbend,
+                                self.frag.k,
+                                acc,
+                            );
+                            kb = kbend;
+                        }
+                    })
+                });
+                self.store(&t, acc);
+            });
+            ke0 = ke1;
+        }
+    }
+
+    /// The ABFT-checked, self-healing body: every fragment chunk executes
+    /// checked against the expected checksum of its packed operand bands,
+    /// with the fault-injection hooks of `plan`. Returns the invocation's
+    /// [`FaultSummary`] and the number of tiles left unrepaired.
+    ///
+    /// Recovery is hierarchical, mirroring the blast radius of each fault
+    /// class:
+    ///
+    /// * a **checksum mismatch** restores the chunk's seeds and re-executes
+    ///   only the corrupted k-chunk (each attempt is a fresh fault site, so
+    ///   injected corruption usually clears) — up to `MAX_TILE_ATTEMPTS`
+    ///   executions per chunk;
+    /// * a **lost pool epoch** (injected task panic, killed worker) is caught
+    ///   with `catch_unwind` and the whole tile schedule re-submitted — up
+    ///   to `MAX_EPOCH_ATTEMPTS`. Tiles seed **in-task** from `C` (a pure
+    ///   function), never from a partly written `D`, so every rerun is
+    ///   exactly idempotent.
+    fn run_checked(&self, pool: &WorkerPool, plan: &FaultPlan) -> (FaultSummary, u64) {
+        // One salt per driver invocation: a serve-layer retry of this whole
+        // call draws an independent fault schedule.
+        let salt = plan.next_call();
+        // Cumulative telemetry across every epoch attempt.
+        let detected = AtomicU64::new(0);
+        let retries = AtomicU64::new(0);
+        // Per-epoch outcome: tiles that exhausted their attempts, and the
+        // mismatches those tiles could not repair. Reset before each epoch —
+        // a lost epoch's failures get fresh attempts on the rerun, so only
+        // the final epoch's failures count as uncorrected.
+        let failed_tiles = AtomicU64::new(0);
+        let epoch_uncorrected = AtomicU64::new(0);
+        let mut epoch_ok = false;
+        for epoch_attempt in 0..MAX_EPOCH_ATTEMPTS {
+            failed_tiles.store(0, Ordering::Relaxed);
+            epoch_uncorrected.store(0, Ordering::Relaxed);
+            let task = |tid: usize| {
+                match plan.task_fault(salt, epoch_attempt, tid as u64) {
+                    Some(TaskFault::Stall { millis }) => {
+                        std::thread::sleep(std::time::Duration::from_millis(millis));
+                    }
+                    Some(TaskFault::Panic) => {
+                        panic!("m3xu fault injection: task panic (tile {tid})");
+                    }
+                    None => {}
+                }
+                let t = self.tile(tid);
+                let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
+                let acc = &mut acc[..t.rows * t.cols];
+                // Snapshot of the accumulator at each chunk's entry: restoring
+                // it makes a chunk re-execution exactly idempotent, so a
+                // mismatch re-runs only the corrupted chunk, never the tile's
+                // whole K loop.
+                let mut seeds = [E::default(); ACC_SCRATCH];
+                let seeds = &mut seeds[..t.rows * t.cols];
+                for (i, row) in acc.chunks_exact_mut(t.cols).enumerate() {
+                    for (j, v) in row.iter_mut().enumerate() {
+                        *v = self.call.seed(self.c, t.i0 + i, t.j0 + j);
+                    }
+                }
+                let mut tile_detected = 0u64;
+                let mut tile_retries = 0u64;
+                let mut tile_uncorrected = 0u64;
+                let mut tile_failed = false;
+                DPU.with(|dpu| {
+                    let mut dpu = dpu.borrow_mut();
+                    for (ci, k0) in (0..self.k).step_by(self.frag.k).enumerate() {
+                        let kend = (k0 + self.frag.k).min(self.k);
+                        seeds.copy_from_slice(acc);
+                        // The expected side reads the chunk's seeds once; the
+                        // retries below restore them bit-exactly.
+                        let expected = E::expected_chunk(
+                            self.pa, self.pb, seeds, t.i0, t.rows, t.j0, t.cols, k0, kend,
+                        );
+                        let mut chunk_fails = 0u64;
+                        let mut chunk_ok = false;
+                        for attempt in 0..MAX_TILE_ATTEMPTS {
+                            if attempt > 0 {
+                                acc.copy_from_slice(seeds);
+                            }
+                            // Specials bypass the multiplier array: an
+                            // unverifiable chunk is not a fault target.
+                            let fault = if expected.ok {
+                                plan.mma_fault(salt, epoch_attempt, tid as u64, ci as u64, attempt)
+                            } else {
+                                None
+                            };
+                            let computed = E::execute_checked(
+                                &mut dpu,
+                                self.pa,
+                                self.pb,
+                                t.i0,
+                                t.rows,
+                                t.j0,
+                                t.cols,
+                                k0,
+                                self.frag.k,
+                                acc,
+                                fault.as_ref(),
+                            );
+                            if expected.matches(&computed) {
+                                chunk_ok = true;
+                                break;
+                            }
+                            chunk_fails += 1;
+                        }
+                        tile_detected += chunk_fails;
+                        if chunk_ok {
+                            // Every detection triggered one repairing rerun.
+                            tile_retries += chunk_fails;
+                        } else {
+                            tile_retries += chunk_fails.saturating_sub(1);
+                            tile_uncorrected += chunk_fails;
+                            tile_failed = true;
+                            break;
+                        }
+                    }
+                });
+                detected.fetch_add(tile_detected, Ordering::Relaxed);
+                retries.fetch_add(tile_retries, Ordering::Relaxed);
+                if tile_failed {
+                    epoch_uncorrected.fetch_add(tile_uncorrected, Ordering::Relaxed);
+                    failed_tiles.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.store(&t, acc);
+                }
+            };
+            // An injected task panic (or a worker killed mid-epoch) surfaces
+            // as a panic out of `run` once the epoch has drained; catch it
+            // and re-submit rather than unwinding through the caller.
+            match catch_unwind(AssertUnwindSafe(|| pool.run(self.tiles.len(), task))) {
+                Ok(()) => {
+                    epoch_ok = true;
+                    break;
+                }
+                Err(_) => {
+                    detected.fetch_add(1, Ordering::Relaxed);
+                    if epoch_attempt + 1 < MAX_EPOCH_ATTEMPTS {
+                        retries.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        let detected = detected.load(Ordering::Relaxed);
+        let (failed, uncorrected) = if epoch_ok {
+            (
+                failed_tiles.load(Ordering::Relaxed),
+                epoch_uncorrected.load(Ordering::Relaxed),
+            )
+        } else {
+            // Epochs exhausted: the whole schedule is suspect, and the final
+            // lost epoch is the one detection nothing repaired.
+            (self.tiles.len() as u64, 1)
+        };
+        let summary = FaultSummary {
+            detected,
+            corrected: detected - uncorrected,
+            retries: retries.load(Ordering::Relaxed),
+        };
+        (summary, failed)
+    }
+}
+
+/// The GEMM and BLAS-3 driver: `D = alpha·a·b + beta·C` under `call` on
+/// `ctx`'s pool, where `a` and `b` are logical sources (plain matrices,
+/// op views or mirror views) and alpha folds into `a`.
+///
+/// The pipeline: validate shapes, fold beta into the written region of
+/// `D`, schedule the output tiles (a triangular region keeps only the
+/// `T(T+1)/2` tiles that intersect it), pack each operand once into the
+/// context's scratch arena, then run one tile body — the production body
+/// when `plan` is `None`, the ABFT-checked self-healing body under an
+/// armed plan. Anything the checked body cannot repair surfaces as
+/// [`M3xuError::FaultDetected`] carrying the telemetry counts: the driver
+/// never panics and never returns silently-corrupt data the checksums
+/// can see.
+///
+/// Either way the call records one [`GemmSample`] into the context: a
+/// pure function of the fragment grid (never inflated by retries), so
+/// instruction-count cross-validation holds unchanged; verification work
+/// and re-executions go to the returned [`FaultSummary`] and the
+/// context's fault counters instead.
+pub(crate) fn drive<E, SA, SB>(
+    ctx: &M3xuContext,
+    call: &Call<E::Scalar>,
+    a: &SA,
+    b: &SB,
+    c: &Matrix<E>,
+    plan: Option<&FaultPlan>,
+) -> Result<(GemmResult<E>, FaultSummary), M3xuError>
+where
+    E: GemmElem,
+    SA: MatSource<E>,
+    SB: MatSource<E>,
+{
+    validate_shapes(a, b, c)?;
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mode = call.mode;
     let frag = MmaShape::BASELINE_FP16.for_mode(mode);
     if frag.m * frag.n > ACC_SCRATCH {
+        // The per-tile accumulator is a fixed stack array; a fragment
+        // shape that outgrows it must be rejected up front, not trusted
+        // to a slice-bounds panic inside a pooled task.
         return Err(M3xuError::FragmentOverflow {
             needed: frag.m * frag.n,
             capacity: ACC_SCRATCH,
         });
     }
     let (tiles_m, tiles_n, k_chunks) = frag.grid(m, n, k);
+
+    // Fold beta into the written region of D up front: the production
+    // body's first-epoch seed and the final value of the degenerate
+    // k = 0 path. beta == 1 leaves the clone untouched (plain GEMM pays
+    // nothing); beta == +0.0 never reads C's values.
     let mut d = c.clone();
-    if k_chunks == 0 || m == 0 || n == 0 {
-        if let Some(cx) = ctx {
-            cx.counters().record(&GemmSample {
-                mode,
-                stats: MmaStats::default(),
-                tiles: 0,
-                fragments: 0,
-                operand_bytes: 0,
-                pack_ns: 0,
-                exec_ns: 0,
-                simd: SimdChunks::default(),
-            });
+    if !E::is_unit(call.beta) || call.real_diag {
+        for i in 0..m {
+            for j in 0..n {
+                if call.region.writes(i, j) {
+                    d.set(i, j, call.seed(c, i, j));
+                }
+            }
         }
-        return Ok((
-            GemmResult {
-                d,
-                stats: MmaStats::default(),
-            },
-            FaultSummary::default(),
-        ));
     }
 
-    let (sa, sb) = match ctx {
-        Some(cx) => cx.take_scratch(),
-        None => (PackedStorage::default(), PackedStorage::default()),
+    // A degenerate call still counts as a call; it moves no operand
+    // bytes and issues no fragments.
+    let mut sample = GemmSample {
+        mode,
+        stats: MmaStats::default(),
+        tiles: 0,
+        fragments: 0,
+        operand_bytes: 0,
+        pack_ns: 0,
+        exec_ns: 0,
+        simd: SimdChunks::default(),
     };
-    let t_pack = Instant::now();
-    let pa = E::pack_a(a, mode, sa);
-    let pb = E::pack_b(b, mode, sb);
-    let pack_ns = t_pack.elapsed().as_nanos() as u64;
+    let mut summary = FaultSummary::default();
+    if k_chunks > 0 && m > 0 && n > 0 {
+        let tiles: Vec<(usize, usize)> = (0..tiles_m)
+            .flat_map(|ti| (0..tiles_n).map(move |tj| (ti, tj)))
+            .filter(|&(ti, tj)| match call.region {
+                OutRegion::Full => true,
+                OutRegion::Tri(Triangle::Lower) => tj <= ti,
+                OutRegion::Tri(Triangle::Upper) => ti <= tj,
+            })
+            .collect();
+        let scheduled = tiles.len();
 
-    // One salt per driver invocation: a serve-layer retry of this whole
-    // call draws an independent fault schedule.
-    let salt = plan.next_call();
+        // Decode each operand exactly once for the whole call — entry
+        // planes *and* the f32 value mirrors the SIMD row kernels read —
+        // reusing the context's packed-operand arena.
+        let (sa, sb) = ctx.take_scratch();
+        let t_pack = Instant::now();
+        let pa = E::pack_rows(a, call.alpha, mode, sa);
+        let pb = E::pack_cols(b, mode, sb);
+        sample.pack_ns = t_pack.elapsed().as_nanos() as u64;
 
-    // Cumulative telemetry across every epoch attempt.
-    let detected = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
-    // Per-epoch outcome: tiles that exhausted their attempts, and the
-    // mismatches those tiles could not repair. Reset before each epoch —
-    // a lost epoch's failures get fresh attempts on the rerun, so only
-    // the final epoch's failures count as uncorrected.
-    let failed_tiles = AtomicU64::new(0);
-    let epoch_uncorrected = AtomicU64::new(0);
-
-    let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
-    let t_exec = Instant::now();
-    let mut epoch_ok = false;
-    for epoch_attempt in 0..MAX_EPOCH_ATTEMPTS {
-        failed_tiles.store(0, Ordering::Relaxed);
-        epoch_uncorrected.store(0, Ordering::Relaxed);
-        let task = |tid: usize| {
-            match plan.task_fault(salt, epoch_attempt, tid as u64) {
-                Some(TaskFault::Stall { millis }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(millis));
-                }
-                Some(TaskFault::Panic) => {
-                    panic!("m3xu fault injection: task panic (tile {tid})");
-                }
-                None => {}
+        let job = Job {
+            call,
+            c,
+            pa: &pa,
+            pb: &pb,
+            frag,
+            m,
+            n,
+            k,
+            tiles,
+            d: SendPtr(d.as_mut_slice().as_mut_ptr()),
+        };
+        let t_exec = Instant::now();
+        let failed = match plan {
+            None => {
+                job.run_unchecked(ctx.pool(), &sample.simd);
+                0
             }
-            let (i0, j0) = ((tid / tiles_n) * frag.m, (tid % tiles_n) * frag.n);
-            let rows = frag.m.min(m - i0);
-            let cols = frag.n.min(n - j0);
-            let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
-            let acc = &mut acc[..rows * cols];
-            // Snapshot of the accumulator at each chunk's entry: restoring
-            // it makes a chunk re-execution exactly idempotent, so a
-            // mismatch re-runs only the corrupted chunk, never the tile's
-            // whole K loop.
-            let mut seeds = [E::default(); ACC_SCRATCH];
-            let seeds = &mut seeds[..rows * cols];
-            c.view(i0, j0, rows, cols).copy_into(acc);
-            let mut tile_detected = 0u64;
-            let mut tile_retries = 0u64;
-            let mut tile_uncorrected = 0u64;
-            let mut tile_failed = false;
-            DPU.with(|dpu| {
-                let mut dpu = dpu.borrow_mut();
-                for (ci, k0) in (0..k).step_by(frag.k).enumerate() {
-                    let kend = (k0 + frag.k).min(k);
-                    seeds.copy_from_slice(acc);
-                    // The expected side reads the chunk's seeds once; the
-                    // retries below restore them bit-exactly.
-                    let expected = E::expected_chunk(&pa, &pb, seeds, i0, rows, j0, cols, k0, kend);
-                    let mut chunk_fails = 0u64;
-                    let mut chunk_ok = false;
-                    for attempt in 0..MAX_TILE_ATTEMPTS {
-                        if attempt > 0 {
-                            acc.copy_from_slice(seeds);
-                        }
-                        // Specials bypass the multiplier array: an
-                        // unverifiable chunk is not a fault target.
-                        let fault = if expected.ok {
-                            plan.mma_fault(salt, epoch_attempt, tid as u64, ci as u64, attempt)
-                        } else {
-                            None
-                        };
-                        let computed = E::execute_checked(
-                            &mut dpu,
-                            &pa,
-                            &pb,
-                            i0,
-                            rows,
-                            j0,
-                            cols,
-                            k0,
-                            frag.k,
-                            acc,
-                            fault.as_ref(),
-                        );
-                        if expected.matches(&computed) {
-                            chunk_ok = true;
-                            break;
-                        }
-                        chunk_fails += 1;
-                    }
-                    tile_detected += chunk_fails;
-                    if chunk_ok {
-                        // Every detection triggered one repairing rerun.
-                        tile_retries += chunk_fails;
-                    } else {
-                        tile_retries += chunk_fails.saturating_sub(1);
-                        tile_uncorrected += chunk_fails;
-                        tile_failed = true;
-                        break;
-                    }
-                }
-            });
-            detected.fetch_add(tile_detected, Ordering::Relaxed);
-            retries.fetch_add(tile_retries, Ordering::Relaxed);
-            if tile_failed {
-                epoch_uncorrected.fetch_add(tile_uncorrected, Ordering::Relaxed);
-                failed_tiles.fetch_add(1, Ordering::Relaxed);
-            } else {
-                for (i, row) in acc.chunks_exact(cols).enumerate() {
-                    // SAFETY: this tile owns rows i0..i0+rows, cols
-                    // j0..j0+cols of the output; no other task touches
-                    // them, the pointer outlives the pool run, and epoch
-                    // reruns rewrite the same bytes.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            row.as_ptr(),
-                            dptr.get().add((i0 + i) * n + j0),
-                            cols,
-                        );
-                    }
-                }
+            Some(plan) => {
+                let (s, failed) = job.run_checked(ctx.pool(), plan);
+                ctx.counters().record_faults(&s);
+                summary = s;
+                failed
             }
         };
-        // An injected task panic (or a worker killed mid-epoch) surfaces
-        // as a panic out of `run` once the epoch has drained; catch it
-        // and re-submit rather than unwinding through the caller.
-        match catch_unwind(AssertUnwindSafe(|| pool.run(tiles_m * tiles_n, task))) {
-            Ok(()) => {
-                epoch_ok = true;
-                break;
-            }
-            Err(_) => {
-                detected.fetch_add(1, Ordering::Relaxed);
-                if epoch_attempt + 1 < MAX_EPOCH_ATTEMPTS {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        sample.exec_ns = t_exec.elapsed().as_nanos() as u64;
+        ctx.put_scratch(pa.into_storage(), pb.into_storage());
+        if failed > 0 {
+            return Err(M3xuError::FaultDetected {
+                op: call.op,
+                mode,
+                tiles: failed as usize,
+                detected: summary.detected,
+                corrected: summary.corrected,
+                retries: summary.retries,
+            });
         }
+
+        // Statistics are a pure function of the fragment grid — identical
+        // to what per-fragment counters would sum to, without atomics.
+        let frags = (scheduled * k_chunks) as u64;
+        sample.stats = fragment_stats(mode, frag).scaled(frags);
+        sample.tiles = scheduled as u64;
+        sample.fragments = frags;
+        // Rule (c) operand traffic at logical dimensions and the mode's
+        // storage width (2 bytes FP16/BF16, 4 bytes TF32/FP32, 8 bytes
+        // FP32C), not at `size_of::<E>()`: a rank-k update reads op(A)
+        // twice (n·k each way), a SYMM reads the expanded square operand —
+        // the same formula the serve layer and the analytical model mirror.
+        sample.operand_bytes = ((m * k + k * n) * mode.element_bytes()) as u64;
     }
-    let exec_ns = t_exec.elapsed().as_nanos() as u64;
-
-    let detected = detected.load(Ordering::Relaxed);
-    let retries = retries.load(Ordering::Relaxed);
-    let (failed, uncorrected) = if epoch_ok {
-        (
-            failed_tiles.load(Ordering::Relaxed),
-            epoch_uncorrected.load(Ordering::Relaxed),
-        )
-    } else {
-        // Epochs exhausted: the whole grid is suspect, and the final
-        // lost epoch is the one detection nothing repaired.
-        ((tiles_m * tiles_n) as u64, 1)
-    };
-    let summary = FaultSummary {
-        detected,
-        corrected: detected - uncorrected,
-        retries,
-    };
-
-    if let Some(cx) = ctx {
-        cx.counters().record_faults(&summary);
-    }
-    if failed > 0 {
-        if let Some(cx) = ctx {
-            cx.put_scratch(pa.into_storage(), pb.into_storage());
-        }
-        return Err(M3xuError::FaultDetected {
-            op,
-            mode,
-            tiles: failed as usize,
-            detected,
-            corrected: summary.corrected,
-            retries,
-        });
-    }
-
-    // The production sample: a pure function of the fragment grid,
-    // bit-identical accounting to the unchecked driver.
-    let frags = (tiles_m * tiles_n * k_chunks) as u64;
-    let stats = fragment_stats(mode, frag).scaled(frags);
-    if let Some(cx) = ctx {
-        cx.counters().record(&GemmSample {
-            mode,
-            stats,
-            tiles: (tiles_m * tiles_n) as u64,
-            fragments: frags,
-            operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
-            pack_ns,
-            exec_ns,
-            simd: SimdChunks::default(),
-        });
-        cx.put_scratch(pa.into_storage(), pb.into_storage());
-    }
-    Ok((GemmResult { d, stats }, summary))
-}
-
-/// Context-attached real GEMM: the body of
-/// [`M3xuContext::try_gemm_f32`](crate::context::M3xuContext::try_gemm_f32).
-/// An armed fault plan routes **every** f32 precision through the
-/// ABFT-checked self-healing driver: the expected checksums read the
-/// packed buffer entries, so quantising narrow engines (FP16/BF16/TF32)
-/// and the truncated fast schedule verify exactly alongside true FP32.
-pub(crate) fn try_gemm_f32_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    try_gemm_f32_faulted_ctx(ctx, precision, a, b, c).map(|(r, _)| r)
-}
-
-/// Context-attached FP32C GEMM: the body of
-/// [`M3xuContext::try_cgemm_c32`](crate::context::M3xuContext::try_cgemm_c32).
-pub(crate) fn try_cgemm_c32_ctx(
-    ctx: &M3xuContext,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    try_cgemm_c32_faulted_ctx(ctx, a, b, c).map(|(r, _)| r)
-}
-
-/// [`try_gemm_f32_ctx`] with the invocation's [`FaultSummary`].
-pub(crate) fn try_gemm_f32_faulted_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-    check_precision(precision, true, "gemm_f32")?;
-    match ctx.fault_plan() {
-        Some(plan) => try_gemm_abft(
-            ctx.pool(),
-            "gemm",
-            precision.mode(),
-            a,
-            b,
-            c,
-            Some(ctx),
-            plan,
-        ),
-        None => try_gemm_packed(ctx.pool(), precision.mode(), a, b, c, Some(ctx))
-            .map(|r| (r, FaultSummary::default())),
-    }
-}
-
-/// Context-attached emulated-FP64 GEMM: the body of
-/// [`M3xuContext::try_gemm_f64`](crate::context::M3xuContext::try_gemm_f64).
-/// An armed fault plan reroutes through the checked driver: the residue
-/// homomorphism extends to every f64 dyadic rational, and the expected
-/// side reads the five packed mantissa slices directly.
-pub(crate) fn try_gemm_f64_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    try_gemm_f64_faulted_ctx(ctx, precision, a, b, c).map(|(r, _)| r)
-}
-
-/// [`try_gemm_f64_ctx`] with the invocation's [`FaultSummary`].
-pub(crate) fn try_gemm_f64_faulted_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
-    check_precision(precision, false, "gemm_f64")?;
-    match ctx.fault_plan() {
-        Some(plan) => try_gemm_abft(
-            ctx.pool(),
-            "gemm_f64",
-            precision.mode(),
-            a,
-            b,
-            c,
-            Some(ctx),
-            plan,
-        ),
-        None => try_gemm_packed(ctx.pool(), precision.mode(), a, b, c, Some(ctx))
-            .map(|r| (r, FaultSummary::default())),
-    }
-}
-
-/// [`try_cgemm_c32_ctx`] with the invocation's [`FaultSummary`].
-pub(crate) fn try_cgemm_c32_faulted_ctx(
-    ctx: &M3xuContext,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
-    match ctx.fault_plan() {
-        Some(plan) => try_gemm_abft(
-            ctx.pool(),
-            "cgemm",
-            MxuMode::M3xuFp32c,
-            a,
-            b,
-            c,
-            Some(ctx),
-            plan,
-        ),
-        None => try_gemm_packed(ctx.pool(), MxuMode::M3xuFp32c, a, b, c, Some(ctx))
-            .map(|r| (r, FaultSummary::default())),
-    }
-}
-
-/// Fallible tiled FP32 GEMM `D = A·B + C` on an explicit worker pool —
-/// the entry point for determinism tests and embedders that manage their
-/// own pools. Returns [`M3xuError::ShapeMismatch`] on inconsistent
-/// operands instead of panicking.
-pub fn try_gemm_f32_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    check_precision(precision, true, "gemm_f32")?;
-    try_gemm_packed(pool, precision.mode(), a, b, c, None)
-}
-
-/// Tiled FP32 GEMM `D = A·B + C` on the M3XU (or a baseline mode), using
-/// an explicit worker pool. Panics on shape mismatch; see
-/// [`try_gemm_f32_on`] for the fallible form.
-pub fn gemm_f32_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_gemm_f32_on(pool, precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
+    ctx.counters().record(&sample);
+    Ok((
+        GemmResult {
+            d,
+            stats: sample.stats,
+        },
+        summary,
+    ))
 }
 
 /// Fallible tiled FP32 GEMM `D = A·B + C` on the process-wide default
@@ -1072,29 +1124,6 @@ pub fn gemm_f32(
     c: &Matrix<f32>,
 ) -> GemmResult<f32> {
     try_gemm_f32(precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible tiled FP32C GEMM on the M3XU's four-step complex mode, using
-/// an explicit worker pool.
-pub fn try_cgemm_c32_on(
-    pool: &WorkerPool,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    try_gemm_packed(pool, MxuMode::M3xuFp32c, a, b, c, None)
-}
-
-/// Tiled FP32C GEMM on the M3XU's four-step complex mode, using an
-/// explicit worker pool. Panics on shape mismatch; see
-/// [`try_cgemm_c32_on`] for the fallible form.
-pub fn cgemm_c32_on(
-    pool: &WorkerPool,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_cgemm_c32_on(pool, a, b, c).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible tiled FP32C GEMM on the process-wide default context (the
@@ -1134,37 +1163,12 @@ pub fn matmul_f32(precision: GemmPrecision, a: &Matrix<f32>, b: &Matrix<f32>) ->
     try_matmul_f32(precision, a, b).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible tiled emulated-FP64 GEMM `D = A·B + C` on an explicit worker
-/// pool. Only [`GemmPrecision::Fp64Emulated`] is accepted — every other
-/// precision returns [`M3xuError::ModeMismatch`] (the `f64` operands have
-/// no decode path on the f32 engines).
-pub fn try_gemm_f64_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    check_precision(precision, false, "gemm_f64")?;
-    try_gemm_packed(pool, precision.mode(), a, b, c, None)
-}
-
-/// Tiled emulated-FP64 GEMM `D = A·B + C` using an explicit worker pool.
-/// Panics on shape or precision mismatch; see [`try_gemm_f64_on`] for the
-/// fallible form.
-pub fn gemm_f64_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> GemmResult<f64> {
-    try_gemm_f64_on(pool, precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Fallible tiled emulated-FP64 GEMM `D = A·B + C` on the process-wide
 /// default context (the call is recorded into its
-/// [`ExecStats`](crate::context::ExecStats) counters).
+/// [`ExecStats`](crate::context::ExecStats) counters). Only
+/// [`GemmPrecision::Fp64Emulated`] is accepted — every other precision
+/// returns [`M3xuError::ModeMismatch`] (the `f64` operands have no decode
+/// path on the f32 engines).
 pub fn try_gemm_f64(
     precision: GemmPrecision,
     a: &Matrix<f64>,
@@ -1249,7 +1253,7 @@ pub mod baseline {
         F: Fn(&mut Mxu, &Matrix<T>, &Matrix<T>, &Matrix<T>) -> Matrix<T> + Sync,
     {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        super::validate_gemm_shapes(a, b, c).unwrap_or_else(|e| panic!("{e}"));
+        super::validate_shapes(a, b, c).unwrap_or_else(|e| panic!("{e}"));
 
         let frag = MmaShape::BASELINE_FP16.for_mode(mode);
         let row_tiles: Vec<usize> = (0..m).step_by(frag.m).collect();
@@ -1731,9 +1735,9 @@ mod tests {
         let mut real: Vec<Matrix<f32>> = Vec::new();
         let mut cplx: Vec<Matrix<Complex<f32>>> = Vec::new();
         for threads in [1, 2, 8] {
-            let pool = WorkerPool::new(threads);
-            real.push(gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c).d);
-            cplx.push(cgemm_c32_on(&pool, &ca, &cb, &cc).d);
+            let ctx = M3xuContext::with_threads(threads);
+            real.push(ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c).d);
+            cplx.push(ctx.cgemm_c32(&ca, &cb, &cc).d);
         }
         for r in &real[1..] {
             assert_bits_f32(r, &real[0], "pool-size determinism (real)");
@@ -1749,20 +1753,31 @@ mod tests {
         assert!(workers() >= 1);
     }
 
-    // ---- ABFT-checked driver -------------------------------------------
+    // ---- ABFT-checked body ---------------------------------------------
+
+    /// Plain FP32 GEMM through the driver's checked body under `plan`.
+    fn checked_gemm(
+        ctx: &M3xuContext,
+        a: &Matrix<f32>,
+        b: &Matrix<f32>,
+        c: &Matrix<f32>,
+        plan: &FaultPlan,
+    ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
+        let call = Call::new("gemm", MxuMode::M3xuFp32, 1.0, 1.0);
+        drive(ctx, &call, a, b, c, Some(plan))
+    }
 
     #[test]
     fn abft_zero_rate_verifies_and_stays_bit_identical() {
         // A rate-0 plan runs the full checksum machinery with no
         // injection: every chunk verifies and the result is bit-identical
         // to the oracle, summary all-zero.
-        let pool = WorkerPool::new(2);
+        let ctx = M3xuContext::with_threads(2);
         let plan = FaultPlan::new(1, 0.0);
         let a = Matrix::<f32>::random(23, 11, 40);
         let b = Matrix::<f32>::random(11, 19, 41);
         let c = Matrix::<f32>::random(23, 19, 42);
-        let (r, s) =
-            try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan).unwrap();
+        let (r, s) = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         assert_bits_f32(&r.d, &oracle.d, "abft zero-rate");
         assert_eq!(r.stats, oracle.stats);
@@ -1771,7 +1786,7 @@ mod tests {
 
     #[test]
     fn abft_recovers_injected_faults_bit_identically() {
-        let pool = WorkerPool::new(2);
+        let ctx = M3xuContext::with_threads(2);
         let a = Matrix::<f32>::random(33, 17, 50);
         let b = Matrix::<f32>::random(17, 29, 51);
         let c = Matrix::<f32>::random(33, 29, 52);
@@ -1779,8 +1794,7 @@ mod tests {
         let mut saw_faults = false;
         for seed in 0..8u64 {
             let plan = FaultPlan::new(seed, 0.05);
-            let (r, s) =
-                try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan).unwrap();
+            let (r, s) = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
             assert_bits_f32(&r.d, &oracle.d, &format!("abft recovery seed {seed}"));
             assert_eq!(s.detected, s.corrected, "seed {seed}: {s:?}");
             saw_faults |= s.detected > 0;
@@ -1790,26 +1804,27 @@ mod tests {
 
     #[test]
     fn abft_complex_recovery_matches_oracle() {
-        let pool = WorkerPool::new(2);
+        let ctx = M3xuContext::with_threads(2);
         let a = Matrix::random_c32(17, 9, 60);
         let b = Matrix::random_c32(9, 13, 61);
         let c = Matrix::random_c32(17, 13, 62);
         let oracle = baseline::cgemm_c32(&a, &b, &c);
         let plan = FaultPlan::new(3, 0.05);
-        let (r, s) =
-            try_gemm_abft(&pool, "cgemm", MxuMode::M3xuFp32c, &a, &b, &c, None, &plan).unwrap();
+        let one = Complex::<f32>::ONE;
+        let call = Call::new("cgemm", MxuMode::M3xuFp32c, one, one);
+        let (r, s) = drive(&ctx, &call, &a, &b, &c, Some(&plan)).unwrap();
         assert_bits_c32(&r.d, &oracle.d, "abft complex recovery");
         assert_eq!(s.detected, s.corrected);
     }
 
     #[test]
     fn abft_rate_one_is_a_typed_error_not_a_panic() {
-        let pool = WorkerPool::new(2);
+        let ctx = M3xuContext::with_threads(2);
         let plan = FaultPlan::new(9, 1.0);
         let a = Matrix::<f32>::random(16, 8, 70);
         let b = Matrix::<f32>::random(8, 16, 71);
         let c = Matrix::<f32>::zeros(16, 16);
-        match try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan) {
+        match checked_gemm(&ctx, &a, &b, &c, &plan) {
             Err(M3xuError::FaultDetected {
                 op,
                 mode,
@@ -1827,7 +1842,7 @@ mod tests {
             other => panic!("expected FaultDetected, got {other:?}"),
         }
         // The pool (and its supervisor) must stay usable afterwards.
-        let clean = gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c);
+        let clean = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         assert_bits_f32(&clean.d, &oracle.d, "pool reuse after rate-1.0 abft");
     }
@@ -1837,7 +1852,7 @@ mod tests {
         // Chunks poisoned by NaN/Inf are unverifiable: the checked driver
         // must execute them un-checked (and un-faulted) and still match
         // the oracle bit-for-bit.
-        let pool = WorkerPool::new(2);
+        let ctx = M3xuContext::with_threads(2);
         let mut a = Matrix::<f32>::random(19, 7, 80);
         a.set(0, 0, f32::NAN);
         a.set(5, 3, f32::INFINITY);
@@ -1845,8 +1860,7 @@ mod tests {
         let c = Matrix::<f32>::random(19, 11, 82);
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let plan = FaultPlan::new(4, 0.2);
-        let (r, _) =
-            try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan).unwrap();
+        let (r, _) = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
         assert_bits_f32(&r.d, &oracle.d, "abft specials");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Everything the paper's evaluation runs *on top of* the MXU:
 //!
-//! * [`gemm`] — CUTLASS-style tiled FP32 GEMM / FP32C CGEMM drivers over
-//!   the functional M3XU, parallelised across output tiles;
-//! * [`blas3`] — the full BLAS-3 surface on the same packed pipeline:
+//! * [`gemm`] — the one CUTLASS-style tiled driver over the functional
+//!   M3XU, parallelised across output tiles, and the plain FP32 GEMM /
+//!   FP32C CGEMM / emulated-FP64 entry points;
+//! * [`blas3`] — the full BLAS-3 surface as calls of the same driver:
 //!   `op(X)` operands, alpha/beta accumulate, SYMM/HEMM, and
 //!   triangular-scheduled SYRK/HERK;
 //! * [`conv2d`] — im2col convolution (the Fig. 7 CNNs' compute core);
@@ -60,9 +61,8 @@ pub use blas3::{
 pub use context::{default_context, ClosureExecutor, ExecStats, GemmExecutor, M3xuContext};
 pub use faulty::FaultyExecutor;
 pub use gemm::{
-    cgemm_c32, cgemm_c32_on, cmatmul_c32, gemm_f32, gemm_f32_on, matmul_f32, try_cgemm_c32,
-    try_cgemm_c32_on, try_cmatmul_c32, try_gemm_f32, try_gemm_f32_on, try_matmul_f32,
-    GemmPrecision, GemmResult,
+    cgemm_c32, cmatmul_c32, gemm_f32, matmul_f32, try_cgemm_c32, try_cmatmul_c32, try_gemm_f32,
+    try_matmul_f32, GemmPrecision, GemmResult,
 };
 pub use m3xu_mxu::error::M3xuError;
 pub use m3xu_mxu::fault::{FaultPlan, FaultSummary};

@@ -4,9 +4,10 @@
 //! the release pass) — the original reentrancy hole was a `debug_assert!`
 //! that release builds silently skipped.
 
+use m3xu_kernels::context::M3xuContext;
 use m3xu_kernels::fft::{gemm_fft, gemm_fft_with, spectrum_rel_error, try_gemm_fft_with, C32};
-use m3xu_kernels::gemm::{self, gemm_f32_on, GemmPrecision, GemmResult};
-use m3xu_kernels::pool::{self, WorkerPool};
+use m3xu_kernels::gemm::{self, GemmPrecision, GemmResult};
+use m3xu_kernels::pool;
 use m3xu_kernels::M3xuError;
 use m3xu_mxu::matrix::Matrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,18 +17,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// and produce output bit-identical to the same GEMM run at top level.
 #[test]
 fn nested_gemm_inside_pool_run_is_bit_identical() {
-    let pool = WorkerPool::new(4);
+    let ctx = M3xuContext::with_threads(4);
     let a = Matrix::<f32>::random(48, 32, 1);
     let b = Matrix::<f32>::random(32, 48, 2);
     let c = Matrix::<f32>::zeros(48, 48);
 
-    let top_level = gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c);
+    let top_level = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
 
     let results: Vec<std::sync::Mutex<Option<GemmResult<f32>>>> =
         (0..3).map(|_| std::sync::Mutex::new(None)).collect();
-    pool.run(3, |t| {
+    ctx.run_tasks(3, |t| {
         // Re-enter the SAME pool from inside one of its tasks.
-        let r = gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c);
+        let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         *results[t].lock().unwrap() = Some(r);
     });
 
@@ -111,13 +112,13 @@ fn m3xu_threads_env_semantics() {
 
     // A pool built under the inline setting still computes correctly.
     std::env::set_var(key, "0");
-    let pool = WorkerPool::new(pool::configured_threads());
-    assert_eq!(pool.size(), 1);
+    let inline_ctx = M3xuContext::with_threads(pool::configured_threads());
+    assert_eq!(inline_ctx.threads(), 1);
     let a = Matrix::<f32>::random(16, 16, 5);
     let b = Matrix::<f32>::random(16, 16, 6);
     let c = Matrix::<f32>::zeros(16, 16);
-    let inline = gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c);
-    let wide = gemm_f32_on(&WorkerPool::new(4), GemmPrecision::M3xuFp32, &a, &b, &c);
+    let inline = inline_ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    let wide = M3xuContext::with_threads(4).gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     assert_eq!(inline.d, wide.d);
 
     match prior {

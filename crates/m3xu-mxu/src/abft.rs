@@ -366,19 +366,21 @@ mod tests {
 
     #[test]
     fn packed_expected_agrees_across_pack_flavours() {
-        use crate::matrix::Matrix;
-        // alpha = 1 (bitwise) src packing must produce the same expected
-        // checksum as the plain packers — same planes, same algebra.
+        use crate::matrix::{MatOp, Matrix, OpView};
+        // Packing through an identity op view with alpha = 1 (bitwise)
+        // must produce the same expected checksum as packing the matrix
+        // itself — same planes, same algebra.
         let a = Matrix::<f32>::random(4, 6, 31);
         let b = Matrix::<f32>::random(6, 4, 32);
         let seeds = [0.25f32; 16];
         for mode in [MxuMode::M3xuFp32, MxuMode::M3xuFp32Fast, MxuMode::Bf16] {
             let pa = PackedOperand::pack_rows_f32(&a, mode);
             let pb = PackedOperand::pack_cols_f32(&b, mode);
-            let sa =
-                PackedOperand::try_pack_rows_f32_src_in(&a, 1.0, mode, Default::default()).unwrap();
+            let (va, vb) = (OpView::new(&a, MatOp::N), OpView::new(&b, MatOp::N));
+            let sa = PackedOperand::try_pack_rows_f32_src_in(&va, 1.0, mode, Default::default())
+                .unwrap();
             let sb =
-                PackedOperand::try_pack_cols_f32_src_in(&b, 1.0, mode, Default::default()).unwrap();
+                PackedOperand::try_pack_cols_f32_src_in(&vb, mode, Default::default()).unwrap();
             let want = expected_chunk_packed_f32(&pa, &pb, &seeds, 0, 4, 0, 4, 0, 6);
             let got = expected_chunk_packed_f32(&sa, &sb, &seeds, 0, 4, 0, 4, 0, 6);
             assert!(want.ok);

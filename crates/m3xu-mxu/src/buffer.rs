@@ -118,6 +118,7 @@ fn pow2(k: i32) -> f64 {
 ///
 /// Returns `(high, low)`. `high.value() + low.value() == x` exactly for all
 /// finite `x` (including subnormals).
+#[inline]
 pub fn decode_fp32(x: f32) -> (BufferEntry, BufferEntry) {
     let bits = x.to_bits();
     let sign = bits >> 31 == 1;
@@ -228,6 +229,7 @@ pub fn decode_fp32_slices(x: f32, cfg: SliceConfig, out: &mut [BufferEntry]) -> 
 /// emulated-FP64 mode: N slices of the 53-bit significand, each within the
 /// 12-bit multiplier field (unlike the §IV-C [`decode_fp64`] halves, which
 /// need 27-bit multipliers). The entries' exact values sum to `x`.
+#[inline]
 pub fn decode_fp64_slices(x: f64, cfg: SliceConfig, out: &mut [BufferEntry]) -> usize {
     let n = cfg.slices() as usize;
     assert!(cfg.precision() == 53, "FP64 slices need a 53-bit config");
@@ -283,6 +285,7 @@ pub fn decode_fp64_slices(x: f64, cfg: SliceConfig, out: &mut [BufferEntry]) -> 
 ///
 /// `x` must be exactly representable in `fmt` (callers obtain it from
 /// `SoftFloat`). Panics (debug) otherwise.
+#[inline]
 pub fn decode_narrow(x: f64, fmt: FloatFormat) -> BufferEntry {
     debug_assert!(
         fmt.precision() <= MANT_BITS,
@@ -387,6 +390,7 @@ pub fn decode_fp64(x: f64) -> (BufferEntry, BufferEntry) {
 /// Decode an FP32 operand into a single TF32 buffer entry (the Tensor-Core
 /// TF32 mode: FP32 in, top 11 significand bits kept, rest *discarded* — the
 /// "illusion of higher-precision support" M3XU replaces).
+#[inline]
 pub fn decode_tf32_truncating(x: f32) -> BufferEntry {
     let rounded = m3xu_fp::softfloat::round_to_format(x as f64, m3xu_fp::format::TF32);
     decode_narrow(rounded, m3xu_fp::format::TF32)

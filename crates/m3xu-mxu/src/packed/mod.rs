@@ -186,10 +186,10 @@ fn val_f32(x: f32, mode: MxuMode) -> f32 {
 }
 
 /// Fold the scalar `alpha` into an element before decode. A bitwise check
-/// against `1.0` skips the multiply entirely, so an `alpha = 1` pack is
-/// instruction-for-instruction (and therefore bit-for-bit) identical to
-/// the unscaled packers — the contract the op/alpha differential suite
-/// pins against the plain GEMM path.
+/// against `1.0` skips the multiply entirely, so an `alpha = 1` pack
+/// decodes every element exactly as stored (a NaN payload or signed zero
+/// never passes through a multiply) — the contract the op/alpha
+/// differential suite pins against the plain GEMM path.
 #[inline]
 fn scale_f32(alpha: f32, x: f32) -> f32 {
     if alpha.to_bits() == 1.0f32.to_bits() {
@@ -234,41 +234,7 @@ impl PackedOperand {
     /// FP64 modes (whose operands are not plain `f32` planes) with
     /// [`M3xuError::ModeMismatch`] instead of aborting.
     pub fn try_pack_rows_f32(m: &Matrix<f32>, mode: MxuMode) -> Result<Self, M3xuError> {
-        Self::try_pack_rows_f32_in(m, mode, PackedStorage::default())
-    }
-
-    /// [`PackedOperand::try_pack_rows_f32`] packing into `storage` — the
-    /// buffers are cleared and their capacity reused, so an arena that
-    /// round-trips storage through [`PackedOperand::into_storage`] packs
-    /// repeated GEMMs without touching the allocator.
-    pub fn try_pack_rows_f32_in(
-        m: &Matrix<f32>,
-        mode: MxuMode,
-        storage: PackedStorage,
-    ) -> Result<Self, M3xuError> {
-        if !is_real_f32_mode(mode) {
-            return Err(M3xuError::ModeMismatch {
-                context: "PackedOperand::pack_rows_f32",
-                got: mode,
-            });
-        }
-        let epe = entries_per_element(mode);
-        let (mut entries, mut vals) = storage.prepared(m.rows() * m.cols(), epe, 1);
-        for i in 0..m.rows() {
-            for &x in m.row(i) {
-                push_f32(&mut entries, x, mode);
-                vals.push(val_f32(x, mode));
-            }
-        }
-        Ok(PackedOperand {
-            mode,
-            epe,
-            len: m.cols(),
-            vecs: m.rows(),
-            entries,
-            vals,
-            transposed: false,
-        })
+        Self::try_pack_rows_f32_src_in(m, 1.0, mode, PackedStorage::default())
     }
 
     /// Pack a real operand by rows (the `A` side of `A·B`).
@@ -281,45 +247,7 @@ impl PackedOperand {
 
     /// Fallible [`PackedOperand::pack_cols_f32`].
     pub fn try_pack_cols_f32(m: &Matrix<f32>, mode: MxuMode) -> Result<Self, M3xuError> {
-        Self::try_pack_cols_f32_in(m, mode, PackedStorage::default())
-    }
-
-    /// [`PackedOperand::try_pack_cols_f32`] packing into `storage` (see
-    /// [`PackedOperand::try_pack_rows_f32_in`]).
-    pub fn try_pack_cols_f32_in(
-        m: &Matrix<f32>,
-        mode: MxuMode,
-        storage: PackedStorage,
-    ) -> Result<Self, M3xuError> {
-        if !is_real_f32_mode(mode) {
-            return Err(M3xuError::ModeMismatch {
-                context: "PackedOperand::pack_cols_f32",
-                got: mode,
-            });
-        }
-        let epe = entries_per_element(mode);
-        let (mut entries, mut vals) = storage.prepared(m.rows() * m.cols(), epe, 1);
-        for j in 0..m.cols() {
-            for i in 0..m.rows() {
-                push_f32(&mut entries, m.get(i, j), mode);
-            }
-        }
-        // The k-major value plane: vals[k * vecs + v] = m[k][v], i.e. the
-        // matrix's own row-major layout — one memcpy-shaped pass.
-        for i in 0..m.rows() {
-            for &x in m.row(i) {
-                vals.push(val_f32(x, mode));
-            }
-        }
-        Ok(PackedOperand {
-            mode,
-            epe,
-            len: m.rows(),
-            vecs: m.cols(),
-            entries,
-            vals,
-            transposed: true,
-        })
+        Self::try_pack_cols_f32_src_in(m, mode, PackedStorage::default())
     }
 
     /// Pack a real operand by columns (the `B` side of `A·B`).
@@ -332,67 +260,12 @@ impl PackedOperand {
 
     /// Pack a complex operand by rows (FP32C mode).
     pub fn pack_rows_c32(m: &Matrix<Complex<f32>>) -> Self {
-        Self::pack_rows_c32_in(m, PackedStorage::default())
-    }
-
-    /// [`PackedOperand::pack_rows_c32`] packing into `storage` (see
-    /// [`PackedOperand::try_pack_rows_f32_in`]).
-    pub fn pack_rows_c32_in(m: &Matrix<Complex<f32>>, storage: PackedStorage) -> Self {
-        let (mut entries, mut vals) = storage.prepared(m.rows() * m.cols(), 4, 2);
-        for i in 0..m.rows() {
-            for &x in m.row(i) {
-                push_c32(&mut entries, x);
-                vals.push(x.re);
-                vals.push(x.im);
-            }
-        }
-        PackedOperand {
-            mode: MxuMode::M3xuFp32c,
-            epe: 4,
-            len: m.cols(),
-            vecs: m.rows(),
-            entries,
-            vals,
-            transposed: false,
-        }
+        Self::pack_rows_c32_src_in(m, Complex::<f32>::ONE, PackedStorage::default())
     }
 
     /// Pack a complex operand by columns (FP32C mode).
     pub fn pack_cols_c32(m: &Matrix<Complex<f32>>) -> Self {
-        Self::pack_cols_c32_in(m, PackedStorage::default())
-    }
-
-    /// [`PackedOperand::pack_cols_c32`] packing into `storage` (see
-    /// [`PackedOperand::try_pack_rows_f32_in`]).
-    pub fn pack_cols_c32_in(m: &Matrix<Complex<f32>>, storage: PackedStorage) -> Self {
-        let (mut entries, mut vals) = storage.prepared(m.rows() * m.cols(), 4, 2);
-        for j in 0..m.cols() {
-            for i in 0..m.rows() {
-                push_c32(&mut entries, m.get(i, j));
-            }
-        }
-        // Planar k-major component planes: the re plane (vals[k*vecs + v])
-        // followed by the im plane at offset len*vecs, each in the
-        // matrix's own row-major order.
-        for i in 0..m.rows() {
-            for &x in m.row(i) {
-                vals.push(x.re);
-            }
-        }
-        for i in 0..m.rows() {
-            for &x in m.row(i) {
-                vals.push(x.im);
-            }
-        }
-        PackedOperand {
-            mode: MxuMode::M3xuFp32c,
-            epe: 4,
-            len: m.rows(),
-            vecs: m.cols(),
-            entries,
-            vals,
-            transposed: true,
-        }
+        Self::pack_cols_c32_src_in(m, PackedStorage::default())
     }
 
     /// Fallible pack of an FP64 operand by rows for the emulated-FP64
@@ -404,94 +277,25 @@ impl PackedOperand {
     /// to `f32`; the emulated pipeline drains to `f64`), so the value
     /// plane stays empty and execution is scalar per element.
     pub fn try_pack_rows_f64(m: &Matrix<f64>, mode: MxuMode) -> Result<Self, M3xuError> {
-        Self::try_pack_rows_f64_in(m, mode, PackedStorage::default())
-    }
-
-    /// [`PackedOperand::try_pack_rows_f64`] packing into `storage` (see
-    /// [`PackedOperand::try_pack_rows_f32_in`]).
-    pub fn try_pack_rows_f64_in(
-        m: &Matrix<f64>,
-        mode: MxuMode,
-        storage: PackedStorage,
-    ) -> Result<Self, M3xuError> {
-        if mode != MxuMode::M3xuFp64Emu {
-            return Err(M3xuError::ModeMismatch {
-                context: "PackedOperand::pack_rows_f64",
-                got: mode,
-            });
-        }
-        let cfg = mode
-            .slice_config()
-            .expect("emulated FP64 has a slice config");
-        let epe = entries_per_element(mode);
-        let (mut entries, vals) = storage.prepared(m.rows() * m.cols(), epe, 0);
-        let mut buf = [BufferEntry::ZERO; m3xu_fp::split::MAX_SLICES];
-        for i in 0..m.rows() {
-            for &x in m.row(i) {
-                let n = decode_fp64_slices(x, cfg, &mut buf);
-                entries.extend_from_slice(&buf[..n]);
-            }
-        }
-        Ok(PackedOperand {
-            mode,
-            epe,
-            len: m.cols(),
-            vecs: m.rows(),
-            entries,
-            vals,
-            transposed: false,
-        })
+        Self::try_pack_rows_f64_src_in(m, 1.0, mode, PackedStorage::default())
     }
 
     /// Fallible pack of an FP64 operand by columns for the emulated-FP64
     /// mode (the `B` side); see [`PackedOperand::try_pack_rows_f64`].
     pub fn try_pack_cols_f64(m: &Matrix<f64>, mode: MxuMode) -> Result<Self, M3xuError> {
-        Self::try_pack_cols_f64_in(m, mode, PackedStorage::default())
-    }
-
-    /// [`PackedOperand::try_pack_cols_f64`] packing into `storage`.
-    pub fn try_pack_cols_f64_in(
-        m: &Matrix<f64>,
-        mode: MxuMode,
-        storage: PackedStorage,
-    ) -> Result<Self, M3xuError> {
-        if mode != MxuMode::M3xuFp64Emu {
-            return Err(M3xuError::ModeMismatch {
-                context: "PackedOperand::pack_cols_f64",
-                got: mode,
-            });
-        }
-        let cfg = mode
-            .slice_config()
-            .expect("emulated FP64 has a slice config");
-        let epe = entries_per_element(mode);
-        let (mut entries, vals) = storage.prepared(m.rows() * m.cols(), epe, 0);
-        let mut buf = [BufferEntry::ZERO; m3xu_fp::split::MAX_SLICES];
-        for j in 0..m.cols() {
-            for i in 0..m.rows() {
-                let n = decode_fp64_slices(m.get(i, j), cfg, &mut buf);
-                entries.extend_from_slice(&buf[..n]);
-            }
-        }
-        Ok(PackedOperand {
-            mode,
-            epe,
-            len: m.rows(),
-            vecs: m.cols(),
-            entries,
-            vals,
-            transposed: true,
-        })
+        Self::try_pack_cols_f64_src_in(m, mode, PackedStorage::default())
     }
 
     /// Pack a real operand by rows from any logical [`MatSource`] — an
     /// [`crate::matrix::OpView`] for `op(A)` iteration, a
     /// [`crate::matrix::MirrorView`] for a triangle-stored SYMM operand, or
     /// a plain [`Matrix`] — folding `alpha` into every element *before*
-    /// mode quantisation. With an identity source and `alpha = 1` (bitwise)
-    /// this produces exactly the planes of
-    /// [`PackedOperand::try_pack_rows_f32_in`]: same element order, same
-    /// decode calls, no extra arithmetic.
+    /// mode quantisation (`alpha = 1` skips the multiply bitwise).
+    ///
+    /// The buffers of `storage` are cleared and their capacity reused, so
+    /// an arena that round-trips storage through
+    /// [`PackedOperand::into_storage`] packs repeated GEMMs without
+    /// touching the allocator.
     pub fn try_pack_rows_f32_src_in<S: MatSource<f32>>(
         src: &S,
         alpha: f32,
@@ -526,11 +330,10 @@ impl PackedOperand {
     }
 
     /// Pack a real operand by columns from any logical [`MatSource`] (the
-    /// `B` side), folding `alpha` before quantisation; see
-    /// [`PackedOperand::try_pack_rows_f32_src_in`].
+    /// `B` side); see [`PackedOperand::try_pack_rows_f32_src_in`]. Alpha
+    /// folds into the `A` side only, so the column packers take none.
     pub fn try_pack_cols_f32_src_in<S: MatSource<f32>>(
         src: &S,
-        alpha: f32,
         mode: MxuMode,
         storage: PackedStorage,
     ) -> Result<Self, M3xuError> {
@@ -545,14 +348,14 @@ impl PackedOperand {
         let (mut entries, mut vals) = storage.prepared(rows * cols, epe, 1);
         for j in 0..cols {
             for i in 0..rows {
-                push_f32(&mut entries, scale_f32(alpha, src.at(i, j)), mode);
+                push_f32(&mut entries, src.at(i, j), mode);
             }
         }
         // The k-major value plane, in the source's logical row-major order
         // (vals[k * vecs + v] = src[k][v]).
         for i in 0..rows {
             for j in 0..cols {
-                vals.push(val_f32(scale_f32(alpha, src.at(i, j)), mode));
+                vals.push(val_f32(src.at(i, j), mode));
             }
         }
         Ok(PackedOperand {
@@ -600,26 +403,25 @@ impl PackedOperand {
     /// [`PackedOperand::pack_rows_c32_src_in`].
     pub fn pack_cols_c32_src_in<S: MatSource<Complex<f32>>>(
         src: &S,
-        alpha: Complex<f32>,
         storage: PackedStorage,
     ) -> Self {
         let (rows, cols) = (src.rows(), src.cols());
         let (mut entries, mut vals) = storage.prepared(rows * cols, 4, 2);
         for j in 0..cols {
             for i in 0..rows {
-                push_c32(&mut entries, scale_c32(alpha, src.at(i, j)));
+                push_c32(&mut entries, src.at(i, j));
             }
         }
         // Planar k-major component planes in the source's logical
         // row-major order: the re plane, then the im plane.
         for i in 0..rows {
             for j in 0..cols {
-                vals.push(scale_c32(alpha, src.at(i, j)).re);
+                vals.push(src.at(i, j).re);
             }
         }
         for i in 0..rows {
             for j in 0..cols {
-                vals.push(scale_c32(alpha, src.at(i, j)).im);
+                vals.push(src.at(i, j).im);
             }
         }
         PackedOperand {
@@ -635,7 +437,7 @@ impl PackedOperand {
 
     /// Pack an FP64 operand by rows from any logical [`MatSource`] for the
     /// emulated-FP64 mode, folding `alpha` before slice decode; see
-    /// [`PackedOperand::try_pack_rows_f64_in`].
+    /// [`PackedOperand::try_pack_rows_f64`].
     pub fn try_pack_rows_f64_src_in<S: MatSource<f64>>(
         src: &S,
         alpha: f64,
@@ -677,7 +479,6 @@ impl PackedOperand {
     /// [`PackedOperand::try_pack_rows_f64_src_in`].
     pub fn try_pack_cols_f64_src_in<S: MatSource<f64>>(
         src: &S,
-        alpha: f64,
         mode: MxuMode,
         storage: PackedStorage,
     ) -> Result<Self, M3xuError> {
@@ -696,7 +497,7 @@ impl PackedOperand {
         let mut buf = [BufferEntry::ZERO; m3xu_fp::split::MAX_SLICES];
         for j in 0..cols {
             for i in 0..rows {
-                let n = decode_fp64_slices(scale_f64(alpha, src.at(i, j)), cfg, &mut buf);
+                let n = decode_fp64_slices(src.at(i, j), cfg, &mut buf);
                 entries.extend_from_slice(&buf[..n]);
             }
         }
@@ -711,7 +512,7 @@ impl PackedOperand {
         })
     }
 
-    /// Reclaim the backing buffers for reuse by a later `*_in` pack call —
+    /// Reclaim the backing buffers for reuse by a later `*_src_in` pack call —
     /// the other half of the arena round-trip.
     pub fn into_storage(self) -> PackedStorage {
         PackedStorage {

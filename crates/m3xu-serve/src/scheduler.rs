@@ -697,41 +697,9 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
         } => {
             let (out, faults, times) =
                 run_hedged(shard, |ctx| ctx.try_gemm_f32_faulted(*precision, a, b, c));
-            req.tenant.record_faults(&faults);
-            match out {
-                Ok(res) => {
-                    shard.cost.observe(times.exec_ns, tiles);
-                    settle_success(core, req);
-                    let mode = precision.mode();
-                    let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
-                    if settle_post_deadline(
-                        req,
-                        |e| drop(reply.try_send(Err(e))),
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times,
-                    ) {
-                        return;
-                    }
-                    req.tenant.record_completed(
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times.exec_ns,
-                        times.retry_ns,
-                    );
-                    drop(reply.try_send(Ok(res)));
-                }
-                Err(e) => {
-                    req.tenant
-                        .record_exec_error(wait_ns, times.exec_ns, times.retry_ns);
-                    settle_failure(core, req, &e);
-                    drop(reply.try_send(Err(e.into())));
-                }
-            }
+            let mode = precision.mode();
+            let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
+            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
         }
         Work::GemmF64 {
             precision,
@@ -742,79 +710,15 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
         } => {
             let (out, faults, times) =
                 run_hedged(shard, |ctx| ctx.try_gemm_f64_faulted(*precision, a, b, c));
-            req.tenant.record_faults(&faults);
-            match out {
-                Ok(res) => {
-                    shard.cost.observe(times.exec_ns, tiles);
-                    settle_success(core, req);
-                    let mode = precision.mode();
-                    let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
-                    if settle_post_deadline(
-                        req,
-                        |e| drop(reply.try_send(Err(e))),
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times,
-                    ) {
-                        return;
-                    }
-                    req.tenant.record_completed(
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times.exec_ns,
-                        times.retry_ns,
-                    );
-                    drop(reply.try_send(Ok(res)));
-                }
-                Err(e) => {
-                    req.tenant
-                        .record_exec_error(wait_ns, times.exec_ns, times.retry_ns);
-                    settle_failure(core, req, &e);
-                    drop(reply.try_send(Err(e.into())));
-                }
-            }
+            let mode = precision.mode();
+            let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
+            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
         }
         Work::CgemmC32 { a, b, c, reply } => {
             let (out, faults, times) = run_hedged(shard, |ctx| ctx.try_cgemm_c32_faulted(a, b, c));
-            req.tenant.record_faults(&faults);
-            match out {
-                Ok(res) => {
-                    shard.cost.observe(times.exec_ns, tiles);
-                    settle_success(core, req);
-                    let bytes =
-                        gemm_operand_bytes(a.rows(), a.cols(), b.cols(), MxuMode::M3xuFp32c);
-                    if settle_post_deadline(
-                        req,
-                        |e| drop(reply.try_send(Err(e))),
-                        MxuMode::M3xuFp32c,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times,
-                    ) {
-                        return;
-                    }
-                    req.tenant.record_completed(
-                        MxuMode::M3xuFp32c,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times.exec_ns,
-                        times.retry_ns,
-                    );
-                    drop(reply.try_send(Ok(res)));
-                }
-                Err(e) => {
-                    req.tenant
-                        .record_exec_error(wait_ns, times.exec_ns, times.retry_ns);
-                    settle_failure(core, req, &e);
-                    drop(reply.try_send(Err(e.into())));
-                }
-            }
+            let mode = MxuMode::M3xuFp32c;
+            let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
+            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
         }
         Work::GemmOpF32 {
             precision,
@@ -1031,12 +935,10 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
     }
 }
 
-/// The shared tail of every `Work` arm whose result is a
-/// [`GemmResult`]: absorb fault telemetry, feed the cost model,
-/// classify completed vs post-deadline, attribute the executed work to
-/// the tenant, and resolve the ticket — byte-for-byte the same
-/// settlement sequence as the original GEMM arms, so per-tenant
-/// reconciliation holds across the whole BLAS-3 surface.
+/// The one settlement path of every `Work` arm whose result is a
+/// [`GemmResult`] — plain GEMM and the whole BLAS-3 surface: absorb fault
+/// telemetry, feed the cost model, classify completed vs post-deadline,
+/// attribute the executed work to the tenant, and resolve the ticket.
 #[allow(clippy::too_many_arguments)]
 fn settle_gemm_outcome<T>(
     shard: &ShardCore,

@@ -27,6 +27,14 @@ cargo test -q --workspace
 echo "== cargo test --release -q --workspace"
 cargo test --release -q --workspace
 
+# The repository benchmark is its own Cargo workspace, so the steps above
+# never build it. Its tests build the binary against the library and run
+# every workload at a tiny size, checking every output bit: a change that
+# breaks an entry point `benchmark/src/adapter.rs` calls fails here, not
+# first in a benchmark run.
+echo "== benchmark build + tests (release)"
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+
 echo "== cross-validation: functional ExecStats vs analytical model (release)"
 cargo test --release -q --test cross_validation
 

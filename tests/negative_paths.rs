@@ -6,12 +6,11 @@ use m3xu::kernels::conv2d::{try_conv2d, ConvSpec, Tensor3};
 use m3xu::kernels::conv_grad::{try_conv2d_dgrad, try_conv2d_wgrad};
 use m3xu::kernels::fft::fft2d::try_fft2d;
 use m3xu::kernels::fft::{try_gemm_fft, try_inverse_radix2, try_radix2, C32};
-use m3xu::kernels::gemm::{try_cgemm_c32_on, try_gemm_f32_on};
 use m3xu::kernels::knn::try_knn_gemm;
 use m3xu::kernels::poly::{try_cyclic_convolution, try_poly_mul_int};
 use m3xu::kernels::quantum::{Gate, QuantumRegister, MAX_QUBITS};
 use m3xu::kernels::solver::try_conjugate_gradient;
-use m3xu::kernels::WorkerPool;
+use m3xu::kernels::M3xuContext;
 use m3xu::{Complex, GemmPrecision, M3xuError, Matrix};
 
 /// The pool sizes every GEMM-backed negative path is exercised under:
@@ -25,8 +24,10 @@ fn gemm_rejects_mismatched_inner_dimensions_under_all_pool_sizes() {
     let b = Matrix::<f32>::random(6, 8, 2); // inner dim 5 != 6
     let c = Matrix::<f32>::zeros(8, 8);
     for threads in POOL_SIZES {
-        let pool = WorkerPool::new(threads);
-        let err = try_gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c).unwrap_err();
+        let ctx = M3xuContext::with_threads(threads);
+        let err = ctx
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap_err();
         assert!(
             matches!(err, M3xuError::ShapeMismatch { .. }),
             "pool size {threads}: {err}"
@@ -40,8 +41,10 @@ fn gemm_rejects_wrong_c_shape_under_all_pool_sizes() {
     let b = Matrix::<f32>::random(4, 8, 4);
     let c = Matrix::<f32>::zeros(8, 7); // must be 8 x 8
     for threads in POOL_SIZES {
-        let pool = WorkerPool::new(threads);
-        let err = try_gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c).unwrap_err();
+        let ctx = M3xuContext::with_threads(threads);
+        let err = ctx
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -62,8 +65,8 @@ fn cgemm_rejects_mismatched_shapes_under_all_pool_sizes() {
     let b = Matrix::random_c32(3, 4, 6);
     let c = Matrix::<Complex<f32>>::zeros(4, 4);
     for threads in POOL_SIZES {
-        let pool = WorkerPool::new(threads);
-        let err = try_cgemm_c32_on(&pool, &a, &b, &c).unwrap_err();
+        let ctx = M3xuContext::with_threads(threads);
+        let err = ctx.try_cgemm_c32(&a, &b, &c).unwrap_err();
         assert!(
             matches!(err, M3xuError::ShapeMismatch { .. }),
             "pool size {threads}: {err}"
@@ -204,8 +207,10 @@ fn zero_sized_gemm_edges_are_graceful() {
     let b = Matrix::<f32>::zeros(4, 0);
     let c = Matrix::<f32>::zeros(0, 0);
     for threads in POOL_SIZES {
-        let pool = WorkerPool::new(threads);
-        let r = try_gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c).unwrap();
+        let ctx = M3xuContext::with_threads(threads);
+        let r = ctx
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         assert_eq!((r.d.rows(), r.d.cols()), (0, 0));
     }
 }
