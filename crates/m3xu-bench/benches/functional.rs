@@ -6,8 +6,9 @@
 
 use m3xu_bench::timing::bench;
 use m3xu_kernels::fft;
-use m3xu_kernels::gemm::{cmatmul_c32, matmul_f32, GemmPrecision};
+use m3xu_kernels::gemm::GemmPrecision;
 use m3xu_kernels::knn::knn_gemm;
+use m3xu_kernels::{default_context, GemmExecutor};
 use m3xu_mxu::matrix::Matrix;
 use m3xu_mxu::mma::{self, MmaStats};
 use std::hint::black_box;
@@ -53,10 +54,18 @@ fn bench_gemm() {
         let a = Matrix::<f32>::random(n, n, 7);
         let b = Matrix::<f32>::random(n, n, 8);
         bench(&format!("tiled_gemm/m3xu_fp32/{n}"), BUDGET, || {
-            black_box(matmul_f32(GemmPrecision::M3xuFp32, &a, &b));
+            black_box(
+                default_context()
+                    .try_matmul_f32(GemmPrecision::M3xuFp32, &a, &b)
+                    .unwrap(),
+            );
         });
         bench(&format!("tiled_gemm/tf32/{n}"), BUDGET, || {
-            black_box(matmul_f32(GemmPrecision::Tf32, &a, &b));
+            black_box(
+                default_context()
+                    .try_matmul_f32(GemmPrecision::Tf32, &a, &b)
+                    .unwrap(),
+            );
         });
     }
 }
@@ -66,7 +75,7 @@ fn bench_cgemm() {
         let a = Matrix::random_c32(n, n, 9);
         let b = Matrix::random_c32(n, n, 10);
         bench(&format!("tiled_cgemm/m3xu_fp32c/{n}"), BUDGET, || {
-            black_box(cmatmul_c32(&a, &b));
+            black_box(default_context().try_cmatmul_c32(&a, &b).unwrap());
         });
     }
 }

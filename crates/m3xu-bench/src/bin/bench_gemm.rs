@@ -20,7 +20,7 @@ use m3xu_bench::{dump_json, timing::fmt_duration};
 use m3xu_json::impl_to_json;
 use m3xu_kernels::fft;
 use m3xu_kernels::gemm::{self, baseline, GemmPrecision};
-use m3xu_kernels::M3xuContext;
+use m3xu_kernels::{default_context, M3xuContext};
 use m3xu_mxu::matrix::{MatOp, Matrix, Triangle};
 use m3xu_mxu::modes::MxuMode;
 use m3xu_mxu::packed::simd::{self, SimdLevel};
@@ -295,7 +295,7 @@ fn bench_precision(
         let a = Matrix::from_fn(n, n, |i, j| a32.get(i, j) as f64);
         let b = Matrix::from_fn(n, n, |i, j| b32.get(i, j) as f64);
         let c = Matrix::from_fn(n, n, |i, j| c32.get(i, j) as f64);
-        let r = ctx.gemm_f64(precision, &a, &b, &c);
+        let r = ctx.try_gemm_f64(precision, &a, &b, &c).unwrap();
         let exec = ctx.stats();
         let max_ulp =
             r.d.as_slice()
@@ -305,11 +305,11 @@ fn bench_precision(
                 .max()
                 .unwrap_or(0);
         let wall_s = best_of(reps, || {
-            std::hint::black_box(ctx.gemm_f64(precision, &a, &b, &c));
+            std::hint::black_box(ctx.try_gemm_f64(precision, &a, &b, &c).unwrap());
         });
         (exec, wall_s, max_ulp)
     } else {
-        let r = ctx.gemm_f32(precision, a32, b32, c32);
+        let r = ctx.try_gemm_f32(precision, a32, b32, c32).unwrap();
         let exec = ctx.stats();
         let max_ulp =
             r.d.as_slice()
@@ -319,7 +319,7 @@ fn bench_precision(
                 .max()
                 .unwrap_or(0);
         let wall_s = best_of(reps, || {
-            std::hint::black_box(ctx.gemm_f32(precision, a32, b32, c32));
+            std::hint::black_box(ctx.try_gemm_f32(precision, a32, b32, c32).unwrap());
         });
         (exec, wall_s, max_ulp)
     };
@@ -356,7 +356,9 @@ fn bench_gemm(n: usize, reps: usize, active: SimdLevel) -> GemmRow {
     // Run the correctness pass through a private context so its ExecStats
     // (instructions, steps, operand bytes) land in the JSON row.
     let ctx = M3xuContext::new();
-    let packed_r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    let packed_r = ctx
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
     let exec = ctx.stats();
     assert_eq!(
         seed_r.d, packed_r.d,
@@ -367,19 +369,29 @@ fn bench_gemm(n: usize, reps: usize, active: SimdLevel) -> GemmRow {
         std::hint::black_box(baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c));
     });
     let packed_s = best_of(reps, || {
-        std::hint::black_box(gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c));
+        std::hint::black_box(
+            default_context()
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                .unwrap(),
+        );
     });
     // The same pipeline through the scalar oracle path — bit-identity
     // asserted here too, so the before/after pair is provably the same
     // computation.
     simd::set_level(SimdLevel::Scalar);
-    let scalar_r = gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    let scalar_r = default_context()
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
     assert_eq!(
         scalar_r.d, packed_r.d,
         "scalar packed GEMM diverged from the SIMD path at n={n}"
     );
     let packed_scalar_s = best_of(reps, || {
-        std::hint::black_box(gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c));
+        std::hint::black_box(
+            default_context()
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                .unwrap(),
+        );
     });
     simd::set_level(active);
     let flops = 2.0 * (n as f64).powi(3);
@@ -406,10 +418,14 @@ fn bench_syrk(n: usize, k: usize, reps: usize) -> Blas3Row {
     let c = Matrix::<f32>::random(n, n, 0x52 + n as u64);
     let p = GemmPrecision::M3xuFp32;
     let tri_ctx = M3xuContext::new();
-    let tri_r = tri_ctx.syrk_f32(p, Triangle::Lower, MatOp::N, &a, 1.0, 0.0, &c);
+    let tri_r = tri_ctx
+        .try_syrk_f32(p, Triangle::Lower, MatOp::N, &a, 1.0, 0.0, &c)
+        .unwrap();
     let tri_exec = tri_ctx.stats();
     let full_ctx = M3xuContext::new();
-    let full_r = full_ctx.gemm_op_f32(p, MatOp::N, &a, MatOp::T, &a, 1.0, 0.0, &c);
+    let full_r = full_ctx
+        .try_gemm_op_f32(p, MatOp::N, &a, MatOp::T, &a, 1.0, 0.0, &c)
+        .unwrap();
     let full_exec = full_ctx.stats();
     for i in 0..n {
         for j in 0..=i {
@@ -421,10 +437,18 @@ fn bench_syrk(n: usize, k: usize, reps: usize) -> Blas3Row {
         }
     }
     let syrk_s = best_of(reps, || {
-        std::hint::black_box(tri_ctx.syrk_f32(p, Triangle::Lower, MatOp::N, &a, 1.0, 0.0, &c));
+        std::hint::black_box(
+            tri_ctx
+                .try_syrk_f32(p, Triangle::Lower, MatOp::N, &a, 1.0, 0.0, &c)
+                .unwrap(),
+        );
     });
     let full_s = best_of(reps, || {
-        std::hint::black_box(full_ctx.gemm_op_f32(p, MatOp::N, &a, MatOp::T, &a, 1.0, 0.0, &c));
+        std::hint::black_box(
+            full_ctx
+                .try_gemm_op_f32(p, MatOp::N, &a, MatOp::T, &a, 1.0, 0.0, &c)
+                .unwrap(),
+        );
     });
     Blas3Row {
         n: n as u64,

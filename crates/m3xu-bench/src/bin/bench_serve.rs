@@ -460,8 +460,8 @@ fn min_wall(reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// Measure every checked driver against its unchecked twin at zero fault
 /// rate. Both contexts share a thread count so the ratio isolates the
-/// checksum work; the `*_faulted` entry points are used on both sides
-/// (on the unarmed context they are pure delegation to production).
+/// checksum work; the same `try_*` entry points run on both sides (on
+/// the unarmed context they take the production body).
 fn abft_overhead(n: usize, reps: usize, workers: usize) -> Vec<OverheadRow> {
     let unchecked = M3xuContext::with_threads(workers);
     let checked =
@@ -485,18 +485,18 @@ fn abft_overhead(n: usize, reps: usize, workers: usize) -> Vec<OverheadRow> {
     let b = Matrix::<f32>::random(n, n, 2);
     let c = Matrix::<f32>::random(n, n, 3);
     cell("gemm", &|ctx| {
-        ctx.try_gemm_f32_faulted(p, &a, &b, &c).unwrap();
+        ctx.try_gemm_f32(p, &a, &b, &c).unwrap();
     });
     cell("gemm_op", &|ctx| {
-        ctx.try_gemm_op_f32_faulted(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c)
+        ctx.try_gemm_op_f32(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c)
             .unwrap();
     });
     cell("syrk", &|ctx| {
-        ctx.try_syrk_f32_faulted(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c)
+        ctx.try_syrk_f32(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c)
             .unwrap();
     });
     cell("symm", &|ctx| {
-        ctx.try_symm_f32_faulted(p, Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c)
+        ctx.try_symm_f32(p, Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c)
             .unwrap();
     });
 
@@ -504,7 +504,7 @@ fn abft_overhead(n: usize, reps: usize, workers: usize) -> Vec<OverheadRow> {
     let fb = Matrix::<f64>::random_f64(n, n, 5);
     let fc = Matrix::<f64>::random_f64(n, n, 6);
     cell("gemm_f64", &|ctx| {
-        ctx.try_gemm_f64_faulted(GemmPrecision::Fp64Emulated, &fa, &fb, &fc)
+        ctx.try_gemm_f64(GemmPrecision::Fp64Emulated, &fa, &fb, &fc)
             .unwrap();
     });
 
@@ -512,14 +512,14 @@ fn abft_overhead(n: usize, reps: usize, workers: usize) -> Vec<OverheadRow> {
     let cb = Matrix::random_c32(n, n, 8);
     let cc = Matrix::random_c32(n, n, 9);
     cell("cgemm", &|ctx| {
-        ctx.try_cgemm_c32_faulted(&ca, &cb, &cc).unwrap();
+        ctx.try_cgemm_c32(&ca, &cb, &cc).unwrap();
     });
     cell("herk", &|ctx| {
-        ctx.try_herk_c32_faulted(Triangle::Upper, MatOp::N, &ca, 0.75, -0.5, &cc)
+        ctx.try_herk_c32(Triangle::Upper, MatOp::N, &ca, 0.75, -0.5, &cc)
             .unwrap();
     });
     cell("hemm", &|ctx| {
-        ctx.try_hemm_c32_faulted(
+        ctx.try_hemm_c32(
             Side::Right,
             Triangle::Lower,
             &ca,
@@ -756,7 +756,7 @@ impl OpRefs {
                         let a = Matrix::random_c32(n, n, 0xC0 + n as u64);
                         let b = Matrix::random_c32(n, n, 0xD0 + n as u64);
                         let c = Matrix::random_c32(n, n, 0xE0 + n as u64);
-                        let d = ctx.cgemm_c32(&a, &b, &c).d;
+                        let d = ctx.try_cgemm_c32(&a, &b, &c).unwrap().d;
                         let bits = c32_bits(d.as_slice());
                         (a, b, c, bits)
                     });
@@ -832,7 +832,6 @@ fn open_loop_cell(
     let opts = SubmitOpts {
         deadline: Some(deadline),
         priority: Priority::Normal,
-        ..SubmitOpts::default()
     };
     let mut pending: Vec<(Instant, Pending)> = Vec::new();
     let mut latencies: Vec<Duration> = Vec::new();

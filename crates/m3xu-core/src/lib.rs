@@ -6,6 +6,11 @@
 //! the paper's deployment story ("M3XU does not require any modification
 //! to existing programs").
 //!
+//! Every GEMM-family op comes here as a pair: a fallible `try_*` method
+//! that runs on the process-wide [`default_context`], and the panicking
+//! form over it. This facade is the only layer with panicking GEMM-family
+//! forms; below it, [`M3xuContext`] has one fallible method per op.
+//!
 //! ```
 //! use m3xu_core::{M3xu, Matrix};
 //!
@@ -28,7 +33,13 @@ pub use m3xu_mxu::matrix::{MatOp, Matrix, MirrorView, OpView, Triangle};
 pub use m3xu_mxu::mma::MmaStats;
 pub use m3xu_mxu::modes::{MxuMode, PipelineVariant};
 
-use m3xu_kernels::{blas3, fft, gemm, knn};
+use m3xu_kernels::{fft, knn};
+
+/// Unwrap a fallible facade call, panicking with the typed error's message
+/// — the one place the GEMM-family panicking forms live.
+fn or_panic<T>(r: Result<T, M3xuError>) -> T {
+    r.unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// An M3XU device handle: the pipeline variant to model and the GPU the
 /// performance estimates assume.
@@ -95,19 +106,19 @@ impl M3xu {
     /// True-FP32 matrix multiply `A·B` (bit-exact IEEE-754 FP32).
     /// Panics on a shape mismatch; see [`M3xu::try_gemm`].
     pub fn gemm(&self, a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
-        gemm::matmul_f32(GemmPrecision::M3xuFp32, a, b)
+        or_panic(self.try_gemm(a, b))
     }
 
     /// Fallible [`M3xu::gemm`]: reports a shape mismatch as
     /// [`M3xuError::ShapeMismatch`] instead of panicking.
     pub fn try_gemm(&self, a: &Matrix<f32>, b: &Matrix<f32>) -> Result<Matrix<f32>, M3xuError> {
-        gemm::try_matmul_f32(GemmPrecision::M3xuFp32, a, b)
+        default_context().try_matmul_f32(GemmPrecision::M3xuFp32, a, b)
     }
 
     /// True-FP32 GEMM `D = A·B + C`. Panics on a shape mismatch; see
     /// [`M3xu::try_gemm_bias`].
     pub fn gemm_bias(&self, a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>) -> Matrix<f32> {
-        gemm::gemm_f32(GemmPrecision::M3xuFp32, a, b, c).d
+        or_panic(self.try_gemm_bias(a, b, c))
     }
 
     /// Fallible [`M3xu::gemm_bias`].
@@ -117,7 +128,9 @@ impl M3xu {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<Matrix<f32>, M3xuError> {
-        Ok(gemm::try_gemm_f32(GemmPrecision::M3xuFp32, a, b, c)?.d)
+        Ok(default_context()
+            .try_gemm_f32(GemmPrecision::M3xuFp32, a, b, c)?
+            .d)
     }
 
     /// FP32 GEMM with a modelled execution-time estimate attached.
@@ -141,18 +154,18 @@ impl M3xu {
     /// FP32C complex matrix multiply `A·B`. Panics on a shape mismatch;
     /// see [`M3xu::try_cgemm`].
     pub fn cgemm(&self, a: &Matrix<C32>, b: &Matrix<C32>) -> Matrix<C32> {
-        gemm::cmatmul_c32(a, b)
+        or_panic(self.try_cgemm(a, b))
     }
 
     /// Fallible [`M3xu::cgemm`].
     pub fn try_cgemm(&self, a: &Matrix<C32>, b: &Matrix<C32>) -> Result<Matrix<C32>, M3xuError> {
-        gemm::try_cmatmul_c32(a, b)
+        default_context().try_cmatmul_c32(a, b)
     }
 
     /// FP32C GEMM `D = A·B + C`. Panics on a shape mismatch; see
     /// [`M3xu::try_cgemm_bias`].
     pub fn cgemm_bias(&self, a: &Matrix<C32>, b: &Matrix<C32>, c: &Matrix<C32>) -> Matrix<C32> {
-        gemm::cgemm_c32(a, b, c).d
+        or_panic(self.try_cgemm_bias(a, b, c))
     }
 
     /// Fallible [`M3xu::cgemm_bias`].
@@ -162,7 +175,7 @@ impl M3xu {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<Matrix<C32>, M3xuError> {
-        Ok(gemm::try_cgemm_c32(a, b, c)?.d)
+        Ok(default_context().try_cgemm_c32(a, b, c)?.d)
     }
 
     /// FP32C GEMM with a modelled execution-time estimate attached.
@@ -198,7 +211,7 @@ impl M3xu {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Matrix<f32> {
-        blas3::gemm_op_f32(GemmPrecision::M3xuFp32, op_a, a, op_b, b, alpha, beta, c).d
+        or_panic(self.try_gemm_op(op_a, a, op_b, b, alpha, beta, c))
     }
 
     /// Fallible [`M3xu::gemm_op`].
@@ -213,7 +226,10 @@ impl M3xu {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<Matrix<f32>, M3xuError> {
-        Ok(blas3::try_gemm_op_f32(GemmPrecision::M3xuFp32, op_a, a, op_b, b, alpha, beta, c)?.d)
+        let p = GemmPrecision::M3xuFp32;
+        Ok(default_context()
+            .try_gemm_op_f32(p, op_a, a, op_b, b, alpha, beta, c)?
+            .d)
     }
 
     /// FP32C complex op-GEMM `D = alpha·op(A)·op(B) + beta·C`, where
@@ -230,7 +246,7 @@ impl M3xu {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Matrix<C32> {
-        blas3::cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c).d
+        or_panic(self.try_cgemm_op(op_a, a, op_b, b, alpha, beta, c))
     }
 
     /// Fallible [`M3xu::cgemm_op`].
@@ -245,7 +261,9 @@ impl M3xu {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<Matrix<C32>, M3xuError> {
-        Ok(blas3::try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c)?.d)
+        Ok(default_context()
+            .try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c)?
+            .d)
     }
 
     /// Symmetric rank-k update `C := alpha·op(A)·op(A)^T + beta·C` at
@@ -262,7 +280,7 @@ impl M3xu {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Matrix<f32> {
-        blas3::syrk_f32(GemmPrecision::M3xuFp32, tri, op_a, a, alpha, beta, c).d
+        or_panic(self.try_syrk(tri, op_a, a, alpha, beta, c))
     }
 
     /// Fallible [`M3xu::syrk`].
@@ -275,7 +293,10 @@ impl M3xu {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<Matrix<f32>, M3xuError> {
-        Ok(blas3::try_syrk_f32(GemmPrecision::M3xuFp32, tri, op_a, a, alpha, beta, c)?.d)
+        let p = GemmPrecision::M3xuFp32;
+        Ok(default_context()
+            .try_syrk_f32(p, tri, op_a, a, alpha, beta, c)?
+            .d)
     }
 
     /// Hermitian rank-k update `C := alpha·op(A)·op(A)^H + beta·C` on
@@ -291,7 +312,7 @@ impl M3xu {
         beta: f32,
         c: &Matrix<C32>,
     ) -> Matrix<C32> {
-        blas3::herk_c32(tri, op_a, a, alpha, beta, c).d
+        or_panic(self.try_herk(tri, op_a, a, alpha, beta, c))
     }
 
     /// Fallible [`M3xu::herk`].
@@ -304,7 +325,9 @@ impl M3xu {
         beta: f32,
         c: &Matrix<C32>,
     ) -> Result<Matrix<C32>, M3xuError> {
-        Ok(blas3::try_herk_c32(tri, op_a, a, alpha, beta, c)?.d)
+        Ok(default_context()
+            .try_herk_c32(tri, op_a, a, alpha, beta, c)?
+            .d)
     }
 
     /// Symmetric multiply `C := alpha·sym(A)·B + beta·C` (or
@@ -322,7 +345,7 @@ impl M3xu {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Matrix<f32> {
-        blas3::symm_f32(GemmPrecision::M3xuFp32, side, tri, a, b, alpha, beta, c).d
+        or_panic(self.try_symm(side, tri, a, b, alpha, beta, c))
     }
 
     /// Fallible [`M3xu::symm`].
@@ -337,7 +360,10 @@ impl M3xu {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<Matrix<f32>, M3xuError> {
-        Ok(blas3::try_symm_f32(GemmPrecision::M3xuFp32, side, tri, a, b, alpha, beta, c)?.d)
+        let p = GemmPrecision::M3xuFp32;
+        Ok(default_context()
+            .try_symm_f32(p, side, tri, a, b, alpha, beta, c)?
+            .d)
     }
 
     /// Hermitian multiply `C := alpha·herm(A)·B + beta·C` (or
@@ -355,7 +381,7 @@ impl M3xu {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Matrix<C32> {
-        blas3::hemm_c32(side, tri, a, b, alpha, beta, c).d
+        or_panic(self.try_hemm(side, tri, a, b, alpha, beta, c))
     }
 
     /// Fallible [`M3xu::hemm`].
@@ -370,7 +396,9 @@ impl M3xu {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<Matrix<C32>, M3xuError> {
-        Ok(blas3::try_hemm_c32(side, tri, a, b, alpha, beta, c)?.d)
+        Ok(default_context()
+            .try_hemm_c32(side, tri, a, b, alpha, beta, c)?
+            .d)
     }
 
     /// Forward FFT of a power-of-two-length complex signal, computed with

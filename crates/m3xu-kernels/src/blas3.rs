@@ -1,9 +1,13 @@
 //! The full BLAS-3 surface over the packed fragment pipeline.
 //!
-//! Every operation here is one call of the driver that also runs plain
-//! GEMM ([`crate::gemm`]), built by its
-//! [`M3xuContext`](crate::context::M3xuContext) method from the
-//! operation's parameters:
+//! Every operation is one call of the driver that also runs plain GEMM
+//! ([`crate::gemm`]), built from the operation's parameters by its one
+//! entry point, an [`M3xuContext`](crate::context::M3xuContext) method:
+//! `try_gemm_op_f32`, `try_cgemm_op_c32`, `try_gemm_op_f64`,
+//! `try_syrk_f32`, `try_herk_c32`, `try_symm_f32` and `try_hemm_c32`
+//! (on [`default_context`](crate::context::default_context) when the
+//! caller has no context of its own). This module holds the [`Side`]
+//! parameter and documents the surface:
 //!
 //! * **`op(X)` operands** — `X`, `X^T`, `X^H` iterate straight out of the
 //!   stored buffer through [`OpView`](m3xu_mxu::matrix::OpView) (no
@@ -31,7 +35,7 @@
 //! Because there is one driver (same fragment grid, same K-chunk rounding
 //! boundaries, same accounting), an op-GEMM with `op = N`, `alpha = 1`,
 //! `beta = 1` is bit-identical — and stats-identical — to
-//! [`crate::gemm::try_gemm_f32`].
+//! [`M3xuContext::try_gemm_f32`](crate::context::M3xuContext::try_gemm_f32).
 //!
 //! An armed fault plan runs the whole surface through the driver's
 //! ABFT-checked body: the expected checksums are computed from the
@@ -39,12 +43,6 @@
 //! and quantisation — so every operation verifies, including the
 //! triangular SYRK/HERK schedules (verification prices only the
 //! `T(T+1)/2` scheduled tiles).
-
-use crate::context;
-use crate::gemm::{GemmPrecision, GemmResult};
-use m3xu_fp::complex::Complex;
-use m3xu_mxu::error::M3xuError;
-use m3xu_mxu::matrix::{MatOp, Matrix, Triangle};
 
 /// Which side a SYMM/HEMM's symmetric operand multiplies from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,226 +53,15 @@ pub enum Side {
     Right,
 }
 
-// ---------------------------------------------------------------------------
-// Free functions on the process-wide default context.
-// ---------------------------------------------------------------------------
-
-/// Fallible op-GEMM `D = alpha·op(A)·op(B) + beta·C` on the default
-/// context. `op = N`, `alpha = 1`, `beta = 1` is bit-identical to
-/// [`crate::gemm::try_gemm_f32`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_gemm_op_f32(
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    op_b: MatOp,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    context::default_context().try_gemm_op_f32(precision, op_a, a, op_b, b, alpha, beta, c)
-}
-
-/// Op-GEMM `D = alpha·op(A)·op(B) + beta·C`. Panics on shape/precision
-/// mismatch; see [`try_gemm_op_f32`] for the fallible form.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_op_f32(
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    op_b: MatOp,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_gemm_op_f32(precision, op_a, a, op_b, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible complex op-GEMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_cgemm_op_c32(
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    op_b: MatOp,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    context::default_context().try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c)
-}
-
-/// Complex op-GEMM. Panics on shape mismatch; see [`try_cgemm_op_c32`].
-#[allow(clippy::too_many_arguments)]
-pub fn cgemm_op_c32(
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    op_b: MatOp,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible emulated-FP64 op-GEMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_gemm_op_f64(
-    op_a: MatOp,
-    a: &Matrix<f64>,
-    op_b: MatOp,
-    b: &Matrix<f64>,
-    alpha: f64,
-    beta: f64,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    context::default_context().try_gemm_op_f64(
-        GemmPrecision::Fp64Emulated,
-        op_a,
-        a,
-        op_b,
-        b,
-        alpha,
-        beta,
-        c,
-    )
-}
-
-/// Emulated-FP64 op-GEMM. Panics on shape mismatch; see
-/// [`try_gemm_op_f64`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_op_f64(
-    op_a: MatOp,
-    a: &Matrix<f64>,
-    op_b: MatOp,
-    b: &Matrix<f64>,
-    alpha: f64,
-    beta: f64,
-    c: &Matrix<f64>,
-) -> GemmResult<f64> {
-    try_gemm_op_f64(op_a, a, op_b, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible SYRK `C := alpha·op(A)·op(A)^T + beta·C` on the default
-/// context, writing only the `tri` triangle.
-pub fn try_syrk_f32(
-    precision: GemmPrecision,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    context::default_context().try_syrk_f32(precision, tri, op_a, a, alpha, beta, c)
-}
-
-/// SYRK. Panics on shape/precision mismatch; see [`try_syrk_f32`].
-pub fn syrk_f32(
-    precision: GemmPrecision,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_syrk_f32(precision, tri, op_a, a, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible HERK `C := alpha·op(A)·op(A)^H + beta·C` (real alpha/beta) on
-/// the default context, writing only the `tri` triangle.
-pub fn try_herk_c32(
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    context::default_context().try_herk_c32(tri, op_a, a, alpha, beta, c)
-}
-
-/// HERK. Panics on shape mismatch; see [`try_herk_c32`].
-pub fn herk_c32(
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_herk_c32(tri, op_a, a, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible SYMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_symm_f32(
-    precision: GemmPrecision,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    context::default_context().try_symm_f32(precision, side, tri, a, b, alpha, beta, c)
-}
-
-/// SYMM. Panics on shape/precision mismatch; see [`try_symm_f32`].
-#[allow(clippy::too_many_arguments)]
-pub fn symm_f32(
-    precision: GemmPrecision,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_symm_f32(precision, side, tri, a, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible HEMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_hemm_c32(
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    context::default_context().try_hemm_c32(side, tri, a, b, alpha, beta, c)
-}
-
-/// HEMM. Panics on shape mismatch; see [`try_hemm_c32`].
-#[allow(clippy::too_many_arguments)]
-pub fn hemm_c32(
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_hemm_c32(side, tri, a, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{ExecStats, M3xuContext};
-    use crate::gemm::{try_cgemm_c32, try_gemm_f32};
+    use crate::context::{default_context, ExecStats, M3xuContext};
+    use crate::gemm::GemmPrecision;
+    use m3xu_fp::complex::Complex;
+    use m3xu_mxu::error::M3xuError;
     use m3xu_mxu::fault::FaultPlan;
-    use m3xu_mxu::matrix::{MirrorView, OpView};
+    use m3xu_mxu::matrix::{MatOp, Matrix, MirrorView, OpView, Triangle};
     use std::sync::Arc;
 
     type C32 = Complex<f32>;
@@ -379,31 +166,35 @@ mod tests {
         let at = Matrix::<f32>::random(k, m, 11);
         let bt = Matrix::<f32>::random(n, k, 12);
         let c = Matrix::<f32>::random(m, n, 13);
-        let via_view = try_gemm_op_f32(
-            GemmPrecision::M3xuFp32,
-            MatOp::T,
-            &at,
-            MatOp::T,
-            &bt,
-            1.0,
-            1.0,
-            &c,
-        )
-        .unwrap();
+        let via_view = default_context()
+            .try_gemm_op_f32(
+                GemmPrecision::M3xuFp32,
+                MatOp::T,
+                &at,
+                MatOp::T,
+                &bt,
+                1.0,
+                1.0,
+                &c,
+            )
+            .unwrap();
         let am = OpView::new(&at, MatOp::T).materialize();
         let bm = OpView::new(&bt, MatOp::T).materialize();
-        let via_copy = try_gemm_f32(GemmPrecision::M3xuFp32, &am, &bm, &c).unwrap();
+        let via_copy = default_context()
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &am, &bm, &c)
+            .unwrap();
         assert_eq!(bits_f32(&via_view.d), bits_f32(&via_copy.d));
 
         // Complex: conjugate-transpose against its materialization.
         let ah = Matrix::random_c32(k, m, 14);
         let bh = Matrix::random_c32(n, k, 15);
         let cc = Matrix::random_c32(m, n, 16);
-        let via_view =
-            try_cgemm_op_c32(MatOp::H, &ah, MatOp::H, &bh, C32::ONE, C32::ONE, &cc).unwrap();
+        let via_view = default_context()
+            .try_cgemm_op_c32(MatOp::H, &ah, MatOp::H, &bh, C32::ONE, C32::ONE, &cc)
+            .unwrap();
         let am = OpView::new(&ah, MatOp::H).materialize();
         let bm = OpView::new(&bh, MatOp::H).materialize();
-        let via_copy = try_cgemm_c32(&am, &bm, &cc).unwrap();
+        let via_copy = default_context().try_cgemm_c32(&am, &bm, &cc).unwrap();
         assert_eq!(bits_c32(&via_view.d), bits_c32(&via_copy.d));
     }
 
@@ -414,20 +205,23 @@ mod tests {
         let b = Matrix::<f32>::random(k, n, 22);
         let c = Matrix::<f32>::random(m, n, 23);
         for (alpha, beta) in [(0.5f32, -1.0f32), (-1.0, 0.5), (0.0, 2.0), (2.0, 0.0)] {
-            let folded = try_gemm_op_f32(
-                GemmPrecision::M3xuFp32,
-                MatOp::N,
-                &a,
-                MatOp::N,
-                &b,
-                alpha,
-                beta,
-                &c,
-            )
-            .unwrap();
+            let folded = default_context()
+                .try_gemm_op_f32(
+                    GemmPrecision::M3xuFp32,
+                    MatOp::N,
+                    &a,
+                    MatOp::N,
+                    &b,
+                    alpha,
+                    beta,
+                    &c,
+                )
+                .unwrap();
             let am = Matrix::from_fn(m, k, |i, j| alpha * a.get(i, j));
             let cm = Matrix::from_fn(m, n, |i, j| beta * c.get(i, j));
-            let pre = try_gemm_f32(GemmPrecision::M3xuFp32, &am, &b, &cm).unwrap();
+            let pre = default_context()
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &am, &b, &cm)
+                .unwrap();
             assert_eq!(
                 bits_f32(&folded.d),
                 bits_f32(&pre.d),
@@ -442,19 +236,22 @@ mod tests {
         let a = Matrix::<f32>::random(m, k, 31);
         let b = Matrix::<f32>::random(k, n, 32);
         let poison = Matrix::from_fn(m, n, |_, _| f32::NAN);
-        let r = try_gemm_op_f32(
-            GemmPrecision::M3xuFp32,
-            MatOp::N,
-            &a,
-            MatOp::N,
-            &b,
-            1.0,
-            0.0,
-            &poison,
-        )
-        .unwrap();
+        let r = default_context()
+            .try_gemm_op_f32(
+                GemmPrecision::M3xuFp32,
+                MatOp::N,
+                &a,
+                MatOp::N,
+                &b,
+                1.0,
+                0.0,
+                &poison,
+            )
+            .unwrap();
         let zero = Matrix::zeros(m, n);
-        let want = try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &zero).unwrap();
+        let want = default_context()
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &zero)
+            .unwrap();
         assert_eq!(bits_f32(&r.d), bits_f32(&want.d));
     }
 
@@ -509,7 +306,9 @@ mod tests {
         let (n, k) = (19, 7);
         let a = Matrix::random_c32(n, k, 51);
         let canary = Matrix::from_fn(n, n, |i, j| C32::new(i as f32, j as f32 + 0.25));
-        let r = try_herk_c32(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &canary).unwrap();
+        let r = default_context()
+            .try_herk_c32(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &canary)
+            .unwrap();
         for i in 0..n {
             assert_eq!(r.d.get(i, i).im.to_bits(), 0.0f32.to_bits(), "diag {i}");
             for j in 0..n {
@@ -522,7 +321,7 @@ mod tests {
         }
         // op = T is meaningless for a Hermitian update.
         assert!(matches!(
-            try_herk_c32(Triangle::Upper, MatOp::T, &a, 1.0, 1.0, &canary),
+            default_context().try_herk_c32(Triangle::Upper, MatOp::T, &a, 1.0, 1.0, &canary),
             Err(M3xuError::ModeMismatch { .. })
         ));
     }
@@ -533,29 +332,31 @@ mod tests {
         let a = Matrix::<f32>::random(n, n, 61);
         let b = Matrix::<f32>::random(n, m, 62);
         let c = Matrix::<f32>::random(n, m, 63);
-        let via_mirror = try_symm_f32(
-            GemmPrecision::M3xuFp32,
-            Side::Left,
-            Triangle::Lower,
-            &a,
-            &b,
-            0.5,
-            2.0,
-            &c,
-        )
-        .unwrap();
+        let via_mirror = default_context()
+            .try_symm_f32(
+                GemmPrecision::M3xuFp32,
+                Side::Left,
+                Triangle::Lower,
+                &a,
+                &b,
+                0.5,
+                2.0,
+                &c,
+            )
+            .unwrap();
         let sym = MirrorView::new(&a, Triangle::Lower, false).materialize();
-        let want = try_gemm_op_f32(
-            GemmPrecision::M3xuFp32,
-            MatOp::N,
-            &sym,
-            MatOp::N,
-            &b,
-            0.5,
-            2.0,
-            &c,
-        )
-        .unwrap();
+        let want = default_context()
+            .try_gemm_op_f32(
+                GemmPrecision::M3xuFp32,
+                MatOp::N,
+                &sym,
+                MatOp::N,
+                &b,
+                0.5,
+                2.0,
+                &c,
+            )
+            .unwrap();
         assert_eq!(bits_f32(&via_mirror.d), bits_f32(&want.d));
 
         // Right side: C = alpha·B'·herm(A) + beta·C on the complex engine.
@@ -564,10 +365,13 @@ mod tests {
         let ch = Matrix::random_c32(m, n, 66);
         let alpha = C32::new(0.5, -0.25);
         let beta = C32::new(-1.0, 0.0);
-        let via_mirror =
-            try_hemm_c32(Side::Right, Triangle::Upper, &ah, &bh, alpha, beta, &ch).unwrap();
+        let via_mirror = default_context()
+            .try_hemm_c32(Side::Right, Triangle::Upper, &ah, &bh, alpha, beta, &ch)
+            .unwrap();
         let herm = MirrorView::new(&ah, Triangle::Upper, true).materialize();
-        let want = try_cgemm_op_c32(MatOp::N, &bh, MatOp::N, &herm, alpha, beta, &ch).unwrap();
+        let want = default_context()
+            .try_cgemm_op_c32(MatOp::N, &bh, MatOp::N, &herm, alpha, beta, &ch)
+            .unwrap();
         assert_eq!(bits_c32(&via_mirror.d), bits_c32(&want.d));
     }
 
@@ -577,7 +381,7 @@ mod tests {
         let b = Matrix::<f32>::random(5, 3, 72);
         let c = Matrix::<f32>::random(4, 3, 73);
         assert!(matches!(
-            try_gemm_op_f32(
+            default_context().try_gemm_op_f32(
                 GemmPrecision::M3xuFp32,
                 MatOp::N,
                 &a,
@@ -591,7 +395,7 @@ mod tests {
         ));
         // Transposing B fixes the inner dimension but breaks C's width.
         assert!(matches!(
-            try_gemm_op_f32(
+            default_context().try_gemm_op_f32(
                 GemmPrecision::M3xuFp32,
                 MatOp::N,
                 &a,
@@ -604,7 +408,7 @@ mod tests {
             Err(M3xuError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            try_syrk_f32(
+            default_context().try_syrk_f32(
                 GemmPrecision::Fp64Emulated,
                 Triangle::Lower,
                 MatOp::N,
@@ -619,7 +423,7 @@ mod tests {
         let b2 = Matrix::<f32>::random(5, 3, 75);
         let c2 = Matrix::<f32>::random(4, 3, 76);
         assert!(matches!(
-            try_symm_f32(
+            default_context().try_symm_f32(
                 GemmPrecision::M3xuFp32,
                 Side::Left,
                 Triangle::Lower,

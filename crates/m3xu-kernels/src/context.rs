@@ -11,12 +11,17 @@
 //! time into [`ExecStats`], which `m3xu_gpu`'s `validate` module can then
 //! check against the analytical kernel model for the same problem.
 //!
+//! Each GEMM-family op — GEMM at every precision, CGEMM, the op-GEMMs,
+//! SYRK/HERK and SYMM/HEMM — has exactly one entry point here, a fallible
+//! `try_*` method whose [`GemmResult`] reports the call's mode, operand
+//! bytes and fault summary. Callers without a context of their own use
+//! the process-wide [`default_context`], which resolves `M3XU_THREADS`
+//! exactly once; panicking forms exist only at the `m3xu` facade.
+//!
 //! Every kernel module lowers to the two GEMM flavours of the
 //! [`GemmExecutor`] trait, so a context (or any custom executor) can be
 //! threaded through the FFT levels, the convolution lowerings, the CG
-//! solver, and the rest via the `*_on` entry points. The module-level
-//! free functions remain as thin wrappers over the process-wide
-//! [`default_context`], which resolves `M3XU_THREADS` exactly once.
+//! solver, and the rest via the `*_on` entry points.
 
 use crate::blas3::Side;
 use crate::gemm::{self, Call, GemmPrecision, GemmResult, OutRegion};
@@ -331,9 +336,9 @@ enum ContextPool {
 ///
 /// `M3XU_THREADS` is resolved exactly once — at pool construction — so
 /// the parallelism of a context cannot change mid-run. The process-wide
-/// [`default_context`] backs every module-level free function; build a
-/// private context (e.g. [`M3xuContext::with_threads`]) to meter one
-/// workload in isolation.
+/// [`default_context`] serves callers without a context of their own;
+/// build a private context (e.g. [`M3xuContext::with_threads`]) to meter
+/// one workload in isolation.
 ///
 /// ```
 /// use m3xu_kernels::context::M3xuContext;
@@ -345,8 +350,10 @@ enum ContextPool {
 /// let a = Matrix::<f32>::random(64, 64, 1);
 /// let b = Matrix::<f32>::random(64, 64, 2);
 /// let c = Matrix::<f32>::zeros(64, 64);
-/// ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+/// let r = ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c).unwrap();
 /// let stats = ctx.stats();
+/// // The result reports what the context recorded for it.
+/// assert_eq!((r.mode, r.operand_bytes), (MxuMode::M3xuFp32, stats.operand_bytes));
 /// // 8x8 tiles, k/2 chunks: (64/8) * (64/8) * (64/2) fragments.
 /// assert_eq!(stats.mode(MxuMode::M3xuFp32).instructions, 8 * 8 * 32);
 /// assert_eq!(stats.fragments, 8 * 8 * 32);
@@ -480,9 +487,17 @@ impl M3xuContext {
     }
 
     // ---- GEMM family ---------------------------------------------------
+    //
+    // One fallible method per op, each building its call of the one
+    // driver. The result reports what ran: its mode, MMA statistics,
+    // rule-(c) operand bytes and — under an armed plan, which runs every
+    // precision through the ABFT-checked body — the call's fault summary.
+    // Panicking forms live at the `m3xu` facade only.
 
     /// Fallible tiled real GEMM `D = A·B + C` in `precision`, counted
-    /// into this context's [`ExecStats`].
+    /// into this context's [`ExecStats`]. Every f32 precision verifies
+    /// under an armed plan: the expected checksums read the packed buffer
+    /// entries, so quantising narrow modes verify exactly.
     pub fn try_gemm_f32(
         &self,
         precision: GemmPrecision,
@@ -490,20 +505,9 @@ impl M3xuContext {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        self.try_gemm_f32_faulted(precision, a, b, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_gemm_f32`], panicking on invalid shapes.
-    pub fn gemm_f32(
-        &self,
-        precision: GemmPrecision,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        c: &Matrix<f32>,
-    ) -> GemmResult<f32> {
-        self.try_gemm_f32(precision, a, b, c)
-            .unwrap_or_else(|e| panic!("{e}"))
+        gemm::check_precision(precision, true, "gemm_f32")?;
+        let call = Call::new("gemm", precision.mode(), 1.0, 1.0);
+        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
     }
 
     /// Fallible tiled FP32C GEMM `D = A·B + C`, counted into this
@@ -514,21 +518,13 @@ impl M3xuContext {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        self.try_cgemm_c32_faulted(a, b, c).map(|(r, _)| r)
+        let call = Call::new("cgemm", MxuMode::M3xuFp32c, C32::ONE, C32::ONE);
+        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
     }
 
-    /// [`M3xuContext::try_cgemm_c32`], panicking on invalid shapes.
-    pub fn cgemm_c32(&self, a: &Matrix<C32>, b: &Matrix<C32>, c: &Matrix<C32>) -> GemmResult<C32> {
-        self.try_cgemm_c32(a, b, c)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`M3xuContext::try_gemm_f32`] with fault telemetry: additionally
-    /// returns the [`FaultSummary`] of this one invocation. Every f32
-    /// precision is covered — the expected checksums read the packed
-    /// buffer entries, so quantising narrow modes verify exactly — and
-    /// with no armed plan the production body runs and the summary is
-    /// zero.
+    /// [`M3xuContext::try_gemm_f32`] with the result's fault summary
+    /// projected beside it — kept for callers written against the pair,
+    /// such as the repository benchmark's adapter.
     pub fn try_gemm_f32_faulted(
         &self,
         precision: GemmPrecision,
@@ -536,12 +532,10 @@ impl M3xuContext {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        gemm::check_precision(precision, true, "gemm_f32")?;
-        let call = Call::new("gemm", precision.mode(), 1.0, 1.0);
-        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
+        self.try_gemm_f32(precision, a, b, c).map(with_faults)
     }
 
-    /// [`M3xuContext::try_cgemm_c32`] with fault telemetry; see
+    /// [`M3xuContext::try_cgemm_c32`] with its fault summary; see
     /// [`M3xuContext::try_gemm_f32_faulted`].
     pub fn try_cgemm_c32_faulted(
         &self,
@@ -549,30 +543,15 @@ impl M3xuContext {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        let call = Call::new("cgemm", MxuMode::M3xuFp32c, C32::ONE, C32::ONE);
-        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
-    }
-
-    /// [`M3xuContext::try_gemm_f64`] with fault telemetry; see
-    /// [`M3xuContext::try_gemm_f32_faulted`]. The residue homomorphism
-    /// extends to every f64 dyadic rational, so the checked body reads
-    /// the five packed mantissa slices directly.
-    pub fn try_gemm_f64_faulted(
-        &self,
-        precision: GemmPrecision,
-        a: &Matrix<f64>,
-        b: &Matrix<f64>,
-        c: &Matrix<f64>,
-    ) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
-        gemm::check_precision(precision, false, "gemm_f64")?;
-        let call = Call::new("gemm_f64", precision.mode(), 1.0, 1.0);
-        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
+        self.try_cgemm_c32(a, b, c).map(with_faults)
     }
 
     /// Fallible tiled emulated-FP64 GEMM `D = A·B + C`, counted into this
     /// context's [`ExecStats`]. Only [`GemmPrecision::Fp64Emulated`] is
     /// accepted; every other precision returns
-    /// [`M3xuError::ModeMismatch`].
+    /// [`M3xuError::ModeMismatch`]. The residue homomorphism extends to
+    /// every f64 dyadic rational, so the checked body reads the five
+    /// packed mantissa slices directly.
     pub fn try_gemm_f64(
         &self,
         precision: GemmPrecision,
@@ -580,52 +559,9 @@ impl M3xuContext {
         b: &Matrix<f64>,
         c: &Matrix<f64>,
     ) -> Result<GemmResult<f64>, M3xuError> {
-        self.try_gemm_f64_faulted(precision, a, b, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_gemm_f64`], panicking on invalid shapes or
-    /// precision.
-    pub fn gemm_f64(
-        &self,
-        precision: GemmPrecision,
-        a: &Matrix<f64>,
-        b: &Matrix<f64>,
-        c: &Matrix<f64>,
-    ) -> GemmResult<f64> {
-        self.try_gemm_f64(precision, a, b, c)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible emulated-FP64 `A·B` with a zero `C`.
-    pub fn try_matmul_f64(
-        &self,
-        a: &Matrix<f64>,
-        b: &Matrix<f64>,
-    ) -> Result<Matrix<f64>, M3xuError> {
-        let c = Matrix::zeros(a.rows(), b.cols());
-        Ok(self.try_gemm_f64(GemmPrecision::Fp64Emulated, a, b, &c)?.d)
-    }
-
-    /// Fallible `A·B` with a zero `C`.
-    pub fn try_matmul_f32(
-        &self,
-        precision: GemmPrecision,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-    ) -> Result<Matrix<f32>, M3xuError> {
-        let c = Matrix::zeros(a.rows(), b.cols());
-        Ok(self.try_gemm_f32(precision, a, b, &c)?.d)
-    }
-
-    /// Fallible complex `A·B` with a zero `C`.
-    pub fn try_cmatmul_c32(
-        &self,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-    ) -> Result<Matrix<C32>, M3xuError> {
-        let c = Matrix::zeros(a.rows(), b.cols());
-        Ok(self.try_cgemm_c32(a, b, &c)?.d)
+        gemm::check_precision(precision, false, "gemm_f64")?;
+        let call = Call::new("gemm_f64", precision.mode(), 1.0, 1.0);
+        gemm::drive(self, &call, a, b, c, self.fault.as_deref())
     }
 
     // ---- BLAS-3 family -------------------------------------------------
@@ -646,46 +582,10 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        self.try_gemm_op_f32_faulted(precision, op_a, a, op_b, b, alpha, beta, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_gemm_op_f32`] with fault telemetry; see
-    /// [`M3xuContext::try_gemm_f32_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_op_f32_faulted(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        op_b: MatOp,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
         gemm::check_precision(precision, true, "gemm_op_f32")?;
         let call = Call::new("gemm_op", precision.mode(), alpha, beta);
         let (a, b) = (OpView::new(a, op_a), OpView::new(b, op_b));
         gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
-    }
-
-    /// [`M3xuContext::try_gemm_op_f32`], panicking on invalid shapes or
-    /// precision.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_op_f32(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        op_b: MatOp,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> GemmResult<f32> {
-        self.try_gemm_op_f32(precision, op_a, a, op_b, b, alpha, beta, c)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible complex op-GEMM `D = alpha·op(A)·op(B) + beta·C` on the
@@ -702,42 +602,9 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        self.try_cgemm_op_c32_faulted(op_a, a, op_b, b, alpha, beta, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_cgemm_op_c32`] with fault telemetry; see
-    /// [`M3xuContext::try_gemm_f32_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_cgemm_op_c32_faulted(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        op_b: MatOp,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
         let call = Call::new("cgemm_op", MxuMode::M3xuFp32c, alpha, beta);
         let (a, b) = (OpView::new(a, op_a), OpView::new(b, op_b));
         gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
-    }
-
-    /// [`M3xuContext::try_cgemm_op_c32`], panicking on invalid shapes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cgemm_op_c32(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        op_b: MatOp,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> GemmResult<C32> {
-        self.try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible emulated-FP64 op-GEMM; only
@@ -754,52 +621,17 @@ impl M3xuContext {
         beta: f64,
         c: &Matrix<f64>,
     ) -> Result<GemmResult<f64>, M3xuError> {
-        self.try_gemm_op_f64_faulted(precision, op_a, a, op_b, b, alpha, beta, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_gemm_op_f64`] with fault telemetry; see
-    /// [`M3xuContext::try_gemm_f32_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_op_f64_faulted(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f64>,
-        op_b: MatOp,
-        b: &Matrix<f64>,
-        alpha: f64,
-        beta: f64,
-        c: &Matrix<f64>,
-    ) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
         gemm::check_precision(precision, false, "gemm_op_f64")?;
         let call = Call::new("gemm_op_f64", precision.mode(), alpha, beta);
         let (a, b) = (OpView::new(a, op_a), OpView::new(b, op_b));
         gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
-    /// [`M3xuContext::try_gemm_op_f64`], panicking on invalid shapes or
-    /// precision.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_op_f64(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f64>,
-        op_b: MatOp,
-        b: &Matrix<f64>,
-        alpha: f64,
-        beta: f64,
-        c: &Matrix<f64>,
-    ) -> GemmResult<f64> {
-        self.try_gemm_op_f64(precision, op_a, a, op_b, b, alpha, beta, c)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Fallible SYRK `C := alpha·op(A)·op(A)^T + beta·C`, scheduling (and
     /// writing) only the output tiles intersecting `tri` — the other
     /// triangle of `C` passes through byte-for-byte untouched, and the
-    /// recorded [`ExecStats`] reflect the ~2x tile saving.
+    /// recorded [`ExecStats`] reflect the ~2x tile saving (verification,
+    /// under an armed plan, prices only the `T(T+1)/2` scheduled tiles).
     #[allow(clippy::too_many_arguments)]
     pub fn try_syrk_f32(
         &self,
@@ -811,24 +643,6 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        self.try_syrk_f32_faulted(precision, tri, op_a, a, alpha, beta, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_syrk_f32`] with fault telemetry — verification
-    /// prices only the `T(T+1)/2` scheduled triangular tiles; see
-    /// [`M3xuContext::try_gemm_f32_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_syrk_f32_faulted(
-        &self,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
         gemm::check_precision(precision, true, "syrk_f32")?;
         // The second operand is op(A)'s transpose (`H` collapses to `T`
         // on real elements).
@@ -844,28 +658,10 @@ impl M3xuContext {
         gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
-    /// [`M3xuContext::try_syrk_f32`], panicking on invalid shapes or
-    /// precision.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_f32(
-        &self,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> GemmResult<f32> {
-        self.try_syrk_f32(precision, tri, op_a, a, alpha, beta, c)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Fallible HERK `C := alpha·op(A)·op(A)^H + beta·C` with real
     /// `alpha`/`beta` on the FP32C engine, writing only the `tri`
     /// triangle; diagonal entries are exactly real on output. `op_a` must
     /// be [`MatOp::N`] or [`MatOp::H`].
-    #[allow(clippy::too_many_arguments)]
     pub fn try_herk_c32(
         &self,
         tri: Triangle,
@@ -875,22 +671,6 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        self.try_herk_c32_faulted(tri, op_a, a, alpha, beta, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_herk_c32`] with fault telemetry; see
-    /// [`M3xuContext::try_syrk_f32_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_herk_c32_faulted(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<C32>,
-    ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
         let op_b = match op_a {
             MatOp::N => MatOp::H,
             MatOp::H => MatOp::N,
@@ -912,20 +692,6 @@ impl M3xuContext {
         gemm::drive(self, &call, &a, &b, c, self.fault.as_deref())
     }
 
-    /// [`M3xuContext::try_herk_c32`], panicking on invalid shapes or op.
-    pub fn herk_c32(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<C32>,
-    ) -> GemmResult<C32> {
-        self.try_herk_c32(tri, op_a, a, alpha, beta, c)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Fallible SYMM `C := alpha·sym(A)·B + beta·C` (or `B·sym(A)` on
     /// [`Side::Right`]), expanding the `tri`-stored triangle of the
     /// square matrix `A` on the fly — the opposite triangle of `A` is
@@ -942,24 +708,6 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        self.try_symm_f32_faulted(precision, side, tri, a, b, alpha, beta, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_symm_f32`] with fault telemetry; see
-    /// [`M3xuContext::try_gemm_f32_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_symm_f32_faulted(
-        &self,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
         gemm::check_precision(precision, true, "symm_f32")?;
         check_square(a, "symm(A): A must be square")?;
         let call = Call::new("symm", precision.mode(), alpha, beta);
@@ -969,24 +717,6 @@ impl M3xuContext {
             Side::Left => gemm::drive(self, &call, &sym, b, c, plan),
             Side::Right => gemm::drive(self, &call, b, &sym, c, plan),
         }
-    }
-
-    /// [`M3xuContext::try_symm_f32`], panicking on invalid shapes or
-    /// precision.
-    #[allow(clippy::too_many_arguments)]
-    pub fn symm_f32(
-        &self,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> GemmResult<f32> {
-        self.try_symm_f32(precision, side, tri, a, b, alpha, beta, c)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible HEMM: the Hermitian counterpart of
@@ -1004,23 +734,6 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        self.try_hemm_c32_faulted(side, tri, a, b, alpha, beta, c)
-            .map(|(r, _)| r)
-    }
-
-    /// [`M3xuContext::try_hemm_c32`] with fault telemetry; see
-    /// [`M3xuContext::try_gemm_f32_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_hemm_c32_faulted(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
         check_square(a, "hemm(A): A must be square")?;
         let call = Call::new("hemm", MxuMode::M3xuFp32c, alpha, beta);
         let herm = MirrorView::new(a, tri, true);
@@ -1029,22 +742,6 @@ impl M3xuContext {
             Side::Left => gemm::drive(self, &call, &herm, b, c, plan),
             Side::Right => gemm::drive(self, &call, b, &herm, c, plan),
         }
-    }
-
-    /// [`M3xuContext::try_hemm_c32`], panicking on invalid shapes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hemm_c32(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> GemmResult<C32> {
-        self.try_hemm_c32(side, tri, a, b, alpha, beta, c)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ---- Kernel conveniences -------------------------------------------
@@ -1139,8 +836,9 @@ impl Default for M3xuContext {
 }
 
 /// The process-wide default context, built lazily on first use — the
-/// execution object behind every module-level free function. Resolving it
-/// once means `M3XU_THREADS` is parsed a single time per process.
+/// execution object for callers without one of their own (the `m3xu`
+/// facade, the module-level kernel conveniences). Resolving it once means
+/// `M3XU_THREADS` is parsed a single time per process.
 pub fn default_context() -> &'static M3xuContext {
     static CTX: OnceLock<M3xuContext> = OnceLock::new();
     CTX.get_or_init(M3xuContext::new)
@@ -1169,24 +867,6 @@ pub trait GemmExecutor {
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError>;
 
-    /// Fallible tiled emulated-FP64 GEMM `D = A·B + C`. Executors without
-    /// a double-precision engine inherit this default, which rejects the
-    /// request with [`M3xuError::ModeMismatch`] instead of silently
-    /// degrading precision.
-    fn try_gemm_f64(
-        &self,
-        precision: GemmPrecision,
-        a: &Matrix<f64>,
-        b: &Matrix<f64>,
-        c: &Matrix<f64>,
-    ) -> Result<GemmResult<f64>, M3xuError> {
-        let _ = (a, b, c);
-        Err(M3xuError::ModeMismatch {
-            context: "GemmExecutor::try_gemm_f64",
-            got: precision.mode(),
-        })
-    }
-
     /// Fallible `A·B` with a zero `C`.
     fn try_matmul_f32(
         &self,
@@ -1203,162 +883,6 @@ pub trait GemmExecutor {
         let c = Matrix::zeros(a.rows(), b.cols());
         Ok(self.try_cgemm_c32(a, b, &c)?.d)
     }
-
-    /// Fallible op-GEMM `D = alpha·op(A)·op(B) + beta·C` on an f32
-    /// engine. The default materializes the views and scalar folds (alpha
-    /// before quantisation, beta into the `C` seed — the same fold order
-    /// as the packed driver, so results stay bit-compatible with
-    /// [`M3xuContext`]'s view-iterating implementation) and delegates to
-    /// [`GemmExecutor::try_gemm_f32`].
-    #[allow(clippy::too_many_arguments)]
-    fn try_gemm_op_f32(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        op_b: MatOp,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<GemmResult<f32>, M3xuError> {
-        let am = fold_op_f32(a, op_a, alpha);
-        let bm = fold_op_f32(b, op_b, 1.0);
-        let cm = fold_beta_f32(c, beta);
-        self.try_gemm_f32(precision, &am, &bm, &cm)
-    }
-
-    /// Fallible complex op-GEMM `D = alpha·op(A)·op(B) + beta·C`; default
-    /// materializes and delegates to [`GemmExecutor::try_cgemm_c32`].
-    #[allow(clippy::too_many_arguments)]
-    fn try_cgemm_op_c32(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        op_b: MatOp,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<GemmResult<C32>, M3xuError> {
-        let am = fold_op_c32(a, op_a, alpha);
-        let bm = fold_op_c32(b, op_b, Complex::<f32>::ONE);
-        let cm = fold_beta_c32(c, beta);
-        self.try_cgemm_c32(&am, &bm, &cm)
-    }
-
-    /// Fallible emulated-FP64 op-GEMM; default materializes and delegates
-    /// to [`GemmExecutor::try_gemm_f64`] (which executors without a
-    /// double-precision engine reject).
-    #[allow(clippy::too_many_arguments)]
-    fn try_gemm_op_f64(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f64>,
-        op_b: MatOp,
-        b: &Matrix<f64>,
-        alpha: f64,
-        beta: f64,
-        c: &Matrix<f64>,
-    ) -> Result<GemmResult<f64>, M3xuError> {
-        let am = fold_op_f64(a, op_a, alpha);
-        let bm = fold_op_f64(b, op_b, 1.0);
-        let cm = fold_beta_f64(c, beta);
-        self.try_gemm_f64(precision, &am, &bm, &cm)
-    }
-
-    /// Fallible SYRK `C := alpha·op(A)·op(A)^T + beta·C` over one
-    /// triangle. No default fallback: the contract that the unreferenced
-    /// triangle of `C` passes through untouched needs triangular output
-    /// scheduling, so executors without it reject with
-    /// [`M3xuError::ModeMismatch`].
-    #[allow(clippy::too_many_arguments)]
-    fn try_syrk_f32(
-        &self,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<GemmResult<f32>, M3xuError> {
-        let _ = (tri, op_a, a, alpha, beta, c);
-        Err(M3xuError::ModeMismatch {
-            context: "GemmExecutor::try_syrk_f32",
-            got: precision.mode(),
-        })
-    }
-
-    /// Fallible HERK `C := alpha·op(A)·op(A)^H + beta·C` over one
-    /// triangle; like [`GemmExecutor::try_syrk_f32`], executors without
-    /// triangular output scheduling reject.
-    #[allow(clippy::too_many_arguments)]
-    fn try_herk_c32(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<C32>,
-    ) -> Result<GemmResult<C32>, M3xuError> {
-        let _ = (tri, op_a, a, alpha, beta, c);
-        Err(M3xuError::ModeMismatch {
-            context: "GemmExecutor::try_herk_c32",
-            got: MxuMode::M3xuFp32c,
-        })
-    }
-
-    /// Fallible SYMM with a triangle-stored symmetric `A`; default
-    /// expands the mirror and delegates to
-    /// [`GemmExecutor::try_gemm_op_f32`].
-    #[allow(clippy::too_many_arguments)]
-    fn try_symm_f32(
-        &self,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<GemmResult<f32>, M3xuError> {
-        check_square(a, "symm(A): A must be square")?;
-        let sym = MirrorView::new(a, tri, false).materialize();
-        match side {
-            Side::Left => {
-                self.try_gemm_op_f32(precision, MatOp::N, &sym, MatOp::N, b, alpha, beta, c)
-            }
-            Side::Right => {
-                self.try_gemm_op_f32(precision, MatOp::N, b, MatOp::N, &sym, alpha, beta, c)
-            }
-        }
-    }
-
-    /// Fallible HEMM with a triangle-stored Hermitian `A`; default
-    /// expands the mirror and delegates to
-    /// [`GemmExecutor::try_cgemm_op_c32`].
-    #[allow(clippy::too_many_arguments)]
-    fn try_hemm_c32(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<GemmResult<C32>, M3xuError> {
-        check_square(a, "hemm(A): A must be square")?;
-        let herm = MirrorView::new(a, tri, true).materialize();
-        match side {
-            Side::Left => self.try_cgemm_op_c32(MatOp::N, &herm, MatOp::N, b, alpha, beta, c),
-            Side::Right => self.try_cgemm_op_c32(MatOp::N, b, MatOp::N, &herm, alpha, beta, c),
-        }
-    }
 }
 
 /// Reject a SYMM/HEMM operand that is not square.
@@ -1373,92 +897,10 @@ fn check_square<T>(a: &Matrix<T>, context: &'static str) -> Result<(), M3xuError
     Ok(())
 }
 
-/// `op(X)` materialized with `alpha` folded elementwise — the same values
-/// in the same order the view-iterating packers produce (`alpha == 1`
-/// skips the multiply bitwise, mirroring the packed driver).
-///
-/// The `s * x` operand order matches the packed scale exactly; `*v *=`
-/// would flip it (visible in both-NaN payload selection), hence the
-/// lint allowances here and in the other fold helpers.
-#[allow(clippy::assign_op_pattern)]
-fn fold_op_f32(x: &Matrix<f32>, op: MatOp, alpha: f32) -> Matrix<f32> {
-    let mut m = OpView::new(x, op).materialize();
-    if alpha.to_bits() != 1.0f32.to_bits() {
-        for v in m.as_mut_slice() {
-            *v = alpha * *v;
-        }
-    }
-    m
-}
-
-/// `beta·C` folded elementwise: `beta == 1` clones, `beta == +0.0` never
-/// reads `C`'s values — the packed driver's seed semantics.
-#[allow(clippy::assign_op_pattern)]
-fn fold_beta_f32(c: &Matrix<f32>, beta: f32) -> Matrix<f32> {
-    if beta.to_bits() == 0.0f32.to_bits() {
-        return Matrix::zeros(c.rows(), c.cols());
-    }
-    let mut m = c.clone();
-    if beta.to_bits() != 1.0f32.to_bits() {
-        for v in m.as_mut_slice() {
-            *v = beta * *v;
-        }
-    }
-    m
-}
-
-/// Complex counterpart of [`fold_op_f32`].
-fn fold_op_c32(x: &Matrix<C32>, op: MatOp, alpha: C32) -> Matrix<C32> {
-    let mut m = OpView::new(x, op).materialize();
-    let unit = alpha.re.to_bits() == 1.0f32.to_bits() && alpha.im.to_bits() == 0.0f32.to_bits();
-    if !unit {
-        for v in m.as_mut_slice() {
-            *v = alpha * *v;
-        }
-    }
-    m
-}
-
-/// Complex counterpart of [`fold_beta_f32`].
-fn fold_beta_c32(c: &Matrix<C32>, beta: C32) -> Matrix<C32> {
-    if beta.re.to_bits() == 0.0f32.to_bits() && beta.im.to_bits() == 0.0f32.to_bits() {
-        return Matrix::zeros(c.rows(), c.cols());
-    }
-    let mut m = c.clone();
-    let unit = beta.re.to_bits() == 1.0f32.to_bits() && beta.im.to_bits() == 0.0f32.to_bits();
-    if !unit {
-        for v in m.as_mut_slice() {
-            *v = beta * *v;
-        }
-    }
-    m
-}
-
-/// f64 counterpart of [`fold_op_f32`].
-#[allow(clippy::assign_op_pattern)]
-fn fold_op_f64(x: &Matrix<f64>, op: MatOp, alpha: f64) -> Matrix<f64> {
-    let mut m = OpView::new(x, op).materialize();
-    if alpha.to_bits() != 1.0f64.to_bits() {
-        for v in m.as_mut_slice() {
-            *v = alpha * *v;
-        }
-    }
-    m
-}
-
-/// f64 counterpart of [`fold_beta_f32`].
-#[allow(clippy::assign_op_pattern)]
-fn fold_beta_f64(c: &Matrix<f64>, beta: f64) -> Matrix<f64> {
-    if beta.to_bits() == 0.0f64.to_bits() {
-        return Matrix::zeros(c.rows(), c.cols());
-    }
-    let mut m = c.clone();
-    if beta.to_bits() != 1.0f64.to_bits() {
-        for v in m.as_mut_slice() {
-            *v = beta * *v;
-        }
-    }
-    m
+/// A result paired with its own fault summary (the `_faulted` shape).
+fn with_faults<T>(r: GemmResult<T>) -> (GemmResult<T>, FaultSummary) {
+    let faults = r.faults;
+    (r, faults)
 }
 
 impl GemmExecutor for M3xuContext {
@@ -1479,109 +921,6 @@ impl GemmExecutor for M3xuContext {
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
         M3xuContext::try_cgemm_c32(self, a, b, c)
-    }
-
-    fn try_gemm_f64(
-        &self,
-        precision: GemmPrecision,
-        a: &Matrix<f64>,
-        b: &Matrix<f64>,
-        c: &Matrix<f64>,
-    ) -> Result<GemmResult<f64>, M3xuError> {
-        M3xuContext::try_gemm_f64(self, precision, a, b, c)
-    }
-
-    fn try_gemm_op_f32(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        op_b: MatOp,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<GemmResult<f32>, M3xuError> {
-        M3xuContext::try_gemm_op_f32(self, precision, op_a, a, op_b, b, alpha, beta, c)
-    }
-
-    fn try_cgemm_op_c32(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        op_b: MatOp,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<GemmResult<C32>, M3xuError> {
-        M3xuContext::try_cgemm_op_c32(self, op_a, a, op_b, b, alpha, beta, c)
-    }
-
-    fn try_gemm_op_f64(
-        &self,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: &Matrix<f64>,
-        op_b: MatOp,
-        b: &Matrix<f64>,
-        alpha: f64,
-        beta: f64,
-        c: &Matrix<f64>,
-    ) -> Result<GemmResult<f64>, M3xuError> {
-        M3xuContext::try_gemm_op_f64(self, precision, op_a, a, op_b, b, alpha, beta, c)
-    }
-
-    fn try_syrk_f32(
-        &self,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<GemmResult<f32>, M3xuError> {
-        M3xuContext::try_syrk_f32(self, precision, tri, op_a, a, alpha, beta, c)
-    }
-
-    fn try_herk_c32(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<C32>,
-    ) -> Result<GemmResult<C32>, M3xuError> {
-        M3xuContext::try_herk_c32(self, tri, op_a, a, alpha, beta, c)
-    }
-
-    fn try_symm_f32(
-        &self,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<GemmResult<f32>, M3xuError> {
-        M3xuContext::try_symm_f32(self, precision, side, tri, a, b, alpha, beta, c)
-    }
-
-    fn try_hemm_c32(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<GemmResult<C32>, M3xuError> {
-        M3xuContext::try_hemm_c32(self, side, tri, a, b, alpha, beta, c)
     }
 }
 
@@ -1638,7 +977,9 @@ mod tests {
         let a = Matrix::<f32>::random(16, 8, 1);
         let b = Matrix::<f32>::random(8, 16, 2);
         let c = Matrix::<f32>::zeros(16, 16);
-        let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        let r = ctx
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         let s = ctx.stats();
         assert_eq!(s.gemm_calls, 1);
         assert_eq!(s.mode(MxuMode::M3xuFp32), r.stats);
@@ -1649,6 +990,9 @@ mod tests {
         assert_eq!(s.fragments, 4 * 4);
         // Rule (c) traffic: (m*k + k*n) elements at 4 bytes in FP32.
         assert_eq!(s.operand_bytes, ((16 * 8 + 8 * 16) * 4) as u64);
+        assert_eq!(r.operand_bytes, s.operand_bytes);
+        assert_eq!(r.mode, MxuMode::M3xuFp32);
+        assert_eq!(r.faults.detected, s.faults_detected);
         ctx.reset_stats();
         assert_eq!(ctx.stats(), ExecStats::default());
     }
@@ -1659,9 +1003,9 @@ mod tests {
         let a = Matrix::random_c32(8, 4, 3);
         let b = Matrix::random_c32(4, 8, 4);
         let c = Matrix::random_c32(8, 8, 5);
-        ctx.cgemm_c32(&a, &b, &c);
+        ctx.try_cgemm_c32(&a, &b, &c).unwrap();
         let mid = ctx.stats();
-        ctx.cgemm_c32(&a, &b, &c);
+        ctx.try_cgemm_c32(&a, &b, &c).unwrap();
         let end = ctx.stats();
         let delta = end.delta_since(&mid);
         assert_eq!(delta.gemm_calls, 1);
@@ -1669,15 +1013,16 @@ mod tests {
     }
 
     #[test]
-    fn context_gemm_bit_identical_to_free_function() {
+    fn private_context_gemm_bit_identical_to_default_context() {
         let ctx = M3xuContext::with_threads(3);
         let a = Matrix::<f32>::random(37, 19, 7);
         let b = Matrix::<f32>::random(19, 23, 8);
         let c = Matrix::<f32>::random(37, 23, 9);
-        let via_ctx = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
-        let via_free = gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
-        assert_eq!(via_ctx.d, via_free.d);
-        assert_eq!(via_ctx.stats, via_free.stats);
+        let p = GemmPrecision::M3xuFp32;
+        let via_ctx = ctx.try_gemm_f32(p, &a, &b, &c).unwrap();
+        let via_default = default_context().try_gemm_f32(p, &a, &b, &c).unwrap();
+        assert_eq!(via_ctx.d, via_default.d);
+        assert_eq!(via_ctx.stats, via_default.stats);
     }
 
     #[test]
@@ -1689,7 +1034,9 @@ mod tests {
             let a = Matrix::<f32>::random(m, k, (m + k) as u64);
             let b = Matrix::<f32>::random(k, n, (k + n) as u64);
             let c = Matrix::<f32>::random(m, n, (m + n) as u64);
-            let got = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+            let got = ctx
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                .unwrap();
             let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
             for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits());

@@ -5,7 +5,8 @@
 //! numerics match FP32 expectations (no TF32-style divergence). The
 //! network is a two-layer MLP with ReLU and mean-squared-error loss,
 //! trained by plain SGD; forward and backward matrix products all route
-//! through [`gemm_f32`](crate::gemm::gemm_f32).
+//! through a [`GemmExecutor`]'s `try_gemm_f32` (by default the
+//! process-wide [`default_context`]).
 
 use crate::context::{default_context, GemmExecutor};
 use crate::gemm::GemmPrecision;

@@ -11,15 +11,19 @@
 //! Two contracts matter:
 //!
 //! * **Unarmed is free.** A `FaultyExecutor` built with no plan
-//!   ([`FaultyExecutor::unarmed`]) delegates straight to the context —
-//!   bit-identical results, identical counters, no checksum work beyond
-//!   the context's own, and a zero summary. The differential test suite
-//!   pins this.
+//!   ([`FaultyExecutor::unarmed`]) delegates straight to the context and
+//!   returns the context's own result — bit-identical, identical
+//!   counters, no checksum work beyond the context's own. Its
+//!   [`FaultSummary`](m3xu_mxu::fault::FaultSummary) is the context's
+//!   too: zero on an unarmed context, the detected and corrected faults
+//!   of the context's checked body on an armed one. The differential
+//!   test suite pins this.
 //! * **Armed is honest.** With a plan, every GEMM precision — true FP32,
 //!   the truncated fast schedule, the quantising narrow engines
 //!   (FP16/BF16/TF32), and FP32C — runs the checked body: every
-//!   recovered run is bit-identical to the oracle, and an unrecoverable
-//!   one returns
+//!   recovered run is bit-identical to the oracle, its result's `faults`
+//!   report what the plan injected and the body healed, and an
+//!   unrecoverable one returns
 //!   [`M3xuError::FaultDetected`]
 //!   — never a panic, never silent corruption the checksums can see.
 //!   (The expected checksums read the packed buffer entries, so
@@ -29,7 +33,7 @@ use crate::context::{GemmExecutor, M3xuContext};
 use crate::gemm::{self, Call, GemmPrecision, GemmResult};
 use m3xu_fp::complex::Complex;
 use m3xu_mxu::error::M3xuError;
-use m3xu_mxu::fault::{FaultPlan, FaultSummary};
+use m3xu_mxu::fault::FaultPlan;
 use m3xu_mxu::matrix::Matrix;
 use m3xu_mxu::modes::MxuMode;
 use std::sync::Arc;
@@ -70,48 +74,6 @@ impl<'c> FaultyExecutor<'c> {
     pub fn plan(&self) -> Option<&Arc<FaultPlan>> {
         self.plan.as_ref()
     }
-
-    /// Real GEMM with this executor's fault policy, returning the
-    /// invocation's [`FaultSummary`] (zero when unarmed).
-    pub fn try_gemm_f32_faulted(
-        &self,
-        precision: GemmPrecision,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        c: &Matrix<f32>,
-    ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        gemm::check_precision(precision, true, "gemm_f32")?;
-        match &self.plan {
-            Some(plan) => {
-                let call = Call::new("gemm", precision.mode(), 1.0, 1.0);
-                gemm::drive(self.ctx, &call, a, b, c, Some(plan))
-            }
-            None => self
-                .ctx
-                .try_gemm_f32(precision, a, b, c)
-                .map(|r| (r, FaultSummary::default())),
-        }
-    }
-
-    /// Complex GEMM with this executor's fault policy; see
-    /// [`FaultyExecutor::try_gemm_f32_faulted`].
-    pub fn try_cgemm_c32_faulted(
-        &self,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        c: &Matrix<C32>,
-    ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        match &self.plan {
-            Some(plan) => {
-                let call = Call::new("cgemm", MxuMode::M3xuFp32c, C32::ONE, C32::ONE);
-                gemm::drive(self.ctx, &call, a, b, c, Some(plan))
-            }
-            None => self
-                .ctx
-                .try_cgemm_c32(a, b, c)
-                .map(|r| (r, FaultSummary::default())),
-        }
-    }
 }
 
 impl GemmExecutor for FaultyExecutor<'_> {
@@ -122,8 +84,12 @@ impl GemmExecutor for FaultyExecutor<'_> {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        self.try_gemm_f32_faulted(precision, a, b, c)
-            .map(|(r, _)| r)
+        let Some(plan) = &self.plan else {
+            return self.ctx.try_gemm_f32(precision, a, b, c);
+        };
+        gemm::check_precision(precision, true, "gemm_f32")?;
+        let call = Call::new("gemm", precision.mode(), 1.0, 1.0);
+        gemm::drive(self.ctx, &call, a, b, c, Some(plan))
     }
 
     fn try_cgemm_c32(
@@ -132,7 +98,11 @@ impl GemmExecutor for FaultyExecutor<'_> {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        self.try_cgemm_c32_faulted(a, b, c).map(|(r, _)| r)
+        let Some(plan) = &self.plan else {
+            return self.ctx.try_cgemm_c32(a, b, c);
+        };
+        let call = Call::new("cgemm", MxuMode::M3xuFp32c, C32::ONE, C32::ONE);
+        gemm::drive(self.ctx, &call, a, b, c, Some(plan))
     }
 }
 
@@ -166,9 +136,10 @@ mod tests {
         let a = Matrix::<f32>::random(33, 17, 31);
         let b = Matrix::<f32>::random(17, 29, 32);
         let c = Matrix::<f32>::random(33, 29, 33);
-        let (r, summary) = exec
-            .try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &a, &b, &c)
+        let r = exec
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
             .unwrap();
+        let summary = r.faults;
         let oracle = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         for (x, y) in r.d.as_slice().iter().zip(oracle.d.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());

@@ -1,5 +1,5 @@
-//! The one tiled GEMM driver over the functional M3XU, and the plain
-//! `D = A·B + C` entry points.
+//! The one tiled GEMM driver over the functional M3XU, and the
+//! [`GemmResult`] every GEMM-family call returns.
 //!
 //! A CUTLASS-style hierarchical GEMM: the output splits into fragment
 //! tiles, each tile's `K` loop issues fragment-shaped MMA executions, and
@@ -18,12 +18,17 @@
 //! real diagonal. Plain GEMM is the call `(N, N, 1, 1, full)` on
 //! `&Matrix` sources; every BLAS-3 operation of [`crate::blas3`] is
 //! another call of the same driver, built by its [`M3xuContext`] method.
+//! Those `try_*` methods are the only entry points: a caller without a
+//! context of its own uses [`context::default_context`].
 //!
 //! Validation, beta seeding, the tile schedule, packing into the
 //! context's scratch arena and the single per-call accounting sample
 //! exist once. An optional [`FaultPlan`] picks the tile body: unarmed, the
 //! production body runs `kc2` epochs of `kc1` SIMD panels; armed, the
-//! ABFT-checked body verifies every k-chunk and heals what it can.
+//! ABFT-checked body verifies every k-chunk and heals what it can. The
+//! [`GemmResult`] carries the sample's mode, MMA statistics and rule-(c)
+//! operand bytes plus the call's [`FaultSummary`], so callers bill what
+//! the driver recorded instead of re-deriving it.
 //!
 //! ## The packed fragment pipeline
 //!
@@ -99,8 +104,8 @@ pub enum GemmPrecision {
     Fp32Fast,
     /// Emulated FP64: `f64` operands sliced into five ≤12-bit mantissa
     /// slices, all 25 cross products accumulated exactly, rounded to
-    /// `f64` once per fragment chunk. Runs on [`try_gemm_f64`]-family
-    /// entry points (the operands are `Matrix<f64>`).
+    /// `f64` once per fragment chunk. Runs on
+    /// [`M3xuContext::try_gemm_f64`] (the operands are `Matrix<f64>`).
     Fp64Emulated,
     /// TF32 Tensor-Core mode (precision-lossy baseline).
     Tf32,
@@ -158,13 +163,36 @@ pub(crate) fn check_precision(
     Ok(())
 }
 
-/// Result of a tiled GEMM: the output matrix plus MMA statistics.
+/// Result of a tiled GEMM: the output matrix plus the call's own
+/// accounting — what the driver recorded into the context's
+/// [`ExecStats`](crate::context::ExecStats) for it, so a caller (the serve
+/// layer's per-tenant bill, say) never re-derives it from the shapes.
 #[derive(Debug, Clone)]
 pub struct GemmResult<T> {
     /// `D = A·B + C`.
     pub d: Matrix<T>,
     /// Aggregated MMA statistics across all tiles and threads.
     pub stats: MmaStats,
+    /// The mode the call executed in.
+    pub mode: MxuMode,
+    /// Rule-(c) A/B operand bytes at the mode's storage width and the
+    /// call's logical dimensions.
+    pub operand_bytes: u64,
+    /// Fault telemetry of this one call: zero unless an armed plan ran the
+    /// ABFT-checked body.
+    pub faults: FaultSummary,
+}
+
+/// Rule (c) operand traffic of an `m x k` by `k x n` call: A/B elements
+/// at logical dimensions and the mode's storage width (2 bytes FP16/BF16,
+/// 4 bytes TF32/FP32, 8 bytes FP32C and FP64), not at the host element
+/// size. A rank-k update reads op(A) once each way (`m = n`), a SYMM the
+/// expanded square operand; a degenerate call moves nothing.
+fn operand_bytes(mode: MxuMode, m: usize, k: usize, n: usize) -> u64 {
+    if m == 0 || k == 0 || n == 0 {
+        return 0;
+    }
+    ((m * k + k * n) * mode.element_bytes()) as u64
 }
 
 /// Number of worker threads the drivers use: `M3XU_THREADS` when set,
@@ -960,8 +988,10 @@ impl<E: GemmElem> Job<'_, E> {
 /// Either way the call records one [`GemmSample`] into the context: a
 /// pure function of the fragment grid (never inflated by retries), so
 /// instruction-count cross-validation holds unchanged; verification work
-/// and re-executions go to the returned [`FaultSummary`] and the
-/// context's fault counters instead.
+/// and re-executions go to the result's [`FaultSummary`] and the
+/// context's fault counters instead. The result carries the sample's
+/// mode, statistics and operand bytes too: it reports what the context
+/// recorded.
 pub(crate) fn drive<E, SA, SB>(
     ctx: &M3xuContext,
     call: &Call<E::Scalar>,
@@ -969,7 +999,7 @@ pub(crate) fn drive<E, SA, SB>(
     b: &SB,
     c: &Matrix<E>,
     plan: Option<&FaultPlan>,
-) -> Result<(GemmResult<E>, FaultSummary), M3xuError>
+) -> Result<GemmResult<E>, M3xuError>
 where
     E: GemmElem,
     SA: MatSource<E>,
@@ -1082,140 +1112,16 @@ where
         sample.stats = fragment_stats(mode, frag).scaled(frags);
         sample.tiles = scheduled as u64;
         sample.fragments = frags;
-        // Rule (c) operand traffic at logical dimensions and the mode's
-        // storage width (2 bytes FP16/BF16, 4 bytes TF32/FP32, 8 bytes
-        // FP32C), not at `size_of::<E>()`: a rank-k update reads op(A)
-        // twice (n·k each way), a SYMM reads the expanded square operand —
-        // the same formula the serve layer and the analytical model mirror.
-        sample.operand_bytes = ((m * k + k * n) * mode.element_bytes()) as u64;
+        sample.operand_bytes = operand_bytes(mode, m, k, n);
     }
     ctx.counters().record(&sample);
-    Ok((
-        GemmResult {
-            d,
-            stats: sample.stats,
-        },
-        summary,
-    ))
-}
-
-/// Fallible tiled FP32 GEMM `D = A·B + C` on the process-wide default
-/// context (the call is recorded into its
-/// [`ExecStats`](crate::context::ExecStats) counters).
-///
-/// `a` is `m x k`, `b` is `k x n`, `c` is `m x n`. Any sizes are accepted;
-/// edges are zero-padded into fragments exactly like predicated loads.
-pub fn try_gemm_f32(
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    context::default_context().try_gemm_f32(precision, a, b, c)
-}
-
-/// Tiled FP32 GEMM `D = A·B + C` on the M3XU (or a baseline mode).
-///
-/// Panics on shape mismatch; see [`try_gemm_f32`] for the fallible form.
-pub fn gemm_f32(
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_gemm_f32(precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible tiled FP32C GEMM on the process-wide default context (the
-/// call is recorded into its counters).
-pub fn try_cgemm_c32(
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    context::default_context().try_cgemm_c32(a, b, c)
-}
-
-/// Tiled FP32C GEMM on the M3XU's four-step complex mode.
-///
-/// Panics on shape mismatch; see [`try_cgemm_c32`] for the fallible form.
-pub fn cgemm_c32(
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_cgemm_c32(a, b, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible convenience: `A·B` with a zero C.
-pub fn try_matmul_f32(
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-) -> Result<Matrix<f32>, M3xuError> {
-    let c = Matrix::zeros(a.rows(), b.cols());
-    Ok(try_gemm_f32(precision, a, b, &c)?.d)
-}
-
-/// Convenience: `A·B` with a zero C. Panics on shape mismatch; see
-/// [`try_matmul_f32`] for the fallible form.
-pub fn matmul_f32(precision: GemmPrecision, a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
-    try_matmul_f32(precision, a, b).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible tiled emulated-FP64 GEMM `D = A·B + C` on the process-wide
-/// default context (the call is recorded into its
-/// [`ExecStats`](crate::context::ExecStats) counters). Only
-/// [`GemmPrecision::Fp64Emulated`] is accepted — every other precision
-/// returns [`M3xuError::ModeMismatch`] (the `f64` operands have no decode
-/// path on the f32 engines).
-pub fn try_gemm_f64(
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    context::default_context().try_gemm_f64(precision, a, b, c)
-}
-
-/// Tiled emulated-FP64 GEMM `D = A·B + C`.
-///
-/// Panics on shape or precision mismatch; see [`try_gemm_f64`] for the
-/// fallible form.
-pub fn gemm_f64(
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> GemmResult<f64> {
-    try_gemm_f64(precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible convenience: emulated-FP64 `A·B` with a zero C.
-pub fn try_matmul_f64(a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>, M3xuError> {
-    let c = Matrix::zeros(a.rows(), b.cols());
-    Ok(try_gemm_f64(GemmPrecision::Fp64Emulated, a, b, &c)?.d)
-}
-
-/// Convenience: emulated-FP64 `A·B` with a zero C. Panics on shape
-/// mismatch; see [`try_matmul_f64`] for the fallible form.
-pub fn matmul_f64(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
-    try_matmul_f64(a, b).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible convenience: complex `A·B` with a zero C.
-pub fn try_cmatmul_c32(
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-) -> Result<Matrix<Complex<f32>>, M3xuError> {
-    let c = Matrix::zeros(a.rows(), b.cols());
-    Ok(try_cgemm_c32(a, b, &c)?.d)
-}
-
-/// Convenience: complex `A·B` with a zero C. Panics on shape mismatch;
-/// see [`try_cmatmul_c32`] for the fallible form.
-pub fn cmatmul_c32(a: &Matrix<Complex<f32>>, b: &Matrix<Complex<f32>>) -> Matrix<Complex<f32>> {
-    try_cmatmul_c32(a, b).unwrap_or_else(|e| panic!("{e}"))
+    Ok(GemmResult {
+        d,
+        stats: sample.stats,
+        mode,
+        operand_bytes: sample.operand_bytes,
+        faults: summary,
+    })
 }
 
 /// The original per-tile drivers: copy each fragment tile, re-decode it
@@ -1223,8 +1129,9 @@ pub fn cmatmul_c32(a: &Matrix<Complex<f32>>, b: &Matrix<Complex<f32>>) -> Matrix
 /// thread team per call. Kept as the differential-test oracle and the
 /// benchmark baseline; the packed drivers above are bit-identical to it.
 pub mod baseline {
-    use super::{GemmPrecision, GemmResult};
+    use super::{operand_bytes, GemmPrecision, GemmResult};
     use m3xu_fp::complex::Complex;
+    use m3xu_mxu::fault::FaultSummary;
     use m3xu_mxu::matrix::Matrix;
     use m3xu_mxu::mma::{MmaShape, MmaStats};
     use m3xu_mxu::modes::MxuMode;
@@ -1303,7 +1210,13 @@ pub mod baseline {
                 d.store_tile(i0, 0, &stripe);
             }
         }
-        GemmResult { d, stats: total }
+        GemmResult {
+            d,
+            stats: total,
+            mode,
+            operand_bytes: operand_bytes(mode, m, k, n),
+            faults: FaultSummary::default(),
+        }
     }
 
     /// The seed tiled FP32 GEMM: row-stripe sharding over scoped threads.
@@ -1347,7 +1260,27 @@ pub mod baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::default_context;
     use m3xu_fp::ulp::ErrorStats;
+
+    /// Real GEMM on the process-wide default context.
+    fn gemm_f32(
+        precision: GemmPrecision,
+        a: &Matrix<f32>,
+        b: &Matrix<f32>,
+        c: &Matrix<f32>,
+    ) -> GemmResult<f32> {
+        default_context().try_gemm_f32(precision, a, b, c).unwrap()
+    }
+
+    /// Complex GEMM on the process-wide default context.
+    fn cgemm_c32(
+        a: &Matrix<Complex<f32>>,
+        b: &Matrix<Complex<f32>>,
+        c: &Matrix<Complex<f32>>,
+    ) -> GemmResult<Complex<f32>> {
+        default_context().try_cgemm_c32(a, b, c).unwrap()
+    }
 
     /// Per-fragment exact-accumulation reference with the same K-chunking
     /// order as the driver (round once per fragment).
@@ -1449,7 +1382,9 @@ mod tests {
         let a = Matrix::<f64>::random_f64(37, 19, 21);
         let b = Matrix::<f64>::random_f64(19, 23, 22);
         let c = Matrix::<f64>::random_f64(37, 23, 23);
-        let r = gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        let r = default_context()
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         let expect = f64_fragment_reference(&a, &b, &c, 1);
         assert_eq!(r.d, expect);
     }
@@ -1458,15 +1393,21 @@ mod tests {
     fn fp64_emulated_identity_passthrough() {
         let a = Matrix::<f64>::random_f64(16, 16, 31);
         let i = Matrix::<f64>::identity_f64(16);
-        let d = matmul_f64(&a, &i);
-        assert_eq!(d, a);
+        let z = Matrix::<f64>::zeros(16, 16);
+        let r = default_context()
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &i, &z)
+            .unwrap();
+        assert_eq!(r.d, a);
     }
 
     #[test]
     fn precision_guards_reject_mismatched_element_types() {
         let a32 = Matrix::<f32>::random(4, 4, 1);
         let c32 = Matrix::<f32>::zeros(4, 4);
-        let err = try_gemm_f32(GemmPrecision::Fp64Emulated, &a32, &a32, &c32).unwrap_err();
+        let ctx = default_context();
+        let err = ctx
+            .try_gemm_f32(GemmPrecision::Fp64Emulated, &a32, &a32, &c32)
+            .unwrap_err();
         assert!(matches!(
             err,
             M3xuError::ModeMismatch {
@@ -1479,9 +1420,9 @@ mod tests {
         let c64 = Matrix::<f64>::zeros(4, 4);
         for precision in GemmPrecision::ALL {
             if precision == GemmPrecision::Fp64Emulated {
-                assert!(try_gemm_f64(precision, &a64, &a64, &c64).is_ok());
+                assert!(ctx.try_gemm_f64(precision, &a64, &a64, &c64).is_ok());
             } else {
-                let err = try_gemm_f64(precision, &a64, &a64, &c64).unwrap_err();
+                let err = ctx.try_gemm_f64(precision, &a64, &a64, &c64).unwrap_err();
                 assert!(
                     matches!(err, M3xuError::ModeMismatch { got, .. } if got == precision.mode())
                 );
@@ -1495,8 +1436,12 @@ mod tests {
         let a = Matrix::<f64>::random_f64(64, 64, 41);
         let b = Matrix::<f64>::random_f64(64, 64, 42);
         let c = Matrix::<f64>::zeros(64, 64);
-        ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        let r = ctx
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         let stats = ctx.stats();
+        assert_eq!(r.mode, MxuMode::M3xuFp64Emu);
+        assert_eq!(r.operand_bytes, stats.operand_bytes);
         let per = stats.mode(MxuMode::M3xuFp64Emu);
         // 8x8 tiles, frag_k = 1: (64/8) * (64/8) * 64 fragments.
         assert_eq!(per.instructions, 8 * 8 * 64);
@@ -1593,7 +1538,7 @@ mod tests {
     fn cgemm_identity_roundtrip() {
         let a = Matrix::random_c32(16, 16, 13);
         let i = Matrix::identity_c32(16);
-        let d = cmatmul_c32(&a, &i);
+        let d = cgemm_c32(&a, &i, &Matrix::zeros(16, 16)).d;
         assert_eq!(d, a);
     }
 
@@ -1601,7 +1546,8 @@ mod tests {
     fn gemm_identity_roundtrip() {
         let a = Matrix::<f32>::random(32, 32, 14);
         let i = Matrix::<f32>::identity(32);
-        assert_eq!(matmul_f32(GemmPrecision::M3xuFp32, &a, &i), a);
+        let z = Matrix::<f32>::zeros(32, 32);
+        assert_eq!(gemm_f32(GemmPrecision::M3xuFp32, &a, &i, &z).d, a);
     }
 
     #[test]
@@ -1736,8 +1682,12 @@ mod tests {
         let mut cplx: Vec<Matrix<Complex<f32>>> = Vec::new();
         for threads in [1, 2, 8] {
             let ctx = M3xuContext::with_threads(threads);
-            real.push(ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c).d);
-            cplx.push(ctx.cgemm_c32(&ca, &cb, &cc).d);
+            real.push(
+                ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                    .unwrap()
+                    .d,
+            );
+            cplx.push(ctx.try_cgemm_c32(&ca, &cb, &cc).unwrap().d);
         }
         for r in &real[1..] {
             assert_bits_f32(r, &real[0], "pool-size determinism (real)");
@@ -1762,7 +1712,7 @@ mod tests {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
         plan: &FaultPlan,
-    ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
+    ) -> Result<GemmResult<f32>, M3xuError> {
         let call = Call::new("gemm", MxuMode::M3xuFp32, 1.0, 1.0);
         drive(ctx, &call, a, b, c, Some(plan))
     }
@@ -1777,11 +1727,11 @@ mod tests {
         let a = Matrix::<f32>::random(23, 11, 40);
         let b = Matrix::<f32>::random(11, 19, 41);
         let c = Matrix::<f32>::random(23, 19, 42);
-        let (r, s) = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
+        let r = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         assert_bits_f32(&r.d, &oracle.d, "abft zero-rate");
         assert_eq!(r.stats, oracle.stats);
-        assert_eq!(s, FaultSummary::default());
+        assert_eq!(r.faults, FaultSummary::default());
     }
 
     #[test]
@@ -1794,7 +1744,8 @@ mod tests {
         let mut saw_faults = false;
         for seed in 0..8u64 {
             let plan = FaultPlan::new(seed, 0.05);
-            let (r, s) = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
+            let r = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
+            let s = r.faults;
             assert_bits_f32(&r.d, &oracle.d, &format!("abft recovery seed {seed}"));
             assert_eq!(s.detected, s.corrected, "seed {seed}: {s:?}");
             saw_faults |= s.detected > 0;
@@ -1812,9 +1763,9 @@ mod tests {
         let plan = FaultPlan::new(3, 0.05);
         let one = Complex::<f32>::ONE;
         let call = Call::new("cgemm", MxuMode::M3xuFp32c, one, one);
-        let (r, s) = drive(&ctx, &call, &a, &b, &c, Some(&plan)).unwrap();
+        let r = drive(&ctx, &call, &a, &b, &c, Some(&plan)).unwrap();
         assert_bits_c32(&r.d, &oracle.d, "abft complex recovery");
-        assert_eq!(s.detected, s.corrected);
+        assert_eq!(r.faults.detected, r.faults.corrected);
     }
 
     #[test]
@@ -1842,7 +1793,9 @@ mod tests {
             other => panic!("expected FaultDetected, got {other:?}"),
         }
         // The pool (and its supervisor) must stay usable afterwards.
-        let clean = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        let clean = ctx
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         assert_bits_f32(&clean.d, &oracle.d, "pool reuse after rate-1.0 abft");
     }
@@ -1860,7 +1813,7 @@ mod tests {
         let c = Matrix::<f32>::random(19, 11, 82);
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let plan = FaultPlan::new(4, 0.2);
-        let (r, _) = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
+        let r = checked_gemm(&ctx, &a, &b, &c, &plan).unwrap();
         assert_bits_f32(&r.d, &oracle.d, "abft specials");
     }
 }

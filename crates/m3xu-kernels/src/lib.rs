@@ -3,8 +3,8 @@
 //! Everything the paper's evaluation runs *on top of* the MXU:
 //!
 //! * [`gemm`] — the one CUTLASS-style tiled driver over the functional
-//!   M3XU, parallelised across output tiles, and the plain FP32 GEMM /
-//!   FP32C CGEMM / emulated-FP64 entry points;
+//!   M3XU, parallelised across output tiles, and the [`GemmResult`] every
+//!   GEMM-family call returns;
 //! * [`blas3`] — the full BLAS-3 surface as calls of the same driver:
 //!   `op(X)` operands, alpha/beta accumulate, SYMM/HEMM, and
 //!   triangular-scheduled SYRK/HERK;
@@ -31,8 +31,9 @@
 //! All of them execute through [`context::M3xuContext`] — one object
 //! owning the worker pool, the packed-operand scratch arena, and the
 //! always-on [`context::ExecStats`] instruction/traffic counters that
-//! `m3xu_gpu`'s analytical model is cross-validated against. The free
-//! functions above are thin wrappers over the process-wide
+//! `m3xu_gpu`'s analytical model is cross-validated against. Every
+//! GEMM-family op has one entry point, a fallible `M3xuContext::try_*`
+//! method; callers without a context of their own use the process-wide
 //! [`context::default_context`].
 
 #![warn(missing_docs)]
@@ -53,17 +54,10 @@ pub mod pool;
 pub mod quantum;
 pub mod solver;
 
-pub use blas3::{
-    cgemm_op_c32, gemm_op_f32, gemm_op_f64, hemm_c32, herk_c32, symm_f32, syrk_f32,
-    try_cgemm_op_c32, try_gemm_op_f32, try_gemm_op_f64, try_hemm_c32, try_herk_c32, try_symm_f32,
-    try_syrk_f32, Side,
-};
+pub use blas3::Side;
 pub use context::{default_context, ClosureExecutor, ExecStats, GemmExecutor, M3xuContext};
 pub use faulty::FaultyExecutor;
-pub use gemm::{
-    cgemm_c32, cmatmul_c32, gemm_f32, matmul_f32, try_cgemm_c32, try_cmatmul_c32, try_gemm_f32,
-    try_matmul_f32, GemmPrecision, GemmResult,
-};
+pub use gemm::{GemmPrecision, GemmResult};
 pub use m3xu_mxu::error::M3xuError;
 pub use m3xu_mxu::fault::{FaultPlan, FaultSummary};
 pub use pool::WorkerPool;

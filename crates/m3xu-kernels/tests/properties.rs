@@ -4,8 +4,9 @@
 
 use m3xu_fp::complex::Complex;
 use m3xu_kernels::fft;
-use m3xu_kernels::gemm::{gemm_f32, matmul_f32, GemmPrecision};
+use m3xu_kernels::gemm::GemmPrecision;
 use m3xu_kernels::poly;
+use m3xu_kernels::{default_context, GemmExecutor};
 use m3xu_mxu::matrix::Matrix;
 
 type C32 = Complex<f32>;
@@ -65,7 +66,10 @@ fn gemm_bias_is_seeded_exactly_for_single_fragment() {
         let a = rng.matrix(8, 2);
         let b = rng.matrix(2, 8);
         let c = rng.matrix(8, 8);
-        let with_c = gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c).d;
+        let with_c = default_context()
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap()
+            .d;
         // Reference: exact dot + c, rounded once.
         for i in 0..8 {
             for j in 0..8 {
@@ -89,8 +93,13 @@ fn gemm_transpose_identity() {
     for _ in 0..CASES {
         let a = rng.matrix(12, 6);
         let b = rng.matrix(6, 10);
-        let ab_t = matmul_f32(GemmPrecision::M3xuFp32, &a, &b).transpose();
-        let bt_at = matmul_f32(GemmPrecision::M3xuFp32, &b.transpose(), &a.transpose());
+        let ab_t = default_context()
+            .try_matmul_f32(GemmPrecision::M3xuFp32, &a, &b)
+            .unwrap()
+            .transpose();
+        let bt_at = default_context()
+            .try_matmul_f32(GemmPrecision::M3xuFp32, &b.transpose(), &a.transpose())
+            .unwrap();
         assert_eq!(ab_t, bt_at);
     }
 }
@@ -103,9 +112,13 @@ fn gemm_power_of_two_scaling() {
     for _ in 0..CASES {
         let a = rng.matrix(8, 4);
         let b = rng.matrix(4, 8);
-        let base = matmul_f32(GemmPrecision::M3xuFp32, &a, &b);
+        let base = default_context()
+            .try_matmul_f32(GemmPrecision::M3xuFp32, &a, &b)
+            .unwrap();
         let sa = Matrix::from_fn(8, 4, |i, j| a.get(i, j) * 4.0);
-        let scaled = matmul_f32(GemmPrecision::M3xuFp32, &sa, &b);
+        let scaled = default_context()
+            .try_matmul_f32(GemmPrecision::M3xuFp32, &sa, &b)
+            .unwrap();
         for i in 0..8 {
             for j in 0..8 {
                 assert_eq!(scaled.get(i, j).to_bits(), (base.get(i, j) * 4.0).to_bits());

@@ -4,7 +4,7 @@
 //! the release pass) — the original reentrancy hole was a `debug_assert!`
 //! that release builds silently skipped.
 
-use m3xu_kernels::context::M3xuContext;
+use m3xu_kernels::context::{default_context, M3xuContext};
 use m3xu_kernels::fft::{gemm_fft, gemm_fft_with, spectrum_rel_error, try_gemm_fft_with, C32};
 use m3xu_kernels::gemm::{self, GemmPrecision, GemmResult};
 use m3xu_kernels::pool;
@@ -22,13 +22,17 @@ fn nested_gemm_inside_pool_run_is_bit_identical() {
     let b = Matrix::<f32>::random(32, 48, 2);
     let c = Matrix::<f32>::zeros(48, 48);
 
-    let top_level = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    let top_level = ctx
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
 
     let results: Vec<std::sync::Mutex<Option<GemmResult<f32>>>> =
         (0..3).map(|_| std::sync::Mutex::new(None)).collect();
     ctx.run_tasks(3, |t| {
         // Re-enter the SAME pool from inside one of its tasks.
-        let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        let r = ctx
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         *results[t].lock().unwrap() = Some(r);
     });
 
@@ -71,7 +75,7 @@ fn fft_survives_a_panicking_injected_driver() {
         if calls.fetch_add(1, Ordering::SeqCst) == 1 {
             panic!("injected driver failure");
         }
-        gemm::cgemm_c32(a, b, c)
+        default_context().try_cgemm_c32(a, b, c).unwrap()
     };
     let unwound = catch_unwind(AssertUnwindSafe(|| gemm_fft_with(&x, exploding)));
     assert!(unwound.is_err(), "the injected panic must propagate");
@@ -84,7 +88,7 @@ fn fft_survives_a_panicking_injected_driver() {
     assert!(stats.instructions > 0);
 
     // And the fallible form still validates input after the panic.
-    let err = try_gemm_fft_with(&x[..100], gemm::cgemm_c32).unwrap_err();
+    let err = try_gemm_fft_with(&x[..100], gemm::baseline::cgemm_c32).unwrap_err();
     assert!(matches!(
         err,
         M3xuError::NonPowerOfTwoLength { len: 100, .. }
@@ -117,8 +121,12 @@ fn m3xu_threads_env_semantics() {
     let a = Matrix::<f32>::random(16, 16, 5);
     let b = Matrix::<f32>::random(16, 16, 6);
     let c = Matrix::<f32>::zeros(16, 16);
-    let inline = inline_ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
-    let wide = M3xuContext::with_threads(4).gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    let inline = inline_ctx
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
+    let wide = M3xuContext::with_threads(4)
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
     assert_eq!(inline.d, wide.d);
 
     match prior {

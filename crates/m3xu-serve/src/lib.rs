@@ -6,9 +6,12 @@
 //! (worker pool + counter sink), a bounded priority queue, and a
 //! scheduler thread — plus tenant-affine routing between them:
 //!
-//! * **admission** — [`M3xuServe::try_submit_gemm_f32`] and friends
-//!   reject with typed [`ServeError::QueueFull`] when the routed shard's
-//!   queue is at capacity; the `submit_*` forms block for space instead.
+//! * **admission** — each op has one submission pair:
+//!   [`M3xuServe::try_submit_gemm_f32`] and friends reject with typed
+//!   [`ServeError::QueueFull`] when the routed shard's queue is at
+//!   capacity; the `submit_*` forms block for space instead. Either
+//!   returns a [`Ticket`]: `submit_*(..)?.wait()` is the
+//!   submit-and-wait call.
 //!   Admission layers three sheds: a per-tenant circuit breaker
 //!   ([`ServeError::BreakerOpen`]), a per-tenant token-bucket
 //!   [`RateLimit`] ([`ServeError::RateLimited`]), and queue
@@ -33,16 +36,17 @@
 //!   makes exactly the calls a direct [`M3xuContext`] user would, so
 //!   served results are **bit-identical** to unserved ones — a property
 //!   the workspace's differential tests assert.
-//! * **precision dial** — every GEMM request carries a
-//!   [`GemmPrecision`], either positionally or per-request via
-//!   [`SubmitOpts::precision`], spanning the whole emulated family from
-//!   `Fp16` through the truncated `Fp32Fast` schedule up to
-//!   `Fp64Emulated` (5-slice Ozaki FP64 on the same low-precision MXU).
-//!   The `*_gemm_f64` submission family serves emulated-FP64 problems
-//!   through the same queues, batching, and stealing as everything else.
+//! * **precision dial** — every real GEMM request carries a
+//!   [`GemmPrecision`] argument, spanning the emulated family from
+//!   `Fp16` through the truncated `Fp32Fast` schedule to true FP32. The
+//!   `*_gemm_f64` submission pair serves `Fp64Emulated` problems (5-slice
+//!   Ozaki FP64 on the same low-precision MXU) through the same queues,
+//!   batching, and stealing as everything else.
 //! * **accounting** — every outcome is recorded into the submitting
 //!   tenant's [`TenantStats`]: request counts by disposition, MMA
-//!   instructions and steps, rule-(c) operand bytes, queue wait,
+//!   instructions and steps, rule-(c) operand bytes (for the GEMM
+//!   family, exactly the mode, statistics, bytes and faults its
+//!   [`GemmResult`] reports), queue wait,
 //!   execution wall time (final attempt only), and retry time — plus a
 //!   per-mode [`ModeUsage`] split ([`TenantStats::mode`]) so each
 //!   tenant's bill shows *which* precision burned the MXU. Summed over
@@ -87,14 +91,17 @@
 //! assert_eq!(result.d.rows(), 32);
 //! assert_eq!(serve.tenant_stats("alice").unwrap().completed, 1);
 //!
-//! // The precision dial: the same service serves emulated-FP64 GEMMs.
+//! // The precision dial: the same service serves emulated-FP64 GEMMs,
+//! // and the result reports the mode and operand bytes it was billed.
 //! let a64 = Matrix::<f64>::random_f64(16, 16, 3);
 //! let b64 = Matrix::<f64>::random_f64(16, 16, 4);
 //! let c64 = Matrix::<f64>::zeros(16, 16);
 //! let d = serve
-//!     .blocking_gemm_f64("alice", a64, b64, c64, SubmitOpts::default())
+//!     .submit_gemm_f64("alice", a64, b64, c64, SubmitOpts::default())
+//!     .and_then(|t| t.wait())
 //!     .unwrap();
 //! assert_eq!(d.d.rows(), 16);
+//! assert_eq!(d.mode, m3xu_mxu::modes::MxuMode::M3xuFp64Emu);
 //! ```
 
 #![deny(missing_docs)]
@@ -119,9 +126,10 @@ pub use m3xu_kernels::{FaultPlan, FaultSummary};
 pub use m3xu_mxu::matrix::{MatOp, Triangle};
 pub use m3xu_mxu::mma::MmaStats;
 
-use crate::queue::{Request, ShardSet, Work};
+use crate::queue::{grid_tiles, triangle_tiles, GemmJob, Request, ShardSet, Work};
 use crate::scheduler::{CostModel, ExecPolicy, ShardCore, SharedSched};
 use crate::tenant::TenantRegistry;
+use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::matrix::Matrix;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -232,15 +240,6 @@ pub struct SubmitOpts {
     pub deadline: Option<Duration>,
     /// Queue-ordering class; see [`Priority`].
     pub priority: Priority,
-    /// The per-request precision dial: when `Some`, overrides the
-    /// positional precision argument of the GEMM submission calls (and
-    /// the [`GemmPrecision::Fp64Emulated`] default of the `*_gemm_f64`
-    /// family). The override is applied at admission, so the routed
-    /// request carries exactly one resolved precision; a precision whose
-    /// element type does not match the entry point (e.g. `Fp64Emulated`
-    /// on an `f32` submission) is rejected at execution with a typed
-    /// mode-mismatch [`ServeError::Exec`] — never a panic.
-    pub precision: Option<GemmPrecision>,
 }
 
 /// A handle to one in-flight request's eventual result.
@@ -492,9 +491,30 @@ impl M3xuServe {
         }
     }
 
+    /// Enqueue a GEMM-family op writing `tiles` output tiles: `run` calls
+    /// its typed [`M3xuContext`] method on whichever shard context
+    /// executes it, and the [`GemmResult`] that call returns is what the
+    /// tenant is billed.
+    fn enqueue<T: Send + 'static>(
+        &self,
+        tenant: &str,
+        opts: SubmitOpts,
+        blocking: bool,
+        tiles: usize,
+        run: impl Fn(&M3xuContext) -> Result<GemmResult<T>, M3xuError> + Send + Sync + 'static,
+    ) -> Result<Ticket<GemmResult<T>>, ServeError> {
+        let (reply, rx) = sync_channel(1);
+        let run = Box::new(run);
+        let work = Work::Gemm(Box::new(GemmJob { tiles, run, reply }));
+        self.push(tenant, opts, work, blocking)?;
+        Ok(Ticket { rx })
+    }
+
     /// Non-blocking submission of a real GEMM `D = A·B + C` in
-    /// `precision` (overridden by [`SubmitOpts::precision`] when set).
-    /// Rejects with [`ServeError::QueueFull`] under backpressure.
+    /// `precision`. Rejects with [`ServeError::QueueFull`] under
+    /// backpressure; a precision whose element type does not match
+    /// (`Fp64Emulated` here) resolves the ticket with a typed
+    /// mode-mismatch [`ServeError::Exec`].
     pub fn try_submit_gemm_f32(
         &self,
         tenant: &str,
@@ -504,21 +524,9 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF32 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            false,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, false, grid_tiles(&c), move |ctx| {
+            ctx.try_gemm_f32(precision, &a, &b, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_gemm_f32`], but blocks for queue space
@@ -532,42 +540,14 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF32 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            true,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, true, grid_tiles(&c), move |ctx| {
+            ctx.try_gemm_f32(precision, &a, &b, &c)
+        })
     }
 
-    /// Submit-and-wait convenience: one GEMM, start to finish.
-    pub fn blocking_gemm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_gemm_f32(tenant, precision, a, b, c, opts)?
-            .wait()
-    }
-
-    /// Non-blocking submission of an emulated-FP64 GEMM `D = A·B + C` —
-    /// the top of the precision dial. Defaults to
-    /// [`GemmPrecision::Fp64Emulated`] unless [`SubmitOpts::precision`]
-    /// selects another (f64-element) precision. Rejects with
-    /// [`ServeError::QueueFull`] under backpressure.
+    /// Non-blocking submission of an emulated-FP64 GEMM `D = A·B + C` in
+    /// [`GemmPrecision::Fp64Emulated`] — the top of the precision dial.
+    /// Rejects with [`ServeError::QueueFull`] under backpressure.
     pub fn try_submit_gemm_f64(
         &self,
         tenant: &str,
@@ -576,21 +556,9 @@ impl M3xuServe {
         c: Matrix<f64>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f64>>, ServeError> {
-        let precision = opts.precision.unwrap_or(GemmPrecision::Fp64Emulated);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF64 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            false,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, false, grid_tiles(&c), move |ctx| {
+            ctx.try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_gemm_f64`], but blocks for queue space
@@ -603,34 +571,9 @@ impl M3xuServe {
         c: Matrix<f64>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f64>>, ServeError> {
-        let precision = opts.precision.unwrap_or(GemmPrecision::Fp64Emulated);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF64 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            true,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Submit-and-wait convenience: one emulated-FP64 GEMM, start to
-    /// finish.
-    pub fn blocking_gemm_f64(
-        &self,
-        tenant: &str,
-        a: Matrix<f64>,
-        b: Matrix<f64>,
-        c: Matrix<f64>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f64>, ServeError> {
-        self.submit_gemm_f64(tenant, a, b, c, opts)?.wait()
+        self.enqueue(tenant, opts, true, grid_tiles(&c), move |ctx| {
+            ctx.try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+        })
     }
 
     /// Non-blocking submission of a complex FP32C GEMM `D = A·B + C`.
@@ -642,9 +585,9 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(tenant, opts, Work::CgemmC32 { a, b, c, reply }, false)?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, false, grid_tiles(&c), move |ctx| {
+            ctx.try_cgemm_c32(&a, &b, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_cgemm_c32`], blocking for queue space.
@@ -656,64 +599,15 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(tenant, opts, Work::CgemmC32 { a, b, c, reply }, true)?;
-        Ok(Ticket { rx })
-    }
-
-    /// Submit-and-wait convenience for one complex GEMM.
-    pub fn blocking_cgemm_c32(
-        &self,
-        tenant: &str,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_cgemm_c32(tenant, a, b, c, opts)?.wait()
+        self.enqueue(tenant, opts, true, grid_tiles(&c), move |ctx| {
+            ctx.try_cgemm_c32(&a, &b, &c)
+        })
     }
 
     // ---- BLAS-3 submission ---------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn push_gemm_op_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        op_b: MatOp,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmOpF32 {
-                precision,
-                op_a,
-                a,
-                op_b,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
-    }
-
     /// Non-blocking submission of the general real op-GEMM
-    /// `D = alpha·op(A)·op(B) + beta·C` in `precision` (overridden by
-    /// [`SubmitOpts::precision`] when set). Rejects with
+    /// `D = alpha·op(A)·op(B) + beta·C` in `precision`. Rejects with
     /// [`ServeError::QueueFull`] under backpressure.
     #[allow(clippy::too_many_arguments)]
     pub fn try_submit_gemm_op_f32(
@@ -729,9 +623,9 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_gemm_op_f32(
-            tenant, precision, op_a, a, op_b, b, alpha, beta, c, opts, false,
-        )
+        self.enqueue(tenant, opts, false, grid_tiles(&c), move |ctx| {
+            ctx.try_gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_gemm_op_f32`], but blocks for queue space
@@ -750,61 +644,9 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_gemm_op_f32(
-            tenant, precision, op_a, a, op_b, b, alpha, beta, c, opts, true,
-        )
-    }
-
-    /// Submit-and-wait convenience for one real op-GEMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_gemm_op_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        op_b: MatOp,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_gemm_op_f32(tenant, precision, op_a, a, op_b, b, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_cgemm_op_c32(
-        &self,
-        tenant: &str,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        op_b: MatOp,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::CgemmOpC32 {
-                op_a,
-                a,
-                op_b,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, true, grid_tiles(&c), move |ctx| {
+            ctx.try_gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c)
+        })
     }
 
     /// Non-blocking submission of the complex op-GEMM
@@ -823,7 +665,9 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_cgemm_op_c32(tenant, op_a, a, op_b, b, alpha, beta, c, opts, false)
+        self.enqueue(tenant, opts, false, grid_tiles(&c), move |ctx| {
+            ctx.try_cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_cgemm_op_c32`], blocking for queue space.
@@ -840,59 +684,9 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_cgemm_op_c32(tenant, op_a, a, op_b, b, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one complex op-GEMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_cgemm_op_c32(
-        &self,
-        tenant: &str,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        op_b: MatOp,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_cgemm_op_c32(tenant, op_a, a, op_b, b, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_syrk_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::SyrkF32 {
-                precision,
-                tri,
-                op_a,
-                a,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, true, grid_tiles(&c), move |ctx| {
+            ctx.try_cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c)
+        })
     }
 
     /// Non-blocking submission of the symmetric rank-k update
@@ -912,7 +706,9 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_syrk_f32(tenant, precision, tri, op_a, a, alpha, beta, c, opts, false)
+        self.enqueue(tenant, opts, false, triangle_tiles(&c), move |ctx| {
+            ctx.try_syrk_f32(precision, tri, op_a, &a, alpha, beta, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_syrk_f32`], blocking for queue space.
@@ -929,56 +725,9 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_syrk_f32(tenant, precision, tri, op_a, a, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one SYRK.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_syrk_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_syrk_f32(tenant, precision, tri, op_a, a, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_herk_c32(
-        &self,
-        tenant: &str,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::HerkC32 {
-                tri,
-                op_a,
-                a,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, true, triangle_tiles(&c), move |ctx| {
+            ctx.try_syrk_f32(precision, tri, op_a, &a, alpha, beta, &c)
+        })
     }
 
     /// Non-blocking submission of the Hermitian rank-k update
@@ -997,7 +746,9 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_herk_c32(tenant, tri, op_a, a, alpha, beta, c, opts, false)
+        self.enqueue(tenant, opts, false, triangle_tiles(&c), move |ctx| {
+            ctx.try_herk_c32(tri, op_a, &a, alpha, beta, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_herk_c32`], blocking for queue space.
@@ -1013,60 +764,9 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_herk_c32(tenant, tri, op_a, a, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one HERK.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_herk_c32(
-        &self,
-        tenant: &str,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_herk_c32(tenant, tri, op_a, a, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_symm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::SymmF32 {
-                precision,
-                side,
-                tri,
-                a,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, true, triangle_tiles(&c), move |ctx| {
+            ctx.try_herk_c32(tri, op_a, &a, alpha, beta, &c)
+        })
     }
 
     /// Non-blocking submission of the symmetric multiply
@@ -1087,9 +787,9 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_symm_f32(
-            tenant, precision, side, tri, a, b, alpha, beta, c, opts, false,
-        )
+        self.enqueue(tenant, opts, false, grid_tiles(&c), move |ctx| {
+            ctx.try_symm_f32(precision, side, tri, &a, &b, alpha, beta, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_symm_f32`], blocking for queue space.
@@ -1107,61 +807,9 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_symm_f32(
-            tenant, precision, side, tri, a, b, alpha, beta, c, opts, true,
-        )
-    }
-
-    /// Submit-and-wait convenience for one SYMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_symm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_symm_f32(tenant, precision, side, tri, a, b, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_hemm_c32(
-        &self,
-        tenant: &str,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::HemmC32 {
-                side,
-                tri,
-                a,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, true, grid_tiles(&c), move |ctx| {
+            ctx.try_symm_f32(precision, side, tri, &a, &b, alpha, beta, &c)
+        })
     }
 
     /// Non-blocking submission of the Hermitian multiply
@@ -1181,7 +829,9 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_hemm_c32(tenant, side, tri, a, b, alpha, beta, c, opts, false)
+        self.enqueue(tenant, opts, false, grid_tiles(&c), move |ctx| {
+            ctx.try_hemm_c32(side, tri, &a, &b, alpha, beta, &c)
+        })
     }
 
     /// [`M3xuServe::try_submit_hemm_c32`], blocking for queue space.
@@ -1198,25 +848,9 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_hemm_c32(tenant, side, tri, a, b, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one HEMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_hemm_c32(
-        &self,
-        tenant: &str,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_hemm_c32(tenant, side, tri, a, b, alpha, beta, c, opts)?
-            .wait()
+        self.enqueue(tenant, opts, true, grid_tiles(&c), move |ctx| {
+            ctx.try_hemm_c32(side, tri, &a, &b, alpha, beta, &c)
+        })
     }
 
     /// Non-blocking submission of a GEMM-formulated FFT of `x` (length
@@ -1242,16 +876,6 @@ impl M3xuServe {
         let (reply, rx) = sync_channel(1);
         self.push(tenant, opts, Work::Fft { x, reply }, true)?;
         Ok(Ticket { rx })
-    }
-
-    /// Submit-and-wait convenience for one FFT.
-    pub fn blocking_fft(
-        &self,
-        tenant: &str,
-        x: Vec<C32>,
-        opts: SubmitOpts,
-    ) -> Result<(Vec<C32>, MmaStats), ServeError> {
-        self.submit_fft(tenant, x, opts)?.wait()
     }
 
     /// Test-only chaos hook: submit a request that misbehaves on the

@@ -4,7 +4,7 @@
 //! three priority classes ([`Priority`]); [`ShardQueue::try_push`]
 //! rejects with [`ServeError::QueueFull`] when that shard is at capacity
 //! (typed backpressure the client can route on), while
-//! [`ShardQueue::push_wait`] blocks the submitter until space frees — the
+//! [`ShardQueue::wait_push`] blocks the submitter until space frees — the
 //! two standard load-shedding postures. Tenants route to shards by hash
 //! (tenant-affine: one tenant's requests land on one shard's context and
 //! drain in FIFO order within a priority class), and shard schedulers
@@ -18,11 +18,13 @@
 //! submitters park on their shard's own `space` condvar.
 
 use crate::error::ServeError;
+use crate::scheduler::ShardCore;
 use crate::tenant::TenantAccount;
 use m3xu_fp::C32;
-use m3xu_kernels::blas3::Side;
-use m3xu_kernels::gemm::{GemmPrecision, GemmResult};
-use m3xu_mxu::matrix::{MatOp, Matrix, Triangle};
+use m3xu_kernels::context::M3xuContext;
+use m3xu_kernels::gemm::GemmResult;
+use m3xu_mxu::error::M3xuError;
+use m3xu_mxu::matrix::Matrix;
 use m3xu_mxu::mma::{MmaShape, MmaStats};
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
@@ -78,168 +80,16 @@ pub enum ChaosKind {
 /// listens on. Reply senders are rendezvous-free (`sync_channel(1)`): the
 /// single reply never blocks the worker.
 pub(crate) enum Work {
-    /// Real GEMM `D = A·B + C` in a [`GemmPrecision`].
-    GemmF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// `m x k` left operand.
-        a: Matrix<f32>,
-        /// `k x n` right operand.
-        b: Matrix<f32>,
-        /// `m x n` addend.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// Emulated-FP64 GEMM `D = A·B + C` — the top of the precision dial.
-    GemmF64 {
-        /// Requested engine/precision (must be an f64-element precision;
-        /// anything else resolves the ticket with a typed
-        /// mode-mismatch [`ServeError::Exec`]).
-        precision: GemmPrecision,
-        /// `m x k` left operand.
-        a: Matrix<f64>,
-        /// `k x n` right operand.
-        b: Matrix<f64>,
-        /// `m x n` addend.
-        c: Matrix<f64>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f64>, ServeError>>,
-    },
-    /// Complex FP32C GEMM.
-    CgemmC32 {
-        /// `m x k` left operand.
-        a: Matrix<C32>,
-        /// `k x n` right operand.
-        b: Matrix<C32>,
-        /// `m x n` addend.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
-    },
-    /// GEMM-formulated FFT of a power-of-two-length signal.
+    /// A GEMM-family op: plain GEMM at every precision of the dial, CGEMM,
+    /// the op-GEMMs and the triangular BLAS-3 surface.
+    Gemm(Box<dyn GemmWork>),
+    /// GEMM-formulated FFT of a power-of-two-length signal. Classified as
+    /// one output tile: it decomposes into many small internal CGEMMs.
     Fft {
         /// The input signal.
         x: Vec<C32>,
         /// Reply channel.
         reply: SyncSender<Result<(Vec<C32>, MmaStats), ServeError>>,
-    },
-    /// Op-GEMM `D = alpha·op(A)·op(B) + beta·C` on an f32 engine.
-    GemmOpF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// Orientation of `A`.
-        op_a: MatOp,
-        /// Stored `A` (logical `m x k` after `op_a`).
-        a: Matrix<f32>,
-        /// Orientation of `B`.
-        op_b: MatOp,
-        /// Stored `B` (logical `k x n` after `op_b`).
-        b: Matrix<f32>,
-        /// Scale folded into `op(A)` before quantisation.
-        alpha: f32,
-        /// Scale folded into the `C` seed.
-        beta: f32,
-        /// `m x n` addend.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// Complex op-GEMM `D = alpha·op(A)·op(B) + beta·C` on FP32C.
-    CgemmOpC32 {
-        /// Orientation of `A` (may conjugate).
-        op_a: MatOp,
-        /// Stored `A`.
-        a: Matrix<C32>,
-        /// Orientation of `B` (may conjugate).
-        op_b: MatOp,
-        /// Stored `B`.
-        b: Matrix<C32>,
-        /// Scale folded into `op(A)`.
-        alpha: C32,
-        /// Scale folded into the `C` seed.
-        beta: C32,
-        /// `m x n` addend.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
-    },
-    /// SYRK `C := alpha·op(A)·op(A)^T + beta·C` over one triangle.
-    SyrkF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// Triangle of `C` that is written.
-        tri: Triangle,
-        /// Orientation of `A`.
-        op_a: MatOp,
-        /// Stored `A` (logical `n x k` after `op_a`).
-        a: Matrix<f32>,
-        /// Rank-k scale.
-        alpha: f32,
-        /// `C` seed scale.
-        beta: f32,
-        /// `n x n` addend/output.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// HERK `C := alpha·op(A)·op(A)^H + beta·C` (real scales) over one
-    /// triangle on FP32C.
-    HerkC32 {
-        /// Triangle of `C` that is written.
-        tri: Triangle,
-        /// Orientation of `A` (`N` or `H`).
-        op_a: MatOp,
-        /// Stored `A`.
-        a: Matrix<C32>,
-        /// Rank-k scale (real, per the BLAS signature).
-        alpha: f32,
-        /// `C` seed scale (real).
-        beta: f32,
-        /// `n x n` addend/output.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
-    },
-    /// SYMM with a triangle-stored symmetric `A`.
-    SymmF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// Which side `sym(A)` multiplies from.
-        side: Side,
-        /// Stored triangle of `A`.
-        tri: Triangle,
-        /// The square symmetric operand.
-        a: Matrix<f32>,
-        /// The dense operand.
-        b: Matrix<f32>,
-        /// Product scale.
-        alpha: f32,
-        /// `C` seed scale.
-        beta: f32,
-        /// `m x n` addend.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// HEMM with a triangle-stored Hermitian `A` on FP32C.
-    HemmC32 {
-        /// Which side `herm(A)` multiplies from.
-        side: Side,
-        /// Stored triangle of `A`.
-        tri: Triangle,
-        /// The square Hermitian operand.
-        a: Matrix<C32>,
-        /// The dense operand.
-        b: Matrix<C32>,
-        /// Product scale.
-        alpha: C32,
-        /// `C` seed scale.
-        beta: C32,
-        /// `m x n` addend.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
     },
     /// Test-only chaos hook (see [`ChaosKind`]). Classified as "large"
     /// (`usize::MAX` output tiles) so it always executes serially on the
@@ -252,43 +102,59 @@ pub(crate) enum Work {
     },
 }
 
+/// The typed context call of a GEMM-family request.
+pub(crate) type GemmCall<T> =
+    Box<dyn Fn(&M3xuContext) -> Result<GemmResult<T>, M3xuError> + Send + Sync>;
+
+/// A GEMM-family request. Every op's [`GemmResult`] reports its own mode,
+/// operand bytes and faults, so one job shape serves the whole family:
+/// the submission computes the tile count and wraps the op's typed
+/// `M3xuContext::try_*` method.
+pub(crate) struct GemmJob<T> {
+    /// Output tiles the op schedules, computed at admission (see
+    /// [`grid_tiles`] and [`triangle_tiles`]).
+    pub tiles: usize,
+    /// Calls the op on whichever context executes the request: the home
+    /// shard's, a retry's or a hedge's.
+    pub run: GemmCall<T>,
+    /// Reply channel.
+    pub reply: SyncSender<Result<GemmResult<T>, ServeError>>,
+}
+
+/// A [`GemmJob`] with its element type erased, so one [`Work`] variant
+/// holds every op of the family.
+pub(crate) trait GemmWork: Send + Sync {
+    /// The job's output-tile count.
+    fn tiles(&self) -> usize;
+    /// Resolve the ticket with `err` without executing.
+    fn reject(&self, err: ServeError);
+    /// Execute on `shard` under its retry and hedge policy, bill `req`'s
+    /// tenant and resolve the ticket.
+    fn execute(&self, shard: &ShardCore, req: &Request, wait_ns: u64);
+}
+
+/// Output tiles of a GEMM-family op writing the whole of `c`: the
+/// small/large classifier, and the unit of the adaptive batching cost
+/// model.
+pub(crate) fn grid_tiles<T>(c: &Matrix<T>) -> usize {
+    let frag = MmaShape::BASELINE_FP16;
+    c.rows().div_ceil(frag.m) * c.cols().div_ceil(frag.n)
+}
+
+/// Output tiles of a rank-k update writing one triangle of the square
+/// `c`: only the scheduled `T*(T+1)/2` of the `T x T` grid, so the
+/// batching cost model sees the real (halved) footprint.
+pub(crate) fn triangle_tiles<T>(c: &Matrix<T>) -> usize {
+    let t = c.rows().div_ceil(MmaShape::BASELINE_FP16.m);
+    t * (t + 1) / 2
+}
+
 impl Work {
-    /// Output tiles the request shards into (the small/large classifier,
-    /// also the unit of the adaptive batching cost model). An FFT
-    /// decomposes into many small internal CGEMMs, so it always counts as
-    /// one unit. Triangular rank-k updates count only the scheduled
-    /// triangle — `T*(T+1)/2` of the `T x T` grid — so the batching cost
-    /// model sees their real (halved) footprint.
+    /// Output tiles the request shards into (see [`GemmJob::tiles`]).
     pub(crate) fn output_tiles(&self) -> usize {
-        let frag = MmaShape::BASELINE_FP16;
-        let grid = |rows: usize, cols: usize| rows.div_ceil(frag.m) * cols.div_ceil(frag.n);
-        let tri_grid = |n: usize| {
-            let t = n.div_ceil(frag.m);
-            t * (t + 1) / 2
-        };
         match self {
-            Work::GemmF32 { a, b, .. } => grid(a.rows(), b.cols()),
-            Work::GemmF64 { a, b, .. } => grid(a.rows(), b.cols()),
-            Work::CgemmC32 { a, b, .. } => grid(a.rows(), b.cols()),
+            Work::Gemm(job) => job.tiles(),
             Work::Fft { .. } => 1,
-            Work::GemmOpF32 {
-                op_a, a, op_b, b, ..
-            } => {
-                let m = op_a.dims(a.rows(), a.cols()).0;
-                let n = op_b.dims(b.rows(), b.cols()).1;
-                grid(m, n)
-            }
-            Work::CgemmOpC32 {
-                op_a, a, op_b, b, ..
-            } => {
-                let m = op_a.dims(a.rows(), a.cols()).0;
-                let n = op_b.dims(b.rows(), b.cols()).1;
-                grid(m, n)
-            }
-            Work::SyrkF32 { op_a, a, .. } => tri_grid(op_a.dims(a.rows(), a.cols()).0),
-            Work::HerkC32 { op_a, a, .. } => tri_grid(op_a.dims(a.rows(), a.cols()).0),
-            Work::SymmF32 { c, .. } => grid(c.rows(), c.cols()),
-            Work::HemmC32 { c, .. } => grid(c.rows(), c.cols()),
             Work::Chaos { .. } => usize::MAX,
         }
     }
@@ -296,16 +162,8 @@ impl Work {
     /// Resolve the request's ticket with `err` without executing it.
     pub(crate) fn reject(&self, err: ServeError) {
         match self {
-            Work::GemmF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::GemmF64 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::CgemmC32 { reply, .. } => drop(reply.try_send(Err(err))),
+            Work::Gemm(job) => job.reject(err),
             Work::Fft { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::GemmOpF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::CgemmOpC32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::SyrkF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::HerkC32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::SymmF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::HemmC32 { reply, .. } => drop(reply.try_send(Err(err))),
             Work::Chaos { reply, .. } => drop(reply.try_send(Err(err))),
         }
     }
@@ -416,7 +274,7 @@ impl ShardQueue {
     /// Blocking enqueue: waits for space instead of rejecting. Fails only
     /// on shutdown.
     #[allow(clippy::result_large_err)]
-    fn push_wait(&self, req: Request) -> Result<(), (Request, ServeError)> {
+    fn wait_push(&self, req: Request) -> Result<(), (Request, ServeError)> {
         let mut st = lock(&self.state);
         while !st.shutdown && st.len >= self.capacity {
             st = self.space.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -584,7 +442,7 @@ impl ShardSet {
     ) -> Result<(), (Request, ServeError)> {
         let q = &self.shards[shard];
         if blocking {
-            q.push_wait(req)?;
+            q.wait_push(req)?;
         } else {
             q.try_push(req)?;
         }
@@ -610,6 +468,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc::sync_channel;
 
+    /// A queued request tagged by its tile count `n` (it never runs).
     fn dummy(
         n: usize,
         priority: Priority,
@@ -617,20 +476,22 @@ mod tests {
         Request,
         std::sync::mpsc::Receiver<Result<GemmResult<f32>, ServeError>>,
     ) {
-        let (tx, rx) = sync_channel(1);
+        let (reply, rx) = sync_channel(1);
+        let job = GemmJob::<f32> {
+            tiles: n,
+            run: Box::new(|ctx: &M3xuContext| {
+                let z = Matrix::zeros(0, 0);
+                ctx.try_gemm_f32(m3xu_kernels::GemmPrecision::M3xuFp32, &z, &z, &z)
+            }),
+            reply,
+        };
         let req = Request {
             tenant: Arc::new(TenantAccount::default()),
             enqueued: Instant::now(),
             deadline: None,
             priority,
             poison_attempts: 0,
-            work: Work::GemmF32 {
-                precision: GemmPrecision::M3xuFp32,
-                a: Matrix::zeros(n, n),
-                b: Matrix::zeros(n, n),
-                c: Matrix::zeros(n, n),
-                reply: tx,
-            },
+            work: Work::Gemm(Box::new(job)),
         };
         (req, rx)
     }
@@ -668,23 +529,11 @@ mod tests {
         }
         // High first (3 then 5), then Normal FIFO (2), bounded at 3.
         let batch = set.shard(0).try_drain(3);
-        let sizes: Vec<usize> = batch
-            .iter()
-            .map(|r| match &r.work {
-                Work::GemmF32 { a, .. } => a.rows(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let sizes: Vec<usize> = batch.iter().map(|r| r.work.output_tiles()).collect();
         assert_eq!(sizes, vec![3, 5, 2]);
         // Remainder: Normal (4) before Low (1).
         let rest = set.shard(0).try_drain(8);
-        let sizes: Vec<usize> = rest
-            .iter()
-            .map(|r| match &r.work {
-                Work::GemmF32 { a, .. } => a.rows(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let sizes: Vec<usize> = rest.iter().map(|r| r.work.output_tiles()).collect();
         assert_eq!(sizes, vec![4, 1]);
         assert_eq!(set.len(), 0);
     }
@@ -739,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn push_wait_blocks_until_space() {
+    fn wait_push_blocks_until_space() {
         let set = Arc::new(ShardSet::new(1, 1));
         let (r1, _k1) = dummy(1, Priority::Normal);
         set.push(0, r1, false).map_err(|_| ()).unwrap();
@@ -759,15 +608,11 @@ mod tests {
 
     #[test]
     fn output_tiles_classifies_by_output_grid() {
-        let (tx, _rx) = sync_channel::<Result<GemmResult<f32>, ServeError>>(1);
-        let w = Work::GemmF32 {
-            precision: GemmPrecision::M3xuFp32,
-            a: Matrix::zeros(17, 4),
-            b: Matrix::zeros(4, 9),
-            c: Matrix::zeros(17, 9),
-            reply: tx,
-        };
-        assert_eq!(w.output_tiles(), 3 * 2);
+        // A 17 x 9 output: 3 x 2 tiles of 8 x 8.
+        assert_eq!(grid_tiles(&Matrix::<f32>::zeros(17, 9)), 3 * 2);
+        // A rank-k update of a 17 x 17 output schedules one triangle of
+        // the T = 3 grid: T(T+1)/2 = 6 tiles, not 9.
+        assert_eq!(triangle_tiles(&Matrix::<C32>::zeros(17, 17)), 6);
         let (tx, _rx) = sync_channel::<Result<(Vec<C32>, MmaStats), ServeError>>(1);
         assert_eq!(
             Work::Fft {

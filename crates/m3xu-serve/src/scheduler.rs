@@ -19,9 +19,10 @@
 //!   kernel's own tile-wise sharding spreads a single big problem across
 //!   every worker.
 //!
-//! Both paths end in the same `try_gemm_f32` / `try_cgemm_c32` /
-//! `try_gemm_fft` calls a direct-context caller would make, which is why
-//! served results are bit-identical to unserved ones.
+//! Both paths end in the same typed `M3xuContext::try_*` call a
+//! direct-context caller would make (the boxed call of a GEMM-family
+//! job, or `try_gemm_fft`), which is why served results are
+//! bit-identical to unserved ones.
 //!
 //! # Adaptive batching
 //!
@@ -93,14 +94,17 @@
 //!   until any request succeeds. A fault storm thus quiesces the pools
 //!   instead of churning them.
 //!
-//! Every invocation's [`FaultSummary`] — including those of failed
-//! attempts, recovered from the error's fields — is absorbed into the
-//! tenant account verbatim, so summed tenant fault counters reproduce the
-//! summed shard `ExecStats` fault counters exactly for GEMM/CGEMM and
-//! BLAS-3 traffic. (FFT-internal faults are visible in the context's
-//! counters only: the FFT's CGEMM decomposition is checked and retried,
-//! but its per-call summaries are not surfaced through the FFT return
-//! type.)
+//! Every invocation's [`FaultSummary`] — the successful attempt's from
+//! its [`GemmResult::faults`], each failed attempt's recovered from the
+//! error's fields — is absorbed into the tenant account verbatim, so
+//! summed tenant fault counters reproduce the summed shard `ExecStats`
+//! fault counters exactly for GEMM/CGEMM and BLAS-3 traffic. The same
+//! holds for the rest of the bill: a GEMM-family request is charged the
+//! result's mode, MMA statistics and operand bytes, exactly what the
+//! driver recorded into the shard's counters. (FFT-internal faults are
+//! visible in the context's counters only: the FFT's CGEMM decomposition
+//! is checked and retried, but its per-call summaries are not surfaced
+//! through the FFT return type.)
 //!
 //! # Poison quarantine and the shard watchdog
 //!
@@ -137,9 +141,8 @@
 //! completion time.
 
 use crate::error::ServeError;
-use crate::queue::{ChaosKind, Request, ShardSet, Wake, Work};
+use crate::queue::{ChaosKind, GemmJob, GemmWork, Request, ShardSet, Wake, Work};
 use crate::BatchPolicy;
-use m3xu_kernels::blas3::Side;
 use m3xu_kernels::context::M3xuContext;
 use m3xu_kernels::gemm::GemmResult;
 use m3xu_kernels::FaultSummary;
@@ -469,18 +472,6 @@ fn ns(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_nanos() as u64
 }
 
-/// The driver's rule-(c) operand-traffic formula, mirrored so per-tenant
-/// sums reproduce the shards' `operand_bytes` exactly: A/B elements at
-/// the mode's storage width, zero for degenerate shapes (which the driver
-/// returns from before recording traffic).
-fn gemm_operand_bytes(m: usize, k: usize, n: usize, mode: MxuMode) -> u64 {
-    if m == 0 || k == 0 || n == 0 {
-        0
-    } else {
-        ((m * k + k * n) * mode.element_bytes()) as u64
-    }
-}
-
 /// How one request's in-service time splits across attempts.
 #[derive(Default, Clone, Copy)]
 struct AttemptTimes {
@@ -491,62 +482,63 @@ struct AttemptTimes {
     retry_ns: u64,
 }
 
+/// The fault telemetry a failed attempt carries in its error — exactly
+/// what the driver recorded into the context counters for it.
+fn failed_faults(e: &M3xuError) -> Option<FaultSummary> {
+    match *e {
+        M3xuError::FaultDetected {
+            detected,
+            corrected,
+            retries,
+            ..
+        } => Some(FaultSummary {
+            detected,
+            corrected,
+            retries,
+        }),
+        _ => None,
+    }
+}
+
 /// Run `call` under the retry policy: re-execute on
 /// [`M3xuError::FaultDetected`] (with exponential backoff) up to
-/// `max_retries` extra times, absorbing every attempt's fault telemetry —
-/// a failed attempt's summary is reconstructed from the error's fields,
-/// mirroring exactly what the driver recorded into the context counters.
-/// Each attempt is timed individually: only the final attempt lands in
+/// `max_retries` extra times, absorbing each failed attempt's fault
+/// telemetry (a successful attempt reports its own, in its result). Each
+/// attempt is timed individually: only the final attempt lands in
 /// `exec_ns`, everything before it (failed attempts and backoffs) in
 /// `retry_ns`.
 fn run_with_retries<T>(
     policy: &ExecPolicy,
-    mut call: impl FnMut() -> Result<(T, FaultSummary), M3xuError>,
+    mut call: impl FnMut() -> Result<T, M3xuError>,
 ) -> (Result<T, M3xuError>, FaultSummary, AttemptTimes) {
-    let mut total = FaultSummary::default();
+    let mut failed = FaultSummary::default();
     let mut times = AttemptTimes::default();
     let mut attempt = 0u32;
     loop {
         let t0 = Instant::now();
-        match call() {
-            Ok((out, s)) => {
-                times.exec_ns = ns(t0, Instant::now());
-                total.absorb(s);
-                return (Ok(out), total, times);
-            }
-            Err(e) => {
-                let attempt_ns = ns(t0, Instant::now());
-                if let M3xuError::FaultDetected {
-                    detected,
-                    corrected,
-                    retries,
-                    ..
-                } = e
-                {
-                    total.absorb(FaultSummary {
-                        detected,
-                        corrected,
-                        retries,
-                    });
-                    if attempt < policy.max_retries {
-                        // This attempt failed and will be retried: its
-                        // time (and the backoff) is retry overhead.
-                        times.retry_ns += attempt_ns;
-                        let backoff = policy.retry_backoff * 2u32.saturating_pow(attempt);
-                        if !backoff.is_zero() {
-                            let b0 = Instant::now();
-                            std::thread::sleep(backoff);
-                            times.retry_ns += ns(b0, Instant::now());
-                        }
-                        attempt += 1;
-                        continue;
+        let out = call();
+        let attempt_ns = ns(t0, Instant::now());
+        if let Err(e) = &out {
+            if let Some(s) = failed_faults(e) {
+                failed.absorb(s);
+                if attempt < policy.max_retries {
+                    // This attempt failed and will be retried: its time
+                    // (and the backoff) is retry overhead.
+                    times.retry_ns += attempt_ns;
+                    let backoff = policy.retry_backoff * 2u32.saturating_pow(attempt);
+                    if !backoff.is_zero() {
+                        let b0 = Instant::now();
+                        std::thread::sleep(backoff);
+                        times.retry_ns += ns(b0, Instant::now());
                     }
+                    attempt += 1;
+                    continue;
                 }
-                // Terminal attempt: it is the request's execution time.
-                times.exec_ns = attempt_ns;
-                return (Err(e), total, times);
             }
         }
+        // Terminal attempt: it is the request's execution time.
+        times.exec_ns = attempt_ns;
+        return (out, failed, times);
     }
 }
 
@@ -562,16 +554,12 @@ fn run_with_retries<T>(
 /// still balances.
 fn run_hedged<T>(
     shard: &ShardCore,
-    mut call: impl FnMut(&M3xuContext) -> Result<(T, FaultSummary), M3xuError>,
+    mut call: impl FnMut(&M3xuContext) -> Result<T, M3xuError>,
 ) -> (Result<T, M3xuError>, FaultSummary, AttemptTimes) {
-    let (out, mut total, mut times) = run_with_retries(&shard.shared.policy, || call(&shard.ctx));
-    let err = match out {
-        Err(e) if matches!(e, M3xuError::FaultDetected { .. }) => e,
-        other => return (other, total, times),
-    };
+    let (out, mut failed, mut times) = run_with_retries(&shard.shared.policy, || call(&shard.ctx));
     let n = shard.shared.contexts.len();
-    if n < 2 {
-        return (Err(err), total, times);
+    if n < 2 || !matches!(out, Err(M3xuError::FaultDetected { .. })) {
+        return (out, failed, times);
     }
     let sibling = &shard.shared.contexts[(shard.index + 1) % n];
     // The home shard's terminal attempt becomes retry overhead; the
@@ -580,28 +568,10 @@ fn run_hedged<T>(
     let t0 = Instant::now();
     let hedged = call(sibling);
     times.exec_ns = ns(t0, Instant::now());
-    match hedged {
-        Ok((res, s)) => {
-            total.absorb(s);
-            (Ok(res), total, times)
-        }
-        Err(e) => {
-            if let M3xuError::FaultDetected {
-                detected,
-                corrected,
-                retries,
-                ..
-            } = e
-            {
-                total.absorb(FaultSummary {
-                    detected,
-                    corrected,
-                    retries,
-                });
-            }
-            (Err(e), total, times)
-        }
+    if let Some(s) = hedged.as_ref().err().and_then(failed_faults) {
+        failed.absorb(s);
     }
+    (hedged, failed, times)
 }
 
 /// A request executed successfully but past its deadline: classify it
@@ -669,7 +639,8 @@ pub(crate) fn execute(shard: &ShardCore, req: &Request) -> Disposition {
     }
 }
 
-/// The unguarded execution body: one `Work` arm per operation.
+/// The unguarded execution body: one arm for the GEMM family, one for the
+/// FFT and the chaos hook.
 fn execute_inner(shard: &ShardCore, req: &Request) {
     let core = &*shard.shared;
     let started = Instant::now();
@@ -686,199 +657,17 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
             return;
         }
     }
-    let tiles = req.work.output_tiles();
     match &req.work {
-        Work::GemmF32 {
-            precision,
-            a,
-            b,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) =
-                run_hedged(shard, |ctx| ctx.try_gemm_f32_faulted(*precision, a, b, c));
-            let mode = precision.mode();
-            let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::GemmF64 {
-            precision,
-            a,
-            b,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) =
-                run_hedged(shard, |ctx| ctx.try_gemm_f64_faulted(*precision, a, b, c));
-            let mode = precision.mode();
-            let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::CgemmC32 { a, b, c, reply } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| ctx.try_cgemm_c32_faulted(a, b, c));
-            let mode = MxuMode::M3xuFp32c;
-            let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::GemmOpF32 {
-            precision,
-            op_a,
-            a,
-            op_b,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_gemm_op_f32_faulted(*precision, *op_a, a, *op_b, b, *alpha, *beta, c)
-            });
-            let (m, k) = op_a.dims(a.rows(), a.cols());
-            let n = op_b.dims(b.rows(), b.cols()).1;
-            let mode = precision.mode();
-            let bytes = gemm_operand_bytes(m, k, n, mode);
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::CgemmOpC32 {
-            op_a,
-            a,
-            op_b,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_cgemm_op_c32_faulted(*op_a, a, *op_b, b, *alpha, *beta, c)
-            });
-            let (m, k) = op_a.dims(a.rows(), a.cols());
-            let n = op_b.dims(b.rows(), b.cols()).1;
-            let bytes = gemm_operand_bytes(m, k, n, MxuMode::M3xuFp32c);
-            settle_gemm_outcome(
-                shard,
-                req,
-                reply,
-                MxuMode::M3xuFp32c,
-                bytes,
-                wait_ns,
-                out,
-                faults,
-                times,
-            );
-        }
-        Work::SyrkF32 {
-            precision,
-            tri,
-            op_a,
-            a,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_syrk_f32_faulted(*precision, *tri, *op_a, a, *alpha, *beta, c)
-            });
-            // Rank-k traffic at logical dims: op(A) packs once per
-            // orientation, n x k each way — the driver's (m*k + k*n)
-            // formula at m = n.
-            let (n, k) = op_a.dims(a.rows(), a.cols());
-            let mode = precision.mode();
-            let bytes = gemm_operand_bytes(n, k, n, mode);
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::HerkC32 {
-            tri,
-            op_a,
-            a,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_herk_c32_faulted(*tri, *op_a, a, *alpha, *beta, c)
-            });
-            let (n, k) = op_a.dims(a.rows(), a.cols());
-            let bytes = gemm_operand_bytes(n, k, n, MxuMode::M3xuFp32c);
-            settle_gemm_outcome(
-                shard,
-                req,
-                reply,
-                MxuMode::M3xuFp32c,
-                bytes,
-                wait_ns,
-                out,
-                faults,
-                times,
-            );
-        }
-        Work::SymmF32 {
-            precision,
-            side,
-            tri,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_symm_f32_faulted(*precision, *side, *tri, a, b, *alpha, *beta, c)
-            });
-            // The expanded square operand is read in full on its side.
-            let nsq = a.rows();
-            let mode = precision.mode();
-            let bytes = match side {
-                Side::Left => gemm_operand_bytes(nsq, nsq, b.cols(), mode),
-                Side::Right => gemm_operand_bytes(b.rows(), nsq, nsq, mode),
-            };
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::HemmC32 {
-            side,
-            tri,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_hemm_c32_faulted(*side, *tri, a, b, *alpha, *beta, c)
-            });
-            let nsq = a.rows();
-            let bytes = match side {
-                Side::Left => gemm_operand_bytes(nsq, nsq, b.cols(), MxuMode::M3xuFp32c),
-                Side::Right => gemm_operand_bytes(b.rows(), nsq, nsq, MxuMode::M3xuFp32c),
-            };
-            settle_gemm_outcome(
-                shard,
-                req,
-                reply,
-                MxuMode::M3xuFp32c,
-                bytes,
-                wait_ns,
-                out,
-                faults,
-                times,
-            );
-        }
+        Work::Gemm(job) => job.execute(shard, req, wait_ns),
         Work::Fft { x, reply } => {
             // The FFT's internal CGEMMs run checked (and are retried and
             // hedged here on FaultDetected), but their summaries stay
             // context-level: the tenant-facing summary of an FFT is zero
             // by design.
-            let (out, _, times) = run_hedged(shard, |ctx| {
-                ctx.try_gemm_fft(x).map(|y| (y, FaultSummary::default()))
-            });
+            let (out, _, times) = run_hedged(shard, |ctx| ctx.try_gemm_fft(x));
             match out {
                 Ok((y, stats)) => {
-                    shard.cost.observe(times.exec_ns, tiles);
+                    shard.cost.observe(times.exec_ns, req.work.output_tiles());
                     settle_success(core, req);
                     // FFT operand traffic is internal to its CGEMM
                     // decomposition; it is visible in the context's
@@ -935,48 +724,64 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
     }
 }
 
-/// The one settlement path of every `Work` arm whose result is a
-/// [`GemmResult`] — plain GEMM and the whole BLAS-3 surface: absorb fault
-/// telemetry, feed the cost model, classify completed vs post-deadline,
-/// attribute the executed work to the tenant, and resolve the ticket.
-#[allow(clippy::too_many_arguments)]
+impl<T: Send + 'static> GemmWork for GemmJob<T> {
+    fn tiles(&self) -> usize {
+        self.tiles
+    }
+
+    fn reject(&self, err: ServeError) {
+        drop(self.reply.try_send(Err(err)));
+    }
+
+    fn execute(&self, shard: &ShardCore, req: &Request, wait_ns: u64) {
+        let (out, failed, times) = run_hedged(shard, &self.run);
+        settle_gemm_outcome(shard, req, &self.reply, wait_ns, out, failed, times);
+    }
+}
+
+/// The one settlement path of the GEMM family: absorb fault telemetry,
+/// feed the cost model, classify completed vs post-deadline, bill the
+/// tenant the result's mode, statistics and operand bytes — what the
+/// driver recorded — and resolve the ticket. `failed` holds the faults of
+/// the failed attempts; a successful one brings its own in `r.faults`.
 fn settle_gemm_outcome<T>(
     shard: &ShardCore,
     req: &Request,
     reply: &SyncSender<Result<GemmResult<T>, ServeError>>,
-    mode: MxuMode,
-    operand_bytes: u64,
     wait_ns: u64,
     out: Result<GemmResult<T>, M3xuError>,
-    faults: FaultSummary,
+    mut faults: FaultSummary,
     times: AttemptTimes,
 ) {
     let core = &*shard.shared;
+    if let Ok(r) = &out {
+        faults.absorb(r.faults);
+    }
     req.tenant.record_faults(&faults);
     match out {
-        Ok(res) => {
+        Ok(r) => {
             shard.cost.observe(times.exec_ns, req.work.output_tiles());
             settle_success(core, req);
             if settle_post_deadline(
                 req,
                 |e| drop(reply.try_send(Err(e))),
-                mode,
-                &res.stats,
-                operand_bytes,
+                r.mode,
+                &r.stats,
+                r.operand_bytes,
                 wait_ns,
                 times,
             ) {
                 return;
             }
             req.tenant.record_completed(
-                mode,
-                &res.stats,
-                operand_bytes,
+                r.mode,
+                &r.stats,
+                r.operand_bytes,
                 wait_ns,
                 times.exec_ns,
                 times.retry_ns,
             );
-            drop(reply.try_send(Ok(res)));
+            drop(reply.try_send(Ok(r)));
         }
         Err(e) => {
             req.tenant

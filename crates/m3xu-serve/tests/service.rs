@@ -65,7 +65,7 @@ fn served_gemm_bit_identical_on_both_scheduler_paths() {
                 GemmPrecision::Bf16,
             ] {
                 let got = serve
-                    .blocking_gemm_f32(
+                    .submit_gemm_f32(
                         "t",
                         precision,
                         a.clone(),
@@ -73,6 +73,7 @@ fn served_gemm_bit_identical_on_both_scheduler_paths() {
                         c.clone(),
                         SubmitOpts::default(),
                     )
+                    .and_then(|t| t.wait())
                     .unwrap();
                 let want = gemm::baseline::gemm_f32(precision, &a, &b, &c);
                 assert_bits_f32(
@@ -94,7 +95,8 @@ fn served_cgemm_bit_identical_to_baseline() {
         let b = Matrix::random_c32(k, n, 5);
         let c = Matrix::random_c32(m, n, 6);
         let got = serve
-            .blocking_cgemm_c32("t", a.clone(), b.clone(), c.clone(), SubmitOpts::default())
+            .submit_cgemm_c32("t", a.clone(), b.clone(), c.clone(), SubmitOpts::default())
+            .and_then(|t| t.wait())
             .unwrap();
         let want = gemm::baseline::cgemm_c32(&a, &b, &c);
         assert_bits_c32(&got.d, &want.d, &format!("{m}x{k}x{n} FP32C"));
@@ -113,7 +115,8 @@ fn served_fft_matches_direct_context() {
         })
         .collect();
     let (got, got_stats) = serve
-        .blocking_fft("t", x.clone(), SubmitOpts::default())
+        .submit_fft("t", x.clone(), SubmitOpts::default())
+        .and_then(|t| t.wait())
         .unwrap();
     let (want, want_stats) = M3xuContext::with_threads(2).try_gemm_fft(&x).unwrap();
     assert_eq!(got_stats, want_stats);
@@ -210,7 +213,7 @@ fn expired_deadline_rejects_without_executing() {
     assert_eq!(t.completed, 0);
     // A generous deadline sails through.
     let ok = serve
-        .blocking_gemm_f32(
+        .submit_gemm_f32(
             "dl",
             GemmPrecision::M3xuFp32,
             Matrix::random(16, 16, 1),
@@ -221,6 +224,7 @@ fn expired_deadline_rejects_without_executing() {
                 ..SubmitOpts::default()
             },
         )
+        .and_then(|t| t.wait())
         .unwrap();
     assert_eq!(ok.d.rows(), 16);
 }
@@ -262,7 +266,7 @@ fn blocking_submit_applies_backpressure_then_completes() {
     let got = std::thread::scope(|s| {
         s.spawn(|| {
             serve
-                .blocking_gemm_f32(
+                .submit_gemm_f32(
                     "bp",
                     GemmPrecision::M3xuFp32,
                     a.clone(),
@@ -270,6 +274,7 @@ fn blocking_submit_applies_backpressure_then_completes() {
                     c.clone(),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap()
         })
         .join()
@@ -285,7 +290,7 @@ fn blocking_submit_applies_backpressure_then_completes() {
 fn kernel_errors_pass_through_typed() {
     let serve = M3xuServe::with_workers(1);
     let err = serve
-        .blocking_gemm_f32(
+        .submit_gemm_f32(
             "oops",
             GemmPrecision::M3xuFp32,
             Matrix::random(4, 4, 1),
@@ -293,6 +298,7 @@ fn kernel_errors_pass_through_typed() {
             Matrix::zeros(4, 4),
             SubmitOpts::default(),
         )
+        .and_then(|t| t.wait())
         .unwrap_err();
     assert!(matches!(err, ServeError::Exec(_)), "got {err:?}");
     let t = serve.tenant_stats("oops").unwrap();
@@ -360,7 +366,7 @@ fn tenant_accounting_reconciles_with_context_stats() {
     ];
     for &(tenant, precision, m, k, n) in &plans {
         serve
-            .blocking_gemm_f32(
+            .submit_gemm_f32(
                 tenant,
                 precision,
                 Matrix::random(m, k, 1),
@@ -368,16 +374,18 @@ fn tenant_accounting_reconciles_with_context_stats() {
                 Matrix::zeros(m, n),
                 SubmitOpts::default(),
             )
+            .and_then(|t| t.wait())
             .unwrap();
     }
     serve
-        .blocking_cgemm_c32(
+        .submit_cgemm_c32(
             "carol",
             Matrix::random_c32(8, 4, 3),
             Matrix::random_c32(4, 8, 4),
             Matrix::random_c32(8, 8, 5),
             SubmitOpts::default(),
         )
+        .and_then(|t| t.wait())
         .unwrap();
     // Quiesced: tenant totals must reproduce the shared context's counters.
     let totals = serve.total_stats();
@@ -417,7 +425,7 @@ fn concurrent_clients_share_one_service_bit_identically() {
                     let b = Matrix::<f32>::random(k, n, seed + 1);
                     let c = Matrix::<f32>::random(m, n, seed + 2);
                     let got = serve
-                        .blocking_gemm_f32(
+                        .submit_gemm_f32(
                             &format!("client-{client}"),
                             GemmPrecision::M3xuFp32,
                             a.clone(),
@@ -425,6 +433,7 @@ fn concurrent_clients_share_one_service_bit_identically() {
                             c.clone(),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
                     assert_bits_f32(&got.d, &want.d, &format!("client {client} round {round}"));

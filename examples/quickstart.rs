@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use m3xu::{Complex, M3xu, Matrix, C32};
+use m3xu::{default_context, Complex, M3xu, Matrix, C32};
 
 fn main() {
     let dev = M3xu::new();
@@ -23,7 +23,8 @@ fn main() {
 
     // The result is bit-exact FP32 — compare against an exact-accumulation
     // reference on a few elements.
-    let gold = Matrix::reference_gemm_f64(&a, &b, &Matrix::zeros(128, 64));
+    let zero = Matrix::zeros(128, 64);
+    let gold = Matrix::reference_gemm_f64(&a, &b, &zero);
     let max_err = d
         .as_slice()
         .iter()
@@ -32,8 +33,13 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("  max |M3XU - f64 reference| = {max_err:.3e}  (pure FP32 rounding noise)");
 
-    // TF32 — the precision the paper replaces — visibly diverges:
-    let tf32 = m3xu::kernels::gemm::matmul_f32(m3xu::GemmPrecision::Tf32, &a, &b);
+    // TF32 — the precision the paper replaces — visibly diverges. Any
+    // precision of the dial runs on an execution context; the process-wide
+    // default one is what `dev` uses too.
+    let tf32 = default_context()
+        .try_gemm_f32(m3xu::GemmPrecision::Tf32, &a, &b, &zero)
+        .unwrap()
+        .d;
     let tf_err = tf32
         .as_slice()
         .iter()

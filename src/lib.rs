@@ -32,3 +32,9 @@ pub use m3xu_serve::{
     BatchPolicy, M3xuServe, ModeUsage, Priority, RateLimit, ServeConfig, ServeError, SubmitOpts,
     TenantStats, Ticket,
 };
+
+/// The README's Rust snippets, compiled and run as doctests so the
+/// documented API cannot drift from the code.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

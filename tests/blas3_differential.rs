@@ -1,7 +1,7 @@
 //! Differential oracle suite for the BLAS-3 surface: every entry point
 //! the workspace offers for `op(X)`/alpha/beta GEMM, SYMM/HEMM, and the
-//! triangular rank-k updates — the `blas3` free functions, a private
-//! [`M3xuContext`] at several thread counts, and the `m3xu-serve`
+//! triangular rank-k updates — the process-wide `default_context()`, a
+//! private [`M3xuContext`] at several thread counts, and the `m3xu-serve`
 //! scheduler (batched and sharded) — must produce output **bit-identical**
 //! to a naive prefolded reference:
 //!
@@ -28,9 +28,8 @@
 //! — cycled per (case, op-pair, engine) so every pair of the 5x5 grid is
 //! exercised across the run.
 
-use m3xu::kernels::blas3;
 use m3xu::kernels::gemm::{self, GemmPrecision};
-use m3xu::kernels::M3xuContext;
+use m3xu::kernels::{default_context, M3xuContext};
 use m3xu::serve::{BatchPolicy, M3xuServe, ServeConfig, SubmitOpts};
 use m3xu::{MatOp, Matrix, MirrorView, Side, Triangle, C32};
 
@@ -219,7 +218,9 @@ fn oracle_f32(
     c: &Matrix<f32>,
 ) -> gemm::GemmResult<f32> {
     match precision {
-        GemmPrecision::Fp32Fast => M3xuContext::with_threads(1).gemm_f32(precision, a, b, c),
+        GemmPrecision::Fp32Fast => M3xuContext::with_threads(1)
+            .try_gemm_f32(precision, a, b, c)
+            .unwrap(),
         _ => gemm::baseline::gemm_f32(precision, a, b, c),
     }
 }
@@ -323,14 +324,19 @@ fn real_op_gemm_all_engines_all_ops_all_paths_match_prefolded_oracle_bits() {
                     )
                 };
 
-                // Path 1: the free-function pipeline.
-                let free = blas3::gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c);
-                assert_bits_f32(&free.d, &want.d, &tag("free fn"));
-                assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+                // Path 1: the process-wide default context, sized and
+                // armed by `M3XU_THREADS` / `M3XU_FAULT_*` once per process.
+                let dflt = default_context()
+                    .try_gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c)
+                    .unwrap();
+                assert_bits_f32(&dflt.d, &want.d, &tag("default ctx"));
+                assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
                 // Path 2: a private context, thread count cycled.
                 let (t, ctx) = &ctxs[(case + oi) % ctxs.len()];
-                let r = ctx.gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c);
+                let r = ctx
+                    .try_gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c)
+                    .unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
                 assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
 
@@ -339,7 +345,7 @@ fn real_op_gemm_all_engines_all_ops_all_paths_match_prefolded_oracle_bits() {
                 if oi == case % pairs.len() {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_gemm_op_f32(
+                            .submit_gemm_op_f32(
                                 "prop",
                                 precision,
                                 op_a,
@@ -351,6 +357,7 @@ fn real_op_gemm_all_engines_all_ops_all_paths_match_prefolded_oracle_bits() {
                                 c.clone(),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         let path = format!("serve[{label}]");
                         assert_bits_f32(&r.d, &want.d, &tag(&path));
@@ -390,19 +397,23 @@ fn complex_op_gemm_all_ops_all_paths_match_prefolded_oracle_bits() {
                 format!("case {case} {m}x{k}x{n} FP32C op=({op_a:?},{op_b:?}) via {path}")
             };
 
-            let free = blas3::cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c);
-            assert_bits_c32(&free.d, &want.d, &tag("free fn"));
-            assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+            let dflt = default_context()
+                .try_cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c)
+                .unwrap();
+            assert_bits_c32(&dflt.d, &want.d, &tag("default ctx"));
+            assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
             let (t, ctx) = &ctxs[(case + oi) % ctxs.len()];
-            let r = ctx.cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c);
+            let r = ctx
+                .try_cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c)
+                .unwrap();
             assert_bits_c32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
 
             if oi == case % pairs.len() {
                 for (label, serve) in &serves {
                     let r = serve
-                        .blocking_cgemm_op_c32(
+                        .submit_cgemm_op_c32(
                             "prop",
                             op_a,
                             a.clone(),
@@ -413,6 +424,7 @@ fn complex_op_gemm_all_ops_all_paths_match_prefolded_oracle_bits() {
                             c.clone(),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     let path = format!("serve[{label}]");
                     assert_bits_c32(&r.d, &want.d, &tag(&path));
@@ -427,7 +439,7 @@ fn complex_op_gemm_all_ops_all_paths_match_prefolded_oracle_bits() {
 fn fp64_op_gemm_all_ops_match_prefolded_single_thread_oracle_bits() {
     // Emulated FP64 has no baseline tile executor; the oracle is the
     // plain single-thread f64 driver on prefolded operands. Cheaper
-    // striding: free fn plus one cycled context per combination.
+    // striding: the default context plus one cycled context per combination.
     let ctxs: Vec<(usize, M3xuContext)> = THREAD_COUNTS
         .iter()
         .map(|&t| (t, M3xuContext::with_threads(t)))
@@ -451,26 +463,41 @@ fn fp64_op_gemm_all_ops_match_prefolded_single_thread_oracle_bits() {
             let a_eff = fold_alpha_f64(alpha, &op_f64(op_a, &a));
             let b_eff = op_f64(op_b, &b);
             let c_eff = fold_beta_f64(beta, &c);
-            let want = oracle.gemm_f64(GemmPrecision::Fp64Emulated, &a_eff, &b_eff, &c_eff);
+            let want = oracle
+                .try_gemm_f64(GemmPrecision::Fp64Emulated, &a_eff, &b_eff, &c_eff)
+                .unwrap();
             let tag = |path: &str| {
                 format!("case {case} {m}x{k}x{n} Fp64Emulated op=({op_a:?},{op_b:?}) via {path}")
             };
 
-            let free = blas3::gemm_op_f64(op_a, &a, op_b, &b, alpha, beta, &c);
-            assert_bits_f64(&free.d, &want.d, &tag("free fn"));
-            assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+            let dflt = default_context()
+                .try_gemm_op_f64(
+                    GemmPrecision::Fp64Emulated,
+                    op_a,
+                    &a,
+                    op_b,
+                    &b,
+                    alpha,
+                    beta,
+                    &c,
+                )
+                .unwrap();
+            assert_bits_f64(&dflt.d, &want.d, &tag("default ctx"));
+            assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
             let (t, ctx) = &ctxs[(case + oi) % ctxs.len()];
-            let r = ctx.gemm_op_f64(
-                GemmPrecision::Fp64Emulated,
-                op_a,
-                &a,
-                op_b,
-                &b,
-                alpha,
-                beta,
-                &c,
-            );
+            let r = ctx
+                .try_gemm_op_f64(
+                    GemmPrecision::Fp64Emulated,
+                    op_a,
+                    &a,
+                    op_b,
+                    &b,
+                    alpha,
+                    beta,
+                    &c,
+                )
+                .unwrap();
             assert_bits_f64(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
@@ -530,18 +557,22 @@ fn syrk_matches_oracle_in_triangle_and_preserves_canary_bits() {
                     )
                 };
 
-                let free = blas3::syrk_f32(precision, tri, op_a, &a, alpha, beta, &c);
-                assert_bits_f32(&free.d, &want, &tag("free fn"));
+                let dflt = default_context()
+                    .try_syrk_f32(precision, tri, op_a, &a, alpha, beta, &c)
+                    .unwrap();
+                assert_bits_f32(&dflt.d, &want, &tag("default ctx"));
 
                 let (t, ctx) = &ctxs[(case + pi) % ctxs.len()];
-                let r = ctx.syrk_f32(precision, tri, op_a, &a, alpha, beta, &c);
+                let r = ctx
+                    .try_syrk_f32(precision, tri, op_a, &a, alpha, beta, &c)
+                    .unwrap();
                 assert_bits_f32(&r.d, &want, &tag(&format!("ctx[{t}]")));
-                assert_eq!(r.stats, free.stats, "{}", tag(&format!("ctx[{t}]")));
+                assert_eq!(r.stats, dflt.stats, "{}", tag(&format!("ctx[{t}]")));
 
                 if (case + ti + pi) % 4 == 0 {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_syrk_f32(
+                            .submit_syrk_f32(
                                 "prop",
                                 precision,
                                 tri,
@@ -552,10 +583,11 @@ fn syrk_matches_oracle_in_triangle_and_preserves_canary_bits() {
                                 c.clone(),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         let path = format!("serve[{label}]");
                         assert_bits_f32(&r.d, &want, &tag(&path));
-                        assert_eq!(r.stats, free.stats, "{}", tag(&path));
+                        assert_eq!(r.stats, dflt.stats, "{}", tag(&path));
                     }
                 }
             }
@@ -627,26 +659,28 @@ fn herk_matches_oracle_with_real_diagonal_and_canary_triangle() {
                     )
                 };
 
-                let free = blas3::herk_c32(tri, op_a, &a, alpha, beta, &c);
-                assert_bits_c32(&free.d, &want, &tag("free fn"));
+                let dflt = default_context()
+                    .try_herk_c32(tri, op_a, &a, alpha, beta, &c)
+                    .unwrap();
+                assert_bits_c32(&dflt.d, &want, &tag("default ctx"));
                 for i in 0..n {
                     assert_eq!(
-                        free.d.get(i, i).im.to_bits(),
+                        dflt.d.get(i, i).im.to_bits(),
                         0.0f32.to_bits(),
                         "{}: diagonal {i} must be exactly real (+0.0 imaginary)",
-                        tag("free fn")
+                        tag("default ctx")
                     );
                 }
 
                 let (t, ctx) = &ctxs[(case + pi) % ctxs.len()];
-                let r = ctx.herk_c32(tri, op_a, &a, alpha, beta, &c);
+                let r = ctx.try_herk_c32(tri, op_a, &a, alpha, beta, &c).unwrap();
                 assert_bits_c32(&r.d, &want, &tag(&format!("ctx[{t}]")));
-                assert_eq!(r.stats, free.stats, "{}", tag(&format!("ctx[{t}]")));
+                assert_eq!(r.stats, dflt.stats, "{}", tag(&format!("ctx[{t}]")));
 
                 if (case + ti + pi) % 4 == 0 {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_herk_c32(
+                            .submit_herk_c32(
                                 "prop",
                                 tri,
                                 op_a,
@@ -656,10 +690,11 @@ fn herk_matches_oracle_with_real_diagonal_and_canary_triangle() {
                                 c.clone(),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         let path = format!("serve[{label}]");
                         assert_bits_c32(&r.d, &want, &tag(&path));
-                        assert_eq!(r.stats, free.stats, "{}", tag(&path));
+                        assert_eq!(r.stats, dflt.stats, "{}", tag(&path));
                     }
                 }
             }
@@ -705,12 +740,16 @@ fn symm_and_hemm_match_mirror_materialized_oracle_bits() {
                     format!("case {case} SYMM n={nsq} {side:?} {tri:?} {precision:?} via {path}")
                 };
 
-                let free = blas3::symm_f32(precision, side, tri, &a, &b, alpha, beta, &c);
-                assert_bits_f32(&free.d, &want.d, &tag("free fn"));
-                assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+                let dflt = default_context()
+                    .try_symm_f32(precision, side, tri, &a, &b, alpha, beta, &c)
+                    .unwrap();
+                assert_bits_f32(&dflt.d, &want.d, &tag("default ctx"));
+                assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
                 let (t, ctx) = &ctxs[(case + si + ti) % ctxs.len()];
-                let r = ctx.symm_f32(precision, side, tri, &a, &b, alpha, beta, &c);
+                let r = ctx
+                    .try_symm_f32(precision, side, tri, &a, &b, alpha, beta, &c)
+                    .unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
 
                 // HEMM on the same geometry.
@@ -731,16 +770,20 @@ fn symm_and_hemm_match_mirror_materialized_oracle_bits() {
                 );
                 let ztag =
                     |path: &str| format!("case {case} HEMM n={nsq} {side:?} {tri:?} via {path}");
-                let zfree = blas3::hemm_c32(side, tri, &za, &zb, zalpha, zbeta, &zc);
-                assert_bits_c32(&zfree.d, &zwant.d, &ztag("free fn"));
-                assert_eq!(zfree.stats, zwant.stats, "{}", ztag("free fn"));
-                let zr2 = ctx.hemm_c32(side, tri, &za, &zb, zalpha, zbeta, &zc);
+                let zdflt = default_context()
+                    .try_hemm_c32(side, tri, &za, &zb, zalpha, zbeta, &zc)
+                    .unwrap();
+                assert_bits_c32(&zdflt.d, &zwant.d, &ztag("default ctx"));
+                assert_eq!(zdflt.stats, zwant.stats, "{}", ztag("default ctx"));
+                let zr2 = ctx
+                    .try_hemm_c32(side, tri, &za, &zb, zalpha, zbeta, &zc)
+                    .unwrap();
                 assert_bits_c32(&zr2.d, &zwant.d, &ztag(&format!("ctx[{t}]")));
 
                 if (case + si + ti) % 5 == 0 {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_symm_f32(
+                            .submit_symm_f32(
                                 "prop",
                                 precision,
                                 side,
@@ -752,10 +795,11 @@ fn symm_and_hemm_match_mirror_materialized_oracle_bits() {
                                 c.clone(),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         assert_bits_f32(&r.d, &want.d, &tag(&format!("serve[{label}]")));
                         let zr3 = serve
-                            .blocking_hemm_c32(
+                            .submit_hemm_c32(
                                 "prop",
                                 side,
                                 tri,
@@ -766,6 +810,7 @@ fn symm_and_hemm_match_mirror_materialized_oracle_bits() {
                                 zc.clone(),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         assert_bits_c32(&zr3.d, &zwant.d, &ztag(&format!("serve[{label}]")));
                     }

@@ -19,7 +19,7 @@
 //! `scripts/check.sh` runs this whole suite under.
 
 use m3xu::kernels::gemm::{self, GemmPrecision, GemmResult};
-use m3xu::kernels::{FaultPlan, FaultSummary, FaultyExecutor, M3xuContext};
+use m3xu::kernels::{FaultPlan, FaultSummary, FaultyExecutor, GemmExecutor, M3xuContext};
 use m3xu::serve::{BatchPolicy, ChaosKind, M3xuServe, ServeConfig, SubmitOpts};
 use m3xu::{M3xuError, MatOp, Matrix, ServeError, Side, Triangle, C32};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,11 +82,14 @@ fn assert_bits_f64(got: &Matrix<f64>, want: &Matrix<f64>, what: &str) {
 fn unarmed_executor_is_bit_identical_with_zero_fault_counters() {
     // Under the check.sh env grid every context is armed at construction;
     // the executor is still pure delegation (and recoverable runs stay
-    // bit-identical), but the context's own counters are no longer zero.
+    // bit-identical), and it returns the context's own result — so the
+    // summaries it reports are the context's checked body's, and they sum
+    // to the context's fault counters exactly.
     let env_armed = std::env::var_os("M3XU_FAULT_SEED").is_some();
     for &t in &THREAD_COUNTS {
         let ctx = M3xuContext::with_threads(t);
         let exec = FaultyExecutor::unarmed(&ctx);
+        let mut reported = FaultSummary::default();
         for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
             let a = Matrix::<f32>::random(m, k, case as u64 * 3 + 1);
             let b = Matrix::<f32>::random(k, n, case as u64 * 3 + 2);
@@ -99,27 +102,37 @@ fn unarmed_executor_is_bit_identical_with_zero_fault_counters() {
             ] {
                 let want = gemm::baseline::gemm_f32(precision, &a, &b, &c);
                 let tag = format!("unarmed {m}x{k}x{n} {precision:?} t={t}");
-                let (r, summary) = exec.try_gemm_f32_faulted(precision, &a, &b, &c).unwrap();
+                let r = exec.try_gemm_f32(precision, &a, &b, &c).unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag);
                 assert_eq!(r.stats, want.stats, "{tag}");
-                assert_eq!(summary, Default::default(), "{tag}: summary must be zero");
+                if !env_armed {
+                    assert_eq!(r.faults, Default::default(), "{tag}: summary must be zero");
+                }
+                reported.absorb(r.faults);
             }
             let ca = Matrix::random_c32(m, k, case as u64 * 5 + 1);
             let cb = Matrix::random_c32(k, n, case as u64 * 5 + 2);
             let cc = Matrix::random_c32(m, n, case as u64 * 5 + 3);
             let want = gemm::baseline::cgemm_c32(&ca, &cb, &cc);
             let tag = format!("unarmed {m}x{k}x{n} FP32C t={t}");
-            let (r, summary) = exec.try_cgemm_c32_faulted(&ca, &cb, &cc).unwrap();
+            let r = exec.try_cgemm_c32(&ca, &cb, &cc).unwrap();
             assert_bits_c32(&r.d, &want.d, &tag);
             assert_eq!(r.stats, want.stats, "{tag}");
-            assert_eq!(summary, Default::default(), "{tag}: summary must be zero");
+            if !env_armed {
+                assert_eq!(r.faults, Default::default(), "{tag}: summary must be zero");
+            }
+            reported.absorb(r.faults);
         }
         let stats = ctx.stats();
-        if !env_armed {
-            assert_eq!(stats.faults_detected, 0, "t={t}");
-            assert_eq!(stats.faults_corrected, 0, "t={t}");
-            assert_eq!(stats.fault_retries, 0, "t={t}");
-        } else {
+        let counters = FaultSummary {
+            detected: stats.faults_detected,
+            corrected: stats.faults_corrected,
+            retries: stats.fault_retries,
+        };
+        // Unarmed, both sides are zero; env-armed, the executor reports
+        // exactly what the context's checked body recorded.
+        assert_eq!(reported, counters, "t={t}");
+        if env_armed {
             // Env-armed contexts repair whatever they detect.
             assert_eq!(stats.faults_detected, stats.faults_corrected, "t={t}");
         }
@@ -143,8 +156,9 @@ fn armed_gemm_case(
     let b = Matrix::<f32>::random(k, n, case as u64 * 3 + 2);
     let c = Matrix::<f32>::random(m, n, case as u64 * 3 + 3);
     let tag = format!("armed seed={seed} rate={rate} {m}x{k}x{n}");
-    match exec.try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &a, &b, &c) {
-        Ok((r, summary)) => {
+    match exec.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c) {
+        Ok(r) => {
+            let summary = r.faults;
             let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
             assert_bits_f32(&r.d, &want.d, &tag);
             assert_eq!(r.stats, want.stats, "{tag}");
@@ -209,8 +223,9 @@ fn armed_complex_gemm_sweep_recovers_bit_identically() {
             let b = Matrix::random_c32(k, n, case as u64 * 5 + 2);
             let c = Matrix::random_c32(m, n, case as u64 * 5 + 3);
             let tag = format!("armed rate={rate} {m}x{k}x{n} FP32C");
-            match exec.try_cgemm_c32_faulted(&a, &b, &c) {
-                Ok((r, summary)) => {
+            match exec.try_cgemm_c32(&a, &b, &c) {
+                Ok(r) => {
+                    let summary = r.faults;
                     let want = gemm::baseline::cgemm_c32(&a, &b, &c);
                     assert_bits_c32(&r.d, &want.d, &tag);
                     assert_eq!(r.stats, want.stats, "{tag}");
@@ -237,7 +252,7 @@ fn saturated_plan_is_a_typed_error_and_leaves_the_context_usable() {
     let a = Matrix::<f32>::random(9, 7, 61);
     let b = Matrix::<f32>::random(7, 5, 62);
     let c = Matrix::<f32>::random(9, 5, 63);
-    match exec.try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &a, &b, &c) {
+    match exec.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c) {
         Err(M3xuError::FaultDetected {
             op,
             mode,
@@ -260,7 +275,9 @@ fn saturated_plan_is_a_typed_error_and_leaves_the_context_usable() {
         other => panic!("rate-1.0 must fail detectably, got {other:?}"),
     }
     // The pool and context survive a saturated run intact.
-    let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    let r = ctx
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     assert_bits_f32(&r.d, &want.d, "post-saturation production GEMM");
 }
@@ -286,7 +303,9 @@ fn pool_survives_panicking_tasks_bit_identically() {
         let c = Matrix::<f32>::random(23, 31, 73);
         let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         for round in 0..2 {
-            let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+            let r = ctx
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                .unwrap();
             assert_bits_f32(&r.d, &want.d, &format!("t={t} round={round} after panic"));
         }
     }
@@ -405,14 +424,16 @@ fn serve_breaker_trips_per_tenant_and_counts_as_rejection() {
         ..ServeConfig::default()
     });
     let submit = |tenant: &str| {
-        serve.blocking_gemm_f32(
-            tenant,
-            GemmPrecision::M3xuFp32,
-            Matrix::<f32>::random(9, 7, 81),
-            Matrix::<f32>::random(7, 5, 82),
-            Matrix::<f32>::random(9, 5, 83),
-            SubmitOpts::default(),
-        )
+        serve
+            .submit_gemm_f32(
+                tenant,
+                GemmPrecision::M3xuFp32,
+                Matrix::<f32>::random(9, 7, 81),
+                Matrix::<f32>::random(7, 5, 82),
+                Matrix::<f32>::random(9, 5, 83),
+                SubmitOpts::default(),
+            )
+            .and_then(|t| t.wait())
     };
     for attempt in 0..2 {
         match submit("hot") {
@@ -461,14 +482,16 @@ fn serve_degraded_mode_still_serves_correctly() {
         degraded_after: 1,
         ..ServeConfig::default()
     });
-    let bad = serve.blocking_gemm_f32(
-        "t",
-        GemmPrecision::M3xuFp32,
-        Matrix::<f32>::random(9, 7, 91),
-        Matrix::<f32>::random(7, 5, 92),
-        Matrix::<f32>::random(9, 5, 93),
-        SubmitOpts::default(),
-    );
+    let bad = serve
+        .submit_gemm_f32(
+            "t",
+            GemmPrecision::M3xuFp32,
+            Matrix::<f32>::random(9, 7, 91),
+            Matrix::<f32>::random(7, 5, 92),
+            Matrix::<f32>::random(9, 5, 93),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait());
     assert!(
         matches!(bad, Err(ServeError::Exec(M3xuError::FaultDetected { .. }))),
         "saturated request must fail detectably, got {bad:?}"
@@ -484,7 +507,8 @@ fn serve_degraded_mode_still_serves_correctly() {
     let c = Matrix::<f32>::random(23, 31, 96);
     let want = gemm::baseline::gemm_f32(GemmPrecision::Bf16, &a, &b, &c);
     let r = serve
-        .blocking_gemm_f32("t", GemmPrecision::Bf16, a, b, c, SubmitOpts::default())
+        .submit_gemm_f32("t", GemmPrecision::Bf16, a, b, c, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .expect("degraded-mode request must still be served");
     assert_bits_f32(&r.d, &want.d, "degraded-mode BF16 GEMM");
     let s = serve.tenant_stats("t").unwrap();
@@ -508,7 +532,8 @@ fn serve_fft_recovers_under_chaos() {
         ..ServeConfig::default()
     });
     let (y, _) = serve
-        .blocking_fft("fft", x, SubmitOpts::default())
+        .submit_fft("fft", x, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .expect("served FFT under 2% chaos");
     assert_eq!(y.len(), want.len());
     for (i, (a, b)) in y.iter().zip(&want).enumerate() {
@@ -524,35 +549,43 @@ fn serve_fft_recovers_under_chaos() {
 /// Shared verdict for one armed checked run against its unfaulted oracle:
 /// recovered ⇒ bit-identical output and identical `MmaStats` with
 /// `detected == corrected`; unrecoverable ⇒ a typed `FaultDetected` that
-/// names the op. Returns faults detected either way.
+/// names the op. Returns the run's fault telemetry either way — the
+/// result's own summary, or the error's counts.
 fn check_armed_run<T>(
-    res: Result<(GemmResult<T>, FaultSummary), M3xuError>,
+    res: Result<GemmResult<T>, M3xuError>,
     want: &GemmResult<T>,
     opname: &str,
     tag: &str,
     bits: impl Fn(&Matrix<T>, &Matrix<T>, &str),
-) -> u64 {
+) -> FaultSummary {
     match res {
-        Ok((r, summary)) => {
+        Ok(r) => {
             bits(&r.d, &want.d, tag);
             assert_eq!(r.stats, want.stats, "{tag}: stats");
+            assert_eq!(r.mode, want.mode, "{tag}: mode");
+            assert_eq!(r.operand_bytes, want.operand_bytes, "{tag}: operand bytes");
             assert_eq!(
-                summary.detected, summary.corrected,
+                r.faults.detected, r.faults.corrected,
                 "{tag}: a recovered run repaired everything it detected"
             );
-            summary.detected
+            r.faults
         }
         Err(M3xuError::FaultDetected {
             op,
             tiles,
             detected,
             corrected,
+            retries,
             ..
         }) => {
             assert_eq!(op, opname, "{tag}: the error names the failing op");
             assert!(tiles > 0, "{tag}: a fault error names the failed tiles");
             assert!(corrected < detected, "{tag}: something stayed uncorrected");
-            detected
+            FaultSummary {
+                detected,
+                corrected,
+                retries,
+            }
         }
         Err(e) => panic!("{tag}: unexpected error {e}"),
     }
@@ -572,6 +605,10 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
         for &rate in &[1e-3, 0.05] {
             let ctx =
                 M3xuContext::with_threads(2).with_fault_plan(Arc::new(FaultPlan::new(seed, rate)));
+            // Σ of every run's reported faults; must equal the counters
+            // the armed context recorded, field for field.
+            let mut reported = FaultSummary::default();
+            let mut seen = |s: FaultSummary| reported.absorb(s);
             for (case, &(m, k, n)) in [(7, 11, 13), (23, 29, 31), (9, 15, 33)].iter().enumerate() {
                 let salt = case as u64 * 101 + seed * 7;
                 let tag = format!("seed={seed} rate={rate} {m}x{k}x{n}");
@@ -583,13 +620,13 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                 let want = oracle
                     .try_gemm_op_f32(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c)
                     .unwrap();
-                faults_seen += check_armed_run(
-                    ctx.try_gemm_op_f32_faulted(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c),
+                seen(check_armed_run(
+                    ctx.try_gemm_op_f32(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c),
                     &want,
                     "gemm_op",
                     &format!("{tag} gemm_op"),
                     assert_bits_f32,
-                );
+                ));
 
                 // Plain emulated-FP64 GEMM.
                 let a = Matrix::<f64>::random_f64(m, k, salt + 4);
@@ -598,13 +635,13 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                 let want = oracle
                     .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
                     .unwrap();
-                faults_seen += check_armed_run(
-                    ctx.try_gemm_f64_faulted(GemmPrecision::Fp64Emulated, &a, &b, &c),
+                seen(check_armed_run(
+                    ctx.try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c),
                     &want,
                     "gemm_f64",
                     &format!("{tag} gemm_f64"),
                     assert_bits_f64,
-                );
+                ));
 
                 // f64 gemm_op: D = 1.5·A·B^T + 0.5·C (B stored N x K).
                 let bt = Matrix::<f64>::random_f64(n, k, salt + 7);
@@ -621,8 +658,8 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                         &c,
                     )
                     .unwrap();
-                faults_seen += check_armed_run(
-                    ctx.try_gemm_op_f64_faulted(
+                seen(check_armed_run(
+                    ctx.try_gemm_op_f64(
                         GemmPrecision::Fp64Emulated,
                         MatOp::N,
                         &a,
@@ -636,7 +673,7 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                     "gemm_op_f64",
                     &format!("{tag} gemm_op_f64"),
                     assert_bits_f64,
-                );
+                ));
 
                 // SYRK (Lower, N): C = 0.5·A·A^T + 2·C, C is M x M.
                 let a = Matrix::<f32>::random(m, k, salt + 9);
@@ -644,13 +681,13 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                 let want = oracle
                     .try_syrk_f32(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c)
                     .unwrap();
-                faults_seen += check_armed_run(
-                    ctx.try_syrk_f32_faulted(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c),
+                seen(check_armed_run(
+                    ctx.try_syrk_f32(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c),
                     &want,
                     "syrk",
                     &format!("{tag} syrk"),
                     assert_bits_f32,
-                );
+                ));
 
                 // HERK (Upper, N): C = 0.75·A·A^H − 0.5·C, C is M x M.
                 let a = Matrix::random_c32(m, k, salt + 11);
@@ -658,13 +695,13 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                 let want = oracle
                     .try_herk_c32(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &c)
                     .unwrap();
-                faults_seen += check_armed_run(
-                    ctx.try_herk_c32_faulted(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &c),
+                seen(check_armed_run(
+                    ctx.try_herk_c32(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &c),
                     &want,
                     "herk",
                     &format!("{tag} herk"),
                     assert_bits_c32,
-                );
+                ));
 
                 // SYMM (Left, Upper): C = −0.5·A·B + 1.25·C, A is M x M.
                 let a = Matrix::<f32>::random(m, m, salt + 13);
@@ -673,22 +710,13 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                 let want = oracle
                     .try_symm_f32(p, Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c)
                     .unwrap();
-                faults_seen += check_armed_run(
-                    ctx.try_symm_f32_faulted(
-                        p,
-                        Side::Left,
-                        Triangle::Upper,
-                        &a,
-                        &b,
-                        -0.5,
-                        1.25,
-                        &c,
-                    ),
+                seen(check_armed_run(
+                    ctx.try_symm_f32(p, Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c),
                     &want,
                     "symm",
                     &format!("{tag} symm"),
                     assert_bits_f32,
-                );
+                ));
 
                 // HEMM (Right, Lower): C = α·B·A + β·C, A is N x N.
                 let a = Matrix::random_c32(n, n, salt + 16);
@@ -698,14 +726,22 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                 let want = oracle
                     .try_hemm_c32(Side::Right, Triangle::Lower, &a, &b, alpha, beta, &c)
                     .unwrap();
-                faults_seen += check_armed_run(
-                    ctx.try_hemm_c32_faulted(Side::Right, Triangle::Lower, &a, &b, alpha, beta, &c),
+                seen(check_armed_run(
+                    ctx.try_hemm_c32(Side::Right, Triangle::Lower, &a, &b, alpha, beta, &c),
                     &want,
                     "hemm",
                     &format!("{tag} hemm"),
                     assert_bits_c32,
-                );
+                ));
             }
+            let stats = ctx.stats();
+            let counters = FaultSummary {
+                detected: stats.faults_detected,
+                corrected: stats.faults_corrected,
+                retries: stats.fault_retries,
+            };
+            assert_eq!(reported, counters, "seed={seed} rate={rate}");
+            faults_seen += reported.detected;
         }
     }
     assert!(faults_seen > 0, "the 5% sweeps must actually inject faults");
@@ -916,7 +952,8 @@ fn watchdog_respawns_a_killed_shard_and_conserves_accounting() {
     let (a, b, c) = gemm_inputs(301);
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     let r = serve
-        .blocking_gemm_f32("w", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit_gemm_f32("w", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .expect("pre-kill GEMM");
     assert_bits_f32(&r.d, &want.d, "pre-kill GEMM");
 
@@ -943,7 +980,8 @@ fn watchdog_respawns_a_killed_shard_and_conserves_accounting() {
     let (a, b, c) = gemm_inputs(311);
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     let r = serve
-        .blocking_gemm_f32("w", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit_gemm_f32("w", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .expect("post-respawn GEMM must be served");
     assert_bits_f32(&r.d, &want.d, "post-respawn GEMM");
 
@@ -987,7 +1025,8 @@ fn poison_request_quarantines_alone_without_tripping_the_breaker() {
         let c = Matrix::<f32>::random(9, 5, 403 + round * 3);
         let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let r = serve
-            .blocking_gemm_f32("p", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+            .submit_gemm_f32("p", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+            .and_then(|t| t.wait())
             .expect("healthy request after quarantine must be admitted and served");
         assert_bits_f32(&r.d, &want.d, &format!("post-quarantine GEMM {round}"));
     }

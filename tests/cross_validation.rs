@@ -51,7 +51,7 @@ fn functional_real_gemm_matches_analytical_counts_exactly() {
             let a = Matrix::<f32>::random(m, k, (m + k) as u64);
             let b = Matrix::<f32>::random(k, n, (k + n) as u64);
             let c = Matrix::<f32>::random(m, n, (m * n) as u64);
-            let r = ctx.gemm_f32(precision, &a, &b, &c);
+            let r = ctx.try_gemm_f32(precision, &a, &b, &c).unwrap();
 
             let p = Problem {
                 m,
@@ -60,6 +60,9 @@ fn functional_real_gemm_matches_analytical_counts_exactly() {
                 complex: false,
             };
             let got = observed(&ctx, mode);
+            // The result reports the mode and operand bytes it recorded.
+            assert_eq!(r.mode, mode, "{m}x{n}x{k} {engine:?}");
+            assert_eq!(r.operand_bytes, got.operand_bytes, "{m}x{n}x{k} {engine:?}");
             match validate_counts(p, engine, got).expect("combination must be modelled") {
                 Ok(want) => {
                     // The driver's own per-call stats agree with the sink.
@@ -97,8 +100,15 @@ fn precision_family_matches_analytical_counts_exactly() {
         let a = Matrix::<f32>::random(m, k, (m + k) as u64);
         let b = Matrix::<f32>::random(k, n, (k + n) as u64);
         let c = Matrix::<f32>::random(m, n, (m * n) as u64);
-        let r = ctx.gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
+        let r = ctx
+            .try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c)
+            .unwrap();
         let got = observed(&ctx, MxuMode::M3xuFp32Fast);
+        assert_eq!(r.mode, MxuMode::M3xuFp32Fast);
+        assert_eq!(
+            r.operand_bytes, got.operand_bytes,
+            "{m}x{n}x{k} M3xuFp32Fast"
+        );
         match validate_counts(p, Engine::M3xuFp32Fast, got).expect("fast FP32 must be modelled") {
             Ok(want) => {
                 assert_eq!(r.stats.instructions, want.instructions);
@@ -111,8 +121,15 @@ fn precision_family_matches_analytical_counts_exactly() {
         let a = Matrix::<f64>::random_f64(m, k, (m + k) as u64);
         let b = Matrix::<f64>::random_f64(k, n, (k + n) as u64);
         let c = Matrix::<f64>::random_f64(m, n, (m * n) as u64);
-        let r = ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        let r = ctx
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         let got = observed(&ctx, MxuMode::M3xuFp64Emu);
+        assert_eq!(r.mode, MxuMode::M3xuFp64Emu);
+        assert_eq!(
+            r.operand_bytes, got.operand_bytes,
+            "{m}x{n}x{k} M3xuFp64Emu"
+        );
         match validate_counts(p, Engine::M3xuFp64Emu, got).expect("emulated FP64 must be modelled")
         {
             Ok(want) => {
@@ -131,7 +148,7 @@ fn functional_complex_gemm_matches_analytical_counts_exactly() {
         let a = Matrix::random_c32(m, k, (m + k) as u64);
         let b = Matrix::random_c32(k, n, (k + n) as u64);
         let c = Matrix::random_c32(m, n, (m * n) as u64);
-        let r = ctx.cgemm_c32(&a, &b, &c);
+        let r = ctx.try_cgemm_c32(&a, &b, &c).unwrap();
 
         let p = Problem {
             m,
@@ -140,6 +157,8 @@ fn functional_complex_gemm_matches_analytical_counts_exactly() {
             complex: true,
         };
         let got = observed(&ctx, MxuMode::M3xuFp32c);
+        assert_eq!(r.mode, MxuMode::M3xuFp32c);
+        assert_eq!(r.operand_bytes, got.operand_bytes, "{m}x{n}x{k} FP32C");
         match validate_counts(p, Engine::M3xuFp32c, got).expect("FP32C must be modelled") {
             Ok(want) => assert_eq!(r.stats.instructions, want.instructions),
             Err(e) => panic!("{m}x{n}x{k} FP32C: {e}"),
@@ -166,7 +185,7 @@ fn rule_b_and_c_ratios_hold_as_executed() {
             let a = Matrix::<f32>::random(m, k, 1);
             let b = Matrix::<f32>::random(k, n, 2);
             let c = Matrix::<f32>::zeros(m, n);
-            ctx.gemm_f32(precision, &a, &b, &c);
+            ctx.try_gemm_f32(precision, &a, &b, &c).unwrap();
             observed(&ctx, mode)
         };
         let fp16 = run_real(GemmPrecision::Fp16, MxuMode::Fp16);
@@ -176,7 +195,7 @@ fn rule_b_and_c_ratios_hold_as_executed() {
         let ca = Matrix::random_c32(m, k, 3);
         let cb = Matrix::random_c32(k, n, 4);
         let cc = Matrix::zeros(m, n);
-        cctx.cgemm_c32(&ca, &cb, &cc);
+        cctx.try_cgemm_c32(&ca, &cb, &cc).unwrap();
         let fp32c = observed(&cctx, MxuMode::M3xuFp32c);
 
         assert_eq!(fp32.instructions, 2 * fp16.instructions, "{m}x{n}x{k}");
@@ -214,9 +233,11 @@ fn concurrent_hammering_sums_to_exact_analytical_counts() {
                     let b = Matrix::<f32>::random(k, n, seed + 2);
                     let c = Matrix::<f32>::random(m, n, seed + 3);
                     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
-                    let via_ctx = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+                    let via_ctx = ctx
+                        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                        .unwrap();
                     let via_serve = serve
-                        .blocking_gemm_f32(
+                        .submit_gemm_f32(
                             &format!("client-{client}"),
                             GemmPrecision::M3xuFp32,
                             a.clone(),
@@ -224,6 +245,7 @@ fn concurrent_hammering_sums_to_exact_analytical_counts() {
                             c.clone(),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     for (got, tag) in [(&via_ctx, "ctx"), (&via_serve, "serve")] {
                         for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
@@ -239,7 +261,7 @@ fn concurrent_hammering_sums_to_exact_analytical_counts() {
                     let cb = Matrix::random_c32(k, n, seed + 5);
                     let cc = Matrix::random_c32(m, n, seed + 6);
                     let cwant = gemm::baseline::cgemm_c32(&ca, &cb, &cc);
-                    let cgot = ctx.cgemm_c32(&ca, &cb, &cc);
+                    let cgot = ctx.try_cgemm_c32(&ca, &cb, &cc).unwrap();
                     for (x, y) in cgot.d.as_slice().iter().zip(cwant.d.as_slice()) {
                         assert_eq!(x.re.to_bits(), y.re.to_bits());
                         assert_eq!(x.im.to_bits(), y.im.to_bits());
@@ -377,8 +399,12 @@ fn blas3_op_gemm_and_symm_match_analytical_counts_exactly() {
             let a = Matrix::<f32>::random(ar, ac, (m + k) as u64);
             let b = Matrix::<f32>::random(br, bc, (k + n) as u64);
             let c = Matrix::<f32>::random(m, n, (m * n) as u64);
-            let r = ctx.gemm_op_f32(precision, op_a, &a, op_b, &b, 0.5, -1.0, &c);
+            let r = ctx
+                .try_gemm_op_f32(precision, op_a, &a, op_b, &b, 0.5, -1.0, &c)
+                .unwrap();
             let got = observed(&ctx, mode);
+            assert_eq!(r.mode, mode, "op-gemm {m}x{n}x{k} {engine:?}");
+            assert_eq!(r.operand_bytes, got.operand_bytes, "op-gemm {m}x{n}x{k}");
             match validate_counts(p, engine, got).expect("combination must be modelled") {
                 Ok(want) => {
                     assert_eq!(r.stats.instructions, want.instructions);
@@ -393,15 +419,17 @@ fn blas3_op_gemm_and_symm_match_analytical_counts_exactly() {
         let a = Matrix::random_c32(ar, ac, (m + k) as u64);
         let b = Matrix::random_c32(br, bc, (k + n) as u64);
         let c = Matrix::random_c32(m, n, (m * n) as u64);
-        let r = ctx.cgemm_op_c32(
-            op_a,
-            &a,
-            op_b,
-            &b,
-            m3xu::Complex::new(0.5, -0.25),
-            m3xu::Complex::new(-1.0, 0.0),
-            &c,
-        );
+        let r = ctx
+            .try_cgemm_op_c32(
+                op_a,
+                &a,
+                op_b,
+                &b,
+                m3xu::Complex::new(0.5, -0.25),
+                m3xu::Complex::new(-1.0, 0.0),
+                &c,
+            )
+            .unwrap();
         let cp = Problem {
             m,
             n,
@@ -409,6 +437,8 @@ fn blas3_op_gemm_and_symm_match_analytical_counts_exactly() {
             complex: true,
         };
         let got = observed(&ctx, MxuMode::M3xuFp32c);
+        assert_eq!(r.mode, MxuMode::M3xuFp32c);
+        assert_eq!(r.operand_bytes, got.operand_bytes, "cgemm-op {m}x{n}x{k}");
         match validate_counts(cp, Engine::M3xuFp32c, got).expect("FP32C must be modelled") {
             Ok(want) => assert_eq!(r.stats.instructions, want.instructions),
             Err(e) => panic!("cgemm-op {m}x{n}x{k}: {e}"),
@@ -437,8 +467,16 @@ fn blas3_op_gemm_and_symm_match_analytical_counts_exactly() {
             Matrix::<f32>::random(m, n, gi as u64 + 2),
             Matrix::<f32>::random(m, n, gi as u64 + 3),
         );
-        let r = ctx.symm_f32(GemmPrecision::M3xuFp32, side, tri, &sa, &sb, 1.5, 0.5, &sc);
+        let r = ctx
+            .try_symm_f32(GemmPrecision::M3xuFp32, side, tri, &sa, &sb, 1.5, 0.5, &sc)
+            .unwrap();
         let got = observed(&ctx, MxuMode::M3xuFp32);
+        // Side-dependent traffic: the expanded square operand on its side.
+        assert_eq!(r.mode, MxuMode::M3xuFp32);
+        assert_eq!(
+            r.operand_bytes, got.operand_bytes,
+            "symm {m}x{n} (nsq={nsq})"
+        );
         match validate_counts(sp, Engine::M3xuFp32, got).expect("SYMM must be modelled") {
             Ok(want) => {
                 assert_eq!(r.stats.instructions, want.instructions);
@@ -475,19 +513,25 @@ fn rank_k_updates_match_analytical_counts_and_halve_the_grid_executed() {
         let ctx = M3xuContext::with_threads(2);
         let a = Matrix::<f32>::random(n, k, (n + k) as u64);
         let c = Matrix::<f32>::random(n, n, (n * n) as u64);
-        let r = ctx.syrk_f32(GemmPrecision::M3xuFp32, tri, MatOp::N, &a, 1.0, 1.0, &c);
+        let r = ctx
+            .try_syrk_f32(GemmPrecision::M3xuFp32, tri, MatOp::N, &a, 1.0, 1.0, &c)
+            .unwrap();
         let got = observed(&ctx, MxuMode::M3xuFp32);
         let want = exact_counts_rank_k(p, Engine::M3xuFp32).expect("square rank-k is modelled");
         assert_eq!(got.instructions, want.instructions, "syrk n={n} k={k}");
         assert_eq!(got.steps, want.steps, "syrk n={n} k={k}");
         assert_eq!(got.operand_bytes, want.operand_bytes, "syrk n={n} k={k}");
         assert_eq!(r.stats.instructions, want.instructions);
+        assert_eq!(r.mode, MxuMode::M3xuFp32);
+        assert_eq!(r.operand_bytes, got.operand_bytes, "syrk n={n} k={k}");
 
         // HERK on the FP32C engine.
         let zctx = M3xuContext::with_threads(2);
         let za = Matrix::random_c32(n, k, (n + k) as u64 + 7);
         let zc = Matrix::random_c32(n, n, (n * n) as u64 + 7);
-        let zr = zctx.herk_c32(tri, MatOp::N, &za, 1.0, 0.0, &zc);
+        let zr = zctx
+            .try_herk_c32(tri, MatOp::N, &za, 1.0, 0.0, &zc)
+            .unwrap();
         let zgot = observed(&zctx, MxuMode::M3xuFp32c);
         let zp = Problem {
             m: n,
@@ -500,20 +544,24 @@ fn rank_k_updates_match_analytical_counts_and_halve_the_grid_executed() {
         assert_eq!(zgot.steps, zwant.steps, "herk n={n} k={k}");
         assert_eq!(zgot.operand_bytes, zwant.operand_bytes, "herk n={n} k={k}");
         assert_eq!(zr.stats.instructions, zwant.instructions);
+        assert_eq!(zr.mode, MxuMode::M3xuFp32c);
+        assert_eq!(zr.operand_bytes, zgot.operand_bytes, "herk n={n} k={k}");
 
         // Executed saving vs the equivalent full GEMM (same logical
         // n x k x n problem through the op-GEMM path).
         let fctx = M3xuContext::with_threads(2);
-        let f = fctx.gemm_op_f32(
-            GemmPrecision::M3xuFp32,
-            MatOp::N,
-            &a,
-            MatOp::T,
-            &a,
-            1.0,
-            1.0,
-            &c,
-        );
+        let f = fctx
+            .try_gemm_op_f32(
+                GemmPrecision::M3xuFp32,
+                MatOp::N,
+                &a,
+                MatOp::T,
+                &a,
+                1.0,
+                1.0,
+                &c,
+            )
+            .unwrap();
         let t = n.div_ceil(8) as u64;
         let (tri_tiles, full_tiles) = (t * (t + 1) / 2, t * t);
         assert_eq!(
@@ -554,7 +602,8 @@ fn wall_time_counters_are_nonzero_and_monotone() {
     let a = Matrix::<f32>::random(n, n, 1);
     let b = Matrix::<f32>::random(n, n, 2);
     let c = Matrix::<f32>::zeros(n, n);
-    ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
     let s1 = ctx.stats();
     assert!(s1.pack_ns > 0, "{n}^3 GEMM recorded zero pack time");
     assert!(s1.exec_ns > 0, "{n}^3 GEMM recorded zero exec time");
@@ -562,7 +611,8 @@ fn wall_time_counters_are_nonzero_and_monotone() {
     let a2 = Matrix::<f32>::random(64, 64, 3);
     let b2 = Matrix::<f32>::random(64, 64, 4);
     let c2 = Matrix::<f32>::zeros(64, 64);
-    ctx.gemm_f32(GemmPrecision::M3xuFp32, &a2, &b2, &c2);
+    ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a2, &b2, &c2)
+        .unwrap();
     let s2 = ctx.stats();
     assert!(s2.pack_ns > s1.pack_ns, "pack_ns must be strictly monotone");
     assert!(s2.exec_ns > s1.exec_ns, "exec_ns must be strictly monotone");
@@ -630,7 +680,8 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     let ctx = M3xuContext::with_threads(2);
     let a = Matrix::<f32>::random(64, 64, 11);
     let b = Matrix::<f32>::random(64, 64, 12);
-    ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &Matrix::zeros(64, 64));
+    ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &Matrix::zeros(64, 64))
+        .unwrap();
     let s = ctx.stats();
     // 64 x 64 outputs x 32 two-deep chunks.
     assert_eq!(s.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
@@ -638,7 +689,7 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
 
     let ca = Matrix::random_c32(64, 64, 13);
     let cb = Matrix::random_c32(64, 64, 14);
-    ctx.cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64));
+    ctx.try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64)).unwrap();
     let d = ctx.stats().delta_since(&s);
     // 64 x 64 outputs x 64 one-deep chunks.
     assert_eq!(d.simd_chunks, if vector { 64 * 64 * 64 } else { 0 });

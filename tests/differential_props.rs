@@ -1,5 +1,5 @@
 //! Differential property suite: every execution path the workspace offers
-//! for a GEMM — the packed free-function pipeline, a private
+//! for a GEMM — the process-wide `default_context()`, a private
 //! [`M3xuContext`] at several thread counts, and the `m3xu-serve`
 //! scheduler (both its batched and sharded paths) — must produce output
 //! **bit-identical** to the unfused `gemm::baseline` oracle, across all
@@ -22,7 +22,7 @@
 use m3xu::fp::format::FP64;
 use m3xu::fp::softfloat::SoftFloat;
 use m3xu::kernels::gemm::{self, GemmPrecision};
-use m3xu::kernels::M3xuContext;
+use m3xu::kernels::{default_context, M3xuContext};
 use m3xu::mxu::packed::simd::{self, SimdLevel};
 use m3xu::serve::{BatchPolicy, M3xuServe, ServeConfig, SubmitOpts};
 use m3xu::{Matrix, C32};
@@ -149,15 +149,17 @@ fn real_gemm_all_engines_all_paths_match_baseline_bits() {
             let want = gemm::baseline::gemm_f32(precision, &a, &b, &c);
             let tag = |path: &str| format!("case {case} {m}x{k}x{n} {precision:?} via {path}");
 
-            // Path 1: packed free-function pipeline (process-wide pool).
-            let free = gemm::gemm_f32(precision, &a, &b, &c);
-            assert_bits_f32(&free.d, &want.d, &tag("free fn"));
-            assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+            // Path 1: the process-wide default context (and pool).
+            let dflt = default_context()
+                .try_gemm_f32(precision, &a, &b, &c)
+                .unwrap();
+            assert_bits_f32(&dflt.d, &want.d, &tag("default ctx"));
+            assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
             // Path 2: private contexts across thread counts.
             for &t in &THREAD_COUNTS {
                 let ctx = M3xuContext::with_threads(t);
-                let r = ctx.gemm_f32(precision, &a, &b, &c);
+                let r = ctx.try_gemm_f32(precision, &a, &b, &c).unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
                 assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
             }
@@ -165,7 +167,7 @@ fn real_gemm_all_engines_all_paths_match_baseline_bits() {
             // Path 3: the serving layer, every scheduler path.
             for (label, serve) in &serves {
                 let r = serve
-                    .blocking_gemm_f32(
+                    .submit_gemm_f32(
                         "prop",
                         precision,
                         a.clone(),
@@ -173,6 +175,7 @@ fn real_gemm_all_engines_all_paths_match_baseline_bits() {
                         c.clone(),
                         SubmitOpts::default(),
                     )
+                    .and_then(|t| t.wait())
                     .unwrap();
                 let path = format!("serve[{label}]");
                 assert_bits_f32(&r.d, &want.d, &tag(&path));
@@ -195,26 +198,27 @@ fn complex_gemm_all_paths_match_baseline_bits() {
         let want = gemm::baseline::cgemm_c32(&a, &b, &c);
         let tag = |path: &str| format!("case {case} {m}x{k}x{n} FP32C via {path}");
 
-        let free = gemm::cgemm_c32(&a, &b, &c);
-        assert_bits_c32(&free.d, &want.d, &tag("free fn"));
-        assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+        let dflt = default_context().try_cgemm_c32(&a, &b, &c).unwrap();
+        assert_bits_c32(&dflt.d, &want.d, &tag("default ctx"));
+        assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
         for &t in &THREAD_COUNTS {
             let ctx = M3xuContext::with_threads(t);
-            let r = ctx.cgemm_c32(&a, &b, &c);
+            let r = ctx.try_cgemm_c32(&a, &b, &c).unwrap();
             assert_bits_c32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
 
         for (t, serve) in &serves {
             let r = serve
-                .blocking_cgemm_c32(
+                .submit_cgemm_c32(
                     "prop",
                     a.clone(),
                     b.clone(),
                     c.clone(),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap();
             assert_bits_c32(&r.d, &want.d, &tag(&format!("serve[workers={t}]")));
             assert_eq!(
@@ -252,23 +256,29 @@ fn fp32_fast_all_paths_match_single_thread_bits() {
         let a = Matrix::<f32>::random(m, k, case as u64 * 7 + 1);
         let b = Matrix::<f32>::random(k, n, case as u64 * 7 + 2);
         let c = Matrix::<f32>::random(m, n, case as u64 * 7 + 3);
-        let want = M3xuContext::with_threads(1).gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
+        let want = M3xuContext::with_threads(1)
+            .try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c)
+            .unwrap();
         let tag = |path: &str| format!("case {case} {m}x{k}x{n} Fp32Fast via {path}");
 
-        let free = gemm::gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
-        assert_bits_f32(&free.d, &want.d, &tag("free fn"));
-        assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+        let dflt = default_context()
+            .try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c)
+            .unwrap();
+        assert_bits_f32(&dflt.d, &want.d, &tag("default ctx"));
+        assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
         for &t in &THREAD_COUNTS {
             let ctx = M3xuContext::with_threads(t);
-            let r = ctx.gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
+            let r = ctx
+                .try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c)
+                .unwrap();
             assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
 
         for (t, serve) in &serves {
             let r = serve
-                .blocking_gemm_f32(
+                .submit_gemm_f32(
                     "prop",
                     GemmPrecision::Fp32Fast,
                     a.clone(),
@@ -276,6 +286,7 @@ fn fp32_fast_all_paths_match_single_thread_bits() {
                     c.clone(),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap();
             let path = format!("serve[workers={t}]");
             assert_bits_f32(&r.d, &want.d, &tag(&path));
@@ -287,7 +298,7 @@ fn fp32_fast_all_paths_match_single_thread_bits() {
 #[test]
 fn fp64_emulated_all_paths_match_single_thread_bits() {
     // Same structure for the top of the dial: a single-thread context is
-    // the oracle; the free function, every thread count, and both serve
+    // the oracle; the default context, every thread count, and both serve
     // scheduler paths must reproduce it bit for bit.
     let serves: Vec<(String, M3xuServe)> = THREAD_COUNTS
         .iter()
@@ -314,29 +325,36 @@ fn fp64_emulated_all_paths_match_single_thread_bits() {
         let a = Matrix::<f64>::random_f64(m, k, case as u64 * 11 + 1);
         let b = Matrix::<f64>::random_f64(k, n, case as u64 * 11 + 2);
         let c = Matrix::<f64>::random_f64(m, n, case as u64 * 11 + 3);
-        let want = M3xuContext::with_threads(1).gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        let want = M3xuContext::with_threads(1)
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         let tag = |path: &str| format!("case {case} {m}x{k}x{n} Fp64Emulated via {path}");
 
-        let free = gemm::gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
-        assert_bits_f64(&free.d, &want.d, &tag("free fn"));
-        assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+        let dflt = default_context()
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
+        assert_bits_f64(&dflt.d, &want.d, &tag("default ctx"));
+        assert_eq!(dflt.stats, want.stats, "{}", tag("default ctx"));
 
         for &t in &THREAD_COUNTS {
             let ctx = M3xuContext::with_threads(t);
-            let r = ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+            let r = ctx
+                .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+                .unwrap();
             assert_bits_f64(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
 
         for (label, serve) in &serves {
             let r = serve
-                .blocking_gemm_f64(
+                .submit_gemm_f64(
                     "prop",
                     a.clone(),
                     b.clone(),
                     c.clone(),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap();
             let path = format!("serve[{label}]");
             assert_bits_f64(&r.d, &want.d, &tag(&path));
@@ -386,7 +404,9 @@ fn fp64_emulated_matches_softfloat_fma_reference_within_envelope() {
         let a = Matrix::<f64>::random_f64(m, k, case as u64 * 13 + 1);
         let b = Matrix::<f64>::random_f64(k, n, case as u64 * 13 + 2);
         let c = Matrix::<f64>::random_f64(m, n, case as u64 * 13 + 3);
-        let got = ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        let got = ctx
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         for i in 0..m {
             for j in 0..n {
                 let mut acc = SoftFloat::new(c.get(i, j), FP64);
@@ -440,7 +460,9 @@ fn exact_fp32_matches_baseline_at_every_simd_level_and_thread_count() {
             simd::set_level(lvl);
             for &t in &THREAD_COUNTS {
                 let ctx = M3xuContext::with_threads(t);
-                let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+                let r = ctx
+                    .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                    .unwrap();
                 assert_bits_f32(
                     &r.d,
                     &want.d,

@@ -2,8 +2,8 @@
 //! application results.
 
 use m3xu::fp::Kulisch;
-use m3xu::kernels::gemm::{self, GemmPrecision};
-use m3xu::{Complex, M3xu, Matrix, C32};
+use m3xu::kernels::gemm::GemmPrecision;
+use m3xu::{default_context, Complex, GemmExecutor, M3xu, Matrix, C32};
 
 /// The repository's headline invariant, end to end: a tiled GEMM through
 /// device API -> driver -> MMA -> data-assignment -> integer DPU equals
@@ -55,15 +55,22 @@ fn device_cgemm_matches_f64_reference() {
 fn blocked_and_whole_gemm_agree() {
     let a = Matrix::<f32>::random(32, 32, 105);
     let b = Matrix::<f32>::random(32, 32, 106);
-    let whole = gemm::matmul_f32(GemmPrecision::M3xuFp32, &a, &b);
+    let whole = default_context()
+        .try_matmul_f32(GemmPrecision::M3xuFp32, &a, &b)
+        .unwrap();
 
     // Split the K dimension in half and sum the two partial GEMMs.
     let a1 = a.tile(0, 0, 32, 16);
     let a2 = a.tile(0, 16, 32, 16);
     let b1 = b.tile(0, 0, 16, 32);
     let b2 = b.tile(16, 0, 16, 32);
-    let p1 = gemm::matmul_f32(GemmPrecision::M3xuFp32, &a1, &b1);
-    let split = gemm::gemm_f32(GemmPrecision::M3xuFp32, &a2, &b2, &p1).d;
+    let p1 = default_context()
+        .try_matmul_f32(GemmPrecision::M3xuFp32, &a1, &b1)
+        .unwrap();
+    let split = default_context()
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a2, &b2, &p1)
+        .unwrap()
+        .d;
     for (x, y) in whole.as_slice().iter().zip(split.as_slice()) {
         assert!(
             (x - y).abs() <= 16.0 * f32::EPSILON * y.abs().max(4.0),
@@ -117,7 +124,7 @@ fn precision_ladder_holds() {
     let b = Matrix::<f32>::random(40, 40, 110);
     let gold = Matrix::reference_gemm_f64(&a, &b, &Matrix::zeros(40, 40));
     let err = |p: GemmPrecision| -> f64 {
-        let d = gemm::matmul_f32(p, &a, &b);
+        let d = default_context().try_matmul_f32(p, &a, &b).unwrap();
         d.as_slice()
             .iter()
             .zip(gold.as_slice())

@@ -9,7 +9,8 @@
 
 use std::time::Instant;
 
-use m3xu::kernels::gemm::{self, GemmPrecision};
+use m3xu::default_context;
+use m3xu::kernels::gemm::GemmPrecision;
 use m3xu::mxu::packed::simd::{self, SimdLevel};
 use m3xu::Matrix;
 
@@ -34,14 +35,18 @@ fn simd_pipeline_beats_scalar_floor() {
     let b = Matrix::<f32>::random(n, n, 0x52);
     let c = Matrix::<f32>::zeros(n, n);
     let fp32 = speedup(entry, &format!("FP32 {n}^3"), &|| {
-        std::hint::black_box(gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c));
+        std::hint::black_box(
+            default_context()
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                .unwrap(),
+        );
     });
     let n = 128;
     let ca = Matrix::random_c32(n, n, 0x53);
     let cb = Matrix::random_c32(n, n, 0x54);
     let cc = Matrix::random_c32(n, n, 0x55);
     let fp32c = speedup(entry, &format!("FP32C {n}^3"), &|| {
-        std::hint::black_box(gemm::cgemm_c32(&ca, &cb, &cc));
+        std::hint::black_box(default_context().try_cgemm_c32(&ca, &cb, &cc).unwrap());
     });
     // Floor at 3x for both modes (measured ~10x): anything under 3x means
     // the vector pipeline effectively stopped working.

@@ -374,7 +374,7 @@ fn rate_limit_sheds_blas3_submissions_at_admission() {
     assert_conserved(&s);
     // Other tenants are unaffected: the same SYRK goes through and runs.
     serve
-        .blocking_syrk_f32(
+        .submit_syrk_f32(
             "unthrottled",
             p,
             Triangle::Lower,
@@ -385,6 +385,7 @@ fn rate_limit_sheds_blas3_submissions_at_admission() {
             Matrix::<f32>::zeros(n, n),
             SubmitOpts::default(),
         )
+        .and_then(|t| t.wait())
         .unwrap();
     let u = serve.tenant_stats("unthrottled").unwrap();
     assert_eq!(u.completed, 1);
@@ -406,14 +407,16 @@ fn tripped_breaker_sheds_blas3_at_admission() {
         breaker_cooldown: Duration::from_secs(3600),
         ..ServeConfig::default()
     });
-    let outcome = serve.blocking_gemm_f32(
-        "flaky",
-        GemmPrecision::M3xuFp32,
-        Matrix::<f32>::random(16, 16, 41),
-        Matrix::<f32>::random(16, 16, 42),
-        Matrix::<f32>::zeros(16, 16),
-        SubmitOpts::default(),
-    );
+    let outcome = serve
+        .submit_gemm_f32(
+            "flaky",
+            GemmPrecision::M3xuFp32,
+            Matrix::<f32>::random(16, 16, 41),
+            Matrix::<f32>::random(16, 16, 42),
+            Matrix::<f32>::zeros(16, 16),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait());
     match outcome {
         Err(ServeError::Exec(_)) => {}
         other => panic!("expected Exec(FaultDetected), got {other:?}"),
@@ -460,17 +463,19 @@ fn tripped_breaker_sheds_blas3_at_admission() {
     // too, so under the saturated plan an untouched tenant is *admitted*
     // (its own breaker is closed — per-tenant isolation) and fails at
     // execution, not at the door.
-    let healthy = serve.blocking_hemm_c32(
-        "healthy",
-        Side::Left,
-        Triangle::Lower,
-        Matrix::random_c32(12, 12, 47),
-        Matrix::random_c32(12, 12, 48),
-        C32::new(1.0, 0.0),
-        C32::ZERO,
-        Matrix::random_c32(12, 12, 49),
-        SubmitOpts::default(),
-    );
+    let healthy = serve
+        .submit_hemm_c32(
+            "healthy",
+            Side::Left,
+            Triangle::Lower,
+            Matrix::random_c32(12, 12, 47),
+            Matrix::random_c32(12, 12, 48),
+            C32::new(1.0, 0.0),
+            C32::ZERO,
+            Matrix::random_c32(12, 12, 49),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait());
     match healthy {
         Err(ServeError::Exec(m3xu::M3xuError::FaultDetected { op, .. })) => {
             assert_eq!(op, "hemm", "the typed error names the failing op");
@@ -513,7 +518,7 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                     let bc = Matrix::random_c32(k, n, seed + 4);
                     let csq = Matrix::random_c32(n, n, seed + 5);
                     serve
-                        .blocking_gemm_f32(
+                        .submit_gemm_f32(
                             tenant,
                             p,
                             af.clone(),
@@ -521,9 +526,10 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                             Matrix::<f32>::zeros(n, n),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_gemm_op_f32(
+                        .submit_gemm_op_f32(
                             tenant,
                             p,
                             MatOp::T,
@@ -535,9 +541,10 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                             Matrix::<f32>::random(n, n, seed + 6),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_syrk_f32(
+                        .submit_syrk_f32(
                             tenant,
                             p,
                             Triangle::Lower,
@@ -548,9 +555,10 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                             sq,
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_hemm_c32(
+                        .submit_hemm_c32(
                             tenant,
                             Side::Right,
                             Triangle::Upper,
@@ -561,9 +569,10 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                             Matrix::random_c32(k, n, seed + 8),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_cgemm_op_c32(
+                        .submit_cgemm_op_c32(
                             tenant,
                             MatOp::H,
                             ac.clone(),
@@ -574,9 +583,10 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                             Matrix::random_c32(k, n, seed + 10),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_herk_c32(
+                        .submit_herk_c32(
                             tenant,
                             Triangle::Upper,
                             MatOp::H,
@@ -586,6 +596,7 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                             csq,
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                 }
             });

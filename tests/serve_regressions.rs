@@ -3,7 +3,7 @@
 //! executed-past-deadline classification, per-tenant rate limits,
 //! priority-class drain order, open-loop determinism across shard
 //! counts, and the sharded reconciliation law — plus the PR-8 precision
-//! dial: per-request [`SubmitOpts::precision`], the `*_gemm_f64` family,
+//! dial: the per-request precision argument, the `*_gemm_f64` pair,
 //! and the per-tenant per-mode usage split reconciling against the
 //! shards' per-mode `ExecStats` at shard counts 1 and 4.
 
@@ -50,7 +50,8 @@ fn try_new_returns_a_working_service_instead_of_panicking() {
     let (a, b, c) = tiny_inputs(1);
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     let got = serve
-        .blocking_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .unwrap();
     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
@@ -77,7 +78,8 @@ fn retry_time_is_split_out_of_exec_ns() {
     });
     let (a, b, c) = tiny_inputs(81);
     let err = serve
-        .blocking_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .unwrap_err();
     assert!(
         matches!(err, ServeError::Exec(M3xuError::FaultDetected { .. })),
@@ -107,7 +109,8 @@ fn unretried_requests_have_zero_retry_ns() {
     let serve = M3xuServe::with_workers(1);
     let (a, b, c) = tiny_inputs(5);
     serve
-        .blocking_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .unwrap();
     let s = serve.tenant_stats("t").unwrap();
     assert_eq!(s.completed, 1);
@@ -129,7 +132,8 @@ fn deadline_blown_inside_execution_counts_as_missed_not_completed() {
         let b = Matrix::<f32>::random(n, n, 2);
         let c = Matrix::<f32>::zeros(n, n);
         let t0 = Instant::now();
-        ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         exec = t0.elapsed();
         if exec >= Duration::from_millis(60) {
             break;
@@ -238,7 +242,7 @@ fn rate_limit_sheds_over_burst_and_counts_as_rejected() {
     for i in 0..5u64 {
         let (a, b, c) = tiny_inputs(200 + i);
         serve
-            .blocking_gemm_f32(
+            .submit_gemm_f32(
                 "vip",
                 GemmPrecision::M3xuFp32,
                 a,
@@ -246,6 +250,7 @@ fn rate_limit_sheds_over_burst_and_counts_as_rejected() {
                 c,
                 SubmitOpts::default(),
             )
+            .and_then(|t| t.wait())
             .unwrap();
     }
     assert_eq!(serve.tenant_stats("vip").unwrap().completed, 5);
@@ -336,7 +341,7 @@ fn run_schedule(serve: &M3xuServe, arrivals: &[Arrival]) -> Vec<u64> {
                 let b = Matrix::<f32>::random(n, n, seed + 1);
                 let c = Matrix::<f32>::zeros(n, n);
                 let r = serve
-                    .blocking_gemm_f32(
+                    .submit_gemm_f32(
                         &tenant,
                         GemmPrecision::M3xuFp32,
                         a,
@@ -344,6 +349,7 @@ fn run_schedule(serve: &M3xuServe, arrivals: &[Arrival]) -> Vec<u64> {
                         c,
                         SubmitOpts::default(),
                     )
+                    .and_then(|t| t.wait())
                     .unwrap();
                 fnv(r.d.as_slice().iter().map(|x| x.to_bits() as u64))
             }
@@ -352,7 +358,8 @@ fn run_schedule(serve: &M3xuServe, arrivals: &[Arrival]) -> Vec<u64> {
                 let b = Matrix::random_c32(n, n, seed + 1);
                 let c = Matrix::random_c32(n, n, seed + 2);
                 let r = serve
-                    .blocking_cgemm_c32(&tenant, a, b, c, SubmitOpts::default())
+                    .submit_cgemm_c32(&tenant, a, b, c, SubmitOpts::default())
+                    .and_then(|t| t.wait())
                     .unwrap();
                 fnv(r
                     .d
@@ -370,7 +377,8 @@ fn run_schedule(serve: &M3xuServe, arrivals: &[Arrival]) -> Vec<u64> {
                     })
                     .collect();
                 let (y, _) = serve
-                    .blocking_fft(&tenant, x, SubmitOpts::default())
+                    .submit_fft(&tenant, x, SubmitOpts::default())
+                    .and_then(|t| t.wait())
                     .unwrap();
                 fnv(y
                     .iter()
@@ -451,7 +459,7 @@ fn eight_concurrent_clients_reconcile_across_four_shards() {
                     let c = Matrix::<f32>::random(m, n, seed + 3);
                     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
                     let got = serve
-                        .blocking_gemm_f32(
+                        .submit_gemm_f32(
                             &format!("client-{client}"),
                             GemmPrecision::M3xuFp32,
                             a.clone(),
@@ -459,6 +467,7 @@ fn eight_concurrent_clients_reconcile_across_four_shards() {
                             c.clone(),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
                         assert_eq!(x.to_bits(), y.to_bits(), "client {client} round {round}");
@@ -503,9 +512,12 @@ fn served_fp64_gemm_is_bit_identical_to_direct_context_execution() {
     let a = Matrix::<f64>::random_f64(33, 17, 11);
     let b = Matrix::<f64>::random_f64(17, 21, 12);
     let c = Matrix::<f64>::random_f64(33, 21, 13);
-    let want = ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+    let want = ctx
+        .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+        .unwrap();
     let got = serve
-        .blocking_gemm_f64("t", a, b, c, SubmitOpts::default())
+        .submit_gemm_f64("t", a, b, c, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .unwrap();
     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
@@ -522,40 +534,6 @@ fn served_fp64_gemm_is_bit_identical_to_direct_context_execution() {
 }
 
 #[test]
-fn submit_opts_precision_overrides_the_positional_argument() {
-    // The per-request dial: positional M3xuFp32, opts say Fp32Fast — the
-    // request must execute (and be billed) as Fp32Fast.
-    let serve = M3xuServe::with_workers(1);
-    let (a, b, c) = tiny_inputs(31);
-    // Fp32Fast has no baseline tile executor (the packed driver is its
-    // only engine), so the bit-identity reference is a direct context.
-    let want = M3xuContext::with_threads(1).gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
-    let got = serve
-        .blocking_gemm_f32(
-            "dial",
-            GemmPrecision::M3xuFp32,
-            a,
-            b,
-            c,
-            SubmitOpts {
-                precision: Some(GemmPrecision::Fp32Fast),
-                ..SubmitOpts::default()
-            },
-        )
-        .unwrap();
-    for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-    let s = serve.tenant_stats("dial").unwrap();
-    assert_eq!(s.mode(MxuMode::M3xuFp32Fast).requests, 1);
-    assert_eq!(
-        s.mode(MxuMode::M3xuFp32).requests,
-        0,
-        "nothing billed to the overridden precision"
-    );
-}
-
-#[test]
 fn mismatched_precision_is_a_typed_exec_error_not_a_panic() {
     // Fp64Emulated on an f32 submission cannot execute; the guard must
     // resolve the ticket with a typed ModeMismatch and the disposition
@@ -563,17 +541,15 @@ fn mismatched_precision_is_a_typed_exec_error_not_a_panic() {
     let serve = M3xuServe::with_workers(1);
     let (a, b, c) = tiny_inputs(47);
     let err = serve
-        .blocking_gemm_f32(
+        .submit_gemm_f32(
             "bad",
-            GemmPrecision::M3xuFp32,
+            GemmPrecision::Fp64Emulated,
             a,
             b,
             c,
-            SubmitOpts {
-                precision: Some(GemmPrecision::Fp64Emulated),
-                ..SubmitOpts::default()
-            },
+            SubmitOpts::default(),
         )
+        .and_then(|t| t.wait())
         .unwrap_err();
     assert!(
         matches!(err, ServeError::Exec(M3xuError::ModeMismatch { .. })),
@@ -617,32 +593,29 @@ fn run_precision_mix_and_reconcile(shards: usize) {
                     let seed = client * 100 + round;
                     let (m, k, n) = (5 + (seed % 11) as usize, 1 + (seed % 6) as usize, 7);
                     let tenant = format!("client-{client}");
-                    // One f32 request per round, cycling the dial via the
-                    // per-request override (positional arg deliberately
-                    // different, to prove the override is what executes).
+                    // One f32 request per round, cycling the dial.
                     let precision = f32_dial[(seed as usize) % f32_dial.len()];
                     serve
-                        .blocking_gemm_f32(
+                        .submit_gemm_f32(
                             &tenant,
-                            GemmPrecision::M3xuFp32,
+                            precision,
                             Matrix::<f32>::random(m, k, seed + 1),
                             Matrix::<f32>::random(k, n, seed + 2),
                             Matrix::<f32>::random(m, n, seed + 3),
-                            SubmitOpts {
-                                precision: Some(precision),
-                                ..SubmitOpts::default()
-                            },
+                            SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     // And one emulated-FP64 request per round.
                     serve
-                        .blocking_gemm_f64(
+                        .submit_gemm_f64(
                             &tenant,
                             Matrix::<f64>::random_f64(m, k, seed + 4),
                             Matrix::<f64>::random_f64(k, n, seed + 5),
                             Matrix::<f64>::random_f64(m, n, seed + 6),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                 }
             });

@@ -6,7 +6,8 @@
 //! before *any* code touches the process-wide level cell; keep it to a
 //! single `#[test]` so no parallel test races the first resolution.
 
-use m3xu::kernels::gemm::{self, baseline, GemmPrecision};
+use m3xu::default_context;
+use m3xu::kernels::gemm::{baseline, GemmPrecision};
 use m3xu::mxu::packed::simd::{self, SimdLevel};
 use m3xu::Matrix;
 
@@ -24,7 +25,9 @@ fn kill_switch_pins_scalar_and_preserves_bits() {
     let c = Matrix::<f32>::random(33, 41, 0xF00D);
     for precision in [GemmPrecision::M3xuFp32, GemmPrecision::Tf32] {
         let want = baseline::gemm_f32(precision, &a, &b, &c);
-        let got = gemm::gemm_f32(precision, &a, &b, &c);
+        let got = default_context()
+            .try_gemm_f32(precision, &a, &b, &c)
+            .unwrap();
         for i in 0..want.d.rows() {
             for j in 0..want.d.cols() {
                 assert_eq!(

@@ -11,7 +11,8 @@
 
 use std::sync::Mutex;
 
-use m3xu::kernels::gemm::{self, baseline, GemmPrecision};
+use m3xu::default_context;
+use m3xu::kernels::gemm::{baseline, GemmPrecision};
 use m3xu::mxu::packed::simd::{self, SimdLevel};
 use m3xu::{Matrix, C32};
 
@@ -105,7 +106,9 @@ fn gemm_bitwise_identical_across_levels_and_shapes() {
             let want = baseline::gemm_f32(precision, &a, &b, &c);
             for &lvl in &levels {
                 simd::set_level(lvl);
-                let got = gemm::gemm_f32(precision, &a, &b, &c);
+                let got = default_context()
+                    .try_gemm_f32(precision, &a, &b, &c)
+                    .unwrap();
                 assert_bits_f32(
                     &got.d,
                     &want.d,
@@ -129,7 +132,7 @@ fn cgemm_bitwise_identical_across_levels_and_shapes() {
         let want = baseline::cgemm_c32(&a, &b, &c);
         for &lvl in &levels {
             simd::set_level(lvl);
-            let got = gemm::cgemm_c32(&a, &b, &c);
+            let got = default_context().try_cgemm_c32(&a, &b, &c).unwrap();
             assert_bits_c32(&got.d, &want.d, &format!("c32 {m}x{n}x{k} at {lvl:?}"));
         }
     }
@@ -148,7 +151,9 @@ fn specials_and_subnormals_force_identical_fallbacks() {
         let want = baseline::gemm_f32(precision, &a, &b, &c);
         for &lvl in &levels {
             simd::set_level(lvl);
-            let got = gemm::gemm_f32(precision, &a, &b, &c);
+            let got = default_context()
+                .try_gemm_f32(precision, &a, &b, &c)
+                .unwrap();
             assert_bits_f32(
                 &got.d,
                 &want.d,
@@ -172,7 +177,7 @@ fn specials_and_subnormals_force_identical_fallbacks() {
     let want = baseline::cgemm_c32(&ca, &cb, &cc);
     for &lvl in &levels {
         simd::set_level(lvl);
-        let got = gemm::cgemm_c32(&ca, &cb, &cc);
+        let got = default_context().try_cgemm_c32(&ca, &cb, &cc).unwrap();
         assert_bits_c32(&got.d, &want.d, &format!("c32 specials at {lvl:?}"));
     }
     simd::set_level(entry);
@@ -193,7 +198,9 @@ fn wide_exponent_spreads_stay_bitwise_identical() {
     let want = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     for &lvl in &levels {
         simd::set_level(lvl);
-        let got = gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        let got = default_context()
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         assert_bits_f32(&got.d, &want.d, &format!("wide spread at {lvl:?}"));
     }
     simd::set_level(entry);
@@ -278,7 +285,9 @@ fn long_k_gemm_columns_leave_the_vector_chain_deep_and_carry_on() {
     }
     for &lvl in &levels {
         simd::set_level(lvl);
-        let got = gemm::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        let got = default_context()
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         assert_bits_f32(&got.d, &want.d, &format!("long-K gemm at {lvl:?}"));
     }
     simd::set_level(entry);
@@ -315,7 +324,7 @@ fn long_k_cgemm_columns_leave_the_vector_chain_deep_and_carry_on() {
     let want = baseline::cgemm_c32(&a, &b, &c);
     for &lvl in &levels {
         simd::set_level(lvl);
-        let got = gemm::cgemm_c32(&a, &b, &c);
+        let got = default_context().try_cgemm_c32(&a, &b, &c).unwrap();
         assert_bits_c32(&got.d, &want.d, &format!("long-K cgemm at {lvl:?}"));
     }
     simd::set_level(entry);
