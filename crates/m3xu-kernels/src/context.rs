@@ -239,7 +239,9 @@ pub struct ExecStats {
     /// panels reduced on the vector path.
     pub simd_chunks: u64,
     /// Element-chunks the SIMD panels sent to the scalar oracle instead —
-    /// a special operand, or an exponent spread beyond the vector window.
+    /// a special operand, or contributions whose bits span more than the
+    /// 128-bit vector window sums (124 places above the lowest one's
+    /// least bit).
     /// `simd_fallbacks / (simd_chunks + simd_fallbacks)` is the share of
     /// the vector path's work that fell off it.
     pub simd_fallbacks: u64,

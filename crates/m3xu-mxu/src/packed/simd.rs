@@ -35,10 +35,14 @@
 //! stay in vector form for a whole `K`-panel; the row's f32 values are
 //! assembled once, at panel end.
 //!
-//! Anything the window cannot prove exact — a non-finite product (which
-//! subsumes every special-operand case), or an exponent spread beyond
-//! `SIMD_POW_RANGE` — falls back **per element-chunk** to the scalar
-//! executor, which remains the differential oracle. The kill switch
+//! Anything the window cannot prove exact falls back **per
+//! element-chunk** to the scalar executor, which remains the
+//! differential oracle: a non-finite product (which subsumes every
+//! special-operand case), or contributions whose bits span more than the
+//! `i128` can sum — the admission test charges the seed its real 24 bits
+//! and each product 53 (`WINDOW_POW_SPAN`), so a running sum beside a
+//! product some 2^-54 smaller, as in the GEMM-FFT's DFT matrices, stays
+//! on the vector path. The kill switch
 //! `M3XU_SIMD=0` (or [`set_level`]`(SimdLevel::Scalar)`) routes every
 //! element through that oracle path.
 
@@ -140,18 +144,54 @@ pub(crate) const COLS: usize = 8;
 /// Largest `frag.k` any mode's fragment shape reaches (FP16/BF16).
 pub(crate) const MAX_KLEN: usize = 4;
 
-/// Maximum exponent spread the f64-product reduction accepts: at most 5
-/// contributions (4 products + seed) below `2^53`, so the exact sum stays
-/// below `2^(53 + 70 + 3) < 2^127` and the `i128` window cannot
-/// overflow.
-const SIMD_POW_RANGE: i32 = 70;
+/// Significand width of a chunk seed: an f32 significand, or the
+/// fraction a rounder keeps (renormalised after its carry), so always
+/// below `2^24`.
+const SEED_BITS: i32 = 24;
+
+/// Significand width of an `f64` product, implicit bit included.
+const PRODUCT_BITS: i32 = 53;
+
+/// Largest power spread `pmax − pmin` the 128-bit window admits. `pmin`
+/// is the lowest power among the nonzero contributions — the window's
+/// anchor `base` — and `pmax` the highest, except that the seed's power
+/// enters `pmax` lowered by `PRODUCT_BITS − SEED_BITS`.
+///
+/// Why it is safe: a contribution of width `w` whose least bit weighs
+/// `2^p` is below `2^(p + w)`, so once shifted into the window it is
+/// below `2^D`, where `D` is the highest `p + w` over the nonzero
+/// contributions minus `base`. With the seed charged `SEED_BITS` and
+/// each product `PRODUCT_BITS`, `D = pmax + PRODUCT_BITS − pmin`. The
+/// window sums at most `1 + MAX_KLEN = 5` contributions, so every
+/// partial sum is below `5·2^D < 2^(D + 3)`, and the `i128` cannot
+/// overflow while `D + 3 ≤ 127`. Hence `D ≤ 124`, i.e. `pmax − pmin ≤
+/// 124 − 53 = 71`. The sum's leading bit then sits at 126 or below,
+/// which both drains (`fast_round_parts`, `x86::round_chunk_avx2`)
+/// handle.
+const WINDOW_POW_SPAN: i32 = {
+    // Bits a sum of `1 + MAX_KLEN` contributions can carry past the
+    // widest one: ⌈log2 5⌉ = 3.
+    let carry = (1 + MAX_KLEN).next_power_of_two().trailing_zeros() as i32;
+    i128::BITS as i32 - 1 - carry - PRODUCT_BITS
+};
+
+// The proof above, checked: `1 + MAX_KLEN` contributions just below
+// `2^D` fit the `i128`, one bit more would not, and the seed is the
+// narrower contribution.
+const _: () = {
+    let d = (PRODUCT_BITS + WINDOW_POW_SPAN) as u32;
+    let terms = (1 + MAX_KLEN) as u128;
+    assert!(terms * ((1 << d) - 1) <= i128::MAX as u128);
+    assert!(terms * ((1 << (d + 1)) - 1) > i128::MAX as u128);
+    assert!(SEED_BITS <= PRODUCT_BITS);
+};
 
 /// Round-to-nearest-even FP32 of the exact value `seed + Σ terms`, where
 /// `seed` is the fragment's accumulator element and every term is an
 /// *exact* product in `f64`. Returns `None` — abort to the scalar oracle
 /// — on any non-finite input (which covers every special-operand case:
 /// a NaN/Inf operand always surfaces as a NaN/Inf product) or when the
-/// exponent spread exceeds the 128-bit window.
+/// power spread exceeds [`WINDOW_POW_SPAN`].
 ///
 /// Bit-identical to the scalar fast path / Kulisch drain because the
 /// decoded contribution list denotes exactly the same real number (the
@@ -164,8 +204,8 @@ pub(crate) fn exact_chunk_round<const T: usize>(seed: f32, terms: &[f64; T]) -> 
 }
 
 /// A fragment accumulator element in decoded form: the exact value is
-/// `±mant · 2^pow` (`mant` is at most 2^24 — an f32 significand — or a
-/// rounder's kept fraction). Panel kernels thread this through the
+/// `±mant · 2^pow` (`mant` is below `2^SEED_BITS` — an f32 significand
+/// or a rounder's kept fraction). Panel kernels thread this through the
 /// per-column chunk chain so consecutive chunks hand off
 /// mantissa/power/sign directly instead of assembling an f32 and
 /// re-decoding it — the assemble/decode pair sits on the loop-carried
@@ -280,8 +320,8 @@ impl RowSeeds {
 
 /// The reduction half of [`exact_chunk_round`]: decode `seed + Σ terms`
 /// into an exact `i128` window anchored at `pmin`, without rounding.
-/// Returns `(sum, pmin, ok)`; when `ok` is false (non-finite input or
-/// exponent spread beyond the window) `sum`/`pmin` are meaningless and
+/// Returns `(sum, pmin, ok)`; when `ok` is false (non-finite input or a
+/// power spread beyond [`WINDOW_POW_SPAN`]) `sum`/`pmin` are meaningless and
 /// the caller must take the scalar oracle path. Split out so panel
 /// kernels can run the accumulate and rounding phases as two short-chain
 /// passes over a row — the combined body is too long a dependency chain
@@ -296,9 +336,11 @@ pub(crate) fn exact_chunk_accumulate<const T: usize>(
 
 /// [`exact_chunk_accumulate`] over an already-decoded seed. The seed's
 /// 24-bit-significand decomposition denotes exactly the same real value
-/// as the f64 route (only `pmin` anchors differently, which both the
-/// window bound and [`super::fast_round_f32`] absorb), so the rounded
-/// result is bit-identical either way.
+/// as the f64 route (only `pmin` anchors differently, which
+/// [`super::fast_round_f32`] absorbs), so the rounded result is
+/// bit-identical either way. The spread test charges the seed its real
+/// width, [`SEED_BITS`], and each product [`PRODUCT_BITS`] (see
+/// [`WINDOW_POW_SPAN`]).
 #[inline(always)]
 pub(crate) fn exact_chunk_accumulate_seeded<const T: usize>(
     seed: ChunkSeed,
@@ -322,7 +364,11 @@ pub(crate) fn exact_chunk_accumulate_seeded<const T: usize>(
     let seed_nz = seed.mant != 0;
     let mut nonfinite = !seed.finite;
     let mut pmin = if seed_nz { seed.pow } else { i32::MAX };
-    let mut pmax = if seed_nz { seed.pow } else { i32::MIN };
+    let mut pmax = if seed_nz {
+        seed.pow - (PRODUCT_BITS - SEED_BITS)
+    } else {
+        i32::MIN
+    };
     for (t, &v) in terms.iter().enumerate() {
         let bits = v.to_bits();
         let exp = ((bits >> 52) & 0x7ff) as i32;
@@ -340,7 +386,7 @@ pub(crate) fn exact_chunk_accumulate_seeded<const T: usize>(
     // spread test — the sentinels would overflow `pmax - pmin` — and
     // yields sum 0, which rounds to +0.0 like the scalar zero-skip.
     let empty = pmin == i32::MAX;
-    let ok = !nonfinite && (empty || pmax - pmin <= SIMD_POW_RANGE);
+    let ok = !nonfinite && (empty || pmax - pmin <= WINDOW_POW_SPAN);
     let base = if empty { 0 } else { pmin };
     // An invalid window is never read — skip the reduction entirely
     // rather than sum clamped-shift garbage (whose magnitudes could
@@ -375,7 +421,7 @@ pub(crate) mod x86 {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use super::{RowSeeds, COLS, MAX_KLEN, SIMD_POW_RANGE};
+    use super::{RowSeeds, COLS, MAX_KLEN, PRODUCT_BITS, SEED_BITS, WINDOW_POW_SPAN};
 
     /// Out-of-window power sentinel for the vector min/max reductions.
     /// Far outside any real f64/seed power (|pow| ≤ ~1100) yet small
@@ -402,7 +448,8 @@ pub(crate) mod x86 {
     ///
     /// Returns a bitmask with bit `j` set when column `j`'s window is
     /// valid — all inputs finite and the power spread within
-    /// [`SIMD_POW_RANGE`]. Lanes with a cleared bit hold garbage and the
+    /// [`WINDOW_POW_SPAN`], the seed charged its own width as in the
+    /// scalar test. Lanes with a cleared bit hold garbage and the
     /// caller must take the scalar fallback for them. The caller also
     /// ANDs in `seeds.finite`, which this kernel does not see (non-finite
     /// seeds are stored as zero contributions).
@@ -438,7 +485,8 @@ pub(crate) mod x86 {
         let bigv = _mm256_set1_epi64x(POW_CAP);
         let smallv = _mm256_set1_epi64x(-POW_CAP);
         let c64 = _mm256_set1_epi64x(64);
-        let range = _mm256_set1_epi64x(SIMD_POW_RANGE as i64);
+        let range = _mm256_set1_epi64x(WINDOW_POW_SPAN as i64);
+        let narrow = _mm256_set1_epi64x((PRODUCT_BITS - SEED_BITS) as i64);
         let topbit = _mm256_set1_epi64x(i64::MIN);
         let mut okbits = 0u32;
         for g in 0..COLS / 4 {
@@ -448,10 +496,10 @@ pub(crate) mod x86 {
             let sneg = _mm256_loadu_si256(seeds.neg.as_ptr().add(o) as *const __m256i);
             // Zero contributions must not anchor the window: substitute
             // sentinels so min/max skip them (same rule as the scalar
-            // `if nz` guards).
+            // `if nz` guards). The narrower seed enters `pmax` lowered.
             let sz = _mm256_cmpeq_epi64(smant, zero);
             let mut pmin = blendv64(spow, bigv, sz);
-            let mut pmax = blendv64(spow, smallv, sz);
+            let mut pmax = blendv64(_mm256_sub_epi64(spow, narrow), smallv, sz);
             let mut nonfin = zero;
             let mut tmant = [zero; MAX_KLEN];
             let mut tpow = [zero; MAX_KLEN];
@@ -861,8 +909,8 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut accepted = 0u32;
-        for case in 0..6000 {
+        let mut accepted = [0u32; 5];
+        for case in 0..7500 {
             let klen = 1 + (next() % 4) as usize;
             // Sweep pair magnitudes across normal, tiny, huge, and
             // subnormal-result regimes so pmin crosses every rounding
@@ -876,15 +924,21 @@ mod tests {
                 let sign = ((r >> 63) as u32) << 31;
                 f32::from_bits(sign | (exp << 23) | mant)
             };
-            // The last class seeds +0.0 and lands its sums astride the
-            // f32 subnormal boundary (gradual underflow rounding).
-            let classes: [(i32, i32, Option<i32>); 4] = [
-                (0, 0, Some(-15)),
-                (-40, 0, Some(-55)),
-                (60, 60, Some(105)),
-                (-60, -55, None),
+            // `y` takes the first shift on even terms and the second on
+            // odd ones. The fourth class seeds +0.0 and lands its sums
+            // astride the f32 subnormal boundary (gradual underflow
+            // rounding). The last is the GEMM-FFT's shape: a running sum
+            // beside x·w for a unit twiddle w and for one about 2^-54
+            // (f32 cos(pi/2)).
+            let classes: [(i32, [i32; 2], Option<i32>); 5] = [
+                (0, [0, 0], Some(-15)),
+                (-40, [0, 0], Some(-55)),
+                (60, [60, 60], Some(105)),
+                (-60, [-55, -55], None),
+                (0, [0, -54], Some(-15)),
             ];
-            let (s0, s1, ss) = classes[case % 4];
+            let class = case % classes.len();
+            let (s0, s1, ss) = classes[class];
             let seed = match ss {
                 Some(ss) => rf32(next(), ss),
                 None => 0.0,
@@ -892,9 +946,9 @@ mod tests {
             let mut terms = [0f64; 4];
             let mut kul = m3xu_fp::Kulisch::new();
             kul.add_f64(seed as f64);
-            for t in terms.iter_mut().take(klen) {
-                let (x, y) = (rf32(next(), s0), rf32(next(), s1));
-                *t = x as f64 * y as f64; // exact: 24+24 bits
+            for (t, term) in terms.iter_mut().enumerate().take(klen) {
+                let (x, y) = (rf32(next(), s0), rf32(next(), s1[t % 2]));
+                *term = x as f64 * y as f64; // exact: 24+24 bits
                 kul.add_product_f32(x, y);
             }
             let fast = match klen {
@@ -904,7 +958,7 @@ mod tests {
                 _ => exact_chunk_round(seed, &terms),
             };
             if let Some(fast) = fast {
-                accepted += 1;
+                accepted[class] += 1;
                 assert_eq!(
                     fast.to_bits(),
                     kul.to_f32().to_bits(),
@@ -913,9 +967,12 @@ mod tests {
                 );
             }
         }
-        // The window must actually cover the bulk of the sweep, not
-        // vacuously abort everything.
-        assert!(accepted > 4000, "only {accepted}/6000 cases accepted");
+        // The window must actually cover the bulk of every class, the
+        // GEMM-FFT's included, not vacuously abort it.
+        assert!(
+            accepted.iter().all(|&a| a > 1000),
+            "cases accepted per class (of 1500): {accepted:?}"
+        );
     }
 
     #[test]
@@ -1262,6 +1319,207 @@ mod tests {
             check_round_chunk(&sums, &base, 0xff, n as u64);
             check_round_chunk(&sums, &base, (n as u32 * 37) & 0xff, !(n as u64));
         }
+    }
+
+    /// Run [`x86::accumulate_chunk_avx2`] on one row of `T`-deep chunks
+    /// and check every lane against the scalar
+    /// [`exact_chunk_accumulate_seeded`]: the valid-lane mask (with the
+    /// caller's `finite` bits ANDed in, as the panels do) matches exactly,
+    /// and every valid lane carries the same `(sum, base)`. Returns the
+    /// mask and the windows.
+    #[cfg(target_arch = "x86_64")]
+    fn check_accumulate_chunk<const T: usize>(
+        prods: &[[f64; COLS]],
+        seeds: &RowSeeds,
+    ) -> (u32, [i128; COLS], [i64; COLS]) {
+        let (mut lo, mut hi, mut base) = ([0u64; COLS], [0u64; COLS], [0i64; COLS]);
+        // SAFETY: the caller checked AVX2 support; `prods` holds `T`
+        // rows and `T <= MAX_KLEN`.
+        let ok =
+            unsafe { x86::accumulate_chunk_avx2(T, prods, seeds, &mut lo, &mut hi, &mut base) }
+                & seeds.finite;
+        let sums = std::array::from_fn(|j| (((hi[j] as u128) << 64) | lo[j] as u128) as i128);
+        let mut want = 0u32;
+        for j in 0..COLS {
+            let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
+            let (sum, pmin, valid) = exact_chunk_accumulate_seeded(seeds.get(j), &terms);
+            want |= (valid as u32) << j;
+            if valid && ok >> j & 1 == 1 {
+                assert_eq!(
+                    (sums[j], base[j]),
+                    (sum, pmin as i64),
+                    "lane {j}: seed {}·2^{} terms {terms:?}",
+                    seeds.mant[j],
+                    seeds.pow[j]
+                );
+            }
+        }
+        assert_eq!(ok, want, "valid-lane mask");
+        (ok, sums, base)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn accumulate_chunk_avx2_matches_scalar_window_lane_by_lane() {
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut state = 0x6a09_e667_f3bc_c909u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        const M52: u64 = (1 << 52) - 1;
+        let check = |klen: usize, prods: &[[f64; COLS]], seeds: &RowSeeds| match klen {
+            0 => check_accumulate_chunk::<0>(prods, seeds),
+            1 => check_accumulate_chunk::<1>(prods, seeds),
+            2 => check_accumulate_chunk::<2>(prods, seeds),
+            3 => check_accumulate_chunk::<3>(prods, seeds),
+            _ => check_accumulate_chunk::<4>(prods, seeds),
+        };
+        // Random rows: every contribution's top bit lies within ±64 of its
+        // lane's centre, so the spread lands on both sides of the bound;
+        // some seeds are zero or non-finite, some products signed zeros,
+        // subnormals, infinities or NaNs.
+        let mut accepted = 0u32;
+        for case in 0..20_000 {
+            let klen = case % (MAX_KLEN + 1);
+            let mut prods = [[0f64; COLS]; MAX_KLEN];
+            let mut seeds = RowSeeds::load(&[0.0; COLS]);
+            for j in 0..COLS {
+                let centre = (next() % 1801) as i32 - 900;
+                let top = |r: u64| centre + (r % 129) as i32 - 64;
+                let mant = match next() % 8 {
+                    0 => 0,
+                    1 => 1 << 23,
+                    2 => (1 << 24) - 1,
+                    _ => next() & 0xff_ffff,
+                };
+                let pow = top(next()) - SEED_BITS;
+                let r = next();
+                seeds.set(
+                    j,
+                    ChunkSeed {
+                        mant,
+                        pow,
+                        neg: r & 1 == 1,
+                        finite: r % 29 != 0,
+                    },
+                );
+                for row in prods.iter_mut().take(klen) {
+                    let sign = next() >> 63 << 63;
+                    let frac = next() & M52;
+                    let exp = match next() % 64 {
+                        0 => 0x7ff,
+                        1 | 2 => 0,
+                        3 => {
+                            row[j] = f64::from_bits(sign);
+                            continue;
+                        }
+                        _ => (top(next()) + 1022) as u64,
+                    };
+                    row[j] = f64::from_bits(sign | exp << 52 | frac);
+                }
+            }
+            accepted += check(klen, &prods, &seeds).0.count_ones();
+        }
+        // Both verdicts must be common, not one of them vacuous.
+        assert!(
+            (40_000..120_000).contains(&accepted),
+            "{accepted}/160000 lanes accepted"
+        );
+
+        // The largest sum: all-ones product significands at the top of
+        // the span and at `bottom`, a `2^24 − 1` seed whose least bit
+        // weighs `2^seed_pow`, one sign throughout. `f64_at` is the value
+        // of a significand whose least bit weighs `2^pow`.
+        let f64_at = |neg: bool, mant: u64, pow: i32| -> f64 {
+            (if neg { -1.0 } else { 1.0 }) * mant as f64 * 2f64.powi(pow)
+        };
+        let pmin = -200;
+        let all_ones = (1u64 << 53) - 1;
+        let largest = |neg: bool, seed_pow: i32, bottom: i32| -> (f32, [f64; 4]) {
+            let top = f64_at(neg, all_ones, pmin + WINDOW_POW_SPAN);
+            let seed = f64_at(neg, (1 << SEED_BITS) - 1, seed_pow) as f32;
+            (seed, [top, top, top, f64_at(neg, all_ones, bottom)])
+        };
+        // The FFT shape: the running sum, x·1 and x·f32(cos(pi/2)).
+        let x = 0.712_345_6f32;
+        let tiny = (std::f64::consts::FRAC_PI_2.cos() as f32) as f64;
+        let fft = [x as f64, x as f64 * tiny, 0.0, 0.0];
+        // Edges, each at every lane position of a row of four-deep chunks.
+        // `Some(v)` is the verdict a lane must get; every lane must match
+        // the scalar window either way.
+        let edges: Vec<(f32, [f64; 4], Option<bool>)> = vec![
+            // D = 124: the largest sum the bound admits, either sign.
+            {
+                let (s, t) = largest(false, pmin + 100, pmin);
+                (s, t, Some(true))
+            },
+            {
+                let (s, t) = largest(true, pmin + 100, pmin);
+                (s, t, Some(true))
+            },
+            // D = 125 from the bottom product one lower, or from the seed
+            // one higher.
+            {
+                let (s, t) = largest(false, pmin + 100, pmin - 1);
+                (s, t, Some(false))
+            },
+            {
+                let (s, t) = largest(true, pmin + 101, pmin);
+                (s, t, Some(false))
+            },
+            // A zero sum, a seed alone, an empty lane.
+            (0.75, [-0.75, 0.0, -0.0, 0.0], Some(true)),
+            (-1.5, [0.0, -0.0, 0.0, -0.0], Some(true)),
+            (-0.0, [0.0, -0.0, -0.0, 0.0], Some(true)),
+            // The GEMM-FFT's shape, the seed at |x| and 2^17·|x| (the
+            // widest it admits), then 2^18·|x|.
+            (1.25 * x, fft, Some(true)),
+            (-(x * 2f32.powi(17)), fft, Some(true)),
+            (x * 2f32.powi(18), fft, Some(false)),
+        ];
+        for n in 0..edges.len() * COLS {
+            let mut prods = [[0f64; COLS]; MAX_KLEN];
+            let mut seeds = RowSeeds::load(&[0.0; COLS]);
+            for j in 0..COLS {
+                let (seed, terms, _) = edges[(n + j) % edges.len()];
+                seeds.set(j, ChunkSeed::decode(seed));
+                for (t, &v) in terms.iter().enumerate() {
+                    prods[t][j] = v;
+                }
+            }
+            let (ok, sums, base) = check(4, &prods, &seeds);
+            for j in 0..COLS {
+                let (seed, terms, verdict) = edges[(n + j) % edges.len()];
+                if let Some(v) = verdict {
+                    assert_eq!(ok >> j & 1 == 1, v, "edge {}", (n + j) % edges.len());
+                }
+                if ok >> j & 1 == 1 {
+                    // The window's rounding is the Kulisch drain's.
+                    let mut kul = m3xu_fp::Kulisch::new();
+                    kul.add_f64(seed as f64);
+                    for &t in &terms {
+                        kul.add_f64(t);
+                    }
+                    let r = super::super::fast_round_f32(sums[j], base[j] as i32);
+                    assert_eq!(
+                        r.to_bits(),
+                        kul.to_f32().to_bits(),
+                        "edge {}",
+                        (n + j) % edges.len()
+                    );
+                }
+            }
+        }
+        // Seed-only and empty lanes with no products at all.
+        let mut seeds = RowSeeds::load(&[1.5, -0.0, 0.0, -2.0e-40, 3.0e38, -1.0, 0.0, 7.0]);
+        seeds.set(6, ChunkSeed::decode(f32::NAN));
+        let (ok, _, _) = check(0, &[], &seeds);
+        assert_eq!(ok, 0xff & !(1 << 6));
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -672,9 +672,10 @@ fn higher_level_kernels_flow_into_the_same_sink() {
 fn simd_fallbacks_are_counted_per_element_chunk() {
     // Every element-chunk a SIMD panel executes is counted once: on the
     // vector path, or sent to the scalar oracle. Dense random operands
-    // never leave the vector path; the GEMM-FFT's DFT matrices do — their
-    // tiny nonzero components (f32 cos(pi/2) ~ 6e-17, say) put the
-    // exponent spread of a chunk beyond the vector window.
+    // and the GEMM-FFT's DFT matrices (whose f32 cos(pi/2) ~ 6e-17 puts a
+    // product some 2^-54 below the running sum, well inside the window)
+    // never leave the vector path; a chunk whose bits span beyond the
+    // 128-bit window, or a NaN, does.
     use m3xu::mxu::packed::simd::{self, SimdLevel};
     let vector = simd::level() != SimdLevel::Scalar;
     let ctx = M3xuContext::with_threads(2);
@@ -701,25 +702,37 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     let before = ctx.stats();
     ctx.try_gemm_fft(&x).unwrap();
     let f = ctx.stats().delta_since(&before);
-    // Three 16 x 256 x 16 CGEMMs.
-    let total = f.simd_chunks + f.simd_fallbacks;
-    if vector {
-        assert_eq!(total, 3 * 16 * 256 * 16);
-        assert!(
-            f.simd_fallbacks > 0,
-            "the FFT's fallback share must be visible"
-        );
-        eprintln!(
-            "4096-point GEMM-FFT: {:.1}% of element-chunks fell back",
-            100.0 * f.simd_fallbacks as f64 / total as f64
-        );
-    } else {
-        assert_eq!(total, 0);
+    // Three 16 x 256 x 16 CGEMMs, every element-chunk on the vector path.
+    assert_eq!(f.simd_chunks, if vector { 3 * 16 * 256 * 16 } else { 0 });
+    assert_eq!(f.simd_fallbacks, 0);
+
+    // Column 5 of B holds 1e-30 at depth 17, beside O(1) values: that
+    // chunk's bits span about 150 > 124, so each of the 64 rows sends it
+    // to the oracle once, then carries on. Column 42 holds a NaN at depth
+    // 40: each row stays on the oracle for chunks 20..32.
+    let mut bw = b.clone();
+    bw.set(17, 5, 1.0e-30);
+    bw.set(40, 42, f32::NAN);
+    let c = Matrix::zeros(64, 64);
+    let before = ctx.stats();
+    let got = ctx
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &bw, &c)
+        .unwrap();
+    let w = ctx.stats().delta_since(&before);
+    let fallbacks = 64 + 64 * (32 - 20);
+    assert_eq!(w.simd_fallbacks, if vector { fallbacks } else { 0 });
+    assert_eq!(
+        w.simd_chunks,
+        if vector { 64 * 64 * 32 - fallbacks } else { 0 }
+    );
+    let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &bw, &c);
+    for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
+        assert_eq!(x.to_bits(), y.to_bits());
     }
     // The snapshot arithmetic carries the new counters.
-    let m = s.merged(&d);
+    let m = s.merged(&w);
     assert_eq!(
         (m.simd_chunks, m.simd_fallbacks),
-        (s.simd_chunks + d.simd_chunks, 0)
+        (s.simd_chunks + w.simd_chunks, w.simd_fallbacks)
     );
 }

@@ -3,9 +3,11 @@
 //! Opt-in: runs only with `M3XU_PERF_GATE=1` (and never in debug builds,
 //! where the floors are meaningless). The floors are set far below the
 //! measured release numbers — 256³ M3XU-FP32 and 128³ M3XU-FP32C both run
-//! ~10x faster than the forced-scalar packed path on a 2-vCPU AVX2 Xeon
-//! — so only a real regression (or a Scalar-only host, which the gate
-//! skips) trips them.
+//! ~10x faster than the forced-scalar packed path on a 2-vCPU AVX2 Xeon,
+//! the 4,096-point GEMM-FFT ~7.8x — so only a real regression (or a
+//! Scalar-only host, which the gate skips) trips them. The FFT's floor
+//! guards the vector window's admission bound: when its chunks fell back
+//! to the scalar oracle it reached only ~1.9x.
 
 use std::time::Instant;
 
@@ -48,12 +50,22 @@ fn simd_pipeline_beats_scalar_floor() {
     let fp32c = speedup(entry, &format!("FP32C {n}^3"), &|| {
         std::hint::black_box(default_context().try_cgemm_c32(&ca, &cb, &cc).unwrap());
     });
-    // Floor at 3x for both modes (measured ~10x): anything under 3x means
-    // the vector pipeline effectively stopped working.
-    for (mode, s) in [("FP32", fp32), ("FP32C", fp32c)] {
+    let n = 4096;
+    let x = Matrix::random_c32(n, 1, 0x56);
+    let fft = speedup(entry, &format!("GEMM-FFT {n}-point"), &|| {
+        std::hint::black_box(default_context().try_gemm_fft(x.as_slice()).unwrap());
+    });
+    // Floor at 3x for both GEMM modes (measured ~10x): anything under 3x
+    // means the vector pipeline effectively stopped working. The FFT's 4x
+    // floor (measured ~7.8x) trips when its chunks leave the window.
+    for (what, s, floor) in [
+        ("FP32", fp32, 3.0),
+        ("FP32C", fp32c, 3.0),
+        ("GEMM-FFT", fft, 4.0),
+    ] {
         assert!(
-            s >= 3.0,
-            "{mode} SIMD pipeline speedup {s:.2}x fell below the 3x floor at {entry:?}"
+            s >= floor,
+            "{what} SIMD pipeline speedup {s:.2}x fell below the {floor}x floor at {entry:?}"
         );
     }
 }

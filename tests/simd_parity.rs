@@ -12,6 +12,7 @@
 use std::sync::Mutex;
 
 use m3xu::default_context;
+use m3xu::kernels::fft;
 use m3xu::kernels::gemm::{baseline, GemmPrecision};
 use m3xu::mxu::packed::simd::{self, SimdLevel};
 use m3xu::{Matrix, C32};
@@ -183,9 +184,10 @@ fn specials_and_subnormals_force_identical_fallbacks() {
     simd::set_level(entry);
 }
 
-/// Exponent spreads wider than the SIMD window (`~2^70`) must abort to
-/// the scalar oracle per element-chunk — mix tiny and huge magnitudes so
-/// both the spread abort and the in-window path occur within one GEMM.
+/// Chunks whose bits span more than the SIMD window sums (124 bits
+/// above the lowest contribution's least bit) must abort to the scalar
+/// oracle per element-chunk — mix tiny and huge magnitudes so both the
+/// spread abort and the in-window path occur within one GEMM.
 #[test]
 fn wide_exponent_spreads_stay_bitwise_identical() {
     let _guard = LEVEL_LOCK.lock().unwrap();
@@ -202,6 +204,34 @@ fn wide_exponent_spreads_stay_bitwise_identical() {
             .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
             .unwrap();
         assert_bits_f32(&got.d, &want.d, &format!("wide spread at {lvl:?}"));
+    }
+    simd::set_level(entry);
+}
+
+/// The GEMM-FFT puts its DFT matrices' tiny components (f32 cos(pi/2)
+/// ~ 6e-17) beside the running sums, some 2^-54 below them: at every
+/// level the spectrum must equal the per-fragment oracle driver's bit
+/// for bit.
+#[test]
+fn gemm_fft_bitwise_identical_across_levels_and_the_oracle() {
+    let _guard = LEVEL_LOCK.lock().unwrap();
+    let entry = simd::level();
+    let levels = host_levels();
+    for n in [16, 64, 256, 4096] {
+        let x = Matrix::random_c32(n, 1, 0xFF7 + n as u64);
+        let (want, _) = fft::try_gemm_fft_with(x.as_slice(), baseline::cgemm_c32).unwrap();
+        for &lvl in &levels {
+            simd::set_level(lvl);
+            let (got, _) = default_context().try_gemm_fft(x.as_slice()).unwrap();
+            assert_eq!(got.len(), n);
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    (g.re.to_bits(), g.im.to_bits()),
+                    (w.re.to_bits(), w.im.to_bits()),
+                    "{n}-point GEMM-FFT bin {k} at {lvl:?}"
+                );
+            }
+        }
     }
     simd::set_level(entry);
 }
