@@ -20,9 +20,8 @@
 //! The microbenchmarks (`cargo bench -p m3xu-bench`) measure the
 //! *functional* library itself: MMA latency, tiled GEMM/CGEMM throughput,
 //! the GEMM-FFT, KNN, and the cost/performance model evaluation speed.
-//! `cargo run --release -p m3xu-bench --bin bench_gemm` compares the
-//! packed GEMM/CGEMM drivers against the original per-fragment path and
-//! writes `results/BENCH_gemm.json`.
+//! End-to-end timings of the library come from the repository benchmark
+//! under `benchmark/`.
 
 #![warn(missing_docs)]
 

@@ -165,7 +165,7 @@ pub fn plan_fp64c(a: &[Complex<f64>], b: &[Complex<f64>]) -> StepPlan {
     steps.into_iter().collect()
 }
 
-/// TF32 Tensor-Core mode: FP32 operands truncated to TF32 at the buffer
+/// TF32 Tensor-Core mode: FP32 operands rounded to TF32 at the buffer
 /// (the baseline behaviour M3XU improves on) — one step.
 pub fn plan_tf32(a: &[f32], b: &[f32]) -> StepPlan {
     assert_eq!(a.len(), b.len());
@@ -174,8 +174,8 @@ pub fn plan_tf32(a: &[f32], b: &[f32]) -> StepPlan {
         .zip(b)
         .map(|(&x, &y)| {
             lane(
-                crate::buffer::decode_tf32_truncating(x),
-                crate::buffer::decode_tf32_truncating(y),
+                crate::buffer::decode_tf32(x),
+                crate::buffer::decode_tf32(y),
                 false,
                 Target::Real,
             )
@@ -322,7 +322,7 @@ mod tests {
         let b = [1.0f32];
         let plan = plan_tf32(&a, &b);
         let (re, _) = run_plan(&plan, 0.0, 0.0);
-        assert_eq!(re, 1.0); // the EPSILON was truncated away at the buffer
+        assert_eq!(re, 1.0); // the EPSILON was rounded away at the buffer
         let plan32 = plan_fp32(&a, &b);
         let (re32, _) = run_plan(&plan32, 0.0, 0.0);
         assert_eq!(re32, 1.0 + f32::EPSILON); // M3XU keeps it

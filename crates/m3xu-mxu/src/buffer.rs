@@ -388,10 +388,11 @@ pub fn decode_fp64(x: f64) -> (BufferEntry, BufferEntry) {
 }
 
 /// Decode an FP32 operand into a single TF32 buffer entry (the Tensor-Core
-/// TF32 mode: FP32 in, top 11 significand bits kept, rest *discarded* — the
-/// "illusion of higher-precision support" M3XU replaces).
+/// TF32 mode: FP32 in, rounded to nearest-even at 11 significand bits, so
+/// the low 13 are lost — the "illusion of higher-precision support" M3XU
+/// replaces).
 #[inline]
-pub fn decode_tf32_truncating(x: f32) -> BufferEntry {
+pub fn decode_tf32(x: f32) -> BufferEntry {
     let rounded = m3xu_fp::softfloat::round_to_format(x as f64, m3xu_fp::format::TF32);
     decode_narrow(rounded, m3xu_fp::format::TF32)
 }
@@ -503,12 +504,17 @@ mod tests {
     }
 
     #[test]
-    fn tf32_truncation_loses_low_bits() {
+    fn tf32_decode_rounds_to_nearest_even() {
         let x = 1.0f32 + f32::EPSILON; // needs 24 significand bits
-        let e = decode_tf32_truncating(x);
-        assert_eq!(e.value(), 1.0); // low 13 bits discarded
+        let e = decode_tf32(x);
+        assert_eq!(e.value(), 1.0); // below half an ulp: rounded away
         let (hi, lo) = decode_fp32(x);
         assert_eq!(hi.value() + lo.value(), x as f64); // M3XU keeps them
+
+        // Above half an ulp of TF32 the decode rounds up, where truncation
+        // would keep 1.0.
+        let x = 1.0f32 + 2.0f32.powi(-11) + f32::EPSILON;
+        assert_eq!(decode_tf32(x).value(), 1.0 + 2.0f64.powi(-10));
     }
 
     #[test]

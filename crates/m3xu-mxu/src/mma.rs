@@ -183,7 +183,7 @@ pub fn mma_narrow(
     out
 }
 
-/// Execute one TF32 MMA: FP32 operands truncated to TF32 at the input
+/// Execute one TF32 MMA: FP32 operands rounded to TF32 at the input
 /// buffers (the lossy Tensor-Core path M3XU replaces).
 pub fn mma_tf32(
     a: &Matrix<f32>,

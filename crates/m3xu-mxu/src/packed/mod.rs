@@ -42,9 +42,7 @@
 pub mod simd;
 
 use crate::abft::Checksum;
-use crate::buffer::{
-    decode_fp32, decode_fp64_slices, decode_narrow, decode_tf32_truncating, BufferEntry,
-};
+use crate::buffer::{decode_fp32, decode_fp64_slices, decode_narrow, decode_tf32, BufferEntry};
 use crate::dpu::{DotProductUnit, LaneOp, Target};
 use crate::error::M3xuError;
 use crate::fault::MmaFault;
@@ -154,7 +152,7 @@ fn push_f32(entries: &mut Vec<BufferEntry>, x: f32, mode: MxuMode) {
             entries.push(hi);
             entries.push(lo);
         }
-        MxuMode::Tf32 => entries.push(decode_tf32_truncating(x)),
+        MxuMode::Tf32 => entries.push(decode_tf32(x)),
         MxuMode::Fp16 => entries.push(decode_narrow(round_to_format(x as f64, FP16), FP16)),
         MxuMode::Bf16 => entries.push(decode_narrow(round_to_format(x as f64, BF16), BF16)),
         // Checked by the `try_pack_*` entry gates before any decode work.

@@ -120,7 +120,7 @@ impl Mxu {
         d
     }
 
-    /// One TF32-mode MMA (FP32 operands, truncated at the buffers).
+    /// One TF32-mode MMA (FP32 operands, rounded to TF32 at the buffers).
     pub fn mma_tf32(&mut self, a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>) -> Matrix<f32> {
         self.check_shape(MxuMode::Tf32, a, b);
         let mut s = MmaStats::default();

@@ -200,10 +200,10 @@ fn m3xu_at_least_as_accurate_as_simt() {
 }
 
 /// TF32-mode MMA equals rounding the inputs to TF32 first and then
-/// doing the exact computation (truncation happens at the buffer, no
+/// doing the exact computation (the rounding happens at the buffer, no
 /// hidden extra error).
 #[test]
-fn tf32_mode_is_input_truncation() {
+fn tf32_mode_is_input_rounding() {
     let mut rng = Rng::new(6);
     for _ in 0..64 {
         let seed = rng.next_u64();

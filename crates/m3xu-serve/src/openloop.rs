@@ -1,5 +1,5 @@
-//! Seeded open-loop load generation: the arrival schedule of a
-//! millions-of-users front end, shrunk to a deterministic benchmark.
+//! Seeded open-loop load generation: a deterministic arrival schedule
+//! for driving the service the way production traffic does.
 //!
 //! Closed-loop drivers (submit, wait, submit) measure a system that is
 //! never overloaded: the client slows down with the server. Production
@@ -18,8 +18,8 @@
 //!
 //! The schedule is a pure function of the [`OpenLoopSpec`]: the same
 //! seed yields byte-identical arrivals at any shard count, which is what
-//! lets the determinism tests compare dispositions across shard counts
-//! 1/2/8 and the bench report apples-to-apples per-shard rows.
+//! lets `tests/serve_regressions.rs` compare dispositions and result bits
+//! across shard counts 1/2/8.
 
 /// Parameters of one open-loop schedule. Everything downstream
 /// (arrival times, tenants, op mix) is a deterministic function of this.

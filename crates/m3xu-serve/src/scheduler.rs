@@ -26,8 +26,8 @@
 //!
 //! # Adaptive batching
 //!
-//! Unconditional epoch batching is exactly what produced the serve
-//! bench's sub-1.0 headline: on a host whose effective parallelism is 1,
+//! Unconditional epoch batching once made batched submission slower
+//! than one-at-a-time: on a host whose effective parallelism is 1,
 //! fanning a batch of *large* GEMMs into a multi-worker epoch runs many
 //! cache-hungry problems concurrently — they evict each other's working
 //! sets and lose to running back to back. But serial inline dispatch is
@@ -40,8 +40,8 @@
 //! 1. **cache residency** — every request in the batch is at or under
 //!    [`POOL_RESIDENT_TILES`] output tiles. Working sets that small
 //!    cannot thrash each other, so the single shared epoch is a pure
-//!    amortisation win at any parallelism (measured: ~1.1x over inline
-//!    on a 1-core host for 64^3..128^3 batches);
+//!    amortisation win at any parallelism (`tests/perf_smoke.rs` gates
+//!    it at 128^3);
 //! 2. **predicted parallel win** — the shard's [`CostModel`] (an EWMA of
 //!    observed per-tile cost plus a once-measured empty-epoch overhead)
 //!    predicts
@@ -208,8 +208,8 @@ struct ShardKill;
 /// so pooling the batch trades one shared epoch for one kernel-internal
 /// epoch *per request* — a pure win at any parallelism. A 256^3 request
 /// (1024 tiles, ~768 KiB) is past it: several of those running
-/// concurrently on an oversubscribed host thrash — the measured 0.89x
-/// headline regression this policy exists to prevent.
+/// concurrently on an oversubscribed host thrash — the regression this
+/// policy exists to prevent.
 const POOL_RESIDENT_TILES: usize = 256;
 
 /// One shard's EWMA cost model, feeding the adaptive batching decision.

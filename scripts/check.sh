@@ -51,9 +51,12 @@ for simd in 1 0; do
         --test blas3_differential
 done
 
-# Perf smoke gate (release): proves the vector path is engaged and still
-# clears a conservative speedup floor over the forced-scalar packed path.
-echo "== release perf smoke gate (M3XU_PERF_GATE=1)"
+# Perf smoke gates (release), both in tests/perf_smoke.rs: the vector
+# path is engaged and clears a conservative speedup floor over the
+# forced-scalar packed path, and the serve layer's adaptive batching of
+# 16 x 128^3 GEMMs on 8 workers never loses to one-at-a-time submission
+# (floor 1.0 on the best-of-3 wall ratio, every result bit-checked).
+echo "== release perf smoke gates (M3XU_PERF_GATE=1)"
 M3XU_PERF_GATE=1 cargo test --release -q --test perf_smoke -- --nocapture
 
 # The differential property suite and the concurrency stress tests must
@@ -95,36 +98,20 @@ for profile in "" "--release"; do
 done
 
 # Serve gate: the serve edge + regression suites at shard counts 1 and 4
-# (M3XU_SERVE_SHARDS is resolved per process), then a fresh small-mode
-# run of the serve benchmark — the regenerated headline wall_speedup must
-# not fall below 1.0 (the adaptive-batching regression this gate pins).
+# (M3XU_SERVE_SHARDS is resolved per process). The adaptive-batching
+# floor runs with the perf smoke gates above.
 for shards in 1 4; do
     echo "== serve suites under M3XU_SERVE_SHARDS=${shards}"
     M3XU_SERVE_SHARDS=${shards} cargo test -q \
         --test serve_edge --test serve_regressions
 done
-echo "== serve bench headline gate (M3XU_BENCH_SERVE_SMALL=1)"
-M3XU_BENCH_SERVE_SMALL=1 cargo run --release -q -p m3xu-bench --bin bench_serve
-awk '
-    /"wall_speedup"/ && !found {
-        found = 1
-        v = $0
-        gsub(/.*"wall_speedup": */, "", v)
-        gsub(/[,} ].*/, "", v)
-        if (v + 0 < 1.0) {
-            printf "FAIL: serve headline wall_speedup %s < 1.0\n", v
-            exit 1
-        }
-        printf "serve headline wall_speedup %s >= 1.0\n", v
-    }
-    END { if (!found) { print "FAIL: no wall_speedup in results/BENCH_serve.json"; exit 1 } }
-' results/BENCH_serve.json
 
-# Precision gate (release): the emulated-FP64 engine must stay inside
-# its documented ULP envelope versus a sequential correctly-rounded
-# softfloat FMA reference. The envelope is pinned at zero ULPs
-# (bit-exact) in tests/differential_props.rs — any rounding regression
-# in the slice/Kulisch pipeline trips this test before anything else.
+# Precision gate (release): the emulated-FP64 engine must return the
+# bits of a sequential correctly-rounded softfloat FMA reference over
+# dense and adversarial operands (signed zeros, subnormals, overflow,
+# NaN), the one documented difference being +0 for an exact-zero sum
+# where IEEE keeps -0 — any rounding regression in the slice/Kulisch
+# pipeline trips this test before anything else.
 # (The serve-side precision dial is covered by serve_regressions above,
 # which the shard loop already runs at both shard counts.)
 echo "== precision gate: emulated FP64 vs softfloat FMA reference (release)"

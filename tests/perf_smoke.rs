@@ -1,31 +1,58 @@
-//! Release-build performance smoke gate for the SIMD fragment pipeline.
+//! Release-build performance smoke gates.
 //!
 //! Opt-in: runs only with `M3XU_PERF_GATE=1` (and never in debug builds,
-//! where the floors are meaningless). The floors are set far below the
-//! measured release numbers — 256³ M3XU-FP32 and 128³ M3XU-FP32C both run
-//! ~10x faster than the forced-scalar packed path on a 2-vCPU AVX2 Xeon,
-//! the 4,096-point GEMM-FFT ~7.8x — so only a real regression (or a
-//! Scalar-only host, which the gate skips) trips them. The FFT's floor
-//! guards the vector window's admission bound: when its chunks fell back
-//! to the scalar oracle it reached only ~1.9x.
+//! where the floors are meaningless). Two gates:
+//!
+//! * `simd_pipeline_beats_scalar_floor` — the SIMD fragment pipeline
+//!   against the forced-scalar packed path. The floors are set far below
+//!   the measured release numbers — 256³ M3XU-FP32 and 128³ M3XU-FP32C
+//!   both run ~10x faster than the forced-scalar packed path on a 2-vCPU
+//!   AVX2 Xeon, the 4,096-point GEMM-FFT ~7.8x — so only a real
+//!   regression (or a Scalar-only host, which the gate skips) trips them.
+//!   The FFT's floor guards the vector window's admission bound: when its
+//!   chunks fell back to the scalar oracle it reached only ~1.9x.
+//! * `serve_batching_never_loses_to_one_at_a_time` — the serve layer's
+//!   adaptive batching: 16 identical 128³ M3XU-FP32 GEMMs submitted all
+//!   at once must finish no later than the same 16 submitted one at a
+//!   time (floor 1.0 on the ratio of best-of-3 walls), every result
+//!   bit-identical to a single-thread context. It pins the adaptive
+//!   policy's promise, which unconditional pooling of big GEMMs on a
+//!   saturated host once broke.
+//!
+//! Both hold one lock while they measure: the SIMD gate switches the
+//! process-wide level to `Scalar`, and neither may time while the other
+//! runs, whatever `--test-threads` is.
 
+use std::collections::VecDeque;
+use std::sync::Mutex;
 use std::time::Instant;
 
-use m3xu::default_context;
-use m3xu::kernels::gemm::GemmPrecision;
+use m3xu::kernels::gemm::{GemmPrecision, GemmResult};
 use m3xu::mxu::packed::simd::{self, SimdLevel};
-use m3xu::Matrix;
+use m3xu::{default_context, M3xuContext, M3xuServe, Matrix, ServeConfig, SubmitOpts, Ticket};
 
-#[test]
-fn simd_pipeline_beats_scalar_floor() {
+/// Held by each gate for the whole of its measurement.
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// Whether the gates run: `M3XU_PERF_GATE=1` in a release build.
+fn gate_enabled() -> bool {
     if std::env::var("M3XU_PERF_GATE").map(|v| v == "1") != Ok(true) {
         eprintln!("skipped: set M3XU_PERF_GATE=1 to run the perf smoke gate");
-        return;
+        return false;
     }
     if cfg!(debug_assertions) {
         eprintln!("skipped: perf smoke gate only measures release builds");
+        return false;
+    }
+    true
+}
+
+#[test]
+fn simd_pipeline_beats_scalar_floor() {
+    if !gate_enabled() {
         return;
     }
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let entry = simd::level();
     if entry == SimdLevel::Scalar {
         eprintln!("skipped: host resolves to the scalar path; nothing to gate");
@@ -94,4 +121,82 @@ fn speedup(entry: SimdLevel, what: &str, f: &dyn Fn()) -> f64 {
         simd_s * 1e3
     );
     speedup
+}
+
+#[test]
+fn serve_batching_never_loses_to_one_at_a_time() {
+    if !gate_enabled() {
+        return;
+    }
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, requests, workers, trials) = (128, 16, 8, 3);
+    let a = Matrix::<f32>::random(n, n, 0x5E + n as u64);
+    let b = Matrix::<f32>::random(n, n, 0x5F + n as u64);
+    let c = Matrix::<f32>::zeros(n, n);
+    let want = M3xuContext::with_threads(1)
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap()
+        .d;
+    // The default batching policy, `Adaptive`, is what the gate pins.
+    let serve = M3xuServe::new(ServeConfig {
+        shards: 1,
+        workers,
+        queue_capacity: requests,
+        max_batch: requests,
+        ..ServeConfig::default()
+    });
+    let check = |ticket: Ticket<GemmResult<f32>>| {
+        let d = ticket.wait().expect("served GEMM").d;
+        assert!(
+            d.as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "served result differs from the single-thread context"
+        );
+    };
+    // Wall seconds for `count` GEMMs with at most `in_flight` outstanding,
+    // every result checked bit for bit as it resolves.
+    let run = |count: usize, in_flight: usize| {
+        let mut window = VecDeque::new();
+        let start = Instant::now();
+        for _ in 0..count {
+            if window.len() == in_flight {
+                check(window.pop_front().unwrap());
+            }
+            let ticket = serve
+                .submit_gemm_f32(
+                    "gate",
+                    GemmPrecision::M3xuFp32,
+                    a.clone(),
+                    b.clone(),
+                    c.clone(),
+                    SubmitOpts::default(),
+                )
+                .expect("submit");
+            window.push_back(ticket);
+        }
+        window.into_iter().for_each(check);
+        start.elapsed().as_secs_f64()
+    };
+    // Warm-up off the clock: pool and arena setup, and the adaptive cost
+    // model's first samples.
+    run(8, 8);
+    // Interleaved trials; the minimum wall strips scheduler noise.
+    let (mut one_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..trials {
+        one_s = one_s.min(run(requests, 1));
+        batched_s = batched_s.min(run(requests, requests));
+    }
+    let ratio = one_s / batched_s;
+    eprintln!(
+        "perf smoke: serve {requests} x {n}^3 on {workers} workers, 1 shard: one-at-a-time \
+         {:.1} ms, batched {:.1} ms, ratio {ratio:.3}",
+        one_s * 1e3,
+        batched_s * 1e3
+    );
+    assert!(
+        ratio >= 1.0,
+        "adaptive batching lost to one-at-a-time: ratio {ratio:.3} < 1.0"
+    );
 }
