@@ -17,8 +17,7 @@
 //! fragment-depth multiples so every panel boundary is also a rounding
 //! boundary — blocking changes traversal order *between* fragment chunks,
 //! never the arithmetic inside one, which is what keeps the drivers
-//! bit-identical to the unblocked loop. `M3XU_KC1` / `M3XU_KC2` override
-//! the derived sizes (in reduction elements, before rounding).
+//! bit-identical to the unblocked loop.
 
 use std::sync::OnceLock;
 
@@ -62,14 +61,6 @@ fn parse_size(s: &str) -> Option<usize> {
     }
 }
 
-/// An env override in reduction elements, if set and positive.
-fn env_override(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
-}
-
 /// The resolved two-level reduction blocking for one GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KPlan {
@@ -90,10 +81,10 @@ impl KPlan {
         let (l1, l2) = cache_sizes();
         // L1 panel: the 8-column B slice (8 * kc1 * val_bytes) plus the A
         // row segment should fill about half of L1d.
-        let kc1 = env_override("M3XU_KC1").unwrap_or(l1 / 2 / (8 * val_bytes).max(1));
+        let kc1 = l1 / 2 / (8 * val_bytes).max(1);
         // L2 epoch: the full-width B slice (n * kc2 * val_bytes) should
         // fill about half of L2.
-        let kc2 = env_override("M3XU_KC2").unwrap_or(l2 / 2 / (n.max(1) * val_bytes).max(1));
+        let kc2 = l2 / 2 / (n.max(1) * val_bytes).max(1);
         // Round to fragment-depth multiples and clamp into [frag_k, k]:
         // every panel boundary must be a rounding boundary, and a panel
         // never needs to exceed the whole reduction.

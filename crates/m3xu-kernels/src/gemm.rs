@@ -53,7 +53,7 @@ use m3xu_mxu::fault::{FaultPlan, FaultSummary, MmaFault, TaskFault};
 use m3xu_mxu::matrix::{MatSource, Matrix, Triangle};
 use m3xu_mxu::mma::{MmaShape, MmaStats};
 use m3xu_mxu::modes::MxuMode;
-use m3xu_mxu::packed::{fragment_stats, PackedOperand, PackedStorage};
+use m3xu_mxu::packed::{fragment_stats, ChunkCheck, PackedOperand, PackedStorage};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -274,9 +274,10 @@ pub(crate) trait GemmElem: Copy + Default + Send + Sync + 'static {
         k0: usize,
         kend: usize,
     ) -> Checksum;
-    /// Execute one fragment chunk in place on `acc`, reporting the
-    /// computed checksum and (optionally) corrupting one product on the
-    /// way out of the datapath.
+    /// Execute one fragment chunk in place on `acc` through the same
+    /// per-chunk executor and element body as an unchecked chunk, with the
+    /// residue tap on: returns the computed checksum, after `fault` (if
+    /// any) corrupted one output component on its way out of the datapath.
     #[allow(clippy::too_many_arguments)]
     fn execute_checked(
         dpu: &mut DotProductUnit,
@@ -380,7 +381,9 @@ impl GemmElem for f32 {
         acc: &mut [f32],
         fault: Option<&MmaFault>,
     ) -> Checksum {
-        dpu.mma_f32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
+        let mut check = ChunkCheck::new(fault.copied());
+        dpu.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(&mut check));
+        check.computed
     }
 }
 
@@ -471,7 +474,9 @@ impl GemmElem for Complex<f32> {
         acc: &mut [Complex<f32>],
         fault: Option<&MmaFault>,
     ) -> Checksum {
-        dpu.mma_c32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
+        let mut check = ChunkCheck::new(fault.copied());
+        dpu.mma_c32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(&mut check));
+        check.computed
     }
 }
 
@@ -562,7 +567,9 @@ impl GemmElem for f64 {
         acc: &mut [f64],
         fault: Option<&MmaFault>,
     ) -> Checksum {
-        dpu.mma_f64_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
+        let mut check = ChunkCheck::new(fault.copied());
+        dpu.mma_f64_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(&mut check));
+        check.computed
     }
 }
 

@@ -142,9 +142,9 @@ fn cmul_m61(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
 
 /// `F_p` residue of the exact dyadic value one [`BufferEntry`] denotes
 /// (`±mant · 2^pow`); `None` for a special-valued entry, which has no
-/// dyadic value. This is the same map the checked executors apply to
-/// their contribution lists, so expected and computed sides agree
-/// definitionally on what each lane is worth.
+/// dyadic value. This is the same map the element bodies' residue tap
+/// applies to their contribution lists, so expected and computed sides
+/// agree definitionally on what each lane is worth.
 pub fn entry_residue(e: &BufferEntry) -> Option<u64> {
     if e.special.is_some() {
         return None;

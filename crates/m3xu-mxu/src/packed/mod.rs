@@ -8,9 +8,21 @@
 //! * [`PackedOperand`] decodes a whole GEMM operand into [`BufferEntry`]
 //!   planes **once per GEMM** — per mode, including the FP32 hi/lo split
 //!   and the FP32C `[re_hi, re_lo, im_hi, im_lo]` planes;
-//! * [`DotProductUnit::mma_f32_into`] / [`DotProductUnit::mma_c32_into`]
-//!   execute one fragment straight out of the packed planes into a
-//!   caller-owned accumulator slice — no allocation on the hot path.
+//! * [`DotProductUnit::mma_f32_into`], [`DotProductUnit::mma_c32_into`]
+//!   and [`DotProductUnit::mma_f64_into`] execute one fragment chunk
+//!   straight out of the packed planes into a caller-owned accumulator
+//!   slice — no allocation on the hot path.
+//!
+//! ## One element body per precision
+//!
+//! Each precision family spells its lane schedule once: `real_schedule`
+//! (the N-slice cross product, full or truncated, FP16 through emulated
+//! FP64) and `c32_schedule` (the FP32C 16-lane stream). One element body
+//! per precision runs it through two consumers, the 128-bit fast window
+//! and the Kulisch drain. ABFT checking is a tap on that same body: given
+//! a [`ChunkCheck`], the per-chunk executors also report each element's
+//! `F_p` residue and apply the injected fault, so a checked chunk cannot
+//! compute different bits from an unchecked one.
 //!
 //! ## Bit-exactness
 //!
@@ -35,9 +47,10 @@
 //! [`DotProductUnit::mma_c32_panel_into`]) run a whole `K`-panel per
 //! call and, where a full 8-column fragment row is available, dispatch to
 //! the vectorized row kernels in [`simd`] — see that module for the
-//! exactness argument and the `M3XU_SIMD` kill switch. The per-chunk
-//! scalar executors stay intact as the differential oracle and the
-//! fallback for partial rows, specials, and wide exponent spreads.
+//! exactness argument and the `M3XU_SIMD` kill switch. The scalar element
+//! bodies stay the differential oracle, the fallback for partial rows,
+//! specials and wide exponent spreads, and the body every checked chunk
+//! runs.
 
 pub mod simd;
 
@@ -45,13 +58,13 @@ use crate::abft::Checksum;
 use crate::buffer::{decode_fp32, decode_fp64_slices, decode_narrow, decode_tf32, BufferEntry};
 use crate::dpu::{DotProductUnit, LaneOp, Target};
 use crate::error::M3xuError;
-use crate::fault::MmaFault;
+use crate::fault::{corrupt_f32, corrupt_f64, MmaFault};
 use crate::matrix::{MatSource, Matrix};
 use crate::mma::{MmaShape, MmaStats};
 use crate::modes::MxuMode;
-use crate::unit::Mxu;
 use m3xu_fp::complex::Complex;
 use m3xu_fp::format::{BF16, FP16, TF32};
+use m3xu_fp::residue::{add_m61, mul_m61, pow2_m61, reduce_u64, residue_f64, sub_m61};
 use m3xu_fp::softfloat::round_to_format;
 
 /// Buffer entries the data-assignment stage provisions per operand element
@@ -803,14 +816,11 @@ impl FastDot {
         }
         Some(fast_round_f32(sum, pmin))
     }
-}
 
-impl FastDot {
     /// `F_p` residue (`p = 2^61 - 1`) of the exact pre-rounding sum: the
     /// contribution list *is* the dyadic value, so the residue is the
     /// signed sum of the homomorphic images — no shifting, no window.
     fn residue_m61(&self) -> u64 {
-        use m3xu_fp::residue::{add_m61, mul_m61, pow2_m61, reduce_u64, sub_m61};
         let mut r = 0u64;
         for &(m, p, neg) in &self.contrib[..self.n] {
             let t = mul_m61(reduce_u64(m), pow2_m61(p as i64));
@@ -820,166 +830,146 @@ impl FastDot {
     }
 }
 
-/// Collect one real-mode output element's contributions for the fast path.
-///
-/// The term schedule is the N-slice cross-product: every `(i, j)` slice
-/// pair for the full modes, only the pairs with `i + j < N` when
-/// `truncated` (the fast schedule — for N = 2 that drops the lo·lo term,
-/// whose magnitude sits below the FP32 rounding boundary of the leading
-/// term). The specialised `epe` 1 and full-2 loops are the historical
-/// unrolls, kept verbatim for the legacy modes' bit-parity tests.
-#[inline]
-fn build_fast_real(
-    seed: f32,
+/// The real N-slice term schedule of one output element over `[k0, kend)`:
+/// calls `visit` on every slice pair the mode multiplies and stops at the
+/// first `None`. Every `(i, j)` pair for the full modes (emulated FP64 is this
+/// schedule at N = 5), only the pairs with `i + j < N` when `truncated`
+/// (the fast schedule — for N = 2 that drops the lo·lo term, whose
+/// magnitude sits below the FP32 rounding boundary of the leading term).
+/// The specialised `epe` 1 and 2 arms are the historical unrolls. Lane
+/// order is irrelevant to the result: both consumers — the fast window and
+/// the Kulisch register — are exact, and the specials state machine's
+/// final value is a pure function of the lane multiset.
+#[inline(always)]
+fn real_schedule(
     av: &[BufferEntry],
     bv: &[BufferEntry],
     k0: usize,
     kend: usize,
     epe: usize,
     truncated: bool,
-) -> Option<FastDot> {
-    let mut dot = FastDot::new(seed)?;
+    mut visit: impl FnMut(&BufferEntry, &BufferEntry) -> Option<()>,
+) -> Option<()> {
     match (epe, truncated) {
         (1, _) => {
             for k in k0..kend {
-                dot.push_pair(&av[k], &bv[k], false)?;
+                visit(&av[k], &bv[k])?;
             }
         }
         (2, false) => {
+            // The fused 2-step FP32 stream: HH, LL (step 1) then HL, LH
+            // (step 2) for each element.
             for k in k0..kend {
                 let (ah, al) = (&av[2 * k], &av[2 * k + 1]);
                 let (bh, bl) = (&bv[2 * k], &bv[2 * k + 1]);
-                dot.push_pair(ah, bh, false)?;
-                dot.push_pair(al, bl, false)?;
-                dot.push_pair(ah, bl, false)?;
-                dot.push_pair(al, bh, false)?;
+                visit(ah, bh)?;
+                visit(al, bl)?;
+                visit(ah, bl)?;
+                visit(al, bh)?;
             }
         }
         (2, true) => {
-            // The 3-term fast schedule: HH, HL, LH — LL is dropped.
+            // The fast 3-term schedule: HH (step 1), HL, LH (step 2).
             for k in k0..kend {
                 let (ah, al) = (&av[2 * k], &av[2 * k + 1]);
                 let (bh, bl) = (&bv[2 * k], &bv[2 * k + 1]);
-                dot.push_pair(ah, bh, false)?;
-                dot.push_pair(ah, bl, false)?;
-                dot.push_pair(al, bh, false)?;
+                visit(ah, bh)?;
+                visit(ah, bl)?;
+                visit(al, bh)?;
             }
         }
         (n, truncated) => {
             for k in k0..kend {
-                let a = &av[n * k..n * k + n];
-                let b = &bv[n * k..n * k + n];
+                let (a, b) = (&av[n * k..n * k + n], &bv[n * k..n * k + n]);
                 for (i, ai) in a.iter().enumerate() {
                     for (j, bj) in b.iter().enumerate() {
-                        if truncated && i + j >= n {
-                            continue;
+                        if !truncated || i + j < n {
+                            visit(ai, bj)?;
                         }
-                        dot.push_pair(ai, bj, false)?;
                     }
                 }
             }
         }
     }
-    Some(dot)
+    Some(())
 }
 
-/// Attempt one real-mode output element on the fast path.
-#[inline]
-fn try_fast_real(
-    seed: f32,
+/// The FP32C 16-lane schedule of one output element over `[k0, kend)`:
+/// calls `visit(x, y, negate, target)` for every lane and stops at the
+/// first `None`. Steps 1-2 feed the real accumulator `a_R·b_R - a_I·b_I`,
+/// matching then crossed halves (the subtraction is the flipped sign bit
+/// on the imaginary-imaginary lanes); steps 3-4 feed the imaginary one
+/// `a_R·b_I + a_I·b_R`.
+#[inline(always)]
+fn c32_schedule(
     av: &[BufferEntry],
     bv: &[BufferEntry],
     k0: usize,
     kend: usize,
-    epe: usize,
-    truncated: bool,
-) -> Option<f32> {
-    build_fast_real(seed, av, bv, k0, kend, epe, truncated)?.reduce()
-}
-
-/// Fast path plus the `F_p` residue of the exact pre-rounding value, for
-/// the ABFT-checked drivers. The residue is of whatever term schedule the
-/// datapath ran — truncated or full — because the contribution list *is*
-/// that schedule; the expected side mirrors the same truncation rule.
-#[inline]
-fn try_fast_real_checked(
-    seed: f32,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-    epe: usize,
-    truncated: bool,
-) -> Option<(f32, u64)> {
-    let dot = build_fast_real(seed, av, bv, k0, kend, epe, truncated)?;
-    Some((dot.reduce()?, dot.residue_m61()))
-}
-
-/// Collect one FP32C output element's contributions for the fast path.
-#[inline]
-fn build_fast_c32(
-    seed: Complex<f32>,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-) -> Option<(FastDot, FastDot)> {
-    let mut re = FastDot::new(seed.re)?;
-    let mut im = FastDot::new(seed.im)?;
+    mut visit: impl FnMut(&BufferEntry, &BufferEntry, bool, Target) -> Option<()>,
+) -> Option<()> {
+    use Target::{Imag, Real};
     for k in k0..kend {
         let (xrh, xrl, xih, xil) = (&av[4 * k], &av[4 * k + 1], &av[4 * k + 2], &av[4 * k + 3]);
         let (yrh, yrl, yih, yil) = (&bv[4 * k], &bv[4 * k + 1], &bv[4 * k + 2], &bv[4 * k + 3]);
-        re.push_pair(xrh, yrh, false)?;
-        re.push_pair(xrl, yrl, false)?;
-        re.push_pair(xih, yih, true)?;
-        re.push_pair(xil, yil, true)?;
-        re.push_pair(xrh, yrl, false)?;
-        re.push_pair(xrl, yrh, false)?;
-        re.push_pair(xih, yil, true)?;
-        re.push_pair(xil, yih, true)?;
-        im.push_pair(xrh, yih, false)?;
-        im.push_pair(xrl, yil, false)?;
-        im.push_pair(xih, yrh, false)?;
-        im.push_pair(xil, yrl, false)?;
-        im.push_pair(xrh, yil, false)?;
-        im.push_pair(xrl, yih, false)?;
-        im.push_pair(xih, yrl, false)?;
-        im.push_pair(xil, yrh, false)?;
+        visit(xrh, yrh, false, Real)?;
+        visit(xrl, yrl, false, Real)?;
+        visit(xih, yih, true, Real)?;
+        visit(xil, yil, true, Real)?;
+        visit(xrh, yrl, false, Real)?;
+        visit(xrl, yrh, false, Real)?;
+        visit(xih, yil, true, Real)?;
+        visit(xil, yih, true, Real)?;
+        visit(xrh, yih, false, Imag)?;
+        visit(xrl, yil, false, Imag)?;
+        visit(xih, yrh, false, Imag)?;
+        visit(xil, yrl, false, Imag)?;
+        visit(xrh, yil, false, Imag)?;
+        visit(xrl, yih, false, Imag)?;
+        visit(xih, yrl, false, Imag)?;
+        visit(xil, yrh, false, Imag)?;
     }
-    Some((re, im))
+    Some(())
 }
 
-/// Attempt one FP32C output element (both components) on the fast path.
+/// The Kulisch drain of the real schedule: clear and seed the real
+/// register and execute every lane, leaving the result for the caller to
+/// read. With `tap`, returns the register's residue (see
+/// [`scalar_element_real`]).
+#[allow(clippy::too_many_arguments)]
 #[inline]
-fn try_fast_c32(
-    seed: Complex<f32>,
+fn kulisch_real(
+    dpu: &mut DotProductUnit,
+    seed: f64,
     av: &[BufferEntry],
     bv: &[BufferEntry],
     k0: usize,
     kend: usize,
-) -> Option<Complex<f32>> {
-    let (re, im) = build_fast_c32(seed, av, bv, k0, kend)?;
-    Some(Complex::new(re.reduce()?, im.reduce()?))
-}
-
-/// Fast path plus the residue pair of the exact pre-rounding values.
-#[inline]
-fn try_fast_c32_checked(
-    seed: Complex<f32>,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-) -> Option<(Complex<f32>, u64, u64)> {
-    let (re, im) = build_fast_c32(seed, av, bv, k0, kend)?;
-    let (vr, vi) = (re.reduce()?, im.reduce()?);
-    Some((Complex::new(vr, vi), re.residue_m61(), im.residue_m61()))
+    epe: usize,
+    truncated: bool,
+    tap: bool,
+) -> Option<u64> {
+    dpu.clear_real();
+    dpu.seed_real(seed);
+    real_schedule(av, bv, k0, kend, epe, truncated, |x, y| {
+        dpu.execute_lane_op(&lane(*x, *y, false, Target::Real));
+        Some(())
+    });
+    tap.then(|| dpu.real_residue_m61()).flatten()
 }
 
 /// One real-mode output element over chunk `[k0, kend)`: the fast exact
-/// window, else the Kulisch drain. The single definition shared by the
-/// per-chunk executor and the SIMD panel's fallback — both paths are the
-/// same code, not merely equivalent code.
+/// window, else the Kulisch drain, both fed by [`real_schedule`]. The
+/// single definition shared by the per-chunk executor, checked or not, and
+/// the SIMD panel's fallback — every path is the same code, not merely
+/// equivalent code.
+///
+/// With `tap`, also returns the `F_p` residue (`p = 2^61 - 1`) of the
+/// exact pre-rounding value the result was rounded from: the fast window's
+/// contribution list, or the Kulisch register (`None` once specials
+/// poisoned it). Either way it is the residue of the term schedule the
+/// datapath ran, truncated or full, which the expected side mirrors.
+/// Without `tap` the residue is `None` and costs nothing.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn scalar_element_real(
@@ -992,77 +982,34 @@ fn scalar_element_real(
     epe: usize,
     truncated: bool,
     lanes_per_element: u64,
-) -> f32 {
+    tap: bool,
+) -> (f32, Option<u64>) {
     // Fast path: exact integer reduction in a 128-bit window, bit-
     // identical to the Kulisch drain below (see `fast_round_f32`).
     // Specials, wide exponent spreads, and oversized reductions fall
     // through to the general path.
-    if let Some(v) = try_fast_real(seed, av, bv, k0, kend, epe, truncated) {
-        dpu.lane_ops += lanes_per_element;
-        return v;
-    }
-    dpu.clear_real();
-    dpu.seed_real(seed as f64);
-    match (epe, truncated) {
-        (1, _) => {
-            for k in k0..kend {
-                dpu.execute_lane_op(&lane(av[k], bv[k], false, Target::Real));
-            }
-        }
-        (2, false) => {
-            // The fused 2-step FP32 stream: HH, LL (step 1) then HL, LH
-            // (step 2) for each element.
-            for k in k0..kend {
-                let (ah, al) = (av[2 * k], av[2 * k + 1]);
-                let (bh, bl) = (bv[2 * k], bv[2 * k + 1]);
-                dpu.execute_lane_op(&lane(ah, bh, false, Target::Real));
-                dpu.execute_lane_op(&lane(al, bl, false, Target::Real));
-                dpu.execute_lane_op(&lane(ah, bl, false, Target::Real));
-                dpu.execute_lane_op(&lane(al, bh, false, Target::Real));
-            }
-        }
-        (2, true) => {
-            // The fast 3-term schedule: HH (step 1), HL, LH (step 2).
-            for k in k0..kend {
-                let (ah, al) = (av[2 * k], av[2 * k + 1]);
-                let (bh, bl) = (bv[2 * k], bv[2 * k + 1]);
-                dpu.execute_lane_op(&lane(ah, bh, false, Target::Real));
-                dpu.execute_lane_op(&lane(ah, bl, false, Target::Real));
-                dpu.execute_lane_op(&lane(al, bh, false, Target::Real));
-            }
-        }
-        (n, truncated) => {
-            // General N-slice cross product, truncated to i + j < N when
-            // requested. Lane order is irrelevant: the Kulisch register is
-            // exact and the specials state machine's final value is a pure
-            // function of the lane multiset.
-            for k in k0..kend {
-                for i in 0..n {
-                    for j in 0..n {
-                        if truncated && i + j >= n {
-                            continue;
-                        }
-                        dpu.execute_lane_op(&lane(
-                            av[n * k + i],
-                            bv[n * k + j],
-                            false,
-                            Target::Real,
-                        ));
-                    }
-                }
-            }
+    if let Some(mut dot) = FastDot::new(seed) {
+        let pushed = real_schedule(av, bv, k0, kend, epe, truncated, |x, y| {
+            dot.push_pair(x, y, false)
+        });
+        if let Some(v) = pushed.and_then(|()| dot.reduce()) {
+            dpu.lane_ops += lanes_per_element;
+            return (v, tap.then(|| dot.residue_m61()));
         }
     }
-    dpu.read_real_f32()
+    let res = kulisch_real(dpu, seed as f64, av, bv, k0, kend, epe, truncated, tap);
+    (dpu.read_real_f32(), res)
 }
 
 /// One emulated-FP64 output element over chunk `[k0, kend)`: the full
-/// `N x N` slice cross product accumulated exactly in the Kulisch
-/// register, seeded with the incoming `f64` accumulator (exact — no
-/// narrowing) and drained back to `f64` once per chunk. There is no
-/// 128-bit fast window here: the 53-bit seed and the wider slice family
-/// exceed its design envelope, and the emulated mode is the precision
-/// dial's accuracy endpoint, not its speed endpoint.
+/// `N x N` slice schedule accumulated exactly in the Kulisch register,
+/// seeded with the incoming `f64` accumulator (exact — no narrowing) and
+/// drained back to `f64` once per chunk; `tap` as in
+/// [`scalar_element_real`]. There is no 128-bit fast window here: the
+/// 53-bit seed and the wider slice family exceed its design envelope, and
+/// the emulated mode is the precision dial's accuracy endpoint, not its
+/// speed endpoint.
+#[allow(clippy::too_many_arguments)]
 fn scalar_element_f64(
     dpu: &mut DotProductUnit,
     seed: f64,
@@ -1071,21 +1018,16 @@ fn scalar_element_f64(
     k0: usize,
     kend: usize,
     epe: usize,
-) -> f64 {
-    dpu.clear_real();
-    dpu.seed_real(seed);
-    for k in k0..kend {
-        for i in 0..epe {
-            for j in 0..epe {
-                dpu.execute_lane_op(&lane(av[epe * k + i], bv[epe * k + j], false, Target::Real));
-            }
-        }
-    }
-    dpu.read_real_f64()
+    tap: bool,
+) -> (f64, Option<u64>) {
+    let res = kulisch_real(dpu, seed, av, bv, k0, kend, epe, false, tap);
+    (dpu.read_real_f64(), res)
 }
 
 /// One FP32C output element over chunk `[k0, kend)` — the complex
-/// counterpart of [`scalar_element_real`].
+/// counterpart of [`scalar_element_real`], fed by [`c32_schedule`]; the
+/// tap returns the real and the imaginary component's residues.
+#[allow(clippy::too_many_arguments)]
 #[inline]
 fn scalar_element_c32(
     dpu: &mut DotProductUnit,
@@ -1095,42 +1037,89 @@ fn scalar_element_c32(
     k0: usize,
     kend: usize,
     lanes_per_element: u64,
-) -> Complex<f32> {
+    tap: bool,
+) -> (Complex<f32>, Option<(u64, u64)>) {
     // Fast path (see `scalar_element_real`): both components reduced
     // exactly in 128-bit windows, or the whole element falls back to the
     // Kulisch pipeline.
-    if let Some(v) = try_fast_c32(seed, av, bv, k0, kend) {
-        dpu.lane_ops += lanes_per_element;
-        return v;
+    if let (Some(mut re), Some(mut im)) = (FastDot::new(seed.re), FastDot::new(seed.im)) {
+        let pushed = c32_schedule(av, bv, k0, kend, |x, y, negate, target| match target {
+            Target::Real => re.push_pair(x, y, negate),
+            Target::Imag => im.push_pair(x, y, negate),
+        });
+        if let Some(v) = pushed.and_then(|()| Some(Complex::new(re.reduce()?, im.reduce()?))) {
+            dpu.lane_ops += lanes_per_element;
+            return (v, tap.then(|| (re.residue_m61(), im.residue_m61())));
+        }
     }
     dpu.clear();
     dpu.seed_real(seed.re as f64);
     dpu.seed_imag(seed.im as f64);
-    for k in k0..kend {
-        let (xrh, xrl, xih, xil) = (av[4 * k], av[4 * k + 1], av[4 * k + 2], av[4 * k + 3]);
-        let (yrh, yrl, yih, yil) = (bv[4 * k], bv[4 * k + 1], bv[4 * k + 2], bv[4 * k + 3]);
-        // Steps 1-2 (real): a_R·b_R - a_I·b_I, matching then crossed
-        // halves; the subtraction is the flipped sign bit on the
-        // imaginary-imaginary lanes.
-        dpu.execute_lane_op(&lane(xrh, yrh, false, Target::Real));
-        dpu.execute_lane_op(&lane(xrl, yrl, false, Target::Real));
-        dpu.execute_lane_op(&lane(xih, yih, true, Target::Real));
-        dpu.execute_lane_op(&lane(xil, yil, true, Target::Real));
-        dpu.execute_lane_op(&lane(xrh, yrl, false, Target::Real));
-        dpu.execute_lane_op(&lane(xrl, yrh, false, Target::Real));
-        dpu.execute_lane_op(&lane(xih, yil, true, Target::Real));
-        dpu.execute_lane_op(&lane(xil, yih, true, Target::Real));
-        // Steps 3-4 (imag): a_R·b_I + a_I·b_R.
-        dpu.execute_lane_op(&lane(xrh, yih, false, Target::Imag));
-        dpu.execute_lane_op(&lane(xrl, yil, false, Target::Imag));
-        dpu.execute_lane_op(&lane(xih, yrh, false, Target::Imag));
-        dpu.execute_lane_op(&lane(xil, yrl, false, Target::Imag));
-        dpu.execute_lane_op(&lane(xrh, yil, false, Target::Imag));
-        dpu.execute_lane_op(&lane(xrl, yih, false, Target::Imag));
-        dpu.execute_lane_op(&lane(xih, yrl, false, Target::Imag));
-        dpu.execute_lane_op(&lane(xil, yrh, false, Target::Imag));
+    c32_schedule(av, bv, k0, kend, |x, y, negate, target| {
+        dpu.execute_lane_op(&lane(*x, *y, negate, target));
+        Some(())
+    });
+    let res = tap.then(|| dpu.real_residue_m61().zip(dpu.imag_residue_m61()));
+    let v = Complex::new(dpu.read_real_f32(), dpu.read_imag_f32());
+    (v, res.flatten())
+}
+
+/// The ABFT tap of one checked chunk: pass `Some(&mut check)` to
+/// [`DotProductUnit::mma_f32_into`], [`DotProductUnit::mma_c32_into`] or
+/// [`DotProductUnit::mma_f64_into`].
+///
+/// The executor accumulates the **computed** chunk checksum: the `F_p`
+/// residue sum of every output element's exact pre-rounding value, from
+/// the fast-path contribution list or the Kulisch register — the same
+/// state the rounded value is drained from. An injected fault corrupts
+/// that state, shifting the rounded value *and* the reported residue
+/// together, exactly as a flipped storage bit would; the checksum identity
+/// then exposes it against the expected side. Fault-free, a checked chunk
+/// writes the bits of an unchecked one: both run the same element body.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkCheck {
+    /// The corruption to inject, if any. Its lane selects one output
+    /// component, `lane % slots`: `rows·cols` slots in the real modes,
+    /// `rows·cols·2` in FP32C (re at even slots, im at odd).
+    pub fault: Option<MmaFault>,
+    /// The computed checksum, accumulated by the executor.
+    pub computed: Checksum,
+}
+
+impl ChunkCheck {
+    /// A check of one chunk, injecting `fault`.
+    pub fn new(fault: Option<MmaFault>) -> ChunkCheck {
+        ChunkCheck {
+            fault,
+            computed: Checksum::ZERO,
+        }
     }
-    Complex::new(dpu.read_real_f32(), dpu.read_imag_f32())
+
+    /// Output component `slot` of `slots`, with residue `res`: when the
+    /// fault targets it, `corrupt` rewrites `v` and `res` moves by
+    /// `residue(new) - residue(old)` (widening to `f64` is exact, so
+    /// `residue_f64` serves both widths). Returns the residue to absorb.
+    fn inject<T: Copy + Into<f64>>(
+        &self,
+        slot: usize,
+        slots: usize,
+        v: &mut T,
+        res: Option<u64>,
+        corrupt: fn(T, &MmaFault) -> Option<T>,
+    ) -> Option<u64> {
+        let hit = self
+            .fault
+            .filter(|f| f.lane() % slots as u64 == slot as u64);
+        let Some(cv) = hit.and_then(|f| corrupt(*v, &f)) else {
+            return res;
+        };
+        let moved = match (res, residue_f64((*v).into()), residue_f64(cv.into())) {
+            (Some(r), Some(old), Some(new)) => Some(add_m61(sub_m61(r, old), new)),
+            _ => None,
+        };
+        *v = cv;
+        moved
+    }
 }
 
 impl DotProductUnit {
@@ -1140,7 +1129,9 @@ impl DotProductUnit {
     /// acc[i*cols + j])` for the `rows x cols` output block at `(r0, c0)`,
     /// reducing over packed elements `k0 .. min(k0 + klen, K)`. `acc` is
     /// both the `C` input and the `D` output (row-major, `rows * cols`);
-    /// nothing is allocated.
+    /// nothing is allocated. With `Some(check)`, each element's residue is
+    /// tapped into `check.computed` and `check.fault` corrupts its target
+    /// element (see [`ChunkCheck`]); the arithmetic is the same either way.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f32_into(
         &mut self,
@@ -1153,37 +1144,46 @@ impl DotProductUnit {
         k0: usize,
         klen: usize,
         acc: &mut [f32],
+        mut check: Option<&mut ChunkCheck>,
     ) {
         assert_eq!(a.mode, b.mode, "operand modes disagree");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
         let truncated = a.mode == MxuMode::M3xuFp32Fast;
         let lanes_per_element = (kend.saturating_sub(k0)) as u64 * a.mode.terms_per_mac();
+        let tap = check.is_some();
         for i in 0..rows {
             let av = a.vec(r0 + i);
             for j in 0..cols {
                 let bv = b.vec(c0 + j);
                 let d = &mut acc[i * cols + j];
-                *d = scalar_element_real(
+                let (v, res) = scalar_element_real(
                     self,
                     *d,
                     av,
                     bv,
                     k0,
                     kend,
-                    epe,
+                    a.epe,
                     truncated,
                     lanes_per_element,
+                    tap,
                 );
+                *d = v;
+                if let Some(check) = check.as_deref_mut() {
+                    let res = check.inject(i * cols + j, rows * cols, d, res, corrupt_f32);
+                    check.computed.absorb_re(res);
+                }
             }
         }
     }
 
     /// Execute one FP32C fragment out of packed planes, in place — the
     /// four-step complex schedule fused per element, both components
-    /// rounded once at drain.
+    /// rounded once at drain. `check` as in
+    /// [`mma_f32_into`](DotProductUnit::mma_f32_into), over two component
+    /// slots per element.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_c32_into(
         &mut self,
@@ -1196,6 +1196,7 @@ impl DotProductUnit {
         k0: usize,
         klen: usize,
         acc: &mut [Complex<f32>],
+        mut check: Option<&mut ChunkCheck>,
     ) {
         assert_eq!(a.mode, MxuMode::M3xuFp32c, "a is not FP32C-packed");
         assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
@@ -1203,21 +1204,31 @@ impl DotProductUnit {
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         let kend = (k0 + klen).min(a.len);
         let lanes_per_element = (kend.saturating_sub(k0) * 16) as u64;
+        let tap = check.is_some();
         for i in 0..rows {
             let av = a.vec(r0 + i);
             for j in 0..cols {
                 let bv = b.vec(c0 + j);
                 let d = &mut acc[i * cols + j];
-                *d = scalar_element_c32(self, *d, av, bv, k0, kend, lanes_per_element);
+                let (v, res) =
+                    scalar_element_c32(self, *d, av, bv, k0, kend, lanes_per_element, tap);
+                *d = v;
+                if let Some(check) = check.as_deref_mut() {
+                    let (slot, slots) = ((i * cols + j) * 2, rows * cols * 2);
+                    let (rr, ri) = res.unzip();
+                    let rr = check.inject(slot, slots, &mut d.re, rr, corrupt_f32);
+                    let ri = check.inject(slot + 1, slots, &mut d.im, ri, corrupt_f32);
+                    check.computed.absorb_pair(rr.zip(ri));
+                }
             }
         }
     }
 
     /// Execute one emulated-FP64 fragment out of packed slice planes, in
     /// place — the `f64` counterpart of
-    /// [`mma_f32_into`](DotProductUnit::mma_f32_into). Each output element
-    /// accumulates the full `N x N` slice cross product exactly and rounds
-    /// to `f64` once per fragment chunk.
+    /// [`mma_f32_into`](DotProductUnit::mma_f32_into), `check` included.
+    /// Each output element accumulates the full `N x N` slice cross
+    /// product exactly and rounds to `f64` once per fragment chunk.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f64_into(
         &mut self,
@@ -1230,19 +1241,25 @@ impl DotProductUnit {
         k0: usize,
         klen: usize,
         acc: &mut [f64],
+        mut check: Option<&mut ChunkCheck>,
     ) {
         assert_eq!(a.mode, MxuMode::M3xuFp64Emu, "a is not FP64-slice-packed");
         assert_eq!(b.mode, MxuMode::M3xuFp64Emu, "b is not FP64-slice-packed");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
+        let tap = check.is_some();
         for i in 0..rows {
             let av = a.vec(r0 + i);
             for j in 0..cols {
                 let bv = b.vec(c0 + j);
                 let d = &mut acc[i * cols + j];
-                *d = scalar_element_f64(self, *d, av, bv, k0, kend, epe);
+                let (v, res) = scalar_element_f64(self, *d, av, bv, k0, kend, a.epe, tap);
+                *d = v;
+                if let Some(check) = check.as_deref_mut() {
+                    let res = check.inject(i * cols + j, rows * cols, d, res, corrupt_f64);
+                    check.computed.absorb_re(res);
+                }
             }
         }
     }
@@ -1271,7 +1288,7 @@ impl DotProductUnit {
         let mut ck0 = k0;
         while ck0 < kend {
             let klen = frag_k.min(kend - ck0);
-            self.mma_f64_into(a, b, r0, rows, c0, cols, ck0, klen, acc);
+            self.mma_f64_into(a, b, r0, rows, c0, cols, ck0, klen, acc, None);
             ck0 += klen;
         }
     }
@@ -1324,7 +1341,7 @@ impl DotProductUnit {
         let mut ck0 = k0;
         while ck0 < kend {
             let klen = frag_k.min(kend - ck0);
-            self.mma_f32_into(a, b, r0, rows, c0, cols, ck0, klen, acc);
+            self.mma_f32_into(a, b, r0, rows, c0, cols, ck0, klen, acc, None);
             ck0 += klen;
         }
     }
@@ -1367,7 +1384,7 @@ impl DotProductUnit {
         let mut ck0 = k0;
         while ck0 < kend {
             let klen = frag_k.min(kend - ck0);
-            self.mma_c32_into(a, b, r0, rows, c0, cols, ck0, klen, acc);
+            self.mma_c32_into(a, b, r0, rows, c0, cols, ck0, klen, acc, None);
             ck0 += klen;
         }
     }
@@ -1566,7 +1583,7 @@ impl DotProductUnit {
         self.simd_chunks += vector;
         for_each_bit(!okm & ROW_MASK, |j| {
             self.simd_fallbacks += 1;
-            let d = scalar_element_real(
+            let (d, _) = scalar_element_real(
                 self,
                 seeds.value(j, acc[j]),
                 a.vec(r0 + i),
@@ -1576,6 +1593,7 @@ impl DotProductUnit {
                 epe,
                 false,
                 lanes,
+                false,
             );
             acc[j] = d;
             seeds.set(j, simd::ChunkSeed::decode(d));
@@ -1672,7 +1690,7 @@ impl DotProductUnit {
                         }
                         _ => {
                             self.simd_fallbacks += 1;
-                            *d = scalar_element_c32(
+                            (*d, _) = scalar_element_c32(
                                 self,
                                 *d,
                                 a.vec(r0 + i),
@@ -1680,6 +1698,7 @@ impl DotProductUnit {
                                 k,
                                 k + 1,
                                 16,
+                                false,
                             );
                         }
                     }
@@ -1774,7 +1793,7 @@ impl DotProductUnit {
             self.simd_chunks += vector;
             for_each_bit(!okm & ROW_MASK, |j| {
                 self.simd_fallbacks += 1;
-                let d = scalar_element_c32(
+                let (d, _) = scalar_element_c32(
                     self,
                     Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j])),
                     a.vec(r0 + i),
@@ -1782,6 +1801,7 @@ impl DotProductUnit {
                     k,
                     k + 1,
                     16,
+                    false,
                 );
                 re_acc[j] = d.re;
                 im_acc[j] = d.im;
@@ -1795,362 +1815,12 @@ impl DotProductUnit {
             *d = Complex::new(re_acc[j], im_acc[j]);
         }
     }
-
-    /// [`mma_f32_into`](DotProductUnit::mma_f32_into) with ABFT checksum
-    /// extraction and optional fault injection.
-    ///
-    /// Returns the **computed** chunk checksum: the `F_p` residue sum of
-    /// every output element's exact pre-rounding accumulator value (from
-    /// the fast-path contribution list or the Kulisch register — the same
-    /// state the rounded value is drained from). An injected fault
-    /// corrupts that state, shifting the rounded value *and* the reported
-    /// residue together, exactly as a flipped storage bit would; the
-    /// checksum identity then exposes it against the expected side.
-    ///
-    /// Fault-free, this writes bit-identical output to the unchecked
-    /// variant (the arithmetic path is shared, only extraction is added).
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_f32_checked_into(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f32],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        use m3xu_fp::residue::{add_m61, residue_f32, sub_m61};
-        assert_eq!(a.mode, b.mode, "operand modes disagree");
-        assert_eq!(a.len, b.len, "reduction lengths disagree");
-        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
-        let truncated = a.mode == MxuMode::M3xuFp32Fast;
-        let lanes_per_element = (kend.saturating_sub(k0)) as u64 * a.mode.terms_per_mac();
-        let target = fault.map(|f| (f.lane() % (rows * cols).max(1) as u64) as usize);
-        let mut sum = Checksum::ZERO;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                let (mut v, mut res) =
-                    match try_fast_real_checked(*d, av, bv, k0, kend, epe, truncated) {
-                        Some((v, r)) => {
-                            self.lane_ops += lanes_per_element;
-                            (v, Some(r))
-                        }
-                        None => {
-                            self.clear_real();
-                            self.seed_real(*d as f64);
-                            match (epe, truncated) {
-                                (1, _) => {
-                                    for k in k0..kend {
-                                        self.execute_lane_op(&lane(
-                                            av[k],
-                                            bv[k],
-                                            false,
-                                            Target::Real,
-                                        ));
-                                    }
-                                }
-                                (2, false) => {
-                                    for k in k0..kend {
-                                        let (ah, al) = (av[2 * k], av[2 * k + 1]);
-                                        let (bh, bl) = (bv[2 * k], bv[2 * k + 1]);
-                                        self.execute_lane_op(&lane(ah, bh, false, Target::Real));
-                                        self.execute_lane_op(&lane(al, bl, false, Target::Real));
-                                        self.execute_lane_op(&lane(ah, bl, false, Target::Real));
-                                        self.execute_lane_op(&lane(al, bh, false, Target::Real));
-                                    }
-                                }
-                                (2, true) => {
-                                    // The truncated fast schedule: HH, HL,
-                                    // LH — the residue the register reports
-                                    // is of exactly these terms, matching
-                                    // the expected side's truncation rule.
-                                    for k in k0..kend {
-                                        let (ah, al) = (av[2 * k], av[2 * k + 1]);
-                                        let (bh, bl) = (bv[2 * k], bv[2 * k + 1]);
-                                        self.execute_lane_op(&lane(ah, bh, false, Target::Real));
-                                        self.execute_lane_op(&lane(ah, bl, false, Target::Real));
-                                        self.execute_lane_op(&lane(al, bh, false, Target::Real));
-                                    }
-                                }
-                                _ => {
-                                    unreachable!("real f32 packing uses 1 or 2 entries per element")
-                                }
-                            }
-                            (self.read_real_f32(), self.real_residue_m61())
-                        }
-                    };
-                if let (Some(f), Some(t)) = (fault, target) {
-                    if i * cols + j == t {
-                        if let Some(cv) = crate::fault::corrupt_f32(v, f) {
-                            res = match (res, residue_f32(v), residue_f32(cv)) {
-                                (Some(r), Some(old), Some(new)) => {
-                                    Some(add_m61(sub_m61(r, old), new))
-                                }
-                                _ => None,
-                            };
-                            v = cv;
-                        }
-                    }
-                }
-                sum.absorb_re(res);
-                *d = v;
-            }
-        }
-        sum
-    }
-
-    /// [`mma_c32_into`](DotProductUnit::mma_c32_into) with ABFT checksum
-    /// extraction and optional fault injection; the fault's lane selector
-    /// addresses `rows * cols * 2` component slots.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_c32_checked_into(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Complex<f32>],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        use m3xu_fp::residue::{add_m61, residue_f32, sub_m61};
-        assert_eq!(a.mode, MxuMode::M3xuFp32c, "a is not FP32C-packed");
-        assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
-        assert_eq!(a.len, b.len, "reduction lengths disagree");
-        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let lanes_per_element = (kend.saturating_sub(k0) * 16) as u64;
-        let target = fault.map(|f| (f.lane() % (rows * cols * 2).max(1) as u64) as usize);
-        let corrupt = |slot: usize, v: &mut f32, res: &mut Option<u64>| {
-            if let (Some(f), Some(t)) = (fault, target) {
-                if slot == t {
-                    if let Some(cv) = crate::fault::corrupt_f32(*v, f) {
-                        *res = match (*res, residue_f32(*v), residue_f32(cv)) {
-                            (Some(r), Some(old), Some(new)) => Some(add_m61(sub_m61(r, old), new)),
-                            _ => None,
-                        };
-                        *v = cv;
-                    }
-                }
-            }
-        };
-        let mut sum = Checksum::ZERO;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                let (mut v, mut rr, mut ri) = match try_fast_c32_checked(*d, av, bv, k0, kend) {
-                    Some((v, rr, ri)) => {
-                        self.lane_ops += lanes_per_element;
-                        (v, Some(rr), Some(ri))
-                    }
-                    None => {
-                        self.clear();
-                        self.seed_real(d.re as f64);
-                        self.seed_imag(d.im as f64);
-                        for k in k0..kend {
-                            let (xrh, xrl, xih, xil) =
-                                (av[4 * k], av[4 * k + 1], av[4 * k + 2], av[4 * k + 3]);
-                            let (yrh, yrl, yih, yil) =
-                                (bv[4 * k], bv[4 * k + 1], bv[4 * k + 2], bv[4 * k + 3]);
-                            self.execute_lane_op(&lane(xrh, yrh, false, Target::Real));
-                            self.execute_lane_op(&lane(xrl, yrl, false, Target::Real));
-                            self.execute_lane_op(&lane(xih, yih, true, Target::Real));
-                            self.execute_lane_op(&lane(xil, yil, true, Target::Real));
-                            self.execute_lane_op(&lane(xrh, yrl, false, Target::Real));
-                            self.execute_lane_op(&lane(xrl, yrh, false, Target::Real));
-                            self.execute_lane_op(&lane(xih, yil, true, Target::Real));
-                            self.execute_lane_op(&lane(xil, yih, true, Target::Real));
-                            self.execute_lane_op(&lane(xrh, yih, false, Target::Imag));
-                            self.execute_lane_op(&lane(xrl, yil, false, Target::Imag));
-                            self.execute_lane_op(&lane(xih, yrh, false, Target::Imag));
-                            self.execute_lane_op(&lane(xil, yrl, false, Target::Imag));
-                            self.execute_lane_op(&lane(xrh, yil, false, Target::Imag));
-                            self.execute_lane_op(&lane(xrl, yih, false, Target::Imag));
-                            self.execute_lane_op(&lane(xih, yrl, false, Target::Imag));
-                            self.execute_lane_op(&lane(xil, yrh, false, Target::Imag));
-                        }
-                        (
-                            Complex::new(self.read_real_f32(), self.read_imag_f32()),
-                            self.real_residue_m61(),
-                            self.imag_residue_m61(),
-                        )
-                    }
-                };
-                let slot = (i * cols + j) * 2;
-                corrupt(slot, &mut v.re, &mut rr);
-                corrupt(slot + 1, &mut v.im, &mut ri);
-                sum.absorb_pair(match (rr, ri) {
-                    (Some(re), Some(im)) => Some((re, im)),
-                    _ => None,
-                });
-                *d = v;
-            }
-        }
-        sum
-    }
-
-    /// [`mma_f64_into`](DotProductUnit::mma_f64_into) with ABFT checksum
-    /// extraction and optional fault injection — the emulated-FP64
-    /// counterpart of [`mma_f32_checked_into`]. Always the Kulisch
-    /// pipeline (the emulated mode has no fast window); the residue is
-    /// drained from the same exact register state as the rounded value,
-    /// and an injected fault corrupts both together.
-    ///
-    /// [`mma_f32_checked_into`]: DotProductUnit::mma_f32_checked_into
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_f64_checked_into(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f64],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        use m3xu_fp::residue::{add_m61, residue_f64, sub_m61};
-        assert_eq!(a.mode, MxuMode::M3xuFp64Emu, "a is not FP64-slice-packed");
-        assert_eq!(b.mode, MxuMode::M3xuFp64Emu, "b is not FP64-slice-packed");
-        assert_eq!(a.len, b.len, "reduction lengths disagree");
-        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
-        let target = fault.map(|f| (f.lane() % (rows * cols).max(1) as u64) as usize);
-        let mut sum = Checksum::ZERO;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                self.clear_real();
-                self.seed_real(*d);
-                for k in k0..kend {
-                    for si in 0..epe {
-                        for sj in 0..epe {
-                            self.execute_lane_op(&lane(
-                                av[epe * k + si],
-                                bv[epe * k + sj],
-                                false,
-                                Target::Real,
-                            ));
-                        }
-                    }
-                }
-                let mut v = self.read_real_f64();
-                let mut res = self.real_residue_m61();
-                if let (Some(f), Some(t)) = (fault, target) {
-                    if i * cols + j == t {
-                        if let Some(cv) = crate::fault::corrupt_f64(v, f) {
-                            res = match (res, residue_f64(v), residue_f64(cv)) {
-                                (Some(r), Some(old), Some(new)) => {
-                                    Some(add_m61(sub_m61(r, old), new))
-                                }
-                                _ => None,
-                            };
-                            v = cv;
-                        }
-                    }
-                }
-                sum.absorb_re(res);
-                *d = v;
-            }
-        }
-        sum
-    }
-}
-
-impl Mxu {
-    /// One packed real-mode fragment MMA on this unit's fragment shape,
-    /// recording the same per-fragment counters as the tile-based entry
-    /// points. `dpu` is caller-owned scratch (reusing it across fragments
-    /// keeps the wide accumulation registers off the allocator). Returns
-    /// the `(rows, cols)` of the output block actually written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_f32_into(
-        &mut self,
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        c0: usize,
-        k0: usize,
-        acc: &mut [f32],
-    ) -> (usize, usize) {
-        let mode = a.mode();
-        let shape = self.shape(mode);
-        let rows = shape.m.min(a.vecs().saturating_sub(r0));
-        let cols = shape.n.min(b.vecs().saturating_sub(c0));
-        dpu.mma_f32_into(a, b, r0, rows, c0, cols, k0, shape.k, acc);
-        self.counters.record(mode, &fragment_stats(mode, shape));
-        (rows, cols)
-    }
-
-    /// One packed emulated-FP64 fragment MMA, mirroring
-    /// [`Mxu::mma_f32_into`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_f64_into(
-        &mut self,
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        c0: usize,
-        k0: usize,
-        acc: &mut [f64],
-    ) -> (usize, usize) {
-        let mode = a.mode();
-        let shape = self.shape(mode);
-        let rows = shape.m.min(a.vecs().saturating_sub(r0));
-        let cols = shape.n.min(b.vecs().saturating_sub(c0));
-        dpu.mma_f64_into(a, b, r0, rows, c0, cols, k0, shape.k, acc);
-        self.counters.record(mode, &fragment_stats(mode, shape));
-        (rows, cols)
-    }
-
-    /// One packed FP32C fragment MMA, mirroring [`Mxu::mma_f32_into`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_c32_into(
-        &mut self,
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        c0: usize,
-        k0: usize,
-        acc: &mut [Complex<f32>],
-    ) -> (usize, usize) {
-        let mode = MxuMode::M3xuFp32c;
-        let shape = self.shape(mode);
-        let rows = shape.m.min(a.vecs().saturating_sub(r0));
-        let cols = shape.n.min(b.vecs().saturating_sub(c0));
-        dpu.mma_c32_into(a, b, r0, rows, c0, cols, k0, shape.k, acc);
-        self.counters.record(mode, &fragment_stats(mode, shape));
-        (rows, cols)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mma;
-    use crate::unit::MxuConfig;
 
     #[test]
     fn packing_rejects_non_real_modes_without_panicking() {
@@ -2197,7 +1867,7 @@ mod tests {
         assert_eq!(pa.epe(), 2);
         let mut acc: Vec<f32> = c.as_slice().to_vec();
         let mut dpu = DotProductUnit::new();
-        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc);
+        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, None);
         for i in 0..8 {
             for j in 0..8 {
                 let mut kul = m3xu_fp::Kulisch::new();
@@ -2233,7 +1903,7 @@ mod tests {
         dpu.mma_f32_panel_into(&pa, &pb, 0, 8, 0, 8, 0, 8, 2, &mut panel);
         let mut chunked: Vec<f32> = c.as_slice().to_vec();
         for ck0 in (0..8).step_by(2) {
-            dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut chunked);
+            dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut chunked, None);
         }
         for (x, y) in panel.iter().zip(&chunked) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -2265,7 +1935,7 @@ mod tests {
         assert_eq!((pa.epe(), pa.len(), pa.vecs()), (5, 3, 8));
         let mut acc: Vec<f64> = c.as_slice().to_vec();
         let mut dpu = DotProductUnit::new();
-        dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 3, &mut acc);
+        dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 3, &mut acc, None);
         let cfg = m3xu_fp::split::FP64_SLICES_EMULATED;
         for i in 0..8 {
             for j in 0..8 {
@@ -2381,7 +2051,7 @@ mod tests {
         let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32);
         let mut acc: Vec<f32> = c.as_slice().to_vec();
         let mut dpu = DotProductUnit::new();
-        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc);
+        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, None);
         for i in 0..8 {
             for j in 0..8 {
                 assert_eq!(acc[i * 8 + j].to_bits(), want.get(i, j).to_bits());
@@ -2408,7 +2078,7 @@ mod tests {
             let pb = PackedOperand::pack_cols_f32(&b, mode);
             let mut acc: Vec<f32> = c.as_slice().to_vec();
             let mut dpu = DotProductUnit::new();
-            dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 4, &mut acc);
+            dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 4, &mut acc, None);
             for i in 0..8 {
                 for j in 0..8 {
                     assert_eq!(
@@ -2433,7 +2103,7 @@ mod tests {
         let pb = PackedOperand::pack_cols_c32(&b);
         let mut acc: Vec<Complex<f32>> = c.as_slice().to_vec();
         let mut dpu = DotProductUnit::new();
-        dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut acc);
+        dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut acc, None);
         for i in 0..8 {
             for j in 0..8 {
                 let (got, w) = (acc[i * 8 + j], want.get(i, j));
@@ -2465,7 +2135,7 @@ mod tests {
         let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32);
         let mut acc = vec![0.0f32; 64];
         let mut dpu = DotProductUnit::new();
-        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc);
+        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, None);
         for i in 0..8 {
             for j in 0..8 {
                 assert_eq!(
@@ -2579,31 +2249,21 @@ mod tests {
     }
 
     #[test]
-    fn mxu_packed_entry_points_record_counters_and_clip() {
-        let mut mxu = Mxu::new(MxuConfig::default());
+    fn packed_chunk_clips_k_at_the_reduction_end() {
         let a = Matrix::<f32>::random(5, 3, 11); // awkward: clips rows and k
         let b = Matrix::<f32>::random(3, 6, 12); // clips cols
         let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32);
         let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32);
-        let mut dpu = DotProductUnit::new();
-        let mut acc = [0.0f32; 64];
-        let (r, c) = mxu.mma_f32_into(&mut dpu, &pa, &pb, 0, 0, 2, &mut acc);
-        assert_eq!((r, c), (5, 6));
-        let s = mxu.counters.for_mode(MxuMode::M3xuFp32);
-        assert_eq!(s.instructions, 1);
-        assert_eq!(s.steps, 2);
-        assert_eq!(s.lane_products, 512);
-
         // The k0=2 chunk covers only packed element 2 (klen 2 clipped at 3):
         // the result equals the exact one-product dot against acc = 0.
-        let mut acc2 = [0.0f32; 64];
-        let mut dpu2 = DotProductUnit::new();
-        dpu2.mma_f32_into(&pa, &pb, 0, 5, 0, 6, 2, 2, &mut acc2);
+        let mut acc = [0.0f32; 64];
+        let mut dpu = DotProductUnit::new();
+        dpu.mma_f32_into(&pa, &pb, 0, 5, 0, 6, 2, 2, &mut acc, None);
         for i in 0..5 {
             for j in 0..6 {
                 let mut k = m3xu_fp::Kulisch::new();
                 k.add_product_f32(a.get(i, 2), b.get(2, j));
-                assert_eq!(acc2[i * 6 + j].to_bits(), k.to_f32().to_bits());
+                assert_eq!(acc[i * 6 + j].to_bits(), k.to_f32().to_bits());
             }
         }
     }
@@ -2633,11 +2293,11 @@ mod tests {
                 let pb = PackedOperand::pack_cols_f32(&b, mode);
                 let mut dpu = DotProductUnit::new();
                 let mut plain: Vec<f32> = c.as_slice().to_vec();
-                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain);
+                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain, None);
                 let mut checked: Vec<f32> = c.as_slice().to_vec();
                 let expected = expected_chunk_packed_f32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
-                let computed =
-                    dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, None);
+                let mut check = ChunkCheck::new(None);
+                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, Some(&mut check));
                 for (x, y) in checked.iter().zip(&plain) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{mode:?}");
                 }
@@ -2648,7 +2308,7 @@ mod tests {
                     assert!(expected.ok, "{mode:?}: finite inputs must be verifiable");
                 }
                 assert!(
-                    expected.matches(&computed),
+                    expected.matches(&check.computed),
                     "{mode:?}: honest run must verify"
                 );
             }
@@ -2665,36 +2325,45 @@ mod tests {
         let pb = PackedOperand::try_pack_cols_f64(&b, MxuMode::M3xuFp64Emu).unwrap();
         let mut dpu = DotProductUnit::new();
         let mut plain: Vec<f64> = c.as_slice().to_vec();
-        dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain);
+        dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain, None);
         let mut checked: Vec<f64> = c.as_slice().to_vec();
         let expected = expected_chunk_packed_f64(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
-        let computed = dpu.mma_f64_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, None);
+        let mut check = ChunkCheck::new(None);
+        dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, Some(&mut check));
         for (x, y) in checked.iter().zip(&plain) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         assert!(expected.ok, "finite inputs must be verifiable");
-        assert!(expected.matches(&computed), "honest run must verify");
+        assert!(expected.matches(&check.computed), "honest run must verify");
     }
 
     #[test]
     fn checked_mma_c32_is_bit_identical_and_checksum_verifies() {
         use crate::abft::expected_chunk_packed_c32;
-        let a = Matrix::random_c32(8, 1, 61);
         let b = Matrix::random_c32(1, 8, 62);
         let c = Matrix::random_c32(8, 8, 63);
-        let pa = PackedOperand::pack_rows_c32(&a);
         let pb = PackedOperand::pack_cols_c32(&b);
-        let mut dpu = DotProductUnit::new();
-        let mut plain: Vec<Complex<f32>> = c.as_slice().to_vec();
-        dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut plain);
-        let mut checked: Vec<Complex<f32>> = c.as_slice().to_vec();
-        let expected = expected_chunk_packed_c32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 1);
-        let computed = dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut checked, None);
-        for (x, y) in checked.iter().zip(&plain) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
+        // Random operands stay on the fast window; `a[0][0] = 1e20 +
+        // 1e-20i` spreads both components of row 0 past it, onto the
+        // Kulisch drain, whose real and imaginary residues must each be
+        // reported.
+        let mut wide = Matrix::random_c32(8, 1, 61);
+        wide.set(0, 0, Complex::new(1.0e20, 1.0e-20));
+        for a in [Matrix::random_c32(8, 1, 61), wide] {
+            let pa = PackedOperand::pack_rows_c32(&a);
+            let mut dpu = DotProductUnit::new();
+            let mut plain: Vec<Complex<f32>> = c.as_slice().to_vec();
+            dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut plain, None);
+            let mut checked: Vec<Complex<f32>> = c.as_slice().to_vec();
+            let expected = expected_chunk_packed_c32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 1);
+            let mut check = ChunkCheck::new(None);
+            dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut checked, Some(&mut check));
+            for (x, y) in checked.iter().zip(&plain) {
+                assert_eq!(x.re.to_bits(), y.re.to_bits());
+                assert_eq!(x.im.to_bits(), y.im.to_bits());
+            }
+            assert!(expected.ok && expected.matches(&check.computed));
         }
-        assert!(expected.ok && expected.matches(&computed));
     }
 
     #[test]
@@ -2703,7 +2372,9 @@ mod tests {
             expected_chunk_packed_c32, expected_chunk_packed_f32, expected_chunk_packed_f64,
         };
         use crate::fault::MmaFault;
-        let faults = [
+        // Burst and single-bit faults, plus an LSB flip of every component
+        // slot (128 covers FP32C's 8 x 8 x 2).
+        let faults: Vec<MmaFault> = [
             MmaFault::FlipBit { lane: 5, bit: 31 },
             MmaFault::FlipBit { lane: 63, bit: 0 },
             MmaFault::FlipBit { lane: 17, bit: 23 },
@@ -2715,7 +2386,17 @@ mod tests {
                 lane: 9,
                 mask: 0x7f80_0000, // would create a special: retargeted
             },
-        ];
+        ]
+        .into_iter()
+        .chain((0..128).map(|lane| MmaFault::FlipBit { lane, bit: 0 }))
+        .collect();
+        // Beyond detection, a fault changes exactly the output component
+        // it targets, slot `lane % slots` (FP32C: re at even, im at odd),
+        // against the unfaulted run's bits.
+        let hits_its_slot = |f: &MmaFault, got: &[u64], clean: &[u64]| {
+            let hit: Vec<usize> = (0..got.len()).filter(|&s| got[s] != clean[s]).collect();
+            assert_eq!(hit, [f.lane() as usize % got.len()], "fault {f:?}");
+        };
 
         // Every real f32 mode, including the truncated fast schedule.
         for mode in [
@@ -2731,15 +2412,20 @@ mod tests {
             let pa = PackedOperand::pack_rows_f32(&a, mode);
             let pb = PackedOperand::pack_cols_f32(&b, mode);
             let mut dpu = DotProductUnit::new();
+            let bits =
+                |acc: &[f32]| -> Vec<u64> { acc.iter().map(|x| x.to_bits() as u64).collect() };
+            let mut clean: Vec<f32> = c.as_slice().to_vec();
+            dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut clean, None);
             for f in &faults {
                 let mut acc: Vec<f32> = c.as_slice().to_vec();
                 let expected = expected_chunk_packed_f32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
-                let computed =
-                    dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(f));
+                let mut check = ChunkCheck::new(Some(*f));
+                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(&mut check));
                 assert!(
-                    !expected.matches(&computed),
+                    !expected.matches(&check.computed),
                     "{mode:?}: fault {f:?} must be detected"
                 );
+                hits_its_slot(f, &bits(&acc), &bits(&clean));
             }
         }
 
@@ -2750,14 +2436,19 @@ mod tests {
         let pa = PackedOperand::try_pack_rows_f64(&a, MxuMode::M3xuFp64Emu).unwrap();
         let pb = PackedOperand::try_pack_cols_f64(&b, MxuMode::M3xuFp64Emu).unwrap();
         let mut dpu = DotProductUnit::new();
+        let bits = |acc: &[f64]| -> Vec<u64> { acc.iter().map(|x| x.to_bits()).collect() };
+        let mut clean: Vec<f64> = c.as_slice().to_vec();
+        dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut clean, None);
         for f in &faults {
             let mut acc: Vec<f64> = c.as_slice().to_vec();
             let expected = expected_chunk_packed_f64(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
-            let computed = dpu.mma_f64_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(f));
+            let mut check = ChunkCheck::new(Some(*f));
+            dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(&mut check));
             assert!(
-                !expected.matches(&computed),
+                !expected.matches(&check.computed),
                 "f64 fault {f:?} must be detected"
             );
+            hits_its_slot(f, &bits(&acc), &bits(&clean));
         }
 
         // FP32C.
@@ -2766,14 +2457,23 @@ mod tests {
         let c = Matrix::random_c32(8, 8, 83);
         let pa = PackedOperand::pack_rows_c32(&a);
         let pb = PackedOperand::pack_cols_c32(&b);
+        let bits = |acc: &[Complex<f32>]| -> Vec<u64> {
+            acc.iter()
+                .flat_map(|z| [z.re.to_bits() as u64, z.im.to_bits() as u64])
+                .collect()
+        };
+        let mut clean: Vec<Complex<f32>> = c.as_slice().to_vec();
+        dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut clean, None);
         for f in &faults {
             let mut acc: Vec<Complex<f32>> = c.as_slice().to_vec();
             let expected = expected_chunk_packed_c32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 1);
-            let computed = dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut acc, Some(f));
+            let mut check = ChunkCheck::new(Some(*f));
+            dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut acc, Some(&mut check));
             assert!(
-                !expected.matches(&computed),
+                !expected.matches(&check.computed),
                 "complex fault {f:?} must be detected"
             );
+            hits_its_slot(f, &bits(&acc), &bits(&clean));
         }
     }
 }

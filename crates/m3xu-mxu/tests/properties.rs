@@ -301,7 +301,7 @@ fn packed_pipeline_equals_tile_path() {
         let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32);
         let mut acc: Vec<f32> = c.as_slice().to_vec();
         let mut dpu = DotProductUnit::new();
-        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc);
+        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, None);
         for i in 0..8 {
             for j in 0..8 {
                 assert_eq!(

@@ -97,13 +97,14 @@ for profile in "" "--release"; do
     done
 done
 
-# Serve gate: the serve edge + regression suites at shard counts 1 and 4
-# (M3XU_SERVE_SHARDS is resolved per process). The adaptive-batching
-# floor runs with the perf smoke gates above.
+# Serve gate: the serve edge suite at shard counts 1 and 4
+# (M3XU_SERVE_SHARDS is resolved per process, and only serve_edge reads
+# it). serve_regressions sets its own shard counts in its tests and runs
+# in both workspace test steps above. The adaptive-batching floor runs
+# with the perf smoke gates above.
 for shards in 1 4; do
-    echo "== serve suites under M3XU_SERVE_SHARDS=${shards}"
-    M3XU_SERVE_SHARDS=${shards} cargo test -q \
-        --test serve_edge --test serve_regressions
+    echo "== serve edge suite under M3XU_SERVE_SHARDS=${shards}"
+    M3XU_SERVE_SHARDS=${shards} cargo test -q --test serve_edge
 done
 
 # Precision gate (release): the emulated-FP64 engine must return the
@@ -112,8 +113,8 @@ done
 # NaN), the one documented difference being +0 for an exact-zero sum
 # where IEEE keeps -0 — any rounding regression in the slice/Kulisch
 # pipeline trips this test before anything else.
-# (The serve-side precision dial is covered by serve_regressions above,
-# which the shard loop already runs at both shard counts.)
+# (The serve-side precision dial is covered by serve_regressions, which
+# runs in the workspace test steps and pins one and four shards itself.)
 echo "== precision gate: emulated FP64 vs softfloat FMA reference (release)"
 cargo test --release -q --test differential_props \
     fp64_emulated_matches_softfloat_fma_reference_within_envelope -- --exact
