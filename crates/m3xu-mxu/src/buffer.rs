@@ -397,6 +397,107 @@ pub fn decode_tf32(x: f32) -> BufferEntry {
     decode_narrow(rounded, m3xu_fp::format::TF32)
 }
 
+/// A finite `f32` as `(m, lsb, lead)`: its value is `±m · 2^lsb` with
+/// `m < 2^24`, and `lead` is the exponent of `m`'s leading bit (below
+/// every format's range when `m == 0`).
+#[inline(always)]
+fn f32_significand(bits: u32) -> (u32, i32, i32) {
+    let biased = ((bits >> 23) & 0xff) as i32;
+    let m = (bits & 0x7f_ffff) | (((biased != 0) as u32) << 23);
+    let lsb = biased.max(1) - 150;
+    (m, lsb, lsb + 31 - m.leading_zeros() as i32)
+}
+
+/// Weight of the least significand bit `fmt` keeps for a value whose
+/// leading bit has exponent `lead`: `mantissa_bits` places below it, or
+/// the least subnormal's weight below the normal range.
+#[inline(always)]
+fn narrow_quantum(lead: i32, fmt: FloatFormat) -> i32 {
+    lead.max(fmt.min_normal_exp()) - fmt.mantissa_bits as i32
+}
+
+/// Round an `f32` to the narrow format `fmt` (FP16, BF16 or TF32), as an
+/// `f32`: round-to-nearest-even with gradual underflow and overflow to
+/// ±Inf, done with integer operations on the bits. Every such value is
+/// exactly an `f32`. Bit-identical to `round_to_format(x as f64, fmt) as
+/// f32` for every finite `x`; a NaN or an infinity comes back as itself.
+///
+/// The packing stage quantises each narrow element once, here, and
+/// decodes its buffer entry from the result with [`decode_narrow_f32`].
+#[inline]
+pub(crate) fn round_f32_to_narrow(x: f32, fmt: FloatFormat) -> f32 {
+    debug_assert!(
+        fmt.exp_bits <= 8 && fmt.mantissa_bits < 23,
+        "{fmt} is not narrow"
+    );
+    let bits = x.to_bits();
+    if (bits >> 23) & 0xff == 0xff {
+        return x;
+    }
+    let sign = bits & 0x8000_0000;
+    let (m, lsb, lead) = f32_significand(bits);
+    let q = narrow_quantum(lead, fmt);
+    // At least 23 - mantissa_bits >= 13 bits drop. From 25 on the whole
+    // significand sits below the round bit, so the clamp changes nothing.
+    let d = (q - lsb).min(25) as u32;
+    let kept = m >> d;
+    let half = 1u32 << (d - 1);
+    let rest = m & ((half << 1) - 1);
+    let r = kept + (rest > half || (rest == half && kept & 1 == 1)) as u32;
+    if r == 0 {
+        return f32::from_bits(sign);
+    }
+    // The result is `r · 2^q`, `r <= 2^(mantissa_bits + 1)`.
+    let width = 31 - r.leading_zeros() as i32;
+    let top = q + width;
+    if top > fmt.max_exp() {
+        return f32::from_bits(sign | 0x7f80_0000);
+    }
+    let mag = if top >= -126 {
+        (((top + 127) as u32) << 23) | ((r << (23 - width)) & 0x7f_ffff)
+    } else {
+        // An f32 subnormal (a TF32/BF16 subnormal): r counts 2^q units.
+        r << (q + 149)
+    };
+    f32::from_bits(sign | mag)
+}
+
+/// Decode an `f32` that is exactly representable in the narrow format
+/// `fmt` (a [`round_f32_to_narrow`] result) into its buffer entry —
+/// field for field what [`decode_narrow`] returns for the same value,
+/// with no rounding and no softfloat re-encode. NaN and ±Inf are flagged
+/// as there.
+#[inline]
+pub(crate) fn decode_narrow_f32(v: f32, fmt: FloatFormat) -> BufferEntry {
+    let bits = v.to_bits();
+    let sign = bits >> 31 == 1;
+    if (bits >> 23) & 0xff == 0xff {
+        let (sign, special) = if bits & 0x7f_ffff != 0 {
+            (false, Special::Nan)
+        } else {
+            (sign, Special::Inf(sign))
+        };
+        return BufferEntry {
+            sign,
+            mant: 0,
+            pow: 0,
+            special: Some(special),
+            operand_zero: false,
+        };
+    }
+    let (m, lsb, lead) = f32_significand(bits);
+    let q = narrow_quantum(lead, fmt);
+    let d = (q - lsb).min(31) as u32;
+    debug_assert_eq!(m & ((1 << d) - 1), 0, "{v:e} is not a {fmt} value");
+    BufferEntry {
+        sign,
+        mant: m >> d,
+        pow: q,
+        special: None,
+        operand_zero: m == 0,
+    }
+}
+
 /// Sanity check used by tests and the synth crate: storage cost of one
 /// entry in bits (1 sign + 8 exponent + 12 mantissa).
 pub const ENTRY_BITS: u32 = 1 + FP32.exp_bits + MANT_BITS;

@@ -43,19 +43,24 @@
 //! ## The SIMD row pipeline
 //!
 //! On top of the per-chunk executors, the panel entry points
-//! ([`DotProductUnit::mma_f32_panel_into`] /
-//! [`DotProductUnit::mma_c32_panel_into`]) run a whole `K`-panel per
+//! ([`DotProductUnit::mma_f32_panel_into`],
+//! [`DotProductUnit::mma_c32_panel_into`] and
+//! [`DotProductUnit::mma_f64_panel_into`]) run a whole `K`-panel per
 //! call and, where a full 8-column fragment row is available, dispatch to
 //! the vectorized row kernels in [`simd`] — see that module for the
-//! exactness argument and the `M3XU_SIMD` kill switch. The scalar element
-//! bodies stay the differential oracle, the fallback for partial rows,
-//! specials and wide exponent spreads, and the body every checked chunk
-//! runs.
+//! exactness argument and the `M3XU_SIMD` kill switch. Every precision
+//! mode has one: the fast FP32 mode forms its truncated product exactly
+//! in `f64`, and emulated FP64 runs one fused multiply-add per chunk. The
+//! scalar element bodies stay the differential oracle, the fallback for
+//! partial rows, specials, zero FP64 results and wide exponent spreads,
+//! and the body every checked chunk runs.
 
 pub mod simd;
 
 use crate::abft::Checksum;
-use crate::buffer::{decode_fp32, decode_fp64_slices, decode_narrow, decode_tf32, BufferEntry};
+use crate::buffer::{
+    decode_fp32, decode_fp64_slices, decode_narrow_f32, round_f32_to_narrow, BufferEntry,
+};
 use crate::dpu::{DotProductUnit, LaneOp, Target};
 use crate::error::M3xuError;
 use crate::fault::{corrupt_f32, corrupt_f64, MmaFault};
@@ -65,7 +70,6 @@ use crate::modes::MxuMode;
 use m3xu_fp::complex::Complex;
 use m3xu_fp::format::{BF16, FP16, TF32};
 use m3xu_fp::residue::{add_m61, mul_m61, pow2_m61, reduce_u64, residue_f64, sub_m61};
-use m3xu_fp::softfloat::round_to_format;
 
 /// Buffer entries the data-assignment stage provisions per operand element
 /// in `mode` — 1 for the narrow formats, 2 for the hi/lo split of the FP32
@@ -113,7 +117,10 @@ pub fn fragment_stats(mode: MxuMode, shape: MmaShape) -> MmaStats {
 /// modes, specials kept as themselves) into a planar `f32` buffer for
 /// the [`simd`] row kernels: row-major `[vec][k]` on the rows side,
 /// k-major `[k][vec]` on the columns side so one vector load covers 8
-/// consecutive output columns (FP32C stores separate re/im planes).
+/// consecutive output columns (FP32C stores separate re/im planes). The
+/// emulated-FP64 mode mirrors each element's `f64` value (alpha folded
+/// in, exactly the value its slices sum to) in the same layout, in
+/// `vals64`, for the FMA row kernel.
 #[derive(Debug, Clone)]
 pub struct PackedOperand {
     mode: MxuMode,
@@ -122,7 +129,8 @@ pub struct PackedOperand {
     vecs: usize,
     entries: Vec<BufferEntry>,
     vals: Vec<f32>,
-    /// True for column packing (`B` side): `vals` is k-major.
+    vals64: Vec<f64>,
+    /// True for column packing (`B` side): the value planes are k-major.
     transposed: bool,
 }
 
@@ -135,17 +143,22 @@ pub struct PackedStorage {
     pub entries: Vec<BufferEntry>,
     /// Planar `f32` value mirror for the SIMD row kernels.
     pub vals: Vec<f32>,
+    /// Planar `f64` value mirror for the emulated-FP64 row kernel.
+    pub vals64: Vec<f64>,
 }
 
 impl PackedStorage {
-    /// Clear and pre-size both buffers for `elems` operand elements at
-    /// `epe` entries and `vpe` value-plane slots each.
-    fn prepared(mut self, elems: usize, epe: usize, vpe: usize) -> (Vec<BufferEntry>, Vec<f32>) {
+    /// Clear every buffer and pre-size them for `elems` operand elements
+    /// at `epe` entries, `vpe` `f32` value slots and `vpe64` `f64` value
+    /// slots each.
+    fn prepared(mut self, elems: usize, epe: usize, vpe: usize, vpe64: usize) -> Self {
         self.entries.clear();
         self.entries.reserve(elems * epe);
         self.vals.clear();
         self.vals.reserve(elems * vpe);
-        (self.entries, self.vals)
+        self.vals64.clear();
+        self.vals64.reserve(elems * vpe64);
+        self
     }
 }
 
@@ -157,41 +170,39 @@ const fn is_real_f32_mode(mode: MxuMode) -> bool {
     )
 }
 
+/// The exact `f32` value element `x` packs to in `mode` — the one
+/// quantisation both the entry planes and the SIMD value planes are built
+/// from. Lossless for FP32 (hi+lo reconstruct `x`); the value rounded to
+/// the narrow format otherwise (every TF32/FP16/BF16 value, a
+/// rounded-to-infinity overflow included, is an `f32`). Specials pass
+/// through as themselves, so the row kernels' non-finite-product abort
+/// routes them to the oracle path.
 #[inline]
-fn push_f32(entries: &mut Vec<BufferEntry>, x: f32, mode: MxuMode) {
+fn quantise_f32(x: f32, mode: MxuMode) -> f32 {
     match mode {
-        MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => {
-            let (hi, lo) = decode_fp32(x);
-            entries.push(hi);
-            entries.push(lo);
-        }
-        MxuMode::Tf32 => entries.push(decode_tf32(x)),
-        MxuMode::Fp16 => entries.push(decode_narrow(round_to_format(x as f64, FP16), FP16)),
-        MxuMode::Bf16 => entries.push(decode_narrow(round_to_format(x as f64, BF16), BF16)),
+        MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => x,
+        MxuMode::Tf32 => round_f32_to_narrow(x, TF32),
+        MxuMode::Fp16 => round_f32_to_narrow(x, FP16),
+        MxuMode::Bf16 => round_f32_to_narrow(x, BF16),
         // Checked by the `try_pack_*` entry gates before any decode work.
         _ => unreachable!("mode gate admitted a non-real packing mode"),
     }
 }
 
-/// The exact `f32` value the packed entries of element `x` denote in
-/// `mode` — what the SIMD value planes mirror. Lossless for FP32 (hi+lo
-/// reconstruct `x`); the quantised value for the narrow modes (every
-/// TF32/FP16/BF16 value, including a rounded-to-infinity overflow, is
-/// representable in `f32`); specials pass through as themselves so the
-/// row kernels' non-finite-product abort routes them to the oracle path.
+/// Push the buffer entries of `v`, a [`quantise_f32`] result: the FP32
+/// hi/lo halves, or the narrow format's single entry (a decode, no
+/// second rounding).
 #[inline]
-fn val_f32(x: f32, mode: MxuMode) -> f32 {
-    if !x.is_finite() {
-        return x;
-    }
-    // Each narrow value (a finite overflow rounds to infinity, which the
-    // row kernels likewise abort on) is exactly representable in `f32`,
-    // so the cast never re-rounds.
+fn push_f32(entries: &mut Vec<BufferEntry>, v: f32, mode: MxuMode) {
     match mode {
-        MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => x,
-        MxuMode::Tf32 => round_to_format(x as f64, TF32) as f32,
-        MxuMode::Fp16 => round_to_format(x as f64, FP16) as f32,
-        MxuMode::Bf16 => round_to_format(x as f64, BF16) as f32,
+        MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => {
+            let (hi, lo) = decode_fp32(v);
+            entries.push(hi);
+            entries.push(lo);
+        }
+        MxuMode::Tf32 => entries.push(decode_narrow_f32(v, TF32)),
+        MxuMode::Fp16 => entries.push(decode_narrow_f32(v, FP16)),
+        MxuMode::Bf16 => entries.push(decode_narrow_f32(v, BF16)),
         _ => unreachable!("mode gate admitted a non-real packing mode"),
     }
 }
@@ -284,9 +295,9 @@ impl PackedOperand {
     /// [`decode_fp64_slices`]), every slice within the 12-bit multiplier
     /// field. Rejects every other mode with [`M3xuError::ModeMismatch`].
     ///
-    /// The emulated mode has no SIMD value mirror (the row kernels round
-    /// to `f32`; the emulated pipeline drains to `f64`), so the value
-    /// plane stays empty and execution is scalar per element.
+    /// Packing also mirrors each element's `f64` value (see
+    /// [`PackedOperand`]) for the FMA row kernel of
+    /// [`DotProductUnit::mma_f64_panel_into`].
     pub fn try_pack_rows_f64(m: &Matrix<f64>, mode: MxuMode) -> Result<Self, M3xuError> {
         Self::try_pack_rows_f64_src_in(m, 1.0, mode, PackedStorage::default())
     }
@@ -321,12 +332,16 @@ impl PackedOperand {
         }
         let (rows, cols) = (src.rows(), src.cols());
         let epe = entries_per_element(mode);
-        let (mut entries, mut vals) = storage.prepared(rows * cols, epe, 1);
+        let PackedStorage {
+            mut entries,
+            mut vals,
+            vals64,
+        } = storage.prepared(rows * cols, epe, 1, 0);
         for i in 0..rows {
             for k in 0..cols {
-                let x = scale_f32(alpha, src.at(i, k));
-                push_f32(&mut entries, x, mode);
-                vals.push(val_f32(x, mode));
+                let v = quantise_f32(scale_f32(alpha, src.at(i, k)), mode);
+                push_f32(&mut entries, v, mode);
+                vals.push(v);
             }
         }
         Ok(PackedOperand {
@@ -336,6 +351,7 @@ impl PackedOperand {
             vecs: rows,
             entries,
             vals,
+            vals64,
             transposed: false,
         })
     }
@@ -356,17 +372,22 @@ impl PackedOperand {
         }
         let (rows, cols) = (src.rows(), src.cols());
         let epe = entries_per_element(mode);
-        let (mut entries, mut vals) = storage.prepared(rows * cols, epe, 1);
-        for j in 0..cols {
-            for i in 0..rows {
-                push_f32(&mut entries, src.at(i, j), mode);
-            }
-        }
+        let PackedStorage {
+            mut entries,
+            mut vals,
+            vals64,
+        } = storage.prepared(rows * cols, epe, 1, 0);
         // The k-major value plane, in the source's logical row-major order
-        // (vals[k * vecs + v] = src[k][v]).
+        // (vals[k * vecs + v] = src[k][v]), quantised once; the entry
+        // planes decode from it column by column.
         for i in 0..rows {
             for j in 0..cols {
-                vals.push(val_f32(src.at(i, j), mode));
+                vals.push(quantise_f32(src.at(i, j), mode));
+            }
+        }
+        for j in 0..cols {
+            for i in 0..rows {
+                push_f32(&mut entries, vals[i * cols + j], mode);
             }
         }
         Ok(PackedOperand {
@@ -376,6 +397,7 @@ impl PackedOperand {
             vecs: cols,
             entries,
             vals,
+            vals64,
             transposed: true,
         })
     }
@@ -389,7 +411,11 @@ impl PackedOperand {
         storage: PackedStorage,
     ) -> Self {
         let (rows, cols) = (src.rows(), src.cols());
-        let (mut entries, mut vals) = storage.prepared(rows * cols, 4, 2);
+        let PackedStorage {
+            mut entries,
+            mut vals,
+            vals64,
+        } = storage.prepared(rows * cols, 4, 2, 0);
         for i in 0..rows {
             for k in 0..cols {
                 let x = scale_c32(alpha, src.at(i, k));
@@ -405,6 +431,7 @@ impl PackedOperand {
             vecs: rows,
             entries,
             vals,
+            vals64,
             transposed: false,
         }
     }
@@ -417,7 +444,11 @@ impl PackedOperand {
         storage: PackedStorage,
     ) -> Self {
         let (rows, cols) = (src.rows(), src.cols());
-        let (mut entries, mut vals) = storage.prepared(rows * cols, 4, 2);
+        let PackedStorage {
+            mut entries,
+            mut vals,
+            vals64,
+        } = storage.prepared(rows * cols, 4, 2, 0);
         for j in 0..cols {
             for i in 0..rows {
                 push_c32(&mut entries, src.at(i, j));
@@ -442,6 +473,7 @@ impl PackedOperand {
             vecs: cols,
             entries,
             vals,
+            vals64,
             transposed: true,
         }
     }
@@ -466,12 +498,18 @@ impl PackedOperand {
             .expect("emulated FP64 has a slice config");
         let (rows, cols) = (src.rows(), src.cols());
         let epe = entries_per_element(mode);
-        let (mut entries, vals) = storage.prepared(rows * cols, epe, 0);
+        let PackedStorage {
+            mut entries,
+            vals,
+            mut vals64,
+        } = storage.prepared(rows * cols, epe, 0, 1);
         let mut buf = [BufferEntry::ZERO; m3xu_fp::split::MAX_SLICES];
         for i in 0..rows {
             for k in 0..cols {
-                let n = decode_fp64_slices(scale_f64(alpha, src.at(i, k)), cfg, &mut buf);
+                let x = scale_f64(alpha, src.at(i, k));
+                let n = decode_fp64_slices(x, cfg, &mut buf);
                 entries.extend_from_slice(&buf[..n]);
+                vals64.push(x);
             }
         }
         Ok(PackedOperand {
@@ -481,6 +519,7 @@ impl PackedOperand {
             vecs: rows,
             entries,
             vals,
+            vals64,
             transposed: false,
         })
     }
@@ -504,11 +543,22 @@ impl PackedOperand {
             .expect("emulated FP64 has a slice config");
         let (rows, cols) = (src.rows(), src.cols());
         let epe = entries_per_element(mode);
-        let (mut entries, vals) = storage.prepared(rows * cols, epe, 0);
+        let PackedStorage {
+            mut entries,
+            vals,
+            mut vals64,
+        } = storage.prepared(rows * cols, epe, 0, 1);
+        // The k-major value plane first, as on the f32 side; the slice
+        // planes decode from it column by column.
+        for i in 0..rows {
+            for j in 0..cols {
+                vals64.push(src.at(i, j));
+            }
+        }
         let mut buf = [BufferEntry::ZERO; m3xu_fp::split::MAX_SLICES];
         for j in 0..cols {
             for i in 0..rows {
-                let n = decode_fp64_slices(src.at(i, j), cfg, &mut buf);
+                let n = decode_fp64_slices(vals64[i * cols + j], cfg, &mut buf);
                 entries.extend_from_slice(&buf[..n]);
             }
         }
@@ -519,6 +569,7 @@ impl PackedOperand {
             vecs: cols,
             entries,
             vals,
+            vals64,
             transposed: true,
         })
     }
@@ -529,6 +580,7 @@ impl PackedOperand {
         PackedStorage {
             entries: self.entries,
             vals: self.vals,
+            vals64: self.vals64,
         }
     }
 
@@ -1006,9 +1058,10 @@ fn scalar_element_real(
 /// seeded with the incoming `f64` accumulator (exact — no narrowing) and
 /// drained back to `f64` once per chunk; `tap` as in
 /// [`scalar_element_real`]. There is no 128-bit fast window here: the
-/// 53-bit seed and the wider slice family exceed its design envelope, and
-/// the emulated mode is the precision dial's accuracy endpoint, not its
-/// speed endpoint.
+/// 53-bit seed and the wider slice family exceed its design envelope.
+/// This is the oracle of the FMA row kernel
+/// ([`DotProductUnit::mma_f64_panel_into`]), the path of its zero and
+/// non-finite lanes, and the body every checked chunk runs.
 #[allow(clippy::too_many_arguments)]
 fn scalar_element_f64(
     dpu: &mut DotProductUnit,
@@ -1120,6 +1173,19 @@ impl ChunkCheck {
         *v = cv;
         moved
     }
+}
+
+/// What a real-mode SIMD panel's per-chunk oracle fallback needs, fixed
+/// for the whole panel: the operands, the tile origin, and the schedule.
+struct RealPanel<'p> {
+    a: &'p PackedOperand,
+    b: &'p PackedOperand,
+    r0: usize,
+    c0: usize,
+    /// The fast mode's truncated schedule.
+    truncated: bool,
+    /// Lane products per MAC ([`MxuMode::terms_per_mac`]).
+    terms: u64,
 }
 
 impl DotProductUnit {
@@ -1267,8 +1333,15 @@ impl DotProductUnit {
     /// Execute a whole `K`-panel `[k0, kend)` of one emulated-FP64 output
     /// tile, chunked at the fragment depth `frag_k` — bit-identical to
     /// looping [`mma_f64_into`](DotProductUnit::mma_f64_into) over the
-    /// same chunks (it *is* that loop; the emulated mode has no SIMD row
-    /// kernel).
+    /// same chunks.
+    ///
+    /// At `frag_k = 1` each chunk is `round_f64(seed + a·b)`: the five
+    /// 12-bit slices are lossless and the Kulisch drain rounds once, so
+    /// the chunk is exactly one IEEE fused multiply-add. When a vector
+    /// level is active, full 8-column rows of row-major `A` against
+    /// k-major `B` therefore run as an FMA row loop over the `f64` value
+    /// mirrors; a column whose FMA result is zero or non-finite reruns
+    /// that element-chunk through the slice oracle, `scalar_element_f64`.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f64_panel_into(
         &mut self,
@@ -1283,8 +1356,22 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [f64],
     ) {
+        assert_eq!(a.mode, MxuMode::M3xuFp64Emu, "a is not FP64-slice-packed");
+        assert_eq!(b.mode, MxuMode::M3xuFp64Emu, "b is not FP64-slice-packed");
+        assert_eq!(a.len, b.len, "reduction lengths disagree");
+        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         assert!(frag_k > 0, "fragment depth must be positive");
         let kend = kend.min(a.len);
+        let level = simd::level();
+        if level != simd::SimdLevel::Scalar
+            && cols == simd::COLS
+            && frag_k == 1
+            && !a.transposed
+            && b.transposed
+        {
+            self.simd_panel_f64(level, a, b, r0, rows, c0, k0, kend, acc);
+            return;
+        }
         let mut ck0 = k0;
         while ck0 < kend {
             let klen = frag_k.min(kend - ck0);
@@ -1303,7 +1390,9 @@ impl DotProductUnit {
     /// of row-major `A` against k-major `B` dispatch to the
     /// [`simd`] row kernels when a vector level is active, forming each
     /// chunk's exact value from whole-product `f64` lanes instead of
-    /// split-mantissa buffer entries.
+    /// split-mantissa buffer entries. The fast truncated mode forms each
+    /// lane as `a·b − lo_a·lo_b`, the exact sum of the three slice terms
+    /// it issues (see the [`simd`] module).
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f32_panel_into(
         &mut self,
@@ -1324,16 +1413,11 @@ impl DotProductUnit {
         assert!(frag_k > 0, "fragment depth must be positive");
         let kend = kend.min(a.len);
         let level = simd::level();
-        // The fast truncated mode is excluded from the SIMD row kernels:
-        // they form whole `f64` products per element (the exact a·b, i.e.
-        // all four slice terms fused), which would silently restore the
-        // dropped lo·lo term. Fast fragments stay on the scalar schedule.
         if level != simd::SimdLevel::Scalar
             && cols == simd::COLS
             && frag_k <= simd::MAX_KLEN
             && !a.transposed
             && b.transposed
-            && a.mode != MxuMode::M3xuFp32Fast
         {
             self.simd_panel_f32(level, a, b, r0, rows, c0, k0, kend, frag_k, acc);
             return;
@@ -1389,17 +1473,12 @@ impl DotProductUnit {
         }
     }
 
-    /// SIMD body of the real-mode panel: per row, per chunk, form the
-    /// `klen` whole products for all 8 columns with one vector pass, then
-    /// round each column's exact chunk value. Any column the exact window
-    /// cannot absorb (specials, wide exponent spread) falls back to the
-    /// scalar element path for that one (element, chunk) — the shared
-    /// [`scalar_element_real`] — so results match the scalar pipeline bit
-    /// for bit no matter which path each element took.
-    /// Dispatch the FP32 panel body compiled for the active vector level.
-    /// The AVX2 wrapper carries `#[target_feature]` so the row-product
-    /// kernel inlines into the panel loop instead of paying a call and a
-    /// product store/reload per chunk.
+    /// Dispatch the FP32 panel body compiled for the active vector level
+    /// and, once per panel, the product kernel of the mode: whole
+    /// products, or the fast mode's truncated ones (`TRUNC`). The AVX2
+    /// wrapper carries `#[target_feature]` so the row-product kernel
+    /// inlines into the panel loop instead of paying a call and a product
+    /// store/reload per chunk.
     #[allow(clippy::too_many_arguments)]
     fn simd_panel_f32(
         &mut self,
@@ -1414,21 +1493,31 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [f32],
     ) {
+        let truncated = a.mode == MxuMode::M3xuFp32Fast;
         match level {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `level` is clamped to the host's detected
             // capability, so Avx2 here implies the CPU supports it.
             simd::SimdLevel::Avx2 => unsafe {
-                self.simd_panel_f32_avx2(a, b, r0, rows, c0, k0, kend, frag_k, acc)
+                if truncated {
+                    self.simd_panel_f32_avx2::<true>(a, b, r0, rows, c0, k0, kend, frag_k, acc)
+                } else {
+                    self.simd_panel_f32_avx2::<false>(a, b, r0, rows, c0, k0, kend, frag_k, acc)
+                }
             },
-            _ => self.simd_panel_f32_body(level, a, b, r0, rows, c0, k0, kend, frag_k, acc),
+            _ if truncated => {
+                self.simd_panel_f32_body::<true>(level, a, b, r0, rows, c0, k0, kend, frag_k, acc)
+            }
+            _ => {
+                self.simd_panel_f32_body::<false>(level, a, b, r0, rows, c0, k0, kend, frag_k, acc)
+            }
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn simd_panel_f32_avx2(
+    unsafe fn simd_panel_f32_avx2<const TRUNC: bool>(
         &mut self,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -1440,7 +1529,7 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [f32],
     ) {
-        self.simd_panel_f32_body(
+        self.simd_panel_f32_body::<TRUNC>(
             simd::SimdLevel::Avx2,
             a,
             b,
@@ -1454,9 +1543,17 @@ impl DotProductUnit {
         )
     }
 
+    /// SIMD body of the real-mode panel: per row, per chunk, form the
+    /// `klen` whole (or, with `TRUNC`, truncated) products for all 8
+    /// columns with one vector pass, then round each column's exact chunk
+    /// value. Any column the exact window cannot absorb (specials, wide
+    /// exponent spread) falls back to the scalar element path for that
+    /// one (element, chunk) — the shared [`scalar_element_real`], on the
+    /// same schedule — so results match the scalar pipeline bit for bit
+    /// no matter which path each element took.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32_body(
+    fn simd_panel_f32_body<const TRUNC: bool>(
         &mut self,
         level: simd::SimdLevel,
         a: &PackedOperand,
@@ -1469,7 +1566,14 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [f32],
     ) {
-        let epe = a.epe;
+        let panel = RealPanel {
+            a,
+            b,
+            r0,
+            c0,
+            truncated: TRUNC,
+            terms: a.mode.terms_per_mac(),
+        };
         let n = b.vecs;
         let alen = a.len;
         let mut prods = [[0f64; simd::COLS]; simd::MAX_KLEN];
@@ -1482,22 +1586,22 @@ impl DotProductUnit {
             let mut ck0 = k0;
             while ck0 < kend {
                 let klen = frag_k.min(kend - ck0);
-                simd::row_products(level, arow, &b.vals, n, c0, ck0, klen, &mut prods);
+                simd::row_products::<TRUNC>(level, arow, &b.vals, n, c0, ck0, klen, &mut prods);
                 // Constant-depth dispatch: the rounding kernel fully
                 // unrolls for each chunk depth.
                 match klen {
-                    1 => self.simd_row_chunk::<1>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
-                    ),
-                    2 => self.simd_row_chunk::<2>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
-                    ),
-                    3 => self.simd_row_chunk::<3>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
-                    ),
-                    4 => self.simd_row_chunk::<4>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
-                    ),
+                    1 => {
+                        self.simd_row_chunk::<1>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
+                    }
+                    2 => {
+                        self.simd_row_chunk::<2>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
+                    }
+                    3 => {
+                        self.simd_row_chunk::<3>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
+                    }
+                    4 => {
+                        self.simd_row_chunk::<4>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
+                    }
                     _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
                 }
                 ck0 += klen;
@@ -1530,18 +1634,14 @@ impl DotProductUnit {
     fn simd_row_chunk<const T: usize>(
         &mut self,
         level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
+        panel: &RealPanel<'_>,
         prods: &[[f64; simd::COLS]; simd::MAX_KLEN],
         acc: &mut [f32; simd::COLS],
         seeds: &mut simd::RowSeeds,
         i: usize,
-        r0: usize,
-        c0: usize,
         ck0: usize,
-        epe: usize,
     ) {
-        let lanes = (T * epe * epe) as u64;
+        let lanes = T as u64 * panel.terms;
         let okm = match level {
             #[cfg(target_arch = "x86_64")]
             simd::SimdLevel::Avx2 => {
@@ -1586,18 +1686,119 @@ impl DotProductUnit {
             let (d, _) = scalar_element_real(
                 self,
                 seeds.value(j, acc[j]),
-                a.vec(r0 + i),
-                b.vec(c0 + j),
+                panel.a.vec(panel.r0 + i),
+                panel.b.vec(panel.c0 + j),
                 ck0,
                 ck0 + T,
-                epe,
-                false,
+                panel.a.epe,
+                panel.truncated,
                 lanes,
                 false,
             );
             acc[j] = d;
             seeds.set(j, simd::ChunkSeed::decode(d));
         });
+    }
+
+    /// Dispatch the emulated-FP64 FMA row loop compiled for the active
+    /// vector level; the AVX2 wrapper also enables FMA, so
+    /// [`simd::fma_row`] inlines as `vfmadd`.
+    #[allow(clippy::too_many_arguments)]
+    fn simd_panel_f64(
+        &mut self,
+        level: simd::SimdLevel,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        k0: usize,
+        kend: usize,
+        acc: &mut [f64],
+    ) {
+        match level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `level` is clamped to the host's detected
+            // capability, and the Avx2 level requires both AVX2 and FMA.
+            simd::SimdLevel::Avx2 => unsafe {
+                self.simd_panel_f64_avx2(a, b, r0, rows, c0, k0, kend, acc)
+            },
+            _ => self.simd_panel_f64_body(level, a, b, r0, rows, c0, k0, kend, acc),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn simd_panel_f64_avx2(
+        &mut self,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        k0: usize,
+        kend: usize,
+        acc: &mut [f64],
+    ) {
+        self.simd_panel_f64_body(simd::SimdLevel::Avx2, a, b, r0, rows, c0, k0, kend, acc)
+    }
+
+    /// SIMD body of the emulated-FP64 panel (`frag_k == 1`): per row, per
+    /// packed element, one FMA across the row's 8 columns, the row kept in
+    /// registers across the whole `K`-panel. A column whose result is zero
+    /// or non-finite reruns that element-chunk through
+    /// [`scalar_element_f64`] from the seed it had before the FMA, so the
+    /// output equals the per-chunk loop's bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn simd_panel_f64_body(
+        &mut self,
+        level: simd::SimdLevel,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        k0: usize,
+        kend: usize,
+        acc: &mut [f64],
+    ) {
+        let n = b.vecs;
+        let alen = a.len;
+        let mut fallbacks = 0u64;
+        for i in 0..rows {
+            let arow = &a.vals64[(r0 + i) * alen..(r0 + i) * alen + alen];
+            let row_acc: &mut [f64; simd::COLS] = (&mut acc[i * simd::COLS..(i + 1) * simd::COLS])
+                .try_into()
+                .expect("panel accumulator row is exactly one fragment row");
+            let mut row = *row_acc;
+            for (k, &ak) in arow.iter().enumerate().take(kend).skip(k0) {
+                let brow: &[f64; simd::COLS] = b.vals64[k * n + c0..k * n + c0 + simd::COLS]
+                    .try_into()
+                    .expect("B's value row holds the fragment row's columns");
+                let (mut next, oracle) = simd::fma_row(level, ak, brow, &row);
+                for_each_bit(oracle, |j| {
+                    fallbacks += 1;
+                    (next[j], _) = scalar_element_f64(
+                        self,
+                        row[j],
+                        a.vec(r0 + i),
+                        b.vec(c0 + j),
+                        k,
+                        k + 1,
+                        a.epe,
+                        false,
+                    );
+                });
+                row = next;
+            }
+            *row_acc = row;
+        }
+        let vector = (rows * kend.saturating_sub(k0) * simd::COLS) as u64 - fallbacks;
+        self.lane_ops += vector * a.mode.terms_per_mac();
+        self.simd_chunks += vector;
+        self.simd_fallbacks += fallbacks;
     }
 
     /// SIMD body of the FP32C panel (`frag_k == 1`): per row, per packed
@@ -1889,25 +2090,47 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_panel_never_takes_the_simd_row_kernels() {
-        // The SIMD row kernels form whole products, which would restore
-        // the dropped lo.lo term; the panel must produce the truncated
-        // scalar result whatever the active SIMD level.
+    fn fast_mode_panel_runs_the_truncated_product_on_the_row_kernels() {
+        // The row kernels form each fast-mode product as a·b − lo_a·lo_b,
+        // the exact sum of the three slice terms the mode issues: at every
+        // level the panel must produce the truncated per-chunk result, and
+        // at a vector level every element-chunk stays on the vector path.
+        let _guard = simd::TEST_LEVEL_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let entry = simd::level();
         let a = Matrix::<f32>::random(8, 8, 151);
         let b = Matrix::<f32>::random(8, 8, 152);
         let c = Matrix::<f32>::random(8, 8, 153);
         let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32Fast);
         let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32Fast);
         let mut dpu = DotProductUnit::new();
-        let mut panel: Vec<f32> = c.as_slice().to_vec();
-        dpu.mma_f32_panel_into(&pa, &pb, 0, 8, 0, 8, 0, 8, 2, &mut panel);
         let mut chunked: Vec<f32> = c.as_slice().to_vec();
         for ck0 in (0..8).step_by(2) {
             dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut chunked, None);
         }
-        for (x, y) in panel.iter().zip(&chunked) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        let mut panel: Vec<f32> = c.as_slice().to_vec();
+        for lvl in std::iter::once(simd::SimdLevel::Scalar).chain(simd::vector_levels()) {
+            simd::set_level(lvl);
+            let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
+            panel.copy_from_slice(c.as_slice());
+            dpu.mma_f32_panel_into(&pa, &pb, 0, 8, 0, 8, 0, 8, 2, &mut panel);
+            for (x, y) in panel.iter().zip(&chunked) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{lvl:?}");
+            }
+            // 8 x 8 outputs x 4 two-deep chunks.
+            let vector = if lvl == simd::SimdLevel::Scalar {
+                0
+            } else {
+                256
+            };
+            assert_eq!(
+                (dpu.simd_chunks - chunks, dpu.simd_fallbacks - fallbacks),
+                (vector, 0),
+                "{lvl:?}"
+            );
         }
+        simd::set_level(entry);
         // And the full mode on the same data differs (lo.lo matters for
         // generic inputs) — the truncation is real, not a no-op.
         let paf = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32);
@@ -1921,6 +2144,446 @@ mod tests {
                 .any(|(x, y)| x.to_bits() != y.to_bits()),
             "truncated and full schedules coincided on random data"
         );
+    }
+
+    /// Rows of `(a, [b; 8], [seed; 8])` lanes that hit every oracle case
+    /// of the emulated-FP64 row kernel: an exact-zero sum of −0 addends,
+    /// an exact cancellation, underflow to ±0, subnormal results, overflow
+    /// to ±Inf, Inf − Inf, NaN operands and a NaN seed — beside ordinary
+    /// lanes, which must stay on the kernel.
+    fn f64_oracle_rows() -> Vec<(f64, [f64; 8], [f64; 8])> {
+        let (inf, nan, tiny) = (f64::INFINITY, f64::NAN, f64::from_bits(1));
+        vec![
+            (
+                1e-200,
+                [1e-200, -1e-200, 1e-110, -1e-110, 2.0, nan, 1.5, 3.0],
+                [0.0, 0.0, 0.0, 1e-310, -2e-200, 1.0, nan, 1.0],
+            ),
+            (
+                1e200,
+                [1e200, -1e200, -inf, inf, 0.0, -0.0, 1e-300, 0.5],
+                [0.0, 1.0, inf, inf, -0.0, -0.0, 1e-100, -5e199],
+            ),
+            (
+                -0.0,
+                [5.0, -5.0, inf, 1.0, 0.0, 1e300, -1e-300, 2.0],
+                [-0.0, -0.0, 1.0, 0.0, -0.0, 7.0, -1e-310, nan],
+            ),
+            (
+                nan,
+                [1.0, 0.0, -0.0, inf, 1e300, 1e-300, -2.0, 3.0],
+                [0.0; 8],
+            ),
+            (
+                -inf,
+                [-1.0, 0.0, 1.0, 2.0, -inf, 1e-300, -0.0, 4.0],
+                [-inf, 1.0, inf, -inf, -inf, 0.0, 5.0, nan],
+            ),
+            (
+                tiny,
+                [0.5, 1.0, -0.5, 1.5, -1.5, 2.0, 0.25, -1.0],
+                [0.0, 0.0, -0.0, 0.0, -0.0, -tiny, 0.0, tiny],
+            ),
+            (
+                0.75,
+                [1.25, -3.5, 0.3, 1e10, -1e-10, 7.0, 0.1, -0.7],
+                [2.0, 1.0, -0.2, 1e9, 3e-11, -5.25, 0.9, 0.525],
+            ),
+        ]
+    }
+
+    /// The 5 slices of `x`, as the emulated-FP64 packers decode them.
+    fn f64_slices(x: f64) -> [BufferEntry; 5] {
+        let mut buf = [BufferEntry::ZERO; 5];
+        decode_fp64_slices(x, m3xu_fp::split::FP64_SLICES_EMULATED, &mut buf);
+        buf
+    }
+
+    #[test]
+    fn fma_row_matches_scalar_element_f64_lane_by_lane() {
+        // At every vector level the host runs, each lane of the FMA row
+        // kernel is either flagged for the oracle or equals the slice
+        // oracle's chunk bit for bit; it is flagged exactly when its
+        // result is zero or non-finite, which is exactly when the
+        // oracle's is. The random rows must never be flagged.
+        let mut rows = f64_oracle_rows();
+        let mut state = 0x3c6e_f372_fe94_f82bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Unit-range significands across ±2^±60, never zero.
+        let mut rand = || {
+            let bits = next();
+            let exp = 1023 - 60 + (bits >> 52) % 121;
+            f64::from_bits((bits & 1 << 63) | exp << 52 | (bits & ((1 << 52) - 1)))
+        };
+        let random_rows = 64;
+        for _ in 0..random_rows {
+            rows.push((
+                rand(),
+                std::array::from_fn(|_| rand()),
+                std::array::from_fn(|_| rand()),
+            ));
+        }
+        let mut dpu = DotProductUnit::new();
+        let mut flagged = 0;
+        for level in simd::vector_levels() {
+            for (r, (a, b, seed)) in rows.iter().enumerate() {
+                let (out, oracle) = simd::fma_row(level, *a, b, seed);
+                for j in 0..8 {
+                    let (want, _) = scalar_element_f64(
+                        &mut dpu,
+                        seed[j],
+                        &f64_slices(*a),
+                        &f64_slices(b[j]),
+                        0,
+                        1,
+                        5,
+                        false,
+                    );
+                    let what = format!(
+                        "{level:?} row {r} lane {j}: {:e} + {a:e}·{:e}",
+                        seed[j], b[j]
+                    );
+                    let special = |v: f64| v == 0.0 || !v.is_finite();
+                    assert_eq!(oracle >> j & 1 == 1, special(out[j]), "{what}");
+                    assert_eq!(special(out[j]), special(want), "{what}");
+                    if special(want) {
+                        flagged += 1;
+                        assert!(r < rows.len() - random_rows, "{what}: random lane flagged");
+                    } else {
+                        assert_eq!(out[j].to_bits(), want.to_bits(), "{what}");
+                    }
+                }
+            }
+        }
+        if !simd::vector_levels().is_empty() {
+            assert!(flagged >= 30, "only {flagged} oracle lanes");
+        }
+    }
+
+    #[test]
+    fn fp64_panel_reruns_oracle_lanes_from_their_pre_fma_seed() {
+        // A 6 x 8 tile over K = 12 with a zero row (of A and C), a NaN,
+        // an overflow and an exact cancellation at different depths, and
+        // a product far below its running sum: at every vector level the
+        // FMA panel equals the per-chunk slice loop bit for bit and sends
+        // exactly the zero and non-finite chunks to the oracle.
+        let mut a = Matrix::from_fn(6, 12, |i, k| ((1 + i * 12 + k) as f64 / 7.0).sin());
+        let mut b = Matrix::from_fn(12, 8, |k, j| ((3 + k * 8 + j) as f64 / 5.0).cos());
+        let mut c = Matrix::from_fn(6, 8, |i, j| (i as f64 - j as f64 + 0.5) / 3.0);
+        for k in 0..12 {
+            a.set(2, k, 0.0);
+        }
+        for j in 0..8 {
+            c.set(2, j, 0.0);
+        }
+        b.set(4, 1, f64::NAN);
+        b.set(6, 2, 1e300);
+        a.set(0, 6, 1e300);
+        b.set(3, 5, 1e-300);
+        a.set(4, 3, -1e-300);
+        let pack = |a: &Matrix<f64>, b: &Matrix<f64>| {
+            (
+                PackedOperand::try_pack_rows_f64(a, MxuMode::M3xuFp64Emu).unwrap(),
+                PackedOperand::try_pack_cols_f64(b, MxuMode::M3xuFp64Emu).unwrap(),
+            )
+        };
+        let chunked = |dpu: &mut DotProductUnit, pa, pb, kend| {
+            let mut acc: Vec<f64> = c.as_slice().to_vec();
+            for k in 0..kend {
+                dpu.mma_f64_into(pa, pb, 0, 6, 0, 8, k, 1, &mut acc, None);
+            }
+            acc
+        };
+        // Element (1, 3) cancels exactly at depth 5, so its oracle rerun
+        // must start from the seed it had before the FMA.
+        let mut dpu = DotProductUnit::new();
+        let (pa, pb) = pack(&a, &b);
+        let before = chunked(&mut dpu, &pa, &pb, 5)[8 + 3];
+        a.set(1, 5, 1.0);
+        b.set(5, 3, -before);
+        let (pa, pb) = pack(&a, &b);
+        let want = chunked(&mut dpu, &pa, &pb, 12);
+        // The zero row's 8 x 12 chunks, column 1's other five rows from
+        // the NaN's depth 4 on, (0, 2) from its overflow at depth 6 on,
+        // and the cancelled chunk.
+        let oracle_chunks = 8 * 12 + 5 * 8 + 6 + 1;
+        for level in simd::vector_levels() {
+            let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
+            let mut got: Vec<f64> = c.as_slice().to_vec();
+            dpu.simd_panel_f64(level, &pa, &pb, 0, 6, 0, 0, 12, &mut got);
+            for (n, (x, y)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{level:?} element {n}");
+            }
+            assert_eq!(
+                (dpu.simd_chunks - chunks, dpu.simd_fallbacks - fallbacks),
+                (6 * 8 * 12 - oracle_chunks, oracle_chunks),
+                "{level:?}"
+            );
+        }
+    }
+
+    /// Rows of `(a, [b; 8], [seed; 8])` for the fast-FP32 product: every
+    /// oracle case of the f32 window (an exact-zero sum of −0 addends,
+    /// underflow to ±0, a subnormal result, overflow to ±Inf, Inf − Inf,
+    /// NaN operands and a NaN seed), slices whose hi or lo half is zero,
+    /// and ordinary lanes.
+    fn f32_oracle_rows() -> Vec<(f32, [f32; 8], [f32; 8])> {
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        vec![
+            (
+                1e-30,
+                [1e-30, -1e-30, 1e-10, -1e-10, 2.0, nan, 1.5, 3.0],
+                [0.0, -0.0, 0.0, 1e-40, -2e-30, 1.0, nan, 1.0],
+            ),
+            (
+                1e30,
+                [1e30, -1e30, -inf, inf, 0.0, -0.0, 1e-30, 0.5],
+                [0.0, 1.0, inf, inf, -0.0, -0.0, 1e-10, -5e29],
+            ),
+            (
+                -0.0,
+                [5.0, -5.0, inf, 1.0, 0.0, 1e30, -1e-30, 2.0],
+                [-0.0, -0.0, 1.0, 0.0, -0.0, 7.0, -1e-40, nan],
+            ),
+            (nan, [1.0, 0.0, -0.0, inf, 1e30, 1e-30, -2.0, 3.0], [0.0; 8]),
+            (
+                -inf,
+                [-1.0, 0.0, 1.0, 2.0, -inf, 1e-30, -0.0, 4.0],
+                [-inf, 1.0, inf, -inf, -inf, 0.0, 5.0, nan],
+            ),
+            (
+                f32::from_bits(0x0000_0fff),
+                [
+                    f32::from_bits(0x0000_0abc),
+                    1.0,
+                    -0.5,
+                    1.5,
+                    f32::MAX,
+                    2.0,
+                    0.25,
+                    -1.0,
+                ],
+                [0.0, 0.0, -0.0, 0.0, -0.0, 1e-45, 0.0, -1e-45],
+            ),
+            (
+                1.000_122_1,
+                [1.000_244_1, -3.5, 0.3, 1e10, -1e-10, 7.0, 0.1, -0.7],
+                [2.0, 1.0, -0.2, 1e9, 3e-11, -5.25, 0.9, 0.525],
+            ),
+        ]
+    }
+
+    #[test]
+    fn fast_product_matches_the_truncated_slice_schedule_lane_by_lane() {
+        // Each lane of the fast-mode product kernel is the exact sum of
+        // the three slice products the schedule issues (hi·hi, hi·lo,
+        // lo·hi of `decode_fp32`'s halves), and a non-finite operand
+        // always leaves a non-finite product, so the window sends it to
+        // the oracle. Random rows draw every f32 bit pattern class.
+        let mut rows = f32_oracle_rows();
+        let mut state = 0xbb67_ae85_84ca_a73bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..256 {
+            let mut f = || f32::from_bits(next() as u32);
+            rows.push((f(), std::array::from_fn(|_| f()), [0.0; 8]));
+        }
+        let value = |e: BufferEntry| e.value();
+        for level in simd::vector_levels() {
+            for (r, (a, b, _)) in rows.iter().enumerate() {
+                let mut out = [[0f64; 8]; simd::MAX_KLEN];
+                simd::row_products::<true>(level, &[*a], b, 8, 0, 0, 1, &mut out);
+                for j in 0..8 {
+                    let what = format!("{level:?} row {r} lane {j}: {a:e}·{:e}", b[j]);
+                    if !a.is_finite() || !b[j].is_finite() {
+                        assert!(!out[0][j].is_finite(), "{what}: {}", out[0][j]);
+                        continue;
+                    }
+                    let ((ah, al), (bh, bl)) = (decode_fp32(*a), decode_fp32(b[j]));
+                    let want =
+                        value(ah) * value(bh) + value(ah) * value(bl) + value(al) * value(bh);
+                    assert_eq!(out[0][j].to_bits(), want.to_bits(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_panel_matches_the_truncated_scalar_element_lane_by_lane() {
+        // Every lane of every oracle row, as one-deep chunks of an 8-row
+        // fast-mode panel per host vector level, against the truncated
+        // scalar element body; then a random two-deep panel with wide
+        // exponent spreads, against the per-chunk loop.
+        let rows = f32_oracle_rows();
+        let a = Matrix::from_fn(rows.len(), 1, |i, _| rows[i].0);
+        let c = Matrix::from_fn(rows.len(), 8, |i, j| rows[i].2[j]);
+        let mut dpu = DotProductUnit::new();
+        for level in simd::vector_levels() {
+            for bi in 0..rows.len() {
+                let b = Matrix::from_fn(1, 8, |_, j| rows[bi].1[j]);
+                let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32Fast);
+                let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32Fast);
+                let mut got: Vec<f32> = c.as_slice().to_vec();
+                dpu.simd_panel_f32(level, &pa, &pb, 0, rows.len(), 0, 0, 1, 1, &mut got);
+                for i in 0..rows.len() {
+                    for j in 0..8 {
+                        let (want, _) = scalar_element_real(
+                            &mut dpu,
+                            c.get(i, j),
+                            pa.vec(i),
+                            pb.vec(j),
+                            0,
+                            1,
+                            2,
+                            true,
+                            3,
+                            false,
+                        );
+                        assert_eq!(
+                            got[i * 8 + j].to_bits(),
+                            want.to_bits(),
+                            "{level:?}: {:e} + {:e}·{:e}",
+                            c.get(i, j),
+                            a.get(i, 0),
+                            b.get(0, j)
+                        );
+                    }
+                }
+            }
+            let mags = [1.0e30f32, 1.0e-30, 3.0, 1.0e20, 5.0e-39, -2.0e25, 1.0e-10];
+            let a = Matrix::from_fn(8, 12, |i, k| mags[(i * 5 + k) % 7] * (1.0 + i as f32 / 9.0));
+            let b = Matrix::from_fn(12, 8, |k, j| mags[(k + j * 3) % 7] / (1.0 + j as f32 / 7.0));
+            let c = Matrix::<f32>::random(8, 8, 161);
+            let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32Fast);
+            let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32Fast);
+            let mut want: Vec<f32> = c.as_slice().to_vec();
+            for ck0 in (0..12).step_by(2) {
+                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut want, None);
+            }
+            let mut got: Vec<f32> = c.as_slice().to_vec();
+            dpu.simd_panel_f32(level, &pa, &pb, 0, 8, 0, 0, 12, 2, &mut got);
+            for (x, y) in got.iter().zip(&want) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{level:?} wide spreads");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_quantiser_matches_the_softfloat_pack_path() {
+        use crate::buffer::{decode_narrow, decode_tf32};
+        use m3xu_fp::softfloat::round_to_format;
+        // The pack path quantises each narrow element once, with integer
+        // round-to-nearest-even on its f32 bits, and decodes the entry
+        // from that value. Both must equal the softfloat path it
+        // replaces: `round_to_format` then `decode_narrow` (TF32:
+        // `decode_tf32`) for the entry, the rounded value (a special as
+        // itself) for the value mirror.
+        let check = |x: f32| {
+            for (mode, fmt) in [
+                (MxuMode::Fp16, FP16),
+                (MxuMode::Bf16, BF16),
+                (MxuMode::Tf32, TF32),
+            ] {
+                let v = quantise_f32(x, mode);
+                let mut entries = Vec::new();
+                push_f32(&mut entries, v, mode);
+                let old_entry = match mode {
+                    MxuMode::Tf32 => decode_tf32(x),
+                    _ => decode_narrow(round_to_format(x as f64, fmt), fmt),
+                };
+                let old_val = if x.is_finite() {
+                    round_to_format(x as f64, fmt) as f32
+                } else {
+                    x
+                };
+                assert_eq!(
+                    entries,
+                    [old_entry],
+                    "{mode}: entry of {x:e} ({:#x})",
+                    x.to_bits()
+                );
+                assert_eq!(
+                    v.to_bits(),
+                    old_val.to_bits(),
+                    "{mode}: value of {x:e} ({:#x})",
+                    x.to_bits()
+                );
+            }
+        };
+        // Every exponent field and sign, with the fraction patterns at
+        // every rounding position a format can have (13 and 16 dropped
+        // bits in the normal ranges, more in FP16's subnormal one): the
+        // tie with an even and an odd kept part, the tie ± 1 ulp, and
+        // all-ones runs that carry into the exponent.
+        for exp in 0..=255u32 {
+            for sign in [0, 1u32 << 31] {
+                for d in 1..=23u32 {
+                    let half = 1u32 << (d - 1);
+                    for frac in [
+                        0,
+                        1,
+                        half,
+                        half - 1,
+                        half + 1,
+                        half | 1 << d,
+                        (half | 1 << d) - 1,
+                        (half | 1 << d) + 1,
+                        0x7f_ffff,
+                        0x7f_ffff & !(half - 1),
+                        0x7f_ffff ^ half,
+                    ] {
+                        check(f32::from_bits(sign | exp << 23 | (frac & 0x7f_ffff)));
+                    }
+                }
+            }
+        }
+        // FP16's overflow threshold (65520 is the tie to 2^16) and its
+        // subnormal boundary (2^-14, the least subnormal 2^-24 and its
+        // half), each with its f32 neighbours; signed zeros, infinities
+        // and NaNs of both signs and several payloads.
+        let step = |x: f32, by: i32| f32::from_bits((x.to_bits() as i32 + by) as u32);
+        for x in [
+            65504.0f32,
+            65520.0,
+            65536.0,
+            2f32.powi(-14),
+            2f32.powi(-24),
+            2f32.powi(-25),
+        ] {
+            for by in -2..=2 {
+                check(step(x, by));
+                check(-step(x, by));
+            }
+        }
+        for bits in [
+            0x7fc0_0000u32,
+            0xffc0_0000,
+            0x7f80_0001,
+            0x7fbf_ffff,
+            0x7f80_0000,
+            0xff80_0000,
+            0,
+            0x8000_0000,
+        ] {
+            check(f32::from_bits(bits));
+        }
+        // Random bit patterns.
+        let mut state = 0xa54f_f53a_5f1d_36f1u64;
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            check(f32::from_bits(state as u32));
+        }
     }
 
     #[test]

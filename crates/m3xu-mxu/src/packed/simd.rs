@@ -45,6 +45,24 @@
 //! on the vector path. The kill switch
 //! `M3XU_SIMD=0` (or [`set_level`]`(SimdLevel::Scalar)`) routes every
 //! element through that oracle path.
+//!
+//! Two modes need one more identity each:
+//!
+//! * **Fast FP32** issues only `hi_a·hi_b + hi_a·lo_b + lo_a·hi_b` of the
+//!   12|12 slice split. That equals `a·b − lo_a·lo_b`, and with `lo(x) =
+//!   x − (x & HI_MASK)` computed in-register (exact for every finite
+//!   `f32`) both products are exact in `f64`, and so is their difference,
+//!   which spans at most 37 bits. So the truncated row product costs,
+//!   per four columns, one `vandps`, `vsubps`, `vcvtps2pd`, `vmulpd` and
+//!   `vsubpd` more; the window and both drains apply unchanged. A
+//!   non-finite operand makes `lo` a NaN, so the product still aborts.
+//! * **Emulated FP64** runs at `frag_k = 1` with lossless slices, so each
+//!   chunk is `round_f64(seed + a·b)`: one IEEE fused multiply-add.
+//!   `fma_row` does it eight columns at a time out of `f64` value
+//!   mirrors, on `vfmadd` at `Avx2` (which therefore requires FMA) and on
+//!   `f64::mul_add` below it. A zero or non-finite result goes to the
+//!   slice oracle, which rounds an exact-zero sum to `+0` and owns NaN
+//!   payloads and overflow.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -56,7 +74,8 @@ pub enum SimdLevel {
     Scalar,
     /// 2-lane `f64` row kernels (baseline on every `x86_64`).
     Sse2,
-    /// 4-lane `f64` row kernels (runtime-detected).
+    /// 4-lane `f64` row kernels and the hardware-FMA emulated-FP64 row
+    /// kernel (runtime-detected: the host must have both AVX2 and FMA).
     Avx2,
 }
 
@@ -79,8 +98,10 @@ static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
 fn detected() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        // SSE2 is architecturally guaranteed on x86_64.
-        if std::is_x86_feature_detected!("avx2") {
+        // SSE2 is architecturally guaranteed on x86_64. The Avx2 level
+        // also runs the emulated-FP64 row kernel on `vfmadd`, so it needs
+        // FMA beside AVX2.
+        if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
             SimdLevel::Avx2
         } else {
             SimdLevel::Sse2
@@ -138,6 +159,19 @@ pub fn set_level(l: SimdLevel) {
     LEVEL.store(clamp(l, detected()) as u8, Ordering::Relaxed);
 }
 
+/// Serializes the unit tests that move the process-wide level.
+#[cfg(test)]
+pub(crate) static TEST_LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The vector levels this host can run.
+#[cfg(test)]
+pub(crate) fn vector_levels() -> Vec<SimdLevel> {
+    [SimdLevel::Sse2, SimdLevel::Avx2]
+        .into_iter()
+        .filter(|&l| clamp(l, detected()) == l)
+        .collect()
+}
+
 /// Output columns each row kernel covers — one fragment row.
 pub(crate) const COLS: usize = 8;
 
@@ -151,6 +185,19 @@ const SEED_BITS: i32 = 24;
 
 /// Significand width of an `f64` product, implicit bit included.
 const PRODUCT_BITS: i32 = 53;
+
+/// The bits of an `f32` its high 12-bit slice keeps — sign, exponent and
+/// the fraction bits above [`crate::buffer::decode_fp32`]'s split — so
+/// `hi(x) = from_bits(x.to_bits() & HI_MASK)` and `lo(x) = x − hi(x)`,
+/// both exact for every finite `x`, subnormals included.
+const HI_MASK: u32 = !((1 << m3xu_fp::split::FP32_SLICES_EXACT.bits_below(0)) - 1);
+
+/// The low slice `x − hi(x)` of an `f32` (see [`HI_MASK`]). A non-finite
+/// `x` gives NaN (`∞ − ∞`), which keeps the truncated product non-finite.
+#[inline(always)]
+fn lo_f32(x: f32) -> f32 {
+    x - f32::from_bits(x.to_bits() & HI_MASK)
+}
 
 /// Largest power spread `pmax − pmin` the 128-bit window admits. `pmin`
 /// is the lowest power among the nonzero contributions — the window's
@@ -421,7 +468,7 @@ pub(crate) mod x86 {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use super::{RowSeeds, COLS, MAX_KLEN, PRODUCT_BITS, SEED_BITS, WINDOW_POW_SPAN};
+    use super::{RowSeeds, COLS, HI_MASK, MAX_KLEN, PRODUCT_BITS, SEED_BITS, WINDOW_POW_SPAN};
 
     /// Out-of-window power sentinel for the vector min/max reductions.
     /// Far outside any real f64/seed power (|pow| ≤ ~1100) yet small
@@ -703,8 +750,10 @@ pub(crate) mod x86 {
         done
     }
 
+    /// The real-mode row products (see [`super::row_products`]); with
+    /// `TRUNC`, the fast mode's truncated product `a·b − lo_a·lo_b`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn row_products_avx2(
+    pub unsafe fn row_products_avx2<const TRUNC: bool>(
         a: &[f32],
         bt: &[f32],
         bstride: usize,
@@ -713,14 +762,24 @@ pub(crate) mod x86 {
         klen: usize,
         out: &mut [[f64; COLS]; MAX_KLEN],
     ) {
+        let hi_mask = _mm_castsi128_ps(_mm_set1_epi32(HI_MASK as i32));
         for t in 0..klen {
-            let av = _mm256_set1_pd(*a.get_unchecked(k0 + t) as f64);
+            let ak = *a.get_unchecked(k0 + t);
+            let av = _mm256_set1_pd(ak as f64);
             let bp = bt.as_ptr().add((k0 + t) * bstride + c0);
-            let lo = _mm256_cvtps_pd(_mm_loadu_ps(bp));
-            let hi = _mm256_cvtps_pd(_mm_loadu_ps(bp.add(4)));
+            let (b0, b1) = (_mm_loadu_ps(bp), _mm_loadu_ps(bp.add(4)));
+            let mut p0 = _mm256_mul_pd(av, _mm256_cvtps_pd(b0));
+            let mut p1 = _mm256_mul_pd(av, _mm256_cvtps_pd(b1));
+            if TRUNC {
+                let alo = _mm256_set1_pd(super::lo_f32(ak) as f64);
+                let l0 = _mm_sub_ps(b0, _mm_and_ps(b0, hi_mask));
+                let l1 = _mm_sub_ps(b1, _mm_and_ps(b1, hi_mask));
+                p0 = _mm256_sub_pd(p0, _mm256_mul_pd(alo, _mm256_cvtps_pd(l0)));
+                p1 = _mm256_sub_pd(p1, _mm256_mul_pd(alo, _mm256_cvtps_pd(l1)));
+            }
             let op = out.get_unchecked_mut(t).as_mut_ptr();
-            _mm256_storeu_pd(op, _mm256_mul_pd(av, lo));
-            _mm256_storeu_pd(op.add(4), _mm256_mul_pd(av, hi));
+            _mm256_storeu_pd(op, p0);
+            _mm256_storeu_pd(op.add(4), p1);
         }
     }
 
@@ -790,8 +849,9 @@ pub(crate) mod x86 {
         }
     }
 
+    /// The SSE2 counterpart of [`row_products_avx2`].
     #[target_feature(enable = "sse2")]
-    pub unsafe fn row_products_sse2(
+    pub unsafe fn row_products_sse2<const TRUNC: bool>(
         a: &[f32],
         bt: &[f32],
         bstride: usize,
@@ -800,25 +860,71 @@ pub(crate) mod x86 {
         klen: usize,
         out: &mut [[f64; COLS]; MAX_KLEN],
     ) {
+        let hi_mask = _mm_castsi128_ps(_mm_set1_epi32(HI_MASK as i32));
         for t in 0..klen {
-            let av = _mm_set1_pd(*a.get_unchecked(k0 + t) as f64);
+            let ak = *a.get_unchecked(k0 + t);
+            let av = _mm_set1_pd(ak as f64);
+            let alo = _mm_set1_pd(super::lo_f32(ak) as f64);
             let bp = bt.as_ptr().add((k0 + t) * bstride + c0);
             let op = out.get_unchecked_mut(t).as_mut_ptr();
             for h in 0..4 {
                 // cvtps2pd widens the low two f32 lanes of its source.
                 let pair = _mm_castsi128_ps(_mm_loadl_epi64(bp.add(2 * h) as *const __m128i));
-                _mm_storeu_pd(op.add(2 * h), _mm_mul_pd(av, _mm_cvtps_pd(pair)));
+                let mut p = _mm_mul_pd(av, _mm_cvtps_pd(pair));
+                if TRUNC {
+                    let lo = _mm_sub_ps(pair, _mm_and_ps(pair, hi_mask));
+                    p = _mm_sub_pd(p, _mm_mul_pd(alo, _mm_cvtps_pd(lo)));
+                }
+                _mm_storeu_pd(op.add(2 * h), p);
             }
         }
     }
+
+    /// [`super::fma_row`] on `vfmadd`, four columns per register.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 and FMA are available.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    pub unsafe fn fma_row_avx2(a: f64, b: &[f64; COLS], acc: &[f64; COLS]) -> ([f64; COLS], u32) {
+        let av = _mm256_set1_pd(a);
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        let zero = _mm256_setzero_pd();
+        let sign = _mm256_set1_pd(-0.0);
+        let mut out = [0f64; COLS];
+        let mut oracle = 0u32;
+        for g in 0..COLS / 4 {
+            let o = 4 * g;
+            let r = _mm256_fmadd_pd(
+                av,
+                _mm256_loadu_pd(b.as_ptr().add(o)),
+                _mm256_loadu_pd(acc.as_ptr().add(o)),
+            );
+            // 0 < |r| < ∞ (ordered, so a NaN fails it too).
+            let mag = _mm256_andnot_pd(sign, r);
+            let ok = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(mag, zero),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(mag, inf),
+            );
+            oracle |= ((!_mm256_movemask_pd(ok) & 0xf) as u32) << o;
+            _mm256_storeu_pd(out.as_mut_ptr().add(o), r);
+        }
+        (out, oracle)
+    }
 }
 
-/// Dispatch one chunk's row products to the active vector kernel.
+/// Dispatch one chunk's row products to the active vector kernel:
+/// `out[t][j] = a[k0 + t] · bt[(k0 + t) * bstride + c0 + j]` as exact
+/// `f64`, for `t < klen`, `j < 8`. With `TRUNC` (the fast FP32 mode,
+/// chosen once per panel) each product is the truncated schedule's
+/// `hi_a·hi_b + hi_a·lo_b + lo_a·hi_b`, formed as `a·b − lo_a·lo_b`:
+/// both products are exact in `f64`, and so is their difference, which
+/// spans at most 37 bits.
 ///
-/// `level` must not be `Scalar`; bounds per [`x86::row_products_avx2`].
+/// `level` must not be `Scalar`; bounds per [`x86`].
 #[inline]
 #[allow(unused_variables, clippy::too_many_arguments)]
-pub(crate) fn row_products(
+pub(crate) fn row_products<const TRUNC: bool>(
     level: SimdLevel,
     a: &[f32],
     bt: &[f32],
@@ -837,8 +943,8 @@ pub(crate) fn row_products(
     // clamped to the host's detected capability.
     unsafe {
         match level {
-            SimdLevel::Avx2 => x86::row_products_avx2(a, bt, bstride, c0, k0, klen, out),
-            _ => x86::row_products_sse2(a, bt, bstride, c0, k0, klen, out),
+            SimdLevel::Avx2 => x86::row_products_avx2::<TRUNC>(a, bt, bstride, c0, k0, klen, out),
+            _ => x86::row_products_sse2::<TRUNC>(a, bt, bstride, c0, k0, klen, out),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -877,12 +983,48 @@ pub(crate) fn row_products_c32(
     unreachable!("vector dispatch is x86_64-only; level() is Scalar elsewhere")
 }
 
+/// One emulated-FP64 chunk across a fragment row: `out[j] = fma(a, b[j],
+/// acc[j])`, the exact `acc[j] + a·b[j]` rounded once to `f64` — what the
+/// slice schedule's Kulisch drain computes at `frag_k = 1`. Also returns
+/// the columns whose result is zero or non-finite, as a bitmask: the
+/// caller reruns those through the slice oracle (an exact-zero sum is `+0`
+/// there, and NaN payloads and overflow follow its special-value state
+/// machine). A non-finite operand or seed always gives a non-finite
+/// result, so it lands in the mask too.
+///
+/// `Avx2` runs `vfmadd`; below it `f64::mul_add`, a fused multiply-add
+/// with one rounding on every target, so the bits never depend on the
+/// level. `level` must not be `Scalar`.
+#[inline(always)]
+pub(crate) fn fma_row(
+    level: SimdLevel,
+    a: f64,
+    b: &[f64; COLS],
+    acc: &[f64; COLS],
+) -> ([f64; COLS], u32) {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the level is clamped to detected capability, and the
+        // Avx2 level requires FMA (see `detected`).
+        SimdLevel::Avx2 => unsafe { x86::fma_row_avx2(a, b, acc) },
+        _ => {
+            let out: [f64; COLS] = std::array::from_fn(|j| a.mul_add(b[j], acc[j]));
+            let mut oracle = 0u32;
+            for (j, r) in out.iter().enumerate() {
+                oracle |= ((*r == 0.0 || !r.is_finite()) as u32) << j;
+            }
+            (out, oracle)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn level_parsing_clamps_to_capability() {
+        let _guard = TEST_LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Whatever the host supports, Scalar is always honoured and the
         // clamp never exceeds the detected capability.
         assert_eq!(clamp(SimdLevel::Scalar, detected()), SimdLevel::Scalar);
@@ -1013,7 +1155,7 @@ mod tests {
                 continue;
             }
             let mut got = [[0f64; COLS]; MAX_KLEN];
-            row_products(lvl, &a, &bt, bstride, c0, k0, klen, &mut got);
+            row_products::<false>(lvl, &a, &bt, bstride, c0, k0, klen, &mut got);
             assert_eq!(got, want, "{lvl:?}");
         }
     }
@@ -1055,7 +1197,7 @@ mod tests {
         let t = Instant::now();
         for _ in 0..reps * 8 {
             for c in 0..chunks {
-                row_products(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
+                row_products::<false>(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
             }
         }
         println!(
@@ -1124,7 +1266,7 @@ mod tests {
                     *c = ChunkSeed::decode(*a);
                 }
                 for c in 0..chunks {
-                    row_products(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
+                    row_products::<false>(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
                     for j in 0..COLS {
                         let terms = [out[0][j], out[1][j]];
                         let (sum, pmin, ok) = exact_chunk_accumulate_seeded(cs[j], &terms);

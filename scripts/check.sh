@@ -39,10 +39,13 @@ echo "== cross-validation: functional ExecStats vs analytical model (release)"
 cargo test --release -q --test cross_validation
 
 # SIMD gate: the parity and differential suites with the vector pipeline
-# at the auto-detected level and forced off (`M3XU_SIMD=0`, the scalar
-# oracle standing alone). The level is resolved once per process, hence
-# one cargo invocation per setting.
-for simd in 1 0; do
+# at the auto-detected level, forced to SSE2 (`M3XU_SIMD=sse2`, whose
+# fast-FP32 products and `f64::mul_add` emulated-FP64 row loop are code
+# of their own), and forced off (`M3XU_SIMD=0`, the scalar oracle
+# standing alone). The differential suite includes the emulated-FP64
+# softfloat FMA envelope test. The level is resolved once per process,
+# hence one cargo invocation per setting.
+for simd in 1 sse2 0; do
     echo "== SIMD parity + differential suites under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} cargo test -q \
         --test simd_parity --test simd_env --test differential_props

@@ -735,4 +735,61 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
         (m.simd_chunks, m.simd_fallbacks),
         (s.simd_chunks + w.simd_chunks, w.simd_fallbacks)
     );
+
+    // The fast FP32 dial runs its truncated products on the same panels:
+    // 64 x 64 outputs x 32 two-deep chunks.
+    let before = ctx.stats();
+    ctx.try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &Matrix::zeros(64, 64))
+        .unwrap();
+    let d = ctx.stats().delta_since(&before);
+    assert_eq!(d.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
+    assert_eq!(d.simd_fallbacks, 0);
+
+    // Emulated FP64 runs one FMA per one-deep chunk: 64 x 64 x 64.
+    let da = Matrix::<f64>::random_f64(64, 64, 15);
+    let db = Matrix::<f64>::random_f64(64, 64, 16);
+    let dc = Matrix::<f64>::zeros(64, 64);
+    let before = ctx.stats();
+    ctx.try_gemm_f64(GemmPrecision::Fp64Emulated, &da, &db, &dc)
+        .unwrap();
+    let d = ctx.stats().delta_since(&before);
+    assert_eq!(d.simd_chunks, if vector { 64 * 64 * 64 } else { 0 });
+    assert_eq!(d.simd_fallbacks, 0);
+
+    // Row 3 of A and of C is zero, so every chunk of that row sums to
+    // exactly zero: its 64 x 64 chunks take the slice oracle (which
+    // rounds an exact-zero sum to +0). B[40][42] is NaN, so column 42's
+    // other 63 rows stay on the oracle for depths 40..64.
+    let (mut za, mut zc, mut nb) = (da.clone(), dc.clone(), db.clone());
+    for k in 0..64 {
+        za.set(3, k, 0.0);
+        zc.set(3, k, 0.0);
+    }
+    nb.set(40, 42, f64::NAN);
+    let before = ctx.stats();
+    let got = ctx
+        .try_gemm_f64(GemmPrecision::Fp64Emulated, &za, &nb, &zc)
+        .unwrap();
+    let w = ctx.stats().delta_since(&before);
+    let fallbacks = 64 * 64 + 63 * (64 - 40);
+    assert_eq!(w.simd_fallbacks, if vector { fallbacks } else { 0 });
+    assert_eq!(
+        w.simd_chunks,
+        if vector { 64 * 64 * 64 - fallbacks } else { 0 }
+    );
+    // The Scalar level's bits: the per-chunk slice executor, one-deep
+    // chunks over the whole output.
+    use m3xu::mxu::dpu::DotProductUnit;
+    use m3xu::mxu::packed::PackedOperand;
+    let pa = PackedOperand::try_pack_rows_f64(&za, MxuMode::M3xuFp64Emu).unwrap();
+    let pb = PackedOperand::try_pack_cols_f64(&nb, MxuMode::M3xuFp64Emu).unwrap();
+    let mut want = zc.as_slice().to_vec();
+    let mut dpu = DotProductUnit::new();
+    for k in 0..64 {
+        dpu.mma_f64_into(&pa, &pb, 0, 64, 0, 64, k, 1, &mut want, None);
+    }
+    for (x, y) in got.d.as_slice().iter().zip(&want) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+    assert!(got.d.get(3, 0).to_bits() == 0 && got.d.get(5, 42).is_nan());
 }

@@ -10,7 +10,11 @@
 //!   AVX2 Xeon, the 4,096-point GEMM-FFT ~7.8x — so only a real
 //!   regression (or a Scalar-only host, which the gate skips) trips them.
 //!   The FFT's floor guards the vector window's admission bound: when its
-//!   chunks fell back to the scalar oracle it reached only ~1.9x.
+//!   chunks fell back to the scalar oracle it reached only ~1.9x. Two
+//!   rows guard the modes that once never left the oracle: 128³ fast
+//!   FP32 (the truncated product on the f32 panels, floor 3x) and 128³
+//!   emulated FP64 (the FMA row kernel, floor 20x). Per fragment, the
+//!   benchmark's layer probe reads ~7x and several hundred x for them.
 //! * `serve_batching_never_loses_to_one_at_a_time` — the serve layer's
 //!   adaptive batching: 16 identical 128³ M3XU-FP32 GEMMs submitted all
 //!   at once must finish no later than the same 16 submitted one at a
@@ -82,13 +86,38 @@ fn simd_pipeline_beats_scalar_floor() {
     let fft = speedup(entry, &format!("GEMM-FFT {n}-point"), &|| {
         std::hint::black_box(default_context().try_gemm_fft(x.as_slice()).unwrap());
     });
+    let n = 128;
+    let fa = Matrix::<f32>::random(n, n, 0x57);
+    let fb = Matrix::<f32>::random(n, n, 0x58);
+    let fc = Matrix::<f32>::zeros(n, n);
+    let fast = speedup(entry, &format!("FP32-fast {n}^3"), &|| {
+        std::hint::black_box(
+            default_context()
+                .try_gemm_f32(GemmPrecision::Fp32Fast, &fa, &fb, &fc)
+                .unwrap(),
+        );
+    });
+    let da = Matrix::<f64>::random_f64(n, n, 0x59);
+    let db = Matrix::<f64>::random_f64(n, n, 0x5A);
+    let dc = Matrix::<f64>::zeros(n, n);
+    let fp64 = speedup(entry, &format!("FP64-emulated {n}^3"), &|| {
+        std::hint::black_box(
+            default_context()
+                .try_gemm_f64(GemmPrecision::Fp64Emulated, &da, &db, &dc)
+                .unwrap(),
+        );
+    });
     // Floor at 3x for both GEMM modes (measured ~10x): anything under 3x
     // means the vector pipeline effectively stopped working. The FFT's 4x
-    // floor (measured ~7.8x) trips when its chunks leave the window.
+    // floor (measured ~7.8x) trips when its chunks leave the window. The
+    // fast-FP32 floor (3x) and the emulated-FP64 one (20x) trip when
+    // either mode drops back to the scalar oracle, where both read ~1x.
     for (what, s, floor) in [
         ("FP32", fp32, 3.0),
         ("FP32C", fp32c, 3.0),
         ("GEMM-FFT", fft, 4.0),
+        ("FP32-fast", fast, 3.0),
+        ("FP64-emulated", fp64, 20.0),
     ] {
         assert!(
             s >= floor,

@@ -1,9 +1,11 @@
 //! SIMD ≡ scalar differential parity: the packed pipeline must produce
 //! **bit-identical** output at every dispatch level the host supports —
 //! `Scalar` (the oracle path), `Sse2`, and `Avx2` — across awkward
-//! shapes, all five precisions, and operand payloads full of specials
+//! shapes, every precision, and operand payloads full of specials
 //! (NaN, ±Inf, ±0, subnormals) that force the per-element-chunk
-//! fallback.
+//! fallback. The fast-FP32 and emulated-FP64 modes, which `gemm::baseline`
+//! does not run, are held to the `Scalar` level's bits, and at a vector
+//! level their dense cases must run on the vector path.
 //!
 //! The dispatch level is a process-wide atomic, so every test that
 //! flips it serializes on [`LEVEL_LOCK`] and restores the entry level
@@ -46,6 +48,87 @@ fn assert_bits_f32(got: &Matrix<f32>, want: &Matrix<f32>, what: &str) {
     }
 }
 
+fn assert_bits_f64(got: &Matrix<f64>, want: &Matrix<f64>, what: &str) {
+    for i in 0..want.rows() {
+        for j in 0..want.cols() {
+            assert_eq!(
+                got.get(i, j).to_bits(),
+                want.get(i, j).to_bits(),
+                "{what}: ({i},{j}) {} vs {}",
+                got.get(i, j),
+                want.get(i, j),
+            );
+        }
+    }
+}
+
+/// An f32 GEMM at every host level against the Scalar level's bits; see
+/// [`levels_match_scalar`].
+fn f32_levels_match_scalar(
+    levels: &[SimdLevel],
+    precision: GemmPrecision,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
+    c: &Matrix<f32>,
+    dense: bool,
+    what: &str,
+) {
+    let run = || {
+        default_context()
+            .try_gemm_f32(precision, a, b, c)
+            .unwrap()
+            .d
+    };
+    let what = format!("{precision:?} {what}");
+    levels_match_scalar(levels, run, assert_bits_f32, dense, &what);
+}
+
+/// [`f32_levels_match_scalar`] for an emulated-FP64 GEMM.
+fn f64_levels_match_scalar(
+    levels: &[SimdLevel],
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    c: &Matrix<f64>,
+    dense: bool,
+    what: &str,
+) {
+    let run = || {
+        default_context()
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, a, b, c)
+            .unwrap()
+            .d
+    };
+    let what = format!("Fp64Emulated {what}");
+    levels_match_scalar(levels, run, assert_bits_f64, dense, &what);
+}
+
+/// `run` (a GEMM on the default context) at every host level against the
+/// bits of the Scalar level, `levels[0]`. When `dense`, each vector level
+/// must have reduced element-chunks on the vector path: a mode that
+/// silently drops back to the oracle fails here.
+fn levels_match_scalar<T>(
+    levels: &[SimdLevel],
+    run: impl Fn() -> Matrix<T>,
+    assert_bits: fn(&Matrix<T>, &Matrix<T>, &str),
+    dense: bool,
+    what: &str,
+) {
+    assert_eq!(levels[0], SimdLevel::Scalar);
+    simd::set_level(SimdLevel::Scalar);
+    let want = run();
+    for &lvl in &levels[1..] {
+        simd::set_level(lvl);
+        let before = default_context().stats();
+        let got = run();
+        let chunks = default_context().stats().delta_since(&before).simd_chunks;
+        assert_bits(&got, &want, &format!("{what} at {lvl:?}"));
+        assert!(
+            !dense || chunks > 0,
+            "{what} at {lvl:?} never reached the vector path"
+        );
+    }
+}
+
 fn assert_bits_c32(got: &Matrix<C32>, want: &Matrix<C32>, what: &str) {
     for i in 0..want.rows() {
         for j in 0..want.cols() {
@@ -75,6 +158,12 @@ const SHAPES: [(usize, usize, usize); 10] = [
     (16, 15, 129),
 ];
 
+/// Whether a shape holds a full 8-column fragment row of real work, the
+/// unit the vector panels run on.
+fn dense(m: usize, n: usize, k: usize) -> bool {
+    m > 0 && n >= 8 && k > 0
+}
+
 /// Special payloads that must trip the fallback without breaking parity.
 const SPECIALS: [f32; 10] = [
     f32::NAN,
@@ -86,6 +175,24 @@ const SPECIALS: [f32; 10] = [
     -f32::MIN_POSITIVE,
     f32::MAX,
     -1.0e-38,
+    2.5,
+];
+
+/// The f64 counterpart of [`SPECIALS`]: signed zeros, subnormals,
+/// `(1 + u)·2^±900` (whose products overflow or underflow), NaN, ±Inf and
+/// values in [−1, 1).
+const SPECIALS_F64: [f64; 12] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    5.0e-324,
+    -2.5e-310,
+    f64::from_bits(0x7830_0000_0000_0001),
+    -f64::from_bits(0x07b0_0000_0000_0001),
+    0.75,
+    -0.3125,
     2.5,
 ];
 
@@ -117,6 +224,13 @@ fn gemm_bitwise_identical_across_levels_and_shapes() {
                 );
             }
         }
+        let what = format!("{m}x{n}x{k}");
+        let dense = dense(m, n, k);
+        f32_levels_match_scalar(&levels, GemmPrecision::Fp32Fast, &a, &b, &c, dense, &what);
+        let a = Matrix::<f64>::random_f64(m, k, 0xD5EED + case as u64);
+        let b = Matrix::<f64>::random_f64(k, n, 0xDB0B + case as u64);
+        let c = Matrix::<f64>::random_f64(m, n, 0xDACC + case as u64);
+        f64_levels_match_scalar(&levels, &a, &b, &c, dense, &what);
     }
     simd::set_level(entry);
 }
@@ -162,6 +276,20 @@ fn specials_and_subnormals_force_identical_fallbacks() {
             );
         }
     }
+    f32_levels_match_scalar(
+        &levels,
+        GemmPrecision::Fp32Fast,
+        &a,
+        &b,
+        &c,
+        false,
+        "specials",
+    );
+    let n = SPECIALS_F64.len();
+    let a64 = Matrix::from_fn(13, 9, |i, j| SPECIALS_F64[(i * 7 + j) % n]);
+    let b64 = Matrix::from_fn(9, 17, |i, j| SPECIALS_F64[(i + j * 3) % n]);
+    let c64 = Matrix::from_fn(13, 17, |i, j| SPECIALS_F64[(i + j) % n]);
+    f64_levels_match_scalar(&levels, &a64, &b64, &c64, false, "specials");
     let ca = Matrix::from_fn(9, 6, |i, j| {
         C32::new(
             SPECIALS[(i + j) % SPECIALS.len()],
@@ -187,7 +315,9 @@ fn specials_and_subnormals_force_identical_fallbacks() {
 /// Chunks whose bits span more than the SIMD window sums (124 bits
 /// above the lowest contribution's least bit) must abort to the scalar
 /// oracle per element-chunk — mix tiny and huge magnitudes so both the
-/// spread abort and the in-window path occur within one GEMM.
+/// spread abort and the in-window path occur within one GEMM. The
+/// emulated-FP64 mode meets the same mix at f64 range, where products
+/// overflow and underflow.
 #[test]
 fn wide_exponent_spreads_stay_bitwise_identical() {
     let _guard = LEVEL_LOCK.lock().unwrap();
@@ -205,6 +335,22 @@ fn wide_exponent_spreads_stay_bitwise_identical() {
             .unwrap();
         assert_bits_f32(&got.d, &want.d, &format!("wide spread at {lvl:?}"));
     }
+    f32_levels_match_scalar(
+        &levels,
+        GemmPrecision::Fp32Fast,
+        &a,
+        &b,
+        &c,
+        true,
+        "wide spread",
+    );
+    let mags = [
+        1.0e300f64, 1.0e-300, 3.0, 1.0e200, 5.0e-320, -2.0e250, 1.0e-100,
+    ];
+    let a = Matrix::from_fn(11, 14, |i, j| mags[(i * 5 + j) % mags.len()]);
+    let b = Matrix::from_fn(14, 10, |i, j| mags[(i + j * 7) % mags.len()]);
+    let c = Matrix::<f64>::zeros(11, 10);
+    f64_levels_match_scalar(&levels, &a, &b, &c, true, "wide spread");
     simd::set_level(entry);
 }
 
