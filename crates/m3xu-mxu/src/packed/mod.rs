@@ -46,14 +46,19 @@
 //! ([`DotProductUnit::mma_f32_panel_into`],
 //! [`DotProductUnit::mma_c32_panel_into`] and
 //! [`DotProductUnit::mma_f64_panel_into`]) run a whole `K`-panel per
-//! call and, where a full 8-column fragment row is available, dispatch to
-//! the vectorized row kernels in [`simd`] — see that module for the
-//! exactness argument and the `M3XU_SIMD` kill switch. Every precision
-//! mode has one: the fast FP32 mode forms its truncated product exactly
-//! in `f64`, and emulated FP64 runs one fused multiply-add per chunk. The
-//! scalar element bodies stay the differential oracle, the fallback for
-//! partial rows, specials, zero FP64 results and wide exponent spreads,
-//! and the body every checked chunk runs.
+//! call and, where a full 8-column fragment row is available, run a SIMD
+//! panel body over it — see [`simd`] for the exactness argument and the
+//! `M3XU_SIMD` kill switch. There is one body per precision family,
+//! written once in portable Rust and compiled once per level by
+//! `simd::dispatch`: FP32 (every real mode up to fast and exact FP32),
+//! FP32C and emulated FP64. The fast FP32 mode forms its truncated
+//! product exactly in `f64`, and emulated FP64 runs one fused
+//! multiply-add per chunk. The FP32 and FP32C bodies share one window
+//! phase, `RowWindow`, which holds the level switch between the AVX2
+//! window kernels and the scalar window. The scalar element bodies stay
+//! the differential oracle, the fallback for partial rows, specials, zero
+//! FP64 results and wide exponent spreads, and the body every checked
+//! chunk runs.
 
 pub mod simd;
 
@@ -769,29 +774,113 @@ fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Scalar drain of column `j`'s exact chunk value `sum · 2^pmin` into its
-/// decoded seed. A result that overflows to infinity is also written to
-/// `acc`, which holds the value of every non-finite column.
+/// The window phase of one FP32 chunk across a fragment row, shared by
+/// the FP32 and FP32C panels: accumulate each column's exact chunk value,
+/// then drain the columns of a mask the caller passes (FP32C ANDs its two
+/// components' masks in between) into their decoded seeds. The level
+/// switch lives here. At `Avx2` the accumulate builds 128-bit windows,
+/// two's complement in 64-bit halves anchored at each column's `base`
+/// power (the layout [`simd::x86::accumulate_chunk_avx2`] writes), and
+/// the drain rounds them. Below it the per-column scalar window rounds
+/// each valid column as it goes, into `rounded`, and the drain only
+/// commits: one pass per column measured about a quarter faster there
+/// than two. Callers keep one window per component and reuse it chunk
+/// after chunk.
+#[derive(Default)]
+struct RowWindow {
+    lo: [u64; simd::COLS],
+    hi: [u64; simd::COLS],
+    base: [i64; simd::COLS],
+    rounded: [simd::ChunkSeed; simd::COLS],
+}
+
+impl RowWindow {
+    /// Accumulate `seeds[j] + Σ_t prods[t][j]` for every column. Returns
+    /// the mask of columns whose window is valid: a finite seed and
+    /// products, and a power spread the `i128` admits.
+    #[inline(always)]
+    fn accumulate<const T: usize>(
+        &mut self,
+        level: simd::SimdLevel,
+        prods: &[[f64; simd::COLS]],
+        seeds: &simd::RowSeeds,
+    ) -> u32 {
+        match level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the panel bodies get their level from
+            // `simd::dispatch`, which runs `Avx2` only on a host with AVX2,
+            // and `prods` holds `T <= MAX_KLEN` rows.
+            simd::SimdLevel::Avx2 => unsafe {
+                let (lo, hi, base) = (&mut self.lo, &mut self.hi, &mut self.base);
+                simd::x86::accumulate_chunk_avx2(T, prods, seeds, lo, hi, base) & seeds.finite
+            },
+            _ => {
+                let mut ok = 0u32;
+                for (j, rounded) in self.rounded.iter_mut().enumerate() {
+                    let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
+                    let (sum, pmin, o) = simd::exact_chunk_accumulate_seeded(seeds.get(j), &terms);
+                    if o {
+                        ok |= 1 << j;
+                        *rounded = round_window(sum, pmin);
+                    }
+                }
+                ok
+            }
+        }
+    }
+
+    /// Round the columns in `mask` to FP32, straight into their decoded
+    /// seeds: at `Avx2` the vector drain takes the normal-range columns
+    /// and [`fast_round_parts`] every column it leaves; below it, commit
+    /// what `accumulate` rounded. A result that overflows to infinity is
+    /// also written to `acc`, which holds the value of every non-finite
+    /// column.
+    #[inline(always)]
+    fn drain(
+        &self,
+        level: simd::SimdLevel,
+        mask: u32,
+        seeds: &mut simd::RowSeeds,
+        acc: &mut [f32; simd::COLS],
+    ) {
+        let commit = |seeds: &mut simd::RowSeeds, acc: &mut [f32; simd::COLS], j, c| {
+            seeds.set(j, c);
+            if !c.finite {
+                acc[j] = fast_round_assemble((c.neg as u32) << 31, c.mant, c.pow, false);
+            }
+        };
+        match level {
+            #[cfg(target_arch = "x86_64")]
+            simd::SimdLevel::Avx2 => {
+                // SAFETY: as in `accumulate`; the windows of `mask` are
+                // valid.
+                let (lo, hi, base) = (&self.lo, &self.hi, &self.base);
+                let done = unsafe { simd::x86::round_chunk_avx2(lo, hi, base, mask, seeds) };
+                for_each_bit(mask & !done, |j| {
+                    let sum = (((hi[j] as u128) << 64) | lo[j] as u128) as i128;
+                    commit(seeds, acc, j, round_window(sum, base[j] as i32));
+                });
+            }
+            _ => {
+                for (j, &c) in self.rounded.iter().enumerate() {
+                    if mask >> j & 1 == 1 {
+                        commit(seeds, acc, j, c);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`fast_round_parts`] of the window `sum · 2^pmin`, as a decoded seed.
 #[inline(always)]
-fn drain_column(
-    seeds: &mut simd::RowSeeds,
-    acc: &mut [f32; simd::COLS],
-    j: usize,
-    sum: i128,
-    pmin: i32,
-) {
+fn round_window(sum: i128, pmin: i32) -> simd::ChunkSeed {
     let (sign, frac, weight, finite) = fast_round_parts(sum, pmin);
-    seeds.set(
-        j,
-        simd::ChunkSeed {
-            mant: frac,
-            pow: weight,
-            neg: sign != 0,
-            finite,
-        },
-    );
-    if !finite {
-        acc[j] = fast_round_assemble(sign, frac, weight, finite);
+    simd::ChunkSeed {
+        mant: frac,
+        pow: weight,
+        neg: sign != 0,
+        finite,
     }
 }
 
@@ -1175,8 +1264,10 @@ impl ChunkCheck {
     }
 }
 
-/// What a real-mode SIMD panel's per-chunk oracle fallback needs, fixed
-/// for the whole panel: the operands, the tile origin, and the schedule.
+/// A real-mode SIMD panel's state: what its per-chunk oracle fallback
+/// needs, fixed for the whole panel — the operands, the tile origin, and
+/// the schedule — and the chunk scratch it reuses, the product rows and
+/// their windows.
 struct RealPanel<'p> {
     a: &'p PackedOperand,
     b: &'p PackedOperand,
@@ -1186,6 +1277,9 @@ struct RealPanel<'p> {
     truncated: bool,
     /// Lane products per MAC ([`MxuMode::terms_per_mac`]).
     terms: u64,
+    /// The chunk's row products, `klen` rows deep.
+    prods: [[f64; simd::COLS]; simd::MAX_KLEN],
+    window: RowWindow,
 }
 
 impl DotProductUnit {
@@ -1369,7 +1463,11 @@ impl DotProductUnit {
             && !a.transposed
             && b.transposed
         {
-            self.simd_panel_f64(level, a, b, r0, rows, c0, k0, kend, acc);
+            simd::dispatch(
+                level,
+                #[inline(always)]
+                move |l| self.simd_panel_f64_body(l, a, b, r0, rows, c0, k0, kend, acc),
+            );
             return;
         }
         let mut ck0 = k0;
@@ -1419,7 +1517,29 @@ impl DotProductUnit {
             && !a.transposed
             && b.transposed
         {
-            self.simd_panel_f32(level, a, b, r0, rows, c0, k0, kend, frag_k, acc);
+            // The product kernel is picked once per panel: whole
+            // products, or the fast mode's truncated ones (`TRUNC`).
+            if a.mode == MxuMode::M3xuFp32Fast {
+                simd::dispatch(
+                    level,
+                    #[inline(always)]
+                    move |l| {
+                        self.simd_panel_f32_body::<true>(
+                            l, a, b, r0, rows, c0, k0, kend, frag_k, acc,
+                        )
+                    },
+                );
+            } else {
+                simd::dispatch(
+                    level,
+                    #[inline(always)]
+                    move |l| {
+                        self.simd_panel_f32_body::<false>(
+                            l, a, b, r0, rows, c0, k0, kend, frag_k, acc,
+                        )
+                    },
+                );
+            }
             return;
         }
         let mut ck0 = k0;
@@ -1462,7 +1582,11 @@ impl DotProductUnit {
             && !a.transposed
             && b.transposed
         {
-            self.simd_panel_c32(level, a, b, r0, rows, c0, k0, kend, acc);
+            simd::dispatch(
+                level,
+                #[inline(always)]
+                move |l| self.simd_panel_c32_body(l, a, b, r0, rows, c0, k0, kend, acc),
+            );
             return;
         }
         let mut ck0 = k0;
@@ -1473,82 +1597,13 @@ impl DotProductUnit {
         }
     }
 
-    /// Dispatch the FP32 panel body compiled for the active vector level
-    /// and, once per panel, the product kernel of the mode: whole
-    /// products, or the fast mode's truncated ones (`TRUNC`). The AVX2
-    /// wrapper carries `#[target_feature]` so the row-product kernel
-    /// inlines into the panel loop instead of paying a call and a product
-    /// store/reload per chunk.
-    #[allow(clippy::too_many_arguments)]
-    fn simd_panel_f32(
-        &mut self,
-        level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f32],
-    ) {
-        let truncated = a.mode == MxuMode::M3xuFp32Fast;
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `level` is clamped to the host's detected
-            // capability, so Avx2 here implies the CPU supports it.
-            simd::SimdLevel::Avx2 => unsafe {
-                if truncated {
-                    self.simd_panel_f32_avx2::<true>(a, b, r0, rows, c0, k0, kend, frag_k, acc)
-                } else {
-                    self.simd_panel_f32_avx2::<false>(a, b, r0, rows, c0, k0, kend, frag_k, acc)
-                }
-            },
-            _ if truncated => {
-                self.simd_panel_f32_body::<true>(level, a, b, r0, rows, c0, k0, kend, frag_k, acc)
-            }
-            _ => {
-                self.simd_panel_f32_body::<false>(level, a, b, r0, rows, c0, k0, kend, frag_k, acc)
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn simd_panel_f32_avx2<const TRUNC: bool>(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f32],
-    ) {
-        self.simd_panel_f32_body::<TRUNC>(
-            simd::SimdLevel::Avx2,
-            a,
-            b,
-            r0,
-            rows,
-            c0,
-            k0,
-            kend,
-            frag_k,
-            acc,
-        )
-    }
-
-    /// SIMD body of the real-mode panel: per row, per chunk, form the
-    /// `klen` whole (or, with `TRUNC`, truncated) products for all 8
-    /// columns with one vector pass, then round each column's exact chunk
-    /// value. Any column the exact window cannot absorb (specials, wide
-    /// exponent spread) falls back to the scalar element path for that
-    /// one (element, chunk) — the shared [`scalar_element_real`], on the
+    /// SIMD body of the real-mode panel, compiled once per level by
+    /// [`simd::dispatch`]: per row, per chunk, form the `klen` whole (or,
+    /// with `TRUNC`, truncated) products for all 8 columns with one
+    /// vector pass, then round each column's exact chunk value. Any
+    /// column the exact window cannot absorb (specials, wide exponent
+    /// spread) falls back to the scalar element path for that one
+    /// (element, chunk) — the shared [`scalar_element_real`], on the
     /// same schedule — so results match the scalar pipeline bit for bit
     /// no matter which path each element took.
     #[allow(clippy::too_many_arguments)]
@@ -1566,17 +1621,18 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [f32],
     ) {
-        let panel = RealPanel {
+        let mut panel = RealPanel {
             a,
             b,
             r0,
             c0,
             truncated: TRUNC,
             terms: a.mode.terms_per_mac(),
+            prods: [[0f64; simd::COLS]; simd::MAX_KLEN],
+            window: RowWindow::default(),
         };
         let n = b.vecs;
         let alen = a.len;
-        let mut prods = [[0f64; simd::COLS]; simd::MAX_KLEN];
         for i in 0..rows {
             let arow = &a.vals[(r0 + i) * alen..(r0 + i) * alen + alen];
             let row_acc: &mut [f32; simd::COLS] = (&mut acc[i * simd::COLS..(i + 1) * simd::COLS])
@@ -1586,22 +1642,14 @@ impl DotProductUnit {
             let mut ck0 = k0;
             while ck0 < kend {
                 let klen = frag_k.min(kend - ck0);
-                simd::row_products::<TRUNC>(level, arow, &b.vals, n, c0, ck0, klen, &mut prods);
-                // Constant-depth dispatch: the rounding kernel fully
-                // unrolls for each chunk depth.
+                simd::row_products::<TRUNC>(arow, &b.vals, n, c0, ck0, klen, &mut panel.prods);
+                // Constant-depth dispatch: the chunk fully unrolls for each
+                // depth.
                 match klen {
-                    1 => {
-                        self.simd_row_chunk::<1>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
-                    }
-                    2 => {
-                        self.simd_row_chunk::<2>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
-                    }
-                    3 => {
-                        self.simd_row_chunk::<3>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
-                    }
-                    4 => {
-                        self.simd_row_chunk::<4>(level, &panel, &prods, row_acc, &mut seeds, i, ck0)
-                    }
+                    1 => self.simd_row_chunk::<1>(level, &mut panel, row_acc, &mut seeds, i, ck0),
+                    2 => self.simd_row_chunk::<2>(level, &mut panel, row_acc, &mut seeds, i, ck0),
+                    3 => self.simd_row_chunk::<3>(level, &mut panel, row_acc, &mut seeds, i, ck0),
+                    4 => self.simd_row_chunk::<4>(level, &mut panel, row_acc, &mut seeds, i, ck0),
                     _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
                 }
                 ck0 += klen;
@@ -1611,8 +1659,8 @@ impl DotProductUnit {
     }
 
     /// One `T`-deep chunk across a fragment row's 8 columns: exact
-    /// rounding of each column's chunk value, with the per-(element,
-    /// chunk) scalar fallback.
+    /// rounding of each column's chunk value through [`RowWindow`], with
+    /// the per-(element, chunk) scalar fallback.
     ///
     /// Each column's accumulator threads through the whole `K`-panel in
     /// decoded form (`seeds`, authoritative for every finite column): the
@@ -1621,63 +1669,19 @@ impl DotProductUnit {
     /// is written here only for a column that turns non-finite (whose
     /// NaN payload the decoded form cannot carry) and for a column that
     /// drops to the scalar oracle, which reads the f32 back from `seeds`.
-    ///
-    /// At the AVX2 level the accumulate — operand decode, window
-    /// anchoring, spread check, and the 128-bit shifted sum — and the
-    /// normal-range drain run vectorised four columns per register; a
-    /// column the vector drain leaves (zero sum, subnormal or overflowing
-    /// result, leading bit below 25) takes the scalar
-    /// [`fast_round_parts`]. Below AVX2 the per-column scalar accumulate
-    /// and rounder are used unchanged.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_row_chunk<const T: usize>(
         &mut self,
         level: simd::SimdLevel,
-        panel: &RealPanel<'_>,
-        prods: &[[f64; simd::COLS]; simd::MAX_KLEN],
+        panel: &mut RealPanel<'_>,
         acc: &mut [f32; simd::COLS],
         seeds: &mut simd::RowSeeds,
         i: usize,
         ck0: usize,
     ) {
         let lanes = T as u64 * panel.terms;
-        let okm = match level {
-            #[cfg(target_arch = "x86_64")]
-            simd::SimdLevel::Avx2 => {
-                let (mut lo, mut hi, mut base) =
-                    ([0u64; simd::COLS], [0u64; simd::COLS], [0i64; simd::COLS]);
-                // SAFETY: Avx2 here implies detected host support (levels
-                // are clamped at resolve/set time); the windows are valid
-                // for every column of `okm`.
-                let (okm, rounded) = unsafe {
-                    let okm = simd::x86::accumulate_chunk_avx2(
-                        T, prods, seeds, &mut lo, &mut hi, &mut base,
-                    ) & seeds.finite;
-                    (
-                        okm,
-                        simd::x86::round_chunk_avx2(&lo, &hi, &base, okm, seeds),
-                    )
-                };
-                for_each_bit(okm & !rounded, |j| {
-                    let sum = (((hi[j] as u128) << 64) | lo[j] as u128) as i128;
-                    drain_column(seeds, acc, j, sum, base[j] as i32);
-                });
-                okm
-            }
-            _ => {
-                let mut okm = 0u32;
-                for_each_bit(ROW_MASK, |j| {
-                    let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
-                    let (sum, pmin, o) = simd::exact_chunk_accumulate_seeded(seeds.get(j), &terms);
-                    if o {
-                        okm |= 1 << j;
-                        drain_column(seeds, acc, j, sum, pmin);
-                    }
-                });
-                okm
-            }
-        };
+        let okm = panel.window.accumulate::<T>(level, &panel.prods, seeds);
+        panel.window.drain(level, okm, seeds, acc);
         let vector = okm.count_ones() as u64;
         self.lane_ops += lanes * vector;
         self.simd_chunks += vector;
@@ -1700,54 +1704,11 @@ impl DotProductUnit {
         });
     }
 
-    /// Dispatch the emulated-FP64 FMA row loop compiled for the active
-    /// vector level; the AVX2 wrapper also enables FMA, so
-    /// [`simd::fma_row`] inlines as `vfmadd`.
-    #[allow(clippy::too_many_arguments)]
-    fn simd_panel_f64(
-        &mut self,
-        level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        acc: &mut [f64],
-    ) {
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `level` is clamped to the host's detected
-            // capability, and the Avx2 level requires both AVX2 and FMA.
-            simd::SimdLevel::Avx2 => unsafe {
-                self.simd_panel_f64_avx2(a, b, r0, rows, c0, k0, kend, acc)
-            },
-            _ => self.simd_panel_f64_body(level, a, b, r0, rows, c0, k0, kend, acc),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn simd_panel_f64_avx2(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        acc: &mut [f64],
-    ) {
-        self.simd_panel_f64_body(simd::SimdLevel::Avx2, a, b, r0, rows, c0, k0, kend, acc)
-    }
-
-    /// SIMD body of the emulated-FP64 panel (`frag_k == 1`): per row, per
-    /// packed element, one FMA across the row's 8 columns, the row kept in
-    /// registers across the whole `K`-panel. A column whose result is zero
-    /// or non-finite reruns that element-chunk through
+    /// SIMD body of the emulated-FP64 panel (`frag_k == 1`), compiled once
+    /// per level by [`simd::dispatch`]: per row, per packed element, one
+    /// FMA across the row's 8 columns ([`simd::fma_row`]), the row kept
+    /// in registers across the whole `K`-panel. A column whose result is
+    /// zero or non-finite reruns that element-chunk through
     /// [`scalar_element_f64`] from the seed it had before the FMA, so the
     /// output equals the per-chunk loop's bit for bit.
     #[allow(clippy::too_many_arguments)]
@@ -1801,53 +1762,16 @@ impl DotProductUnit {
         self.simd_fallbacks += fallbacks;
     }
 
-    /// SIMD body of the FP32C panel (`frag_k == 1`): per row, per packed
-    /// element, form the four component product rows `a_R·b_R`, `a_I·b_I`,
-    /// `a_R·b_I`, `a_I·b_R` for all 8 columns, then round
-    /// `re + a_R·b_R - a_I·b_I` and `im + a_R·b_I + a_I·b_R` exactly.
-    /// Either component failing the exact window sends that (element,
-    /// chunk) to the shared [`scalar_element_c32`] fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn simd_panel_c32(
-        &mut self,
-        level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `level` is clamped to the host's detected
-            // capability, so Avx2 here implies the CPU supports it.
-            simd::SimdLevel::Avx2 => unsafe {
-                self.simd_panel_c32_avx2(a, b, r0, rows, c0, k0, kend, acc)
-            },
-            _ => self.simd_panel_c32_body(level, a, b, r0, rows, c0, k0, kend, acc),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn simd_panel_c32_avx2(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        self.simd_panel_c32_body(simd::SimdLevel::Avx2, a, b, r0, rows, c0, k0, kend, acc)
-    }
-
+    /// SIMD body of the FP32C panel (`frag_k == 1`), compiled once per
+    /// level by [`simd::dispatch`]: per row, per packed element, form the
+    /// four component product rows `a_R·b_R`, `-a_I·b_I`, `a_R·b_I`,
+    /// `a_I·b_R` for all 8 columns, then run `re + a_R·b_R - a_I·b_I` and
+    /// `im + a_R·b_I + a_I·b_R` through one [`RowWindow`] each. Both
+    /// components' accumulators thread across the `K`-panel in decoded
+    /// [`simd::RowSeeds`] form, as in the FP32 panel, and are assembled
+    /// to f32 once at the end. Either component failing its window sends
+    /// that (element, chunk) to the shared [`scalar_element_c32`]
+    /// fallback.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_c32_body(
@@ -1866,154 +1790,52 @@ impl DotProductUnit {
         let alen = a.len;
         // B's value planes: real plane then imaginary plane, each k-major.
         let (bre_plane, bim_plane) = b.vals.split_at(alen * n);
-        let mut prods = [[0f64; simd::COLS]; 4];
+        let (mut wre, mut wim) = (RowWindow::default(), RowWindow::default());
         for i in 0..rows {
             let arow = &a.vals[(r0 + i) * 2 * alen..(r0 + i) * 2 * alen + 2 * alen];
-            #[cfg(target_arch = "x86_64")]
-            if level == simd::SimdLevel::Avx2 {
-                self.simd_c32_row_avx2(a, b, bre_plane, bim_plane, arow, i, r0, c0, k0, kend, acc);
-                continue;
-            }
+            let row = &mut acc[i * simd::COLS..(i + 1) * simd::COLS];
+            let mut re_acc: [f32; simd::COLS] = std::array::from_fn(|j| row[j].re);
+            let mut im_acc: [f32; simd::COLS] = std::array::from_fn(|j| row[j].im);
+            let mut sre = simd::RowSeeds::load(&re_acc);
+            let mut sim = simd::RowSeeds::load(&im_acc);
             for k in k0..kend {
-                let (ar, ai) = (arow[2 * k], arow[2 * k + 1]);
-                let bre = &bre_plane[k * n + c0..k * n + c0 + simd::COLS];
-                let bim = &bim_plane[k * n + c0..k * n + c0 + simd::COLS];
-                simd::row_products_c32(level, ar, ai, bre, bim, &mut prods);
-                for j in 0..simd::COLS {
-                    let d = &mut acc[i * simd::COLS + j];
-                    let re = simd::exact_chunk_round(d.re, &[prods[0][j], prods[1][j]]);
-                    let im = simd::exact_chunk_round(d.im, &[prods[2][j], prods[3][j]]);
-                    match (re, im) {
-                        (Some(re), Some(im)) => {
-                            self.lane_ops += 16;
-                            self.simd_chunks += 1;
-                            *d = Complex::new(re, im);
-                        }
-                        _ => {
-                            self.simd_fallbacks += 1;
-                            (*d, _) = scalar_element_c32(
-                                self,
-                                *d,
-                                a.vec(r0 + i),
-                                b.vec(c0 + j),
-                                k,
-                                k + 1,
-                                16,
-                                false,
-                            );
-                        }
-                    }
-                }
+                let cols = |plane: &[f32]| -> [f32; simd::COLS] {
+                    plane[k * n + c0..k * n + c0 + simd::COLS]
+                        .try_into()
+                        .expect("B's value row holds the fragment row's columns")
+                };
+                let (bre, bim) = (cols(bre_plane), cols(bim_plane));
+                let prods = simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
+                let okm = wre.accumulate::<2>(level, &prods[..2], &sre)
+                    & wim.accumulate::<2>(level, &prods[2..], &sim);
+                wre.drain(level, okm, &mut sre, &mut re_acc);
+                wim.drain(level, okm, &mut sim, &mut im_acc);
+                let vector = okm.count_ones() as u64;
+                self.lane_ops += 16 * vector;
+                self.simd_chunks += vector;
+                for_each_bit(!okm & ROW_MASK, |j| {
+                    self.simd_fallbacks += 1;
+                    let (d, _) = scalar_element_c32(
+                        self,
+                        Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j])),
+                        a.vec(r0 + i),
+                        b.vec(c0 + j),
+                        k,
+                        k + 1,
+                        16,
+                        false,
+                    );
+                    re_acc[j] = d.re;
+                    im_acc[j] = d.im;
+                    sre.set(j, simd::ChunkSeed::decode(d.re));
+                    sim.set(j, simd::ChunkSeed::decode(d.im));
+                });
             }
-        }
-    }
-
-    /// One FP32C fragment row of the AVX2 panel: both components'
-    /// accumulates and drains run through the vectorised 128-bit window
-    /// and rounding kernels (`prods[0..2]` are the real component's terms
-    /// — the product kernel emits `-a_I·b_I` pre-negated — and
-    /// `prods[2..4]` the imaginary's), with the accumulator threaded
-    /// across the `K`-loop in decoded [`simd::RowSeeds`] form exactly
-    /// like the FP32 panel and assembled to f32 once at the end. Either
-    /// component failing its window sends that (element, k) to the
-    /// whole-element scalar fallback, as in the scalar-accumulate body.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn simd_c32_row_avx2(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        bre_plane: &[f32],
-        bim_plane: &[f32],
-        arow: &[f32],
-        i: usize,
-        r0: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        let n = b.vecs;
-        let row = &mut acc[i * simd::COLS..(i + 1) * simd::COLS];
-        let mut re_acc = [0f32; simd::COLS];
-        let mut im_acc = [0f32; simd::COLS];
-        for (j, d) in row.iter().enumerate() {
-            re_acc[j] = d.re;
-            im_acc[j] = d.im;
-        }
-        let mut sre = simd::RowSeeds::load(&re_acc);
-        let mut sim = simd::RowSeeds::load(&im_acc);
-        let mut prods = [[0f64; simd::COLS]; 4];
-        let (mut lo_r, mut hi_r, mut base_r) =
-            ([0u64; simd::COLS], [0u64; simd::COLS], [0i64; simd::COLS]);
-        let (mut lo_i, mut hi_i, mut base_i) =
-            ([0u64; simd::COLS], [0u64; simd::COLS], [0i64; simd::COLS]);
-        for k in k0..kend {
-            let (ar, ai) = (arow[2 * k], arow[2 * k + 1]);
-            let bre = &bre_plane[k * n + c0..k * n + c0 + simd::COLS];
-            let bim = &bim_plane[k * n + c0..k * n + c0 + simd::COLS];
-            simd::row_products_c32(simd::SimdLevel::Avx2, ar, ai, bre, bim, &mut prods);
-            // SAFETY: this path is only entered at the Avx2 level, which
-            // is clamped to detected host capability; the windows are
-            // valid for every column of `okm`.
-            let (okm, rounded_r, rounded_i) = unsafe {
-                let okr = simd::x86::accumulate_chunk_avx2(
-                    2,
-                    &prods[0..2],
-                    &sre,
-                    &mut lo_r,
-                    &mut hi_r,
-                    &mut base_r,
-                );
-                let oki = simd::x86::accumulate_chunk_avx2(
-                    2,
-                    &prods[2..4],
-                    &sim,
-                    &mut lo_i,
-                    &mut hi_i,
-                    &mut base_i,
-                );
-                let okm = okr & oki & sre.finite & sim.finite;
-                (
-                    okm,
-                    simd::x86::round_chunk_avx2(&lo_r, &hi_r, &base_r, okm, &mut sre),
-                    simd::x86::round_chunk_avx2(&lo_i, &hi_i, &base_i, okm, &mut sim),
-                )
-            };
-            for_each_bit(okm & !rounded_r, |j| {
-                let sum = (((hi_r[j] as u128) << 64) | lo_r[j] as u128) as i128;
-                drain_column(&mut sre, &mut re_acc, j, sum, base_r[j] as i32);
-            });
-            for_each_bit(okm & !rounded_i, |j| {
-                let sum = (((hi_i[j] as u128) << 64) | lo_i[j] as u128) as i128;
-                drain_column(&mut sim, &mut im_acc, j, sum, base_i[j] as i32);
-            });
-            let vector = okm.count_ones() as u64;
-            self.lane_ops += 16 * vector;
-            self.simd_chunks += vector;
-            for_each_bit(!okm & ROW_MASK, |j| {
-                self.simd_fallbacks += 1;
-                let (d, _) = scalar_element_c32(
-                    self,
-                    Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j])),
-                    a.vec(r0 + i),
-                    b.vec(c0 + j),
-                    k,
-                    k + 1,
-                    16,
-                    false,
-                );
-                re_acc[j] = d.re;
-                im_acc[j] = d.im;
-                sre.set(j, simd::ChunkSeed::decode(d.re));
-                sim.set(j, simd::ChunkSeed::decode(d.im));
-            });
-        }
-        sre.store(&mut re_acc);
-        sim.store(&mut im_acc);
-        for (j, d) in row.iter_mut().enumerate() {
-            *d = Complex::new(re_acc[j], im_acc[j]);
+            sre.store(&mut re_acc);
+            sim.store(&mut im_acc);
+            for (j, d) in row.iter_mut().enumerate() {
+                *d = Complex::new(re_acc[j], im_acc[j]);
+            }
         }
     }
 }
@@ -2315,7 +2137,11 @@ mod tests {
         for level in simd::vector_levels() {
             let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
             let mut got: Vec<f64> = c.as_slice().to_vec();
-            dpu.simd_panel_f64(level, &pa, &pb, 0, 6, 0, 0, 12, &mut got);
+            simd::dispatch(
+                level,
+                #[inline(always)]
+                |l| dpu.simd_panel_f64_body(l, &pa, &pb, 0, 6, 0, 0, 12, &mut got),
+            );
             for (n, (x, y)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "{level:?} element {n}");
             }
@@ -2401,7 +2227,11 @@ mod tests {
         for level in simd::vector_levels() {
             for (r, (a, b, _)) in rows.iter().enumerate() {
                 let mut out = [[0f64; 8]; simd::MAX_KLEN];
-                simd::row_products::<true>(level, &[*a], b, 8, 0, 0, 1, &mut out);
+                simd::dispatch(
+                    level,
+                    #[inline(always)]
+                    |_| simd::row_products::<true>(&[*a], b, 8, 0, 0, 1, &mut out),
+                );
                 for j in 0..8 {
                     let what = format!("{level:?} row {r} lane {j}: {a:e}·{:e}", b[j]);
                     if !a.is_finite() || !b[j].is_finite() {
@@ -2433,7 +2263,24 @@ mod tests {
                 let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32Fast);
                 let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32Fast);
                 let mut got: Vec<f32> = c.as_slice().to_vec();
-                dpu.simd_panel_f32(level, &pa, &pb, 0, rows.len(), 0, 0, 1, 1, &mut got);
+                simd::dispatch(
+                    level,
+                    #[inline(always)]
+                    |l| {
+                        dpu.simd_panel_f32_body::<true>(
+                            l,
+                            &pa,
+                            &pb,
+                            0,
+                            rows.len(),
+                            0,
+                            0,
+                            1,
+                            1,
+                            &mut got,
+                        )
+                    },
+                );
                 for i in 0..rows.len() {
                     for j in 0..8 {
                         let (want, _) = scalar_element_real(
@@ -2470,7 +2317,11 @@ mod tests {
                 dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut want, None);
             }
             let mut got: Vec<f32> = c.as_slice().to_vec();
-            dpu.simd_panel_f32(level, &pa, &pb, 0, 8, 0, 0, 12, 2, &mut got);
+            simd::dispatch(
+                level,
+                #[inline(always)]
+                |l| dpu.simd_panel_f32_body::<true>(l, &pa, &pb, 0, 8, 0, 0, 12, 2, &mut got),
+            );
             for (x, y) in got.iter().zip(&want) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{level:?} wide spreads");
             }

@@ -22,18 +22,22 @@
 //!    pipeline that reduces the same exact value through the shared
 //!    `fast_round_f32` is bit-identical by construction.
 //!
-//! The row kernels below compute the `f64` products with explicit
-//! `core::arch::x86_64` intrinsics — AVX2 (`vcvtps2pd` + `vmulpd`, four
-//! lanes per instruction) with an SSE2 two-lane fallback — out of planar
-//! `f32` value mirrors built at pack time ([`super::PackedOperand`]
-//! stores the `B` side k-major so one load touches 8 consecutive
-//! columns). Each column's products are then decoded and reduced exactly
-//! in the same 128-bit window / rounder as the scalar path. At AVX2 both
-//! halves run four columns per register: `x86::accumulate_chunk_avx2`
-//! builds the windows and `x86::round_chunk_avx2` drains them to FP32
-//! straight into the row's decoded accumulators (`RowSeeds`), which
-//! stay in vector form for a whole `K`-panel; the row's f32 values are
-//! assembled once, at panel end.
+//! The row products (`row_products`, `row_products_c32`) are portable
+//! 8-column loops of exact `f64` products out of planar `f32` value
+//! mirrors built at pack time ([`super::PackedOperand`] stores the `B`
+//! side k-major so one row touches 8 consecutive columns). `dispatch`
+//! compiles each panel body once per level: at `Avx2` inside one
+//! `#[target_feature(enable = "avx2,fma")]` frame, where the loops
+//! become `vcvtps2pd` + `vmulpd` four lanes per instruction, and below
+//! it in the baseline build, two lanes at `Sse2`. Each column's products
+//! are then decoded and reduced exactly in the same 128-bit window /
+//! rounder as the scalar path. At AVX2 both halves run four columns per
+//! register, in the two kernels no compiler derives from scalar code:
+//! `x86::accumulate_chunk_avx2` builds the windows and
+//! `x86::round_chunk_avx2` drains them to FP32 straight into the row's
+//! decoded accumulators (`RowSeeds`), which stay in vector form for a
+//! whole `K`-panel at every level; the row's f32 values are assembled
+//! once, at panel end.
 //!
 //! Anything the window cannot prove exact falls back **per
 //! element-chunk** to the scalar executor, which remains the
@@ -65,6 +69,7 @@
 //!   payloads and overflow.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Once;
 
 /// Vector width class the packed executors dispatch to, resolved once per
 /// process from `M3XU_SIMD` and runtime CPU feature detection.
@@ -72,10 +77,12 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum SimdLevel {
     /// The original entry-at-a-time executors (the differential oracle).
     Scalar,
-    /// 2-lane `f64` row kernels (baseline on every `x86_64`).
+    /// The panel bodies in the baseline build: 2-lane `f64` products
+    /// (baseline on every `x86_64`).
     Sse2,
-    /// 4-lane `f64` row kernels and the hardware-FMA emulated-FP64 row
-    /// kernel (runtime-detected: the host must have both AVX2 and FMA).
+    /// The panel bodies built with AVX2 and FMA: 4-lane `f64` products,
+    /// the vector window kernels and the `vfmadd` emulated-FP64 row
+    /// (runtime-detected: the host must have both AVX2 and FMA).
     Avx2,
 }
 
@@ -113,19 +120,40 @@ fn detected() -> SimdLevel {
     }
 }
 
-/// Resolve the level from the environment: `M3XU_SIMD=0`/`scalar` kills
-/// the vector path, `sse2`/`avx2` force a specific width (clamped to what
-/// the host supports), anything else auto-detects.
+/// The level an `M3XU_SIMD` value asks for, trimmed and case-folded:
+/// `0`/`scalar`/`off` kill the vector path, `sse2`/`avx2` force a width,
+/// and `1` asks for `cap`, the detected level. `None` for anything else.
+fn parse_level(v: &str, cap: SimdLevel) -> Option<SimdLevel> {
+    match v.trim().to_ascii_lowercase().as_str() {
+        "0" | "scalar" | "off" => Some(SimdLevel::Scalar),
+        "sse2" => Some(SimdLevel::Sse2),
+        "avx2" => Some(SimdLevel::Avx2),
+        "1" => Some(cap),
+        _ => None,
+    }
+}
+
+/// Resolve the level from `M3XU_SIMD` (see [`parse_level`]), clamped to
+/// what the host supports. Unset auto-detects; a value the parser does
+/// not know, or a non-unicode one, auto-detects after a one-time `stderr`
+/// warning (a mistyped kill switch must not leave the vector path on
+/// silently).
 fn resolve() -> SimdLevel {
+    static WARN: Once = Once::new();
     let cap = detected();
-    let req = match std::env::var("M3XU_SIMD") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "scalar" | "off" => SimdLevel::Scalar,
-            "sse2" => SimdLevel::Sse2,
-            "avx2" => SimdLevel::Avx2,
-            _ => cap,
-        },
-        Err(_) => cap,
+    let req = match std::env::var_os("M3XU_SIMD") {
+        None => cap,
+        Some(v) => v
+            .to_str()
+            .and_then(|s| parse_level(s, cap))
+            .unwrap_or_else(|| {
+                WARN.call_once(|| {
+                    eprintln!(
+                        "m3xu: ignoring unrecognised M3XU_SIMD={v:?}; using the detected level"
+                    );
+                });
+                cap
+            }),
     };
     clamp(req, cap)
 }
@@ -233,23 +261,6 @@ const _: () = {
     assert!(SEED_BITS <= PRODUCT_BITS);
 };
 
-/// Round-to-nearest-even FP32 of the exact value `seed + Σ terms`, where
-/// `seed` is the fragment's accumulator element and every term is an
-/// *exact* product in `f64`. Returns `None` — abort to the scalar oracle
-/// — on any non-finite input (which covers every special-operand case:
-/// a NaN/Inf operand always surfaces as a NaN/Inf product) or when the
-/// power spread exceeds [`WINDOW_POW_SPAN`].
-///
-/// Bit-identical to the scalar fast path / Kulisch drain because the
-/// decoded contribution list denotes exactly the same real number (the
-/// half-products of one element pair sum exactly to its full product)
-/// and the final rounding is the shared [`super::fast_round_f32`].
-#[inline(always)]
-pub(crate) fn exact_chunk_round<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
-    let (sum, pmin, ok) = exact_chunk_accumulate(seed, terms);
-    ok.then(|| super::fast_round_f32(sum, pmin))
-}
-
 /// A fragment accumulator element in decoded form: the exact value is
 /// `±mant · 2^pow` (`mant` is below `2^SEED_BITS` — an f32 significand
 /// or a rounder's kept fraction). Panel kernels thread this through the
@@ -257,7 +268,7 @@ pub(crate) fn exact_chunk_round<const T: usize>(seed: f32, terms: &[f64; T]) -> 
 /// mantissa/power/sign directly instead of assembling an f32 and
 /// re-decoding it — the assemble/decode pair sits on the loop-carried
 /// dependency path and costs more than the whole shift-and-add window.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct ChunkSeed {
     /// Significand of the seed value (0 for a signed zero).
     pub(crate) mant: u64,
@@ -365,29 +376,23 @@ impl RowSeeds {
     }
 }
 
-/// The reduction half of [`exact_chunk_round`]: decode `seed + Σ terms`
-/// into an exact `i128` window anchored at `pmin`, without rounding.
-/// Returns `(sum, pmin, ok)`; when `ok` is false (non-finite input or a
-/// power spread beyond [`WINDOW_POW_SPAN`]) `sum`/`pmin` are meaningless and
-/// the caller must take the scalar oracle path. Split out so panel
-/// kernels can run the accumulate and rounding phases as two short-chain
-/// passes over a row — the combined body is too long a dependency chain
-/// for the out-of-order window to overlap across columns.
-#[inline(always)]
-pub(crate) fn exact_chunk_accumulate<const T: usize>(
-    seed: f32,
-    terms: &[f64; T],
-) -> (i128, i32, bool) {
-    exact_chunk_accumulate_seeded(ChunkSeed::decode(seed), terms)
-}
-
-/// [`exact_chunk_accumulate`] over an already-decoded seed. The seed's
-/// 24-bit-significand decomposition denotes exactly the same real value
-/// as the f64 route (only `pmin` anchors differently, which
-/// [`super::fast_round_f32`] absorbs), so the rounded result is
-/// bit-identical either way. The spread test charges the seed its real
-/// width, [`SEED_BITS`], and each product [`PRODUCT_BITS`] (see
-/// [`WINDOW_POW_SPAN`]).
+/// Decode `seed + Σ terms`, where `seed` is the fragment's accumulator
+/// element and every term is an *exact* product in `f64`, into an exact
+/// `i128` window anchored at `pmin`, without rounding. Returns `(sum,
+/// pmin, ok)`; when `ok` is false — a non-finite input (which covers
+/// every special-operand case: a NaN/Inf operand always surfaces as a
+/// NaN/Inf product) or a power spread beyond [`WINDOW_POW_SPAN`] —
+/// `sum`/`pmin` are meaningless and the caller must take the scalar
+/// oracle path. The spread test charges the seed its real width,
+/// [`SEED_BITS`], and each product [`PRODUCT_BITS`].
+///
+/// Rounding the window through the shared [`super::fast_round_f32`] is
+/// bit-identical to the scalar fast path / Kulisch drain: the decoded
+/// contribution list denotes exactly the same real number (the
+/// half-products of one element pair sum exactly to its full product).
+/// Rounding is left to the caller: the AVX2 panels round a whole row of
+/// windows in a second vector pass, and the scalar window rounds each
+/// column as soon as it is accumulated.
 #[inline(always)]
 pub(crate) fn exact_chunk_accumulate_seeded<const T: usize>(
     seed: ChunkSeed,
@@ -455,20 +460,31 @@ pub(crate) fn exact_chunk_accumulate_seeded<const T: usize>(
     (sum, base, ok)
 }
 
-/// One chunk's products for a real-mode fragment row: `out[t][j] =
-/// a[k0 + t] · bt[(k0 + t) * bstride + c0 + j]` as exact `f64`, for
-/// `t < klen`, `j < 8`.
+/// The AVX2 level's own code: `avx2`, the frame `dispatch` compiles the
+/// panel bodies in; the two integer window kernels, which no compiler
+/// derives from the scalar window; and the `vfmadd` FP64 row, whose
+/// zero/non-finite mask the compiler builds from scalar compares.
 ///
-/// # Safety
-/// Caller guarantees the slice windows are in bounds (`k0 + klen` rows of
-/// `bt` with `c0 + 8 <= bstride`, `k0 + klen <= a.len()`) and that the
-/// CPU supports the instruction set of the variant invoked.
+/// Every function here is `unsafe`: the caller guarantees the CPU has
+/// AVX2 (and FMA, for the frame and the FMA row).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use super::{RowSeeds, COLS, HI_MASK, MAX_KLEN, PRODUCT_BITS, SEED_BITS, WINDOW_POW_SPAN};
+    use super::{RowSeeds, SimdLevel, COLS, MAX_KLEN, PRODUCT_BITS, SEED_BITS, WINDOW_POW_SPAN};
+
+    /// The `Avx2` arm of [`super::dispatch`]: `body` inlines into this
+    /// frame, so it and everything it inlines — the portable row
+    /// products, the window kernels, [`super::fma_row`] — are compiled
+    /// with AVX2 and FMA enabled.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 and FMA are available.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    pub unsafe fn avx2<R>(body: impl FnOnce(SimdLevel) -> R) -> R {
+        body(SimdLevel::Avx2)
+    }
 
     /// Out-of-window power sentinel for the vector min/max reductions.
     /// Far outside any real f64/seed power (|pow| ≤ ~1100) yet small
@@ -508,11 +524,16 @@ pub(crate) mod x86 {
     /// unsigned), and the 128-bit add carries via the sign-bias unsigned
     /// compare.
     ///
+    /// It is `#[inline(always)]`, with no `#[target_feature]` of its own
+    /// (the two attributes cannot be combined): it runs inlined into
+    /// [`avx2`], which enables AVX2. Left to its heuristics, LLVM kept the
+    /// three- and four-deep chunks' accumulate out of line there, a call
+    /// per chunk.
+    ///
     /// # Safety
     /// Caller guarantees AVX2 is available and `prods.len() >= klen`
     /// (with `klen <= MAX_KLEN`).
-    #[target_feature(enable = "avx2")]
-    #[inline]
+    #[inline(always)]
     pub unsafe fn accumulate_chunk_avx2(
         klen: usize,
         prods: &[[f64; COLS]],
@@ -750,136 +771,6 @@ pub(crate) mod x86 {
         done
     }
 
-    /// The real-mode row products (see [`super::row_products`]); with
-    /// `TRUNC`, the fast mode's truncated product `a·b − lo_a·lo_b`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_products_avx2<const TRUNC: bool>(
-        a: &[f32],
-        bt: &[f32],
-        bstride: usize,
-        c0: usize,
-        k0: usize,
-        klen: usize,
-        out: &mut [[f64; COLS]; MAX_KLEN],
-    ) {
-        let hi_mask = _mm_castsi128_ps(_mm_set1_epi32(HI_MASK as i32));
-        for t in 0..klen {
-            let ak = *a.get_unchecked(k0 + t);
-            let av = _mm256_set1_pd(ak as f64);
-            let bp = bt.as_ptr().add((k0 + t) * bstride + c0);
-            let (b0, b1) = (_mm_loadu_ps(bp), _mm_loadu_ps(bp.add(4)));
-            let mut p0 = _mm256_mul_pd(av, _mm256_cvtps_pd(b0));
-            let mut p1 = _mm256_mul_pd(av, _mm256_cvtps_pd(b1));
-            if TRUNC {
-                let alo = _mm256_set1_pd(super::lo_f32(ak) as f64);
-                let l0 = _mm_sub_ps(b0, _mm_and_ps(b0, hi_mask));
-                let l1 = _mm_sub_ps(b1, _mm_and_ps(b1, hi_mask));
-                p0 = _mm256_sub_pd(p0, _mm256_mul_pd(alo, _mm256_cvtps_pd(l0)));
-                p1 = _mm256_sub_pd(p1, _mm256_mul_pd(alo, _mm256_cvtps_pd(l1)));
-            }
-            let op = out.get_unchecked_mut(t).as_mut_ptr();
-            _mm256_storeu_pd(op, p0);
-            _mm256_storeu_pd(op.add(4), p1);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_products_c32_avx2(
-        ar: f64,
-        ai: f64,
-        bre: &[f32],
-        bim: &[f32],
-        out: &mut [[f64; COLS]; 4],
-    ) {
-        let arv = _mm256_set1_pd(ar);
-        let aiv = _mm256_set1_pd(ai);
-        let naiv = _mm256_set1_pd(-ai);
-        let (brp, bip) = (bre.as_ptr(), bim.as_ptr());
-        let (op0, op1, op2, op3) = {
-            let [o0, o1, o2, o3] = out;
-            (
-                o0.as_mut_ptr(),
-                o1.as_mut_ptr(),
-                o2.as_mut_ptr(),
-                o3.as_mut_ptr(),
-            )
-        };
-        for h in 0..2 {
-            let br = _mm256_cvtps_pd(_mm_loadu_ps(brp.add(4 * h)));
-            let bi = _mm256_cvtps_pd(_mm_loadu_ps(bip.add(4 * h)));
-            _mm256_storeu_pd(op0.add(4 * h), _mm256_mul_pd(arv, br));
-            _mm256_storeu_pd(op1.add(4 * h), _mm256_mul_pd(naiv, bi));
-            _mm256_storeu_pd(op2.add(4 * h), _mm256_mul_pd(arv, bi));
-            _mm256_storeu_pd(op3.add(4 * h), _mm256_mul_pd(aiv, br));
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn row_products_c32_sse2(
-        ar: f64,
-        ai: f64,
-        bre: &[f32],
-        bim: &[f32],
-        out: &mut [[f64; COLS]; 4],
-    ) {
-        let arv = _mm_set1_pd(ar);
-        let aiv = _mm_set1_pd(ai);
-        let naiv = _mm_set1_pd(-ai);
-        let (brp, bip) = (bre.as_ptr(), bim.as_ptr());
-        let (op0, op1, op2, op3) = {
-            let [o0, o1, o2, o3] = out;
-            (
-                o0.as_mut_ptr(),
-                o1.as_mut_ptr(),
-                o2.as_mut_ptr(),
-                o3.as_mut_ptr(),
-            )
-        };
-        for h in 0..4 {
-            let br = _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
-                brp.add(2 * h) as *const __m128i
-            )));
-            let bi = _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
-                bip.add(2 * h) as *const __m128i
-            )));
-            _mm_storeu_pd(op0.add(2 * h), _mm_mul_pd(arv, br));
-            _mm_storeu_pd(op1.add(2 * h), _mm_mul_pd(naiv, bi));
-            _mm_storeu_pd(op2.add(2 * h), _mm_mul_pd(arv, bi));
-            _mm_storeu_pd(op3.add(2 * h), _mm_mul_pd(aiv, br));
-        }
-    }
-
-    /// The SSE2 counterpart of [`row_products_avx2`].
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn row_products_sse2<const TRUNC: bool>(
-        a: &[f32],
-        bt: &[f32],
-        bstride: usize,
-        c0: usize,
-        k0: usize,
-        klen: usize,
-        out: &mut [[f64; COLS]; MAX_KLEN],
-    ) {
-        let hi_mask = _mm_castsi128_ps(_mm_set1_epi32(HI_MASK as i32));
-        for t in 0..klen {
-            let ak = *a.get_unchecked(k0 + t);
-            let av = _mm_set1_pd(ak as f64);
-            let alo = _mm_set1_pd(super::lo_f32(ak) as f64);
-            let bp = bt.as_ptr().add((k0 + t) * bstride + c0);
-            let op = out.get_unchecked_mut(t).as_mut_ptr();
-            for h in 0..4 {
-                // cvtps2pd widens the low two f32 lanes of its source.
-                let pair = _mm_castsi128_ps(_mm_loadl_epi64(bp.add(2 * h) as *const __m128i));
-                let mut p = _mm_mul_pd(av, _mm_cvtps_pd(pair));
-                if TRUNC {
-                    let lo = _mm_sub_ps(pair, _mm_and_ps(pair, hi_mask));
-                    p = _mm_sub_pd(p, _mm_mul_pd(alo, _mm_cvtps_pd(lo)));
-                }
-                _mm_storeu_pd(op.add(2 * h), p);
-            }
-        }
-    }
-
     /// [`super::fma_row`] on `vfmadd`, four columns per register.
     ///
     /// # Safety
@@ -913,19 +804,48 @@ pub(crate) mod x86 {
     }
 }
 
-/// Dispatch one chunk's row products to the active vector kernel:
-/// `out[t][j] = a[k0 + t] · bt[(k0 + t) * bstride + c0 + j]` as exact
-/// `f64`, for `t < klen`, `j < 8`. With `TRUNC` (the fast FP32 mode,
-/// chosen once per panel) each product is the truncated schedule's
-/// `hi_a·hi_b + hi_a·lo_b + lo_a·hi_b`, formed as `a·b − lo_a·lo_b`:
-/// both products are exact in `f64`, and so is their difference, which
-/// spans at most 37 bits.
+/// Run `body` compiled for `level`, handing the level back so the body's
+/// own level switches fold to constants. At `Avx2` the body runs inside
+/// [`x86::avx2`], a `#[target_feature(enable = "avx2,fma")]` frame, so
+/// one panel source becomes the AVX2 build; every other level calls it
+/// directly, in the baseline build. Rust never contracts `a * b + c`
+/// into an FMA unless the code calls `mul_add`, so enabling `fma` moves
+/// no rounding: every level computes the same bits.
 ///
-/// `level` must not be `Scalar`; bounds per [`x86`].
-#[inline]
-#[allow(unused_variables, clippy::too_many_arguments)]
+/// Pass an `#[inline(always)]` closure. It is called from both arms, and
+/// LLVM does not copy a panel-sized body into two frames on its own: left
+/// out of line, the body is compiled once, for the baseline, at every
+/// level. A panel body's closure is also `move`, so the frame holds the
+/// captured scalars by value; captured by reference, they were reloaded
+/// after every store the panel makes, about 7% on the FP32 panel.
+#[inline(always)]
+pub(crate) fn dispatch<R>(level: SimdLevel, body: impl FnOnce(SimdLevel) -> R) -> R {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            // Every level handed out is clamped to the host's (`level`,
+            // `set_level`, `vector_levels`), so this holds; it is checked
+            // because the frame and the kernels it reaches need it.
+            assert_eq!(detected(), SimdLevel::Avx2, "Avx2 without AVX2 and FMA");
+            // SAFETY: `detected` reports `Avx2` only when the host has both
+            // AVX2 and FMA.
+            unsafe { x86::avx2(body) }
+        }
+        _ => body(level),
+    }
+}
+
+/// One chunk's row products for a real-mode fragment row: `out[t][j] =
+/// a[k0 + t] · bt[(k0 + t) * bstride + c0 + j]` as exact `f64`, for
+/// `t < klen`, `j < 8`. With `TRUNC` (the fast FP32 mode, chosen once
+/// per panel) each product is the truncated schedule's `hi_a·hi_b +
+/// hi_a·lo_b + lo_a·hi_b`, formed as `a·b − lo_a·lo_b`: both products
+/// are exact in `f64`, and so is their difference, which spans at most
+/// 37 bits. In the `Avx2` build each four columns are one `vcvtps2pd` +
+/// `vmulpd`, and `TRUNC` adds one `vandps`, `vsubps`, `vcvtps2pd`,
+/// `vmulpd` and `vsubpd`.
+#[inline(always)]
 pub(crate) fn row_products<const TRUNC: bool>(
-    level: SimdLevel,
     a: &[f32],
     bt: &[f32],
     bstride: usize,
@@ -934,53 +854,42 @@ pub(crate) fn row_products<const TRUNC: bool>(
     klen: usize,
     out: &mut [[f64; COLS]; MAX_KLEN],
 ) {
-    debug_assert!(k0 + klen <= a.len());
-    debug_assert!((k0 + klen - 1) * bstride + c0 + COLS <= bt.len());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: the debug asserts above state the bounds contract the
-    // callers uphold (release builds rely on the same packing
-    // invariants), and `level()`/`set_level()` only ever hand out levels
-    // clamped to the host's detected capability.
-    unsafe {
-        match level {
-            SimdLevel::Avx2 => x86::row_products_avx2::<TRUNC>(a, bt, bstride, c0, k0, klen, out),
-            _ => x86::row_products_sse2::<TRUNC>(a, bt, bstride, c0, k0, klen, out),
-        }
+    debug_assert!(klen <= MAX_KLEN);
+    for (t, (&ak, row)) in a[k0..k0 + klen].iter().zip(out).enumerate() {
+        let o = (k0 + t) * bstride + c0;
+        let b: &[f32; COLS] = bt[o..o + COLS].try_into().expect("COLS columns");
+        let (av, alo) = (ak as f64, lo_f32(ak) as f64);
+        *row = b.map(|bj| {
+            let p = av * bj as f64;
+            if TRUNC {
+                p - alo * lo_f32(bj) as f64
+            } else {
+                p
+            }
+        });
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("vector dispatch is x86_64-only; level() is Scalar elsewhere")
 }
 
 /// One FP32C element's four component product rows for a fragment row:
-/// `out[0] = a_R·b_R`, `out[1] = -a_I·b_I`, `out[2] = a_R·b_I`,
-/// `out[3] = a_I·b_R` across 8 columns, each an exact `f64` product.
-/// The second row carries the real component's subtraction sign so
-/// `out[0..2]` and `out[2..4]` are directly the re/im term rows.
-///
-/// `level` must not be `Scalar`; `bre`/`bim` must hold at least 8 values.
-#[inline]
-#[allow(unused_variables)]
+/// `a_R·b_R`, `-a_I·b_I`, `a_R·b_I` and `a_I·b_R` across 8 columns, each
+/// an exact `f64` product. The second row carries the real component's
+/// subtraction sign, so rows `0..2` and `2..4` are directly the re/im
+/// term rows.
+#[inline(always)]
 pub(crate) fn row_products_c32(
-    level: SimdLevel,
     ar: f32,
     ai: f32,
-    bre: &[f32],
-    bim: &[f32],
-    out: &mut [[f64; COLS]; 4],
-) {
-    debug_assert!(bre.len() >= COLS && bim.len() >= COLS);
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: the slice windows are COLS wide by the debug-asserted
-    // contract, and the level is clamped to detected capability (see
-    // `row_products`).
-    unsafe {
-        match level {
-            SimdLevel::Avx2 => x86::row_products_c32_avx2(ar as f64, ai as f64, bre, bim, out),
-            _ => x86::row_products_c32_sse2(ar as f64, ai as f64, bre, bim, out),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("vector dispatch is x86_64-only; level() is Scalar elsewhere")
+    bre: &[f32; COLS],
+    bim: &[f32; COLS],
+) -> [[f64; COLS]; 4] {
+    let (ar, ai) = (ar as f64, ai as f64);
+    let (br, bi) = (bre.map(f64::from), bim.map(f64::from));
+    [
+        br.map(|b| ar * b),
+        bi.map(|b| -ai * b),
+        bi.map(|b| ar * b),
+        br.map(|b| ai * b),
+    ]
 }
 
 /// One emulated-FP64 chunk across a fragment row: `out[j] = fma(a, b[j],
@@ -1022,8 +931,40 @@ pub(crate) fn fma_row(
 mod tests {
     use super::*;
 
+    /// The chunk value `seed + Σ terms` rounded to FP32, as the panels
+    /// compute it from an f32 seed; `None` when the window aborts.
+    fn round_chunk<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
+        let (sum, pmin, ok) = exact_chunk_accumulate_seeded(ChunkSeed::decode(seed), terms);
+        ok.then(|| super::super::fast_round_f32(sum, pmin))
+    }
+
     #[test]
     fn level_parsing_clamps_to_capability() {
+        use SimdLevel::{Avx2, Scalar, Sse2};
+        // Every spelling `M3XU_SIMD` accepts, trimmed and case-folded;
+        // `1` is the detected level; anything else is refused (and
+        // `resolve` then warns and auto-detects).
+        for cap in [Scalar, Sse2, Avx2] {
+            let cases = [
+                ("0", Some(Scalar)),
+                ("scalar", Some(Scalar)),
+                ("off", Some(Scalar)),
+                ("sse2", Some(Sse2)),
+                ("avx2", Some(Avx2)),
+                ("1", Some(cap)),
+                (" avx2\n", Some(Avx2)),
+                ("\tOff ", Some(Scalar)),
+                ("Scalar", Some(Scalar)),
+                ("SSE2", Some(Sse2)),
+                ("sclar", None),
+                ("avx512", None),
+                ("2", None),
+                ("", None),
+            ];
+            for (v, want) in cases {
+                assert_eq!(parse_level(v, cap), want, "{v:?} with {cap:?} detected");
+            }
+        }
         let _guard = TEST_LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Whatever the host supports, Scalar is always honoured and the
         // clamp never exceeds the detected capability.
@@ -1094,10 +1035,10 @@ mod tests {
                 kul.add_product_f32(x, y);
             }
             let fast = match klen {
-                1 => exact_chunk_round(seed, &[terms[0]]),
-                2 => exact_chunk_round(seed, &[terms[0], terms[1]]),
-                3 => exact_chunk_round(seed, &[terms[0], terms[1], terms[2]]),
-                _ => exact_chunk_round(seed, &terms),
+                1 => round_chunk(seed, &[terms[0]]),
+                2 => round_chunk(seed, &[terms[0], terms[1]]),
+                3 => round_chunk(seed, &[terms[0], terms[1], terms[2]]),
+                _ => round_chunk(seed, &terms),
             };
             if let Some(fast) = fast {
                 accepted[class] += 1;
@@ -1119,44 +1060,57 @@ mod tests {
 
     #[test]
     fn exact_chunk_round_aborts_on_specials_and_wide_spreads() {
-        assert_eq!(exact_chunk_round(f32::NAN, &[1.0]), None);
-        assert_eq!(exact_chunk_round(1.0, &[f64::INFINITY]), None);
-        assert_eq!(exact_chunk_round(1.0, &[f64::NAN]), None);
+        assert_eq!(round_chunk(f32::NAN, &[1.0]), None);
+        assert_eq!(round_chunk(1.0, &[f64::INFINITY]), None);
+        assert_eq!(round_chunk(1.0, &[f64::NAN]), None);
         // Spread beyond the window: 2^100 vs 2^-100.
-        assert_eq!(exact_chunk_round(1.0, &[1e30f64.powi(2), 1e-60]), None);
+        assert_eq!(round_chunk(1.0, &[1e30f64.powi(2), 1e-60]), None);
         // All-zero contributions collapse to +0.0 like the scalar path.
-        assert_eq!(exact_chunk_round(0.0, &[0.0, -0.0]).unwrap().to_bits(), 0);
-        assert_eq!(exact_chunk_round(-0.0, &[0.0]).unwrap().to_bits(), 0);
+        assert_eq!(round_chunk(0.0, &[0.0, -0.0]).unwrap().to_bits(), 0);
+        assert_eq!(round_chunk(-0.0, &[0.0]).unwrap().to_bits(), 0);
         // A finite exact sum beyond the f32 range overflows to ±Inf in
         // the rounder itself (the exponent guard, not a special input).
         let huge = f32::MAX as f64 * f32::MAX as f64;
-        assert_eq!(exact_chunk_round(0.0, &[huge]), Some(f32::INFINITY));
-        assert_eq!(exact_chunk_round(0.0, &[-huge]), Some(f32::NEG_INFINITY));
+        assert_eq!(round_chunk(0.0, &[huge]), Some(f32::INFINITY));
+        assert_eq!(round_chunk(0.0, &[-huge]), Some(f32::NEG_INFINITY));
         assert_eq!(
-            exact_chunk_round(f32::MAX, &[f32::MAX as f64 * 16.0]),
+            round_chunk(f32::MAX, &[f32::MAX as f64 * 16.0]),
             Some(f32::INFINITY)
         );
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn row_products_match_scalar_on_every_level() {
+        // Each level's build of the product loop (through `dispatch`),
+        // whole and truncated, against plain scalar products; `a` and
+        // `bt` have bits below the 12-bit slice split, so `lo` is nonzero.
         let a: Vec<f32> = (0..16).map(|i| (i as f32 - 7.5) * 1.25e-3).collect();
         let bt: Vec<f32> = (0..160).map(|i| (i as f32 * 0.37).sin()).collect();
         let (bstride, c0, k0, klen) = (10, 1, 3, 4);
         let mut want = [[0f64; COLS]; MAX_KLEN];
+        let mut want_trunc = [[0f64; COLS]; MAX_KLEN];
         for t in 0..klen {
             for j in 0..COLS {
-                want[t][j] = a[k0 + t] as f64 * bt[(k0 + t) * bstride + c0 + j] as f64;
+                let (x, y) = (a[k0 + t], bt[(k0 + t) * bstride + c0 + j]);
+                want[t][j] = x as f64 * y as f64;
+                want_trunc[t][j] = want[t][j] - lo_f32(x) as f64 * lo_f32(y) as f64;
+                assert_ne!(want_trunc[t][j], want[t][j], "lo·lo vanished at ({t}, {j})");
             }
         }
-        for lvl in [SimdLevel::Sse2, SimdLevel::Avx2] {
-            if clamp(lvl, detected()) != lvl {
-                continue;
-            }
-            let mut got = [[0f64; COLS]; MAX_KLEN];
-            row_products::<false>(lvl, &a, &bt, bstride, c0, k0, klen, &mut got);
+        for lvl in vector_levels() {
+            let (got, got_trunc) = dispatch(
+                lvl,
+                #[inline(always)]
+                |_| {
+                    let mut got = [[0f64; COLS]; MAX_KLEN];
+                    let mut got_trunc = [[0f64; COLS]; MAX_KLEN];
+                    row_products::<false>(&a, &bt, bstride, c0, k0, klen, &mut got);
+                    row_products::<true>(&a, &bt, bstride, c0, k0, klen, &mut got_trunc);
+                    (got, got_trunc)
+                },
+            );
             assert_eq!(got, want, "{lvl:?}");
+            assert_eq!(got_trunc, want_trunc, "{lvl:?} truncated");
         }
     }
 
@@ -1195,11 +1149,17 @@ mod tests {
         let av: Vec<f32> = (0..k).map(|i| (i as f32).sin()).collect();
         let bt: Vec<f32> = (0..k * 8).map(|i| (i as f32).cos()).collect();
         let t = Instant::now();
-        for _ in 0..reps * 8 {
-            for c in 0..chunks {
-                row_products::<false>(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
-            }
-        }
+        dispatch(
+            lvl,
+            #[inline(always)]
+            |_| {
+                for _ in 0..reps * 8 {
+                    for c in 0..chunks {
+                        row_products::<false>(&av, &bt, 8, 0, c * 2, 2, &mut out);
+                    }
+                }
+            },
+        );
         println!(
             "row_products: {:.1} ns/element-chunk",
             t.elapsed().as_nanos() as f64 / elems
@@ -1210,10 +1170,10 @@ mod tests {
         let t = Instant::now();
         let mut s = 0f32;
         for _ in 0..(elems as usize) {
-            s = exact_chunk_round(std::hint::black_box(s) * 1e-3, &terms).unwrap_or(0.0);
+            s = round_chunk(std::hint::black_box(s) * 1e-3, &terms).unwrap_or(0.0);
         }
         println!(
-            "exact_chunk_round: {:.1} ns/element-chunk",
+            "round_chunk: {:.1} ns/element-chunk",
             t.elapsed().as_nanos() as f64 / elems
         );
         std::hint::black_box(s);
@@ -1243,7 +1203,8 @@ mod tests {
             for r in 0..(elems as usize) / 8 {
                 let terms2 = std::hint::black_box(&term_pool[r & 63]);
                 for s in &mut seeds {
-                    let (sum, pmin, ok) = exact_chunk_accumulate(std::hint::black_box(*s), terms2);
+                    let seed = ChunkSeed::decode(std::hint::black_box(*s));
+                    let (sum, pmin, ok) = exact_chunk_accumulate_seeded(seed, terms2);
                     *s = f32::from_bits(s.to_bits() ^ ((sum as u32 ^ pmin as u32 ^ ok as u32) & 1));
                 }
             }
@@ -1260,33 +1221,41 @@ mod tests {
         let mut best = f64::MAX;
         for _ in 0..8 {
             let t = Instant::now();
-            for _ in 0..reps * 8 {
-                let mut cs = [ChunkSeed::decode(0.0); COLS];
-                for (c, a) in cs.iter_mut().zip(accs.iter()) {
-                    *c = ChunkSeed::decode(*a);
-                }
-                for c in 0..chunks {
-                    row_products::<false>(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
-                    for j in 0..COLS {
-                        let terms = [out[0][j], out[1][j]];
-                        let (sum, pmin, ok) = exact_chunk_accumulate_seeded(cs[j], &terms);
-                        if ok {
-                            let (sign, frac, weight, finite) =
-                                super::super::fast_round_parts(sum, pmin);
-                            accs[j] = super::super::fast_round_assemble(sign, frac, weight, finite);
-                            cs[j] = ChunkSeed {
-                                mant: frac,
-                                pow: weight,
-                                neg: sign != 0,
-                                finite,
-                            };
-                        } else {
-                            accs[j] = 0.0;
-                            cs[j] = ChunkSeed::decode(0.0);
+            dispatch(
+                lvl,
+                #[inline(always)]
+                |_| {
+                    for _ in 0..reps * 8 {
+                        let mut cs = [ChunkSeed::decode(0.0); COLS];
+                        for (c, a) in cs.iter_mut().zip(accs.iter()) {
+                            *c = ChunkSeed::decode(*a);
+                        }
+                        for c in 0..chunks {
+                            row_products::<false>(&av, &bt, 8, 0, c * 2, 2, &mut out);
+                            for j in 0..COLS {
+                                let terms = [out[0][j], out[1][j]];
+                                let (sum, pmin, ok) = exact_chunk_accumulate_seeded(cs[j], &terms);
+                                if ok {
+                                    let (sign, frac, weight, finite) =
+                                        super::super::fast_round_parts(sum, pmin);
+                                    accs[j] = super::super::fast_round_assemble(
+                                        sign, frac, weight, finite,
+                                    );
+                                    cs[j] = ChunkSeed {
+                                        mant: frac,
+                                        pow: weight,
+                                        neg: sign != 0,
+                                        finite,
+                                    };
+                                } else {
+                                    accs[j] = 0.0;
+                                    cs[j] = ChunkSeed::decode(0.0);
+                                }
+                            }
                         }
                     }
-                }
-            }
+                },
+            );
             best = best.min(t.elapsed().as_nanos() as f64 / elems);
         }
         println!("mini-panel (no plumbing): {best:.1} ns/element-chunk");
@@ -1664,7 +1633,6 @@ mod tests {
         assert_eq!(ok, 0xff & !(1 << 6));
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn row_products_c32_match_scalar_on_every_level() {
         let (ar, ai) = (0.713f32, -1.375e-2f32);
@@ -1677,12 +1645,13 @@ mod tests {
             want[2][j] = ar as f64 * bim[j] as f64;
             want[3][j] = ai as f64 * bre[j] as f64;
         }
-        for lvl in [SimdLevel::Sse2, SimdLevel::Avx2] {
-            if clamp(lvl, detected()) != lvl {
-                continue;
-            }
-            let mut got = [[0f64; COLS]; 4];
-            row_products_c32(lvl, ar, ai, &bre, &bim, &mut got);
+        let (bre, bim) = (bre.try_into().unwrap(), bim.try_into().unwrap());
+        for lvl in vector_levels() {
+            let got = dispatch(
+                lvl,
+                #[inline(always)]
+                |_| row_products_c32(ar, ai, &bre, &bim),
+            );
             assert_eq!(got, want, "{lvl:?}");
         }
     }

@@ -28,11 +28,10 @@
 //!   ([`BatchPolicy::Adaptive`]): drained small requests are folded into
 //!   a single worker-pool epoch only when the batch is cache-resident
 //!   (pooling then amortises per-request scheduling overhead at any
-//!   parallelism) or an observed-cost model predicts a genuine parallel
-//!   win — on a 1-CPU host a batch of big GEMMs never pools, the exact
+//!   parallelism) — a batch of big GEMMs never pools, the exact
 //!   regression unconditional batching produced. Large requests run one
-//!   at a time so the kernel's
-//!   tile-wise sharding spreads each across the whole pool. Every path
+//!   at a time so the kernel's tile-wise sharding spreads each across
+//!   the whole pool. Every path
 //!   makes exactly the calls a direct [`M3xuContext`] user would, so
 //!   served results are **bit-identical** to unserved ones — a property
 //!   the workspace's differential tests assert.
@@ -127,7 +126,7 @@ pub use m3xu_mxu::matrix::{MatOp, Triangle};
 pub use m3xu_mxu::mma::MmaStats;
 
 use crate::queue::{grid_tiles, triangle_tiles, GemmJob, Request, ShardSet, Work};
-use crate::scheduler::{CostModel, ExecPolicy, ShardCore, SharedSched};
+use crate::scheduler::{ExecPolicy, ShardCore, SharedSched};
 use crate::tenant::TenantRegistry;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::matrix::Matrix;
@@ -145,12 +144,11 @@ pub use queue::ChaosKind;
 /// thread?
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchPolicy {
-    /// Batch when the drained batch is cache-resident (one pooled epoch
-    /// amortises the per-request scheduling overhead serial dispatch
-    /// pays) or when the shard's observed-cost model predicts the pooled
-    /// epoch beats serial dispatch by a safety margin (which a batch of
-    /// big GEMMs never does when effective parallelism is 1). The
-    /// production default.
+    /// Batch when the drained batch holds two or more requests and is
+    /// cache-resident, every request at most 256 output tiles (one
+    /// pooled epoch amortises the per-request scheduling overhead serial
+    /// dispatch pays; a batch of big GEMMs would thrash and runs
+    /// inline). The production default.
     #[default]
     Adaptive,
     /// Always pool drained batches — the pre-adaptive behaviour; the
@@ -289,13 +287,7 @@ fn spawn_shard(
     ctx: Arc<M3xuContext>,
     shared: Arc<SharedSched>,
 ) -> std::io::Result<JoinHandle<()>> {
-    let cost = CostModel::for_context(&ctx);
-    let core = ShardCore {
-        index,
-        ctx,
-        shared,
-        cost,
-    };
+    let core = ShardCore { index, ctx, shared };
     std::thread::Builder::new()
         .name(format!("m3xu-serve-shard{index}"))
         .spawn(move || core.run_loop())

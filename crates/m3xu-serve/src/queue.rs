@@ -143,7 +143,8 @@ pub(crate) fn grid_tiles<T>(c: &Matrix<T>) -> usize {
 
 /// Output tiles of a rank-k update writing one triangle of the square
 /// `c`: only the scheduled `T*(T+1)/2` of the `T x T` grid, so the
-/// batching cost model sees the real (halved) footprint.
+/// batching rule and the shard threshold see the real (halved)
+/// footprint.
 pub(crate) fn triangle_tiles<T>(c: &Matrix<T>) -> usize {
     let t = c.rows().div_ceil(MmaShape::BASELINE_FP16.m);
     t * (t + 1) / 2

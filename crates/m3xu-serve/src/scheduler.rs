@@ -7,7 +7,7 @@
 //! Requests classify by output-tile count against the configured shard
 //! threshold:
 //!
-//! * **small** — when batching is predicted to win (see below), the
+//! * **small** — when the batching policy pools the batch (see below), the
 //!   whole batch becomes a single worker-pool epoch via
 //!   [`M3xuContext::run_tasks`], one request per task. A GEMM issued from
 //!   inside a pool task executes inline on that worker (the pool's
@@ -27,34 +27,20 @@
 //! # Adaptive batching
 //!
 //! Unconditional epoch batching once made batched submission slower
-//! than one-at-a-time: on a host whose effective parallelism is 1,
-//! fanning a batch of *large* GEMMs into a multi-worker epoch runs many
-//! cache-hungry problems concurrently — they evict each other's working
-//! sets and lose to running back to back. But serial inline dispatch is
-//! not free either: each non-trivial request's kernel pays its own
-//! worker-pool epoch for tile sharding, so a batch of *small* requests
-//! run inline pays one epoch per request where a pooled batch pays one
-//! epoch total. Under [`BatchPolicy::Adaptive`] a drained batch is
-//! therefore pooled when either rule fires:
-//!
-//! 1. **cache residency** — every request in the batch is at or under
-//!    [`POOL_RESIDENT_TILES`] output tiles. Working sets that small
-//!    cannot thrash each other, so the single shared epoch is a pure
-//!    amortisation win at any parallelism (`tests/perf_smoke.rs` gates
-//!    it at 128^3);
-//! 2. **predicted parallel win** — the shard's [`CostModel`] (an EWMA of
-//!    observed per-tile cost plus a once-measured empty-epoch overhead)
-//!    predicts
-//!
-//!    ```text
-//!    epoch_overhead + max(total_cost / parallelism, max_request_cost)
-//!        < total_cost * (1 - margin)
-//!    ```
-//!
-//!    where `parallelism = min(pool workers, available CPUs)`. With
-//!    parallelism 1 this rule can never fire, so batches of large
-//!    requests always dispatch inline on a saturated host — the
-//!    regression case.
+//! than one-at-a-time: fanning a batch of *large* GEMMs into a
+//! multi-worker epoch runs many cache-hungry problems concurrently —
+//! they evict each other's working sets and lose to running back to
+//! back, each spread across the pool by the kernel's own tile sharding.
+//! But serial inline dispatch is not free either: each non-trivial
+//! request's kernel pays its own worker-pool epoch for tile sharding, so
+//! a batch of *small* requests run inline pays one epoch per request
+//! where a pooled batch pays one epoch total. Under
+//! [`BatchPolicy::Adaptive`] a drained batch of two or more requests is
+//! therefore pooled when it is **cache-resident**: every request is at
+//! or under [`POOL_RESIDENT_TILES`] output tiles. Working sets that
+//! small cannot thrash each other, so the single shared epoch is a pure
+//! amortisation win at any parallelism (`tests/perf_smoke.rs` gates it
+//! at 128^3). Any larger batch runs inline.
 //!
 //! [`BatchPolicy::Always`] / [`BatchPolicy::Never`] force either path
 //! (the differential suites use them to pin both).
@@ -150,7 +136,7 @@ use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::modes::MxuMode;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -212,88 +198,14 @@ struct ShardKill;
 /// policy exists to prevent.
 const POOL_RESIDENT_TILES: usize = 256;
 
-/// One shard's EWMA cost model, feeding the adaptive batching decision.
-/// All state is relaxed-atomic: a racy update loses one sample, never
-/// correctness (the decision it feeds is a heuristic).
-pub(crate) struct CostModel {
-    /// EWMA of observed per-output-tile execution cost, ns. `0` means no
-    /// estimate yet (adaptive batching then stays serial — the safe
-    /// default on this regression's host).
-    ns_per_tile: AtomicU64,
-    /// Once-measured cost of an empty worker-pool epoch, ns.
-    epoch_overhead_ns: u64,
-    /// Effective parallelism: pool workers capped by available CPUs.
-    parallelism: usize,
-}
-
-impl CostModel {
-    /// Build the model for `ctx`, measuring the empty-epoch overhead
-    /// (best of a few trials, so a scheduling hiccup can't poison it).
-    pub(crate) fn for_context(ctx: &M3xuContext) -> CostModel {
-        let workers = ctx.threads().max(1);
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut overhead = u64::MAX;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            ctx.run_tasks(workers, |_| {});
-            overhead = overhead.min(ns(t0, Instant::now()));
-        }
-        CostModel {
-            ns_per_tile: AtomicU64::new(0),
-            epoch_overhead_ns: overhead,
-            parallelism: workers.min(cpus),
-        }
-    }
-
-    /// Fold one successful execution into the EWMA (`new = old*7/8 +
-    /// sample/8`).
-    fn observe(&self, exec_ns: u64, tiles: usize) {
-        let sample = exec_ns / tiles.max(1) as u64;
-        let old = self.ns_per_tile.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            sample
-        } else {
-            old - old / 8 + sample / 8
-        };
-        self.ns_per_tile.store(new.max(1), Ordering::Relaxed);
-    }
-
-    /// Predict whether pooling `batch` into one epoch beats running it
-    /// serially inline: cache-resident batches always pool (rule 1);
-    /// anything larger pools only on a predicted parallel win (rule 2).
-    /// Conservative on rule 2: with no estimate yet, a singleton batch,
-    /// or parallelism 1, serial wins by construction.
-    fn batch_wins(&self, batch: &[Request]) -> bool {
-        if batch.len() < 2 {
-            return false;
-        }
-        if batch
+/// Whether [`BatchPolicy::Adaptive`] pools `batch` into one epoch: two
+/// or more requests, each at or under [`POOL_RESIDENT_TILES`] output
+/// tiles.
+fn batch_is_resident(batch: &[Request]) -> bool {
+    batch.len() >= 2
+        && batch
             .iter()
             .all(|r| r.work.output_tiles() <= POOL_RESIDENT_TILES)
-        {
-            return true;
-        }
-        if self.parallelism < 2 {
-            return false;
-        }
-        let per_tile = self.ns_per_tile.load(Ordering::Relaxed);
-        if per_tile == 0 {
-            return false;
-        }
-        let mut total: u128 = 0;
-        let mut max_cost: u128 = 0;
-        for req in batch {
-            let cost = req.work.output_tiles() as u128 * per_tile as u128;
-            total += cost;
-            max_cost = max_cost.max(cost);
-        }
-        let batched =
-            self.epoch_overhead_ns as u128 + (total / self.parallelism as u128).max(max_cost);
-        // Require a 10% predicted win before paying for an epoch.
-        batched * 10 < total * 9
-    }
 }
 
 /// One shard scheduler: its queue index, its own context (pool + scratch
@@ -302,7 +214,6 @@ pub(crate) struct ShardCore {
     pub index: usize,
     pub ctx: Arc<M3xuContext>,
     pub shared: Arc<SharedSched>,
-    pub cost: CostModel,
 }
 
 impl ShardCore {
@@ -380,7 +291,7 @@ impl ShardCore {
             && match shared.batching {
                 BatchPolicy::Always => !small.is_empty(),
                 BatchPolicy::Never => false,
-                BatchPolicy::Adaptive => self.cost.batch_wins(&small),
+                BatchPolicy::Adaptive => batch_is_resident(&small),
             };
         if pool_small {
             // Each pool task runs under its own quarantine guard, so a
@@ -667,7 +578,6 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
             let (out, _, times) = run_hedged(shard, |ctx| ctx.try_gemm_fft(x));
             match out {
                 Ok((y, stats)) => {
-                    shard.cost.observe(times.exec_ns, req.work.output_tiles());
                     settle_success(core, req);
                     // FFT operand traffic is internal to its CGEMM
                     // decomposition; it is visible in the context's
@@ -740,7 +650,7 @@ impl<T: Send + 'static> GemmWork for GemmJob<T> {
 }
 
 /// The one settlement path of the GEMM family: absorb fault telemetry,
-/// feed the cost model, classify completed vs post-deadline, bill the
+/// classify completed vs post-deadline, bill the
 /// tenant the result's mode, statistics and operand bytes — what the
 /// driver recorded — and resolve the ticket. `failed` holds the faults of
 /// the failed attempts; a successful one brings its own in `r.faults`.
@@ -760,7 +670,6 @@ fn settle_gemm_outcome<T>(
     req.tenant.record_faults(&faults);
     match out {
         Ok(r) => {
-            shard.cost.observe(times.exec_ns, req.work.output_tiles());
             settle_success(core, req);
             if settle_post_deadline(
                 req,

@@ -38,17 +38,21 @@ cargo test --release -q --manifest-path benchmark/Cargo.toml
 echo "== cross-validation: functional ExecStats vs analytical model (release)"
 cargo test --release -q --test cross_validation
 
-# SIMD gate: the parity and differential suites with the vector pipeline
-# at the auto-detected level, forced to SSE2 (`M3XU_SIMD=sse2`, whose
-# fast-FP32 products and `f64::mul_add` emulated-FP64 row loop are code
-# of their own), and forced off (`M3XU_SIMD=0`, the scalar oracle
-# standing alone). The differential suite includes the emulated-FP64
-# softfloat FMA envelope test. The level is resolved once per process,
-# hence one cargo invocation per setting.
+# SIMD gate: the parity, differential and cross-validation suites with
+# the vector pipeline at the auto-detected level (`M3XU_SIMD=1`), forced
+# to SSE2 (`M3XU_SIMD=sse2`, whose per-column scalar window and drain and
+# `f64::mul_add` emulated-FP64 row loop are code of its own; its panel
+# bodies and row products are the portable source every level compiles),
+# and forced off (`M3XU_SIMD=0`, the scalar oracle standing alone). The
+# differential suite includes the emulated-FP64 softfloat FMA envelope
+# test; cross-validation asserts exact `simd_chunks` / `simd_fallbacks`
+# counts, which are zero at `Scalar`. The level is resolved once per
+# process, hence one cargo invocation per setting.
 for simd in 1 sse2 0; do
-    echo "== SIMD parity + differential suites under M3XU_SIMD=${simd}"
+    echo "== SIMD parity + differential + cross-validation suites under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} cargo test -q \
-        --test simd_parity --test simd_env --test differential_props
+        --test simd_parity --test simd_env --test differential_props \
+        --test cross_validation
     echo "== BLAS-3 differential suite under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} M3XU_PROP_CASES=4 cargo test -q \
         --test blas3_differential

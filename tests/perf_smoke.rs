@@ -208,8 +208,7 @@ fn serve_batching_never_loses_to_one_at_a_time() {
         window.into_iter().for_each(check);
         start.elapsed().as_secs_f64()
     };
-    // Warm-up off the clock: pool and arena setup, and the adaptive cost
-    // model's first samples.
+    // Warm-up off the clock: pool and arena setup.
     run(8, 8);
     // Interleaved trials; the minimum wall strips scheduler noise.
     let (mut one_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
