@@ -80,16 +80,45 @@ pub fn pow2_m61(e: i64) -> u64 {
     1u64 << e.rem_euclid(61) as u32 // < 2^61 - 1 for every residue 0..=60
 }
 
+/// `r · 2^e (mod p)` for a reduced `r` and *any* integer exponent: since
+/// `2^61 ≡ 1`, multiplying by `2^e` rotates `r`'s 61 bits left by
+/// `e mod 61` — no multiply. A reduced `r` is not all ones, so neither is
+/// its rotation, which is therefore reduced too.
+#[inline]
+pub fn mul_pow2_m61(r: u64, e: i64) -> u64 {
+    rotl_m61(r, e.rem_euclid(61) as u32)
+}
+
+/// Rotate a reduced `r`'s 61 bits left by `s < 61`: `r · 2^s (mod p)`.
+#[inline]
+fn rotl_m61(r: u64, s: u32) -> u64 {
+    debug_assert!(r < M61 && s < 61);
+    ((r << s) | (r >> (61 - s))) & M61
+}
+
+/// `pow mod 61` for each biased `f32` exponent `e`, where `pow =
+/// max(e, 1) − 150` weighs the significand's least bit: the rotation
+/// that maps an `f32` significand to its value's residue.
+const F32_ROTATION: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut e = 0;
+    while e < 256 {
+        let pow = if e == 0 { 1 } else { e as i64 } - 150;
+        t[e] = pow.rem_euclid(61) as u8;
+        e += 1;
+    }
+    t
+};
+
 /// Residue of a signed 128-bit integer scaled by `2^exp`:
-/// `v · 2^exp (mod p)`.
+/// `v · 2^exp (mod p)`. Since `2^61 ≡ 1`, `|v|`'s 61-bit limbs simply
+/// add (bits 0–60, 61–121 and 122–127: below `2^63`, one reduction),
+/// then [`mul_pow2_m61`] rotates by `exp` and the sign negates.
+#[inline]
 pub fn residue_i128(v: i128, exp: i64) -> u64 {
     let mag = v.unsigned_abs();
-    let lo = (mag & M61 as u128) as u64;
-    let mid = reduce_u64((mag >> 61) as u64);
-    let hi = reduce_u64((mag >> 122) as u64);
-    let mut r = add_m61(reduce_u64(lo), mul_m61(mid, pow2_m61(61)));
-    r = add_m61(r, mul_m61(hi, pow2_m61(122)));
-    r = mul_m61(r, pow2_m61(exp));
+    let folded = (mag as u64 & M61) + ((mag >> 61) as u64 & M61) + (mag >> 122) as u64;
+    let r = mul_pow2_m61(reduce_u64(folded), exp);
     if v < 0 {
         neg_m61(r)
     } else {
@@ -103,17 +132,36 @@ pub fn residue_f32(x: f32) -> Option<u64> {
     if !x.is_finite() {
         return None;
     }
+    let (r, negative) = f32_rotated(x);
+    Some(if negative { neg_m61(r) } else { r })
+}
+
+/// A finite `f32`'s significand rotated by its weight, and its sign: its
+/// residue is the rotation, negated when the sign is set.
+#[inline]
+fn f32_rotated(x: f32) -> (u64, bool) {
     let bits = x.to_bits();
-    let sign = bits >> 31 == 1;
-    let exp = ((bits >> 23) & 0xff) as i64;
-    let frac = (bits & 0x7f_ffff) as u64;
-    let (m, e) = if exp != 0 {
-        (frac | 0x80_0000, exp - 127 - 23)
-    } else {
-        (frac, -149)
-    };
-    let r = mul_m61(reduce_u64(m), pow2_m61(e));
-    Some(if sign { neg_m61(r) } else { r })
+    let exp = (bits >> 23) & 0xff;
+    let m = (bits & 0x7f_ffff) | (((exp != 0) as u32) << 23);
+    (
+        rotl_m61(m as u64, F32_ROTATION[exp as usize] as u32),
+        bits >> 31 == 1,
+    )
+}
+
+/// Residue of the exact sum of `xs`, `None` when any of them is NaN or
+/// infinite — the sum of their [`residue_f32`]s, formed without a branch
+/// or a reduction per value: each rotated significand adds, signed, into
+/// an `i128`, which [`residue_i128`] folds once.
+pub fn residue_sum_f32(xs: impl IntoIterator<Item = f32>) -> Option<u64> {
+    let (mut sum, mut finite) = (0i128, true);
+    for x in xs {
+        finite &= x.is_finite();
+        let (r, negative) = f32_rotated(x);
+        let s = -(negative as i128);
+        sum += (r as i128 ^ s) - s;
+    }
+    finite.then(|| residue_i128(sum, 0))
 }
 
 /// Residue of a finite `f64` value (`±m · 2^e` exactly); `None` for
@@ -134,7 +182,7 @@ pub fn residue_f64(x: f64) -> Option<u64> {
     } else {
         (frac, -1074)
     };
-    let r = mul_m61(reduce_u64(m), pow2_m61(e));
+    let r = mul_pow2_m61(m, e);
     Some(if sign { neg_m61(r) } else { r })
 }
 
@@ -308,5 +356,100 @@ mod tests {
             let r = add_m61(pow2_m61(100), 7);
             mul_m61(r, pow2_m61(-149))
         });
+    }
+
+    #[test]
+    fn residue_sum_f32_equals_the_sum_of_residues() {
+        // Every exponent field, both signs, subnormals and zeros, summed
+        // whole and in short runs; any NaN or infinity makes it `None`.
+        let mut xs = Vec::new();
+        for e in 0..255u32 {
+            for (sign, frac) in [(0, 0), (1, 1), (0, 0x7f_ffff), (1, 0x40_0001)] {
+                xs.push(f32::from_bits(sign << 31 | e << 23 | frac));
+            }
+        }
+        let want = |xs: &[f32]| {
+            xs.iter()
+                .fold(0, |r, &x| add_m61(r, residue_f32(x).unwrap()))
+        };
+        assert_eq!(residue_sum_f32(xs.iter().copied()), Some(want(&xs)));
+        for run in xs.chunks(7) {
+            assert_eq!(residue_sum_f32(run.iter().copied()), Some(want(run)));
+        }
+        assert_eq!(residue_sum_f32([]), Some(0));
+        assert_eq!(residue_sum_f32([1.5, -1.5, 0.25]), residue_f32(0.25));
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(residue_sum_f32([1.0, special, 2.0]), None);
+        }
+    }
+
+    #[test]
+    fn fold_and_rotate_equal_the_multiplying_residue() {
+        // The limb fold and the rotation against the plain product form:
+        // each 61-bit limb times its power of two (2^61 and 2^122, both
+        // 1), times 2^exp, then the sign. Extremes, every limb boundary,
+        // and random values at exponents far either side of 0..61.
+        let by_products = |v: i128, exp: i64| -> u64 {
+            let mag = v.unsigned_abs();
+            let limb = |s: u32| reduce_u64(((mag >> s) & M61 as u128) as u64);
+            let mut r = add_m61(limb(0), mul_m61(limb(61), pow2_m61(61)));
+            r = add_m61(r, mul_m61(limb(122), pow2_m61(122)));
+            r = mul_m61(r, pow2_m61(exp));
+            if v < 0 {
+                neg_m61(r)
+            } else {
+                r
+            }
+        };
+        let mut vals = vec![0i128, 1, -1, i128::MAX, i128::MIN, i128::MIN + 1];
+        for s in [60u32, 61, 62, 121, 122, 123, 126] {
+            for d in [-1i128, 0, 1] {
+                vals.push((1i128 << s) + d);
+                vals.push(-((1i128 << s) + d));
+            }
+        }
+        vals.push(M61 as i128);
+        vals.push(-(M61 as i128) * M61 as i128);
+        let mut state = 0x5851_f42d_4c95_7f2du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2000 {
+            let v = ((next() as u128) << 64 | next() as u128) as i128;
+            vals.push(v >> (next() % 128));
+        }
+        for (n, &v) in vals.iter().enumerate() {
+            for exp in [
+                0i64,
+                1,
+                60,
+                61,
+                62,
+                -1,
+                -61,
+                -1074,
+                1023,
+                -(n as i64),
+                n as i64 * 7,
+            ] {
+                assert_eq!(
+                    residue_i128(v, exp),
+                    by_products(v, exp),
+                    "{v:#x} · 2^{exp}"
+                );
+            }
+        }
+        for r in [0u64, 1, 2, M61 - 1, 1 << 60, 0x0123_4567_89ab_cdef & M61] {
+            for e in -130i64..130 {
+                assert_eq!(
+                    mul_pow2_m61(r, e),
+                    mul_m61(r, pow2_m61(e)),
+                    "{r:#x} · 2^{e}"
+                );
+            }
+        }
     }
 }

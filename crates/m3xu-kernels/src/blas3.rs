@@ -98,11 +98,23 @@ mod tests {
     fn op_n_unit_scalars_bit_identical_to_plain_gemm() {
         // Plain GEMM is the driver call (N, N, 1, 1, full): same bits, same
         // MmaStats, same ExecStats delta field for field — unarmed, and
-        // armed at rate 0 (the checked body, whose SIMD counters stay 0) —
-        // including the degenerate k = 0 and m = 0 shapes.
+        // armed at rate 0 (the checked body) — including the degenerate
+        // k = 0 and m = 0 shapes. The checked body runs the FP32 family
+        // and FP32C on the same SIMD panel bodies, so an armed call's
+        // delta, SIMD counters included, is the unarmed call's.
         let unarmed = M3xuContext::with_threads(2);
         let armed = M3xuContext::with_threads(2).with_fault_plan(Arc::new(FaultPlan::new(0, 0.0)));
+        let mut unarmed_deltas = Vec::new();
         for (ctx, tag) in [(&unarmed, "unarmed"), (&armed, "armed")] {
+            let mut call = 0;
+            let mut same_as_unarmed = |dp: ExecStats, what: &str| {
+                if ctx.fault_plan().is_some() {
+                    assert_eq!(dp, unarmed_deltas[call], "{what}");
+                } else {
+                    unarmed_deltas.push(dp);
+                }
+                call += 1;
+            };
             for (m, k, n) in [(23, 14, 17), (9, 0, 5), (0, 6, 7)] {
                 let tag = format!("{tag} {m}x{k}x{n}");
                 let a = Matrix::<f32>::random(m, k, 1);
@@ -121,9 +133,7 @@ mod tests {
                     assert_eq!(plain.stats, op.stats, "{p:?} {tag}");
                     assert_eq!(dp, dop, "{p:?} {tag}");
                     assert_eq!(dp.gemm_calls, 1, "{p:?} {tag}");
-                    if ctx.fault_plan().is_some() {
-                        assert_eq!((dp.simd_chunks, dp.simd_fallbacks), (0, 0), "{tag}");
-                    }
+                    same_as_unarmed(dp, &format!("{p:?} {tag}"));
                 }
 
                 let ac = Matrix::random_c32(m, k, 4);
@@ -137,6 +147,7 @@ mod tests {
                 assert_eq!(bits_c32(&plain.d), bits_c32(&op.d), "cgemm {tag}");
                 assert_eq!(plain.stats, op.stats, "cgemm {tag}");
                 assert_eq!(dp, dop, "cgemm {tag}");
+                same_as_unarmed(dp, &format!("cgemm {tag}"));
 
                 let ad = Matrix::random_f64(m, k, 7);
                 let bd = Matrix::random_f64(k, n, 8);

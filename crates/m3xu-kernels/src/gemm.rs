@@ -46,7 +46,7 @@ use crate::blocking::KPlan;
 use crate::context::{self, GemmSample, M3xuContext, SimdChunks};
 use crate::pool::WorkerPool;
 use m3xu_fp::complex::Complex;
-use m3xu_mxu::abft::{self, Checksum};
+use m3xu_mxu::abft::{self, BandSums, Checksum};
 use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::fault::{FaultPlan, FaultSummary, MmaFault, TaskFault};
@@ -256,28 +256,28 @@ pub(crate) trait GemmElem: Copy + Default + Send + Sync + 'static {
         frag_k: usize,
         acc: &mut [Self],
     );
-    /// Expected checksum of one k-chunk, from the tile's **packed**
-    /// operand bands and its pre-chunk accumulator (`seeds`, row-major
-    /// `rows × cols`). Reading the packed planes (not the source
-    /// matrices) is what makes every precision checkable: quantisation,
-    /// alpha folding, and op views all happen at pack time, so the
-    /// expected side predicts exactly what the MMA multiplies.
-    #[allow(clippy::too_many_arguments)]
+    /// Expected checksum of k-chunk `[k0, kend)` of output tile `(ti,
+    /// tj)`, from the call's [`BandSums`] of the **packed** operands and
+    /// the tile's pre-chunk accumulator (`seeds`, row-major `rows ×
+    /// cols`). Reading the packed planes (not the source matrices) is
+    /// what makes every precision checkable: quantisation, alpha folding,
+    /// and op views all happen at pack time, so the expected side
+    /// predicts exactly what the MMA multiplies.
     fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
+        a: &BandSums,
+        b: &BandSums,
         seeds: &[Self],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
+        ti: usize,
+        tj: usize,
         k0: usize,
         kend: usize,
     ) -> Checksum;
-    /// Execute one fragment chunk in place on `acc` through the same
-    /// per-chunk executor and element body as an unchecked chunk, with the
-    /// residue tap on: returns the computed checksum, after `fault` (if
-    /// any) corrupted one output component on its way out of the datapath.
+    /// Execute one fragment chunk in place on `acc` through the same body
+    /// as an unchecked chunk — the SIMD panel body where the unchecked
+    /// panel runs it (FP32 family, FP32C), else the per-chunk element
+    /// body — with the residue tap on: returns the computed checksum,
+    /// after `fault` (if any) corrupted one output component on its way
+    /// out of the datapath.
     #[allow(clippy::too_many_arguments)]
     fn execute_checked(
         dpu: &mut DotProductUnit,
@@ -356,17 +356,15 @@ impl GemmElem for f32 {
         dpu.mma_f32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
     }
     fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
+        a: &BandSums,
+        b: &BandSums,
         seeds: &[f32],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
+        ti: usize,
+        tj: usize,
         k0: usize,
         kend: usize,
     ) -> Checksum {
-        abft::expected_chunk_packed_f32(a, b, seeds, r0, rows, c0, cols, k0, kend)
+        abft::expected_chunk_f32(a, b, seeds, ti, tj, k0, kend)
     }
     fn execute_checked(
         dpu: &mut DotProductUnit,
@@ -382,7 +380,7 @@ impl GemmElem for f32 {
         fault: Option<&MmaFault>,
     ) -> Checksum {
         let mut check = ChunkCheck::new(fault.copied());
-        dpu.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(&mut check));
+        dpu.mma_f32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, &mut check);
         check.computed
     }
 }
@@ -449,17 +447,15 @@ impl GemmElem for Complex<f32> {
         dpu.mma_c32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
     }
     fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
+        a: &BandSums,
+        b: &BandSums,
         seeds: &[Complex<f32>],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
+        ti: usize,
+        tj: usize,
         k0: usize,
         kend: usize,
     ) -> Checksum {
-        abft::expected_chunk_packed_c32(a, b, seeds, r0, rows, c0, cols, k0, kend)
+        abft::expected_chunk_c32(a, b, seeds, ti, tj, k0, kend)
     }
     fn execute_checked(
         dpu: &mut DotProductUnit,
@@ -475,7 +471,7 @@ impl GemmElem for Complex<f32> {
         fault: Option<&MmaFault>,
     ) -> Checksum {
         let mut check = ChunkCheck::new(fault.copied());
-        dpu.mma_c32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(&mut check));
+        dpu.mma_c32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, &mut check);
         check.computed
     }
 }
@@ -542,17 +538,15 @@ impl GemmElem for f64 {
         dpu.mma_f64_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
     }
     fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
+        a: &BandSums,
+        b: &BandSums,
         seeds: &[f64],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
+        ti: usize,
+        tj: usize,
         k0: usize,
         kend: usize,
     ) -> Checksum {
-        abft::expected_chunk_packed_f64(a, b, seeds, r0, rows, c0, cols, k0, kend)
+        abft::expected_chunk_f64(a, b, seeds, ti, tj, k0, kend)
     }
     fn execute_checked(
         dpu: &mut DotProductUnit,
@@ -567,6 +561,9 @@ impl GemmElem for f64 {
         acc: &mut [f64],
         fault: Option<&MmaFault>,
     ) -> Checksum {
+        // The FMA row rounds in one instruction and keeps no exact
+        // pre-rounding value to take a residue from: checked emulated-FP64
+        // chunks run the slice/Kulisch body.
         let mut check = ChunkCheck::new(fault.copied());
         dpu.mma_f64_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(&mut check));
         check.computed
@@ -820,7 +817,11 @@ impl<E: GemmElem> Job<'_, E> {
     /// The ABFT-checked, self-healing body: every fragment chunk executes
     /// checked against the expected checksum of its packed operand bands,
     /// with the fault-injection hooks of `plan`. Returns the invocation's
-    /// [`FaultSummary`] and the number of tiles left unrepaired.
+    /// [`FaultSummary`] and the number of tiles left unrepaired. The
+    /// operands' [`BandSums`] are built once, up front, and every tile of
+    /// a band reads them; each execution's element-chunks are metered
+    /// into `simd` as in the production body (a re-executed chunk counts
+    /// again).
     ///
     /// Recovery is hierarchical, mirroring the blast radius of each fault
     /// class:
@@ -834,10 +835,19 @@ impl<E: GemmElem> Job<'_, E> {
     ///   to `MAX_EPOCH_ATTEMPTS`. Tiles seed **in-task** from `C` (a pure
     ///   function), never from a partly written `D`, so every rerun is
     ///   exactly idempotent.
-    fn run_checked(&self, pool: &WorkerPool, plan: &FaultPlan) -> (FaultSummary, u64) {
+    fn run_checked(
+        &self,
+        pool: &WorkerPool,
+        plan: &FaultPlan,
+        simd: &SimdChunks,
+    ) -> (FaultSummary, u64) {
         // One salt per driver invocation: a serve-layer retry of this whole
         // call draws an independent fault schedule.
         let salt = plan.next_call();
+        let (sa, sb) = (
+            BandSums::new(self.pa, self.frag.m),
+            BandSums::new(self.pb, self.frag.n),
+        );
         // Cumulative telemetry across every epoch attempt.
         let detected = AtomicU64::new(0);
         let retries = AtomicU64::new(0);
@@ -880,58 +890,63 @@ impl<E: GemmElem> Job<'_, E> {
                 let mut tile_uncorrected = 0u64;
                 let mut tile_failed = false;
                 DPU.with(|dpu| {
-                    let mut dpu = dpu.borrow_mut();
-                    for (ci, k0) in (0..self.k).step_by(self.frag.k).enumerate() {
-                        let kend = (k0 + self.frag.k).min(self.k);
-                        seeds.copy_from_slice(acc);
-                        // The expected side reads the chunk's seeds once; the
-                        // retries below restore them bit-exactly.
-                        let expected = E::expected_chunk(
-                            self.pa, self.pb, seeds, t.i0, t.rows, t.j0, t.cols, k0, kend,
-                        );
-                        let mut chunk_fails = 0u64;
-                        let mut chunk_ok = false;
-                        for attempt in 0..MAX_TILE_ATTEMPTS {
-                            if attempt > 0 {
-                                acc.copy_from_slice(seeds);
+                    simd.meter(&mut dpu.borrow_mut(), |dpu| {
+                        for (ci, k0) in (0..self.k).step_by(self.frag.k).enumerate() {
+                            let kend = (k0 + self.frag.k).min(self.k);
+                            seeds.copy_from_slice(acc);
+                            // The expected side reads the chunk's seeds once; the
+                            // retries below restore them bit-exactly.
+                            let expected = E::expected_chunk(&sa, &sb, seeds, t.ti, t.tj, k0, kend);
+                            let mut chunk_fails = 0u64;
+                            let mut chunk_ok = false;
+                            for attempt in 0..MAX_TILE_ATTEMPTS {
+                                if attempt > 0 {
+                                    acc.copy_from_slice(seeds);
+                                }
+                                // Specials bypass the multiplier array: an
+                                // unverifiable chunk is not a fault target.
+                                let fault = if expected.ok {
+                                    plan.mma_fault(
+                                        salt,
+                                        epoch_attempt,
+                                        tid as u64,
+                                        ci as u64,
+                                        attempt,
+                                    )
+                                } else {
+                                    None
+                                };
+                                let computed = E::execute_checked(
+                                    dpu,
+                                    self.pa,
+                                    self.pb,
+                                    t.i0,
+                                    t.rows,
+                                    t.j0,
+                                    t.cols,
+                                    k0,
+                                    self.frag.k,
+                                    acc,
+                                    fault.as_ref(),
+                                );
+                                if expected.matches(&computed) {
+                                    chunk_ok = true;
+                                    break;
+                                }
+                                chunk_fails += 1;
                             }
-                            // Specials bypass the multiplier array: an
-                            // unverifiable chunk is not a fault target.
-                            let fault = if expected.ok {
-                                plan.mma_fault(salt, epoch_attempt, tid as u64, ci as u64, attempt)
+                            tile_detected += chunk_fails;
+                            if chunk_ok {
+                                // Every detection triggered one repairing rerun.
+                                tile_retries += chunk_fails;
                             } else {
-                                None
-                            };
-                            let computed = E::execute_checked(
-                                &mut dpu,
-                                self.pa,
-                                self.pb,
-                                t.i0,
-                                t.rows,
-                                t.j0,
-                                t.cols,
-                                k0,
-                                self.frag.k,
-                                acc,
-                                fault.as_ref(),
-                            );
-                            if expected.matches(&computed) {
-                                chunk_ok = true;
+                                tile_retries += chunk_fails.saturating_sub(1);
+                                tile_uncorrected += chunk_fails;
+                                tile_failed = true;
                                 break;
                             }
-                            chunk_fails += 1;
                         }
-                        tile_detected += chunk_fails;
-                        if chunk_ok {
-                            // Every detection triggered one repairing rerun.
-                            tile_retries += chunk_fails;
-                        } else {
-                            tile_retries += chunk_fails.saturating_sub(1);
-                            tile_uncorrected += chunk_fails;
-                            tile_failed = true;
-                            break;
-                        }
-                    }
+                    })
                 });
                 detected.fetch_add(tile_detected, Ordering::Relaxed);
                 retries.fetch_add(tile_retries, Ordering::Relaxed);
@@ -1094,7 +1109,7 @@ where
                 0
             }
             Some(plan) => {
-                let (s, failed) = job.run_checked(ctx.pool(), plan);
+                let (s, failed) = job.run_checked(ctx.pool(), plan, &sample.simd);
                 ctx.counters().record_faults(&s);
                 summary = s;
                 failed

@@ -22,12 +22,15 @@
 //!
 //! which holds *exactly* in the dyadic rationals — and therefore exactly
 //! in their homomorphic image mod `p = 2^61 - 1` ([`m3xu_fp::residue`]).
-//! The right-hand side (the **expected** checksum) costs `O(rows·cols +
-//! klen·(rows + cols))`; the left-hand side (the **computed** checksum)
-//! falls out of the accumulator state the checked MMA already holds. A
-//! corrupted product shifts the computed side by a nonzero dyadic delta,
-//! whose residue is nonzero because `p` is prime — detection of a single
-//! corrupted product is *certain*, not probabilistic.
+//! The right-hand side is the **expected** checksum; the left-hand side,
+//! the **computed** checksum, is the residue sum of the exact values the
+//! checked MMA rounds from: each SIMD column's `i128` window, folded into
+//! `F_p` (`2^61 ≡ 1`, so its 61-bit limbs add and `2^base` is a rotation),
+//! or, on the scalar element body, the fast window's contribution list or
+//! the Kulisch register. A corrupted product shifts the computed side by a
+//! nonzero dyadic delta, whose residue is nonzero because `p` is prime —
+//! detection of a single corrupted product is *certain*, not
+//! probabilistic.
 //!
 //! The identity must be checked per k-chunk: each chunk rounds its
 //! results and re-seeds the next one, and rounding is not additive.
@@ -51,6 +54,12 @@
 //!   `S_A[s]`, `S_B[t]` are combined term-by-term, skipping exactly the
 //!   `s + t >= N` products the datapath skips.
 //!
+//! A checked call sums each operand's entries once, per output-tile band
+//! and per `k` ([`BandSums`]): `S_A[k]` over a tile row's `A` vectors and
+//! `S_B[k]` over a tile column's `B` vectors. Every tile of the band
+//! reads the same sums, so a chunk's expected checksum costs its seeds'
+//! residues plus `klen` products, not a rescan of both bands.
+//!
 //! ## Special values
 //!
 //! NaN/Inf have no dyadic value. A chunk whose seeds or operand band
@@ -64,7 +73,7 @@ use crate::buffer::BufferEntry;
 use crate::modes::MxuMode;
 use crate::packed::PackedOperand;
 use m3xu_fp::residue::{
-    add_m61, mul_m61, neg_m61, pow2_m61, reduce_u64, residue_f32, residue_f64, sub_m61,
+    add_m61, mul_m61, mul_pow2_m61, neg_m61, residue_f64, residue_sum_f32, sub_m61,
 };
 use m3xu_fp::C32;
 
@@ -95,11 +104,13 @@ impl Checksum {
         ok: false,
     };
 
-    /// Accumulate a real element residue (`None` poisons the checksum).
+    /// Accumulate a real element residue. `None` poisons the checksum
+    /// into [`Checksum::UNVERIFIABLE`], which absorbs everything after
+    /// it, so a checksum does not depend on the order of its residues.
     pub fn absorb_re(&mut self, r: Option<u64>) {
         match r {
             Some(r) if self.ok => self.re = add_m61(self.re, r),
-            _ => self.ok = false,
+            _ => *self = Checksum::UNVERIFIABLE,
         }
     }
 
@@ -110,7 +121,7 @@ impl Checksum {
                 self.re = add_m61(self.re, re);
                 self.im = add_m61(self.im, im);
             }
-            _ => self.ok = false,
+            _ => *self = Checksum::UNVERIFIABLE,
         }
     }
 
@@ -123,12 +134,6 @@ impl Checksum {
     pub fn matches(&self, computed: &Checksum) -> bool {
         !self.ok || (computed.ok && self.re == computed.re && self.im == computed.im)
     }
-}
-
-/// Residue pair of a complex value; `None` if either component is
-/// non-finite.
-pub fn residue_c32(z: C32) -> Option<(u64, u64)> {
-    Some((residue_f32(z.re)?, residue_f32(z.im)?))
 }
 
 /// Complex product in `F_p × F_p`:
@@ -149,170 +154,196 @@ pub fn entry_residue(e: &BufferEntry) -> Option<u64> {
     if e.special.is_some() {
         return None;
     }
-    let r = mul_m61(reduce_u64(e.mant as u64), pow2_m61(e.pow as i64));
+    let r = mul_pow2_m61(e.mant as u64, e.pow as i64);
     Some(if e.sign { neg_m61(r) } else { r })
 }
 
-/// Per-slice column sums of one packed operand at reduction index `k`:
-/// `out[s] = Σ_v residue(entry_s(vec v, k))` over vectors
-/// `v0 .. v0 + n`. `None` when any entry in the band is special.
-fn slice_sums(p: &PackedOperand, v0: usize, n: usize, k: usize, out: &mut [u64]) -> Option<()> {
-    out.fill(0);
-    let epe = p.epe();
-    for v in 0..n {
-        let elem = &p.vec(v0 + v)[k * epe..(k + 1) * epe];
-        for (slot, e) in out.iter_mut().zip(elem) {
-            *slot = add_m61(*slot, entry_residue(e)?);
-        }
-    }
-    Some(())
+/// How a mode's band sums combine into chunk products.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// Every slice pair is issued, so `Σ_(s,t) S_A[s]·S_B[t]` factors
+    /// into `(Σ_s S_A[s])·(Σ_t S_B[t])`: one sum per element.
+    Full,
+    /// The fast FP32 schedule skips `s + t >= N`: one sum per slice.
+    Truncated,
+    /// FP32C: `(re, im)` half sums, multiplied in `F_p × F_p`.
+    Complex,
 }
 
-/// The shared real-mode core: seeds are already absorbed into `sum`;
-/// accumulate the per-k slice-product terms. For the full modes every
-/// `(s, t)` slice pair is issued; the truncated fast-FP32 schedule skips
-/// `s + t >= N`, mirroring the datapath's term schedule exactly.
-#[allow(clippy::too_many_arguments)]
-fn expected_real_core(
-    a: &PackedOperand,
-    b: &PackedOperand,
+/// The residue sums of one packed operand, per output-tile band and per
+/// reduction index `k`, built once per checked call: band `t` holds
+/// operand vectors `t·width ..` (the rows of one tile row of `A`, or the
+/// columns of one tile column of `B`), the last band clipped. Each
+/// `(band, k)` keeps the slots its mode's schedule multiplies — the
+/// element value sum, per-slice sums, or the re/im pair — and a flag set
+/// when any entry of that band at `k` is special.
+#[derive(Debug, Clone)]
+pub struct BandSums {
+    schedule: Schedule,
+    len: usize,
+    slots: usize,
+    /// `[band][k][slot]`.
+    sums: Vec<u64>,
+    /// `[band][k]`: a special entry leaves the band's sums meaningless.
+    special: Vec<bool>,
+}
+
+impl BandSums {
+    /// Sum `p`'s entry residues in bands of `width` vectors.
+    pub fn new(p: &PackedOperand, width: usize) -> BandSums {
+        assert!(width > 0, "band width must be positive");
+        let (epe, len) = (p.epe(), p.len());
+        let (schedule, slots) = match p.mode() {
+            MxuMode::M3xuFp32Fast => (Schedule::Truncated, epe),
+            MxuMode::M3xuFp32c => (Schedule::Complex, 2),
+            _ => (Schedule::Full, 1),
+        };
+        let bands = p.vecs().div_ceil(width);
+        let mut sums = vec![0u64; bands * len * slots];
+        let mut special = vec![false; bands * len];
+        for v in 0..p.vecs() {
+            let band = v / width;
+            let at = band * len;
+            let band_sums = sums[at * slots..(at + len) * slots].chunks_exact_mut(slots);
+            for (k, (elem, out)) in p.vec(v).chunks_exact(epe).zip(band_sums).enumerate() {
+                // Each slot sums its run of the element's entries: one
+                // slice, the element's all, or a component's half pair.
+                for (slot, entries) in out.iter_mut().zip(elem.chunks_exact(epe / slots)) {
+                    for e in entries {
+                        match entry_residue(e) {
+                            Some(r) => *slot = add_m61(*slot, r),
+                            None => special[at + k] = true,
+                        }
+                    }
+                }
+            }
+        }
+        BandSums {
+            schedule,
+            len,
+            slots,
+            sums,
+            special,
+        }
+    }
+
+    /// The slots of `(band, k)`, `None` when the band is special there.
+    #[inline]
+    fn at(&self, band: usize, k: usize) -> Option<&[u64]> {
+        let at = band * self.len + k;
+        (!self.special[at]).then(|| &self.sums[at * self.slots..(at + 1) * self.slots])
+    }
+}
+
+/// Add `Σ_k S_A[ta][k] · S_B[tb][k]` over `k0..kend` to `sum` (the
+/// chunk's seeds), under the operands' schedule. Unverifiable when the
+/// seeds or either band hold a special in the chunk.
+fn add_band_products(
+    a: &BandSums,
+    b: &BandSums,
     mut sum: Checksum,
-    r0: usize,
-    rows: usize,
-    c0: usize,
-    cols: usize,
+    ta: usize,
+    tb: usize,
     k0: usize,
     kend: usize,
 ) -> Checksum {
-    debug_assert_eq!(a.mode(), b.mode(), "operand modes disagree");
-    let epe = a.epe();
-    let truncated = a.mode() == MxuMode::M3xuFp32Fast;
-    let mut sa = [0u64; m3xu_fp::split::MAX_SLICES];
-    let mut sb = [0u64; m3xu_fp::split::MAX_SLICES];
+    debug_assert_eq!(a.schedule, b.schedule, "operand modes disagree");
+    if !sum.ok {
+        return Checksum::UNVERIFIABLE;
+    }
     for k in k0..kend {
-        if slice_sums(a, r0, rows, k, &mut sa[..epe]).is_none()
-            || slice_sums(b, c0, cols, k, &mut sb[..epe]).is_none()
-        {
+        let (Some(sa), Some(sb)) = (a.at(ta, k), b.at(tb, k)) else {
             return Checksum::UNVERIFIABLE;
-        }
-        for (s, &va) in sa[..epe].iter().enumerate() {
-            for (t, &vb) in sb[..epe].iter().enumerate() {
-                if truncated && s + t >= epe {
-                    continue;
+        };
+        match a.schedule {
+            Schedule::Full => sum.re = add_m61(sum.re, mul_m61(sa[0], sb[0])),
+            Schedule::Truncated => {
+                let n = sa.len();
+                for (s, &va) in sa.iter().enumerate() {
+                    for &vb in &sb[..n - s] {
+                        sum.re = add_m61(sum.re, mul_m61(va, vb));
+                    }
                 }
-                sum.re = add_m61(sum.re, mul_m61(va, vb));
+            }
+            Schedule::Complex => {
+                let p = cmul_m61((sa[0], sa[1]), (sb[0], sb[1]));
+                sum.re = add_m61(sum.re, p.0);
+                sum.im = add_m61(sum.im, p.1);
             }
         }
     }
     sum
 }
 
-/// Expected checksum of one real k-chunk, from the **packed** operand
-/// planes: `Σ seeds + Σ_k Σ_(s,t) S_A[s][k]·S_B[t][k]` over the tile
-/// `(r0.., c0..) × (k0..kend)`, where `S_A[s][k]` sums slice `s` of
-/// packed element `k` over the tile's A vectors (rows) and `S_B[t][k]`
-/// does the same over the B vectors (columns). `seeds` is the tile's
-/// accumulator *before* the chunk runs, row-major `rows × cols`.
+/// Expected checksum of one real k-chunk of output tile `(ta, tb)`:
+/// `Σ seeds + Σ_k Σ_(s,t) S_A[s][k]·S_B[t][k]` over `k0..kend`, with
+/// `S_A` from `a`'s band `ta` (the tile's rows) and `S_B` from `b`'s
+/// band `tb` (its columns). `seeds` is the tile's accumulator *before*
+/// the chunk runs, row-major.
 ///
 /// Because the entries are the values the multiplier array consumes —
 /// quantised, alpha-folded, op-viewed — this one function covers every
 /// real f32 mode, including the truncated fast schedule.
-#[allow(clippy::too_many_arguments)]
-pub fn expected_chunk_packed_f32(
-    a: &PackedOperand,
-    b: &PackedOperand,
+pub fn expected_chunk_f32(
+    a: &BandSums,
+    b: &BandSums,
     seeds: &[f32],
-    r0: usize,
-    rows: usize,
-    c0: usize,
-    cols: usize,
+    ta: usize,
+    tb: usize,
     k0: usize,
     kend: usize,
 ) -> Checksum {
     let mut sum = Checksum::ZERO;
-    for &s in &seeds[..rows * cols] {
-        sum.absorb_re(residue_f32(s));
-        if !sum.ok {
-            return Checksum::UNVERIFIABLE;
-        }
-    }
-    expected_real_core(a, b, sum, r0, rows, c0, cols, k0, kend)
+    sum.absorb_re(residue_sum_f32(seeds.iter().copied()));
+    add_band_products(a, b, sum, ta, tb, k0, kend)
 }
 
-/// [`expected_chunk_packed_f32`] for the emulated-FP64 pipeline: `f64`
-/// seeds (the accumulator is `f64` end-to-end) and the full `N × N`
-/// slice cross product per element.
-#[allow(clippy::too_many_arguments)]
-pub fn expected_chunk_packed_f64(
-    a: &PackedOperand,
-    b: &PackedOperand,
+/// [`expected_chunk_f32`] for the emulated-FP64 pipeline: `f64` seeds
+/// (the accumulator is `f64` end-to-end) and the full `N × N` slice
+/// cross product per element.
+pub fn expected_chunk_f64(
+    a: &BandSums,
+    b: &BandSums,
     seeds: &[f64],
-    r0: usize,
-    rows: usize,
-    c0: usize,
-    cols: usize,
+    ta: usize,
+    tb: usize,
     k0: usize,
     kend: usize,
 ) -> Checksum {
     let mut sum = Checksum::ZERO;
-    for &s in &seeds[..rows * cols] {
+    for &s in seeds {
         sum.absorb_re(residue_f64(s));
-        if !sum.ok {
-            return Checksum::UNVERIFIABLE;
-        }
     }
-    expected_real_core(a, b, sum, r0, rows, c0, cols, k0, kend)
+    add_band_products(a, b, sum, ta, tb, k0, kend)
 }
 
-/// Expected checksum of one complex k-chunk from the packed component
-/// planes. Each packed element holds `[re_hi, re_lo, im_hi, im_lo]`;
-/// the element's residue pair is the half sums, and the per-k outer
-/// product uses the complex field structure of `F_p × F_p` — which
-/// absorbs the 16-lane component schedule in one multiplication.
-#[allow(clippy::too_many_arguments)]
-pub fn expected_chunk_packed_c32(
-    a: &PackedOperand,
-    b: &PackedOperand,
+/// Expected checksum of one complex k-chunk. Each packed element holds
+/// `[re_hi, re_lo, im_hi, im_lo]`; its residue pair is the half sums,
+/// and the per-k product uses the complex field structure of
+/// `F_p × F_p` — which absorbs the 16-lane component schedule in one
+/// multiplication.
+pub fn expected_chunk_c32(
+    a: &BandSums,
+    b: &BandSums,
     seeds: &[C32],
-    r0: usize,
-    rows: usize,
-    c0: usize,
-    cols: usize,
+    ta: usize,
+    tb: usize,
     k0: usize,
     kend: usize,
 ) -> Checksum {
+    let (re, im) = (
+        residue_sum_f32(seeds.iter().map(|z| z.re)),
+        residue_sum_f32(seeds.iter().map(|z| z.im)),
+    );
     let mut sum = Checksum::ZERO;
-    for &s in &seeds[..rows * cols] {
-        sum.absorb_pair(residue_c32(s));
-        if !sum.ok {
-            return Checksum::UNVERIFIABLE;
-        }
-    }
-    let pair_sum = |p: &PackedOperand, v0: usize, n: usize, k: usize| -> Option<(u64, u64)> {
-        let mut acc = (0u64, 0u64);
-        for v in 0..n {
-            let e = &p.vec(v0 + v)[k * 4..(k + 1) * 4];
-            let re = add_m61(entry_residue(&e[0])?, entry_residue(&e[1])?);
-            let im = add_m61(entry_residue(&e[2])?, entry_residue(&e[3])?);
-            acc = (add_m61(acc.0, re), add_m61(acc.1, im));
-        }
-        Some(acc)
-    };
-    for k in k0..kend {
-        let (sa, sb) = match (pair_sum(a, r0, rows, k), pair_sum(b, c0, cols, k)) {
-            (Some(sa), Some(sb)) => (sa, sb),
-            _ => return Checksum::UNVERIFIABLE,
-        };
-        let prod = cmul_m61(sa, sb);
-        sum.re = add_m61(sum.re, prod.0);
-        sum.im = add_m61(sum.im, prod.1);
-    }
-    sum
+    sum.absorb_pair(re.zip(im));
+    add_band_products(a, b, sum, ta, tb, k0, kend)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3xu_fp::residue::residue_f32;
 
     #[test]
     fn unverifiable_expected_matches_anything() {
@@ -340,17 +371,18 @@ mod tests {
         let mut a = Matrix::<f32>::random(4, 4, 1);
         let b = Matrix::<f32>::random(4, 4, 2);
         let seeds = [0.0f32; 16];
-        let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32);
-        let pack = |m: &Matrix<f32>| PackedOperand::pack_rows_f32(m, MxuMode::M3xuFp32);
-        assert!(expected_chunk_packed_f32(&pack(&a), &pb, &seeds, 0, 4, 0, 4, 0, 4).ok);
+        let sb = BandSums::new(&PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32), 4);
+        let sums =
+            |m: &Matrix<f32>| BandSums::new(&PackedOperand::pack_rows_f32(m, MxuMode::M3xuFp32), 4);
+        assert!(expected_chunk_f32(&sums(&a), &sb, &seeds, 0, 0, 0, 4).ok);
         a.set(2, 3, f32::NAN);
-        assert!(!expected_chunk_packed_f32(&pack(&a), &pb, &seeds, 0, 4, 0, 4, 0, 4).ok);
+        assert!(!expected_chunk_f32(&sums(&a), &sb, &seeds, 0, 0, 0, 4).ok);
         // A NaN outside the chunk's k-range does not poison it.
-        assert!(expected_chunk_packed_f32(&pack(&a), &pb, &seeds, 0, 4, 0, 4, 0, 3).ok);
+        assert!(expected_chunk_f32(&sums(&a), &sb, &seeds, 0, 0, 0, 3).ok);
         // A NaN seed does, regardless of the operands.
         let mut bad_seeds = seeds;
         bad_seeds[5] = f32::NAN;
-        assert!(!expected_chunk_packed_f32(&pack(&b), &pb, &bad_seeds, 0, 4, 0, 4, 0, 3).ok);
+        assert!(!expected_chunk_f32(&sums(&b), &sb, &bad_seeds, 0, 0, 0, 3).ok);
     }
 
     #[test]
@@ -362,6 +394,124 @@ mod tests {
             let r = add_m61(entry_residue(&hi).unwrap(), entry_residue(&lo).unwrap());
             assert_eq!(r, residue_f32(x).unwrap(), "{x}");
         }
+    }
+
+    #[test]
+    fn band_sums_equal_the_lane_by_lane_sum_on_every_tile() {
+        use crate::matrix::Matrix;
+        use m3xu_fp::residue::pow2_m61;
+        // The expected checksum of every chunk of every tile, clipped
+        // bands included (11 rows and 7 columns in bands of 4 and 3),
+        // equals the residue sum of every lane product the element bodies
+        // issue — each slice pair (the fast mode's `s + t < N` ones), or
+        // FP32C's 16 component lanes — plus the seeds, with no
+        // factoring. Each entry's residue is spelled out as a product.
+        let res = |e: &BufferEntry| {
+            let r = mul_m61(e.mant as u64, pow2_m61(e.pow as i64));
+            if e.sign {
+                neg_m61(r)
+            } else {
+                r
+            }
+        };
+        let (m, k, n, wa, wb) = (11usize, 5, 7usize, 4, 3);
+        let check = |pa: &PackedOperand,
+                     pb: &PackedOperand,
+                     expect: &dyn Fn(usize, usize, usize, usize) -> Checksum| {
+            let epe = pa.epe();
+            let truncated = pa.mode() == MxuMode::M3xuFp32Fast;
+            for ta in 0..m.div_ceil(wa) {
+                for tb in 0..n.div_ceil(wb) {
+                    for (k0, kend) in [(0, 2), (2, 4), (4, 5), (0, 5)] {
+                        let mut want = (0u64, 0u64);
+                        for i in ta * wa..(ta * wa + wa).min(m) {
+                            for j in tb * wb..(tb * wb + wb).min(n) {
+                                for kk in k0..kend {
+                                    let x = &pa.vec(i)[kk * epe..(kk + 1) * epe];
+                                    let y = &pb.vec(j)[kk * epe..(kk + 1) * epe];
+                                    if pa.mode() == MxuMode::M3xuFp32c {
+                                        let (xr, xi) = (
+                                            add_m61(res(&x[0]), res(&x[1])),
+                                            add_m61(res(&x[2]), res(&x[3])),
+                                        );
+                                        let (yr, yi) = (
+                                            add_m61(res(&y[0]), res(&y[1])),
+                                            add_m61(res(&y[2]), res(&y[3])),
+                                        );
+                                        want.0 = add_m61(
+                                            want.0,
+                                            sub_m61(mul_m61(xr, yr), mul_m61(xi, yi)),
+                                        );
+                                        want.1 = add_m61(
+                                            want.1,
+                                            add_m61(mul_m61(xr, yi), mul_m61(xi, yr)),
+                                        );
+                                        continue;
+                                    }
+                                    for (s, xs) in x.iter().enumerate() {
+                                        for (t, yt) in y.iter().enumerate() {
+                                            if !truncated || s + t < epe {
+                                                want.0 = add_m61(want.0, mul_m61(res(xs), res(yt)));
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        let got = expect(ta, tb, k0, kend);
+                        assert!(got.ok, "{:?} tile ({ta}, {tb}) k {k0}..{kend}", pa.mode());
+                        assert_eq!(
+                            (got.re, got.im),
+                            want,
+                            "{:?} tile ({ta}, {tb}) k {k0}..{kend}",
+                            pa.mode()
+                        );
+                    }
+                }
+            }
+        };
+        let a = Matrix::<f32>::random(m, k, 41);
+        let b = Matrix::<f32>::random(k, n, 42);
+        for mode in [
+            MxuMode::M3xuFp32,
+            MxuMode::M3xuFp32Fast,
+            MxuMode::Bf16,
+            MxuMode::Tf32,
+        ] {
+            let (pa, pb) = (
+                PackedOperand::pack_rows_f32(&a, mode),
+                PackedOperand::pack_cols_f32(&b, mode),
+            );
+            let (sa, sb) = (BandSums::new(&pa, wa), BandSums::new(&pb, wb));
+            check(&pa, &pb, &|ta, tb, k0, kend| {
+                expected_chunk_f32(&sa, &sb, &[], ta, tb, k0, kend)
+            });
+        }
+        let (a, b) = (Matrix::random_c32(m, k, 43), Matrix::random_c32(k, n, 44));
+        let (pa, pb) = (
+            PackedOperand::pack_rows_c32(&a),
+            PackedOperand::pack_cols_c32(&b),
+        );
+        let (sa, sb) = (BandSums::new(&pa, wa), BandSums::new(&pb, wb));
+        check(&pa, &pb, &|ta, tb, k0, kend| {
+            expected_chunk_c32(&sa, &sb, &[], ta, tb, k0, kend)
+        });
+        let a = Matrix::from_fn(m, k, |i, j| ((1 + i * k + j) as f64 / 7.0).sin());
+        let b = Matrix::from_fn(k, n, |i, j| ((2 + i * n + j) as f64 / 11.0).cos());
+        let pa = PackedOperand::try_pack_rows_f64(&a, MxuMode::M3xuFp64Emu).unwrap();
+        let pb = PackedOperand::try_pack_cols_f64(&b, MxuMode::M3xuFp64Emu).unwrap();
+        let (sa, sb) = (BandSums::new(&pa, wa), BandSums::new(&pb, wb));
+        check(&pa, &pb, &|ta, tb, k0, kend| {
+            expected_chunk_f64(&sa, &sb, &[], ta, tb, k0, kend)
+        });
+        // The seeds add their residues on top.
+        let seeds = [0.25f32, -3.5, 1e-40, 7.0];
+        let with = expected_chunk_f32(&sa, &sb, &seeds, 1, 1, 0, 2);
+        let without = expected_chunk_f32(&sa, &sb, &[], 1, 1, 0, 2);
+        let seed_sum = seeds
+            .iter()
+            .fold(0, |r, &s| add_m61(r, residue_f32(s).unwrap()));
+        assert_eq!(with.re, add_m61(without.re, seed_sum));
     }
 
     #[test]
@@ -381,8 +531,9 @@ mod tests {
                 .unwrap();
             let sb =
                 PackedOperand::try_pack_cols_f32_src_in(&vb, mode, Default::default()).unwrap();
-            let want = expected_chunk_packed_f32(&pa, &pb, &seeds, 0, 4, 0, 4, 0, 6);
-            let got = expected_chunk_packed_f32(&sa, &sb, &seeds, 0, 4, 0, 4, 0, 6);
+            let band = |p: &PackedOperand| BandSums::new(p, 4);
+            let want = expected_chunk_f32(&band(&pa), &band(&pb), &seeds, 0, 0, 0, 6);
+            let got = expected_chunk_f32(&band(&sa), &band(&sb), &seeds, 0, 0, 0, 6);
             assert!(want.ok);
             assert_eq!(want, got, "{mode:?}");
         }

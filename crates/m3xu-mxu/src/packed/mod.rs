@@ -21,8 +21,8 @@
 //! per precision runs it through two consumers, the 128-bit fast window
 //! and the Kulisch drain. ABFT checking is a tap on that same body: given
 //! a [`ChunkCheck`], the per-chunk executors also report each element's
-//! `F_p` residue and apply the injected fault, so a checked chunk cannot
-//! compute different bits from an unchecked one.
+//! `F_p` residue, and the injected fault lands on the drained output, so
+//! a checked chunk cannot compute different bits from an unchecked one.
 //!
 //! ## Bit-exactness
 //!
@@ -56,9 +56,18 @@
 //! multiply-add per chunk. The FP32 and FP32C bodies share one window
 //! phase, `RowWindow`, which holds the level switch between the AVX2
 //! window kernels and the scalar window. The scalar element bodies stay
-//! the differential oracle, the fallback for partial rows, specials, zero
-//! FP64 results and wide exponent spreads, and the body every checked
-//! chunk runs.
+//! the differential oracle and the fallback for partial rows, specials,
+//! zero FP64 results and wide exponent spreads.
+//!
+//! A checked FP32-family or FP32C chunk
+//! ([`DotProductUnit::mma_f32_checked_into`],
+//! [`DotProductUnit::mma_c32_checked_into`]) runs the same panel body
+//! with its residue tap, a `const` generic, turned on: each vector
+//! column's residue is its exact `i128` window folded into `F_p`
+//! (`RowWindow::residue`), each fallback column's is the scalar element
+//! body's tap. Emulated-FP64 chunks stay on the slice/Kulisch body when
+//! checked: the FMA row rounds in one instruction and keeps no exact
+//! pre-rounding value to take a residue from.
 
 pub mod simd;
 
@@ -74,7 +83,7 @@ use crate::mma::{MmaShape, MmaStats};
 use crate::modes::MxuMode;
 use m3xu_fp::complex::Complex;
 use m3xu_fp::format::{BF16, FP16, TF32};
-use m3xu_fp::residue::{add_m61, mul_m61, pow2_m61, reduce_u64, residue_f64, sub_m61};
+use m3xu_fp::residue::{add_m61, mul_pow2_m61, reduce_u64, residue_f64, residue_i128, sub_m61};
 
 /// Buffer entries the data-assignment stage provisions per operand element
 /// in `mode` — 1 for the narrow formats, 2 for the hi/lo split of the FP32
@@ -785,7 +794,9 @@ fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
 /// each valid column as it goes, into `rounded`, and the drain only
 /// commits: one pass per column measured about a quarter faster there
 /// than two. Callers keep one window per component and reuse it chunk
-/// after chunk.
+/// after chunk. With the residue tap (`TAP`), the scalar window also
+/// stores each valid column's `(sum, base)` in the AVX2 layout, so
+/// [`RowWindow::residue`] reads the same state at every level.
 #[derive(Default)]
 struct RowWindow {
     lo: [u64; simd::COLS],
@@ -799,7 +810,7 @@ impl RowWindow {
     /// the mask of columns whose window is valid: a finite seed and
     /// products, and a power spread the `i128` admits.
     #[inline(always)]
-    fn accumulate<const T: usize>(
+    fn accumulate<const T: usize, const TAP: bool>(
         &mut self,
         level: simd::SimdLevel,
         prods: &[[f64; simd::COLS]],
@@ -822,6 +833,10 @@ impl RowWindow {
                     if o {
                         ok |= 1 << j;
                         *rounded = round_window(sum, pmin);
+                        if TAP {
+                            (self.lo[j], self.hi[j]) = (sum as u64, (sum >> 64) as u64);
+                            self.base[j] = pmin as i64;
+                        }
                     }
                 }
                 ok
@@ -857,8 +872,7 @@ impl RowWindow {
                 let (lo, hi, base) = (&self.lo, &self.hi, &self.base);
                 let done = unsafe { simd::x86::round_chunk_avx2(lo, hi, base, mask, seeds) };
                 for_each_bit(mask & !done, |j| {
-                    let sum = (((hi[j] as u128) << 64) | lo[j] as u128) as i128;
-                    commit(seeds, acc, j, round_window(sum, base[j] as i32));
+                    commit(seeds, acc, j, round_window(self.sum(j), base[j] as i32));
                 });
             }
             _ => {
@@ -869,6 +883,21 @@ impl RowWindow {
                 }
             }
         }
+    }
+
+    /// Column `j`'s window sum, from its two's complement halves.
+    #[inline(always)]
+    fn sum(&self, j: usize) -> i128 {
+        (((self.hi[j] as u128) << 64) | self.lo[j] as u128) as i128
+    }
+
+    /// The `F_p` residue of column `j`'s exact chunk value `sum ·
+    /// 2^base`, for a column the last tapped `accumulate` found valid:
+    /// the window folded into 61-bit limbs and rotated by `base`
+    /// ([`residue_i128`]).
+    #[inline(always)]
+    fn residue(&self, j: usize) -> u64 {
+        residue_i128(self.sum(j), self.base[j])
     }
 }
 
@@ -964,7 +993,7 @@ impl FastDot {
     fn residue_m61(&self) -> u64 {
         let mut r = 0u64;
         for &(m, p, neg) in &self.contrib[..self.n] {
-            let t = mul_m61(reduce_u64(m), pow2_m61(p as i64));
+            let t = mul_pow2_m61(m, p as i64);
             r = if neg { sub_m61(r, t) } else { add_m61(r, t) };
         }
         r
@@ -1206,18 +1235,22 @@ fn scalar_element_c32(
     (v, res.flatten())
 }
 
-/// The ABFT tap of one checked chunk: pass `Some(&mut check)` to
-/// [`DotProductUnit::mma_f32_into`], [`DotProductUnit::mma_c32_into`] or
-/// [`DotProductUnit::mma_f64_into`].
+/// The ABFT tap of one checked chunk: pass it to
+/// [`DotProductUnit::mma_f32_checked_into`] or
+/// [`DotProductUnit::mma_c32_checked_into`] (the SIMD panel body, where
+/// the panel would run it), or as `Some(&mut check)` to the scalar
+/// per-chunk executors [`DotProductUnit::mma_f32_into`],
+/// [`DotProductUnit::mma_c32_into`] and [`DotProductUnit::mma_f64_into`].
 ///
 /// The executor accumulates the **computed** chunk checksum: the `F_p`
-/// residue sum of every output element's exact pre-rounding value, from
-/// the fast-path contribution list or the Kulisch register — the same
-/// state the rounded value is drained from. An injected fault corrupts
-/// that state, shifting the rounded value *and* the reported residue
-/// together, exactly as a flipped storage bit would; the checksum identity
-/// then exposes it against the expected side. Fault-free, a checked chunk
-/// writes the bits of an unchecked one: both run the same element body.
+/// residue sum of every output element's exact pre-rounding value — a
+/// SIMD column's `i128` window, or the scalar body's fast-path
+/// contribution list or Kulisch register — the same state the rounded
+/// value is drained from. An injected fault then corrupts one drained
+/// output component and moves the checksum by the residue difference,
+/// exactly as a flipped storage bit would shift the value; the checksum
+/// identity exposes it against the expected side. Fault-free, a checked
+/// chunk writes the bits of an unchecked one: both run the same body.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkCheck {
     /// The corruption to inject, if any. Its lane selects one output
@@ -1237,31 +1270,59 @@ impl ChunkCheck {
         }
     }
 
-    /// Output component `slot` of `slots`, with residue `res`: when the
-    /// fault targets it, `corrupt` rewrites `v` and `res` moves by
-    /// `residue(new) - residue(old)` (widening to `f64` is exact, so
-    /// `residue_f64` serves both widths). Returns the residue to absorb.
-    fn inject<T: Copy + Into<f64>>(
-        &self,
-        slot: usize,
+    /// Apply the fault, if any, to the chunk's drained output: `target`
+    /// maps the fault's slot (`lane % slots`) to that output component
+    /// and whether it counts in the checksum's imaginary part. `corrupt`
+    /// rewrites the component, and the checksum moves by `residue(new) −
+    /// residue(old)` (widening to `f64` is exact, so `residue_f64` serves
+    /// both widths); a component without a residue poisons it. A special
+    /// value is no fault target and stays as it is.
+    fn inject<'o, T: Copy + Into<f64> + 'o>(
+        &mut self,
         slots: usize,
-        v: &mut T,
-        res: Option<u64>,
         corrupt: fn(T, &MmaFault) -> Option<T>,
-    ) -> Option<u64> {
-        let hit = self
-            .fault
-            .filter(|f| f.lane() % slots as u64 == slot as u64);
-        let Some(cv) = hit.and_then(|f| corrupt(*v, &f)) else {
-            return res;
+        target: impl FnOnce(usize) -> (&'o mut T, bool),
+    ) {
+        let Some(f) = self.fault else {
+            return;
         };
-        let moved = match (res, residue_f64((*v).into()), residue_f64(cv.into())) {
-            (Some(r), Some(old), Some(new)) => Some(add_m61(sub_m61(r, old), new)),
-            _ => None,
+        let (v, imag) = target((f.lane() % slots as u64) as usize);
+        let Some(cv) = corrupt(*v, &f) else {
+            return;
         };
+        let part = if imag {
+            &mut self.computed.im
+        } else {
+            &mut self.computed.re
+        };
+        match (residue_f64((*v).into()), residue_f64(cv.into())) {
+            (Some(old), Some(new)) if self.computed.ok => {
+                *part = add_m61(sub_m61(*part, old), new);
+            }
+            _ => self.computed = Checksum::UNVERIFIABLE,
+        }
         *v = cv;
-        moved
     }
+
+    /// [`ChunkCheck::inject`] over an FP32C output, two component slots
+    /// per element.
+    fn inject_c32(&mut self, acc: &mut [Complex<f32>]) {
+        self.inject(acc.len() * 2, corrupt_f32, |slot| {
+            let z = &mut acc[slot / 2];
+            if slot % 2 == 0 {
+                (&mut z.re, false)
+            } else {
+                (&mut z.im, true)
+            }
+        });
+    }
+}
+
+/// Whether a panel of `cols` output columns runs a SIMD body at `level`:
+/// a vector level, a full fragment row, row-major `A` and k-major `B`.
+/// Each mode adds its chunk-depth bound.
+fn vector_panel(level: simd::SimdLevel, a: &PackedOperand, b: &PackedOperand, cols: usize) -> bool {
+    level != simd::SimdLevel::Scalar && cols == simd::COLS && !a.transposed && b.transposed
 }
 
 /// A real-mode SIMD panel's state: what its per-chunk oracle fallback
@@ -1280,6 +1341,8 @@ struct RealPanel<'p> {
     /// The chunk's row products, `klen` rows deep.
     prods: [[f64; simd::COLS]; simd::MAX_KLEN],
     window: RowWindow,
+    /// The tapped residues' sum (a tapped body only).
+    computed: &'p mut Checksum,
 }
 
 impl DotProductUnit {
@@ -1292,6 +1355,9 @@ impl DotProductUnit {
     /// nothing is allocated. With `Some(check)`, each element's residue is
     /// tapped into `check.computed` and `check.fault` corrupts its target
     /// element (see [`ChunkCheck`]); the arithmetic is the same either way.
+    /// This is the scalar oracle; see
+    /// [`mma_f32_checked_into`](DotProductUnit::mma_f32_checked_into) for
+    /// the checked chunk on the SIMD panel body.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f32_into(
         &mut self,
@@ -1332,10 +1398,12 @@ impl DotProductUnit {
                 );
                 *d = v;
                 if let Some(check) = check.as_deref_mut() {
-                    let res = check.inject(i * cols + j, rows * cols, d, res, corrupt_f32);
                     check.computed.absorb_re(res);
                 }
             }
+        }
+        if let Some(check) = check {
+            check.inject(rows * cols, corrupt_f32, |slot| (&mut acc[slot], false));
         }
     }
 
@@ -1374,13 +1442,12 @@ impl DotProductUnit {
                     scalar_element_c32(self, *d, av, bv, k0, kend, lanes_per_element, tap);
                 *d = v;
                 if let Some(check) = check.as_deref_mut() {
-                    let (slot, slots) = ((i * cols + j) * 2, rows * cols * 2);
-                    let (rr, ri) = res.unzip();
-                    let rr = check.inject(slot, slots, &mut d.re, rr, corrupt_f32);
-                    let ri = check.inject(slot + 1, slots, &mut d.im, ri, corrupt_f32);
-                    check.computed.absorb_pair(rr.zip(ri));
+                    check.computed.absorb_pair(res);
                 }
             }
+        }
+        if let Some(check) = check {
+            check.inject_c32(&mut acc[..rows * cols]);
         }
     }
 
@@ -1417,10 +1484,12 @@ impl DotProductUnit {
                 let (v, res) = scalar_element_f64(self, *d, av, bv, k0, kend, a.epe, tap);
                 *d = v;
                 if let Some(check) = check.as_deref_mut() {
-                    let res = check.inject(i * cols + j, rows * cols, d, res, corrupt_f64);
                     check.computed.absorb_re(res);
                 }
             }
+        }
+        if let Some(check) = check {
+            check.inject(rows * cols, corrupt_f64, |slot| (&mut acc[slot], false));
         }
     }
 
@@ -1457,12 +1526,7 @@ impl DotProductUnit {
         assert!(frag_k > 0, "fragment depth must be positive");
         let kend = kend.min(a.len);
         let level = simd::level();
-        if level != simd::SimdLevel::Scalar
-            && cols == simd::COLS
-            && frag_k == 1
-            && !a.transposed
-            && b.transposed
-        {
+        if vector_panel(level, a, b, cols) && frag_k == 1 {
             simd::dispatch(
                 level,
                 #[inline(always)]
@@ -1511,35 +1575,12 @@ impl DotProductUnit {
         assert!(frag_k > 0, "fragment depth must be positive");
         let kend = kend.min(a.len);
         let level = simd::level();
-        if level != simd::SimdLevel::Scalar
-            && cols == simd::COLS
-            && frag_k <= simd::MAX_KLEN
-            && !a.transposed
-            && b.transposed
-        {
-            // The product kernel is picked once per panel: whole
-            // products, or the fast mode's truncated ones (`TRUNC`).
-            if a.mode == MxuMode::M3xuFp32Fast {
-                simd::dispatch(
-                    level,
-                    #[inline(always)]
-                    move |l| {
-                        self.simd_panel_f32_body::<true>(
-                            l, a, b, r0, rows, c0, k0, kend, frag_k, acc,
-                        )
-                    },
-                );
-            } else {
-                simd::dispatch(
-                    level,
-                    #[inline(always)]
-                    move |l| {
-                        self.simd_panel_f32_body::<false>(
-                            l, a, b, r0, rows, c0, k0, kend, frag_k, acc,
-                        )
-                    },
-                );
-            }
+        if vector_panel(level, a, b, cols) && frag_k <= simd::MAX_KLEN && k0 < kend {
+            let mut unused = Checksum::ZERO;
+            let computed = &mut unused;
+            self.simd_panel_f32::<false>(
+                level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+            );
             return;
         }
         let mut ck0 = k0;
@@ -1547,6 +1588,44 @@ impl DotProductUnit {
             let klen = frag_k.min(kend - ck0);
             self.mma_f32_into(a, b, r0, rows, c0, cols, ck0, klen, acc, None);
             ck0 += klen;
+        }
+    }
+
+    /// Execute one real-mode fragment chunk `[k0, k0 + klen)` checked:
+    /// bit-identical to [`mma_f32_into`](DotProductUnit::mma_f32_into)
+    /// with `Some(check)`, the same [`ChunkCheck`] result included. Where
+    /// [`mma_f32_panel_into`](DotProductUnit::mma_f32_panel_into) would
+    /// run the SIMD panel body, the chunk runs that body with its residue
+    /// tap on — each vector column's window folded into `F_p`, each
+    /// fallback column's scalar tap — and the fault lands on the drained
+    /// output; elsewhere it runs the scalar tapped chunk.
+    #[allow(clippy::too_many_arguments)]
+    pub fn mma_f32_checked_into(
+        &mut self,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        klen: usize,
+        acc: &mut [f32],
+        check: &mut ChunkCheck,
+    ) {
+        assert_eq!(a.mode, b.mode, "operand modes disagree");
+        assert_eq!(a.len, b.len, "reduction lengths disagree");
+        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
+        let kend = (k0 + klen).min(a.len);
+        let level = simd::level();
+        if vector_panel(level, a, b, cols)
+            && (1..=simd::MAX_KLEN).contains(&(kend.saturating_sub(k0)))
+        {
+            let computed = &mut check.computed;
+            self.simd_panel_f32::<true>(level, a, b, r0, rows, c0, k0, kend, klen, acc, computed);
+            check.inject(rows * cols, corrupt_f32, |slot| (&mut acc[slot], false));
+        } else {
+            self.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(check));
         }
     }
 
@@ -1576,16 +1655,17 @@ impl DotProductUnit {
         assert!(frag_k > 0, "fragment depth must be positive");
         let kend = kend.min(a.len);
         let level = simd::level();
-        if level != simd::SimdLevel::Scalar
-            && cols == simd::COLS
-            && frag_k == 1
-            && !a.transposed
-            && b.transposed
-        {
+        if vector_panel(level, a, b, cols) && frag_k == 1 {
+            let mut unused = Checksum::ZERO;
+            let computed = &mut unused;
             simd::dispatch(
                 level,
                 #[inline(always)]
-                move |l| self.simd_panel_c32_body(l, a, b, r0, rows, c0, k0, kend, acc),
+                move |l| {
+                    self.simd_panel_c32_body::<false>(
+                        l, a, b, r0, rows, c0, k0, kend, acc, computed,
+                    )
+                },
             );
             return;
         }
@@ -1597,18 +1677,53 @@ impl DotProductUnit {
         }
     }
 
-    /// SIMD body of the real-mode panel, compiled once per level by
-    /// [`simd::dispatch`]: per row, per chunk, form the `klen` whole (or,
-    /// with `TRUNC`, truncated) products for all 8 columns with one
-    /// vector pass, then round each column's exact chunk value. Any
-    /// column the exact window cannot absorb (specials, wide exponent
-    /// spread) falls back to the scalar element path for that one
-    /// (element, chunk) — the shared [`scalar_element_real`], on the
-    /// same schedule — so results match the scalar pipeline bit for bit
-    /// no matter which path each element took.
+    /// Execute one FP32C fragment chunk `[k0, k0 + klen)` checked — the
+    /// complex counterpart of
+    /// [`mma_f32_checked_into`](DotProductUnit::mma_f32_checked_into),
+    /// bit-identical to [`mma_c32_into`](DotProductUnit::mma_c32_into)
+    /// with `Some(check)`, on the SIMD panel body with its residue tap
+    /// where the panel runs it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn mma_c32_checked_into(
+        &mut self,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        klen: usize,
+        acc: &mut [Complex<f32>],
+        check: &mut ChunkCheck,
+    ) {
+        assert_eq!(a.mode, MxuMode::M3xuFp32c, "a is not FP32C-packed");
+        assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
+        assert_eq!(a.len, b.len, "reduction lengths disagree");
+        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
+        let kend = (k0 + klen).min(a.len);
+        let level = simd::level();
+        if vector_panel(level, a, b, cols) && kend.saturating_sub(k0) == 1 {
+            let (out, computed) = (&mut *acc, &mut check.computed);
+            simd::dispatch(
+                level,
+                #[inline(always)]
+                move |l| {
+                    self.simd_panel_c32_body::<true>(l, a, b, r0, rows, c0, k0, kend, out, computed)
+                },
+            );
+            check.inject_c32(&mut acc[..rows * cols]);
+        } else {
+            self.mma_c32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(check));
+        }
+    }
+
+    /// Run the real-mode SIMD panel body at `level`. The product kernel
+    /// is picked once per panel: whole products, or the fast mode's
+    /// truncated ones (`TRUNC`).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32_body<const TRUNC: bool>(
+    fn simd_panel_f32<const TAP: bool>(
         &mut self,
         level: simd::SimdLevel,
         a: &PackedOperand,
@@ -1620,6 +1735,57 @@ impl DotProductUnit {
         kend: usize,
         frag_k: usize,
         acc: &mut [f32],
+        computed: &mut Checksum,
+    ) {
+        if a.mode == MxuMode::M3xuFp32Fast {
+            simd::dispatch(
+                level,
+                #[inline(always)]
+                move |l| {
+                    self.simd_panel_f32_body::<true, TAP>(
+                        l, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+                    )
+                },
+            );
+        } else {
+            simd::dispatch(
+                level,
+                #[inline(always)]
+                move |l| {
+                    self.simd_panel_f32_body::<false, TAP>(
+                        l, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+                    )
+                },
+            );
+        }
+    }
+
+    /// SIMD body of the real-mode panel, compiled once per level by
+    /// [`simd::dispatch`]: per row, per chunk, form the `klen` whole (or,
+    /// with `TRUNC`, truncated) products for all 8 columns with one
+    /// vector pass, then round each column's exact chunk value. Any
+    /// column the exact window cannot absorb (specials, wide exponent
+    /// spread) falls back to the scalar element path for that one
+    /// (element, chunk) — the shared [`scalar_element_real`], on the
+    /// same schedule — so results match the scalar pipeline bit for bit
+    /// no matter which path each element took. With `TAP`, every
+    /// element-chunk's residue goes into `computed`; without it
+    /// `computed` is never touched.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool>(
+        &mut self,
+        level: simd::SimdLevel,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f32],
+        computed: &mut Checksum,
     ) {
         let mut panel = RealPanel {
             a,
@@ -1630,26 +1796,42 @@ impl DotProductUnit {
             terms: a.mode.terms_per_mac(),
             prods: [[0f64; simd::COLS]; simd::MAX_KLEN],
             window: RowWindow::default(),
+            computed,
         };
         let n = b.vecs;
         let alen = a.len;
+        // B's value rows of the panel, one per reduction index, and the
+        // fragment row's columns within them, checked once: each output
+        // row consumes its own copy of the rows chunk by chunk, with no
+        // bounds check per `k` (see `simd::row_products`).
+        let b_panel = b.vals[k0 * n..kend * n].chunks_exact(n);
+        assert!(
+            c0 <= n && simd::COLS <= n - c0,
+            "fragment row past B's columns"
+        );
         for i in 0..rows {
             let arow = &a.vals[(r0 + i) * alen..(r0 + i) * alen + alen];
             let row_acc: &mut [f32; simd::COLS] = (&mut acc[i * simd::COLS..(i + 1) * simd::COLS])
                 .try_into()
                 .expect("panel accumulator row is exactly one fragment row");
             let mut seeds = simd::RowSeeds::load(row_acc);
+            let mut b_rows = b_panel.clone();
             let mut ck0 = k0;
             while ck0 < kend {
                 let klen = frag_k.min(kend - ck0);
-                simd::row_products::<TRUNC>(arow, &b.vals, n, c0, ck0, klen, &mut panel.prods);
+                let a_chunk = &arow[ck0..ck0 + klen];
+                simd::row_products::<TRUNC>(a_chunk, &mut b_rows, c0, &mut panel.prods);
                 // Constant-depth dispatch: the chunk fully unrolls for each
                 // depth.
                 match klen {
-                    1 => self.simd_row_chunk::<1>(level, &mut panel, row_acc, &mut seeds, i, ck0),
-                    2 => self.simd_row_chunk::<2>(level, &mut panel, row_acc, &mut seeds, i, ck0),
-                    3 => self.simd_row_chunk::<3>(level, &mut panel, row_acc, &mut seeds, i, ck0),
-                    4 => self.simd_row_chunk::<4>(level, &mut panel, row_acc, &mut seeds, i, ck0),
+                    1 => self
+                        .simd_row_chunk::<1, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
+                    2 => self
+                        .simd_row_chunk::<2, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
+                    3 => self
+                        .simd_row_chunk::<3, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
+                    4 => self
+                        .simd_row_chunk::<4, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
                     _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
                 }
                 ck0 += klen;
@@ -1670,7 +1852,7 @@ impl DotProductUnit {
     /// NaN payload the decoded form cannot carry) and for a column that
     /// drops to the scalar oracle, which reads the f32 back from `seeds`.
     #[inline(always)]
-    fn simd_row_chunk<const T: usize>(
+    fn simd_row_chunk<const T: usize, const TAP: bool>(
         &mut self,
         level: simd::SimdLevel,
         panel: &mut RealPanel<'_>,
@@ -1680,14 +1862,23 @@ impl DotProductUnit {
         ck0: usize,
     ) {
         let lanes = T as u64 * panel.terms;
-        let okm = panel.window.accumulate::<T>(level, &panel.prods, seeds);
+        let okm = panel
+            .window
+            .accumulate::<T, TAP>(level, &panel.prods, seeds);
         panel.window.drain(level, okm, seeds, acc);
+        if TAP {
+            // Eight residues below 2^61 sum below 2^64: one reduction per
+            // row.
+            let mut row = 0u64;
+            for_each_bit(okm, |j| row += panel.window.residue(j));
+            panel.computed.absorb_re(Some(reduce_u64(row)));
+        }
         let vector = okm.count_ones() as u64;
         self.lane_ops += lanes * vector;
         self.simd_chunks += vector;
         for_each_bit(!okm & ROW_MASK, |j| {
             self.simd_fallbacks += 1;
-            let (d, _) = scalar_element_real(
+            let (d, res) = scalar_element_real(
                 self,
                 seeds.value(j, acc[j]),
                 panel.a.vec(panel.r0 + i),
@@ -1697,8 +1888,11 @@ impl DotProductUnit {
                 panel.a.epe,
                 panel.truncated,
                 lanes,
-                false,
+                TAP,
             );
+            if TAP {
+                panel.computed.absorb_re(res);
+            }
             acc[j] = d;
             seeds.set(j, simd::ChunkSeed::decode(d));
         });
@@ -1771,10 +1965,11 @@ impl DotProductUnit {
     /// [`simd::RowSeeds`] form, as in the FP32 panel, and are assembled
     /// to f32 once at the end. Either component failing its window sends
     /// that (element, chunk) to the shared [`scalar_element_c32`]
-    /// fallback.
+    /// fallback. `TAP` and `computed` as in the FP32 body, one residue
+    /// pair per element-chunk.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_c32_body(
+    fn simd_panel_c32_body<const TAP: bool>(
         &mut self,
         level: simd::SimdLevel,
         a: &PackedOperand,
@@ -1785,6 +1980,7 @@ impl DotProductUnit {
         k0: usize,
         kend: usize,
         acc: &mut [Complex<f32>],
+        computed: &mut Checksum,
     ) {
         let n = b.vecs;
         let alen = a.len;
@@ -1806,16 +2002,26 @@ impl DotProductUnit {
                 };
                 let (bre, bim) = (cols(bre_plane), cols(bim_plane));
                 let prods = simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
-                let okm = wre.accumulate::<2>(level, &prods[..2], &sre)
-                    & wim.accumulate::<2>(level, &prods[2..], &sim);
+                let okm = wre.accumulate::<2, TAP>(level, &prods[..2], &sre)
+                    & wim.accumulate::<2, TAP>(level, &prods[2..], &sim);
                 wre.drain(level, okm, &mut sre, &mut re_acc);
                 wim.drain(level, okm, &mut sim, &mut im_acc);
+                if TAP {
+                    // One reduction per row and component, as in the FP32
+                    // body.
+                    let (mut re, mut im) = (0u64, 0u64);
+                    for_each_bit(okm, |j| {
+                        re += wre.residue(j);
+                        im += wim.residue(j);
+                    });
+                    computed.absorb_pair(Some((reduce_u64(re), reduce_u64(im))));
+                }
                 let vector = okm.count_ones() as u64;
                 self.lane_ops += 16 * vector;
                 self.simd_chunks += vector;
                 for_each_bit(!okm & ROW_MASK, |j| {
                     self.simd_fallbacks += 1;
-                    let (d, _) = scalar_element_c32(
+                    let (d, res) = scalar_element_c32(
                         self,
                         Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j])),
                         a.vec(r0 + i),
@@ -1823,8 +2029,11 @@ impl DotProductUnit {
                         k,
                         k + 1,
                         16,
-                        false,
+                        TAP,
                     );
+                    if TAP {
+                        computed.absorb_pair(res);
+                    }
                     re_acc[j] = d.re;
                     im_acc[j] = d.im;
                     sre.set(j, simd::ChunkSeed::decode(d.re));
@@ -2230,7 +2439,7 @@ mod tests {
                 simd::dispatch(
                     level,
                     #[inline(always)]
-                    |_| simd::row_products::<true>(&[*a], b, 8, 0, 0, 1, &mut out),
+                    |_| simd::row_products::<true>(&[*a], &mut b.chunks_exact(8), 0, &mut out),
                 );
                 for j in 0..8 {
                     let what = format!("{level:?} row {r} lane {j}: {a:e}·{:e}", b[j]);
@@ -2263,11 +2472,12 @@ mod tests {
                 let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32Fast);
                 let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32Fast);
                 let mut got: Vec<f32> = c.as_slice().to_vec();
+                let mut unused = Checksum::ZERO;
                 simd::dispatch(
                     level,
                     #[inline(always)]
                     |l| {
-                        dpu.simd_panel_f32_body::<true>(
+                        dpu.simd_panel_f32_body::<true, false>(
                             l,
                             &pa,
                             &pb,
@@ -2278,6 +2488,7 @@ mod tests {
                             1,
                             1,
                             &mut got,
+                            &mut unused,
                         )
                     },
                 );
@@ -2317,10 +2528,25 @@ mod tests {
                 dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut want, None);
             }
             let mut got: Vec<f32> = c.as_slice().to_vec();
+            let mut unused = Checksum::ZERO;
             simd::dispatch(
                 level,
                 #[inline(always)]
-                |l| dpu.simd_panel_f32_body::<true>(l, &pa, &pb, 0, 8, 0, 0, 12, 2, &mut got),
+                |l| {
+                    dpu.simd_panel_f32_body::<true, false>(
+                        l,
+                        &pa,
+                        &pb,
+                        0,
+                        8,
+                        0,
+                        0,
+                        12,
+                        2,
+                        &mut got,
+                        &mut unused,
+                    )
+                },
             );
             for (x, y) in got.iter().zip(&want) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{level:?} wide spreads");
@@ -2782,12 +3008,61 @@ mod tests {
         }
     }
 
+    /// One checked chunk on an 8 x 8 tile, at every level: the scalar
+    /// tapped chunk (`scalar`, the per-chunk executor with `Some(check)`),
+    /// then the vector checked chunk (`vector`) with the level set to each
+    /// `vector_levels()` entry. Every vector run must write the scalar
+    /// run's output bits and compute its exact `Checksum`. Returns the
+    /// scalar output bits and checksum, and each vector run's
+    /// `(simd_chunks, simd_fallbacks)` delta.
+    fn checked_at_every_level<T: Copy>(
+        c: &[T],
+        fault: Option<MmaFault>,
+        bits: fn(&[T]) -> Vec<u64>,
+        scalar: impl Fn(&mut DotProductUnit, &mut [T], &mut ChunkCheck),
+        vector: impl Fn(&mut DotProductUnit, &mut [T], &mut ChunkCheck),
+    ) -> (Vec<u64>, Checksum, Vec<(u64, u64)>) {
+        let _guard = simd::TEST_LEVEL_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let entry = simd::level();
+        let mut dpu = DotProductUnit::new();
+        let mut want = c.to_vec();
+        let mut check = ChunkCheck::new(fault);
+        scalar(&mut dpu, &mut want, &mut check);
+        let mut counts = Vec::new();
+        for level in simd::vector_levels() {
+            simd::set_level(level);
+            let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
+            let mut got = c.to_vec();
+            let mut vcheck = ChunkCheck::new(fault);
+            vector(&mut dpu, &mut got, &mut vcheck);
+            assert_eq!(bits(&got), bits(&want), "{level:?} {fault:?}");
+            assert_eq!(vcheck.computed, check.computed, "{level:?} {fault:?}");
+            counts.push((dpu.simd_chunks - chunks, dpu.simd_fallbacks - fallbacks));
+        }
+        simd::set_level(entry);
+        (bits(&want), check.computed, counts)
+    }
+
+    fn bits_f32(acc: &[f32]) -> Vec<u64> {
+        acc.iter().map(|x| x.to_bits() as u64).collect()
+    }
+
+    fn bits_c32(acc: &[Complex<f32>]) -> Vec<u64> {
+        acc.iter()
+            .flat_map(|z| [z.re.to_bits() as u64, z.im.to_bits() as u64])
+            .collect()
+    }
+
     #[test]
     fn checked_mma_f32_is_bit_identical_and_checksum_verifies() {
-        use crate::abft::expected_chunk_packed_f32;
+        use crate::abft::{expected_chunk_f32, BandSums};
         // Every real f32 mode — including the truncated fast schedule and
-        // the narrow formats — plus a wide-exponent-spread case that
-        // forces the Kulisch fallback; all must verify.
+        // the narrow formats — plus a wide-exponent-spread row that forces
+        // the fallback; all must verify, on the scalar tapped chunk and on
+        // the vector checked chunk at every level, which must agree bit
+        // for bit and checksum for checksum.
         for mode in [
             MxuMode::M3xuFp32,
             MxuMode::M3xuFp32Fast,
@@ -2808,12 +3083,25 @@ mod tests {
                 let mut dpu = DotProductUnit::new();
                 let mut plain: Vec<f32> = c.as_slice().to_vec();
                 dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain, None);
-                let mut checked: Vec<f32> = c.as_slice().to_vec();
-                let expected = expected_chunk_packed_f32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
-                let mut check = ChunkCheck::new(None);
-                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, Some(&mut check));
-                for (x, y) in checked.iter().zip(&plain) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{mode:?}");
+                let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
+                let expected = expected_chunk_f32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
+                let (checked, computed, counts) = checked_at_every_level(
+                    c.as_slice(),
+                    None,
+                    bits_f32,
+                    |dpu, acc, check| {
+                        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, Some(check));
+                    },
+                    |dpu, acc, check| {
+                        dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, check);
+                    },
+                );
+                assert_eq!(checked, bits_f32(&plain), "{mode:?}");
+                // The wide row's 8 chunks fall back at every vector level;
+                // everything else stays on the window.
+                let row0 = if scale == 1.0 { 0 } else { 8 };
+                for &n in &counts {
+                    assert_eq!(n, (64 - row0, row0), "{mode:?} scale {scale:e}");
                 }
                 // The scaled case overflows the narrow formats to Inf at
                 // quantisation — those chunks are correctly unverifiable;
@@ -2822,7 +3110,7 @@ mod tests {
                     assert!(expected.ok, "{mode:?}: finite inputs must be verifiable");
                 }
                 assert!(
-                    expected.matches(&check.computed),
+                    expected.matches(&computed),
                     "{mode:?}: honest run must verify"
                 );
             }
@@ -2831,7 +3119,7 @@ mod tests {
 
     #[test]
     fn checked_mma_f64_is_bit_identical_and_checksum_verifies() {
-        use crate::abft::expected_chunk_packed_f64;
+        use crate::abft::{expected_chunk_f64, BandSums};
         let a = Matrix::from_fn(8, 2, |i, j| ((i * 2 + j) as f64 - 7.5) / 3.0);
         let b = Matrix::from_fn(2, 8, |i, j| ((i * 8 + j) as f64 - 6.5) / 7.0);
         let c = Matrix::from_fn(8, 8, |i, j| ((i * 8 + j) as f64 - 31.5) / 11.0);
@@ -2841,7 +3129,8 @@ mod tests {
         let mut plain: Vec<f64> = c.as_slice().to_vec();
         dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain, None);
         let mut checked: Vec<f64> = c.as_slice().to_vec();
-        let expected = expected_chunk_packed_f64(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
+        let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
+        let expected = expected_chunk_f64(&sums_a, &sums_b, &checked, 0, 0, 0, 2);
         let mut check = ChunkCheck::new(None);
         dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, Some(&mut check));
         for (x, y) in checked.iter().zip(&plain) {
@@ -2853,38 +3142,42 @@ mod tests {
 
     #[test]
     fn checked_mma_c32_is_bit_identical_and_checksum_verifies() {
-        use crate::abft::expected_chunk_packed_c32;
+        use crate::abft::{expected_chunk_c32, BandSums};
         let b = Matrix::random_c32(1, 8, 62);
         let c = Matrix::random_c32(8, 8, 63);
         let pb = PackedOperand::pack_cols_c32(&b);
         // Random operands stay on the fast window; `a[0][0] = 1e20 +
         // 1e-20i` spreads both components of row 0 past it, onto the
         // Kulisch drain, whose real and imaginary residues must each be
-        // reported.
+        // reported. The vector checked chunk sends that row to the same
+        // fallback and must agree at every level.
         let mut wide = Matrix::random_c32(8, 1, 61);
         wide.set(0, 0, Complex::new(1.0e20, 1.0e-20));
-        for a in [Matrix::random_c32(8, 1, 61), wide] {
+        for (a, row0) in [(Matrix::random_c32(8, 1, 61), 0), (wide, 8)] {
             let pa = PackedOperand::pack_rows_c32(&a);
             let mut dpu = DotProductUnit::new();
             let mut plain: Vec<Complex<f32>> = c.as_slice().to_vec();
             dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut plain, None);
-            let mut checked: Vec<Complex<f32>> = c.as_slice().to_vec();
-            let expected = expected_chunk_packed_c32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 1);
-            let mut check = ChunkCheck::new(None);
-            dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut checked, Some(&mut check));
-            for (x, y) in checked.iter().zip(&plain) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
+            let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
+            let expected = expected_chunk_c32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 1);
+            let (checked, computed, counts) = checked_at_every_level(
+                c.as_slice(),
+                None,
+                bits_c32,
+                |dpu, acc, check| dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, Some(check)),
+                |dpu, acc, check| dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, check),
+            );
+            assert_eq!(checked, bits_c32(&plain));
+            for &n in &counts {
+                assert_eq!(n, (64 - row0, row0));
             }
-            assert!(expected.ok && expected.matches(&check.computed));
+            assert!(expected.ok && expected.matches(&computed));
         }
     }
 
     #[test]
     fn injected_faults_are_always_detected() {
-        use crate::abft::{
-            expected_chunk_packed_c32, expected_chunk_packed_f32, expected_chunk_packed_f64,
-        };
+        use crate::abft::{expected_chunk_c32, expected_chunk_f32, expected_chunk_f64, BandSums};
         use crate::fault::MmaFault;
         // Burst and single-bit faults, plus an LSB flip of every component
         // slot (128 covers FP32C's 8 x 8 x 2).
@@ -2906,7 +3199,10 @@ mod tests {
         .collect();
         // Beyond detection, a fault changes exactly the output component
         // it targets, slot `lane % slots` (FP32C: re at even, im at odd),
-        // against the unfaulted run's bits.
+        // against the unfaulted run's bits. The FP32 family and FP32C run
+        // the scalar tapped chunk and the vector checked chunk at every
+        // level, which must write the same bits and compute the same
+        // checksum: every fault is detected on the vector path too.
         let hits_its_slot = |f: &MmaFault, got: &[u64], clean: &[u64]| {
             let hit: Vec<usize> = (0..got.len()).filter(|&s| got[s] != clean[s]).collect();
             assert_eq!(hit, [f.lane() as usize % got.len()], "fault {f:?}");
@@ -2926,20 +3222,27 @@ mod tests {
             let pa = PackedOperand::pack_rows_f32(&a, mode);
             let pb = PackedOperand::pack_cols_f32(&b, mode);
             let mut dpu = DotProductUnit::new();
-            let bits =
-                |acc: &[f32]| -> Vec<u64> { acc.iter().map(|x| x.to_bits() as u64).collect() };
             let mut clean: Vec<f32> = c.as_slice().to_vec();
             dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut clean, None);
+            let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
+            let expected = expected_chunk_f32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
             for f in &faults {
-                let mut acc: Vec<f32> = c.as_slice().to_vec();
-                let expected = expected_chunk_packed_f32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
-                let mut check = ChunkCheck::new(Some(*f));
-                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(&mut check));
+                let (got, computed, _) = checked_at_every_level(
+                    c.as_slice(),
+                    Some(*f),
+                    bits_f32,
+                    |dpu, acc, check| {
+                        dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, Some(check));
+                    },
+                    |dpu, acc, check| {
+                        dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, check);
+                    },
+                );
                 assert!(
-                    !expected.matches(&check.computed),
+                    !expected.matches(&computed),
                     "{mode:?}: fault {f:?} must be detected"
                 );
-                hits_its_slot(f, &bits(&acc), &bits(&clean));
+                hits_its_slot(f, &got, &bits_f32(&clean));
             }
         }
 
@@ -2953,9 +3256,10 @@ mod tests {
         let bits = |acc: &[f64]| -> Vec<u64> { acc.iter().map(|x| x.to_bits()).collect() };
         let mut clean: Vec<f64> = c.as_slice().to_vec();
         dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut clean, None);
+        let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
+        let expected = expected_chunk_f64(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
         for f in &faults {
             let mut acc: Vec<f64> = c.as_slice().to_vec();
-            let expected = expected_chunk_packed_f64(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
             let mut check = ChunkCheck::new(Some(*f));
             dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(&mut check));
             assert!(
@@ -2971,23 +3275,23 @@ mod tests {
         let c = Matrix::random_c32(8, 8, 83);
         let pa = PackedOperand::pack_rows_c32(&a);
         let pb = PackedOperand::pack_cols_c32(&b);
-        let bits = |acc: &[Complex<f32>]| -> Vec<u64> {
-            acc.iter()
-                .flat_map(|z| [z.re.to_bits() as u64, z.im.to_bits() as u64])
-                .collect()
-        };
         let mut clean: Vec<Complex<f32>> = c.as_slice().to_vec();
         dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut clean, None);
+        let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
+        let expected = expected_chunk_c32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 1);
         for f in &faults {
-            let mut acc: Vec<Complex<f32>> = c.as_slice().to_vec();
-            let expected = expected_chunk_packed_c32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 1);
-            let mut check = ChunkCheck::new(Some(*f));
-            dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut acc, Some(&mut check));
+            let (got, computed, _) = checked_at_every_level(
+                c.as_slice(),
+                Some(*f),
+                bits_c32,
+                |dpu, acc, check| dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, Some(check)),
+                |dpu, acc, check| dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, check),
+            );
             assert!(
-                !expected.matches(&check.computed),
+                !expected.matches(&computed),
                 "complex fault {f:?} must be detected"
             );
-            hits_its_slot(f, &bits(&acc), &bits(&clean));
+            hits_its_slot(f, &got, &bits_c32(&clean));
         }
     }
 }

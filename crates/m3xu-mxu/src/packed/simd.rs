@@ -836,28 +836,31 @@ pub(crate) fn dispatch<R>(level: SimdLevel, body: impl FnOnce(SimdLevel) -> R) -
 }
 
 /// One chunk's row products for a real-mode fragment row: `out[t][j] =
-/// a[k0 + t] · bt[(k0 + t) * bstride + c0 + j]` as exact `f64`, for
-/// `t < klen`, `j < 8`. With `TRUNC` (the fast FP32 mode, chosen once
-/// per panel) each product is the truncated schedule's `hi_a·hi_b +
+/// a[t] · b_t[c0 + j]` as exact `f64`, for each of the chunk's `a.len()
+/// <= MAX_KLEN` elements and `j < 8`, where `b_t` is the `t`-th row
+/// `b_rows` yields — the `B` value plane is k-major, one row per
+/// reduction index, and the caller keeps one iterator across a panel
+/// row's chunks. With `TRUNC` (the fast FP32 mode, chosen once per
+/// panel) each product is the truncated schedule's `hi_a·hi_b +
 /// hi_a·lo_b + lo_a·hi_b`, formed as `a·b − lo_a·lo_b`: both products
 /// are exact in `f64`, and so is their difference, which spans at most
 /// 37 bits. In the `Avx2` build each four columns are one `vcvtps2pd` +
 /// `vmulpd`, and `TRUNC` adds one `vandps`, `vsubps`, `vcvtps2pd`,
 /// `vmulpd` and `vsubpd`.
+///
+/// Every row `b_rows` yields is exactly one `B` row long, so once the
+/// caller has checked the column window against that length (the two
+/// comparisons `brow[c0..][..COLS]` makes), no check is left per `k`.
 #[inline(always)]
 pub(crate) fn row_products<const TRUNC: bool>(
     a: &[f32],
-    bt: &[f32],
-    bstride: usize,
+    b_rows: &mut std::slice::ChunksExact<'_, f32>,
     c0: usize,
-    k0: usize,
-    klen: usize,
     out: &mut [[f64; COLS]; MAX_KLEN],
 ) {
-    debug_assert!(klen <= MAX_KLEN);
-    for (t, (&ak, row)) in a[k0..k0 + klen].iter().zip(out).enumerate() {
-        let o = (k0 + t) * bstride + c0;
-        let b: &[f32; COLS] = bt[o..o + COLS].try_into().expect("COLS columns");
+    debug_assert!(a.len() <= MAX_KLEN);
+    for ((&ak, brow), row) in a.iter().zip(b_rows).zip(out) {
+        let b: &[f32; COLS] = brow[c0..][..COLS].try_into().expect("COLS columns");
         let (av, alo) = (ak as f64, lo_f32(ak) as f64);
         *row = b.map(|bj| {
             let p = av * bj as f64;
@@ -1104,8 +1107,9 @@ mod tests {
                 |_| {
                     let mut got = [[0f64; COLS]; MAX_KLEN];
                     let mut got_trunc = [[0f64; COLS]; MAX_KLEN];
-                    row_products::<false>(&a, &bt, bstride, c0, k0, klen, &mut got);
-                    row_products::<true>(&a, &bt, bstride, c0, k0, klen, &mut got_trunc);
+                    let (a, rows) = (&a[k0..k0 + klen], &bt[k0 * bstride..]);
+                    row_products::<false>(a, &mut rows.chunks_exact(bstride), c0, &mut got);
+                    row_products::<true>(a, &mut rows.chunks_exact(bstride), c0, &mut got_trunc);
                     (got, got_trunc)
                 },
             );
@@ -1155,7 +1159,12 @@ mod tests {
             |_| {
                 for _ in 0..reps * 8 {
                     for c in 0..chunks {
-                        row_products::<false>(&av, &bt, 8, 0, c * 2, 2, &mut out);
+                        row_products::<false>(
+                            &av[c * 2..c * 2 + 2],
+                            &mut bt[c * 16..].chunks_exact(8),
+                            0,
+                            &mut out,
+                        );
                     }
                 }
             },
@@ -1231,7 +1240,12 @@ mod tests {
                             *c = ChunkSeed::decode(*a);
                         }
                         for c in 0..chunks {
-                            row_products::<false>(&av, &bt, 8, 0, c * 2, 2, &mut out);
+                            row_products::<false>(
+                                &av[c * 2..c * 2 + 2],
+                                &mut bt[c * 16..].chunks_exact(8),
+                                0,
+                                &mut out,
+                            );
                             for j in 0..COLS {
                                 let terms = [out[0][j], out[1][j]];
                                 let (sum, pmin, ok) = exact_chunk_accumulate_seeded(cs[j], &terms);
@@ -1432,16 +1446,32 @@ mod tests {
         }
     }
 
+    /// What the valid lanes of [`check_accumulate_chunk`]'s rows covered,
+    /// for the window residue: negative and zero sums, and anchors far
+    /// below 0 and above 61 (where the rotation wraps).
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Default)]
+    struct ResidueCover {
+        negative: u32,
+        zero: u32,
+        base_below: u32,
+        base_above: u32,
+    }
+
     /// Run [`x86::accumulate_chunk_avx2`] on one row of `T`-deep chunks
     /// and check every lane against the scalar
     /// [`exact_chunk_accumulate_seeded`]: the valid-lane mask (with the
     /// caller's `finite` bits ANDed in, as the panels do) matches exactly,
-    /// and every valid lane carries the same `(sum, base)`. Returns the
-    /// mask and the windows.
+    /// and every valid lane carries the same `(sum, base)`. The tapped
+    /// window phase (`RowWindow::accumulate`) at `Avx2` and at `Sse2`,
+    /// the scalar window, must then give every valid lane the residue
+    /// `residue_i128(sum, base)` of the scalar window. Returns the mask
+    /// and the windows.
     #[cfg(target_arch = "x86_64")]
     fn check_accumulate_chunk<const T: usize>(
         prods: &[[f64; COLS]],
         seeds: &RowSeeds,
+        cover: &mut ResidueCover,
     ) -> (u32, [i128; COLS], [i64; COLS]) {
         let (mut lo, mut hi, mut base) = ([0u64; COLS], [0u64; COLS], [0i64; COLS]);
         // SAFETY: the caller checked AVX2 support; `prods` holds `T`
@@ -1466,6 +1496,26 @@ mod tests {
             }
         }
         assert_eq!(ok, want, "valid-lane mask");
+        for level in [SimdLevel::Avx2, SimdLevel::Sse2] {
+            let mut window = super::super::RowWindow::default();
+            assert_eq!(window.accumulate::<T, true>(level, prods, seeds), ok);
+            for j in (0..COLS).filter(|j| ok >> j & 1 == 1) {
+                let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
+                let (sum, pmin, _) = exact_chunk_accumulate_seeded(seeds.get(j), &terms);
+                let want = m3xu_fp::residue::residue_i128(sum, pmin as i64);
+                assert_eq!(
+                    window.residue(j),
+                    want,
+                    "{level:?} lane {j}: {sum:#x} · 2^{pmin}"
+                );
+            }
+        }
+        for j in (0..COLS).filter(|j| ok >> j & 1 == 1) {
+            cover.negative += (sums[j] < 0) as u32;
+            cover.zero += (sums[j] == 0) as u32;
+            cover.base_below += (base[j] < -61) as u32;
+            cover.base_above += (base[j] > 61) as u32;
+        }
         (ok, sums, base)
     }
 
@@ -1483,12 +1533,13 @@ mod tests {
             state
         };
         const M52: u64 = (1 << 52) - 1;
-        let check = |klen: usize, prods: &[[f64; COLS]], seeds: &RowSeeds| match klen {
-            0 => check_accumulate_chunk::<0>(prods, seeds),
-            1 => check_accumulate_chunk::<1>(prods, seeds),
-            2 => check_accumulate_chunk::<2>(prods, seeds),
-            3 => check_accumulate_chunk::<3>(prods, seeds),
-            _ => check_accumulate_chunk::<4>(prods, seeds),
+        let mut cover = ResidueCover::default();
+        let mut check = |klen: usize, prods: &[[f64; COLS]], seeds: &RowSeeds| match klen {
+            0 => check_accumulate_chunk::<0>(prods, seeds, &mut cover),
+            1 => check_accumulate_chunk::<1>(prods, seeds, &mut cover),
+            2 => check_accumulate_chunk::<2>(prods, seeds, &mut cover),
+            3 => check_accumulate_chunk::<3>(prods, seeds, &mut cover),
+            _ => check_accumulate_chunk::<4>(prods, seeds, &mut cover),
         };
         // Random rows: every contribution's top bit lies within ±64 of its
         // lane's centre, so the spread lands on both sides of the bound;
@@ -1631,6 +1682,19 @@ mod tests {
         seeds.set(6, ChunkSeed::decode(f32::NAN));
         let (ok, _, _) = check(0, &[], &seeds);
         assert_eq!(ok, 0xff & !(1 << 6));
+        // The residues above met negative and zero sums and anchors on
+        // both sides of the rotation's range, beside the edges at the
+        // admission bound.
+        let ResidueCover {
+            negative,
+            zero,
+            base_below,
+            base_above,
+        } = cover;
+        assert!(
+            negative > 1000 && zero >= 10 && base_below > 1000 && base_above > 1000,
+            "{negative} negative, {zero} zero, {base_below} below -61, {base_above} above 61"
+        );
     }
 
     #[test]

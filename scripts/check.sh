@@ -46,8 +46,11 @@ cargo test --release -q --test cross_validation
 # and forced off (`M3XU_SIMD=0`, the scalar oracle standing alone). The
 # differential suite includes the emulated-FP64 softfloat FMA envelope
 # test; cross-validation asserts exact `simd_chunks` / `simd_fallbacks`
-# counts, which are zero at `Scalar`. The level is resolved once per
-# process, hence one cargo invocation per setting.
+# counts, checked calls' included, which are zero at `Scalar`. The armed
+# chaos run recovers injected faults on each level's checked chunks: the
+# AVX2 window kernels, SSE2's per-column window, the scalar element body.
+# The level is resolved once per process, hence one cargo invocation per
+# setting.
 for simd in 1 sse2 0; do
     echo "== SIMD parity + differential + cross-validation suites under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} cargo test -q \
@@ -56,6 +59,9 @@ for simd in 1 sse2 0; do
     echo "== BLAS-3 differential suite under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} M3XU_PROP_CASES=4 cargo test -q \
         --test blas3_differential
+    echo "== armed chaos suite (release) under M3XU_SIMD=${simd}"
+    M3XU_SIMD=${simd} M3XU_FAULT_SEED=7 M3XU_FAULT_RATE=2e-2 cargo test --release -q \
+        --test chaos_faults
 done
 
 # Perf smoke gates (release), both in tests/perf_smoke.rs: the vector

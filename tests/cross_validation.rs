@@ -696,6 +696,38 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     assert_eq!(d.simd_chunks, if vector { 64 * 64 * 64 } else { 0 });
     assert_eq!(d.simd_fallbacks, 0);
 
+    // Checked at fault rate 0, both calls run their chunks on the same
+    // panel bodies with the residue tap on: same bits, and the counters
+    // of the unchecked calls (0/0 at `Scalar`).
+    use m3xu::kernels::FaultPlan;
+    use std::sync::Arc;
+    let armed = M3xuContext::with_threads(2).with_fault_plan(Arc::new(FaultPlan::new(0, 0.0)));
+    let unarmed = M3xuContext::with_threads(2);
+    let z = Matrix::zeros(64, 64);
+    let (plain, checked) = (
+        unarmed
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &z)
+            .unwrap(),
+        armed
+            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &z)
+            .unwrap(),
+    );
+    assert_eq!(plain.d, checked.d);
+    let ck = armed.stats();
+    assert_eq!((ck.simd_chunks, ck.simd_fallbacks), (s.simd_chunks, 0));
+    let (plain, checked) = (
+        unarmed
+            .try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64))
+            .unwrap(),
+        armed
+            .try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64))
+            .unwrap(),
+    );
+    assert_eq!(plain.d, checked.d);
+    let cd = armed.stats().delta_since(&ck);
+    assert_eq!((cd.simd_chunks, cd.simd_fallbacks), (d.simd_chunks, 0));
+    assert_eq!(armed.stats().faults_detected, 0);
+
     let x: Vec<m3xu::C32> = (0..4096)
         .map(|i| m3xu::Complex::new((i as f32 * 0.13).sin(), (i as f32 * 0.05).cos()))
         .collect();

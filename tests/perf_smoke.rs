@@ -15,6 +15,10 @@
 //!   FP32 (the truncated product on the f32 panels, floor 3x) and 128³
 //!   emulated FP64 (the FMA row kernel, floor 20x). Per fragment, the
 //!   benchmark's layer probe reads ~7x and several hundred x for them.
+//!   Two more rows gate the ABFT-checked body: 128³ FP32 and FP32C on a
+//!   context armed with a rate-0 fault plan, at the vector level against
+//!   forced `Scalar`, floor 3x each. A checked chunk that drops back to
+//!   the scalar element body reads ~1x there.
 //! * `serve_batching_never_loses_to_one_at_a_time` — the serve layer's
 //!   adaptive batching: 16 identical 128³ M3XU-FP32 GEMMs submitted all
 //!   at once must finish no later than the same 16 submitted one at a
@@ -28,10 +32,11 @@
 //! runs, whatever `--test-threads` is.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use m3xu::kernels::gemm::{GemmPrecision, GemmResult};
+use m3xu::kernels::FaultPlan;
 use m3xu::mxu::packed::simd::{self, SimdLevel};
 use m3xu::{default_context, M3xuContext, M3xuServe, Matrix, ServeConfig, SubmitOpts, Ticket};
 
@@ -107,17 +112,34 @@ fn simd_pipeline_beats_scalar_floor() {
                 .unwrap(),
         );
     });
+    // The checked body: a rate-0 plan arms the context (sized like the
+    // default one), so every chunk runs checked and nothing is injected.
+    let armed = M3xuContext::with_threads(default_context().threads())
+        .with_fault_plan(Arc::new(FaultPlan::new(0, 0.0)));
+    let checked = speedup(entry, &format!("checked FP32 {n}^3"), &|| {
+        std::hint::black_box(
+            armed
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &fa, &fb, &fc)
+                .unwrap(),
+        );
+    });
+    let checked_c = speedup(entry, &format!("checked FP32C {n}^3"), &|| {
+        std::hint::black_box(armed.try_cgemm_c32(&ca, &cb, &cc).unwrap());
+    });
     // Floor at 3x for both GEMM modes (measured ~10x): anything under 3x
     // means the vector pipeline effectively stopped working. The FFT's 4x
     // floor (measured ~7.8x) trips when its chunks leave the window. The
     // fast-FP32 floor (3x) and the emulated-FP64 one (20x) trip when
-    // either mode drops back to the scalar oracle, where both read ~1x.
+    // either mode drops back to the scalar oracle, where both read ~1x,
+    // and the checked rows' (3x) when checked chunks do.
     for (what, s, floor) in [
         ("FP32", fp32, 3.0),
         ("FP32C", fp32c, 3.0),
         ("GEMM-FFT", fft, 4.0),
         ("FP32-fast", fast, 3.0),
         ("FP64-emulated", fp64, 20.0),
+        ("checked FP32", checked, 3.0),
+        ("checked FP32C", checked_c, 3.0),
     ] {
         assert!(
             s >= floor,
