@@ -17,15 +17,10 @@
 //! | `fig9`    | Fig. 9: KNN speedup heatmap |
 //! | `all`     | everything above, plus JSON dumps under `results/` |
 //!
-//! The microbenchmarks (`cargo bench -p m3xu-bench`) measure the
-//! *functional* library itself: MMA latency, tiled GEMM/CGEMM throughput,
-//! the GEMM-FFT, KNN, and the cost/performance model evaluation speed.
-//! End-to-end timings of the library come from the repository benchmark
-//! under `benchmark/`.
+//! Timings of the functional library itself come from the repository
+//! benchmark under `benchmark/`.
 
 #![warn(missing_docs)]
-
-pub mod timing;
 
 use m3xu_json::ToJson;
 use std::fs;

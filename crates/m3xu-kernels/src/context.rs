@@ -71,7 +71,7 @@ pub(crate) struct GemmSample {
     pub fragments: u64,
     /// A/B operand bytes at the mode's storage width.
     pub operand_bytes: u64,
-    /// Wall time decoding operands into packed planes, ns.
+    /// Wall time packing operands into their value planes, ns.
     pub pack_ns: u64,
     /// Wall time executing fragments across the pool, ns.
     pub exec_ns: u64,
@@ -223,7 +223,7 @@ pub struct ExecStats {
     /// Bytes of A/B operand traffic at each mode's storage width — the
     /// quantity behind the paper's rule (c) 2x / 4x traffic ratios.
     pub operand_bytes: u64,
-    /// Wall time spent decoding operands into packed planes, ns.
+    /// Wall time spent packing operands into their value planes, ns.
     pub pack_ns: u64,
     /// Wall time spent executing fragments across the pool, ns.
     pub exec_ns: u64,
@@ -317,8 +317,7 @@ impl ExecStats {
 
 /// Reusable packed-operand storage: capacity survives across GEMMs so
 /// repeated runs through one context stop visiting the allocator for
-/// their entry *and* value planes (the f32 mirrors the SIMD row kernels
-/// read).
+/// their value planes (the `f32` and `f64` planes every executor reads).
 #[derive(Default)]
 struct OperandArena {
     a: PackedStorage,
@@ -442,13 +441,14 @@ impl M3xuContext {
     }
 
     /// Return scratch to the arena, keeping the larger capacity (keyed on
-    /// the entry plane — the value planes scale with it).
+    /// the bytes both value planes hold).
     pub(crate) fn put_scratch(&self, a: PackedStorage, b: PackedStorage) {
+        let bytes = |s: &PackedStorage| s.vals.capacity() * 4 + s.vals64.capacity() * 8;
         if let Ok(mut g) = self.arena.try_lock() {
-            if a.entries.capacity() > g.a.entries.capacity() {
+            if bytes(&a) > bytes(&g.a) {
                 g.a = a;
             }
-            if b.entries.capacity() > g.b.entries.capacity() {
+            if bytes(&b) > bytes(&g.b) {
                 g.b = b;
             }
         }
@@ -552,8 +552,9 @@ impl M3xuContext {
     /// context's [`ExecStats`]. Only [`GemmPrecision::Fp64Emulated`] is
     /// accepted; every other precision returns
     /// [`M3xuError::ModeMismatch`]. The residue homomorphism extends to
-    /// every f64 dyadic rational, so the checked body reads the five
-    /// packed mantissa slices directly.
+    /// every f64 dyadic rational, so the checked body's expected side
+    /// reads the packed `f64` values, whose five mantissa slices sum to
+    /// them exactly.
     pub fn try_gemm_f64(
         &self,
         precision: GemmPrecision,

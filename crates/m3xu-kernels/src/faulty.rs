@@ -26,7 +26,7 @@
 //!   unrecoverable one returns
 //!   [`M3xuError::FaultDetected`]
 //!   — never a panic, never silent corruption the checksums can see.
-//!   (The expected checksums read the packed buffer entries, so
+//!   (The expected checksums read the packed, quantised values, so
 //!   quantisation happens on both sides of the comparison.)
 
 use crate::context::{GemmExecutor, M3xuContext};

@@ -32,10 +32,10 @@
 //!
 //! ## The packed fragment pipeline
 //!
-//! The driver decodes both operands into [`PackedOperand`] buffer-entry
-//! planes **once per GEMM**, then executes every fragment in place out of
-//! those planes ([`m3xu_mxu::packed`]): no tile copies, no per-fragment
-//! `StepPlan` allocation, no re-decoding of `A` per column tile. Work
+//! The driver packs both operands into [`PackedOperand`] value planes
+//! **once per GEMM**, then executes every fragment in place out of those
+//! planes ([`m3xu_mxu::packed`]): no tile copies, no per-fragment
+//! `StepPlan` allocation, no re-quantising of `A` per column tile. Work
 //! distributes over the output-tile schedule through the context's
 //! persistent [`WorkerPool`] (the FFT issues thousands of small CGEMMs,
 //! where per-call thread spawn used to dominate). Results are

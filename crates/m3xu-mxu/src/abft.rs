@@ -37,24 +37,25 @@
 //!
 //! ## Expected checksums come from the packed planes
 //!
-//! The expected side is computed from the [`PackedOperand`] buffer
-//! entries — the quantised, alpha-folded, slice-split values the
-//! multiplier array *actually* consumes — not from the source matrices.
-//! That one choice is what makes the whole op × precision surface
-//! checkable with a single algebra:
+//! The expected side is computed from the [`PackedOperand`] value planes
+//! — the quantised, alpha-folded values the multiplier array *actually*
+//! consumes — not from the source matrices. Every pack is lossless, so a
+//! value's residue is the sum of its buffer entries' ([`entry_residue`]).
+//! That one choice makes the whole op × precision surface checkable with
+//! a single algebra:
 //!
-//! * narrow modes (FP16/BF16/TF32): the entries *are* the quantised
+//! * narrow modes (FP16/BF16/TF32): the planes hold the quantised
 //!   values, so quantisation needs no modelling;
 //! * the BLAS-3 driver's `alpha` fold and `op(X)` views: packing already
 //!   applied them, so the checksum algebra inherits them for free;
-//! * emulated FP64: the 5 mantissa slices per element are entries like
-//!   any other, and the 53-bit/2^-1074 dyadic range is inside `F_p`'s
-//!   image ([`m3xu_fp::residue::residue_f64`]);
+//! * emulated FP64: the 5 mantissa slices of an element sum to its `f64`
+//!   value, and the 53-bit/2^-1074 dyadic range is inside `F_p`'s image
+//!   ([`m3xu_fp::residue::residue_f64`]);
 //! * the truncated fast-FP32 schedule: the per-slice column sums
 //!   `S_A[s]`, `S_B[t]` are combined term-by-term, skipping exactly the
 //!   `s + t >= N` products the datapath skips.
 //!
-//! A checked call sums each operand's entries once, per output-tile band
+//! A checked call sums each operand's residues once, per output-tile band
 //! and per `k` ([`BandSums`]): `S_A[k]` over a tile row's `A` vectors and
 //! `S_B[k]` over a tile column's `B` vectors. Every tile of the band
 //! reads the same sums, so a chunk's expected checksum costs its seeds'
@@ -69,11 +70,11 @@
 //! which never targets special-valued lanes (they bypass the multiplier
 //! array).
 
-use crate::buffer::BufferEntry;
+use crate::buffer::{decode_fp32, BufferEntry};
 use crate::modes::MxuMode;
 use crate::packed::PackedOperand;
 use m3xu_fp::residue::{
-    add_m61, mul_m61, mul_pow2_m61, neg_m61, residue_f64, residue_sum_f32, sub_m61,
+    add_m61, mul_m61, mul_pow2_m61, neg_m61, residue_f32, residue_f64, residue_sum_f32, sub_m61,
 };
 use m3xu_fp::C32;
 
@@ -176,7 +177,7 @@ enum Schedule {
 /// columns of one tile column of `B`), the last band clipped. Each
 /// `(band, k)` keeps the slots its mode's schedule multiplies — the
 /// element value sum, per-slice sums, or the re/im pair — and a flag set
-/// when any entry of that band at `k` is special.
+/// when any element of that band at `k` is special.
 #[derive(Debug, Clone)]
 pub struct BandSums {
     schedule: Schedule,
@@ -189,32 +190,43 @@ pub struct BandSums {
 }
 
 impl BandSums {
-    /// Sum `p`'s entry residues in bands of `width` vectors.
+    /// Sum `p`'s value residues in bands of `width` vectors: one per
+    /// element, FP32C component, or truncated schedule's hi/lo slice.
     pub fn new(p: &PackedOperand, width: usize) -> BandSums {
         assert!(width > 0, "band width must be positive");
-        let (epe, len) = (p.epe(), p.len());
+        let len = p.len();
         let (schedule, slots) = match p.mode() {
-            MxuMode::M3xuFp32Fast => (Schedule::Truncated, epe),
+            MxuMode::M3xuFp32Fast => (Schedule::Truncated, 2),
             MxuMode::M3xuFp32c => (Schedule::Complex, 2),
             _ => (Schedule::Full, 1),
+        };
+        // Element `(v, k)`'s slot residues, `None` for a special.
+        let residues = |v: usize, k: usize| -> Option<[u64; 2]> {
+            Some(match p.mode() {
+                MxuMode::M3xuFp32Fast => {
+                    let (hi, lo) = decode_fp32(p.value_f32(v, k));
+                    [entry_residue(&hi)?, entry_residue(&lo)?]
+                }
+                MxuMode::M3xuFp32c => {
+                    let x = p.value_c32(v, k);
+                    [residue_f32(x.re)?, residue_f32(x.im)?]
+                }
+                MxuMode::M3xuFp64Emu => [residue_f64(p.value_f64(v, k))?, 0],
+                _ => [residue_f32(p.value_f32(v, k))?, 0],
+            })
         };
         let bands = p.vecs().div_ceil(width);
         let mut sums = vec![0u64; bands * len * slots];
         let mut special = vec![false; bands * len];
         for v in 0..p.vecs() {
-            let band = v / width;
-            let at = band * len;
-            let band_sums = sums[at * slots..(at + len) * slots].chunks_exact_mut(slots);
-            for (k, (elem, out)) in p.vec(v).chunks_exact(epe).zip(band_sums).enumerate() {
-                // Each slot sums its run of the element's entries: one
-                // slice, the element's all, or a component's half pair.
-                for (slot, entries) in out.iter_mut().zip(elem.chunks_exact(epe / slots)) {
-                    for e in entries {
-                        match entry_residue(e) {
-                            Some(r) => *slot = add_m61(*slot, r),
-                            None => special[at + k] = true,
-                        }
+            let at = v / width * len;
+            for k in 0..len {
+                match residues(v, k) {
+                    Some(r) => {
+                        let out = &mut sums[(at + k) * slots..(at + k + 1) * slots];
+                        out.iter_mut().zip(r).for_each(|(s, r)| *s = add_m61(*s, r));
                     }
+                    None => special[at + k] = true,
                 }
             }
         }
@@ -387,12 +399,89 @@ mod tests {
 
     #[test]
     fn entry_residue_matches_the_value_residue_for_lossless_packs() {
-        // An FP32-mode hi/lo pair denotes the exact input value, so the
-        // entry residues must sum to the value's residue.
-        for &x in &[1.5f32, -3.25, 0.1, 123456.78, f32::MIN_POSITIVE, 0.0] {
-            let (hi, lo) = crate::buffer::decode_fp32(x);
-            let r = add_m61(entry_residue(&hi).unwrap(), entry_residue(&lo).unwrap());
-            assert_eq!(r, residue_f32(x).unwrap(), "{x}");
+        use crate::matrix::Matrix;
+        // `BandSums` reads one residue per stored value, where the
+        // datapath multiplies the entries the value decodes to. Every
+        // packing mode's decode is lossless, so an element's entry
+        // residues must sum to its value's residue, and a special must
+        // leave both sides `None`.
+        let sum = |es: &[BufferEntry]| {
+            es.iter()
+                .try_fold(0, |r, e| Some(add_m61(r, entry_residue(e)?)))
+        };
+        let decoded = |p: &PackedOperand, k: usize| {
+            let mut e = [BufferEntry::ZERO; 5];
+            p.decode(0, k, k + 1, &mut e);
+            e
+        };
+        // FP32 and fast FP32 store these as given; FP16, BF16 and TF32
+        // quantise them, to their own subnormals (FP16's below 6.1e-5,
+        // BF16's and TF32's below 1.2e-38) and to ±Inf past their range.
+        let xs = [
+            1.5f32,
+            -3.25,
+            0.1,
+            123_456.78,
+            f32::MIN_POSITIVE,
+            1e-45,
+            -3.5e-42,
+            3e-6,
+            -6e-8,
+            0.0,
+            -0.0,
+            65_520.0,
+            -1e6,
+            f32::MAX,
+            -f32::MAX,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let row = Matrix::from_fn(1, xs.len(), |_, k| xs[k]);
+        let mut infs = 0;
+        for mode in [
+            MxuMode::M3xuFp32,
+            MxuMode::M3xuFp32Fast,
+            MxuMode::Fp16,
+            MxuMode::Bf16,
+            MxuMode::Tf32,
+        ] {
+            let p = PackedOperand::pack_rows_f32(&row, mode);
+            for (k, x) in xs.iter().enumerate() {
+                let v = p.value_f32(0, k);
+                infs += (x.is_finite() && v.is_infinite()) as usize;
+                let got = sum(&decoded(&p, k)[..p.epe()]);
+                assert_eq!(got, residue_f32(v), "{mode:?}: {x:e} packs to {v:e}");
+            }
+        }
+        // FP16 overflows 123456.78, 65520, -1e6 and ±f32::MAX; BF16 and
+        // TF32 overflow ±f32::MAX.
+        assert_eq!(infs, 9);
+        // FP32C: each component's hi/lo pair.
+        let z = Matrix::from_fn(1, xs.len(), |_, k| C32::new(xs[k], xs[xs.len() - 1 - k]));
+        let p = PackedOperand::pack_rows_c32(&z);
+        for k in 0..xs.len() {
+            let (e, v) = (decoded(&p, k), p.value_c32(0, k));
+            assert_eq!(sum(&e[..2]), residue_f32(v.re), "{v:?}");
+            assert_eq!(sum(&e[2..4]), residue_f32(v.im), "{v:?}");
+        }
+        // Emulated FP64: the five slices of normals, subnormals and ±0.
+        let ds = [
+            1.0 / 3.0,
+            -2.5e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -1e-310,
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::NEG_INFINITY,
+        ];
+        let d = Matrix::from_fn(1, ds.len(), |_, k| ds[k]);
+        let p = PackedOperand::try_pack_rows_f64(&d, MxuMode::M3xuFp64Emu).unwrap();
+        for (k, x) in ds.iter().enumerate() {
+            assert_eq!(sum(&decoded(&p, k)), residue_f64(*x), "{x:e}");
         }
     }
 
@@ -427,8 +516,11 @@ mod tests {
                         for i in ta * wa..(ta * wa + wa).min(m) {
                             for j in tb * wb..(tb * wb + wb).min(n) {
                                 for kk in k0..kend {
-                                    let x = &pa.vec(i)[kk * epe..(kk + 1) * epe];
-                                    let y = &pb.vec(j)[kk * epe..(kk + 1) * epe];
+                                    let (mut x, mut y) =
+                                        ([BufferEntry::ZERO; 5], [BufferEntry::ZERO; 5]);
+                                    pa.decode(i, kk, kk + 1, &mut x);
+                                    pb.decode(j, kk, kk + 1, &mut y);
+                                    let (x, y) = (&x[..epe], &y[..epe]);
                                     if pa.mode() == MxuMode::M3xuFp32c {
                                         let (xr, xi) = (
                                             add_m61(res(&x[0]), res(&x[1])),

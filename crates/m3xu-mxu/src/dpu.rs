@@ -201,6 +201,8 @@ pub struct DotProductUnit {
     /// Element-chunks the SIMD panels sent to the scalar oracle — a
     /// special operand, or an exponent spread beyond the vector window.
     pub simd_fallbacks: u64,
+    /// Buffer entries the packed per-chunk executors decode into, reused.
+    pub(crate) decoded: Vec<BufferEntry>,
 }
 
 impl DotProductUnit {

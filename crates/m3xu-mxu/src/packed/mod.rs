@@ -1,17 +1,22 @@
-//! Packed-operand fragment pipeline — decode once, execute in place.
+//! Packed-operand fragment pipeline — pack values, split on demand.
 //!
-//! The per-fragment MMA entry points in [`crate::mma`] re-decode their
-//! operand tiles on every call: a tiled GEMM decodes each element of `A`
-//! once per *column tile* of `B` (and vice versa), and every fragment heap-
-//! allocates its `StepPlan`. This module removes both costs:
+//! The per-fragment MMA entry points in [`crate::mma`] re-read and
+//! re-quantise their operand tiles on every call: a tiled GEMM converts
+//! each element of `A` once per *column tile* of `B` (and vice versa), and
+//! every fragment heap-allocates its `StepPlan`. This module removes both
+//! costs:
 //!
-//! * [`PackedOperand`] decodes a whole GEMM operand into [`BufferEntry`]
-//!   planes **once per GEMM** — per mode, including the FP32 hi/lo split
-//!   and the FP32C `[re_hi, re_lo, im_hi, im_lo]` planes;
+//! * [`PackedOperand`] packs a whole GEMM operand **once per GEMM** into
+//!   value planes, each element quantised and alpha-folded once. Its
+//!   [`BufferEntry`] split (FP32 hi/lo, FP32C's four halves, the
+//!   emulated-FP64 slices) is a pure function of the value, so it is
+//!   decoded where it is read, as M3XU's data-assignment multiplexers
+//!   split mantissas at execute time;
 //! * [`DotProductUnit::mma_f32_into`], [`DotProductUnit::mma_c32_into`]
-//!   and [`DotProductUnit::mma_f64_into`] execute one fragment chunk
-//!   straight out of the packed planes into a caller-owned accumulator
-//!   slice — no allocation on the hot path.
+//!   and [`DotProductUnit::mma_f64_into`] decode one fragment chunk's `A`
+//!   rows and `B` columns into scratch the unit reuses, then execute the
+//!   chunk into a caller-owned accumulator slice — no allocation on the
+//!   hot path once the scratch has grown.
 //!
 //! ## One element body per precision
 //!
@@ -57,7 +62,8 @@
 //! phase, `RowWindow`, which holds the level switch between the AVX2
 //! window kernels and the scalar window. The scalar element bodies stay
 //! the differential oracle and the fallback for partial rows, specials,
-//! zero FP64 results and wide exponent spreads.
+//! zero FP64 results and wide exponent spreads; a fallback decodes only
+//! the element-chunk it reruns.
 //!
 //! A checked FP32-family or FP32C chunk
 //! ([`DotProductUnit::mma_f32_checked_into`],
@@ -84,6 +90,7 @@ use crate::modes::MxuMode;
 use m3xu_fp::complex::Complex;
 use m3xu_fp::format::{BF16, FP16, TF32};
 use m3xu_fp::residue::{add_m61, mul_pow2_m61, reduce_u64, residue_f64, residue_i128, sub_m61};
+use m3xu_fp::split::FP64_SLICES_EMULATED;
 
 /// Buffer entries the data-assignment stage provisions per operand element
 /// in `mode` — 1 for the narrow formats, 2 for the hi/lo split of the FP32
@@ -117,31 +124,30 @@ pub fn fragment_stats(mode: MxuMode, shape: MmaShape) -> MmaStats {
     }
 }
 
-/// One GEMM operand decoded into buffer-entry planes, ready for any number
-/// of fragment executions.
+/// One GEMM operand packed into value planes, ready for any number of
+/// fragment executions.
 ///
-/// Layout: `vecs` dot-product operand vectors (the rows of `A`, or the
-/// columns of `B`), each `len` elements long, each element expanded to
-/// [`entries_per_element`] consecutive entries. For `A` pack by rows; for
-/// `B` pack by columns — fragment execution then reads two contiguous
-/// slices.
-/// In addition to the entry planes, packing mirrors each element's
-/// *value* (the exact `f32` the entries denote — the original input for
-/// the lossless FP32/FP32C modes, the quantised value for the narrow
-/// modes, specials kept as themselves) into a planar `f32` buffer for
-/// the [`simd`] row kernels: row-major `[vec][k]` on the rows side,
-/// k-major `[k][vec]` on the columns side so one vector load covers 8
-/// consecutive output columns (FP32C stores separate re/im planes). The
-/// emulated-FP64 mode mirrors each element's `f64` value (alpha folded
-/// in, exactly the value its slices sum to) in the same layout, in
-/// `vals64`, for the FMA row kernel.
+/// `vecs` dot-product operand vectors (the rows of `A`, or the columns of
+/// `B`), each `len` elements long. Each element is stored once, as the
+/// exact value the multiplier array consumes: the input itself for the
+/// lossless FP32/FP32C modes, the quantised value for the narrow modes,
+/// specials as themselves, with `alpha` folded in on the rows side. The
+/// real `f32` modes and FP32C fill the `f32` plane `vals`: row-major
+/// `[vec][k]` on the rows side, k-major `[k][vec]` on the columns side, so
+/// one vector load covers 8 consecutive output columns (FP32C interleaves
+/// re/im on the rows side and stores a re plane, then an im plane, on the
+/// columns side). The emulated-FP64 mode fills the `f64` plane `vals64`
+/// in the same two layouts.
+///
+/// The [`simd`] panel bodies read the planes directly. The scalar element
+/// bodies read [`BufferEntry`]s, decoded from the planes per chunk with
+/// [`decode_fp32`], `decode_narrow_f32` and [`decode_fp64_slices`], the
+/// split the multiplier array's data-assignment stage makes.
 #[derive(Debug, Clone)]
 pub struct PackedOperand {
     mode: MxuMode,
-    epe: usize,
     len: usize,
     vecs: usize,
-    entries: Vec<BufferEntry>,
     vals: Vec<f32>,
     vals64: Vec<f64>,
     /// True for column packing (`B` side): the value planes are k-major.
@@ -150,24 +156,19 @@ pub struct PackedOperand {
 
 /// Reusable backing buffers for a [`PackedOperand`] — the unit the
 /// context scratch arena recycles so repeated GEMMs stop visiting the
-/// allocator for their entry planes *and* their SIMD value planes.
+/// allocator for their value planes.
 #[derive(Debug, Default)]
 pub struct PackedStorage {
-    /// Buffer-entry planes.
-    pub entries: Vec<BufferEntry>,
-    /// Planar `f32` value mirror for the SIMD row kernels.
+    /// Planar `f32` value plane (the real `f32` modes and FP32C).
     pub vals: Vec<f32>,
-    /// Planar `f64` value mirror for the emulated-FP64 row kernel.
+    /// Planar `f64` value plane (emulated FP64).
     pub vals64: Vec<f64>,
 }
 
 impl PackedStorage {
-    /// Clear every buffer and pre-size them for `elems` operand elements
-    /// at `epe` entries, `vpe` `f32` value slots and `vpe64` `f64` value
-    /// slots each.
-    fn prepared(mut self, elems: usize, epe: usize, vpe: usize, vpe64: usize) -> Self {
-        self.entries.clear();
-        self.entries.reserve(elems * epe);
+    /// Clear both planes and pre-size them for `elems` operand elements at
+    /// `vpe` `f32` and `vpe64` `f64` value slots each.
+    fn prepared(mut self, elems: usize, vpe: usize, vpe64: usize) -> Self {
         self.vals.clear();
         self.vals.reserve(elems * vpe);
         self.vals64.clear();
@@ -184,46 +185,45 @@ const fn is_real_f32_mode(mode: MxuMode) -> bool {
     )
 }
 
-/// The exact `f32` value element `x` packs to in `mode` — the one
-/// quantisation both the entry planes and the SIMD value planes are built
-/// from. Lossless for FP32 (hi+lo reconstruct `x`); the value rounded to
-/// the narrow format otherwise (every TF32/FP16/BF16 value, a
-/// rounded-to-infinity overflow included, is an `f32`). Specials pass
-/// through as themselves, so the row kernels' non-finite-product abort
-/// routes them to the oracle path.
+/// Append `f(i, j)` over a `rows x cols` grid, row by row, as the exact
+/// `f32` it packs to in the real mode `mode`: itself for FP32 (hi+lo
+/// reconstruct it), else rounded to the narrow format (every TF32/FP16/
+/// BF16 value, a rounded-to-infinity overflow included, is an `f32`).
+/// Specials pass through as themselves, so the row kernels'
+/// non-finite-product abort routes them to the oracle path.
 #[inline]
-fn quantise_f32(x: f32, mode: MxuMode) -> f32 {
+fn extend_quantised(
+    vals: &mut Vec<f32>,
+    rows: usize,
+    cols: usize,
+    mode: MxuMode,
+    f: impl Fn(usize, usize) -> f32,
+) {
+    for i in 0..rows {
+        let row = (0..cols).map(|j| f(i, j));
+        match mode {
+            MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => vals.extend(row),
+            _ => vals.extend(row.map(|x| quantise_narrow(x, mode))),
+        }
+    }
+}
+
+/// [`round_f32_to_narrow`] to the format of the narrow mode `mode`. Kept
+/// out of line: the pack loop took ~40% less time calling it than with
+/// the rounder inlined (11–14 against 19–23 ns per element, 256² operands,
+/// AVX2 Xeon).
+#[inline(never)]
+fn quantise_narrow(x: f32, mode: MxuMode) -> f32 {
     match mode {
-        MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => x,
         MxuMode::Tf32 => round_f32_to_narrow(x, TF32),
         MxuMode::Fp16 => round_f32_to_narrow(x, FP16),
-        MxuMode::Bf16 => round_f32_to_narrow(x, BF16),
-        // Checked by the `try_pack_*` entry gates before any decode work.
-        _ => unreachable!("mode gate admitted a non-real packing mode"),
+        _ => round_f32_to_narrow(x, BF16),
     }
 }
 
-/// Push the buffer entries of `v`, a [`quantise_f32`] result: the FP32
-/// hi/lo halves, or the narrow format's single entry (a decode, no
-/// second rounding).
-#[inline]
-fn push_f32(entries: &mut Vec<BufferEntry>, v: f32, mode: MxuMode) {
-    match mode {
-        MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => {
-            let (hi, lo) = decode_fp32(v);
-            entries.push(hi);
-            entries.push(lo);
-        }
-        MxuMode::Tf32 => entries.push(decode_narrow_f32(v, TF32)),
-        MxuMode::Fp16 => entries.push(decode_narrow_f32(v, FP16)),
-        MxuMode::Bf16 => entries.push(decode_narrow_f32(v, BF16)),
-        _ => unreachable!("mode gate admitted a non-real packing mode"),
-    }
-}
-
-/// Fold the scalar `alpha` into an element before decode. A bitwise check
-/// against `1.0` skips the multiply entirely, so an `alpha = 1` pack
-/// decodes every element exactly as stored (a NaN payload or signed zero
+/// Fold the scalar `alpha` into an element before quantisation. A bitwise
+/// check against `1.0` skips the multiply entirely, so an `alpha = 1` pack
+/// stores every element exactly as given (a NaN payload or signed zero
 /// never passes through a multiply) — the contract the op/alpha
 /// differential suite pins against the plain GEMM path.
 #[inline]
@@ -253,16 +253,6 @@ fn scale_f64(alpha: f64, x: f64) -> f64 {
     } else {
         alpha * x
     }
-}
-
-#[inline]
-fn push_c32(entries: &mut Vec<BufferEntry>, x: Complex<f32>) {
-    let (rh, rl) = decode_fp32(x.re);
-    let (ih, il) = decode_fp32(x.im);
-    entries.push(rh);
-    entries.push(rl);
-    entries.push(ih);
-    entries.push(il);
 }
 
 impl PackedOperand {
@@ -305,13 +295,11 @@ impl PackedOperand {
     }
 
     /// Fallible pack of an FP64 operand by rows for the emulated-FP64
-    /// mode: each element expands to its `N` mantissa slices (see
-    /// [`decode_fp64_slices`]), every slice within the 12-bit multiplier
-    /// field. Rejects every other mode with [`M3xuError::ModeMismatch`].
-    ///
-    /// Packing also mirrors each element's `f64` value (see
-    /// [`PackedOperand`]) for the FMA row kernel of
-    /// [`DotProductUnit::mma_f64_panel_into`].
+    /// mode: each element's `f64` value, which the scalar element body
+    /// splits into its `N` mantissa slices (see [`decode_fp64_slices`]),
+    /// every slice within the 12-bit multiplier field, and which the FMA
+    /// row kernel of [`DotProductUnit::mma_f64_panel_into`] reads whole.
+    /// Rejects every other mode with [`M3xuError::ModeMismatch`].
     pub fn try_pack_rows_f64(m: &Matrix<f64>, mode: MxuMode) -> Result<Self, M3xuError> {
         Self::try_pack_rows_f64_src_in(m, 1.0, mode, PackedStorage::default())
     }
@@ -345,25 +333,14 @@ impl PackedOperand {
             });
         }
         let (rows, cols) = (src.rows(), src.cols());
-        let epe = entries_per_element(mode);
-        let PackedStorage {
-            mut entries,
-            mut vals,
-            vals64,
-        } = storage.prepared(rows * cols, epe, 1, 0);
-        for i in 0..rows {
-            for k in 0..cols {
-                let v = quantise_f32(scale_f32(alpha, src.at(i, k)), mode);
-                push_f32(&mut entries, v, mode);
-                vals.push(v);
-            }
-        }
+        let PackedStorage { mut vals, vals64 } = storage.prepared(rows * cols, 1, 0);
+        extend_quantised(&mut vals, rows, cols, mode, |i, k| {
+            scale_f32(alpha, src.at(i, k))
+        });
         Ok(PackedOperand {
             mode,
-            epe,
             len: cols,
             vecs: rows,
-            entries,
             vals,
             vals64,
             transposed: false,
@@ -385,31 +362,14 @@ impl PackedOperand {
             });
         }
         let (rows, cols) = (src.rows(), src.cols());
-        let epe = entries_per_element(mode);
-        let PackedStorage {
-            mut entries,
-            mut vals,
-            vals64,
-        } = storage.prepared(rows * cols, epe, 1, 0);
-        // The k-major value plane, in the source's logical row-major order
-        // (vals[k * vecs + v] = src[k][v]), quantised once; the entry
-        // planes decode from it column by column.
-        for i in 0..rows {
-            for j in 0..cols {
-                vals.push(quantise_f32(src.at(i, j), mode));
-            }
-        }
-        for j in 0..cols {
-            for i in 0..rows {
-                push_f32(&mut entries, vals[i * cols + j], mode);
-            }
-        }
+        let PackedStorage { mut vals, vals64 } = storage.prepared(rows * cols, 1, 0);
+        // The k-major plane is the source's logical row-major order:
+        // vals[k * vecs + v] = src[k][v].
+        extend_quantised(&mut vals, rows, cols, mode, |i, j| src.at(i, j));
         Ok(PackedOperand {
             mode,
-            epe,
             len: rows,
             vecs: cols,
-            entries,
             vals,
             vals64,
             transposed: true,
@@ -417,7 +377,7 @@ impl PackedOperand {
     }
 
     /// Pack a complex operand by rows from any logical [`MatSource`]
-    /// (FP32C mode), folding `alpha` before the hi/lo split; see
+    /// (FP32C mode), folding `alpha` into each element; see
     /// [`PackedOperand::try_pack_rows_f32_src_in`].
     pub fn pack_rows_c32_src_in<S: MatSource<Complex<f32>>>(
         src: &S,
@@ -425,25 +385,17 @@ impl PackedOperand {
         storage: PackedStorage,
     ) -> Self {
         let (rows, cols) = (src.rows(), src.cols());
-        let PackedStorage {
-            mut entries,
-            mut vals,
-            vals64,
-        } = storage.prepared(rows * cols, 4, 2, 0);
+        let PackedStorage { mut vals, vals64 } = storage.prepared(rows * cols, 2, 0);
         for i in 0..rows {
             for k in 0..cols {
                 let x = scale_c32(alpha, src.at(i, k));
-                push_c32(&mut entries, x);
-                vals.push(x.re);
-                vals.push(x.im);
+                vals.extend([x.re, x.im]);
             }
         }
         PackedOperand {
             mode: MxuMode::M3xuFp32c,
-            epe: 4,
             len: cols,
             vecs: rows,
-            entries,
             vals,
             vals64,
             transposed: false,
@@ -458,34 +410,19 @@ impl PackedOperand {
         storage: PackedStorage,
     ) -> Self {
         let (rows, cols) = (src.rows(), src.cols());
-        let PackedStorage {
-            mut entries,
-            mut vals,
-            vals64,
-        } = storage.prepared(rows * cols, 4, 2, 0);
-        for j in 0..cols {
-            for i in 0..rows {
-                push_c32(&mut entries, src.at(i, j));
-            }
-        }
+        let PackedStorage { mut vals, vals64 } = storage.prepared(rows * cols, 2, 0);
         // Planar k-major component planes in the source's logical
         // row-major order: the re plane, then the im plane.
         for i in 0..rows {
-            for j in 0..cols {
-                vals.push(src.at(i, j).re);
-            }
+            vals.extend((0..cols).map(|j| src.at(i, j).re));
         }
         for i in 0..rows {
-            for j in 0..cols {
-                vals.push(src.at(i, j).im);
-            }
+            vals.extend((0..cols).map(|j| src.at(i, j).im));
         }
         PackedOperand {
             mode: MxuMode::M3xuFp32c,
-            epe: 4,
             len: rows,
             vecs: cols,
-            entries,
             vals,
             vals64,
             transposed: true,
@@ -493,7 +430,7 @@ impl PackedOperand {
     }
 
     /// Pack an FP64 operand by rows from any logical [`MatSource`] for the
-    /// emulated-FP64 mode, folding `alpha` before slice decode; see
+    /// emulated-FP64 mode, folding `alpha` into each element; see
     /// [`PackedOperand::try_pack_rows_f64`].
     pub fn try_pack_rows_f64_src_in<S: MatSource<f64>>(
         src: &S,
@@ -507,31 +444,15 @@ impl PackedOperand {
                 got: mode,
             });
         }
-        let cfg = mode
-            .slice_config()
-            .expect("emulated FP64 has a slice config");
         let (rows, cols) = (src.rows(), src.cols());
-        let epe = entries_per_element(mode);
-        let PackedStorage {
-            mut entries,
-            vals,
-            mut vals64,
-        } = storage.prepared(rows * cols, epe, 0, 1);
-        let mut buf = [BufferEntry::ZERO; m3xu_fp::split::MAX_SLICES];
+        let PackedStorage { vals, mut vals64 } = storage.prepared(rows * cols, 0, 1);
         for i in 0..rows {
-            for k in 0..cols {
-                let x = scale_f64(alpha, src.at(i, k));
-                let n = decode_fp64_slices(x, cfg, &mut buf);
-                entries.extend_from_slice(&buf[..n]);
-                vals64.push(x);
-            }
+            vals64.extend((0..cols).map(|k| scale_f64(alpha, src.at(i, k))));
         }
         Ok(PackedOperand {
             mode,
-            epe,
             len: cols,
             vecs: rows,
-            entries,
             vals,
             vals64,
             transposed: false,
@@ -539,8 +460,8 @@ impl PackedOperand {
     }
 
     /// Pack an FP64 operand by columns from any logical [`MatSource`] for
-    /// the emulated-FP64 mode (the `B` side); see
-    /// [`PackedOperand::try_pack_rows_f64_src_in`].
+    /// the emulated-FP64 mode (the `B` side), k-major as on the f32 side;
+    /// see [`PackedOperand::try_pack_rows_f64_src_in`].
     pub fn try_pack_cols_f64_src_in<S: MatSource<f64>>(
         src: &S,
         mode: MxuMode,
@@ -552,36 +473,15 @@ impl PackedOperand {
                 got: mode,
             });
         }
-        let cfg = mode
-            .slice_config()
-            .expect("emulated FP64 has a slice config");
         let (rows, cols) = (src.rows(), src.cols());
-        let epe = entries_per_element(mode);
-        let PackedStorage {
-            mut entries,
-            vals,
-            mut vals64,
-        } = storage.prepared(rows * cols, epe, 0, 1);
-        // The k-major value plane first, as on the f32 side; the slice
-        // planes decode from it column by column.
+        let PackedStorage { vals, mut vals64 } = storage.prepared(rows * cols, 0, 1);
         for i in 0..rows {
-            for j in 0..cols {
-                vals64.push(src.at(i, j));
-            }
-        }
-        let mut buf = [BufferEntry::ZERO; m3xu_fp::split::MAX_SLICES];
-        for j in 0..cols {
-            for i in 0..rows {
-                let n = decode_fp64_slices(vals64[i * cols + j], cfg, &mut buf);
-                entries.extend_from_slice(&buf[..n]);
-            }
+            vals64.extend((0..cols).map(|j| src.at(i, j)));
         }
         Ok(PackedOperand {
             mode,
-            epe,
             len: rows,
             vecs: cols,
-            entries,
             vals,
             vals64,
             transposed: true,
@@ -592,22 +492,21 @@ impl PackedOperand {
     /// the other half of the arena round-trip.
     pub fn into_storage(self) -> PackedStorage {
         PackedStorage {
-            entries: self.entries,
             vals: self.vals,
             vals64: self.vals64,
         }
     }
 
-    /// The mode this operand was decoded for.
+    /// The mode this operand was packed for.
     #[inline]
     pub fn mode(&self) -> MxuMode {
         self.mode
     }
 
-    /// Entries per element.
+    /// Buffer entries each element decodes to ([`entries_per_element`]).
     #[inline]
     pub fn epe(&self) -> usize {
-        self.epe
+        entries_per_element(self.mode)
     }
 
     /// Elements per operand vector (the reduction length `K`).
@@ -628,11 +527,126 @@ impl PackedOperand {
         self.vecs
     }
 
-    /// The entry plane of vector `v`: `len * epe` consecutive entries.
+    /// Index of element `k` of vector `v` in a value plane.
     #[inline]
-    pub fn vec(&self, v: usize) -> &[BufferEntry] {
-        &self.entries[v * self.len * self.epe..(v + 1) * self.len * self.epe]
+    fn at(&self, v: usize, k: usize) -> usize {
+        if self.transposed {
+            k * self.vecs + v
+        } else {
+            v * self.len + k
+        }
     }
+
+    /// Element `k` of vector `v` of a real-`f32`-mode operand, as packed.
+    #[inline]
+    pub(crate) fn value_f32(&self, v: usize, k: usize) -> f32 {
+        self.vals[self.at(v, k)]
+    }
+
+    /// Element `k` of vector `v` of an FP32C operand, as packed.
+    #[inline]
+    pub(crate) fn value_c32(&self, v: usize, k: usize) -> Complex<f32> {
+        if self.transposed {
+            let i = self.at(v, k);
+            Complex::new(self.vals[i], self.vals[self.len * self.vecs + i])
+        } else {
+            let i = 2 * self.at(v, k);
+            Complex::new(self.vals[i], self.vals[i + 1])
+        }
+    }
+
+    /// Element `k` of vector `v` of an emulated-FP64 operand, as packed.
+    #[inline]
+    pub(crate) fn value_f64(&self, v: usize, k: usize) -> f64 {
+        self.vals64[self.at(v, k)]
+    }
+
+    /// Decode elements `[k0, kend)` of vector `v` into their buffer
+    /// entries, [`PackedOperand::epe`] per element, at the front of `out`:
+    /// the FP32 hi/lo halves ([`decode_fp32`]), the narrow format's single
+    /// entry ([`decode_narrow_f32`], no second rounding), FP32C's
+    /// `[re_hi, re_lo, im_hi, im_lo]`, or the emulated-FP64 mantissa
+    /// slices ([`decode_fp64_slices`]).
+    pub(crate) fn decode(&self, v: usize, k0: usize, kend: usize, out: &mut [BufferEntry]) {
+        let epe = self.epe();
+        assert!(out.len() >= (kend - k0) * epe, "decode buffer too short");
+        for (k, e) in (k0..kend).zip(out.chunks_exact_mut(epe)) {
+            match self.mode {
+                MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => {
+                    (e[0], e[1]) = decode_fp32(self.value_f32(v, k));
+                }
+                MxuMode::Tf32 => e[0] = decode_narrow_f32(self.value_f32(v, k), TF32),
+                MxuMode::Fp16 => e[0] = decode_narrow_f32(self.value_f32(v, k), FP16),
+                MxuMode::Bf16 => e[0] = decode_narrow_f32(self.value_f32(v, k), BF16),
+                MxuMode::M3xuFp32c => {
+                    let x = self.value_c32(v, k);
+                    (e[0], e[1]) = decode_fp32(x.re);
+                    (e[2], e[3]) = decode_fp32(x.im);
+                }
+                MxuMode::M3xuFp64Emu => {
+                    decode_fp64_slices(self.value_f64(v, k), FP64_SLICES_EMULATED, e);
+                }
+                _ => unreachable!("no packer admits {}", self.mode),
+            }
+        }
+    }
+}
+
+/// Decode chunk `[k0, kend)` of `a`'s rows `r0..r0 + rows` and `b`'s
+/// columns `c0..c0 + cols` into `buf`, grown to fit: each vector's
+/// `(kend - k0) · epe` entries in turn, the rows first. Returns that
+/// per-vector stride.
+#[allow(clippy::too_many_arguments)]
+fn decode_chunk(
+    buf: &mut Vec<BufferEntry>,
+    a: &PackedOperand,
+    b: &PackedOperand,
+    r0: usize,
+    rows: usize,
+    c0: usize,
+    cols: usize,
+    k0: usize,
+    kend: usize,
+) -> usize {
+    let w = (kend - k0) * a.epe();
+    if buf.len() < (rows + cols) * w {
+        buf.resize((rows + cols) * w, BufferEntry::ZERO);
+    }
+    let (av, bv) = buf.split_at_mut(rows * w);
+    for i in 0..rows {
+        a.decode(r0 + i, k0, kend, &mut av[i * w..]);
+    }
+    for j in 0..cols {
+        b.decode(c0 + j, k0, kend, &mut bv[j * w..]);
+    }
+    w
+}
+
+/// Entries a SIMD panel's fallback decodes per operand: a `MAX_KLEN`-deep
+/// chunk of two-entry FP32 elements. FP32C (4 entries) and emulated FP64
+/// (5) run one element deep.
+const FALLBACK_ENTRIES: usize = 2 * simd::MAX_KLEN;
+
+/// A SIMD panel's fallback for one element-chunk: decode chunk `[k0,
+/// kend)` of `a`'s row `row` and `b`'s column `col` onto the stack and
+/// run `body` (a scalar element body) on the two decoded chunks. Each
+/// panel calls it from an out-of-line closure, so the decode stays out of
+/// the panel loop.
+#[inline]
+fn rerun<R>(
+    a: &PackedOperand,
+    b: &PackedOperand,
+    row: usize,
+    col: usize,
+    k0: usize,
+    kend: usize,
+    body: impl FnOnce(&[BufferEntry], &[BufferEntry]) -> R,
+) -> R {
+    let n = (kend - k0) * a.epe();
+    let mut e = [[BufferEntry::ZERO; FALLBACK_ENTRIES]; 2];
+    a.decode(row, k0, kend, &mut e[0]);
+    b.decode(col, k0, kend, &mut e[1]);
+    body(&e[0][..n], &e[1][..n])
 }
 
 #[inline]
@@ -1000,7 +1014,8 @@ impl FastDot {
     }
 }
 
-/// The real N-slice term schedule of one output element over `[k0, kend)`:
+/// The real N-slice term schedule of one output element over a decoded
+/// chunk (`av` and `bv` hold the same number of `epe`-entry elements):
 /// calls `visit` on every slice pair the mode multiplies and stops at the
 /// first `None`. Every `(i, j)` pair for the full modes (emulated FP64 is this
 /// schedule at N = 5), only the pairs with `i + j < N` when `truncated`
@@ -1014,24 +1029,22 @@ impl FastDot {
 fn real_schedule(
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
     epe: usize,
     truncated: bool,
     mut visit: impl FnMut(&BufferEntry, &BufferEntry) -> Option<()>,
 ) -> Option<()> {
+    let elems = av.chunks_exact(epe).zip(bv.chunks_exact(epe));
     match (epe, truncated) {
         (1, _) => {
-            for k in k0..kend {
-                visit(&av[k], &bv[k])?;
+            for (a, b) in elems {
+                visit(&a[0], &b[0])?;
             }
         }
         (2, false) => {
             // The fused 2-step FP32 stream: HH, LL (step 1) then HL, LH
             // (step 2) for each element.
-            for k in k0..kend {
-                let (ah, al) = (&av[2 * k], &av[2 * k + 1]);
-                let (bh, bl) = (&bv[2 * k], &bv[2 * k + 1]);
+            for (a, b) in elems {
+                let (ah, al, bh, bl) = (&a[0], &a[1], &b[0], &b[1]);
                 visit(ah, bh)?;
                 visit(al, bl)?;
                 visit(ah, bl)?;
@@ -1040,17 +1053,15 @@ fn real_schedule(
         }
         (2, true) => {
             // The fast 3-term schedule: HH (step 1), HL, LH (step 2).
-            for k in k0..kend {
-                let (ah, al) = (&av[2 * k], &av[2 * k + 1]);
-                let (bh, bl) = (&bv[2 * k], &bv[2 * k + 1]);
+            for (a, b) in elems {
+                let (ah, al, bh, bl) = (&a[0], &a[1], &b[0], &b[1]);
                 visit(ah, bh)?;
                 visit(ah, bl)?;
                 visit(al, bh)?;
             }
         }
         (n, truncated) => {
-            for k in k0..kend {
-                let (a, b) = (&av[n * k..n * k + n], &bv[n * k..n * k + n]);
+            for (a, b) in elems {
                 for (i, ai) in a.iter().enumerate() {
                     for (j, bj) in b.iter().enumerate() {
                         if !truncated || i + j < n {
@@ -1064,8 +1075,8 @@ fn real_schedule(
     Some(())
 }
 
-/// The FP32C 16-lane schedule of one output element over `[k0, kend)`:
-/// calls `visit(x, y, negate, target)` for every lane and stops at the
+/// The FP32C 16-lane schedule of one output element over a decoded chunk
+/// of 4-entry elements: calls `visit(x, y, negate, target)` for every lane and stops at the
 /// first `None`. Steps 1-2 feed the real accumulator `a_R·b_R - a_I·b_I`,
 /// matching then crossed halves (the subtraction is the flipped sign bit
 /// on the imaginary-imaginary lanes); steps 3-4 feed the imaginary one
@@ -1074,14 +1085,12 @@ fn real_schedule(
 fn c32_schedule(
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
     mut visit: impl FnMut(&BufferEntry, &BufferEntry, bool, Target) -> Option<()>,
 ) -> Option<()> {
     use Target::{Imag, Real};
-    for k in k0..kend {
-        let (xrh, xrl, xih, xil) = (&av[4 * k], &av[4 * k + 1], &av[4 * k + 2], &av[4 * k + 3]);
-        let (yrh, yrl, yih, yil) = (&bv[4 * k], &bv[4 * k + 1], &bv[4 * k + 2], &bv[4 * k + 3]);
+    for (x, y) in av.chunks_exact(4).zip(bv.chunks_exact(4)) {
+        let (xrh, xrl, xih, xil) = (&x[0], &x[1], &x[2], &x[3]);
+        let (yrh, yrl, yih, yil) = (&y[0], &y[1], &y[2], &y[3]);
         visit(xrh, yrh, false, Real)?;
         visit(xrl, yrl, false, Real)?;
         visit(xih, yih, true, Real)?;
@@ -1106,29 +1115,26 @@ fn c32_schedule(
 /// register and execute every lane, leaving the result for the caller to
 /// read. With `tap`, returns the register's residue (see
 /// [`scalar_element_real`]).
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn kulisch_real(
     dpu: &mut DotProductUnit,
     seed: f64,
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
     epe: usize,
     truncated: bool,
     tap: bool,
 ) -> Option<u64> {
     dpu.clear_real();
     dpu.seed_real(seed);
-    real_schedule(av, bv, k0, kend, epe, truncated, |x, y| {
+    real_schedule(av, bv, epe, truncated, |x, y| {
         dpu.execute_lane_op(&lane(*x, *y, false, Target::Real));
         Some(())
     });
     tap.then(|| dpu.real_residue_m61()).flatten()
 }
 
-/// One real-mode output element over chunk `[k0, kend)`: the fast exact
+/// One real-mode output element over a decoded chunk: the fast exact
 /// window, else the Kulisch drain, both fed by [`real_schedule`]. The
 /// single definition shared by the per-chunk executor, checked or not, and
 /// the SIMD panel's fallback — every path is the same code, not merely
@@ -1147,8 +1153,6 @@ fn scalar_element_real(
     seed: f32,
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
     epe: usize,
     truncated: bool,
     lanes_per_element: u64,
@@ -1159,19 +1163,17 @@ fn scalar_element_real(
     // Specials, wide exponent spreads, and oversized reductions fall
     // through to the general path.
     if let Some(mut dot) = FastDot::new(seed) {
-        let pushed = real_schedule(av, bv, k0, kend, epe, truncated, |x, y| {
-            dot.push_pair(x, y, false)
-        });
+        let pushed = real_schedule(av, bv, epe, truncated, |x, y| dot.push_pair(x, y, false));
         if let Some(v) = pushed.and_then(|()| dot.reduce()) {
             dpu.lane_ops += lanes_per_element;
             return (v, tap.then(|| dot.residue_m61()));
         }
     }
-    let res = kulisch_real(dpu, seed as f64, av, bv, k0, kend, epe, truncated, tap);
+    let res = kulisch_real(dpu, seed as f64, av, bv, epe, truncated, tap);
     (dpu.read_real_f32(), res)
 }
 
-/// One emulated-FP64 output element over chunk `[k0, kend)`: the full
+/// One emulated-FP64 output element over a decoded chunk: the full
 /// `N x N` slice schedule accumulated exactly in the Kulisch register,
 /// seeded with the incoming `f64` accumulator (exact — no narrowing) and
 /// drained back to `f64` once per chunk; `tap` as in
@@ -1180,33 +1182,27 @@ fn scalar_element_real(
 /// This is the oracle of the FMA row kernel
 /// ([`DotProductUnit::mma_f64_panel_into`]), the path of its zero and
 /// non-finite lanes, and the body every checked chunk runs.
-#[allow(clippy::too_many_arguments)]
 fn scalar_element_f64(
     dpu: &mut DotProductUnit,
     seed: f64,
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
     epe: usize,
     tap: bool,
 ) -> (f64, Option<u64>) {
-    let res = kulisch_real(dpu, seed, av, bv, k0, kend, epe, false, tap);
+    let res = kulisch_real(dpu, seed, av, bv, epe, false, tap);
     (dpu.read_real_f64(), res)
 }
 
-/// One FP32C output element over chunk `[k0, kend)` — the complex
+/// One FP32C output element over a decoded chunk — the complex
 /// counterpart of [`scalar_element_real`], fed by [`c32_schedule`]; the
 /// tap returns the real and the imaginary component's residues.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn scalar_element_c32(
     dpu: &mut DotProductUnit,
     seed: Complex<f32>,
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
     lanes_per_element: u64,
     tap: bool,
 ) -> (Complex<f32>, Option<(u64, u64)>) {
@@ -1214,7 +1210,7 @@ fn scalar_element_c32(
     // exactly in 128-bit windows, or the whole element falls back to the
     // Kulisch pipeline.
     if let (Some(mut re), Some(mut im)) = (FastDot::new(seed.re), FastDot::new(seed.im)) {
-        let pushed = c32_schedule(av, bv, k0, kend, |x, y, negate, target| match target {
+        let pushed = c32_schedule(av, bv, |x, y, negate, target| match target {
             Target::Real => re.push_pair(x, y, negate),
             Target::Imag => im.push_pair(x, y, negate),
         });
@@ -1226,7 +1222,7 @@ fn scalar_element_c32(
     dpu.clear();
     dpu.seed_real(seed.re as f64);
     dpu.seed_imag(seed.im as f64);
-    c32_schedule(av, bv, k0, kend, |x, y, negate, target| {
+    c32_schedule(av, bv, |x, y, negate, target| {
         dpu.execute_lane_op(&lane(*x, *y, negate, target));
         Some(())
     });
@@ -1346,13 +1342,14 @@ struct RealPanel<'p> {
 }
 
 impl DotProductUnit {
-    /// Execute one real-mode fragment out of packed planes, in place.
+    /// Execute one real-mode fragment out of packed operands, in place.
     ///
     /// Computes `acc[i*cols + j] = round(Σ_k a[r0+i][k]·b[c0+j][k] +
     /// acc[i*cols + j])` for the `rows x cols` output block at `(r0, c0)`,
-    /// reducing over packed elements `k0 .. min(k0 + klen, K)`. `acc` is
+    /// reducing over packed elements `k0 .. min(k0 + klen, K)`, whose
+    /// buffer entries it decodes once into the unit's scratch. `acc` is
     /// both the `C` input and the `D` output (row-major, `rows * cols`);
-    /// nothing is allocated. With `Some(check)`, each element's residue is
+    /// nothing is allocated once the scratch has grown. With `Some(check)`, each element's residue is
     /// tapped into `check.computed` and `check.fault` corrupts its target
     /// element (see [`ChunkCheck`]); the arithmetic is the same either way.
     /// This is the scalar oracle; see
@@ -1375,23 +1372,24 @@ impl DotProductUnit {
         assert_eq!(a.mode, b.mode, "operand modes disagree");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
+        let kend = (k0 + klen).min(a.len).max(k0);
         let truncated = a.mode == MxuMode::M3xuFp32Fast;
-        let lanes_per_element = (kend.saturating_sub(k0)) as u64 * a.mode.terms_per_mac();
+        let lanes_per_element = (kend - k0) as u64 * a.mode.terms_per_mac();
         let tap = check.is_some();
+        let mut buf = std::mem::take(&mut self.decoded);
+        let w = decode_chunk(&mut buf, a, b, r0, rows, c0, cols, k0, kend);
+        let (ae, be) = buf.split_at(rows * w);
         for i in 0..rows {
-            let av = a.vec(r0 + i);
+            let av = &ae[i * w..(i + 1) * w];
             for j in 0..cols {
-                let bv = b.vec(c0 + j);
+                let bv = &be[j * w..(j + 1) * w];
                 let d = &mut acc[i * cols + j];
                 let (v, res) = scalar_element_real(
                     self,
                     *d,
                     av,
                     bv,
-                    k0,
-                    kend,
-                    a.epe,
+                    a.epe(),
                     truncated,
                     lanes_per_element,
                     tap,
@@ -1402,12 +1400,13 @@ impl DotProductUnit {
                 }
             }
         }
+        self.decoded = buf;
         if let Some(check) = check {
             check.inject(rows * cols, corrupt_f32, |slot| (&mut acc[slot], false));
         }
     }
 
-    /// Execute one FP32C fragment out of packed planes, in place — the
+    /// Execute one FP32C fragment out of packed operands, in place — the
     /// four-step complex schedule fused per element, both components
     /// rounded once at drain. `check` as in
     /// [`mma_f32_into`](DotProductUnit::mma_f32_into), over two component
@@ -1430,28 +1429,31 @@ impl DotProductUnit {
         assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let lanes_per_element = (kend.saturating_sub(k0) * 16) as u64;
+        let kend = (k0 + klen).min(a.len).max(k0);
+        let lanes_per_element = ((kend - k0) * 16) as u64;
         let tap = check.is_some();
+        let mut buf = std::mem::take(&mut self.decoded);
+        let w = decode_chunk(&mut buf, a, b, r0, rows, c0, cols, k0, kend);
+        let (ae, be) = buf.split_at(rows * w);
         for i in 0..rows {
-            let av = a.vec(r0 + i);
+            let av = &ae[i * w..(i + 1) * w];
             for j in 0..cols {
-                let bv = b.vec(c0 + j);
+                let bv = &be[j * w..(j + 1) * w];
                 let d = &mut acc[i * cols + j];
-                let (v, res) =
-                    scalar_element_c32(self, *d, av, bv, k0, kend, lanes_per_element, tap);
+                let (v, res) = scalar_element_c32(self, *d, av, bv, lanes_per_element, tap);
                 *d = v;
                 if let Some(check) = check.as_deref_mut() {
                     check.computed.absorb_pair(res);
                 }
             }
         }
+        self.decoded = buf;
         if let Some(check) = check {
             check.inject_c32(&mut acc[..rows * cols]);
         }
     }
 
-    /// Execute one emulated-FP64 fragment out of packed slice planes, in
+    /// Execute one emulated-FP64 fragment out of packed operands, in
     /// place — the `f64` counterpart of
     /// [`mma_f32_into`](DotProductUnit::mma_f32_into), `check` included.
     /// Each output element accumulates the full `N x N` slice cross
@@ -1474,20 +1476,24 @@ impl DotProductUnit {
         assert_eq!(b.mode, MxuMode::M3xuFp64Emu, "b is not FP64-slice-packed");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
+        let kend = (k0 + klen).min(a.len).max(k0);
         let tap = check.is_some();
+        let mut buf = std::mem::take(&mut self.decoded);
+        let w = decode_chunk(&mut buf, a, b, r0, rows, c0, cols, k0, kend);
+        let (ae, be) = buf.split_at(rows * w);
         for i in 0..rows {
-            let av = a.vec(r0 + i);
+            let av = &ae[i * w..(i + 1) * w];
             for j in 0..cols {
-                let bv = b.vec(c0 + j);
+                let bv = &be[j * w..(j + 1) * w];
                 let d = &mut acc[i * cols + j];
-                let (v, res) = scalar_element_f64(self, *d, av, bv, k0, kend, a.epe, tap);
+                let (v, res) = scalar_element_f64(self, *d, av, bv, a.epe(), tap);
                 *d = v;
                 if let Some(check) = check.as_deref_mut() {
                     check.computed.absorb_re(res);
                 }
             }
         }
+        self.decoded = buf;
         if let Some(check) = check {
             check.inject(rows * cols, corrupt_f64, |slot| (&mut acc[slot], false));
         }
@@ -1503,7 +1509,7 @@ impl DotProductUnit {
     /// the chunk is exactly one IEEE fused multiply-add. When a vector
     /// level is active, full 8-column rows of row-major `A` against
     /// k-major `B` therefore run as an FMA row loop over the `f64` value
-    /// mirrors; a column whose FMA result is zero or non-finite reruns
+    /// planes; a column whose FMA result is zero or non-finite reruns
     /// that element-chunk through the slice oracle, `scalar_element_f64`.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f64_panel_into(
@@ -1876,26 +1882,23 @@ impl DotProductUnit {
         let vector = okm.count_ones() as u64;
         self.lane_ops += lanes * vector;
         self.simd_chunks += vector;
-        for_each_bit(!okm & ROW_MASK, |j| {
-            self.simd_fallbacks += 1;
-            let (d, res) = scalar_element_real(
-                self,
-                seeds.value(j, acc[j]),
-                panel.a.vec(panel.r0 + i),
-                panel.b.vec(panel.c0 + j),
-                ck0,
-                ck0 + T,
-                panel.a.epe,
-                panel.truncated,
-                lanes,
-                TAP,
-            );
-            if TAP {
-                panel.computed.absorb_re(res);
-            }
-            acc[j] = d;
-            seeds.set(j, simd::ChunkSeed::decode(d));
-        });
+        for_each_bit(
+            !okm & ROW_MASK,
+            #[inline(never)]
+            |j| {
+                self.simd_fallbacks += 1;
+                let (a, b, seed) = (panel.a, panel.b, seeds.value(j, acc[j]));
+                let (row, col, truncated) = (panel.r0 + i, panel.c0 + j, panel.truncated);
+                let (d, res) = rerun(a, b, row, col, ck0, ck0 + T, |av, bv| {
+                    scalar_element_real(self, seed, av, bv, a.epe(), truncated, lanes, TAP)
+                });
+                if TAP {
+                    panel.computed.absorb_re(res);
+                }
+                acc[j] = d;
+                seeds.set(j, simd::ChunkSeed::decode(d));
+            },
+        );
     }
 
     /// SIMD body of the emulated-FP64 panel (`frag_k == 1`), compiled once
@@ -1933,19 +1936,16 @@ impl DotProductUnit {
                     .try_into()
                     .expect("B's value row holds the fragment row's columns");
                 let (mut next, oracle) = simd::fma_row(level, ak, brow, &row);
-                for_each_bit(oracle, |j| {
-                    fallbacks += 1;
-                    (next[j], _) = scalar_element_f64(
-                        self,
-                        row[j],
-                        a.vec(r0 + i),
-                        b.vec(c0 + j),
-                        k,
-                        k + 1,
-                        a.epe,
-                        false,
-                    );
-                });
+                for_each_bit(
+                    oracle,
+                    #[inline(never)]
+                    |j| {
+                        fallbacks += 1;
+                        (next[j], _) = rerun(a, b, r0 + i, c0 + j, k, k + 1, |av, bv| {
+                            scalar_element_f64(self, row[j], av, bv, a.epe(), false)
+                        });
+                    },
+                );
                 row = next;
             }
             *row_acc = row;
@@ -2019,26 +2019,24 @@ impl DotProductUnit {
                 let vector = okm.count_ones() as u64;
                 self.lane_ops += 16 * vector;
                 self.simd_chunks += vector;
-                for_each_bit(!okm & ROW_MASK, |j| {
-                    self.simd_fallbacks += 1;
-                    let (d, res) = scalar_element_c32(
-                        self,
-                        Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j])),
-                        a.vec(r0 + i),
-                        b.vec(c0 + j),
-                        k,
-                        k + 1,
-                        16,
-                        TAP,
-                    );
-                    if TAP {
-                        computed.absorb_pair(res);
-                    }
-                    re_acc[j] = d.re;
-                    im_acc[j] = d.im;
-                    sre.set(j, simd::ChunkSeed::decode(d.re));
-                    sim.set(j, simd::ChunkSeed::decode(d.im));
-                });
+                for_each_bit(
+                    !okm & ROW_MASK,
+                    #[inline(never)]
+                    |j| {
+                        self.simd_fallbacks += 1;
+                        let seed = Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j]));
+                        let (d, res) = rerun(a, b, r0 + i, c0 + j, k, k + 1, |av, bv| {
+                            scalar_element_c32(self, seed, av, bv, 16, TAP)
+                        });
+                        if TAP {
+                            computed.absorb_pair(res);
+                        }
+                        re_acc[j] = d.re;
+                        im_acc[j] = d.im;
+                        sre.set(j, simd::ChunkSeed::decode(d.re));
+                        sim.set(j, simd::ChunkSeed::decode(d.im));
+                    },
+                );
             }
             sre.store(&mut re_acc);
             sim.store(&mut im_acc);
@@ -2270,8 +2268,6 @@ mod tests {
                         seed[j],
                         &f64_slices(*a),
                         &f64_slices(b[j]),
-                        0,
-                        1,
                         5,
                         false,
                     );
@@ -2494,18 +2490,9 @@ mod tests {
                 );
                 for i in 0..rows.len() {
                     for j in 0..8 {
-                        let (want, _) = scalar_element_real(
-                            &mut dpu,
-                            c.get(i, j),
-                            pa.vec(i),
-                            pb.vec(j),
-                            0,
-                            1,
-                            2,
-                            true,
-                            3,
-                            false,
-                        );
+                        let (want, _) = rerun(&pa, &pb, i, j, 0, 1, |av, bv| {
+                            scalar_element_real(&mut dpu, c.get(i, j), av, bv, 2, true, 3, false)
+                        });
                         assert_eq!(
                             got[i * 8 + j].to_bits(),
                             want.to_bits(),
@@ -2559,43 +2546,14 @@ mod tests {
         use crate::buffer::{decode_narrow, decode_tf32};
         use m3xu_fp::softfloat::round_to_format;
         // The pack path quantises each narrow element once, with integer
-        // round-to-nearest-even on its f32 bits, and decodes the entry
-        // from that value. Both must equal the softfloat path it
-        // replaces: `round_to_format` then `decode_narrow` (TF32:
+        // round-to-nearest-even on its f32 bits, and the decoder derives
+        // the entry from that value. Both must equal the softfloat path
+        // they replace: `round_to_format` then `decode_narrow` (TF32:
         // `decode_tf32`) for the entry, the rounded value (a special as
-        // itself) for the value mirror.
-        let check = |x: f32| {
-            for (mode, fmt) in [
-                (MxuMode::Fp16, FP16),
-                (MxuMode::Bf16, BF16),
-                (MxuMode::Tf32, TF32),
-            ] {
-                let v = quantise_f32(x, mode);
-                let mut entries = Vec::new();
-                push_f32(&mut entries, v, mode);
-                let old_entry = match mode {
-                    MxuMode::Tf32 => decode_tf32(x),
-                    _ => decode_narrow(round_to_format(x as f64, fmt), fmt),
-                };
-                let old_val = if x.is_finite() {
-                    round_to_format(x as f64, fmt) as f32
-                } else {
-                    x
-                };
-                assert_eq!(
-                    entries,
-                    [old_entry],
-                    "{mode}: entry of {x:e} ({:#x})",
-                    x.to_bits()
-                );
-                assert_eq!(
-                    v.to_bits(),
-                    old_val.to_bits(),
-                    "{mode}: value of {x:e} ({:#x})",
-                    x.to_bits()
-                );
-            }
-        };
+        // itself) for the value plane. The inputs below are collected and
+        // packed as one row per mode.
+        let mut xs = Vec::new();
+        let mut check = |x: f32| xs.push(x);
         // Every exponent field and sign, with the fraction patterns at
         // every rounding position a format can have (13 and 16 dropped
         // bits in the normal ranges, more in FP16's subnormal one): the
@@ -2660,6 +2618,39 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             check(f32::from_bits(state as u32));
+        }
+        let row = Matrix::from_fn(1, xs.len(), |_, k| xs[k]);
+        for (mode, fmt) in [
+            (MxuMode::Fp16, FP16),
+            (MxuMode::Bf16, BF16),
+            (MxuMode::Tf32, TF32),
+        ] {
+            let p = PackedOperand::pack_rows_f32(&row, mode);
+            let mut entry = [BufferEntry::ZERO];
+            for (k, &x) in xs.iter().enumerate() {
+                p.decode(0, k, k + 1, &mut entry);
+                let old_entry = match mode {
+                    MxuMode::Tf32 => decode_tf32(x),
+                    _ => decode_narrow(round_to_format(x as f64, fmt), fmt),
+                };
+                let old_val = if x.is_finite() {
+                    round_to_format(x as f64, fmt) as f32
+                } else {
+                    x
+                };
+                assert_eq!(
+                    entry,
+                    [old_entry],
+                    "{mode}: entry of {x:e} ({:#x})",
+                    x.to_bits()
+                );
+                assert_eq!(
+                    p.value_f32(0, k).to_bits(),
+                    old_val.to_bits(),
+                    "{mode}: value of {x:e} ({:#x})",
+                    x.to_bits()
+                );
+            }
         }
     }
 
@@ -2761,22 +2752,96 @@ mod tests {
 
     #[test]
     fn pack_layout_and_values() {
-        let m = Matrix::from_fn(2, 3, |i, j| (1 + i * 3 + j) as f32 * 1.5);
-        let rows = PackedOperand::pack_rows_f32(&m, MxuMode::M3xuFp32);
-        assert_eq!((rows.vecs(), rows.len(), rows.epe()), (2, 3, 2));
-        // Each element's hi+lo halves reconstruct it exactly.
-        for i in 0..2 {
-            let v = rows.vec(i);
-            for j in 0..3 {
-                assert_eq!(v[2 * j].value() + v[2 * j + 1].value(), m.get(i, j) as f64);
+        use crate::matrix::{MatOp, OpView};
+        // In every mode, rows and columns, the decoder's entries for
+        // element `k` of vector `v` are the `decode_*` of the value the
+        // source holds there (quantised, alpha folded): each layout keeps
+        // every element where the decoder and the SIMD panels read it.
+        let entries = |p: &PackedOperand, v: usize, k: usize| {
+            let mut e = [BufferEntry::ZERO; 5];
+            p.decode(v, k, k + 1, &mut e);
+            e[..p.epe()].to_vec()
+        };
+        let fp32 = |x: f32| {
+            let (hi, lo) = decode_fp32(x);
+            vec![hi, lo]
+        };
+        // Each side's vector `v`, element `k`, as a source index.
+        let check = |p: &PackedOperand, shape: (usize, usize), want: &dyn Fn(usize, usize) -> _| {
+            assert_eq!((p.vecs(), p.len()), shape, "{}", p.mode());
+            for v in 0..shape.0 {
+                for k in 0..shape.1 {
+                    assert_eq!(entries(p, v, k), want(v, k), "{} ({v}, {k})", p.mode());
+                }
             }
+        };
+        let m = Matrix::from_fn(2, 3, |i, j| {
+            (1 + i * 3 + j) as f32 * 1.5 - 4.0 + 1e-3 * j as f32
+        });
+        for mode in [
+            MxuMode::M3xuFp32,
+            MxuMode::M3xuFp32Fast,
+            MxuMode::Tf32,
+            MxuMode::Fp16,
+            MxuMode::Bf16,
+        ] {
+            let want = |x: f32| match mode {
+                MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => fp32(x),
+                MxuMode::Tf32 => vec![decode_narrow_f32(round_f32_to_narrow(x, TF32), TF32)],
+                MxuMode::Fp16 => vec![decode_narrow_f32(round_f32_to_narrow(x, FP16), FP16)],
+                _ => vec![decode_narrow_f32(round_f32_to_narrow(x, BF16), BF16)],
+            };
+            let rows = PackedOperand::pack_rows_f32(&m, mode);
+            check(&rows, (2, 3), &|v, k| want(m.get(v, k)));
+            let cols = PackedOperand::pack_cols_f32(&m, mode);
+            check(&cols, (3, 2), &|v, k| want(m.get(k, v)));
+            // Through a transposing view, with alpha folded in first.
+            let t = OpView::new(&m, MatOp::T);
+            let rows = PackedOperand::try_pack_rows_f32_src_in(&t, -2.5, mode, Default::default())
+                .unwrap();
+            check(&rows, (3, 2), &|v, k| want(-2.5 * m.get(k, v)));
+            let cols =
+                PackedOperand::try_pack_cols_f32_src_in(&t, mode, Default::default()).unwrap();
+            check(&cols, (2, 3), &|v, k| want(m.get(v, k)));
         }
-        let cols = PackedOperand::pack_cols_f32(&m, MxuMode::M3xuFp32);
-        assert_eq!((cols.vecs(), cols.len()), (3, 2));
-        assert_eq!(
-            cols.vec(1)[0].value() + cols.vec(1)[1].value(),
-            m.get(0, 1) as f64
+        // Each FP32 element's hi+lo halves reconstruct it exactly.
+        let (hi, lo) = decode_fp32(m.get(1, 2));
+        assert_eq!(hi.value() + lo.value(), m.get(1, 2) as f64);
+
+        // FP32C: interleaved re/im rows, planar re-then-im k-major columns,
+        // and a conjugating view with a complex alpha.
+        let z = Matrix::from_fn(2, 3, |i, j| {
+            Complex::new(i as f32 - 0.75 * j as f32, 1.5 + j as f32)
+        });
+        let c32 = |x: Complex<f32>| [fp32(x.re), fp32(x.im)].concat();
+        check(&PackedOperand::pack_rows_c32(&z), (2, 3), &|v, k| {
+            c32(z.get(v, k))
+        });
+        check(&PackedOperand::pack_cols_c32(&z), (3, 2), &|v, k| {
+            c32(z.get(k, v))
+        });
+        let (h, alpha) = (OpView::new(&z, MatOp::H), Complex::new(0.5, -2.0));
+        let rows = PackedOperand::pack_rows_c32_src_in(&h, alpha, Default::default());
+        check(&rows, (3, 2), &|v, k| c32(alpha * z.get(k, v).conj()));
+
+        // Emulated FP64: row-major rows, k-major columns, alpha on rows.
+        let d = Matrix::from_fn(2, 3, |i, j| {
+            ((1 + i * 3 + j) as f64 / 7.0).sin() * [1.0, 1e-310, -3e5][j]
+        });
+        let slices = |x: f64| f64_slices(x).to_vec();
+        let mode = MxuMode::M3xuFp64Emu;
+        check(
+            &PackedOperand::try_pack_rows_f64(&d, mode).unwrap(),
+            (2, 3),
+            &|v, k| slices(d.get(v, k)),
         );
+        check(
+            &PackedOperand::try_pack_cols_f64(&d, mode).unwrap(),
+            (3, 2),
+            &|v, k| slices(d.get(k, v)),
+        );
+        let rows = PackedOperand::try_pack_rows_f64_src_in(&d, 3.0, mode, Default::default());
+        check(&rows.unwrap(), (2, 3), &|v, k| slices(3.0 * d.get(v, k)));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!    `fast_round_f32` is bit-identical by construction.
 //!
 //! The row products (`row_products`, `row_products_c32`) are portable
-//! 8-column loops of exact `f64` products out of planar `f32` value
-//! mirrors built at pack time ([`super::PackedOperand`] stores the `B`
+//! 8-column loops of exact `f64` products out of the planar `f32` value
+//! planes built at pack time ([`super::PackedOperand`] stores the `B`
 //! side k-major so one row touches 8 consecutive columns). `dispatch`
 //! compiles each panel body once per level: at `Avx2` inside one
 //! `#[target_feature(enable = "avx2,fma")]` frame, where the loops
@@ -62,8 +62,8 @@
 //!   non-finite operand makes `lo` a NaN, so the product still aborts.
 //! * **Emulated FP64** runs at `frag_k = 1` with lossless slices, so each
 //!   chunk is `round_f64(seed + a·b)`: one IEEE fused multiply-add.
-//!   `fma_row` does it eight columns at a time out of `f64` value
-//!   mirrors, on `vfmadd` at `Avx2` (which therefore requires FMA) and on
+//!   `fma_row` does it eight columns at a time out of the `f64` value
+//!   planes, on `vfmadd` at `Avx2` (which therefore requires FMA) and on
 //!   `f64::mul_add` below it. A zero or non-finite result goes to the
 //!   slice oracle, which rounds an exact-zero sum to `+0` and owns NaN
 //!   payloads and overflow.

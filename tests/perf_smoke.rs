@@ -148,26 +148,30 @@ fn simd_pipeline_beats_scalar_floor() {
     }
 }
 
-/// Best-of-2 wall time of `f` at the forced-scalar level over the same
-/// at the entry level (each path warmed once first), printed as one row.
+/// Timed rounds behind each speedup, after one warm-up per level.
+const ROUNDS: usize = 5;
+
+/// The least wall time of `f` at the forced-scalar level over the least
+/// at the entry level, printed as one row. Each round times both levels
+/// in turn, so an episode of host interference lands on both sides.
 fn speedup(entry: SimdLevel, what: &str, f: &dyn Fn()) -> f64 {
-    let best = || {
+    let time = |level| {
+        simd::set_level(level);
+        let t = Instant::now();
         f();
-        let mut best = f64::MAX;
-        for _ in 0..2 {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
+        t.elapsed().as_secs_f64()
     };
-    let simd_s = best();
-    simd::set_level(SimdLevel::Scalar);
-    let scalar_s = best();
+    time(entry);
+    time(SimdLevel::Scalar);
+    let (mut simd_s, mut scalar_s) = (f64::MAX, f64::MAX);
+    for _ in 0..ROUNDS {
+        simd_s = simd_s.min(time(entry));
+        scalar_s = scalar_s.min(time(SimdLevel::Scalar));
+    }
     simd::set_level(entry);
     let speedup = scalar_s / simd_s;
     eprintln!(
-        "perf smoke: {what} scalar {:.0} ms, simd {:.0} ms, speedup {speedup:.2}x at {entry:?}",
+        "perf smoke: {what} scalar {:.1} ms, simd {:.2} ms, speedup {speedup:.2}x at {entry:?}",
         scalar_s * 1e3,
         simd_s * 1e3
     );
