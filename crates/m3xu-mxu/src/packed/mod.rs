@@ -59,11 +59,11 @@
 //! FP32C and emulated FP64. The fast FP32 mode forms its truncated
 //! product exactly in `f64`, and emulated FP64 runs one fused
 //! multiply-add per chunk. The FP32 and FP32C bodies share one window
-//! phase, `RowWindow`, which holds the level switch between the AVX2
-//! window kernels and the scalar window. The scalar element bodies stay
-//! the differential oracle and the fallback for partial rows, specials,
-//! zero FP64 results and wide exponent spreads; a fallback decodes only
-//! the element-chunk it reruns.
+//! phase, `RowWindow`, which holds the level switch between the AVX-512
+//! and AVX2 window kernels and the scalar window. The scalar element
+//! bodies stay the differential oracle and the fallback for partial rows,
+//! specials, zero FP64 results and wide exponent spreads; a fallback
+//! decodes only the element-chunk it reruns.
 //!
 //! A checked FP32-family or FP32C chunk
 //! ([`DotProductUnit::mma_f32_checked_into`],
@@ -691,8 +691,10 @@ fn fast_round_f32(sum: i128, pmin: i32) -> f32 {
 /// as the next chunk's seed (see [`simd::ChunkSeed`]) so the f32
 /// assemble/decode round-trip stays off the per-column dependency chain;
 /// [`fast_round_assemble`] turns it into the identical f32 bits. The AVX2
-/// panels run the normal-range branch below four columns per register
-/// ([`simd::x86::round_chunk_avx2`]) and call this for the other columns.
+/// and AVX-512 panels run the normal-range branch below four or eight
+/// columns per register ([`simd::x86::round_chunk_avx2`],
+/// [`simd::x86::round_chunk_avx512`]) and call this for the other
+/// columns.
 #[inline(always)]
 fn fast_round_parts(sum: i128, pmin: i32) -> (u32, u64, i32, bool) {
     if sum == 0 {
@@ -801,15 +803,16 @@ fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
 /// the FP32 and FP32C panels: accumulate each column's exact chunk value,
 /// then drain the columns of a mask the caller passes (FP32C ANDs its two
 /// components' masks in between) into their decoded seeds. The level
-/// switch lives here. At `Avx2` the accumulate builds 128-bit windows,
-/// two's complement in 64-bit halves anchored at each column's `base`
-/// power (the layout [`simd::x86::accumulate_chunk_avx2`] writes), and
-/// the drain rounds them. Below it the per-column scalar window rounds
-/// each valid column as it goes, into `rounded`, and the drain only
-/// commits: one pass per column measured about a quarter faster there
-/// than two. Callers keep one window per component and reuse it chunk
-/// after chunk. With the residue tap (`TAP`), the scalar window also
-/// stores each valid column's `(sum, base)` in the AVX2 layout, so
+/// switch lives here. At `Avx2` and `Avx512` the accumulate builds
+/// 128-bit windows, two's complement in 64-bit halves anchored at each
+/// column's `base` power (the layout [`simd::x86::accumulate_chunk_avx2`]
+/// and [`simd::x86::accumulate_chunk_avx512`] write), and the drain
+/// rounds them. Below them the per-column scalar window rounds each
+/// valid column as it goes, into `rounded`, and the drain only commits:
+/// one pass per column measured about a quarter faster there than two.
+/// Callers keep one window per component and reuse it chunk after chunk.
+/// With the residue tap (`TAP`), the scalar window also stores each
+/// valid column's `(sum, base)` in the x86 kernels' layout, so
 /// [`RowWindow::residue`] reads the same state at every level.
 #[derive(Default)]
 struct RowWindow {
@@ -839,6 +842,13 @@ impl RowWindow {
                 let (lo, hi, base) = (&mut self.lo, &mut self.hi, &mut self.base);
                 simd::x86::accumulate_chunk_avx2(T, prods, seeds, lo, hi, base) & seeds.finite
             },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as at `Avx2`; `Avx512` runs only on a host with
+            // AVX-512 F, CD, DQ, BW and VL.
+            simd::SimdLevel::Avx512 => unsafe {
+                let (lo, hi, base) = (&mut self.lo, &mut self.hi, &mut self.base);
+                simd::x86::accumulate_chunk_avx512(T, prods, seeds, lo, hi, base) & seeds.finite
+            },
             _ => {
                 let mut ok = 0u32;
                 for (j, rounded) in self.rounded.iter_mut().enumerate() {
@@ -859,11 +869,11 @@ impl RowWindow {
     }
 
     /// Round the columns in `mask` to FP32, straight into their decoded
-    /// seeds: at `Avx2` the vector drain takes the normal-range columns
-    /// and [`fast_round_parts`] every column it leaves; below it, commit
-    /// what `accumulate` rounded. A result that overflows to infinity is
-    /// also written to `acc`, which holds the value of every non-finite
-    /// column.
+    /// seeds: at `Avx2` and `Avx512` the level's vector drain takes the
+    /// normal-range columns and [`fast_round_parts`] every column it
+    /// leaves; below them, commit what `accumulate` rounded. A result
+    /// that overflows to infinity is also written to `acc`, which holds
+    /// the value of every non-finite column.
     #[inline(always)]
     fn drain(
         &self,
@@ -880,11 +890,17 @@ impl RowWindow {
         };
         match level {
             #[cfg(target_arch = "x86_64")]
-            simd::SimdLevel::Avx2 => {
+            simd::SimdLevel::Avx2 | simd::SimdLevel::Avx512 => {
                 // SAFETY: as in `accumulate`; the windows of `mask` are
                 // valid.
                 let (lo, hi, base) = (&self.lo, &self.hi, &self.base);
-                let done = unsafe { simd::x86::round_chunk_avx2(lo, hi, base, mask, seeds) };
+                let done = unsafe {
+                    if level == simd::SimdLevel::Avx512 {
+                        simd::x86::round_chunk_avx512(lo, hi, base, mask, seeds)
+                    } else {
+                        simd::x86::round_chunk_avx2(lo, hi, base, mask, seeds)
+                    }
+                };
                 for_each_bit(mask & !done, |j| {
                     commit(seeds, acc, j, round_window(self.sum(j), base[j] as i32));
                 });

@@ -28,16 +28,22 @@
 //! side k-major so one row touches 8 consecutive columns). `dispatch`
 //! compiles each panel body once per level: at `Avx2` inside one
 //! `#[target_feature(enable = "avx2,fma")]` frame, where the loops
-//! become `vcvtps2pd` + `vmulpd` four lanes per instruction, and below
-//! it in the baseline build, two lanes at `Sse2`. Each column's products
-//! are then decoded and reduced exactly in the same 128-bit window /
-//! rounder as the scalar path. At AVX2 both halves run four columns per
-//! register, in the two kernels no compiler derives from scalar code:
-//! `x86::accumulate_chunk_avx2` builds the windows and
-//! `x86::round_chunk_avx2` drains them to FP32 straight into the row's
-//! decoded accumulators (`RowSeeds`), which stay in vector form for a
-//! whole `K`-panel at every level; the row's f32 values are assembled
-//! once, at panel end.
+//! become `vcvtps2pd` + `vmulpd` four lanes per instruction; at `Avx512`
+//! inside an x86-64-v4 frame, eight lanes, a whole fragment row per
+//! zmm register; and below them in the baseline build, two lanes at
+//! `Sse2`. Each column's products are then decoded and reduced exactly
+//! in the same 128-bit window / rounder as the scalar path. At the two
+//! x86 levels above SSE2 both halves run in the kernels no compiler
+//! derives from scalar code: `x86::accumulate_chunk_avx2` builds the
+//! windows four columns per register and `x86::round_chunk_avx2` drains
+//! them to FP32 straight into the row's decoded accumulators
+//! (`RowSeeds`); `x86::accumulate_chunk_avx512` and
+//! `x86::round_chunk_avx512` do the same eight columns per register,
+//! with k-masks, masked min/max and stores, unsigned compares and
+//! `vplzcntq` in place of AVX2's compare-selects, sign-bias carries and
+//! magic-constant leading bit. The decoded accumulators stay in vector
+//! form for a whole `K`-panel at every level; the row's f32 values are
+//! assembled once, at panel end.
 //!
 //! Anything the window cannot prove exact falls back **per
 //! element-chunk** to the scalar executor, which remains the
@@ -63,17 +69,18 @@
 //! * **Emulated FP64** runs at `frag_k = 1` with lossless slices, so each
 //!   chunk is `round_f64(seed + a·b)`: one IEEE fused multiply-add.
 //!   `fma_row` does it eight columns at a time out of the `f64` value
-//!   planes, on `vfmadd` at `Avx2` (which therefore requires FMA) and on
-//!   `f64::mul_add` below it. A zero or non-finite result goes to the
-//!   slice oracle, which rounds an exact-zero sum to `+0` and owns NaN
-//!   payloads and overflow.
+//!   planes, on `vfmadd` at `Avx2` (which therefore requires FMA), on one
+//!   zmm `vfmadd` at `Avx512` and on `f64::mul_add` below them. A zero or
+//!   non-finite result goes to the slice oracle, which rounds an
+//!   exact-zero sum to `+0` and owns NaN payloads and overflow.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Once;
 
 /// Vector width class the packed executors dispatch to, resolved once per
-/// process from `M3XU_SIMD` and runtime CPU feature detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// process from `M3XU_SIMD` and runtime CPU feature detection. Levels are
+/// ordered by width: a host that runs one runs every level below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// The original entry-at-a-time executors (the differential oracle).
     Scalar,
@@ -84,11 +91,17 @@ pub enum SimdLevel {
     /// the vector window kernels and the `vfmadd` emulated-FP64 row
     /// (runtime-detected: the host must have both AVX2 and FMA).
     Avx2,
+    /// The panel bodies built for x86-64-v4: a fragment row's 8 columns
+    /// in one zmm register, for the products, the k-mask window kernels
+    /// and the emulated-FP64 row (runtime-detected: AVX-512 F, CD, DQ, BW
+    /// and VL beside AVX2 and FMA).
+    Avx512,
 }
 
 impl SimdLevel {
     fn from_u8(v: u8) -> SimdLevel {
         match v {
+            3 => SimdLevel::Avx512,
             2 => SimdLevel::Avx2,
             1 => SimdLevel::Sse2,
             _ => SimdLevel::Scalar,
@@ -107,11 +120,19 @@ fn detected() -> SimdLevel {
     {
         // SSE2 is architecturally guaranteed on x86_64. The Avx2 level
         // also runs the emulated-FP64 row kernel on `vfmadd`, so it needs
-        // FMA beside AVX2.
-        if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-            SimdLevel::Avx2
-        } else {
+        // FMA beside AVX2; the Avx512 frame enables all of x86-64-v4.
+        use std::is_x86_feature_detected as has;
+        if !(has!("avx2") && has!("fma")) {
             SimdLevel::Sse2
+        } else if has!("avx512f")
+            && has!("avx512cd")
+            && has!("avx512dq")
+            && has!("avx512bw")
+            && has!("avx512vl")
+        {
+            SimdLevel::Avx512
+        } else {
+            SimdLevel::Avx2
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -121,13 +142,15 @@ fn detected() -> SimdLevel {
 }
 
 /// The level an `M3XU_SIMD` value asks for, trimmed and case-folded:
-/// `0`/`scalar`/`off` kill the vector path, `sse2`/`avx2` force a width,
-/// and `1` asks for `cap`, the detected level. `None` for anything else.
+/// `0`/`scalar`/`off` kill the vector path, `sse2`/`avx2`/`avx512` force a
+/// width, and `1` asks for `cap`, the detected level. `None` for anything
+/// else.
 fn parse_level(v: &str, cap: SimdLevel) -> Option<SimdLevel> {
     match v.trim().to_ascii_lowercase().as_str() {
         "0" | "scalar" | "off" => Some(SimdLevel::Scalar),
         "sse2" => Some(SimdLevel::Sse2),
         "avx2" => Some(SimdLevel::Avx2),
+        "avx512" => Some(SimdLevel::Avx512),
         "1" => Some(cap),
         _ => None,
     }
@@ -158,13 +181,9 @@ fn resolve() -> SimdLevel {
     clamp(req, cap)
 }
 
+/// The requested level, lowered to `cap` when the host cannot run it.
 fn clamp(req: SimdLevel, cap: SimdLevel) -> SimdLevel {
-    match (req, cap) {
-        (SimdLevel::Avx2, SimdLevel::Avx2) => SimdLevel::Avx2,
-        (SimdLevel::Scalar, _) => SimdLevel::Scalar,
-        (_, SimdLevel::Scalar) => SimdLevel::Scalar,
-        _ => SimdLevel::Sse2,
-    }
+    req.min(cap)
 }
 
 /// The active dispatch level (resolved on first use).
@@ -194,7 +213,7 @@ pub(crate) static TEST_LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(
 /// The vector levels this host can run.
 #[cfg(test)]
 pub(crate) fn vector_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512]
         .into_iter()
         .filter(|&l| clamp(l, detected()) == l)
         .collect()
@@ -241,8 +260,8 @@ fn lo_f32(x: f32) -> f32 {
 /// partial sum is below `5·2^D < 2^(D + 3)`, and the `i128` cannot
 /// overflow while `D + 3 ≤ 127`. Hence `D ≤ 124`, i.e. `pmax − pmin ≤
 /// 124 − 53 = 71`. The sum's leading bit then sits at 126 or below,
-/// which both drains (`fast_round_parts`, `x86::round_chunk_avx2`)
-/// handle.
+/// which every drain (`fast_round_parts`, `x86::round_chunk_avx2`,
+/// `x86::round_chunk_avx512`) handles.
 const WINDOW_POW_SPAN: i32 = {
     // Bits a sum of `1 + MAX_KLEN` contributions can carry past the
     // widest one: ⌈log2 5⌉ = 3.
@@ -300,8 +319,8 @@ impl ChunkSeed {
 }
 
 /// One fragment row's accumulator seeds in structure-of-arrays form —
-/// the layout the AVX2 accumulate kernel loads and the AVX2 drain kernel
-/// writes back directly (64-bit lanes: significand, power, sign mask).
+/// the layout the x86 accumulate kernels load and the x86 drain kernels
+/// write back directly (64-bit lanes: significand, power, sign mask).
 /// `finite` is a per-column bitset kept scalar-side; a non-finite column
 /// stores a zero contribution and its cleared bit forces the fallback
 /// regardless of what the vector window computes.
@@ -390,9 +409,9 @@ impl RowSeeds {
 /// bit-identical to the scalar fast path / Kulisch drain: the decoded
 /// contribution list denotes exactly the same real number (the
 /// half-products of one element pair sum exactly to its full product).
-/// Rounding is left to the caller: the AVX2 panels round a whole row of
-/// windows in a second vector pass, and the scalar window rounds each
-/// column as soon as it is accumulated.
+/// Rounding is left to the caller: the AVX2 and AVX-512 panels round a
+/// whole row of windows in a second vector pass, and the scalar window
+/// rounds each column as soon as it is accumulated.
 #[inline(always)]
 pub(crate) fn exact_chunk_accumulate_seeded<const T: usize>(
     seed: ChunkSeed,
@@ -460,13 +479,14 @@ pub(crate) fn exact_chunk_accumulate_seeded<const T: usize>(
     (sum, base, ok)
 }
 
-/// The AVX2 level's own code: `avx2`, the frame `dispatch` compiles the
-/// panel bodies in; the two integer window kernels, which no compiler
-/// derives from the scalar window; and the `vfmadd` FP64 row, whose
-/// zero/non-finite mask the compiler builds from scalar compares.
+/// The AVX2 and AVX-512 levels' own code: per level, the frame
+/// `dispatch` compiles the panel bodies in (`avx2`, `avx512`); the two
+/// integer window kernels, which no compiler derives from the scalar
+/// window; and the FP64 FMA row.
 ///
 /// Every function here is `unsafe`: the caller guarantees the CPU has
-/// AVX2 (and FMA, for the frame and the FMA row).
+/// the features the function's level needs (AVX2 and FMA; AVX-512 F, CD,
+/// DQ, BW and VL beside them at `Avx512`).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use core::arch::x86_64::*;
@@ -484,6 +504,20 @@ pub(crate) mod x86 {
     #[inline]
     pub unsafe fn avx2<R>(body: impl FnOnce(SimdLevel) -> R) -> R {
         body(SimdLevel::Avx2)
+    }
+
+    /// The `Avx512` arm of [`super::dispatch`]: [`avx2`]'s frame with
+    /// x86-64-v4 enabled, so the portable row products widen to eight
+    /// lanes and the window kernels and FMA row inlined here are the zmm
+    /// ones.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F, CD, DQ, BW and VL, AVX2 and FMA are
+    /// available.
+    #[target_feature(enable = "avx512f,avx512cd,avx512dq,avx512bw,avx512vl,avx2,fma")]
+    #[inline]
+    pub unsafe fn avx512<R>(body: impl FnOnce(SimdLevel) -> R) -> R {
+        body(SimdLevel::Avx512)
     }
 
     /// Out-of-window power sentinel for the vector min/max reductions.
@@ -771,6 +805,187 @@ pub(crate) mod x86 {
         done
     }
 
+    /// [`accumulate_chunk_avx2`] with the whole fragment row in one zmm
+    /// register: the same windows and the same valid-lane mask, bit for
+    /// bit. k-masks replace the compare-select pairs: zero contributions
+    /// leave masked `vpminsq`/`vpmaxsq` at their sentinels, each
+    /// contribution's sign is a mask that drives a masked two's-complement
+    /// negate, and the low half's carry is an unsigned compare (`vpcmpuq`)
+    /// into a mask.
+    ///
+    /// `#[inline(always)]` with no `#[target_feature]`, as
+    /// [`accumulate_chunk_avx2`]: it runs inlined into [`avx512`].
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F and DQ are available and `prods.len()
+    /// >= klen` (with `klen <= MAX_KLEN`).
+    #[inline(always)]
+    pub unsafe fn accumulate_chunk_avx512(
+        klen: usize,
+        prods: &[[f64; COLS]],
+        seeds: &RowSeeds,
+        lo: &mut [u64; COLS],
+        hi: &mut [u64; COLS],
+        base: &mut [i64; COLS],
+    ) -> u32 {
+        debug_assert!(klen <= MAX_KLEN && prods.len() >= klen);
+        let zero = _mm512_setzero_si512();
+        let ones = _mm512_set1_epi64(-1);
+        let onev = _mm512_set1_epi64(1);
+        let m52 = _mm512_set1_epi64((1i64 << 52) - 1);
+        let bit52 = _mm512_set1_epi64(1i64 << 52);
+        let emask = _mm512_set1_epi64(0x7ff);
+        let c1075 = _mm512_set1_epi64(1075);
+        let bigv = _mm512_set1_epi64(POW_CAP);
+        let smallv = _mm512_set1_epi64(-POW_CAP);
+        let c64 = _mm512_set1_epi64(64);
+        let range = _mm512_set1_epi64(WINDOW_POW_SPAN as i64);
+        let narrow = _mm512_set1_epi64((PRODUCT_BITS - SEED_BITS) as i64);
+        let smant = _mm512_loadu_si512(seeds.mant.as_ptr().cast());
+        let spow = _mm512_loadu_si512(seeds.pow.as_ptr().cast());
+        let sneg = _mm512_movepi64_mask(_mm512_loadu_si512(seeds.neg.as_ptr().cast()));
+        // Zero contributions must not anchor the window: the reductions
+        // skip their lanes (the scalar `if nz` guards). The narrower seed
+        // enters `pmax` lowered.
+        let snz = _mm512_test_epi64_mask(smant, smant);
+        let mut pmin = _mm512_mask_mov_epi64(bigv, snz, spow);
+        let mut pmax = _mm512_mask_sub_epi64(smallv, snz, spow, narrow);
+        let mut nonfin: __mmask8 = 0;
+        let mut tmant = [zero; MAX_KLEN];
+        let mut tpow = [zero; MAX_KLEN];
+        let mut tneg: [__mmask8; MAX_KLEN] = [0; MAX_KLEN];
+        for t in 0..klen {
+            let bits = _mm512_loadu_si512(prods.get_unchecked(t).as_ptr().cast());
+            let exp = _mm512_and_si512(_mm512_srli_epi64::<52>(bits), emask);
+            nonfin |= _mm512_cmpeq_epi64_mask(exp, emask);
+            let frac = _mm512_and_si512(bits, m52);
+            let mant = _mm512_mask_or_epi64(frac, _mm512_test_epi64_mask(exp, exp), frac, bit52);
+            // pow = exp.max(1) - 1075.
+            let pow = _mm512_sub_epi64(_mm512_max_epi64(exp, onev), c1075);
+            let nz = _mm512_test_epi64_mask(mant, mant);
+            pmin = _mm512_mask_min_epi64(pmin, nz, pmin, pow);
+            pmax = _mm512_mask_max_epi64(pmax, nz, pmax, pow);
+            tmant[t] = mant;
+            tpow[t] = pow;
+            tneg[t] = _mm512_movepi64_mask(bits);
+        }
+        let empty = _mm512_cmpeq_epi64_mask(pmin, bigv);
+        let basev = _mm512_maskz_mov_epi64(!empty, pmin);
+        let spread_ok = _mm512_cmple_epi64_mask(_mm512_sub_epi64(pmax, pmin), range);
+        let ok = !nonfin & (spread_ok | empty);
+        let mut slo = zero;
+        let mut shi = zero;
+        let (mut cm, mut cp, mut cn) = (smant, spow, sneg);
+        let mut t = 0usize;
+        loop {
+            let s = _mm512_sub_epi64(cp, basev);
+            let l = _mm512_sllv_epi64(cm, s);
+            let h = _mm512_or_si512(
+                _mm512_srlv_epi64(cm, _mm512_sub_epi64(c64, s)),
+                _mm512_sllv_epi64(cm, _mm512_sub_epi64(s, c64)),
+            );
+            // Two's-complement negate of (h,l) in the lanes of `cn`: low
+            // half -l, high half ~h + (l == 0).
+            let cl = _mm512_mask_sub_epi64(l, cn, zero, l);
+            let ch = _mm512_mask_xor_epi64(h, cn, h, ones);
+            let ch = _mm512_mask_add_epi64(ch, _mm512_mask_cmpeq_epi64_mask(cn, l, zero), ch, onev);
+            // 128-bit add: the low half carries where it wraps below its
+            // addend.
+            let nlo = _mm512_add_epi64(slo, cl);
+            let nhi = _mm512_add_epi64(shi, ch);
+            shi = _mm512_mask_add_epi64(nhi, _mm512_cmplt_epu64_mask(nlo, cl), nhi, onev);
+            slo = nlo;
+            if t == klen {
+                break;
+            }
+            cm = tmant[t];
+            cp = tpow[t];
+            cn = tneg[t];
+            t += 1;
+        }
+        _mm512_storeu_si512(lo.as_mut_ptr().cast(), slo);
+        _mm512_storeu_si512(hi.as_mut_ptr().cast(), shi);
+        _mm512_storeu_si512(base.as_mut_ptr().cast(), basev);
+        ok as u32
+    }
+
+    /// [`round_chunk_avx2`] with the whole fragment row in one zmm
+    /// register, and the same contract: it rounds, and returns, exactly
+    /// the columns of `mask` whose sum takes [`super::super::fast_round_parts`]'
+    /// normal-range branch, and leaves every other column of `seeds`
+    /// untouched. The leading bit is `vplzcntq` of the top nonzero 64-bit
+    /// half, the round-to-nearest-even increment a masked add, and
+    /// masked stores write the rounded columns straight into `seeds`.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F, CD and DQ are available and that
+    /// `lo`/`hi`/`base` hold valid windows for every column in `mask`.
+    #[target_feature(enable = "avx512f,avx512cd,avx512dq")]
+    #[inline]
+    pub unsafe fn round_chunk_avx512(
+        lo: &[u64; COLS],
+        hi: &[u64; COLS],
+        base: &[i64; COLS],
+        mask: u32,
+        seeds: &mut RowSeeds,
+    ) -> u32 {
+        let zero = _mm512_setzero_si512();
+        let ones = _mm512_set1_epi64(-1);
+        let onev = _mm512_set1_epi64(1);
+        let c24 = _mm512_set1_epi64(24);
+        let c64 = _mm512_set1_epi64(64);
+        let l = _mm512_loadu_si512(lo.as_ptr().cast());
+        let h = _mm512_loadu_si512(hi.as_ptr().cast());
+        let b = _mm512_loadu_si512(base.as_ptr().cast());
+        // |sum|: low half -l, high half ~h + (l == 0) where negative.
+        let neg = _mm512_movepi64_mask(h);
+        let al = _mm512_mask_sub_epi64(l, neg, zero, l);
+        let ah = _mm512_mask_xor_epi64(h, neg, h, ones);
+        let ah = _mm512_mask_add_epi64(ah, _mm512_mask_cmpeq_epi64_mask(neg, l, zero), ah, onev);
+        // Leading-bit position: 127 − lzcnt(ah), or 63 − lzcnt(al) where
+        // the high half is zero. A zero sum gives −1 and fails the range
+        // test below.
+        let lead = _mm512_mask_sub_epi64(
+            _mm512_sub_epi64(_mm512_set1_epi64(127), _mm512_lzcnt_epi64(ah)),
+            _mm512_cmpeq_epi64_mask(ah, zero),
+            _mm512_set1_epi64(63),
+            _mm512_lzcnt_epi64(al),
+        );
+        let e = _mm512_add_epi64(lead, b);
+        let ok = _mm512_mask_cmpgt_epi64_mask(mask as __mmask8, lead, c24)
+            & _mm512_cmpgt_epi64_mask(e, _mm512_set1_epi64(-127))
+            & _mm512_cmplt_epi64_mask(e, _mm512_set1_epi64(127));
+        if ok == 0 {
+            return 0;
+        }
+        // lowbit = lead - 24 in [1, 102]: r2 = m >> lowbit (frac:24 |
+        // round:1), sticky = any bit of m below lowbit; `vpsrlvq` and
+        // `vpsllvq` yield zero for any count of 64 or more, as at AVX2.
+        let lowbit = _mm512_sub_epi64(lead, c24);
+        let r2 = _mm512_or_si512(
+            _mm512_or_si512(
+                _mm512_srlv_epi64(al, lowbit),
+                _mm512_sllv_epi64(ah, _mm512_sub_epi64(c64, lowbit)),
+            ),
+            _mm512_srlv_epi64(ah, _mm512_sub_epi64(lowbit, c64)),
+        );
+        let below = _mm512_or_si512(
+            _mm512_sllv_epi64(al, _mm512_max_epi64(_mm512_sub_epi64(c64, lowbit), zero)),
+            _mm512_sllv_epi64(ah, _mm512_sub_epi64(_mm512_set1_epi64(128), lowbit)),
+        );
+        let frac = _mm512_srli_epi64::<1>(r2);
+        let round_up = _mm512_test_epi64_mask(r2, onev)
+            & (_mm512_test_epi64_mask(below, below) | _mm512_test_epi64_mask(frac, onev));
+        let frac = _mm512_mask_add_epi64(frac, round_up, frac, onev);
+        let carry = _mm512_srli_epi64::<24>(frac);
+        let frac = _mm512_srlv_epi64(frac, carry);
+        let pow = _mm512_add_epi64(_mm512_sub_epi64(e, _mm512_set1_epi64(23)), carry);
+        _mm512_mask_storeu_epi64(seeds.mant.as_mut_ptr().cast(), ok, frac);
+        _mm512_mask_storeu_epi64(seeds.pow.as_mut_ptr().cast(), ok, pow);
+        _mm512_mask_storeu_epi64(seeds.neg.as_mut_ptr().cast(), ok, _mm512_movm_epi64(neg));
+        ok as u32
+    }
+
     /// [`super::fma_row`] on `vfmadd`, four columns per register.
     ///
     /// # Safety
@@ -802,12 +1017,36 @@ pub(crate) mod x86 {
         }
         (out, oracle)
     }
+
+    /// [`super::fma_row`] on one zmm `vfmadd`; `vfpclasspd` builds the
+    /// oracle mask from the classes ±0, ±∞ and NaN. Inside [`avx512`] the
+    /// panel's loop-carried row must come from here, not from
+    /// [`fma_row_avx2`]: two ymm stores reloaded as one zmm stall store
+    /// forwarding on every `k`.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F and DQ are available.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    #[inline]
+    pub unsafe fn fma_row_avx512(a: f64, b: &[f64; COLS], acc: &[f64; COLS]) -> ([f64; COLS], u32) {
+        let r = _mm512_fmadd_pd(
+            _mm512_set1_pd(a),
+            _mm512_loadu_pd(b.as_ptr()),
+            _mm512_loadu_pd(acc.as_ptr()),
+        );
+        // QNaN 0x01, +0 0x02, -0 0x04, +∞ 0x08, -∞ 0x10, SNaN 0x80.
+        let oracle = _mm512_fpclass_pd_mask::<0x9f>(r);
+        let mut out = [0f64; COLS];
+        _mm512_storeu_pd(out.as_mut_ptr(), r);
+        (out, oracle as u32)
+    }
 }
 
 /// Run `body` compiled for `level`, handing the level back so the body's
 /// own level switches fold to constants. At `Avx2` the body runs inside
-/// [`x86::avx2`], a `#[target_feature(enable = "avx2,fma")]` frame, so
-/// one panel source becomes the AVX2 build; every other level calls it
+/// [`x86::avx2`], a `#[target_feature(enable = "avx2,fma")]` frame, and
+/// at `Avx512` inside [`x86::avx512`], which enables x86-64-v4, so one
+/// panel source becomes each level's build; the lower levels call it
 /// directly, in the baseline build. Rust never contracts `a * b + c`
 /// into an FMA unless the code calls `mul_add`, so enabling `fma` moves
 /// no rounding: every level computes the same bits.
@@ -822,14 +1061,24 @@ pub(crate) mod x86 {
 pub(crate) fn dispatch<R>(level: SimdLevel, body: impl FnOnce(SimdLevel) -> R) -> R {
     match level {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
+        SimdLevel::Avx2 | SimdLevel::Avx512 => {
             // Every level handed out is clamped to the host's (`level`,
             // `set_level`, `vector_levels`), so this holds; it is checked
-            // because the frame and the kernels it reaches need it.
-            assert_eq!(detected(), SimdLevel::Avx2, "Avx2 without AVX2 and FMA");
-            // SAFETY: `detected` reports `Avx2` only when the host has both
-            // AVX2 and FMA.
-            unsafe { x86::avx2(body) }
+            // because the frames and the kernels they reach need it. The
+            // host may run more than `level`: `M3XU_SIMD=avx2` on an
+            // AVX-512 host.
+            let cap = detected();
+            assert!(level <= cap, "{level:?} on a host that runs {cap:?}");
+            // SAFETY: `detected` reports `Avx2` or above only when the host
+            // has AVX2 and FMA, and `Avx512` only when it also has AVX-512
+            // F, CD, DQ, BW and VL.
+            unsafe {
+                if level == SimdLevel::Avx512 {
+                    x86::avx512(body)
+                } else {
+                    x86::avx2(body)
+                }
+            }
         }
         _ => body(level),
     }
@@ -846,7 +1095,8 @@ pub(crate) fn dispatch<R>(level: SimdLevel, body: impl FnOnce(SimdLevel) -> R) -
 /// are exact in `f64`, and so is their difference, which spans at most
 /// 37 bits. In the `Avx2` build each four columns are one `vcvtps2pd` +
 /// `vmulpd`, and `TRUNC` adds one `vandps`, `vsubps`, `vcvtps2pd`,
-/// `vmulpd` and `vsubpd`.
+/// `vmulpd` and `vsubpd`; the `Avx512` build does the same eight columns
+/// per instruction.
 ///
 /// Every row `b_rows` yields is exactly one `B` row long, so once the
 /// caller has checked the column window against that length (the two
@@ -904,9 +1154,10 @@ pub(crate) fn row_products_c32(
 /// machine). A non-finite operand or seed always gives a non-finite
 /// result, so it lands in the mask too.
 ///
-/// `Avx2` runs `vfmadd`; below it `f64::mul_add`, a fused multiply-add
-/// with one rounding on every target, so the bits never depend on the
-/// level. `level` must not be `Scalar`.
+/// `Avx2` runs `vfmadd` four columns per register and `Avx512` eight;
+/// below them `f64::mul_add`, a fused multiply-add with one rounding on
+/// every target, so the bits never depend on the level. `level` must not
+/// be `Scalar`.
 #[inline(always)]
 pub(crate) fn fma_row(
     level: SimdLevel,
@@ -919,6 +1170,9 @@ pub(crate) fn fma_row(
         // SAFETY: the level is clamped to detected capability, and the
         // Avx2 level requires FMA (see `detected`).
         SimdLevel::Avx2 => unsafe { x86::fma_row_avx2(a, b, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; the Avx512 level requires AVX-512 F and DQ.
+        SimdLevel::Avx512 => unsafe { x86::fma_row_avx512(a, b, acc) },
         _ => {
             let out: [f64; COLS] = std::array::from_fn(|j| a.mul_add(b[j], acc[j]));
             let mut oracle = 0u32;
@@ -943,37 +1197,45 @@ mod tests {
 
     #[test]
     fn level_parsing_clamps_to_capability() {
-        use SimdLevel::{Avx2, Scalar, Sse2};
+        use SimdLevel::{Avx2, Avx512, Scalar, Sse2};
+        let all = [Scalar, Sse2, Avx2, Avx512];
         // Every spelling `M3XU_SIMD` accepts, trimmed and case-folded;
         // `1` is the detected level; anything else is refused (and
         // `resolve` then warns and auto-detects).
-        for cap in [Scalar, Sse2, Avx2] {
+        for cap in all {
             let cases = [
                 ("0", Some(Scalar)),
                 ("scalar", Some(Scalar)),
                 ("off", Some(Scalar)),
                 ("sse2", Some(Sse2)),
                 ("avx2", Some(Avx2)),
+                ("avx512", Some(Avx512)),
                 ("1", Some(cap)),
                 (" avx2\n", Some(Avx2)),
                 ("\tOff ", Some(Scalar)),
                 ("Scalar", Some(Scalar)),
                 ("SSE2", Some(Sse2)),
+                ("AVX512 ", Some(Avx512)),
                 ("sclar", None),
-                ("avx512", None),
+                ("avx512f", None),
                 ("2", None),
                 ("", None),
             ];
             for (v, want) in cases {
                 assert_eq!(parse_level(v, cap), want, "{v:?} with {cap:?} detected");
             }
+            // The clamp honours any level the host runs and lowers the
+            // rest to the host's own.
+            for req in all {
+                let want = if req <= cap { req } else { cap };
+                assert_eq!(clamp(req, cap), want, "{req:?} with {cap:?} detected");
+            }
         }
         let _guard = TEST_LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Whatever the host supports, Scalar is always honoured and the
         // clamp never exceeds the detected capability.
         assert_eq!(clamp(SimdLevel::Scalar, detected()), SimdLevel::Scalar);
-        let c = clamp(SimdLevel::Avx2, detected());
-        assert!(c == detected() || c == SimdLevel::Sse2 || c == SimdLevel::Scalar);
+        assert_eq!(clamp(SimdLevel::Avx512, detected()), detected());
         // set_level round-trips through the atomic cell.
         let prev = level();
         set_level(SimdLevel::Scalar);
@@ -1300,7 +1562,16 @@ mod tests {
         std::hint::black_box(&sums);
     }
 
-    /// Run [`x86::round_chunk_avx2`] on one row of windows and check every
+    /// The x86 levels this host runs, each with window kernels of its own.
+    #[cfg(target_arch = "x86_64")]
+    fn kernel_levels() -> Vec<SimdLevel> {
+        let mut levels = vector_levels();
+        levels.retain(|&l| l >= SimdLevel::Avx2);
+        levels
+    }
+
+    /// Run every x86 drain kernel the host has ([`x86::round_chunk_avx2`],
+    /// [`x86::round_chunk_avx512`]) on one row of windows and check every
     /// lane against the scalar [`super::super::fast_round_parts`]: a lane
     /// is rounded by the kernel exactly when it is in `mask` and the
     /// scalar rounder takes its normal-range branch, the rounded lanes
@@ -1309,44 +1580,51 @@ mod tests {
     fn check_round_chunk(sums: &[i128; COLS], base: &[i64; COLS], mask: u32, fill: u64) {
         let lo = sums.map(|s| s as u64);
         let hi = sums.map(|s| (s >> 64) as u64);
-        let mut seeds = RowSeeds {
-            mant: [fill; COLS],
-            pow: [fill as i64 ^ 0x55; COLS],
-            neg: [fill.rotate_left(7); COLS],
-            finite: 0xa5,
-        };
-        let before = (seeds.mant, seeds.pow, seeds.neg);
-        // SAFETY: the caller checked AVX2 support.
-        let done = unsafe { x86::round_chunk_avx2(&lo, &hi, base, mask, &mut seeds) };
-        assert_eq!(
-            seeds.finite, 0xa5,
-            "the kernel never touches the finite bits"
-        );
-        for j in 0..COLS {
-            let (sum, pmin) = (sums[j], base[j] as i32);
-            let lead = 127 - sum.unsigned_abs().leading_zeros() as i32;
-            let fast = sum != 0 && lead >= 25 && (-126..127).contains(&(lead + pmin));
-            let want_done = mask >> j & 1 == 1 && fast;
+        for level in kernel_levels() {
+            let mut seeds = RowSeeds {
+                mant: [fill; COLS],
+                pow: [fill as i64 ^ 0x55; COLS],
+                neg: [fill.rotate_left(7); COLS],
+                finite: 0xa5,
+            };
+            let before = (seeds.mant, seeds.pow, seeds.neg);
+            // SAFETY: `kernel_levels` holds only levels the host runs.
+            let done = unsafe {
+                match level {
+                    SimdLevel::Avx512 => x86::round_chunk_avx512(&lo, &hi, base, mask, &mut seeds),
+                    _ => x86::round_chunk_avx2(&lo, &hi, base, mask, &mut seeds),
+                }
+            };
             assert_eq!(
-                done >> j & 1 == 1,
-                want_done,
-                "lane {j}: sum {sum:#x} pmin {pmin}"
+                seeds.finite, 0xa5,
+                "{level:?}: the kernel never touches the finite bits"
             );
-            if want_done {
-                let (sign, frac, weight, finite) = super::super::fast_round_parts(sum, pmin);
-                assert!(finite);
+            for j in 0..COLS {
+                let (sum, pmin) = (sums[j], base[j] as i32);
+                let lead = 127 - sum.unsigned_abs().leading_zeros() as i32;
+                let fast = sum != 0 && lead >= 25 && (-126..127).contains(&(lead + pmin));
+                let want_done = mask >> j & 1 == 1 && fast;
                 assert_eq!(
-                    (seeds.mant[j], seeds.pow[j], seeds.neg[j] != 0),
-                    (frac, weight as i64, sign != 0),
-                    "lane {j}: sum {sum:#x} pmin {pmin}"
+                    done >> j & 1 == 1,
+                    want_done,
+                    "{level:?} lane {j}: sum {sum:#x} pmin {pmin}"
                 );
-                assert!(seeds.neg[j] == 0 || seeds.neg[j] == u64::MAX);
-            } else {
-                assert_eq!(
-                    (seeds.mant[j], seeds.pow[j], seeds.neg[j]),
-                    (before.0[j], before.1[j], before.2[j]),
-                    "lane {j} must be left untouched"
-                );
+                if want_done {
+                    let (sign, frac, weight, finite) = super::super::fast_round_parts(sum, pmin);
+                    assert!(finite);
+                    assert_eq!(
+                        (seeds.mant[j], seeds.pow[j], seeds.neg[j] != 0),
+                        (frac, weight as i64, sign != 0),
+                        "{level:?} lane {j}: sum {sum:#x} pmin {pmin}"
+                    );
+                    assert!(seeds.neg[j] == 0 || seeds.neg[j] == u64::MAX);
+                } else {
+                    assert_eq!(
+                        (seeds.mant[j], seeds.pow[j], seeds.neg[j]),
+                        (before.0[j], before.1[j], before.2[j]),
+                        "{level:?} lane {j} must be left untouched"
+                    );
+                }
             }
         }
     }
@@ -1354,7 +1632,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn round_chunk_avx2_matches_scalar_rounder_lane_by_lane() {
-        if !std::is_x86_feature_detected!("avx2") {
+        if kernel_levels().is_empty() {
             return;
         }
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -1458,71 +1736,63 @@ mod tests {
         base_above: u32,
     }
 
-    /// Run [`x86::accumulate_chunk_avx2`] on one row of `T`-deep chunks
-    /// and check every lane against the scalar
+    /// Run the tapped window phase (`RowWindow::accumulate`) at every
+    /// vector level the host has — every x86 accumulate kernel
+    /// ([`x86::accumulate_chunk_avx2`], [`x86::accumulate_chunk_avx512`])
+    /// and `Sse2`'s scalar window — on one row of `T`-deep chunks, and
+    /// check every lane against the scalar
     /// [`exact_chunk_accumulate_seeded`]: the valid-lane mask (with the
-    /// caller's `finite` bits ANDed in, as the panels do) matches exactly,
-    /// and every valid lane carries the same `(sum, base)`. The tapped
-    /// window phase (`RowWindow::accumulate`) at `Avx2` and at `Sse2`,
-    /// the scalar window, must then give every valid lane the residue
-    /// `residue_i128(sum, base)` of the scalar window. Returns the mask
-    /// and the windows.
+    /// `finite` bits ANDed in, as the panels do) matches exactly, and
+    /// every valid lane carries the same `(sum, base)` and so the residue
+    /// `residue_i128(sum, base)`. Returns the mask and the scalar
+    /// windows.
     #[cfg(target_arch = "x86_64")]
     fn check_accumulate_chunk<const T: usize>(
         prods: &[[f64; COLS]],
         seeds: &RowSeeds,
         cover: &mut ResidueCover,
     ) -> (u32, [i128; COLS], [i64; COLS]) {
-        let (mut lo, mut hi, mut base) = ([0u64; COLS], [0u64; COLS], [0i64; COLS]);
-        // SAFETY: the caller checked AVX2 support; `prods` holds `T`
-        // rows and `T <= MAX_KLEN`.
-        let ok =
-            unsafe { x86::accumulate_chunk_avx2(T, prods, seeds, &mut lo, &mut hi, &mut base) }
-                & seeds.finite;
-        let sums = std::array::from_fn(|j| (((hi[j] as u128) << 64) | lo[j] as u128) as i128);
-        let mut want = 0u32;
+        let (mut want, mut sums, mut bases) = (0u32, [0i128; COLS], [0i64; COLS]);
         for j in 0..COLS {
             let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
             let (sum, pmin, valid) = exact_chunk_accumulate_seeded(seeds.get(j), &terms);
             want |= (valid as u32) << j;
-            if valid && ok >> j & 1 == 1 {
-                assert_eq!(
-                    (sums[j], base[j]),
-                    (sum, pmin as i64),
-                    "lane {j}: seed {}·2^{} terms {terms:?}",
-                    seeds.mant[j],
-                    seeds.pow[j]
-                );
-            }
+            (sums[j], bases[j]) = (sum, pmin as i64);
         }
-        assert_eq!(ok, want, "valid-lane mask");
-        for level in [SimdLevel::Avx2, SimdLevel::Sse2] {
+        for level in vector_levels() {
             let mut window = super::super::RowWindow::default();
-            assert_eq!(window.accumulate::<T, true>(level, prods, seeds), ok);
-            for j in (0..COLS).filter(|j| ok >> j & 1 == 1) {
-                let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
-                let (sum, pmin, _) = exact_chunk_accumulate_seeded(seeds.get(j), &terms);
-                let want = m3xu_fp::residue::residue_i128(sum, pmin as i64);
+            let ok = window.accumulate::<T, true>(level, prods, seeds);
+            assert_eq!(ok, want, "{level:?} valid-lane mask");
+            for j in (0..COLS).filter(|j| want >> j & 1 == 1) {
+                let (sum, base) = (sums[j], bases[j]);
+                assert_eq!(
+                    (window.sum(j), window.base[j]),
+                    (sum, base),
+                    "{level:?} lane {j}: seed {}·2^{} terms {:?}",
+                    seeds.mant[j],
+                    seeds.pow[j],
+                    prods.iter().take(T).map(|row| row[j]).collect::<Vec<_>>()
+                );
                 assert_eq!(
                     window.residue(j),
-                    want,
-                    "{level:?} lane {j}: {sum:#x} · 2^{pmin}"
+                    m3xu_fp::residue::residue_i128(sum, base),
+                    "{level:?} lane {j}: {sum:#x} · 2^{base}"
                 );
             }
         }
-        for j in (0..COLS).filter(|j| ok >> j & 1 == 1) {
+        for j in (0..COLS).filter(|j| want >> j & 1 == 1) {
             cover.negative += (sums[j] < 0) as u32;
             cover.zero += (sums[j] == 0) as u32;
-            cover.base_below += (base[j] < -61) as u32;
-            cover.base_above += (base[j] > 61) as u32;
+            cover.base_below += (bases[j] < -61) as u32;
+            cover.base_above += (bases[j] > 61) as u32;
         }
-        (ok, sums, base)
+        (want, sums, bases)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn accumulate_chunk_avx2_matches_scalar_window_lane_by_lane() {
-        if !std::is_x86_feature_detected!("avx2") {
+        if kernel_levels().is_empty() {
             return;
         }
         let mut state = 0x6a09_e667_f3bc_c909u64;

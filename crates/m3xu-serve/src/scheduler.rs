@@ -38,9 +38,13 @@
 //! [`BatchPolicy::Adaptive`] a drained batch of two or more requests is
 //! therefore pooled when it is **cache-resident**: every request is at
 //! or under [`POOL_RESIDENT_TILES`] output tiles. Working sets that
-//! small cannot thrash each other, so the single shared epoch is a pure
-//! amortisation win at any parallelism (`tests/perf_smoke.rs` gates it
-//! at 128^3). Any larger batch runs inline.
+//! small cannot thrash each other, so the single shared epoch costs no
+//! cache and saves the per-request epochs. Where the kernel's own tile
+//! sharding already keeps every core busy, that saving is small: at
+//! 128^3 on two cores, pooled and sharded GEMMs retire at the same rate
+//! and batching gains only the per-request epochs and hand-offs, a few
+//! percent (`tests/perf_smoke.rs` gates it at that size). Any larger
+//! batch runs inline.
 //!
 //! [`BatchPolicy::Always`] / [`BatchPolicy::Never`] force either path
 //! (the differential suites use them to pin both).
@@ -192,8 +196,9 @@ struct ShardKill;
 /// GEMM touches ~192 KiB of operands) is small enough that a batch of
 /// them executing concurrently cannot evict each other's working sets,
 /// so pooling the batch trades one shared epoch for one kernel-internal
-/// epoch *per request* — a pure win at any parallelism. A 256^3 request
-/// (1024 tiles, ~768 KiB) is past it: several of those running
+/// epoch *per request* — never a loss to thrashing, though only a few
+/// percent where the sharded kernel already fills every core. A 256^3
+/// request (1024 tiles, ~768 KiB) is past it: several of those running
 /// concurrently on an oversubscribed host thrash — the regression this
 /// policy exists to prevent.
 const POOL_RESIDENT_TILES: usize = 256;

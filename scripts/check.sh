@@ -39,8 +39,11 @@ echo "== cross-validation: functional ExecStats vs analytical model (release)"
 cargo test --release -q --test cross_validation
 
 # SIMD gate: the parity, differential and cross-validation suites with
-# the vector pipeline at the auto-detected level (`M3XU_SIMD=1`), forced
-# to SSE2 (`M3XU_SIMD=sse2`, whose per-column scalar window and drain and
+# the vector pipeline at the auto-detected level (`M3XU_SIMD=1`, AVX-512
+# on an x86-64-v4 host), forced to AVX2 (`M3XU_SIMD=avx2`, so the AVX2
+# window kernels and FMA row run on such a host too, and the dispatch
+# guard admits a level below the host's), forced to SSE2
+# (`M3XU_SIMD=sse2`, whose per-column scalar window and drain and
 # `f64::mul_add` emulated-FP64 row loop are code of its own; its panel
 # bodies and row products are the portable source every level compiles),
 # and forced off (`M3XU_SIMD=0`, the scalar oracle standing alone). The
@@ -48,10 +51,11 @@ cargo test --release -q --test cross_validation
 # test; cross-validation asserts exact `simd_chunks` / `simd_fallbacks`
 # counts, checked calls' included, which are zero at `Scalar`. The armed
 # chaos run recovers injected faults on each level's checked chunks: the
-# AVX2 window kernels, SSE2's per-column window, the scalar element body.
-# The level is resolved once per process, hence one cargo invocation per
-# setting.
-for simd in 1 sse2 0; do
+# AVX-512 and AVX2 window kernels, SSE2's per-column window, the scalar
+# element body. On a host without AVX-512, `1` and `avx2` run the same
+# level. The level is resolved once per process, hence one cargo
+# invocation per setting.
+for simd in 1 avx2 sse2 0; do
     echo "== SIMD parity + differential + cross-validation suites under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} cargo test -q \
         --test simd_parity --test simd_env --test differential_props \

@@ -541,7 +541,7 @@ fn exact_fp32_matches_baseline_at_every_simd_level_and_thread_count() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let entry = simd::level();
     let mut levels = vec![SimdLevel::Scalar];
-    for lvl in [SimdLevel::Sse2, SimdLevel::Avx2] {
+    for lvl in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
         simd::set_level(lvl);
         if simd::level() == lvl {
             levels.push(lvl);

@@ -18,7 +18,11 @@
 //!   Two more rows gate the ABFT-checked body: 128³ FP32 and FP32C on a
 //!   context armed with a rate-0 fault plan, at the vector level against
 //!   forced `Scalar`, floor 3x each. A checked chunk that drops back to
-//!   the scalar element body reads ~1x there.
+//!   the scalar element body reads ~1x there. On a host that resolves to
+//!   `Avx512`, three rows time the FP32, FP32C and GEMM-FFT runs above
+//!   at forced `Avx2` against `Avx512`, floor 1.1x each (measured
+//!   1.5–2.3x on a 2-vCPU host): a body compiled for a lower level reads
+//!   under 1x.
 //! * `serve_batching_never_loses_to_one_at_a_time` — the serve layer's
 //!   adaptive batching: 16 identical 128³ M3XU-FP32 GEMMs submitted all
 //!   at once must finish no later than the same 16 submitted one at a
@@ -68,34 +72,41 @@ fn simd_pipeline_beats_scalar_floor() {
         return;
     }
 
+    let over_scalar = |what: &str, f: &dyn Fn()| speedup(entry, SimdLevel::Scalar, what, f);
     let n = 256;
     let a = Matrix::<f32>::random(n, n, 0x51);
     let b = Matrix::<f32>::random(n, n, 0x52);
     let c = Matrix::<f32>::zeros(n, n);
-    let fp32 = speedup(entry, &format!("FP32 {n}^3"), &|| {
+    let fp32_what = format!("FP32 {n}^3");
+    let fp32_run = || {
         std::hint::black_box(
             default_context()
                 .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
                 .unwrap(),
         );
-    });
+    };
+    let fp32 = over_scalar(&fp32_what, &fp32_run);
     let n = 128;
     let ca = Matrix::random_c32(n, n, 0x53);
     let cb = Matrix::random_c32(n, n, 0x54);
     let cc = Matrix::random_c32(n, n, 0x55);
-    let fp32c = speedup(entry, &format!("FP32C {n}^3"), &|| {
+    let fp32c_what = format!("FP32C {n}^3");
+    let fp32c_run = || {
         std::hint::black_box(default_context().try_cgemm_c32(&ca, &cb, &cc).unwrap());
-    });
+    };
+    let fp32c = over_scalar(&fp32c_what, &fp32c_run);
     let n = 4096;
     let x = Matrix::random_c32(n, 1, 0x56);
-    let fft = speedup(entry, &format!("GEMM-FFT {n}-point"), &|| {
+    let fft_what = format!("GEMM-FFT {n}-point");
+    let fft_run = || {
         std::hint::black_box(default_context().try_gemm_fft(x.as_slice()).unwrap());
-    });
+    };
+    let fft = over_scalar(&fft_what, &fft_run);
     let n = 128;
     let fa = Matrix::<f32>::random(n, n, 0x57);
     let fb = Matrix::<f32>::random(n, n, 0x58);
     let fc = Matrix::<f32>::zeros(n, n);
-    let fast = speedup(entry, &format!("FP32-fast {n}^3"), &|| {
+    let fast = over_scalar(&format!("FP32-fast {n}^3"), &|| {
         std::hint::black_box(
             default_context()
                 .try_gemm_f32(GemmPrecision::Fp32Fast, &fa, &fb, &fc)
@@ -105,7 +116,7 @@ fn simd_pipeline_beats_scalar_floor() {
     let da = Matrix::<f64>::random_f64(n, n, 0x59);
     let db = Matrix::<f64>::random_f64(n, n, 0x5A);
     let dc = Matrix::<f64>::zeros(n, n);
-    let fp64 = speedup(entry, &format!("FP64-emulated {n}^3"), &|| {
+    let fp64 = over_scalar(&format!("FP64-emulated {n}^3"), &|| {
         std::hint::black_box(
             default_context()
                 .try_gemm_f64(GemmPrecision::Fp64Emulated, &da, &db, &dc)
@@ -116,14 +127,14 @@ fn simd_pipeline_beats_scalar_floor() {
     // default one), so every chunk runs checked and nothing is injected.
     let armed = M3xuContext::with_threads(default_context().threads())
         .with_fault_plan(Arc::new(FaultPlan::new(0, 0.0)));
-    let checked = speedup(entry, &format!("checked FP32 {n}^3"), &|| {
+    let checked = over_scalar(&format!("checked FP32 {n}^3"), &|| {
         std::hint::black_box(
             armed
                 .try_gemm_f32(GemmPrecision::M3xuFp32, &fa, &fb, &fc)
                 .unwrap(),
         );
     });
-    let checked_c = speedup(entry, &format!("checked FP32C {n}^3"), &|| {
+    let checked_c = over_scalar(&format!("checked FP32C {n}^3"), &|| {
         std::hint::black_box(armed.try_cgemm_c32(&ca, &cb, &cc).unwrap());
     });
     // Floor at 3x for both GEMM modes (measured ~10x): anything under 3x
@@ -132,7 +143,7 @@ fn simd_pipeline_beats_scalar_floor() {
     // fast-FP32 floor (3x) and the emulated-FP64 one (20x) trip when
     // either mode drops back to the scalar oracle, where both read ~1x,
     // and the checked rows' (3x) when checked chunks do.
-    for (what, s, floor) in [
+    let mut rows = vec![
         ("FP32", fp32, 3.0),
         ("FP32C", fp32c, 3.0),
         ("GEMM-FFT", fft, 4.0),
@@ -140,7 +151,18 @@ fn simd_pipeline_beats_scalar_floor() {
         ("FP64-emulated", fp64, 20.0),
         ("checked FP32", checked, 3.0),
         ("checked FP32C", checked_c, 3.0),
-    ] {
+    ];
+    // On an AVX-512 host, the x86-64-v4 build against the forced AVX2
+    // one, floor 1.1x (measured 1.5–1.8x, 2.0–2.3x and 1.65–1.85x): a
+    // panel body or window kernel silently compiled for a lower level
+    // reads under 1x.
+    if entry == SimdLevel::Avx512 {
+        let over_avx2 = |what: &str, f: &dyn Fn()| speedup(entry, SimdLevel::Avx2, what, f);
+        rows.push(("FP32 over AVX2", over_avx2(&fp32_what, &fp32_run), 1.1));
+        rows.push(("FP32C over AVX2", over_avx2(&fp32c_what, &fp32c_run), 1.1));
+        rows.push(("GEMM-FFT over AVX2", over_avx2(&fft_what, &fft_run), 1.1));
+    }
+    for (what, s, floor) in rows {
         assert!(
             s >= floor,
             "{what} SIMD pipeline speedup {s:.2}x fell below the {floor}x floor at {entry:?}"
@@ -151,10 +173,10 @@ fn simd_pipeline_beats_scalar_floor() {
 /// Timed rounds behind each speedup, after one warm-up per level.
 const ROUNDS: usize = 5;
 
-/// The least wall time of `f` at the forced-scalar level over the least
-/// at the entry level, printed as one row. Each round times both levels
-/// in turn, so an episode of host interference lands on both sides.
-fn speedup(entry: SimdLevel, what: &str, f: &dyn Fn()) -> f64 {
+/// The least wall time of `f` at the `base` level over the least at the
+/// `entry` level, printed as one row. Each round times both levels in
+/// turn, so an episode of host interference lands on both sides.
+fn speedup(entry: SimdLevel, base: SimdLevel, what: &str, f: &dyn Fn()) -> f64 {
     let time = |level| {
         simd::set_level(level);
         let t = Instant::now();
@@ -162,18 +184,18 @@ fn speedup(entry: SimdLevel, what: &str, f: &dyn Fn()) -> f64 {
         t.elapsed().as_secs_f64()
     };
     time(entry);
-    time(SimdLevel::Scalar);
-    let (mut simd_s, mut scalar_s) = (f64::MAX, f64::MAX);
+    time(base);
+    let (mut entry_s, mut base_s) = (f64::MAX, f64::MAX);
     for _ in 0..ROUNDS {
-        simd_s = simd_s.min(time(entry));
-        scalar_s = scalar_s.min(time(SimdLevel::Scalar));
+        entry_s = entry_s.min(time(entry));
+        base_s = base_s.min(time(base));
     }
     simd::set_level(entry);
-    let speedup = scalar_s / simd_s;
+    let speedup = base_s / entry_s;
     eprintln!(
-        "perf smoke: {what} scalar {:.1} ms, simd {:.2} ms, speedup {speedup:.2}x at {entry:?}",
-        scalar_s * 1e3,
-        simd_s * 1e3
+        "perf smoke: {what} {base:?} {:.1} ms, {entry:?} {:.2} ms, speedup {speedup:.2}x",
+        base_s * 1e3,
+        entry_s * 1e3
     );
     speedup
 }

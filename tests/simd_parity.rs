@@ -1,6 +1,6 @@
 //! SIMD ≡ scalar differential parity: the packed pipeline must produce
 //! **bit-identical** output at every dispatch level the host supports —
-//! `Scalar` (the oracle path), `Sse2`, and `Avx2` — across awkward
+//! `Scalar` (the oracle path), `Sse2`, `Avx2` and `Avx512` — across awkward
 //! shapes, every precision, and operand payloads full of specials
 //! (NaN, ±Inf, ±0, subnormals) that force the per-element-chunk
 //! fallback. The fast-FP32 and emulated-FP64 modes, which `gemm::baseline`
@@ -25,7 +25,7 @@ static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 /// Every level the host can actually run (always includes `Scalar`).
 fn host_levels() -> Vec<SimdLevel> {
     let mut levels = vec![SimdLevel::Scalar];
-    for lvl in [SimdLevel::Sse2, SimdLevel::Avx2] {
+    for lvl in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
         simd::set_level(lvl);
         if simd::level() == lvl {
             levels.push(lvl);
