@@ -165,25 +165,33 @@ pub fn residue_sum_f32(xs: impl IntoIterator<Item = f32>) -> Option<u64> {
 }
 
 /// Residue of a finite `f64` value (`±m · 2^e` exactly); `None` for
-/// NaN/infinity. The 53-bit significand fits a single `reduce_u64`, and
-/// exponents down to the subnormal floor `2^-1074` reduce mod 61 like any
-/// other power of two, so the f64/N-slice dyadic range is covered with the
-/// same single-fault-detection guarantee as the f32 map.
+/// NaN/infinity. The 53-bit significand is already reduced, and exponents
+/// down to the subnormal floor `2^-1074` reduce mod 61 like any other
+/// power of two, so the f64/N-slice dyadic range is covered with the same
+/// single-fault-detection guarantee as the f32 map.
 pub fn residue_f64(x: f64) -> Option<u64> {
-    if !x.is_finite() {
-        return None;
-    }
+    x.is_finite().then(|| reduce_u64(residue_f64_lane(x)))
+}
+
+/// [`residue_f64`] of a finite `x` before its final reduction, with no
+/// table and no branch, for callers that compute it across vector lanes
+/// (a table lookup does not vectorise): the significand rotates left by
+/// its least bit's weight `max(e, 1) − 1075 ≡ (max(e, 1) + 23) mod 61`
+/// for biased exponent `e`, and the sign negates. The result is below
+/// `2^61` and reduced, except that a negative zero gives `M61 ≡ 0`. A NaN
+/// or infinite `x` gives a meaningless value.
+#[inline(always)]
+pub fn residue_f64_lane(x: f64) -> u64 {
     let bits = x.to_bits();
-    let sign = bits >> 63 == 1;
-    let exp = ((bits >> 52) & 0x7ff) as i64;
-    let frac = bits & 0xf_ffff_ffff_ffff;
-    let (m, e) = if exp != 0 {
-        (frac | (1u64 << 52), exp - 1023 - 52)
+    let e = (bits >> 52 & 0x7ff) as u32;
+    let m = bits & 0xf_ffff_ffff_ffff | ((e != 0) as u64) << 52;
+    let s = (e.max(1) + 23) % 61;
+    let r = (m << s | m >> (61 - s)) & M61;
+    if bits >> 63 == 1 {
+        M61 - r
     } else {
-        (frac, -1074)
-    };
-    let r = mul_pow2_m61(m, e);
-    Some(if sign { neg_m61(r) } else { r })
+        r
+    }
 }
 
 #[cfg(test)]
@@ -301,6 +309,26 @@ mod tests {
         let tiny = f64::from_bits(1); // 2^-1074
         let p = mul_m61(residue_f64(tiny).unwrap(), residue_f64(1024.0).unwrap());
         assert_eq!(p, residue_f64(tiny * 1024.0).unwrap());
+    }
+
+    #[test]
+    fn residue_f64_lane_equals_the_multiplying_residue() {
+        // Every exponent field, both signs, zeros and subnormals, and
+        // significands at both ends, against the decoded `±m · 2^pow`
+        // rotated by `mul_pow2_m61`.
+        for e in 0..2047u64 {
+            for frac in [0u64, 1, 0xf_ffff_ffff_ffff, 0x8_0000_0000_0001] {
+                for sign in [0u64, 1] {
+                    let x = f64::from_bits(sign << 63 | e << 52 | frac);
+                    let m = frac | ((e != 0) as u64) << 52;
+                    let r = mul_pow2_m61(m, (e as i64).max(1) - 1075);
+                    let want = if sign == 1 { neg_m61(r) } else { r };
+                    assert_eq!(reduce_u64(residue_f64_lane(x)), want, "{x:e}");
+                    assert!(residue_f64_lane(x) <= M61);
+                    assert_eq!(residue_f64(x), Some(want), "{x:e}");
+                }
+            }
+        }
     }
 
     #[test]

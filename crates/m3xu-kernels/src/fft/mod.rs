@@ -22,7 +22,7 @@ use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::matrix::Matrix;
 use m3xu_mxu::mma::MmaStats;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Complex single-precision sample.
 pub type C32 = Complex<f32>;
@@ -131,18 +131,46 @@ pub fn dft_matrix(n: usize) -> Matrix<C32> {
     })
 }
 
-/// Cached DFT matrices (shared across FFT calls / threads).
-static DFT_CACHE: Mutex<Option<HashMap<usize, Matrix<C32>>>> = Mutex::new(None);
+/// A per-length memo shared across FFT calls and threads.
+type Memo<T> = Mutex<Option<HashMap<usize, T>>>;
 
-fn cached_dft_matrix(n: usize) -> Matrix<C32> {
+/// Cached DFT matrices.
+static DFT_CACHE: Memo<Matrix<C32>> = Mutex::new(None);
+
+/// Cached level twiddle tables ([`twiddle_table`]): a table costs one
+/// `cis` per entry, about a tenth of a 4,096-point transform. A
+/// transform's levels keep about one entry per point of its length.
+static TWIDDLE_CACHE: Memo<Arc<[C32]>> = Mutex::new(None);
+
+/// `cache`'s value for `n`, made by `make` on first use.
+fn memo<T: Clone>(cache: &Memo<T>, n: usize, make: impl FnOnce() -> T) -> T {
     // Recover from lock poisoning: a panicking FFT call (e.g. through an
     // injected CGEMM driver) must not condemn every later caller in the
-    // process to a `PoisonError` unwrap. The cache is a pure memo of
-    // `dft_matrix(n)` — at worst a poisoned entry was never inserted, so
-    // the data behind the lock is always valid.
-    let mut guard = DFT_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+    // process to a `PoisonError` unwrap. A cache is a pure memo of its
+    // `make` — at worst a poisoned entry was never inserted, so the data
+    // behind the lock is always valid.
+    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
     let cache = guard.get_or_insert_with(HashMap::new);
-    cache.entry(n).or_insert_with(|| dft_matrix(n)).clone()
+    cache.entry(n).or_insert_with(make).clone()
+}
+
+fn cached_dft_matrix(n: usize) -> Matrix<C32> {
+    memo(&DFT_CACHE, n, || dft_matrix(n))
+}
+
+/// The twiddles `w_n^{k1·j2}` of an `n`-point level, `k1 < GEMM_RADIX`
+/// and `j2 < n / GEMM_RADIX`, at `k1 · n / GEMM_RADIX + j2` (computed in
+/// f64, rounded to FP32C once).
+fn twiddle_table(n: usize) -> Arc<[C32]> {
+    let n2 = n / GEMM_RADIX;
+    (0..GEMM_RADIX * n2)
+        .map(|i| {
+            let (k1, j2) = (i / n2, i % n2);
+            let ang = -2.0 * std::f64::consts::PI * (k1 as f64) * (j2 as f64) / n as f64;
+            let w64 = Complex::<f64>::cis(ang);
+            Complex::new(w64.re as f32, w64.im as f32)
+        })
+        .collect()
 }
 
 /// The tcFFT-style radix used for the GEMM stages (a 16-point DFT maps
@@ -227,8 +255,8 @@ where
 /// exactly as the four-step recursion would, but side by side:
 /// 1. all `b · n2` column DFTs are one `F_16 × [16 × b·n2]` CGEMM, whose
 ///    column `c·n2 + j2` holds signal `c`'s samples `j1·n2 + j2`;
-/// 2. the level's twiddle table `w_n^{k1·j2}` is built once and applied
-///    to every signal;
+/// 2. the level's twiddle table `w_n^{k1·j2}`, built once per length
+///    and cached across calls, is applied to every signal;
 /// 3. row `k1` of signal `c`'s block becomes sub-signal `16c + k1` of the
 ///    next level;
 /// 4. on the way back, sub-spectra interleave as `X_c[k1 + 16·k2]`.
@@ -252,27 +280,30 @@ pub(crate) fn gemm_fft_batch<X: GemmExecutor>(
     while n > GEMM_RADIX {
         let n2 = n / GEMM_RADIX;
         let cols = buf.len() / GEMM_RADIX;
-        let m = Matrix::from_fn(GEMM_RADIX, cols, |j1, col| {
-            buf[(col / n2) * n + j1 * n2 + col % n2]
-        });
+        // Row `j1`, column `c·n2 + j2` is signal `c`'s sample `j1·n2 + j2`.
+        // Whole runs are copied: no index divides.
+        let mut m = Matrix::zeros(GEMM_RADIX, cols);
+        for (j1, row) in m.as_mut_slice().chunks_exact_mut(cols).enumerate() {
+            for (dst, sig) in row.chunks_exact_mut(n2).zip(buf.chunks_exact(n)) {
+                dst.copy_from_slice(&sig[j1 * n2..(j1 + 1) * n2]);
+            }
+        }
         let t = exec.try_cgemm_c32(
             &cached_dft_matrix(GEMM_RADIX),
             &m,
             &Matrix::zeros(GEMM_RADIX, cols),
         )?;
         stats.merge(&t.stats);
-        let twiddle: Vec<C32> = (0..GEMM_RADIX * n2)
-            .map(|i| {
-                let (k1, j2) = (i / n2, i % n2);
-                let ang = -2.0 * std::f64::consts::PI * (k1 as f64) * (j2 as f64) / n as f64;
-                let w64 = Complex::<f64>::cis(ang);
-                Complex::new(w64.re as f32, w64.im as f32)
-            })
-            .collect();
+        let twiddle = memo(&TWIDDLE_CACHE, n, || twiddle_table(n));
         // Sub-signal (c, k1) lands at `(16c + k1) · n2 = c·n + k1·n2`.
-        for (i, v) in buf.iter_mut().enumerate() {
-            let (c, k1, j2) = (i / n, (i % n) / n2, i % n2);
-            *v = t.d.get(k1, c * n2 + j2) * twiddle[k1 * n2 + j2];
+        for (c, sig) in buf.chunks_exact_mut(n).enumerate() {
+            let subs = sig.chunks_exact_mut(n2).zip(twiddle.chunks_exact(n2));
+            for (k1, (sub, w)) in subs.enumerate() {
+                let y = &t.d.row(k1)[c * n2..(c + 1) * n2];
+                for ((v, &y), &w) in sub.iter_mut().zip(y).zip(w) {
+                    *v = y * w;
+                }
+            }
         }
         splits.push(n);
         n = n2;
@@ -281,15 +312,21 @@ pub(crate) fn gemm_fft_batch<X: GemmExecutor>(
     let v = Matrix::from_fn(n, cols, |j, c| buf[c * n + j]);
     let r = exec.try_cgemm_c32(&cached_dft_matrix(n), &v, &Matrix::zeros(n, cols))?;
     stats.merge(&r.stats);
-    for (i, y) in buf.iter_mut().enumerate() {
-        *y = r.d.get(i % n, i / n);
+    for (c, sig) in buf.chunks_exact_mut(n).enumerate() {
+        for (j, y) in sig.iter_mut().enumerate() {
+            *y = r.d.get(j, c);
+        }
     }
     let mut out = vec![C32::ZERO; buf.len()];
     for &n in splits.iter().rev() {
         let n2 = n / GEMM_RADIX;
-        for (i, &y) in buf.iter().enumerate() {
-            let (c, k1, k2) = (i / n, (i % n) / n2, i % n2);
-            out[c * n + k1 + GEMM_RADIX * k2] = y;
+        // Sub-spectrum `k1`'s bin `k2` is its signal's bin `k1 + 16·k2`.
+        for (sig, dst) in buf.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            for (k1, sub) in sig.chunks_exact(n2).enumerate() {
+                for (k2, &y) in sub.iter().enumerate() {
+                    dst[k1 + GEMM_RADIX * k2] = y;
+                }
+            }
         }
         std::mem::swap(&mut buf, &mut out);
     }

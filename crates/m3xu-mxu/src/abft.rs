@@ -24,10 +24,10 @@
 //! in their homomorphic image mod `p = 2^61 - 1` ([`m3xu_fp::residue`]).
 //! The right-hand side is the **expected** checksum; the left-hand side,
 //! the **computed** checksum, is the residue sum of the exact values the
-//! checked MMA rounds from: each SIMD column's `i128` window, folded into
-//! `F_p` (`2^61 ≡ 1`, so its 61-bit limbs add and `2^base` is a rotation),
-//! or, on the scalar element body, the fast window's contribution list or
-//! the Kulisch register. A corrupted product shifts the computed side by a
+//! checked MMA rounds from: each SIMD column's exact pair `h + l` of
+//! `f64`s, the residues of the two added (`2^61 ≡ 1`, so a significand's
+//! weight `2^e` is a rotation), or, on the scalar element body, the fast
+//! window's contribution list or the Kulisch register. A corrupted product shifts the computed side by a
 //! nonzero dyadic delta, whose residue is nonzero because `p` is prime —
 //! detection of a single corrupted product is *certain*, not
 //! probabilistic.

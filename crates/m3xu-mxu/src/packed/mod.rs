@@ -24,7 +24,8 @@
 //! (the N-slice cross product, full or truncated, FP16 through emulated
 //! FP64) and `c32_schedule` (the FP32C 16-lane stream). One element body
 //! per precision runs it through two consumers, the 128-bit fast window
-//! and the Kulisch drain. ABFT checking is a tap on that same body: given
+//! and the Kulisch drain; it is the differential oracle of the SIMD
+//! panels below. ABFT checking is a tap on that same body: given
 //! a [`ChunkCheck`], the per-chunk executors also report each element's
 //! `F_p` residue, and the injected fault lands on the drained output, so
 //! a checked chunk cannot compute different bits from an unchecked one.
@@ -56,24 +57,27 @@
 //! `M3XU_SIMD` kill switch. There is one body per precision family,
 //! written once in portable Rust and compiled once per level by
 //! `simd::dispatch`: FP32 (every real mode up to fast and exact FP32),
-//! FP32C and emulated FP64. The fast FP32 mode forms its truncated
-//! product exactly in `f64`, and emulated FP64 runs one fused
-//! multiply-add per chunk. The FP32 and FP32C bodies share one window
-//! phase, `RowWindow`, which holds the level switch between the AVX-512
-//! and AVX2 window kernels and the scalar window. The scalar element
-//! bodies stay the differential oracle and the fallback for partial rows,
-//! specials, zero FP64 results and wide exponent spreads; a fallback
-//! decodes only the element-chunk it reruns.
+//! FP32C and emulated FP64. The FP32 and FP32C bodies round each chunk
+//! with one portable `f64` rounder, `simd::round_chunk`: a certified
+//! exact pair `h + l`, rounded to odd at 53 bits, then to FP32. They run
+//! it on several fragment rows per chunk step, so the rows' independent
+//! seed chains overlap. The fast FP32 mode forms its truncated product
+//! exactly in `f64`, and emulated FP64 runs one fused multiply-add per
+//! chunk. No body switches on the level but the FP64 one, for its FMA
+//! row. The scalar element bodies stay the differential oracle and the
+//! fallback for partial rows, specials, zero FP64 results and chunks the
+//! rounder cannot certify; a fallback decodes only the element-chunk it
+//! reruns, out of line, so the panel rows stay in registers.
 //!
 //! A checked FP32-family or FP32C chunk
 //! ([`DotProductUnit::mma_f32_checked_into`],
 //! [`DotProductUnit::mma_c32_checked_into`]) runs the same panel body
 //! with its residue tap, a `const` generic, turned on: each vector
-//! column's residue is its exact `i128` window folded into `F_p`
-//! (`RowWindow::residue`), each fallback column's is the scalar element
-//! body's tap. Emulated-FP64 chunks stay on the slice/Kulisch body when
-//! checked: the FMA row rounds in one instruction and keeps no exact
-//! pre-rounding value to take a residue from.
+//! column's residue is that of its exact pair, `residue(h) +
+//! residue(l)`, each fallback column's is the scalar element body's tap.
+//! Emulated-FP64 chunks stay on the slice/Kulisch body when checked: the
+//! FMA row rounds in one instruction and keeps no exact pre-rounding
+//! value to take a residue from.
 
 pub mod simd;
 
@@ -89,7 +93,9 @@ use crate::mma::{MmaShape, MmaStats};
 use crate::modes::MxuMode;
 use m3xu_fp::complex::Complex;
 use m3xu_fp::format::{BF16, FP16, TF32};
-use m3xu_fp::residue::{add_m61, mul_pow2_m61, reduce_u64, residue_f64, residue_i128, sub_m61};
+use m3xu_fp::residue::{
+    add_m61, mul_pow2_m61, reduce_u64, residue_f64, residue_f64_lane, sub_m61, M61,
+};
 use m3xu_fp::split::FP64_SLICES_EMULATED;
 
 /// Buffer entries the data-assignment stage provisions per operand element
@@ -687,14 +693,8 @@ fn fast_round_f32(sum: i128, pmin: i32) -> f32 {
 
 /// The rounding core of [`fast_round_f32`], returning the result in
 /// decoded form: value = `±frac · 2^weight` with `frac < 2^24`, or a
-/// signed infinity when `finite` is false. Panel kernels keep this form
-/// as the next chunk's seed (see [`simd::ChunkSeed`]) so the f32
-/// assemble/decode round-trip stays off the per-column dependency chain;
-/// [`fast_round_assemble`] turns it into the identical f32 bits. The AVX2
-/// and AVX-512 panels run the normal-range branch below four or eight
-/// columns per register ([`simd::x86::round_chunk_avx2`],
-/// [`simd::x86::round_chunk_avx512`]) and call this for the other
-/// columns.
+/// signed infinity when `finite` is false; [`fast_round_assemble`] turns
+/// it into the f32 bits.
 #[inline(always)]
 fn fast_round_parts(sum: i128, pmin: i32) -> (u32, u64, i32, bool) {
     if sum == 0 {
@@ -796,150 +796,6 @@ fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
     while mask != 0 {
         f(mask.trailing_zeros() as usize);
         mask &= mask - 1;
-    }
-}
-
-/// The window phase of one FP32 chunk across a fragment row, shared by
-/// the FP32 and FP32C panels: accumulate each column's exact chunk value,
-/// then drain the columns of a mask the caller passes (FP32C ANDs its two
-/// components' masks in between) into their decoded seeds. The level
-/// switch lives here. At `Avx2` and `Avx512` the accumulate builds
-/// 128-bit windows, two's complement in 64-bit halves anchored at each
-/// column's `base` power (the layout [`simd::x86::accumulate_chunk_avx2`]
-/// and [`simd::x86::accumulate_chunk_avx512`] write), and the drain
-/// rounds them. Below them the per-column scalar window rounds each
-/// valid column as it goes, into `rounded`, and the drain only commits:
-/// one pass per column measured about a quarter faster there than two.
-/// Callers keep one window per component and reuse it chunk after chunk.
-/// With the residue tap (`TAP`), the scalar window also stores each
-/// valid column's `(sum, base)` in the x86 kernels' layout, so
-/// [`RowWindow::residue`] reads the same state at every level.
-#[derive(Default)]
-struct RowWindow {
-    lo: [u64; simd::COLS],
-    hi: [u64; simd::COLS],
-    base: [i64; simd::COLS],
-    rounded: [simd::ChunkSeed; simd::COLS],
-}
-
-impl RowWindow {
-    /// Accumulate `seeds[j] + Σ_t prods[t][j]` for every column. Returns
-    /// the mask of columns whose window is valid: a finite seed and
-    /// products, and a power spread the `i128` admits.
-    #[inline(always)]
-    fn accumulate<const T: usize, const TAP: bool>(
-        &mut self,
-        level: simd::SimdLevel,
-        prods: &[[f64; simd::COLS]],
-        seeds: &simd::RowSeeds,
-    ) -> u32 {
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the panel bodies get their level from
-            // `simd::dispatch`, which runs `Avx2` only on a host with AVX2,
-            // and `prods` holds `T <= MAX_KLEN` rows.
-            simd::SimdLevel::Avx2 => unsafe {
-                let (lo, hi, base) = (&mut self.lo, &mut self.hi, &mut self.base);
-                simd::x86::accumulate_chunk_avx2(T, prods, seeds, lo, hi, base) & seeds.finite
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as at `Avx2`; `Avx512` runs only on a host with
-            // AVX-512 F, CD, DQ, BW and VL.
-            simd::SimdLevel::Avx512 => unsafe {
-                let (lo, hi, base) = (&mut self.lo, &mut self.hi, &mut self.base);
-                simd::x86::accumulate_chunk_avx512(T, prods, seeds, lo, hi, base) & seeds.finite
-            },
-            _ => {
-                let mut ok = 0u32;
-                for (j, rounded) in self.rounded.iter_mut().enumerate() {
-                    let terms: [f64; T] = std::array::from_fn(|t| prods[t][j]);
-                    let (sum, pmin, o) = simd::exact_chunk_accumulate_seeded(seeds.get(j), &terms);
-                    if o {
-                        ok |= 1 << j;
-                        *rounded = round_window(sum, pmin);
-                        if TAP {
-                            (self.lo[j], self.hi[j]) = (sum as u64, (sum >> 64) as u64);
-                            self.base[j] = pmin as i64;
-                        }
-                    }
-                }
-                ok
-            }
-        }
-    }
-
-    /// Round the columns in `mask` to FP32, straight into their decoded
-    /// seeds: at `Avx2` and `Avx512` the level's vector drain takes the
-    /// normal-range columns and [`fast_round_parts`] every column it
-    /// leaves; below them, commit what `accumulate` rounded. A result
-    /// that overflows to infinity is also written to `acc`, which holds
-    /// the value of every non-finite column.
-    #[inline(always)]
-    fn drain(
-        &self,
-        level: simd::SimdLevel,
-        mask: u32,
-        seeds: &mut simd::RowSeeds,
-        acc: &mut [f32; simd::COLS],
-    ) {
-        let commit = |seeds: &mut simd::RowSeeds, acc: &mut [f32; simd::COLS], j, c| {
-            seeds.set(j, c);
-            if !c.finite {
-                acc[j] = fast_round_assemble((c.neg as u32) << 31, c.mant, c.pow, false);
-            }
-        };
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            simd::SimdLevel::Avx2 | simd::SimdLevel::Avx512 => {
-                // SAFETY: as in `accumulate`; the windows of `mask` are
-                // valid.
-                let (lo, hi, base) = (&self.lo, &self.hi, &self.base);
-                let done = unsafe {
-                    if level == simd::SimdLevel::Avx512 {
-                        simd::x86::round_chunk_avx512(lo, hi, base, mask, seeds)
-                    } else {
-                        simd::x86::round_chunk_avx2(lo, hi, base, mask, seeds)
-                    }
-                };
-                for_each_bit(mask & !done, |j| {
-                    commit(seeds, acc, j, round_window(self.sum(j), base[j] as i32));
-                });
-            }
-            _ => {
-                for (j, &c) in self.rounded.iter().enumerate() {
-                    if mask >> j & 1 == 1 {
-                        commit(seeds, acc, j, c);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Column `j`'s window sum, from its two's complement halves.
-    #[inline(always)]
-    fn sum(&self, j: usize) -> i128 {
-        (((self.hi[j] as u128) << 64) | self.lo[j] as u128) as i128
-    }
-
-    /// The `F_p` residue of column `j`'s exact chunk value `sum ·
-    /// 2^base`, for a column the last tapped `accumulate` found valid:
-    /// the window folded into 61-bit limbs and rotated by `base`
-    /// ([`residue_i128`]).
-    #[inline(always)]
-    fn residue(&self, j: usize) -> u64 {
-        residue_i128(self.sum(j), self.base[j])
-    }
-}
-
-/// [`fast_round_parts`] of the window `sum · 2^pmin`, as a decoded seed.
-#[inline(always)]
-fn round_window(sum: i128, pmin: i32) -> simd::ChunkSeed {
-    let (sign, frac, weight, finite) = fast_round_parts(sum, pmin);
-    simd::ChunkSeed {
-        mant: frac,
-        pow: weight,
-        neg: sign != 0,
-        finite,
     }
 }
 
@@ -1256,7 +1112,7 @@ fn scalar_element_c32(
 ///
 /// The executor accumulates the **computed** chunk checksum: the `F_p`
 /// residue sum of every output element's exact pre-rounding value — a
-/// SIMD column's `i128` window, or the scalar body's fast-path
+/// SIMD column's exact pair `h + l`, or the scalar body's fast-path
 /// contribution list or Kulisch register — the same state the rounded
 /// value is drained from. An injected fault then corrupts one drained
 /// output component and moves the checksum by the residue difference,
@@ -1337,24 +1193,52 @@ fn vector_panel(level: simd::SimdLevel, a: &PackedOperand, b: &PackedOperand, co
     level != simd::SimdLevel::Scalar && cols == simd::COLS && !a.transposed && b.transposed
 }
 
-/// A real-mode SIMD panel's state: what its per-chunk oracle fallback
-/// needs, fixed for the whole panel — the operands, the tile origin, and
-/// the schedule — and the chunk scratch it reuses, the product rows and
-/// their windows.
-struct RealPanel<'p> {
+/// A SIMD panel's origin and tap, fixed for the whole panel: what an
+/// out-of-line oracle rerun needs beside the element-chunk it reruns.
+struct PanelAt<'p> {
     a: &'p PackedOperand,
     b: &'p PackedOperand,
     r0: usize,
     c0: usize,
-    /// The fast mode's truncated schedule.
-    truncated: bool,
     /// Lane products per MAC ([`MxuMode::terms_per_mac`]).
     terms: u64,
-    /// The chunk's row products, `klen` rows deep.
-    prods: [[f64; simd::COLS]; simd::MAX_KLEN],
-    window: RowWindow,
     /// The tapped residues' sum (a tapped body only).
     computed: &'p mut Checksum,
+}
+
+/// `R` fragment rows of a real-mode SIMD panel in flight: their `A`
+/// rows, their accumulators, which stay `f32` rows from the first chunk to
+/// the last, and the `B` rows they have yet to consume.
+struct RowGroup<'p, const R: usize> {
+    /// The first row's index within the tile.
+    i: usize,
+    arows: [&'p [f32]; R],
+    rows: [[f32; simd::COLS]; R],
+    b_rows: std::slice::ChunksExact<'p, f32>,
+    /// The current chunk's rounded rows, which every chunk overwrites
+    /// whole. They are made once per group: made per chunk, they would be
+    /// zeroed per chunk, a `memset` call in the AVX2 builds.
+    rounded: [simd::RoundedRow; R],
+}
+
+/// The `F_p` residue of the exact chunk values in the columns of `mask`
+/// of one rounded row, whose pairs are `(h[j], l[j])`: the sum of
+/// `residue(h) + residue(l)` over those columns. Lane-wise
+/// ([`residue_f64_lane`]), so the compiler vectorises it across the row.
+#[inline(always)]
+fn pair_residues(h: &simd::Row, l: &simd::Row, mask: u32) -> u64 {
+    let mut cols = [0u64; simd::COLS];
+    for (j, col) in cols.iter_mut().enumerate() {
+        let sum = residue_f64_lane(h[j]) + residue_f64_lane(l[j]);
+        // Two terms of at most `M61` fold to at most `M61`, so the row's
+        // eight columns sum below 2^64.
+        *col = if mask >> j & 1 == 1 {
+            (sum & M61) + (sum >> 61)
+        } else {
+            0
+        };
+    }
+    reduce_u64(cols.iter().sum())
 }
 
 impl DotProductUnit {
@@ -1683,10 +1567,8 @@ impl DotProductUnit {
             simd::dispatch(
                 level,
                 #[inline(always)]
-                move |l| {
-                    self.simd_panel_c32_body::<false>(
-                        l, a, b, r0, rows, c0, k0, kend, acc, computed,
-                    )
+                move |_| {
+                    self.simd_panel_c32_body::<false>(a, b, r0, rows, c0, k0, kend, acc, computed)
                 },
             );
             return;
@@ -1730,8 +1612,8 @@ impl DotProductUnit {
             simd::dispatch(
                 level,
                 #[inline(always)]
-                move |l| {
-                    self.simd_panel_c32_body::<true>(l, a, b, r0, rows, c0, k0, kend, out, computed)
+                move |_| {
+                    self.simd_panel_c32_body::<true>(a, b, r0, rows, c0, k0, kend, out, computed)
                 },
             );
             check.inject_c32(&mut acc[..rows * cols]);
@@ -1763,9 +1645,9 @@ impl DotProductUnit {
             simd::dispatch(
                 level,
                 #[inline(always)]
-                move |l| {
+                move |_| {
                     self.simd_panel_f32_body::<true, TAP>(
-                        l, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+                        a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
             );
@@ -1773,9 +1655,9 @@ impl DotProductUnit {
             simd::dispatch(
                 level,
                 #[inline(always)]
-                move |l| {
+                move |_| {
                     self.simd_panel_f32_body::<false, TAP>(
-                        l, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+                        a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
             );
@@ -1783,21 +1665,21 @@ impl DotProductUnit {
     }
 
     /// SIMD body of the real-mode panel, compiled once per level by
-    /// [`simd::dispatch`]: per row, per chunk, form the `klen` whole (or,
-    /// with `TRUNC`, truncated) products for all 8 columns with one
-    /// vector pass, then round each column's exact chunk value. Any
-    /// column the exact window cannot absorb (specials, wide exponent
-    /// spread) falls back to the scalar element path for that one
-    /// (element, chunk) — the shared [`scalar_element_real`], on the
-    /// same schedule — so results match the scalar pipeline bit for bit
-    /// no matter which path each element took. With `TAP`, every
-    /// element-chunk's residue goes into `computed`; without it
-    /// `computed` is never touched.
+    /// [`simd::dispatch`]: per group of [`simd::F32_ROWS`] fragment rows
+    /// (single rows at the `M` edge, so no padding row is computed), per
+    /// chunk, form each row's `klen` whole (or, with `TRUNC`, truncated)
+    /// products for all 8 columns from the chunk's shared `B` rows, then
+    /// round each column's exact chunk value with [`simd::round_chunk`].
+    /// Any column the rounder refuses (specials, a failed certificate)
+    /// reruns that one (element, chunk) on the scalar element path — the
+    /// shared [`scalar_element_real`], on the same schedule — so results
+    /// match the scalar pipeline bit for bit no matter which path each
+    /// element took. With `TAP`, every element-chunk's residue goes into
+    /// `computed`; without it `computed` is never touched.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool>(
         &mut self,
-        level: simd::SimdLevel,
         a: &PackedOperand,
         b: &PackedOperand,
         r0: usize,
@@ -1809,112 +1691,163 @@ impl DotProductUnit {
         acc: &mut [f32],
         computed: &mut Checksum,
     ) {
-        let mut panel = RealPanel {
-            a,
-            b,
-            r0,
-            c0,
-            truncated: TRUNC,
-            terms: a.mode.terms_per_mac(),
-            prods: [[0f64; simd::COLS]; simd::MAX_KLEN],
-            window: RowWindow::default(),
-            computed,
-        };
-        let n = b.vecs;
-        let alen = a.len;
         // B's value rows of the panel, one per reduction index, and the
-        // fragment row's columns within them, checked once: each output
-        // row consumes its own copy of the rows chunk by chunk, with no
-        // bounds check per `k` (see `simd::row_products`).
+        // fragment row's columns within them, checked once: each row group
+        // consumes its own copy of the rows chunk by chunk, with no bounds
+        // check per `k` (see `simd::ChunkB::load`).
+        let n = b.vecs;
         let b_panel = b.vals[k0 * n..kend * n].chunks_exact(n);
         assert!(
             c0 <= n && simd::COLS <= n - c0,
             "fragment row past B's columns"
         );
-        for i in 0..rows {
-            let arow = &a.vals[(r0 + i) * alen..(r0 + i) * alen + alen];
-            let row_acc: &mut [f32; simd::COLS] = (&mut acc[i * simd::COLS..(i + 1) * simd::COLS])
-                .try_into()
-                .expect("panel accumulator row is exactly one fragment row");
-            let mut seeds = simd::RowSeeds::load(row_acc);
-            let mut b_rows = b_panel.clone();
-            let mut ck0 = k0;
-            while ck0 < kend {
-                let klen = frag_k.min(kend - ck0);
-                let a_chunk = &arow[ck0..ck0 + klen];
-                simd::row_products::<TRUNC>(a_chunk, &mut b_rows, c0, &mut panel.prods);
-                // Constant-depth dispatch: the chunk fully unrolls for each
-                // depth.
-                match klen {
-                    1 => self
-                        .simd_row_chunk::<1, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
-                    2 => self
-                        .simd_row_chunk::<2, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
-                    3 => self
-                        .simd_row_chunk::<3, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
-                    4 => self
-                        .simd_row_chunk::<4, TAP>(level, &mut panel, row_acc, &mut seeds, i, ck0),
-                    _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
-                }
-                ck0 += klen;
-            }
-            seeds.store(row_acc);
+        let terms = a.mode.terms_per_mac();
+        let mut at = PanelAt {
+            a,
+            b,
+            r0,
+            c0,
+            terms,
+            computed,
+        };
+        let full = rows - rows % simd::F32_ROWS;
+        for i in (0..full).step_by(simd::F32_ROWS) {
+            let b_rows = b_panel.clone();
+            self.simd_rows_f32::<{ simd::F32_ROWS }, TRUNC, TAP>(
+                &mut at, b_rows, i, k0, kend, frag_k, acc,
+            );
+        }
+        for i in full..rows {
+            let b_rows = b_panel.clone();
+            self.simd_rows_f32::<1, TRUNC, TAP>(&mut at, b_rows, i, k0, kend, frag_k, acc);
         }
     }
 
-    /// One `T`-deep chunk across a fragment row's 8 columns: exact
-    /// rounding of each column's chunk value through [`RowWindow`], with
-    /// the per-(element, chunk) scalar fallback.
-    ///
-    /// Each column's accumulator threads through the whole `K`-panel in
-    /// decoded form (`seeds`, authoritative for every finite column): the
-    /// rounded mantissa/power feed the next chunk's accumulate directly,
-    /// and the row's f32 values are assembled once, at panel end. `acc`
-    /// is written here only for a column that turns non-finite (whose
-    /// NaN payload the decoded form cannot carry) and for a column that
-    /// drops to the scalar oracle, which reads the f32 back from `seeds`.
+    /// Fragment rows `i..i + R` of the real-mode panel through the whole
+    /// `K`-panel, consuming `b_rows`, and their accumulators written back
+    /// once.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_row_chunk<const T: usize, const TAP: bool>(
+    fn simd_rows_f32<const R: usize, const TRUNC: bool, const TAP: bool>(
         &mut self,
-        level: simd::SimdLevel,
-        panel: &mut RealPanel<'_>,
-        acc: &mut [f32; simd::COLS],
-        seeds: &mut simd::RowSeeds,
+        at: &mut PanelAt<'_>,
+        b_rows: std::slice::ChunksExact<'_, f32>,
+        i: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f32],
+    ) {
+        // Plain loops, not `array::from_fn`, whose out-of-line helper
+        // would take the rows' address and keep them off the registers.
+        let (a, alen) = (at.a, at.a.len);
+        let out = &mut acc[i * simd::COLS..(i + R) * simd::COLS];
+        let mut g = RowGroup {
+            i,
+            arows: [&[]; R],
+            rows: [[0f32; simd::COLS]; R],
+            b_rows,
+            rounded: [simd::RoundedRow::NONE; R],
+        };
+        for (r, (arow, row)) in g.arows.iter_mut().zip(&mut g.rows).enumerate() {
+            let a0 = (at.r0 + i + r) * alen;
+            *arow = &a.vals[a0..a0 + alen];
+            row.copy_from_slice(&out[r * simd::COLS..(r + 1) * simd::COLS]);
+        }
+        let (mut chunks, mut lanes) = (0u64, 0u64);
+        let mut ck0 = k0;
+        while ck0 < kend {
+            let klen = frag_k.min(kend - ck0);
+            // Constant-depth dispatch: the chunk fully unrolls for each
+            // depth.
+            let vector = match klen {
+                1 => self.simd_rows_chunk::<R, 1, TRUNC, TAP>(at, &mut g, ck0),
+                2 => self.simd_rows_chunk::<R, 2, TRUNC, TAP>(at, &mut g, ck0),
+                3 => self.simd_rows_chunk::<R, 3, TRUNC, TAP>(at, &mut g, ck0),
+                4 => self.simd_rows_chunk::<R, 4, TRUNC, TAP>(at, &mut g, ck0),
+                _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
+            };
+            chunks += vector;
+            lanes += vector * klen as u64 * at.terms;
+            ck0 += klen;
+        }
+        for (d, row) in out.chunks_exact_mut(simd::COLS).zip(&g.rows) {
+            d.copy_from_slice(row);
+        }
+        self.simd_chunks += chunks;
+        self.lane_ops += lanes;
+    }
+
+    /// One `T`-deep chunk across a row group: the chunk's `B` rows are
+    /// widened once for all its rows, and every row's 8 columns go through
+    /// [`simd::round_chunk`] before any refused column reruns on the
+    /// oracle, so the rows' seed chains overlap. Returns the
+    /// element-chunks rounded on the vector path.
+    #[inline(always)]
+    fn simd_rows_chunk<const R: usize, const T: usize, const TRUNC: bool, const TAP: bool>(
+        &mut self,
+        at: &mut PanelAt<'_>,
+        g: &mut RowGroup<'_, R>,
+        ck0: usize,
+    ) -> u64 {
+        let chunk = simd::ChunkB::<T>::load::<TRUNC>(&mut g.b_rows, at.c0);
+        for ((rr, arow), row) in g.rounded.iter_mut().zip(g.arows).zip(&g.rows) {
+            let a: &[f32; T] = arow[ck0..ck0 + T].try_into().expect("T elements");
+            *rr = simd::round_chunk(row, &chunk.products::<TRUNC>(a));
+        }
+        let mut vector = 0;
+        for (r, (row, rr)) in g.rows.iter_mut().zip(&g.rounded).enumerate() {
+            let ok = rr.ok();
+            vector += ok.count_ones() as u64;
+            if TAP {
+                let res = pair_residues(&rr.pair[0], &rr.pair[1], ok);
+                at.computed.absorb_re(Some(res));
+            }
+            let refused = !ok & ROW_MASK;
+            *row = if refused == 0 {
+                rr.out
+            } else {
+                let (seeds, out) = (*row, rr.out);
+                self.rerun_real(at, g.i + r, ck0, ck0 + T, TRUNC, TAP, seeds, out, refused)
+            };
+        }
+        vector
+    }
+
+    /// Rerun the `refused` columns of fragment row `i`'s chunk `[ck0,
+    /// kend)` on the scalar oracle, [`scalar_element_real`], each from its
+    /// seed in `seeds`, and return `out` with those columns replaced (and,
+    /// with `tap`, their residues absorbed). Out of line and cold, called
+    /// only when a column is refused, so the panel's rows stay in
+    /// registers.
+    #[allow(clippy::too_many_arguments)]
+    #[cold]
+    #[inline(never)]
+    fn rerun_real(
+        &mut self,
+        at: &mut PanelAt<'_>,
         i: usize,
         ck0: usize,
-    ) {
-        let lanes = T as u64 * panel.terms;
-        let okm = panel
-            .window
-            .accumulate::<T, TAP>(level, &panel.prods, seeds);
-        panel.window.drain(level, okm, seeds, acc);
-        if TAP {
-            // Eight residues below 2^61 sum below 2^64: one reduction per
-            // row.
-            let mut row = 0u64;
-            for_each_bit(okm, |j| row += panel.window.residue(j));
-            panel.computed.absorb_re(Some(reduce_u64(row)));
-        }
-        let vector = okm.count_ones() as u64;
-        self.lane_ops += lanes * vector;
-        self.simd_chunks += vector;
-        for_each_bit(
-            !okm & ROW_MASK,
-            #[inline(never)]
-            |j| {
-                self.simd_fallbacks += 1;
-                let (a, b, seed) = (panel.a, panel.b, seeds.value(j, acc[j]));
-                let (row, col, truncated) = (panel.r0 + i, panel.c0 + j, panel.truncated);
-                let (d, res) = rerun(a, b, row, col, ck0, ck0 + T, |av, bv| {
-                    scalar_element_real(self, seed, av, bv, a.epe(), truncated, lanes, TAP)
-                });
-                if TAP {
-                    panel.computed.absorb_re(res);
-                }
-                acc[j] = d;
-                seeds.set(j, simd::ChunkSeed::decode(d));
-            },
-        );
+        kend: usize,
+        truncated: bool,
+        tap: bool,
+        seeds: [f32; simd::COLS],
+        mut out: [f32; simd::COLS],
+        refused: u32,
+    ) -> [f32; simd::COLS] {
+        let (a, b) = (at.a, at.b);
+        let lanes = (kend - ck0) as u64 * at.terms;
+        for_each_bit(refused, |j| {
+            self.simd_fallbacks += 1;
+            let (d, res) = rerun(a, b, at.r0 + i, at.c0 + j, ck0, kend, |av, bv| {
+                scalar_element_real(self, seeds[j], av, bv, a.epe(), truncated, lanes, tap)
+            });
+            if tap {
+                at.computed.absorb_re(res);
+            }
+            out[j] = d;
+        });
+        out
     }
 
     /// SIMD body of the emulated-FP64 panel (`frag_k == 1`), compiled once
@@ -1940,7 +1873,7 @@ impl DotProductUnit {
     ) {
         let n = b.vecs;
         let alen = a.len;
-        let mut fallbacks = 0u64;
+        let fallbacks = self.simd_fallbacks;
         for i in 0..rows {
             let arow = &a.vals64[(r0 + i) * alen..(r0 + i) * alen + alen];
             let row_acc: &mut [f64; simd::COLS] = (&mut acc[i * simd::COLS..(i + 1) * simd::COLS])
@@ -1952,42 +1885,62 @@ impl DotProductUnit {
                     .try_into()
                     .expect("B's value row holds the fragment row's columns");
                 let (mut next, oracle) = simd::fma_row(level, ak, brow, &row);
-                for_each_bit(
-                    oracle,
-                    #[inline(never)]
-                    |j| {
-                        fallbacks += 1;
-                        (next[j], _) = rerun(a, b, r0 + i, c0 + j, k, k + 1, |av, bv| {
-                            scalar_element_f64(self, row[j], av, bv, a.epe(), false)
-                        });
-                    },
-                );
+                if oracle != 0 {
+                    // Column by column, with constant indices once the
+                    // loop unrolls: no array's address is taken, and the
+                    // row stays in registers.
+                    for (j, (next, &seed)) in next.iter_mut().zip(&row).enumerate() {
+                        if oracle >> j & 1 == 1 {
+                            *next = self.rerun_f64(a, b, r0 + i, c0 + j, k, seed);
+                        }
+                    }
+                }
                 row = next;
             }
             *row_acc = row;
         }
+        let fallbacks = self.simd_fallbacks - fallbacks;
         let vector = (rows * kend.saturating_sub(k0) * simd::COLS) as u64 - fallbacks;
         self.lane_ops += vector * a.mode.terms_per_mac();
         self.simd_chunks += vector;
-        self.simd_fallbacks += fallbacks;
+    }
+
+    /// Rerun the emulated-FP64 element-chunk `(row, col)` at depth `k` on
+    /// the slice oracle, [`scalar_element_f64`], from its pre-FMA `seed`.
+    /// Out of line and cold, called only for a column the FMA row flags.
+    #[cold]
+    #[inline(never)]
+    fn rerun_f64(
+        &mut self,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        row: usize,
+        col: usize,
+        k: usize,
+        seed: f64,
+    ) -> f64 {
+        self.simd_fallbacks += 1;
+        let (d, _) = rerun(a, b, row, col, k, k + 1, |av, bv| {
+            scalar_element_f64(self, seed, av, bv, a.epe(), false)
+        });
+        d
     }
 
     /// SIMD body of the FP32C panel (`frag_k == 1`), compiled once per
-    /// level by [`simd::dispatch`]: per row, per packed element, form the
-    /// four component product rows `a_R·b_R`, `-a_I·b_I`, `a_R·b_I`,
-    /// `a_I·b_R` for all 8 columns, then run `re + a_R·b_R - a_I·b_I` and
-    /// `im + a_R·b_I + a_I·b_R` through one [`RowWindow`] each. Both
-    /// components' accumulators thread across the `K`-panel in decoded
-    /// [`simd::RowSeeds`] form, as in the FP32 panel, and are assembled
-    /// to f32 once at the end. Either component failing its window sends
-    /// that (element, chunk) to the shared [`scalar_element_c32`]
-    /// fallback. `TAP` and `computed` as in the FP32 body, one residue
-    /// pair per element-chunk.
+    /// level by [`simd::dispatch`]: per group of [`simd::C32_ROWS`]
+    /// fragment rows (single rows at the `M` edge), per packed element,
+    /// form each row's four component product rows `a_R·b_R`, `-a_I·b_I`,
+    /// `a_R·b_I`, `a_I·b_R` for all 8 columns from the element's shared
+    /// `B` values, then round `re + a_R·b_R - a_I·b_I` and `im + a_R·b_I +
+    /// a_I·b_R` with one [`simd::round_chunk`] each. Both components'
+    /// accumulators stay `f32` rows across the `K`-panel. Either component
+    /// refused sends that (element, chunk) to the shared
+    /// [`scalar_element_c32`] fallback. `TAP` and `computed` as in the
+    /// FP32 body, one residue pair per element-chunk.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_c32_body<const TAP: bool>(
         &mut self,
-        level: simd::SimdLevel,
         a: &PackedOperand,
         b: &PackedOperand,
         r0: usize,
@@ -1998,68 +1951,130 @@ impl DotProductUnit {
         acc: &mut [Complex<f32>],
         computed: &mut Checksum,
     ) {
-        let n = b.vecs;
-        let alen = a.len;
+        let terms = a.mode.terms_per_mac();
+        let mut at = PanelAt {
+            a,
+            b,
+            r0,
+            c0,
+            terms,
+            computed,
+        };
+        let full = rows - rows % simd::C32_ROWS;
+        for i in (0..full).step_by(simd::C32_ROWS) {
+            self.simd_rows_c32::<{ simd::C32_ROWS }, TAP>(&mut at, i, k0, kend, acc);
+        }
+        for i in full..rows {
+            self.simd_rows_c32::<1, TAP>(&mut at, i, k0, kend, acc);
+        }
+    }
+
+    /// Fragment rows `i..i + R` of the FP32C panel through the whole
+    /// `K`-panel, every row's two components rounded before any refused
+    /// column reruns, as in [`DotProductUnit::simd_rows_chunk`].
+    #[inline(always)]
+    fn simd_rows_c32<const R: usize, const TAP: bool>(
+        &mut self,
+        at: &mut PanelAt<'_>,
+        i: usize,
+        k0: usize,
+        kend: usize,
+        acc: &mut [Complex<f32>],
+    ) {
+        let (n, alen, c0) = (at.b.vecs, at.a.len, at.c0);
         // B's value planes: real plane then imaginary plane, each k-major.
-        let (bre_plane, bim_plane) = b.vals.split_at(alen * n);
-        let (mut wre, mut wim) = (RowWindow::default(), RowWindow::default());
-        for i in 0..rows {
-            let arow = &a.vals[(r0 + i) * 2 * alen..(r0 + i) * 2 * alen + 2 * alen];
-            let row = &mut acc[i * simd::COLS..(i + 1) * simd::COLS];
-            let mut re_acc: [f32; simd::COLS] = std::array::from_fn(|j| row[j].re);
-            let mut im_acc: [f32; simd::COLS] = std::array::from_fn(|j| row[j].im);
-            let mut sre = simd::RowSeeds::load(&re_acc);
-            let mut sim = simd::RowSeeds::load(&im_acc);
-            for k in k0..kend {
-                let cols = |plane: &[f32]| -> [f32; simd::COLS] {
-                    plane[k * n + c0..k * n + c0 + simd::COLS]
-                        .try_into()
-                        .expect("B's value row holds the fragment row's columns")
-                };
-                let (bre, bim) = (cols(bre_plane), cols(bim_plane));
-                let prods = simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
-                let okm = wre.accumulate::<2, TAP>(level, &prods[..2], &sre)
-                    & wim.accumulate::<2, TAP>(level, &prods[2..], &sim);
-                wre.drain(level, okm, &mut sre, &mut re_acc);
-                wim.drain(level, okm, &mut sim, &mut im_acc);
-                if TAP {
-                    // One reduction per row and component, as in the FP32
-                    // body.
-                    let (mut re, mut im) = (0u64, 0u64);
-                    for_each_bit(okm, |j| {
-                        re += wre.residue(j);
-                        im += wim.residue(j);
-                    });
-                    computed.absorb_pair(Some((reduce_u64(re), reduce_u64(im))));
-                }
-                let vector = okm.count_ones() as u64;
-                self.lane_ops += 16 * vector;
-                self.simd_chunks += vector;
-                for_each_bit(
-                    !okm & ROW_MASK,
-                    #[inline(never)]
-                    |j| {
-                        self.simd_fallbacks += 1;
-                        let seed = Complex::new(sre.value(j, re_acc[j]), sim.value(j, im_acc[j]));
-                        let (d, res) = rerun(a, b, r0 + i, c0 + j, k, k + 1, |av, bv| {
-                            scalar_element_c32(self, seed, av, bv, 16, TAP)
-                        });
-                        if TAP {
-                            computed.absorb_pair(res);
-                        }
-                        re_acc[j] = d.re;
-                        im_acc[j] = d.im;
-                        sre.set(j, simd::ChunkSeed::decode(d.re));
-                        sim.set(j, simd::ChunkSeed::decode(d.im));
-                    },
-                );
-            }
-            sre.store(&mut re_acc);
-            sim.store(&mut im_acc);
-            for (j, d) in row.iter_mut().enumerate() {
-                *d = Complex::new(re_acc[j], im_acc[j]);
+        let (bre_plane, bim_plane) = at.b.vals.split_at(alen * n);
+        let mut arows: [&[f32]; R] = [&[]; R];
+        let (mut re, mut im) = ([[0f32; simd::COLS]; R], [[0f32; simd::COLS]; R]);
+        let out = &mut acc[i * simd::COLS..(i + R) * simd::COLS];
+        for (r, (arow, row)) in arows
+            .iter_mut()
+            .zip(out.chunks_exact(simd::COLS))
+            .enumerate()
+        {
+            let a0 = (at.r0 + i + r) * 2 * alen;
+            *arow = &at.a.vals[a0..a0 + 2 * alen];
+            for (j, z) in row.iter().enumerate() {
+                (re[r][j], im[r][j]) = (z.re, z.im);
             }
         }
+        let mut chunks = 0u64;
+        // Every chunk overwrites these whole. Made per chunk, they would
+        // be zeroed per chunk, as in `RowGroup::rounded`.
+        let mut rounded = [[simd::RoundedRow::NONE; 2]; R];
+        for k in k0..kend {
+            let cols = |plane: &[f32]| -> [f32; simd::COLS] {
+                plane[k * n + c0..k * n + c0 + simd::COLS]
+                    .try_into()
+                    .expect("B's value row holds the fragment row's columns")
+            };
+            let (bre, bim) = (cols(bre_plane), cols(bim_plane));
+            for (r, (rounded, arow)) in rounded.iter_mut().zip(arows).enumerate() {
+                let [rr, ri, ir, ii] =
+                    simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
+                *rounded = [
+                    simd::round_chunk(&re[r], &[rr, ri]),
+                    simd::round_chunk(&im[r], &[ir, ii]),
+                ];
+            }
+            for (r, [rre, rim]) in rounded.iter().enumerate() {
+                let ok = rre.ok() & rim.ok();
+                chunks += ok.count_ones() as u64;
+                if TAP {
+                    let res = (
+                        pair_residues(&rre.pair[0], &rre.pair[1], ok),
+                        pair_residues(&rim.pair[0], &rim.pair[1], ok),
+                    );
+                    at.computed.absorb_pair(Some(res));
+                }
+                let refused = !ok & ROW_MASK;
+                (re[r], im[r]) = if refused == 0 {
+                    (rre.out, rim.out)
+                } else {
+                    let (seeds, out) = ((re[r], im[r]), (rre.out, rim.out));
+                    self.rerun_c32(at, i + r, k, TAP, seeds, out, refused)
+                };
+            }
+        }
+        for ((row, re), im) in out.chunks_exact_mut(simd::COLS).zip(&re).zip(&im) {
+            for (j, d) in row.iter_mut().enumerate() {
+                *d = Complex::new(re[j], im[j]);
+            }
+        }
+        self.simd_chunks += chunks;
+        self.lane_ops += chunks * at.terms;
+    }
+
+    /// Rerun the `refused` columns of FP32C fragment row `i`'s chunk `k`
+    /// on the scalar oracle, [`scalar_element_c32`], each from its seeds in
+    /// `seeds` (re, im), and return `out` with those columns replaced —
+    /// [`DotProductUnit::rerun_real`]'s counterpart.
+    #[allow(clippy::too_many_arguments)]
+    #[cold]
+    #[inline(never)]
+    fn rerun_c32(
+        &mut self,
+        at: &mut PanelAt<'_>,
+        i: usize,
+        k: usize,
+        tap: bool,
+        seeds: ([f32; simd::COLS], [f32; simd::COLS]),
+        mut out: ([f32; simd::COLS], [f32; simd::COLS]),
+        refused: u32,
+    ) -> ([f32; simd::COLS], [f32; simd::COLS]) {
+        let (a, b) = (at.a, at.b);
+        for_each_bit(refused, |j| {
+            self.simd_fallbacks += 1;
+            let seed = Complex::new(seeds.0[j], seeds.1[j]);
+            let (d, res) = rerun(a, b, at.r0 + i, at.c0 + j, k, k + 1, |av, bv| {
+                scalar_element_c32(self, seed, av, bv, at.terms, tap)
+            });
+            if tap {
+                at.computed.absorb_pair(res);
+            }
+            (out.0[j], out.1[j]) = (d.re, d.im);
+        });
+        out
     }
 }
 
@@ -2447,11 +2462,13 @@ mod tests {
         let value = |e: BufferEntry| e.value();
         for level in simd::vector_levels() {
             for (r, (a, b, _)) in rows.iter().enumerate() {
-                let mut out = [[0f64; 8]; simd::MAX_KLEN];
-                simd::dispatch(
+                let out = simd::dispatch(
                     level,
                     #[inline(always)]
-                    |_| simd::row_products::<true>(&[*a], &mut b.chunks_exact(8), 0, &mut out),
+                    |_| {
+                        let b = simd::ChunkB::load::<true>(&mut b.chunks_exact(8), 0);
+                        b.products::<true>(&[*a])
+                    },
                 );
                 for j in 0..8 {
                     let what = format!("{level:?} row {r} lane {j}: {a:e}·{:e}", b[j]);
@@ -2488,9 +2505,8 @@ mod tests {
                 simd::dispatch(
                     level,
                     #[inline(always)]
-                    |l| {
+                    |_| {
                         dpu.simd_panel_f32_body::<true, false>(
-                            l,
                             &pa,
                             &pb,
                             0,
@@ -2535,9 +2551,8 @@ mod tests {
             simd::dispatch(
                 level,
                 #[inline(always)]
-                |l| {
+                |_| {
                     dpu.simd_panel_f32_body::<true, false>(
-                        l,
                         &pa,
                         &pb,
                         0,

@@ -126,7 +126,7 @@ pub use m3xu_mxu::matrix::{MatOp, Triangle};
 pub use m3xu_mxu::mma::MmaStats;
 
 use crate::queue::{grid_tiles, triangle_tiles, GemmJob, Request, ShardSet, Work};
-use crate::scheduler::{ExecPolicy, ShardCore, SharedSched};
+use crate::scheduler::{BatchCounters, ExecPolicy, ShardCore, SharedSched};
 use crate::tenant::TenantRegistry;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::matrix::Matrix;
@@ -157,6 +157,19 @@ pub enum BatchPolicy {
     /// Never pool; every request runs inline on its shard thread (the
     /// kernel still spreads *large* requests across the pool).
     Never,
+}
+
+/// How one shard scheduler dispatched the batches it drained
+/// ([`M3xuServe::batch_counts`]). A batch is two or more requests drained
+/// together, counted once deadline-expired ones are shed; a lone request
+/// has nothing to batch and counts in neither.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchCounts {
+    /// Batches whose small requests ran as one worker-pool epoch.
+    pub pooled: u64,
+    /// Batches run inline, one request after another on the scheduler
+    /// thread (each kernel still sharded across the pool).
+    pub inline: u64,
 }
 
 /// Construction-time policy for [`M3xuServe`].
@@ -274,6 +287,8 @@ pub struct M3xuServe {
     watchdog: Option<JoinHandle<()>>,
     /// Shard scheduler threads the watchdog has respawned so far.
     respawns: Arc<AtomicU64>,
+    /// The schedulers' shared state, read for their batching counts.
+    shared: Arc<SharedSched>,
 }
 
 /// How often the watchdog polls shard-scheduler liveness. Short enough
@@ -373,6 +388,7 @@ impl M3xuServe {
             max_batch: config.max_batch.max(1),
             shard_tiles: config.shard_tiles.max(1),
             fault_streak: AtomicU32::new(0),
+            batches: (0..shards).map(|_| BatchCounters::default()).collect(),
         });
         let mut schedulers = Vec::with_capacity(shards);
         // Tear down cleanly on any spawn failure: wake and join whatever
@@ -419,6 +435,7 @@ impl M3xuServe {
             schedulers,
             watchdog: Some(watchdog),
             respawns,
+            shared,
         })
     }
 
@@ -932,6 +949,13 @@ impl M3xuServe {
     /// One shard's cumulative [`ExecStats`]; `None` past the shard count.
     pub fn shard_stats(&self, shard: usize) -> Option<ExecStats> {
         self.contexts.get(shard).map(|c| c.stats())
+    }
+
+    /// How shard `shard`'s scheduler has dispatched the batches it
+    /// drained so far: pooled into one epoch, or run inline; `None` past
+    /// the shard count.
+    pub fn batch_counts(&self, shard: usize) -> Option<BatchCounts> {
+        self.shared.batches.get(shard).map(BatchCounters::snapshot)
     }
 
     /// The shard `tenant` routes to.

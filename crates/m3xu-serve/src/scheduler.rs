@@ -43,8 +43,9 @@
 //! sharding already keeps every core busy, that saving is small: at
 //! 128^3 on two cores, pooled and sharded GEMMs retire at the same rate
 //! and batching gains only the per-request epochs and hand-offs, a few
-//! percent (`tests/perf_smoke.rs` gates it at that size). Any larger
-//! batch runs inline.
+//! percent. `tests/perf_smoke.rs` gates the decision at that size, from
+//! the shard's [`BatchCounts`], and prints the batched-over-one-at-a-time
+//! wall ratio without gating it. Any larger batch runs inline.
 //!
 //! [`BatchPolicy::Always`] / [`BatchPolicy::Never`] force either path
 //! (the differential suites use them to pin both).
@@ -132,7 +133,7 @@
 
 use crate::error::ServeError;
 use crate::queue::{ChaosKind, GemmJob, GemmWork, Request, ShardSet, Wake, Work};
-use crate::BatchPolicy;
+use crate::{BatchCounts, BatchPolicy};
 use m3xu_kernels::context::M3xuContext;
 use m3xu_kernels::gemm::GemmResult;
 use m3xu_kernels::FaultSummary;
@@ -140,7 +141,7 @@ use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::modes::MxuMode;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -178,6 +179,26 @@ pub(crate) struct SharedSched {
     /// Consecutive requests (service-wide) whose every attempt failed
     /// with `FaultDetected`; any success resets it.
     pub fault_streak: AtomicU32,
+    /// Every shard's batching decisions, indexed by shard.
+    pub batches: Vec<BatchCounters>,
+}
+
+/// One shard scheduler's batching decisions, counted as
+/// [`BatchCounts`] reports them.
+#[derive(Default)]
+pub(crate) struct BatchCounters {
+    pooled: AtomicU64,
+    inline: AtomicU64,
+}
+
+impl BatchCounters {
+    /// The counts so far.
+    pub(crate) fn snapshot(&self) -> BatchCounts {
+        BatchCounts {
+            pooled: self.pooled.load(Ordering::Relaxed),
+            inline: self.inline.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Panicking executions a poison request is granted (the first plus
@@ -298,6 +319,15 @@ impl ShardCore {
                 BatchPolicy::Never => false,
                 BatchPolicy::Adaptive => batch_is_resident(&small),
             };
+        if small.len() + large.len() >= 2 {
+            let counters = &shared.batches[self.index];
+            let count = if pool_small {
+                &counters.pooled
+            } else {
+                &counters.inline
+            };
+            count.fetch_add(1, Ordering::Relaxed);
+        }
         if pool_small {
             // Each pool task runs under its own quarantine guard, so a
             // poison batch-mate marks only itself (a flag per index) and

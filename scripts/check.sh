@@ -40,21 +40,22 @@ cargo test --release -q --test cross_validation
 
 # SIMD gate: the parity, differential and cross-validation suites with
 # the vector pipeline at the auto-detected level (`M3XU_SIMD=1`, AVX-512
-# on an x86-64-v4 host), forced to AVX2 (`M3XU_SIMD=avx2`, so the AVX2
-# window kernels and FMA row run on such a host too, and the dispatch
-# guard admits a level below the host's), forced to SSE2
-# (`M3XU_SIMD=sse2`, whose per-column scalar window and drain and
-# `f64::mul_add` emulated-FP64 row loop are code of its own; its panel
-# bodies and row products are the portable source every level compiles),
-# and forced off (`M3XU_SIMD=0`, the scalar oracle standing alone). The
-# differential suite includes the emulated-FP64 softfloat FMA envelope
-# test; cross-validation asserts exact `simd_chunks` / `simd_fallbacks`
-# counts, checked calls' included, which are zero at `Scalar`. The armed
-# chaos run recovers injected faults on each level's checked chunks: the
-# AVX-512 and AVX2 window kernels, SSE2's per-column window, the scalar
-# element body. On a host without AVX-512, `1` and `avx2` run the same
-# level. The level is resolved once per process, hence one cargo
-# invocation per setting.
+# on an x86-64-v4 host: the products and the f64 rounder one zmm per
+# fragment row), forced to AVX2 (`M3XU_SIMD=avx2`, so the four-lane
+# build of the same source and the AVX2 FMA row run on such a host too,
+# and the dispatch guard admits a level below the host's), forced to
+# SSE2 (`M3XU_SIMD=sse2`, the baseline build, two lanes, whose
+# `f64::mul_add` emulated-FP64 row loop is code of its own; its panel
+# bodies, row products and rounder are the portable source every level
+# compiles), and forced off (`M3XU_SIMD=0`, the scalar oracle standing
+# alone). The differential suite includes the emulated-FP64 softfloat FMA
+# envelope test; cross-validation asserts exact `simd_chunks` /
+# `simd_fallbacks` counts, checked calls' included, which are zero at
+# `Scalar`. The armed chaos run recovers injected faults on each level's
+# checked chunks, whose residues come from each level's build of the
+# rounder's exact pair or from the scalar element body. On a host
+# without AVX-512, `1` and `avx2` run the same level. The level is
+# resolved once per process, hence one cargo invocation per setting.
 for simd in 1 avx2 sse2 0; do
     echo "== SIMD parity + differential + cross-validation suites under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} cargo test -q \
@@ -70,9 +71,12 @@ done
 
 # Perf smoke gates (release), both in tests/perf_smoke.rs: the vector
 # path is engaged and clears a conservative speedup floor over the
-# forced-scalar packed path, and the serve layer's adaptive batching of
-# 16 x 128^3 GEMMs on 8 workers never loses to one-at-a-time submission
-# (floor 1.0 on the best-of-3 wall ratio, every result bit-checked).
+# forced-scalar packed path, and the serve layer's adaptive batching
+# decision holds, read from the shard scheduler's batch counts: every
+# drained batch of two or more 128^3 GEMMs pools into one epoch, and a
+# batch holding a 256^3 GEMM runs inline (every 128^3 result
+# bit-checked; the batched-over-one-at-a-time wall ratio is printed, not
+# gated).
 echo "== release perf smoke gates (M3XU_PERF_GATE=1)"
 M3XU_PERF_GATE=1 cargo test --release -q --test perf_smoke -- --nocapture
 

@@ -29,8 +29,8 @@ pub use m3xu_core::{
     MatOp, Matrix, MirrorView, OpView, Side, Triangle, C32,
 };
 pub use m3xu_serve::{
-    BatchPolicy, M3xuServe, ModeUsage, Priority, RateLimit, ServeConfig, ServeError, SubmitOpts,
-    TenantStats, Ticket,
+    BatchCounts, BatchPolicy, M3xuServe, ModeUsage, Priority, RateLimit, ServeConfig, ServeError,
+    SubmitOpts, TenantStats, Ticket,
 };
 
 /// The README's Rust snippets, compiled and run as doctests so the

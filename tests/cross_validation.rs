@@ -673,9 +673,10 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     // Every element-chunk a SIMD panel executes is counted once: on the
     // vector path, or sent to the scalar oracle. Dense random operands
     // and the GEMM-FFT's DFT matrices (whose f32 cos(pi/2) ~ 6e-17 puts a
-    // product some 2^-54 below the running sum, well inside the window)
-    // never leave the vector path; a chunk whose bits span beyond the
-    // 128-bit window, or a NaN, does.
+    // product some 2^-54 below the running sum, a two-scale chunk the
+    // rounder certifies) never leave the vector path; a chunk spread over
+    // three scales, whose exact pair the rounder cannot certify, or a NaN,
+    // does.
     use m3xu::mxu::packed::simd::{self, SimdLevel};
     let vector = simd::level() != SimdLevel::Scalar;
     let ctx = M3xuContext::with_threads(2);
@@ -738,11 +739,14 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     assert_eq!(f.simd_chunks, if vector { 3 * 16 * 256 * 16 } else { 0 });
     assert_eq!(f.simd_fallbacks, 0);
 
-    // Column 5 of B holds 1e-30 at depth 17, beside O(1) values: that
-    // chunk's bits span about 150 > 124, so each of the 64 rows sends it
-    // to the oracle once, then carries on. Column 42 holds a NaN at depth
-    // 40: each row stays on the oracle for chunks 20..32.
+    // Column 5 of B holds 1e-15 and 1e-30 at depths 16 and 17, so that
+    // chunk spans three scales beside its O(1) running sum: the residual
+    // its pair leaves spans some 95 bits, more than one f64 holds, and
+    // each of the 64 rows sends it to the oracle once, then carries on.
+    // Column 42 holds a NaN at depth 40: each row stays on the oracle for
+    // chunks 20..32.
     let mut bw = b.clone();
+    bw.set(16, 5, 1.0e-15);
     bw.set(17, 5, 1.0e-30);
     bw.set(40, 42, f32::NAN);
     let c = Matrix::zeros(64, 64);
