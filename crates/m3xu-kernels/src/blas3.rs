@@ -101,14 +101,18 @@ mod tests {
         // armed at rate 0 (the checked body) — including the degenerate
         // k = 0 and m = 0 shapes. The checked body runs the FP32 family
         // and FP32C on the same SIMD panel bodies, so an armed call's
-        // delta, SIMD counters included, is the unarmed call's.
+        // delta, `simd_chunks` and `simd_fallbacks` included, is the
+        // unarmed call's. Only `quick_refusals` differs: checked chunks
+        // run the certified pair alone and never refuse on the quick tier.
         let unarmed = M3xuContext::with_threads(2);
         let armed = M3xuContext::with_threads(2).with_fault_plan(Arc::new(FaultPlan::new(0, 0.0)));
-        let mut unarmed_deltas = Vec::new();
+        let mut unarmed_deltas: Vec<ExecStats> = Vec::new();
         for (ctx, tag) in [(&unarmed, "unarmed"), (&armed, "armed")] {
             let mut call = 0;
-            let mut same_as_unarmed = |dp: ExecStats, what: &str| {
+            let mut same_as_unarmed = |mut dp: ExecStats, what: &str| {
                 if ctx.fault_plan().is_some() {
+                    assert_eq!(dp.quick_refusals, 0, "{what}");
+                    dp.quick_refusals = unarmed_deltas[call].quick_refusals;
                     assert_eq!(dp, unarmed_deltas[call], "{what}");
                 } else {
                     unarmed_deltas.push(dp);

@@ -80,14 +80,17 @@ pub(crate) struct GemmSample {
 }
 
 /// Element-chunks a call's SIMD panels reduced on the vector path and
-/// sent to the scalar oracle: the per-tile deltas of each worker's
-/// [`DotProductUnit`] counters, summed into one per-call total.
+/// sent to the scalar oracle, and those in rows the quick tier refused:
+/// the per-tile deltas of each worker's [`DotProductUnit`] counters,
+/// summed into one per-call total.
 #[derive(Default)]
 pub(crate) struct SimdChunks {
     /// Element-chunks reduced on the vector path.
     pub chunks: AtomicU64,
     /// Element-chunks sent to the scalar oracle.
     pub fallbacks: AtomicU64,
+    /// Element-chunks in rows the quick tier refused.
+    pub quick_refusals: AtomicU64,
 }
 
 impl SimdChunks {
@@ -98,11 +101,14 @@ impl SimdChunks {
         f: impl FnOnce(&mut DotProductUnit) -> R,
     ) -> R {
         let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
+        let refusals = dpu.quick_refusals;
         let r = f(dpu);
         self.chunks
             .fetch_add(dpu.simd_chunks - chunks, Ordering::Relaxed);
         self.fallbacks
             .fetch_add(dpu.simd_fallbacks - fallbacks, Ordering::Relaxed);
+        self.quick_refusals
+            .fetch_add(dpu.quick_refusals - refusals, Ordering::Relaxed);
         r
     }
 }
@@ -129,6 +135,7 @@ pub(crate) struct ExecCounters {
     fault_retries: AtomicU64,
     simd_chunks: AtomicU64,
     simd_fallbacks: AtomicU64,
+    quick_refusals: AtomicU64,
     per_mode: [ModeCounters; MODE_COUNT],
 }
 
@@ -145,6 +152,10 @@ impl ExecCounters {
             .fetch_add(s.simd.chunks.load(Ordering::Relaxed), Ordering::Relaxed);
         self.simd_fallbacks
             .fetch_add(s.simd.fallbacks.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.quick_refusals.fetch_add(
+            s.simd.quick_refusals.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
         let m = &self.per_mode[mode_index(s.mode)];
         m.instructions
             .fetch_add(s.stats.instructions, Ordering::Relaxed);
@@ -183,6 +194,7 @@ impl ExecCounters {
             fault_retries: self.fault_retries.load(Ordering::Relaxed),
             simd_chunks: self.simd_chunks.load(Ordering::Relaxed),
             simd_fallbacks: self.simd_fallbacks.load(Ordering::Relaxed),
+            quick_refusals: self.quick_refusals.load(Ordering::Relaxed),
             per_mode,
         }
     }
@@ -199,6 +211,7 @@ impl ExecCounters {
         self.fault_retries.store(0, Ordering::Relaxed);
         self.simd_chunks.store(0, Ordering::Relaxed);
         self.simd_fallbacks.store(0, Ordering::Relaxed);
+        self.quick_refusals.store(0, Ordering::Relaxed);
         for m in &self.per_mode {
             m.instructions.store(0, Ordering::Relaxed);
             m.steps.store(0, Ordering::Relaxed);
@@ -236,15 +249,23 @@ pub struct ExecStats {
     /// performed.
     pub fault_retries: u64,
     /// Element-chunks (one output element × one fragment chunk) the SIMD
-    /// panels reduced on the vector path.
+    /// panels rounded on the vector path, by the quick tier or by the
+    /// certified pair.
     pub simd_chunks: u64,
     /// Element-chunks the SIMD panels sent to the scalar oracle instead —
-    /// a special operand, or contributions whose bits span more than the
-    /// 128-bit vector window sums (124 places above the lowest one's
-    /// least bit).
+    /// a special operand, or a chunk whose exact pair the certificate
+    /// refuses (its residual spans more than the 53 bits one `f64`
+    /// holds, as in a running sum beside products at two much smaller
+    /// scales).
     /// `simd_fallbacks / (simd_chunks + simd_fallbacks)` is the share of
     /// the vector path's work that fell off it.
     pub simd_fallbacks: u64,
+    /// Element-chunks in fragment rows the quick tier refused (its
+    /// interval around a plain `f64` sum held an FP32 rounding boundary,
+    /// or an input was special), each then rounded by the certified pair
+    /// or by the oracle. Narrow modes and checked calls run the pair
+    /// alone and never add to it.
+    pub quick_refusals: u64,
     per_mode: [MmaStats; MODE_COUNT],
 }
 
@@ -285,6 +306,7 @@ impl ExecStats {
             fault_retries: self.fault_retries + other.fault_retries,
             simd_chunks: self.simd_chunks + other.simd_chunks,
             simd_fallbacks: self.simd_fallbacks + other.simd_fallbacks,
+            quick_refusals: self.quick_refusals + other.quick_refusals,
             per_mode,
         }
     }
@@ -310,6 +332,7 @@ impl ExecStats {
             fault_retries: self.fault_retries.saturating_sub(earlier.fault_retries),
             simd_chunks: self.simd_chunks.saturating_sub(earlier.simd_chunks),
             simd_fallbacks: self.simd_fallbacks.saturating_sub(earlier.simd_fallbacks),
+            quick_refusals: self.quick_refusals.saturating_sub(earlier.quick_refusals),
             per_mode,
         }
     }

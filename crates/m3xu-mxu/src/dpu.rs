@@ -195,12 +195,18 @@ pub struct DotProductUnit {
     pub lane_ops: u64,
     /// Number of steps executed since the last `clear`.
     pub steps: u64,
-    /// Element-chunks the SIMD panels reduced on the vector path (never
-    /// reset: callers meter a region by its delta).
+    /// Element-chunks the SIMD panels rounded on the vector path, by the
+    /// quick tier or the certified pair (never reset: callers meter a
+    /// region by its delta).
     pub simd_chunks: u64,
     /// Element-chunks the SIMD panels sent to the scalar oracle — a
-    /// special operand, or an exponent spread beyond the vector window.
+    /// special operand, or a chunk whose exact pair the certificate
+    /// refuses (a residual spanning more than 53 bits).
     pub simd_fallbacks: u64,
+    /// Element-chunks in fragment rows the quick tier refused, each then
+    /// rounded by the certified pair (counted in `simd_chunks`) or by the
+    /// oracle (in `simd_fallbacks`).
+    pub quick_refusals: u64,
     /// Buffer entries the packed per-chunk executors decode into, reused.
     pub(crate) decoded: Vec<BufferEntry>,
 }

@@ -59,22 +59,27 @@
 //! `simd::dispatch`: FP32 (every real mode up to fast and exact FP32),
 //! FP32C and emulated FP64. The FP32 and FP32C bodies round each chunk
 //! with one portable `f64` rounder, `simd::round_chunk`: a certified
-//! exact pair `h + l`, rounded to odd at 53 bits, then to FP32. They run
-//! it on several fragment rows per chunk step, so the rows' independent
-//! seed chains overlap. The fast FP32 mode forms its truncated product
-//! exactly in `f64`, and emulated FP64 runs one fused multiply-add per
-//! chunk. No body switches on the level but the FP64 one, for its FMA
-//! row. The scalar element bodies stay the differential oracle and the
-//! fallback for partial rows, specials, zero FP64 results and chunks the
-//! rounder cannot certify; a fallback decodes only the element-chunk it
-//! reruns, out of line, so the panel rows stay in registers.
+//! exact pair `h + l`, rounded to odd at 53 bits, then to FP32. In
+//! unchecked FP32, fast-FP32 and FP32C panels a quick tier,
+//! `simd::round_chunk_quick`, runs first: a plain `f64` sum and an error
+//! interval whose two ends must round alike, so only the rows it refuses
+//! run the pair. The bodies round several fragment rows per chunk step,
+//! so the rows' independent seed chains overlap. The fast FP32 mode forms
+//! its truncated product exactly in `f64`, and emulated FP64 runs one
+//! fused multiply-add per chunk. No body switches on the level but the
+//! FP64 one, for its FMA row. The scalar element bodies stay the
+//! differential oracle and the fallback for partial rows, specials, zero
+//! FP64 results and chunks the pair cannot certify; a fallback decodes
+//! only the element-chunk it reruns, out of line, so the panel rows stay
+//! in registers.
 //!
 //! A checked FP32-family or FP32C chunk
 //! ([`DotProductUnit::mma_f32_checked_into`],
 //! [`DotProductUnit::mma_c32_checked_into`]) runs the same panel body
-//! with its residue tap, a `const` generic, turned on: each vector
-//! column's residue is that of its exact pair, `residue(h) +
-//! residue(l)`, each fallback column's is the scalar element body's tap.
+//! with its residue tap, a `const` generic, turned on, and without the
+//! quick tier: each vector column's residue is that of its exact pair,
+//! `residue(h) + residue(l)`, each fallback column's is the scalar element
+//! body's tap.
 //! Emulated-FP64 chunks stay on the slice/Kulisch body when checked: the
 //! FMA row rounds in one instruction and keeps no exact pre-rounding
 //! value to take a residue from.
@@ -1219,6 +1224,15 @@ struct RowGroup<'p, const R: usize> {
     /// whole. They are made once per group: made per chunk, they would be
     /// zeroed per chunk, a `memset` call in the AVX2 builds.
     rounded: [simd::RoundedRow; R],
+    /// The current chunk's seeds, kept for the pair while the quick tier
+    /// writes its results over `rows`.
+    seeds: [[f32; simd::COLS]; R],
+}
+
+/// A fragment row's `T` values of `A` for the chunk at `ck0`.
+#[inline(always)]
+fn chunk_a<const T: usize>(arow: &[f32], ck0: usize) -> &[f32; T] {
+    arow[ck0..ck0 + T].try_into().expect("T elements")
 }
 
 /// The `F_p` residue of the exact chunk values in the columns of `mask`
@@ -1484,9 +1498,18 @@ impl DotProductUnit {
         if vector_panel(level, a, b, cols) && frag_k <= simd::MAX_KLEN && k0 < kend {
             let mut unused = Checksum::ZERO;
             let computed = &mut unused;
-            self.simd_panel_f32::<false>(
-                level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
-            );
+            // The quick tier fronts FP32 and fast FP32. The narrow modes'
+            // quantised chunk sums are often exact f32 ties, which it
+            // refuses, so they run the pair alone (DESIGN §4).
+            if matches!(a.mode, MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast) {
+                self.simd_panel_f32::<false, true>(
+                    level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+                );
+            } else {
+                self.simd_panel_f32::<false, false>(
+                    level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+                );
+            }
             return;
         }
         let mut ck0 = k0;
@@ -1501,10 +1524,11 @@ impl DotProductUnit {
     /// bit-identical to [`mma_f32_into`](DotProductUnit::mma_f32_into)
     /// with `Some(check)`, the same [`ChunkCheck`] result included. Where
     /// [`mma_f32_panel_into`](DotProductUnit::mma_f32_panel_into) would
-    /// run the SIMD panel body, the chunk runs that body with its residue
-    /// tap on — each vector column's window folded into `F_p`, each
-    /// fallback column's scalar tap — and the fault lands on the drained
-    /// output; elsewhere it runs the scalar tapped chunk.
+    /// run the SIMD panel body, the chunk runs that body on the certified
+    /// pair alone, with its residue tap on — each vector column's exact
+    /// pair `(h, l)` folded into `F_p`, each fallback column's scalar tap
+    /// — and the fault lands on the drained output; elsewhere it runs the
+    /// scalar tapped chunk.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f32_checked_into(
         &mut self,
@@ -1528,7 +1552,9 @@ impl DotProductUnit {
             && (1..=simd::MAX_KLEN).contains(&(kend.saturating_sub(k0)))
         {
             let computed = &mut check.computed;
-            self.simd_panel_f32::<true>(level, a, b, r0, rows, c0, k0, kend, klen, acc, computed);
+            self.simd_panel_f32::<true, false>(
+                level, a, b, r0, rows, c0, k0, kend, klen, acc, computed,
+            );
             check.inject(rows * cols, corrupt_f32, |slot| (&mut acc[slot], false));
         } else {
             self.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(check));
@@ -1624,10 +1650,11 @@ impl DotProductUnit {
 
     /// Run the real-mode SIMD panel body at `level`. The product kernel
     /// is picked once per panel: whole products, or the fast mode's
-    /// truncated ones (`TRUNC`).
+    /// truncated ones (`TRUNC`). `QUICK` (never with `TAP`) puts the
+    /// quick tier in front of the pair.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32<const TAP: bool>(
+    fn simd_panel_f32<const TAP: bool, const QUICK: bool>(
         &mut self,
         level: simd::SimdLevel,
         a: &PackedOperand,
@@ -1641,12 +1668,14 @@ impl DotProductUnit {
         acc: &mut [f32],
         computed: &mut Checksum,
     ) {
-        if a.mode == MxuMode::M3xuFp32Fast {
+        // Unchecked fast FP32 always runs the quick tier, so `TAP ||
+        // QUICK` leaves no truncated build on the pair alone unchecked.
+        if (TAP || QUICK) && a.mode == MxuMode::M3xuFp32Fast {
             simd::dispatch(
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_f32_body::<true, TAP>(
+                    self.simd_panel_f32_body::<true, TAP, QUICK>(
                         a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
@@ -1656,7 +1685,7 @@ impl DotProductUnit {
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_f32_body::<false, TAP>(
+                    self.simd_panel_f32_body::<false, TAP, QUICK>(
                         a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
@@ -1669,16 +1698,18 @@ impl DotProductUnit {
     /// (single rows at the `M` edge, so no padding row is computed), per
     /// chunk, form each row's `klen` whole (or, with `TRUNC`, truncated)
     /// products for all 8 columns from the chunk's shared `B` rows, then
-    /// round each column's exact chunk value with [`simd::round_chunk`].
-    /// Any column the rounder refuses (specials, a failed certificate)
-    /// reruns that one (element, chunk) on the scalar element path — the
-    /// shared [`scalar_element_real`], on the same schedule — so results
-    /// match the scalar pipeline bit for bit no matter which path each
-    /// element took. With `TAP`, every element-chunk's residue goes into
-    /// `computed`; without it `computed` is never touched.
+    /// round each column's exact chunk value with [`simd::round_chunk`],
+    /// or with `QUICK` first with [`simd::round_chunk_quick`], a row it
+    /// refuses going to the pair. Any column the pair refuses (specials,
+    /// a failed certificate) reruns that one (element, chunk) on the
+    /// scalar element path — the shared [`scalar_element_real`], on the
+    /// same schedule — so results match the scalar pipeline bit for bit no
+    /// matter which path each element took. With `TAP`, every
+    /// element-chunk's residue goes into `computed`; without it `computed`
+    /// is never touched.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool>(
+    fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool, const QUICK: bool>(
         &mut self,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -1713,13 +1744,13 @@ impl DotProductUnit {
         let full = rows - rows % simd::F32_ROWS;
         for i in (0..full).step_by(simd::F32_ROWS) {
             let b_rows = b_panel.clone();
-            self.simd_rows_f32::<{ simd::F32_ROWS }, TRUNC, TAP>(
+            self.simd_rows_f32::<{ simd::F32_ROWS }, TRUNC, TAP, QUICK>(
                 &mut at, b_rows, i, k0, kend, frag_k, acc,
             );
         }
         for i in full..rows {
             let b_rows = b_panel.clone();
-            self.simd_rows_f32::<1, TRUNC, TAP>(&mut at, b_rows, i, k0, kend, frag_k, acc);
+            self.simd_rows_f32::<1, TRUNC, TAP, QUICK>(&mut at, b_rows, i, k0, kend, frag_k, acc);
         }
     }
 
@@ -1728,7 +1759,7 @@ impl DotProductUnit {
     /// once.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_rows_f32<const R: usize, const TRUNC: bool, const TAP: bool>(
+    fn simd_rows_f32<const R: usize, const TRUNC: bool, const TAP: bool, const QUICK: bool>(
         &mut self,
         at: &mut PanelAt<'_>,
         b_rows: std::slice::ChunksExact<'_, f32>,
@@ -1748,6 +1779,7 @@ impl DotProductUnit {
             rows: [[0f32; simd::COLS]; R],
             b_rows,
             rounded: [simd::RoundedRow::NONE; R],
+            seeds: [[0f32; simd::COLS]; R],
         };
         for (r, (arow, row)) in g.arows.iter_mut().zip(&mut g.rows).enumerate() {
             let a0 = (at.r0 + i + r) * alen;
@@ -1761,10 +1793,10 @@ impl DotProductUnit {
             // Constant-depth dispatch: the chunk fully unrolls for each
             // depth.
             let vector = match klen {
-                1 => self.simd_rows_chunk::<R, 1, TRUNC, TAP>(at, &mut g, ck0),
-                2 => self.simd_rows_chunk::<R, 2, TRUNC, TAP>(at, &mut g, ck0),
-                3 => self.simd_rows_chunk::<R, 3, TRUNC, TAP>(at, &mut g, ck0),
-                4 => self.simd_rows_chunk::<R, 4, TRUNC, TAP>(at, &mut g, ck0),
+                1 => self.simd_rows_chunk::<R, 1, TRUNC, TAP, QUICK>(at, &mut g, ck0),
+                2 => self.simd_rows_chunk::<R, 2, TRUNC, TAP, QUICK>(at, &mut g, ck0),
+                3 => self.simd_rows_chunk::<R, 3, TRUNC, TAP, QUICK>(at, &mut g, ck0),
+                4 => self.simd_rows_chunk::<R, 4, TRUNC, TAP, QUICK>(at, &mut g, ck0),
                 _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
             };
             chunks += vector;
@@ -1781,19 +1813,62 @@ impl DotProductUnit {
     /// One `T`-deep chunk across a row group: the chunk's `B` rows are
     /// widened once for all its rows, and every row's 8 columns go through
     /// [`simd::round_chunk`] before any refused column reruns on the
-    /// oracle, so the rows' seed chains overlap. Returns the
+    /// oracle, so the rows' seed chains overlap. With `QUICK` (depths 1
+    /// and 2), every row goes through [`simd::round_chunk_quick`] first,
+    /// and only the rows it refuses through the pair. Returns the
     /// element-chunks rounded on the vector path.
     #[inline(always)]
-    fn simd_rows_chunk<const R: usize, const T: usize, const TRUNC: bool, const TAP: bool>(
+    fn simd_rows_chunk<
+        const R: usize,
+        const T: usize,
+        const TRUNC: bool,
+        const TAP: bool,
+        const QUICK: bool,
+    >(
         &mut self,
         at: &mut PanelAt<'_>,
         g: &mut RowGroup<'_, R>,
         ck0: usize,
     ) -> u64 {
         let chunk = simd::ChunkB::<T>::load::<TRUNC>(&mut g.b_rows, at.c0);
+        if QUICK && T <= 2 {
+            // Pass 1: the quick tier on every row, its results written over
+            // the rows in place, and the rows it refuses. The rows are
+            // indexed, not zipped: a loop zipping `g.arows` by value stayed
+            // rolled, and the panel took twice as long.
+            let mut refused_rows = 0u32;
+            for (r, seed) in g.seeds.iter_mut().enumerate() {
+                let prods = chunk.products::<TRUNC>(chunk_a(g.arows[r], ck0));
+                let q = simd::round_chunk_quick(&g.rows[r], &prods);
+                (*seed, g.rows[r]) = (g.rows[r], q.out);
+                refused_rows |= (!q.passed() as u32) << r;
+            }
+            let mut vector = (R * simd::COLS) as u64;
+            // Pass 2: each refused row's products again, on the pair, and
+            // the columns the pair refuses on the oracle.
+            if refused_rows != 0 {
+                self.quick_refusals += (refused_rows.count_ones() as usize * simd::COLS) as u64;
+                for (r, row) in g.rows.iter_mut().enumerate() {
+                    if refused_rows >> r & 1 == 0 {
+                        continue;
+                    }
+                    let seeds = g.seeds[r];
+                    let prods = chunk.products::<TRUNC>(chunk_a(g.arows[r], ck0));
+                    let rr = simd::round_chunk(&seeds, &prods);
+                    let refused = !rr.ok() & ROW_MASK;
+                    vector -= refused.count_ones() as u64;
+                    *row = if refused == 0 {
+                        rr.out
+                    } else {
+                        let i = g.i + r;
+                        self.rerun_real(at, i, ck0, ck0 + T, TRUNC, false, seeds, rr.out, refused)
+                    };
+                }
+            }
+            return vector;
+        }
         for ((rr, arow), row) in g.rounded.iter_mut().zip(g.arows).zip(&g.rows) {
-            let a: &[f32; T] = arow[ck0..ck0 + T].try_into().expect("T elements");
-            *rr = simd::round_chunk(row, &chunk.products::<TRUNC>(a));
+            *rr = simd::round_chunk(row, &chunk.products::<TRUNC>(chunk_a(arow, ck0)));
         }
         let mut vector = 0;
         for (r, (row, rr)) in g.rows.iter_mut().zip(&g.rounded).enumerate() {
@@ -1936,7 +2011,9 @@ impl DotProductUnit {
     /// accumulators stay `f32` rows across the `K`-panel. Either component
     /// refused sends that (element, chunk) to the shared
     /// [`scalar_element_c32`] fallback. `TAP` and `computed` as in the
-    /// FP32 body, one residue pair per element-chunk.
+    /// FP32 body, one residue pair per element-chunk. Without `TAP` each
+    /// row runs [`simd::round_chunk_quick`] on both components first, and
+    /// only a row whose either component it refuses runs the pair.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_c32_body<const TAP: bool>(
@@ -2009,6 +2086,59 @@ impl DotProductUnit {
                     .expect("B's value row holds the fragment row's columns")
             };
             let (bre, bim) = (cols(bre_plane), cols(bim_plane));
+            if !TAP {
+                // The quick tier on every row, then the pair on the rows it
+                // refuses, as in `simd_rows_chunk`.
+                let (mut qre, mut qim) = ([[0f32; simd::COLS]; R], [[0f32; simd::COLS]; R]);
+                let mut refused_rows = 0u32;
+                for r in 0..R {
+                    let arow = arows[r];
+                    let [rr, ri, ir, ii] =
+                        simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
+                    let q_re = simd::round_chunk_quick(&re[r], &[rr, ri]);
+                    let q_im = simd::round_chunk_quick(&im[r], &[ir, ii]);
+                    (qre[r], qim[r]) = (q_re.out, q_im.out);
+                    // `&&`: a `vptest` per component. Any form the
+                    // compiler could merge into one test over both
+                    // components' 16 words became a horizontal reduction,
+                    // and the FP32C panel ran about 15% slower.
+                    refused_rows |= (!(q_re.passed() && q_im.passed()) as u32) << r;
+                }
+                chunks += (R * simd::COLS) as u64;
+                if refused_rows != 0 {
+                    self.quick_refusals += (refused_rows.count_ones() as usize * simd::COLS) as u64;
+                    // This loop's row index is not a constant, so it runs on
+                    // copies and fills `next`, which the merge below reads at
+                    // constant indices: the rows every chunk carries stay in
+                    // registers.
+                    let (rows_a, seeds) = (arows, (re, im));
+                    let mut next = ([[0f32; simd::COLS]; R], [[0f32; simd::COLS]; R]);
+                    for (r, arow) in rows_a.iter().enumerate() {
+                        if refused_rows >> r & 1 == 0 {
+                            continue;
+                        }
+                        let [rr, ri, ir, ii] =
+                            simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
+                        let rre = simd::round_chunk(&seeds.0[r], &[rr, ri]);
+                        let rim = simd::round_chunk(&seeds.1[r], &[ir, ii]);
+                        let refused = !(rre.ok() & rim.ok()) & ROW_MASK;
+                        chunks -= refused.count_ones() as u64;
+                        (next.0[r], next.1[r]) = if refused == 0 {
+                            (rre.out, rim.out)
+                        } else {
+                            let (seeds, out) = ((seeds.0[r], seeds.1[r]), (rre.out, rim.out));
+                            self.rerun_c32(at, i + r, k, false, seeds, out, refused)
+                        };
+                    }
+                    for r in 0..R {
+                        if refused_rows >> r & 1 == 1 {
+                            (qre[r], qim[r]) = (next.0[r], next.1[r]);
+                        }
+                    }
+                }
+                (re, im) = (qre, qim);
+                continue;
+            }
             for (r, (rounded, arow)) in rounded.iter_mut().zip(arows).enumerate() {
                 let [rr, ri, ir, ii] =
                     simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
@@ -2390,10 +2520,10 @@ mod tests {
     }
 
     /// Rows of `(a, [b; 8], [seed; 8])` for the fast-FP32 product: every
-    /// oracle case of the f32 window (an exact-zero sum of −0 addends,
-    /// underflow to ±0, a subnormal result, overflow to ±Inf, Inf − Inf,
-    /// NaN operands and a NaN seed), slices whose hi or lo half is zero,
-    /// and ordinary lanes.
+    /// edge case of the vector tiers and the oracle (an exact-zero sum of
+    /// −0 addends, underflow to ±0, a subnormal result, overflow to ±Inf,
+    /// Inf − Inf, NaN operands and a NaN seed), slices whose hi or lo half
+    /// is zero, and ordinary lanes.
     fn f32_oracle_rows() -> Vec<(f32, [f32; 8], [f32; 8])> {
         let (inf, nan) = (f32::INFINITY, f32::NAN);
         vec![
@@ -2445,7 +2575,7 @@ mod tests {
         // Each lane of the fast-mode product kernel is the exact sum of
         // the three slice products the schedule issues (hi·hi, hi·lo,
         // lo·hi of `decode_fp32`'s halves), and a non-finite operand
-        // always leaves a non-finite product, so the window sends it to
+        // always leaves a non-finite product, so the rounder sends it to
         // the oracle. Random rows draw every f32 bit pattern class.
         let mut rows = f32_oracle_rows();
         let mut state = 0xbb67_ae85_84ca_a73bu64;
@@ -2506,7 +2636,7 @@ mod tests {
                     level,
                     #[inline(always)]
                     |_| {
-                        dpu.simd_panel_f32_body::<true, false>(
+                        dpu.simd_panel_f32_body::<true, false, true>(
                             &pa,
                             &pb,
                             0,
@@ -2552,7 +2682,7 @@ mod tests {
                 level,
                 #[inline(always)]
                 |_| {
-                    dpu.simd_panel_f32_body::<true, false>(
+                    dpu.simd_panel_f32_body::<true, false, true>(
                         &pa,
                         &pb,
                         0,
@@ -3193,8 +3323,9 @@ mod tests {
                     },
                 );
                 assert_eq!(checked, bits_f32(&plain), "{mode:?}");
-                // The wide row's 8 chunks fall back at every vector level;
-                // everything else stays on the window.
+                // Checked chunks run the certified pair alone: the wide
+                // row's 8 chunks fall back to the oracle at every vector
+                // level, and the pair rounds everything else.
                 let row0 = if scale == 1.0 { 0 } else { 8 };
                 for &n in &counts {
                     assert_eq!(n, (64 - row0, row0), "{mode:?} scale {scale:e}");
@@ -3242,11 +3373,12 @@ mod tests {
         let b = Matrix::random_c32(1, 8, 62);
         let c = Matrix::random_c32(8, 8, 63);
         let pb = PackedOperand::pack_cols_c32(&b);
-        // Random operands stay on the fast window; `a[0][0] = 1e20 +
-        // 1e-20i` spreads both components of row 0 past it, onto the
-        // Kulisch drain, whose real and imaginary residues must each be
-        // reported. The vector checked chunk sends that row to the same
-        // fallback and must agree at every level.
+        // Random operands stay on the scalar oracle's 128-bit fast window
+        // and on the vector checked chunk's certified pair; `a[0][0] =
+        // 1e20 + 1e-20i` spreads both components of row 0 past both, onto
+        // the Kulisch drain, whose real and imaginary residues must each
+        // be reported. The vector checked chunk sends that row to the
+        // same fallback and must agree at every level.
         let mut wide = Matrix::random_c32(8, 1, 61);
         wide.set(0, 0, Complex::new(1.0e20, 1.0e-20));
         for (a, row0) in [(Matrix::random_c32(8, 1, 61), 0), (wide, 8)] {

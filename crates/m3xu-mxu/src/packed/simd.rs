@@ -56,6 +56,24 @@
 //! [`set_level`]`(SimdLevel::Scalar)`) routes every element through the
 //! oracle path.
 //!
+//! ## The quick tier
+//!
+//! Nearly every chunk needs no exact pair. `round_chunk_quick` (Ziv's
+//! rounding test) sums a one- or two-deep chunk in plain `f64`, `u = p_0 +
+//! p_1` and `s = seed + u`, bounds that sum's error by `e = 2^-50·(|u| +
+//! |s|)`, eight times the two additions' worst case, and accepts a row
+//! when every column's `s − e` and `s + e` convert to the same `f32` bits:
+//! `as f32` is monotone, so those bits are `RN_24(X)`. It refuses an
+//! interval astride an FP32 midpoint or astride zero, and every special
+//! input. The unchecked FP32, fast-FP32 and FP32C panels run it on every
+//! row of a chunk step, then the pair on the rows it refused, then the
+//! oracle on the columns the pair refuses, so every output keeps the
+//! oracle's bits.
+//! The narrow modes stay on the pair: their quantised products are short,
+//! so their chunk sums often land exactly on FP32 midpoints, which the
+//! test must refuse. Checked chunks stay on it too: their tap reads the
+//! pair.
+//!
 //! ## The panels
 //!
 //! The row products (`ChunkB`, `row_products_c32`) are portable
@@ -396,6 +414,84 @@ pub(crate) fn round_chunk<const T: usize>(seed: &[f32; COLS], prods: &[Row; T]) 
     row
 }
 
+/// The quick tier's error scale, `2^-50`: eight times the `2^-53` bound on
+/// the relative error of each rounded addition (see [`round_chunk_quick`]).
+const QUICK_SCALE: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// One fragment row's chunk, rounded by [`round_chunk_quick`].
+pub(crate) struct QuickRow {
+    /// Each column's chunk value correctly rounded to FP32, when the row
+    /// passed.
+    pub(crate) out: [f32; COLS],
+    /// Zero for a column whose interval's two ends round alike.
+    miss: [u32; COLS],
+}
+
+impl QuickRow {
+    /// Whether every column passed: one OR over the row, one `vptest`.
+    #[inline(always)]
+    pub(crate) fn passed(&self) -> bool {
+        self.miss.iter().fold(0, |m, x| m | x) == 0
+    }
+}
+
+/// Round each column's chunk value `X = seed[j] + Σ_t prods[t][j]`, one or
+/// two exact products deep, to FP32 from a plain `f64` sum, or refuse the
+/// row: Ziv's rounding test (ACM TOMS 1991). A row it refuses
+/// ([`QuickRow::passed`] false) goes to [`round_chunk`] on the same
+/// products; its values are then meaningless.
+///
+/// Per column, `u = fl(p_0 + p_1)` and `s = fl(seed + u)`. Each rounded
+/// addition is off by at most `2^-53` times its result, so `|X − s| ≤
+/// 2^-53·(|u| + |s|)`. `e = fl(|u| + |s|)·2^-50` bounds that eight times
+/// over (the power-of-two scale is exact), enough for `lo = fl(s − e) ≤ X
+/// ≤ fl(s + e) = hi` to survive the two roundings. `as f32` is monotone,
+/// so `lo` and `hi` converting to the same bits makes those bits
+/// `RN_24(X)`: subnormal results, overflow to ±Inf and a nonzero `X` that
+/// underflows to a signed zero included. Comparing bits refuses an
+/// interval astride zero (`−0` against `+0`), so an exact-zero sum of
+/// `−0` addends is left to the pair, which makes it `+0`. A special input
+/// makes `lo` or `hi` NaN (`Inf − Inf` in `s ∓ e`, or a NaN sum): a NaN
+/// `lo` is refused outright, a NaN `hi` by its bits. Nothing underflows:
+/// every value is zero or at least `2^-348`. See DESIGN §4, "The quick
+/// tier".
+///
+/// The seed's chain is one conversion in, one addition, the bound and one
+/// conversion out. Like [`round_chunk`], it is whole-row steps, one
+/// vector instruction each.
+#[inline(always)]
+pub(crate) fn round_chunk_quick<const T: usize>(seed: &[f32; COLS], prods: &[Row; T]) -> QuickRow {
+    // A constant test: it costs nothing at the depths that pass it.
+    assert!(
+        T == 1 || T == 2,
+        "the quick tier's bound covers depths 1 and 2"
+    );
+    let mut u = prods[0];
+    for p in &prods[1..] {
+        for (u, p) in u.iter_mut().zip(p) {
+            *u += p;
+        }
+    }
+    let mut s = [0.0; COLS];
+    for j in 0..COLS {
+        s[j] = seed[j] as f64 + u[j];
+    }
+    let mut e = [0.0; COLS];
+    for j in 0..COLS {
+        e[j] = (u[j].abs() + s[j].abs()) * QUICK_SCALE;
+    }
+    let (mut lo, mut hi) = ([0f32; COLS], [0f32; COLS]);
+    for j in 0..COLS {
+        lo[j] = (s[j] - e[j]) as f32;
+        hi[j] = (s[j] + e[j]) as f32;
+    }
+    let mut miss = [0; COLS];
+    for j in 0..COLS {
+        miss[j] = (lo[j].to_bits() ^ hi[j].to_bits()) | lo[j].is_nan() as u32;
+    }
+    QuickRow { out: lo, miss }
+}
+
 /// The AVX2 and AVX-512 levels' own code: per level, the frame
 /// `dispatch` compiles the panel bodies in (`avx2`, `avx512`), and the
 /// FP64 FMA row.
@@ -710,6 +806,30 @@ mod tests {
         (ok != 0).then_some(r.out[0])
     }
 
+    /// One chunk value `seed + Σ terms` (one or two terms) through the
+    /// quick tier in every column of a row, at every level this host runs,
+    /// which must agree on the verdict and the bits: `None` when refused.
+    fn quick_one<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
+        let (seeds, prods) = ([seed; COLS], terms.map(|t| [t; COLS]));
+        let want = round_chunk_quick(&seeds, &prods);
+        for lvl in vector_levels() {
+            let got = dispatch(
+                lvl,
+                #[inline(always)]
+                |_| round_chunk_quick(&seeds, &prods),
+            );
+            assert_eq!(got.passed(), want.passed(), "{lvl:?}: {seed:e} + {terms:?}");
+            if want.passed() {
+                assert_eq!(
+                    got.out.map(f32::to_bits),
+                    want.out.map(f32::to_bits),
+                    "{lvl:?}: {seed:e} + {terms:?}"
+                );
+            }
+        }
+        want.passed().then_some(want.out[0])
+    }
+
     #[test]
     fn level_parsing_clamps_to_capability() {
         use SimdLevel::{Avx2, Avx512, Scalar, Sse2};
@@ -797,6 +917,9 @@ mod tests {
             (0, [0, -54], Some(-15)),
         ];
         let mut accepted = [0u32; 6];
+        // The quick tier, over the same cases of depth 1 and 2 (the only
+        // depths it covers): tried and accepted per class.
+        let (mut quick_tried, mut quick_accepted) = ([0u32; 6], [0u32; 6]);
         for row in 0..9000 / COLS {
             let klen = 1 + (next() % 4) as usize;
             let mut seeds = [0f32; COLS];
@@ -835,6 +958,21 @@ mod tests {
                 }
                 kul.add_f64(*seed as f64);
                 *want = kul.to_f32();
+                let class = (row * COLS + j) % 6;
+                let quick = match klen {
+                    1 => quick_one(*seed, &[terms[0][j]]),
+                    2 => quick_one(*seed, &[terms[0][j], terms[1][j]]),
+                    _ => continue,
+                };
+                quick_tried[class] += 1;
+                if let Some(got) = quick {
+                    quick_accepted[class] += 1;
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "row {row} column {j}: quick tier {got:e} vs kulisch {want:e}"
+                    );
+                }
             }
             let r = match klen {
                 1 => round_row(&seeds, &[terms[0]]),
@@ -858,6 +996,14 @@ mod tests {
         assert!(
             accepted.iter().all(|&a| a > 1000),
             "cases accepted per class (of 1500): {accepted:?}"
+        );
+        // The quick tier must accept nearly every random case, so a bound
+        // that refused everything would fail here; only the ties, which
+        // sit on or beside an FP32 midpoint by construction, may go to
+        // the pair in bulk.
+        assert!(
+            (0..5).all(|c| quick_tried[c] > 500 && quick_accepted[c] * 100 > quick_tried[c] * 99),
+            "quick tier: accepted {quick_accepted:?} of {quick_tried:?} per class"
         );
     }
 
@@ -898,6 +1044,41 @@ mod tests {
             round_one(f32::MAX, &[f32::MAX as f64 * 16.0]),
             Some(f32::INFINITY)
         );
+
+        // The quick tier refuses every special input: `lo` or `hi` is NaN.
+        assert_eq!(quick_one(f32::NAN, &[1.0]), None);
+        assert_eq!(quick_one(f32::INFINITY, &[1.0]), None);
+        assert_eq!(quick_one(f32::NEG_INFINITY, &[1.0, -2.0]), None);
+        assert_eq!(quick_one(1.0, &[f64::INFINITY]), None);
+        assert_eq!(quick_one(1.0, &[f64::NEG_INFINITY, 2.0]), None);
+        assert_eq!(quick_one(1.0, &[f64::NAN]), None);
+        assert_eq!(quick_one(0.0, &[f64::INFINITY, f64::NEG_INFINITY]), None);
+        // An exact-zero sum of `−0` addends: its interval is `[−0, +0]`,
+        // which it refuses; the pair makes it `+0` (above).
+        assert_eq!(quick_one(-0.0, &[-0.0, -0.0]), None);
+        // An exact midpoint: 1 + 2^-24 lies halfway between 1 and its f32
+        // successor, and the pair rounds it to even.
+        let half_ulp = 2f64.powi(-24);
+        assert_eq!(quick_one(1.0, &[half_ulp]), None);
+        assert_eq!(round_one(1.0, &[half_ulp]), Some(1.0));
+        // It accepts overflow to ±Inf, a tiny negative sum underflowing
+        // to −0, and the three-scale chunk the pair refuses: its interval
+        // is 2^-49 wide around a value far from any FP32 midpoint.
+        assert_eq!(quick_one(0.0, &[huge]), Some(f32::INFINITY));
+        assert_eq!(quick_one(0.0, &[-huge]), Some(f32::NEG_INFINITY));
+        assert_eq!(
+            quick_one(f32::MAX, &[f32::MAX as f64 * 16.0]),
+            Some(f32::INFINITY)
+        );
+        let tiny = -2f64.powi(-160);
+        assert_eq!(quick_one(0.0, &[tiny]).map(f32::to_bits), Some(0x8000_0000));
+        assert_eq!(round_one(0.0, &[tiny]).map(f32::to_bits), Some(0x8000_0000));
+        assert_eq!(quick_one(1.0, &three), Some(1.0));
+        // An all-`+0` sum passes as `+0`; an exact cancellation does not,
+        // since its bound scales with `|u|`, so its interval straddles zero.
+        assert_eq!(quick_one(0.0, &[0.0, -0.0]).map(f32::to_bits), Some(0));
+        assert_eq!(quick_one(1.5, &[-1.0, -0.5]), None);
+        assert_eq!(quick_one(0.0, &three), Some(three[0] as f32));
     }
 
     #[test]
@@ -1009,14 +1190,14 @@ mod tests {
         });
         println!("row products: {products:.2} ns/element-chunk");
 
-        // The rounder on a two-deep chunk per step, each result seeding the
-        // next: one row's chain alone, then `F32_ROWS` chains at once, as
-        // the panel runs them.
+        // Each rounder on a two-deep chunk per step, each result seeding
+        // the next: one row's chain alone, then `F32_ROWS` chains at once,
+        // as the panel runs them. The quick tier's rows all pass here.
         let terms: [[f64; COLS]; 2] = [
             std::array::from_fn(|j| (j as f64 * 0.37).sin()),
             std::array::from_fn(|j| -(j as f64 * 0.11).cos() * 1e-3),
         ];
-        let chained = |rows: usize| {
+        let chained = |rows: usize, quick: bool| {
             best_of(&mut || {
                 dispatch(
                     lvl,
@@ -1026,7 +1207,11 @@ mod tests {
                         for _ in 0..reps * 8 * chunks / rows {
                             let prods = black_box(&terms);
                             for seed in seeds.iter_mut().take(rows) {
-                                *seed = round_chunk(seed, prods).out;
+                                *seed = if quick {
+                                    round_chunk_quick(seed, prods).out
+                                } else {
+                                    round_chunk(seed, prods).out
+                                };
                             }
                         }
                         black_box(&seeds);
@@ -1034,9 +1219,12 @@ mod tests {
                 )
             })
         };
-        let one = chained(1);
-        let rows = chained(F32_ROWS);
-        println!("rounder: {one:.2} ns/element-chunk on one row, {rows:.2} on {F32_ROWS} rows");
+        for (name, quick) in [("pair", false), ("quick tier", true)] {
+            let (one, rows) = (chained(1, quick), chained(F32_ROWS, quick));
+            println!(
+                "rounder, {name}: {one:.2} ns/element-chunk on one row, {rows:.2} on {F32_ROWS} rows"
+            );
+        }
     }
 
     #[test]

@@ -668,15 +668,25 @@ fn higher_level_kernels_flow_into_the_same_sink() {
     }
 }
 
+/// Element-chunks in fragment rows the quick tier refuses in one
+/// 4,096-point GEMM-FFT of the signal below, at every vector level.
+const FFT_QUICK_REFUSALS: u64 = 67_056;
+
 #[test]
 fn simd_fallbacks_are_counted_per_element_chunk() {
     // Every element-chunk a SIMD panel executes is counted once: on the
-    // vector path, or sent to the scalar oracle. Dense random operands
-    // and the GEMM-FFT's DFT matrices (whose f32 cos(pi/2) ~ 6e-17 puts a
-    // product some 2^-54 below the running sum, a two-scale chunk the
-    // rounder certifies) never leave the vector path; a chunk spread over
-    // three scales, whose exact pair the rounder cannot certify, or a NaN,
-    // does.
+    // vector path (`simd_chunks`, by the quick tier or the certified
+    // pair), or sent to the scalar oracle (`simd_fallbacks`). Dense random
+    // operands and the GEMM-FFT's DFT matrices (whose f32 cos(pi/2) ~
+    // 6e-17 puts a product some 2^-54 below the running sum, a two-scale
+    // chunk the pair certifies) never leave the vector path; a NaN, or a
+    // three-scale near-tie that both vector tiers refuse, does. Beside
+    // them, `quick_refusals` counts the element-chunks in fragment rows
+    // the quick tier refused: none for random FP32 operands, the rows of
+    // the few exact FP32 ties among the random FP32C and fast-FP32 ones,
+    // none for the narrow modes and checked calls, which run the pair
+    // alone, and a fixed count for the GEMM-FFT, whose ±1 and ±i DFT
+    // entries put chunk sums on or beside FP32 ties.
     use m3xu::mxu::packed::simd::{self, SimdLevel};
     let vector = simd::level() != SimdLevel::Scalar;
     let ctx = M3xuContext::with_threads(2);
@@ -687,19 +697,25 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     let s = ctx.stats();
     // 64 x 64 outputs x 32 two-deep chunks.
     assert_eq!(s.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
-    assert_eq!(s.simd_fallbacks, 0);
+    assert_eq!((s.simd_fallbacks, s.quick_refusals), (0, 0));
 
     let ca = Matrix::random_c32(64, 64, 13);
     let cb = Matrix::random_c32(64, 64, 14);
     ctx.try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64)).unwrap();
     let d = ctx.stats().delta_since(&s);
-    // 64 x 64 outputs x 64 one-deep chunks.
+    // 64 x 64 outputs x 64 one-deep chunks. The operands are multiples
+    // of 2^-23, so their chunk sums can land exactly on an FP32 midpoint,
+    // which the quick tier must refuse: the real part of element (26, 54)
+    // at chunk 31 does, and the pair rounds its fragment row.
     assert_eq!(d.simd_chunks, if vector { 64 * 64 * 64 } else { 0 });
-    assert_eq!(d.simd_fallbacks, 0);
+    assert_eq!(
+        (d.simd_fallbacks, d.quick_refusals),
+        (0, if vector { 8 } else { 0 })
+    );
 
     // Checked at fault rate 0, both calls run their chunks on the same
-    // panel bodies with the residue tap on: same bits, and the counters
-    // of the unchecked calls (0/0 at `Scalar`).
+    // panel bodies with the residue tap on, on the pair alone: same bits,
+    // and the counters of the unchecked calls (0/0 at `Scalar`).
     use m3xu::kernels::FaultPlan;
     use std::sync::Arc;
     let armed = M3xuContext::with_threads(2).with_fault_plan(Arc::new(FaultPlan::new(0, 0.0)));
@@ -715,7 +731,10 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     );
     assert_eq!(plain.d, checked.d);
     let ck = armed.stats();
-    assert_eq!((ck.simd_chunks, ck.simd_fallbacks), (s.simd_chunks, 0));
+    assert_eq!(
+        (ck.simd_chunks, ck.simd_fallbacks, ck.quick_refusals),
+        (s.simd_chunks, 0, 0)
+    );
     let (plain, checked) = (
         unarmed
             .try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64))
@@ -726,7 +745,10 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     );
     assert_eq!(plain.d, checked.d);
     let cd = armed.stats().delta_since(&ck);
-    assert_eq!((cd.simd_chunks, cd.simd_fallbacks), (d.simd_chunks, 0));
+    assert_eq!(
+        (cd.simd_chunks, cd.simd_fallbacks, cd.quick_refusals),
+        (d.simd_chunks, 0, 0)
+    );
     assert_eq!(armed.stats().faults_detected, 0);
 
     let x: Vec<m3xu::C32> = (0..4096)
@@ -735,24 +757,37 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     let before = ctx.stats();
     ctx.try_gemm_fft(&x).unwrap();
     let f = ctx.stats().delta_since(&before);
-    // Three 16 x 256 x 16 CGEMMs, every element-chunk on the vector path.
+    // Three 16 x 256 x 16 CGEMMs, every element-chunk on the vector path,
+    // and the same quick-tier refusals at every vector level.
     assert_eq!(f.simd_chunks, if vector { 3 * 16 * 256 * 16 } else { 0 });
     assert_eq!(f.simd_fallbacks, 0);
+    assert_eq!(
+        f.quick_refusals,
+        if vector { FFT_QUICK_REFUSALS } else { 0 }
+    );
 
-    // Column 5 of B holds 1e-15 and 1e-30 at depths 16 and 17, so that
-    // chunk spans three scales beside its O(1) running sum: the residual
-    // its pair leaves spans some 95 bits, more than one f64 holds, and
-    // each of the 64 rows sends it to the oracle once, then carries on.
-    // Column 42 holds a NaN at depth 40: each row stays on the oracle for
-    // chunks 20..32.
-    let mut bw = b.clone();
-    bw.set(16, 5, 1.0e-15);
-    bw.set(17, 5, 1.0e-30);
+    // Column 5's first chunk is a three-scale near-tie. Each row's seed
+    // is 1 + 2^-23 (from C), and its products are
+    // 2^-12(1 - 2^-18) * -2^-12(1 + 2^-18) = -2^-24 + 2^-60 and
+    // 2^-65 * 2^-65 = 2^-130, so the exact value sits just above the
+    // midpoint 1 + 2^-24. The quick tier's interval around the plain sum
+    // holds that midpoint, and the pair's residual 2^-60 + 2^-130 spans
+    // 70 bits, more than one f64 holds: each of the 64 rows sends that
+    // chunk to the oracle once, then carries on. Column 42 holds a NaN at
+    // depth 40: each row stays on the oracle for chunks 20..32. The quick
+    // tier refuses the fragment row of each of these element-chunks.
+    let (mut aw, mut bw, mut c) = (a.clone(), b.clone(), Matrix::zeros(64, 64));
+    for i in 0..64 {
+        aw.set(i, 0, 2f32.powi(-12) * (1.0 - 2f32.powi(-18)));
+        aw.set(i, 1, 2f32.powi(-65));
+        c.set(i, 5, 1.0 + f32::EPSILON);
+    }
+    bw.set(0, 5, -(2f32.powi(-12) * (1.0 + 2f32.powi(-18))));
+    bw.set(1, 5, 2f32.powi(-65));
     bw.set(40, 42, f32::NAN);
-    let c = Matrix::zeros(64, 64);
     let before = ctx.stats();
     let got = ctx
-        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &bw, &c)
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &aw, &bw, &c)
         .unwrap();
     let w = ctx.stats().delta_since(&before);
     let fallbacks = 64 + 64 * (32 - 20);
@@ -761,25 +796,44 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
         w.simd_chunks,
         if vector { 64 * 64 * 32 - fallbacks } else { 0 }
     );
-    let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &bw, &c);
+    assert_eq!(w.quick_refusals, if vector { 8 * fallbacks } else { 0 });
+    let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &aw, &bw, &c);
     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
     // The snapshot arithmetic carries the new counters.
     let m = s.merged(&w);
     assert_eq!(
-        (m.simd_chunks, m.simd_fallbacks),
-        (s.simd_chunks + w.simd_chunks, w.simd_fallbacks)
+        (m.simd_chunks, m.simd_fallbacks, m.quick_refusals),
+        (
+            s.simd_chunks + w.simd_chunks,
+            w.simd_fallbacks,
+            w.quick_refusals
+        )
     );
 
     // The fast FP32 dial runs its truncated products on the same panels:
-    // 64 x 64 outputs x 32 two-deep chunks.
+    // 64 x 64 outputs x 32 two-deep chunks. Dropping `lo_a·lo_b` leaves
+    // products of at most 37 bits, so more chunk sums land exactly on an
+    // FP32 midpoint: 92 of them, in 91 fragment rows, which the pair
+    // rounds.
     let before = ctx.stats();
     ctx.try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &Matrix::zeros(64, 64))
         .unwrap();
     let d = ctx.stats().delta_since(&before);
     assert_eq!(d.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
-    assert_eq!(d.simd_fallbacks, 0);
+    assert_eq!(
+        (d.simd_fallbacks, d.quick_refusals),
+        (0, if vector { 8 * 91 } else { 0 })
+    );
+
+    // FP16 runs the pair alone: 64 x 64 outputs x 16 four-deep chunks.
+    let before = ctx.stats();
+    ctx.try_gemm_f32(GemmPrecision::Fp16, &a, &b, &Matrix::zeros(64, 64))
+        .unwrap();
+    let d = ctx.stats().delta_since(&before);
+    assert_eq!(d.simd_chunks, if vector { 64 * 64 * 16 } else { 0 });
+    assert_eq!((d.simd_fallbacks, d.quick_refusals), (0, 0));
 
     // Emulated FP64 runs one FMA per one-deep chunk: 64 x 64 x 64.
     let da = Matrix::<f64>::random_f64(64, 64, 15);
@@ -790,7 +844,7 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
         .unwrap();
     let d = ctx.stats().delta_since(&before);
     assert_eq!(d.simd_chunks, if vector { 64 * 64 * 64 } else { 0 });
-    assert_eq!(d.simd_fallbacks, 0);
+    assert_eq!((d.simd_fallbacks, d.quick_refusals), (0, 0));
 
     // Row 3 of A and of C is zero, so every chunk of that row sums to
     // exactly zero: its 64 x 64 chunks take the slice oracle (which

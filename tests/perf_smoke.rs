@@ -158,8 +158,8 @@ fn simd_pipeline_beats_scalar_floor() {
         ("checked FP32C", checked_c, 3.0),
     ];
     // On an AVX-512 host, the x86-64-v4 build against the forced AVX2
-    // one, floor 1.1x (measured over 10 runs 1.14–1.36x, 1.24–1.41x and
-    // 1.13–1.27x): a panel body silently compiled for a lower level reads
+    // one, floor 1.1x (measured over 10 runs 1.10–1.41x, 1.19–1.46x and
+    // 1.11–1.32x): a panel body silently compiled for a lower level reads
     // under 1x.
     if entry == SimdLevel::Avx512 {
         let over_avx2 = |what: &str, f: &dyn Fn()| speedup(entry, SimdLevel::Avx2, what, f);
