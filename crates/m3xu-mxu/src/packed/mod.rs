@@ -1227,6 +1227,11 @@ struct RowGroup<'p, const R: usize> {
     /// The current chunk's seeds, kept for the pair while the quick tier
     /// writes its results over `rows`.
     seeds: [[f32; simd::COLS]; R],
+    /// Whether an unchecked chunk of depth 1 or 2 runs the quick tier
+    /// first: in every mode but TF32, whose 22-bit products often sum
+    /// exactly onto an FP32 midpoint, which the tier refuses, so that most
+    /// rows would be refused (DESIGN §4).
+    quick: bool,
 }
 
 /// A fragment row's `T` values of `A` for the chunk at `ck0`.
@@ -1498,18 +1503,9 @@ impl DotProductUnit {
         if vector_panel(level, a, b, cols) && frag_k <= simd::MAX_KLEN && k0 < kend {
             let mut unused = Checksum::ZERO;
             let computed = &mut unused;
-            // The quick tier fronts FP32 and fast FP32. The narrow modes'
-            // quantised chunk sums are often exact f32 ties, which it
-            // refuses, so they run the pair alone (DESIGN §4).
-            if matches!(a.mode, MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast) {
-                self.simd_panel_f32::<false, true>(
-                    level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
-                );
-            } else {
-                self.simd_panel_f32::<false, false>(
-                    level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
-                );
-            }
+            self.simd_panel_f32::<false>(
+                level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+            );
             return;
         }
         let mut ck0 = k0;
@@ -1552,9 +1548,7 @@ impl DotProductUnit {
             && (1..=simd::MAX_KLEN).contains(&(kend.saturating_sub(k0)))
         {
             let computed = &mut check.computed;
-            self.simd_panel_f32::<true, false>(
-                level, a, b, r0, rows, c0, k0, kend, klen, acc, computed,
-            );
+            self.simd_panel_f32::<true>(level, a, b, r0, rows, c0, k0, kend, klen, acc, computed);
             check.inject(rows * cols, corrupt_f32, |slot| (&mut acc[slot], false));
         } else {
             self.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(check));
@@ -1650,11 +1644,10 @@ impl DotProductUnit {
 
     /// Run the real-mode SIMD panel body at `level`. The product kernel
     /// is picked once per panel: whole products, or the fast mode's
-    /// truncated ones (`TRUNC`). `QUICK` (never with `TAP`) puts the
-    /// quick tier in front of the pair.
+    /// truncated ones (`TRUNC`).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32<const TAP: bool, const QUICK: bool>(
+    fn simd_panel_f32<const TAP: bool>(
         &mut self,
         level: simd::SimdLevel,
         a: &PackedOperand,
@@ -1668,14 +1661,12 @@ impl DotProductUnit {
         acc: &mut [f32],
         computed: &mut Checksum,
     ) {
-        // Unchecked fast FP32 always runs the quick tier, so `TAP ||
-        // QUICK` leaves no truncated build on the pair alone unchecked.
-        if (TAP || QUICK) && a.mode == MxuMode::M3xuFp32Fast {
+        if a.mode == MxuMode::M3xuFp32Fast {
             simd::dispatch(
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_f32_body::<true, TAP, QUICK>(
+                    self.simd_panel_f32_body::<true, TAP>(
                         a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
@@ -1685,7 +1676,7 @@ impl DotProductUnit {
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_f32_body::<false, TAP, QUICK>(
+                    self.simd_panel_f32_body::<false, TAP>(
                         a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
@@ -1699,17 +1690,18 @@ impl DotProductUnit {
     /// chunk, form each row's `klen` whole (or, with `TRUNC`, truncated)
     /// products for all 8 columns from the chunk's shared `B` rows, then
     /// round each column's exact chunk value with [`simd::round_chunk`],
-    /// or with `QUICK` first with [`simd::round_chunk_quick`], a row it
-    /// refuses going to the pair. Any column the pair refuses (specials,
-    /// a failed certificate) reruns that one (element, chunk) on the
-    /// scalar element path — the shared [`scalar_element_real`], on the
-    /// same schedule — so results match the scalar pipeline bit for bit no
-    /// matter which path each element took. With `TAP`, every
+    /// without `TAP` first with [`simd::round_chunk_quick`] (depths 1
+    /// and 2, TF32 apart), a row it refuses going to the pair. Any
+    /// column the pair refuses (specials, a failed certificate) reruns
+    /// that one (element, chunk) on the scalar element path — the shared
+    /// [`scalar_element_real`], on the same schedule — so results match
+    /// the scalar pipeline bit for bit no matter which path each element
+    /// took. With `TAP`, every
     /// element-chunk's residue goes into `computed`; without it `computed`
     /// is never touched.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool, const QUICK: bool>(
+    fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool>(
         &mut self,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -1744,13 +1736,13 @@ impl DotProductUnit {
         let full = rows - rows % simd::F32_ROWS;
         for i in (0..full).step_by(simd::F32_ROWS) {
             let b_rows = b_panel.clone();
-            self.simd_rows_f32::<{ simd::F32_ROWS }, TRUNC, TAP, QUICK>(
+            self.simd_rows_f32::<{ simd::F32_ROWS }, TRUNC, TAP>(
                 &mut at, b_rows, i, k0, kend, frag_k, acc,
             );
         }
         for i in full..rows {
             let b_rows = b_panel.clone();
-            self.simd_rows_f32::<1, TRUNC, TAP, QUICK>(&mut at, b_rows, i, k0, kend, frag_k, acc);
+            self.simd_rows_f32::<1, TRUNC, TAP>(&mut at, b_rows, i, k0, kend, frag_k, acc);
         }
     }
 
@@ -1759,7 +1751,7 @@ impl DotProductUnit {
     /// once.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_rows_f32<const R: usize, const TRUNC: bool, const TAP: bool, const QUICK: bool>(
+    fn simd_rows_f32<const R: usize, const TRUNC: bool, const TAP: bool>(
         &mut self,
         at: &mut PanelAt<'_>,
         b_rows: std::slice::ChunksExact<'_, f32>,
@@ -1780,6 +1772,7 @@ impl DotProductUnit {
             b_rows,
             rounded: [simd::RoundedRow::NONE; R],
             seeds: [[0f32; simd::COLS]; R],
+            quick: a.mode != MxuMode::Tf32,
         };
         for (r, (arow, row)) in g.arows.iter_mut().zip(&mut g.rows).enumerate() {
             let a0 = (at.r0 + i + r) * alen;
@@ -1793,10 +1786,10 @@ impl DotProductUnit {
             // Constant-depth dispatch: the chunk fully unrolls for each
             // depth.
             let vector = match klen {
-                1 => self.simd_rows_chunk::<R, 1, TRUNC, TAP, QUICK>(at, &mut g, ck0),
-                2 => self.simd_rows_chunk::<R, 2, TRUNC, TAP, QUICK>(at, &mut g, ck0),
-                3 => self.simd_rows_chunk::<R, 3, TRUNC, TAP, QUICK>(at, &mut g, ck0),
-                4 => self.simd_rows_chunk::<R, 4, TRUNC, TAP, QUICK>(at, &mut g, ck0),
+                1 => self.simd_rows_chunk::<R, 1, TRUNC, TAP>(at, &mut g, ck0),
+                2 => self.simd_rows_chunk::<R, 2, TRUNC, TAP>(at, &mut g, ck0),
+                3 => self.simd_rows_chunk::<R, 3, TRUNC, TAP>(at, &mut g, ck0),
+                4 => self.simd_rows_chunk::<R, 4, TRUNC, TAP>(at, &mut g, ck0),
                 _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
             };
             chunks += vector;
@@ -1813,25 +1806,20 @@ impl DotProductUnit {
     /// One `T`-deep chunk across a row group: the chunk's `B` rows are
     /// widened once for all its rows, and every row's 8 columns go through
     /// [`simd::round_chunk`] before any refused column reruns on the
-    /// oracle, so the rows' seed chains overlap. With `QUICK` (depths 1
-    /// and 2), every row goes through [`simd::round_chunk_quick`] first,
-    /// and only the rows it refuses through the pair. Returns the
-    /// element-chunks rounded on the vector path.
+    /// oracle, so the rows' seed chains overlap. Without `TAP`, at depths
+    /// 1 and 2 and outside TF32 ([`RowGroup::quick`]), every row goes
+    /// through [`simd::round_chunk_quick`] first, and only the rows it
+    /// refuses through the pair. Returns the element-chunks rounded on the
+    /// vector path.
     #[inline(always)]
-    fn simd_rows_chunk<
-        const R: usize,
-        const T: usize,
-        const TRUNC: bool,
-        const TAP: bool,
-        const QUICK: bool,
-    >(
+    fn simd_rows_chunk<const R: usize, const T: usize, const TRUNC: bool, const TAP: bool>(
         &mut self,
         at: &mut PanelAt<'_>,
         g: &mut RowGroup<'_, R>,
         ck0: usize,
     ) -> u64 {
         let chunk = simd::ChunkB::<T>::load::<TRUNC>(&mut g.b_rows, at.c0);
-        if QUICK && T <= 2 {
+        if !TAP && T <= 2 && g.quick {
             // Pass 1: the quick tier on every row, its results written over
             // the rows in place, and the rows it refuses. The rows are
             // indexed, not zipped: a loop zipping `g.arows` by value stayed
@@ -2636,7 +2624,7 @@ mod tests {
                     level,
                     #[inline(always)]
                     |_| {
-                        dpu.simd_panel_f32_body::<true, false, true>(
+                        dpu.simd_panel_f32_body::<true, false>(
                             &pa,
                             &pb,
                             0,
@@ -2682,7 +2670,7 @@ mod tests {
                 level,
                 #[inline(always)]
                 |_| {
-                    dpu.simd_panel_f32_body::<true, false, true>(
+                    dpu.simd_panel_f32_body::<true, false>(
                         &pa,
                         &pb,
                         0,

@@ -69,10 +69,11 @@
 //! row of a chunk step, then the pair on the rows it refused, then the
 //! oracle on the columns the pair refuses, so every output keeps the
 //! oracle's bits.
-//! The narrow modes stay on the pair: their quantised products are short,
-//! so their chunk sums often land exactly on FP32 midpoints, which the
-//! test must refuse. Checked chunks stay on it too: their tap reads the
-//! pair.
+//! FP16 and BF16 chunks are four deep, past its depths. TF32 chunks are
+//! two deep but stay on the pair: their quantised products are short, so
+//! their chunk sums often land exactly on FP32 midpoints, which the test
+//! must refuse, and most rows hold one. Checked chunks stay on it too:
+//! their tap reads the pair.
 //!
 //! ## The panels
 //!

@@ -684,9 +684,9 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     // them, `quick_refusals` counts the element-chunks in fragment rows
     // the quick tier refused: none for random FP32 operands, the rows of
     // the few exact FP32 ties among the random FP32C and fast-FP32 ones,
-    // none for the narrow modes and checked calls, which run the pair
-    // alone, and a fixed count for the GEMM-FFT, whose ±1 and ±i DFT
-    // entries put chunk sums on or beside FP32 ties.
+    // none for FP16 (four-deep chunks), TF32 and checked calls, which run
+    // the pair alone, and a fixed count for the GEMM-FFT, whose ±1 and ±i
+    // DFT entries put chunk sums on or beside FP32 ties.
     use m3xu::mxu::packed::simd::{self, SimdLevel};
     let vector = simd::level() != SimdLevel::Scalar;
     let ctx = M3xuContext::with_threads(2);
@@ -827,12 +827,23 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
         (0, if vector { 8 * 91 } else { 0 })
     );
 
-    // FP16 runs the pair alone: 64 x 64 outputs x 16 four-deep chunks.
+    // FP16 runs the pair alone: 64 x 64 outputs x 16 four-deep chunks,
+    // past the quick tier's depths.
     let before = ctx.stats();
     ctx.try_gemm_f32(GemmPrecision::Fp16, &a, &b, &Matrix::zeros(64, 64))
         .unwrap();
     let d = ctx.stats().delta_since(&before);
     assert_eq!(d.simd_chunks, if vector { 64 * 64 * 16 } else { 0 });
+    assert_eq!((d.simd_fallbacks, d.quick_refusals), (0, 0));
+
+    // TF32's chunks are two deep, as FP32's, but it runs the pair alone:
+    // its 22-bit products often sum exactly onto an FP32 midpoint, so the
+    // quick tier would refuse most rows. 64 x 64 x 32 chunks.
+    let before = ctx.stats();
+    ctx.try_gemm_f32(GemmPrecision::Tf32, &a, &b, &Matrix::zeros(64, 64))
+        .unwrap();
+    let d = ctx.stats().delta_since(&before);
+    assert_eq!(d.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
     assert_eq!((d.simd_fallbacks, d.quick_refusals), (0, 0));
 
     // Emulated FP64 runs one FMA per one-deep chunk: 64 x 64 x 64.

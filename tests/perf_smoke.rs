@@ -158,9 +158,9 @@ fn simd_pipeline_beats_scalar_floor() {
         ("checked FP32C", checked_c, 3.0),
     ];
     // On an AVX-512 host, the x86-64-v4 build against the forced AVX2
-    // one, floor 1.1x (measured over 10 runs 1.10–1.41x, 1.19–1.46x and
-    // 1.11–1.32x): a panel body silently compiled for a lower level reads
-    // under 1x.
+    // one, floor 1.1x (measured over 12 runs 1.11–1.35x, 1.17–1.35x and
+    // 1.09–1.26x; the GEMM-FFT row fell under it in 2 of them): a panel
+    // body silently compiled for a lower level reads under 1x.
     if entry == SimdLevel::Avx512 {
         let over_avx2 = |what: &str, f: &dyn Fn()| speedup(entry, SimdLevel::Avx2, what, f);
         rows.push(("FP32 over AVX2", over_avx2(&fp32_what, &fp32_run), 1.1));
