@@ -1696,9 +1696,8 @@ impl DotProductUnit {
     /// that one (element, chunk) on the scalar element path — the shared
     /// [`scalar_element_real`], on the same schedule — so results match
     /// the scalar pipeline bit for bit no matter which path each element
-    /// took. With `TAP`, every
-    /// element-chunk's residue goes into `computed`; without it `computed`
-    /// is never touched.
+    /// took. With `TAP`, every element-chunk's residue goes into
+    /// `computed`; without it `computed` is never touched.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool>(
