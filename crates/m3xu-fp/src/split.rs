@@ -95,20 +95,6 @@ impl SliceConfig {
         self.precision.saturating_sub(covered)
     }
 
-    /// Number of exact cross-product terms a full N×N slice multiplication
-    /// schedules: `N²`.
-    pub const fn full_terms(&self) -> u32 {
-        self.slices * self.slices
-    }
-
-    /// Term count of the *truncated* fast schedule, which drops every
-    /// product of two slices whose combined depth `i + j >= N` (for `N = 2`
-    /// that is the single `lo·lo` term, the 3xTF32-style approximation):
-    /// `N(N+1)/2`.
-    pub const fn fast_terms(&self) -> u32 {
-        self.slices * (self.slices + 1) / 2
-    }
-
     /// Split an FP32 value into N exact slices. Non-finite inputs place the
     /// input in slice 0 and zero the rest, mirroring [`split_fp32`].
     pub fn split_f32(&self, x: f32) -> MantissaSlices {
@@ -372,7 +358,7 @@ impl SplitProducts {
 
     /// The truncated fast-schedule sum `hh + hl + lh`: the full product
     /// minus the deepest (`lo·lo`) term — the `N = 2` instance of the
-    /// `i + j < N` fast schedule ([`SliceConfig::fast_terms`]).
+    /// `i + j < N` fast schedule.
     #[inline]
     pub fn fast_total(&self) -> f64 {
         (self.hl + self.lh) + self.hh
@@ -513,8 +499,6 @@ mod tests {
                         assert_eq!(cfg.bits_below(i), 0);
                     }
                 }
-                assert_eq!(cfg.full_terms(), n * n);
-                assert_eq!(cfg.fast_terms(), n * (n + 1) / 2);
             }
         }
     }
@@ -595,6 +579,5 @@ mod tests {
     fn emulated_fp64_slices_fit_the_12_bit_multiplier() {
         assert_eq!(FP64_SLICES_EMULATED.slices(), 5);
         assert!(FP64_SLICES_EMULATED.max_slice_bits() <= 12);
-        assert_eq!(FP64_SLICES_EMULATED.full_terms(), 25);
     }
 }

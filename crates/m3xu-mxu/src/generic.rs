@@ -8,14 +8,16 @@
 //! `p`-way M3XU needs `p` steps of `p` lanes per element to cover all
 //! `p²` partial products (the 2-way case is the paper's 12-bit design).
 //!
-//! The step schedule generalises Eq. 4–8: in step `s`, lane `l` of an
-//! element multiplies part `l` of `a` with part `(l + s) mod p` of `b` —
-//! a cyclic shift per step, which covers every `(i, j)` pair exactly once
-//! and keeps the `a`-side assignments fixed across steps (only the `b`
-//! multiplexers rotate), exactly like the 2-way flip.
+//! The step schedule is [`assign::cyclic_lane`], the rule behind
+//! [`assign::SPLIT`] and [`assign::SLICES5`], at `n = p`: in step `s`,
+//! lane `l` of an element multiplies part `l` of `a` with part
+//! `(l + s) mod p` of `b` — a cyclic shift per step, which covers every
+//! `(i, j)` pair exactly once and keeps the `a`-side assignments fixed
+//! across steps (only the `b` multiplexers rotate).
 
+use crate::assign::{self, Lane, Schedule, StepPlan};
 use crate::buffer::{BufferEntry, Special};
-use crate::dpu::{DotProductUnit, LaneOp, Target};
+use crate::dpu::DotProductUnit;
 use m3xu_fp::fixed::Kulisch;
 
 /// Split an FP32 operand into `parts` buffer entries of `width`-bit
@@ -71,29 +73,24 @@ pub fn decode_fp32_parts(x: f32, width: u32) -> Vec<BufferEntry> {
         .collect()
 }
 
-/// Build the `p`-step schedule for an FP32 dot product on `width`-bit
-/// multipliers. Step `s` pairs `a` part `l` with `b` part `(l + s) % p`.
-pub fn plan_fp32_generic(a: &[f32], b: &[f32], width: u32) -> Vec<Vec<LaneOp>> {
-    assert_eq!(a.len(), b.len());
-    let parts = 24usize.div_ceil(width as usize);
-    let a_parts: Vec<Vec<BufferEntry>> = a.iter().map(|&x| decode_fp32_parts(x, width)).collect();
-    let b_parts: Vec<Vec<BufferEntry>> = b.iter().map(|&x| decode_fp32_parts(x, width)).collect();
-    (0..parts)
-        .map(|s| {
-            let mut step = Vec::with_capacity(parts * a.len());
-            for e in 0..a.len() {
-                for l in 0..parts {
-                    step.push(LaneOp {
-                        a: a_parts[e][l],
-                        b: b_parts[e][(l + s) % parts],
-                        negate: false,
-                        target: Target::Real,
-                    });
-                }
-            }
-            step
-        })
+/// The `p`-way cyclic schedule ([`assign::cyclic_lane`] at `n = p`): step
+/// `s` pairs `a` part `l` with `b` part `(l + s) % p`.
+fn cyclic_lanes(parts: usize) -> Vec<Lane> {
+    (0..parts * parts)
+        .map(|i| assign::cyclic_lane(parts, i / parts, i % parts))
         .collect()
+}
+
+/// Build the `p`-step plan for an FP32 dot product on `width`-bit
+/// multipliers.
+pub fn plan_fp32_generic(a: &[f32], b: &[f32], width: u32) -> StepPlan {
+    let lanes = cyclic_lanes(24usize.div_ceil(width as usize));
+    let decode = |v: &[f32]| -> Vec<BufferEntry> {
+        v.iter()
+            .flat_map(|&x| decode_fp32_parts(x, width))
+            .collect()
+    };
+    assign::plan(&Schedule::new(&lanes), &decode(a), &decode(b))
 }
 
 /// Execute a generic-width FP32 dot product and read the FP32 result.
@@ -292,14 +289,20 @@ mod tests {
 
     #[test]
     fn width_12_matches_standard_plan() {
-        // The generic machinery at width 12 must agree with the paper's
-        // dedicated 2-way plan bit-for-bit.
+        // At width 12 the generic machinery is the paper's 2-way schedule,
+        // lane for lane, and agrees with it bit for bit.
+        assert_eq!(cyclic_lanes(2), assign::SPLIT.lanes);
         let a = [std::f32::consts::E, -1.25e-3];
         let b = [std::f32::consts::PI, 8.5e2];
         let generic = dot_fp32_generic(&a, &b, 0.5, 12);
+        let halves = |v: &[f32]| -> Vec<BufferEntry> {
+            v.iter()
+                .flat_map(|&x| <[_; 2]>::from(crate::buffer::decode_fp32(x)))
+                .collect()
+        };
         let mut dpu = DotProductUnit::new();
         dpu.seed_real(0.5);
-        for step in &crate::assign::plan_fp32(&a, &b) {
+        for step in &assign::plan(&assign::SPLIT, &halves(&a), &halves(&b)) {
             dpu.execute_step(step);
         }
         assert_eq!(generic.to_bits(), dpu.read_real_f32().to_bits());

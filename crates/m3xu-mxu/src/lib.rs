@@ -16,7 +16,8 @@
 //!
 //! * [`matrix`] — dense row-major matrices and reference GEMMs;
 //! * [`buffer`] — input-buffer entries and operand decode (Fig. 3a wiring);
-//! * [`assign`] — the data-assignment stage's per-step lane schedules;
+//! * [`assign`] — the data-assignment stage: one `const` lane table per
+//!   schedule, which every engine here and the synth cost model read;
 //! * [`dpu`] — the dot-product unit's integer multiply/shift/accumulate
 //!   datapath with IEEE special handling;
 //! * [`mma`] — MMA instruction execution and statistics;
@@ -56,13 +57,10 @@ pub mod dpu;
 pub mod error;
 pub mod fault;
 pub mod generic;
-pub mod isa;
 pub mod matrix;
 pub mod mma;
 pub mod modes;
-pub mod outer;
 pub mod packed;
-pub mod systolic;
 pub mod unit;
 
 pub use error::M3xuError;

@@ -15,11 +15,13 @@
 //! GEMMs chain `D = A·B + C` fragments.
 
 use crate::assign;
+use crate::buffer::{decode_fp32, decode_fp64, decode_narrow, BufferEntry};
 use crate::dpu::DotProductUnit;
 use crate::matrix::Matrix;
 use crate::modes::MxuMode;
 use m3xu_fp::complex::Complex;
-use m3xu_fp::format::FloatFormat;
+use m3xu_fp::format::{FloatFormat, FP32};
+use m3xu_fp::softfloat::round_to_format;
 
 /// An MMA fragment shape `M x N x K` (multiply `M x K` by `K x N`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,40 +113,122 @@ impl MmaStats {
     }
 }
 
-/// Execute one FP32 MMA (`M3xuFp32` mode): `D = A·B + C` bit-exactly.
-///
+/// A value type the tile MMAs run on: how the input buffers decode one
+/// element in a mode whose scalars are `fmt`, and how it seeds and drains
+/// the accumulators.
+pub(crate) trait Element: Copy + Default {
+    fn decode(self, fmt: FloatFormat, out: &mut Vec<BufferEntry>);
+    fn seed(self, dpu: &mut DotProductUnit);
+    fn read(dpu: &DotProductUnit) -> Self;
+}
+
+impl Element for f32 {
+    fn decode(self, fmt: FloatFormat, out: &mut Vec<BufferEntry>) {
+        if fmt == FP32 {
+            out.extend(<[_; 2]>::from(decode_fp32(self)));
+        } else {
+            // Quantised at the input buffers, the load-path conversion
+            // real hardware performs.
+            out.push(decode_narrow(round_to_format(self as f64, fmt), fmt));
+        }
+    }
+    fn seed(self, dpu: &mut DotProductUnit) {
+        dpu.seed_real(self as f64);
+    }
+    fn read(dpu: &DotProductUnit) -> Self {
+        dpu.read_real_f32()
+    }
+}
+
+impl Element for f64 {
+    fn decode(self, _: FloatFormat, out: &mut Vec<BufferEntry>) {
+        out.extend(<[_; 2]>::from(decode_fp64(self)));
+    }
+    fn seed(self, dpu: &mut DotProductUnit) {
+        dpu.seed_real(self);
+    }
+    fn read(dpu: &DotProductUnit) -> Self {
+        dpu.read_real_f64()
+    }
+}
+
+impl Element for Complex<f32> {
+    fn decode(self, fmt: FloatFormat, out: &mut Vec<BufferEntry>) {
+        self.re.decode(fmt, out);
+        self.im.decode(fmt, out);
+    }
+    fn seed(self, dpu: &mut DotProductUnit) {
+        dpu.seed_real(self.re as f64);
+        dpu.seed_imag(self.im as f64);
+    }
+    fn read(dpu: &DotProductUnit) -> Self {
+        Complex::new(dpu.read_real_f32(), dpu.read_imag_f32())
+    }
+}
+
+impl Element for Complex<f64> {
+    fn decode(self, fmt: FloatFormat, out: &mut Vec<BufferEntry>) {
+        self.re.decode(fmt, out);
+        self.im.decode(fmt, out);
+    }
+    fn seed(self, dpu: &mut DotProductUnit) {
+        dpu.seed_real(self.re);
+        dpu.seed_imag(self.im);
+    }
+    fn read(dpu: &DotProductUnit) -> Self {
+        Complex::new(dpu.read_real_f64(), dpu.read_imag_f64())
+    }
+}
+
+/// Execute one MMA in `mode`: `D = A·B + C`, each output element's lanes
+/// laid out by the mode's [`assign::schedule`] and executed step by step.
 /// `a` is `m x k`, `b` is `k x n`, `c` and the result are `m x n`.
+pub(crate) fn mma<T: Element>(
+    mode: MxuMode,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c: &Matrix<T>,
+    stats: &mut MmaStats,
+) -> Matrix<T> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(b.rows(), k);
+    assert_eq!((c.rows(), c.cols()), (m, n), "C must be {m}x{n}");
+    let (schedule, fmt) = (assign::schedule(mode), mode.scalar_format());
+    let decode = |v: &[T]| {
+        let mut e = Vec::with_capacity(v.len() * schedule.entries);
+        v.iter().for_each(|x| x.decode(fmt, &mut e));
+        e
+    };
+    let bt = b.transpose(); // column access
+    let mut dpu = DotProductUnit::new();
+    let mut lanes = 0;
+    let out = Matrix::from_fn(m, n, |i, j| {
+        dpu.clear();
+        c.get(i, j).seed(&mut dpu);
+        for step in assign::plan(&schedule, &decode(a.row(i)), &decode(bt.row(j))) {
+            dpu.execute_step(&step);
+            lanes += step.len() as u64;
+        }
+        T::read(&dpu)
+    });
+    stats.instructions += 1;
+    stats.steps += mode.steps() as u64;
+    stats.lane_products += lanes;
+    out
+}
+
+/// Execute one FP32 MMA (`M3xuFp32` mode): `D = A·B + C` bit-exactly.
 pub fn mma_fp32(
     a: &Matrix<f32>,
     b: &Matrix<f32>,
     c: &Matrix<f32>,
     stats: &mut MmaStats,
 ) -> Matrix<f32> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(b.rows(), k);
-    assert_eq!((c.rows(), c.cols()), (m, n));
-    let bt = b.transpose(); // column access
-    let mut dpu = DotProductUnit::new();
-    let mut lanes = 0;
-    let out = Matrix::from_fn(m, n, |i, j| {
-        dpu.clear();
-        dpu.seed_real(c.get(i, j) as f64);
-        let plan = assign::plan_fp32(a.row(i), bt.row(j));
-        for step in &plan {
-            dpu.execute_step(step);
-            lanes += step.len() as u64;
-        }
-        dpu.read_real_f32()
-    });
-    stats.instructions += 1;
-    stats.steps += MxuMode::M3xuFp32.steps() as u64;
-    stats.lane_products += lanes;
-    out
+    mma(MxuMode::M3xuFp32, a, b, c, stats)
 }
 
-/// Execute one narrow-format MMA (FP16/BF16 native mode). Operands are
-/// quantised to `fmt` at the input buffers (the load-path conversion real
-/// hardware performs).
+/// Execute one narrow-format MMA (`fmt` is FP16, BF16 or TF32, the
+/// native one-step modes).
 pub fn mma_narrow(
     fmt: FloatFormat,
     a: &Matrix<f32>,
@@ -152,35 +236,10 @@ pub fn mma_narrow(
     c: &Matrix<f32>,
     stats: &mut MmaStats,
 ) -> Matrix<f32> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(b.rows(), k);
-    let bt = b.transpose();
-    let mut dpu = DotProductUnit::new();
-    let mut lanes = 0;
-    let out = Matrix::from_fn(m, n, |i, j| {
-        dpu.clear();
-        dpu.seed_real(c.get(i, j) as f64);
-        let av: Vec<f64> = a
-            .row(i)
-            .iter()
-            .map(|&x| m3xu_fp::softfloat::round_to_format(x as f64, fmt))
-            .collect();
-        let bv: Vec<f64> = bt
-            .row(j)
-            .iter()
-            .map(|&x| m3xu_fp::softfloat::round_to_format(x as f64, fmt))
-            .collect();
-        let plan = assign::plan_native(&av, &bv, fmt);
-        for step in &plan {
-            dpu.execute_step(step);
-            lanes += step.len() as u64;
-        }
-        dpu.read_real_f32()
-    });
-    stats.instructions += 1;
-    stats.steps += 1;
-    stats.lane_products += lanes;
-    out
+    let mode = MxuMode::ALL
+        .into_iter()
+        .find(|m| !m.is_m3xu_extension() && m.scalar_format() == fmt);
+    mma(mode.expect("a narrow format"), a, b, c, stats)
 }
 
 /// Execute one TF32 MMA: FP32 operands rounded to TF32 at the input
@@ -191,25 +250,7 @@ pub fn mma_tf32(
     c: &Matrix<f32>,
     stats: &mut MmaStats,
 ) -> Matrix<f32> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(b.rows(), k);
-    let bt = b.transpose();
-    let mut dpu = DotProductUnit::new();
-    let mut lanes = 0;
-    let out = Matrix::from_fn(m, n, |i, j| {
-        dpu.clear();
-        dpu.seed_real(c.get(i, j) as f64);
-        let plan = assign::plan_tf32(a.row(i), bt.row(j));
-        for step in &plan {
-            dpu.execute_step(step);
-            lanes += step.len() as u64;
-        }
-        dpu.read_real_f32()
-    });
-    stats.instructions += 1;
-    stats.steps += 1;
-    stats.lane_products += lanes;
-    out
+    mma(MxuMode::Tf32, a, b, c, stats)
 }
 
 /// Execute one FP32C MMA (`M3xuFp32c` mode): complex `D = A·B + C` with
@@ -220,28 +261,7 @@ pub fn mma_fp32c(
     c: &Matrix<Complex<f32>>,
     stats: &mut MmaStats,
 ) -> Matrix<Complex<f32>> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(b.rows(), k);
-    assert_eq!((c.rows(), c.cols()), (m, n));
-    let bt = b.transpose();
-    let mut dpu = DotProductUnit::new();
-    let mut lanes = 0;
-    let out = Matrix::from_fn(m, n, |i, j| {
-        dpu.clear();
-        let cij = c.get(i, j);
-        dpu.seed_real(cij.re as f64);
-        dpu.seed_imag(cij.im as f64);
-        let plan = assign::plan_fp32c(a.row(i), bt.row(j));
-        for step in &plan {
-            dpu.execute_step(step);
-            lanes += step.len() as u64;
-        }
-        Complex::new(dpu.read_real_f32(), dpu.read_imag_f32())
-    });
-    stats.instructions += 1;
-    stats.steps += MxuMode::M3xuFp32c.steps() as u64;
-    stats.lane_products += lanes;
-    out
+    mma(MxuMode::M3xuFp32c, a, b, c, stats)
 }
 
 /// Execute one FP64 MMA (§IV-C extension).
@@ -251,25 +271,7 @@ pub fn mma_fp64(
     c: &Matrix<f64>,
     stats: &mut MmaStats,
 ) -> Matrix<f64> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(b.rows(), k);
-    let bt = b.transpose();
-    let mut dpu = DotProductUnit::new();
-    let mut lanes = 0;
-    let out = Matrix::from_fn(m, n, |i, j| {
-        dpu.clear();
-        dpu.seed_real(c.get(i, j));
-        let plan = assign::plan_fp64(a.row(i), bt.row(j));
-        for step in &plan {
-            dpu.execute_step(step);
-            lanes += step.len() as u64;
-        }
-        dpu.read_real_f64()
-    });
-    stats.instructions += 1;
-    stats.steps += MxuMode::M3xuFp64.steps() as u64;
-    stats.lane_products += lanes;
-    out
+    mma(MxuMode::M3xuFp64, a, b, c, stats)
 }
 
 /// Execute one FP64C MMA (§IV-C extension).
@@ -279,27 +281,7 @@ pub fn mma_fp64c(
     c: &Matrix<Complex<f64>>,
     stats: &mut MmaStats,
 ) -> Matrix<Complex<f64>> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(b.rows(), k);
-    let bt = b.transpose();
-    let mut dpu = DotProductUnit::new();
-    let mut lanes = 0;
-    let out = Matrix::from_fn(m, n, |i, j| {
-        dpu.clear();
-        let cij = c.get(i, j);
-        dpu.seed_real(cij.re);
-        dpu.seed_imag(cij.im);
-        let plan = assign::plan_fp64c(a.row(i), bt.row(j));
-        for step in &plan {
-            dpu.execute_step(step);
-            lanes += step.len() as u64;
-        }
-        Complex::new(dpu.read_real_f64(), dpu.read_imag_f64())
-    });
-    stats.instructions += 1;
-    stats.steps += MxuMode::M3xuFp64c.steps() as u64;
-    stats.lane_products += lanes;
-    out
+    mma(MxuMode::M3xuFp64c, a, b, c, stats)
 }
 
 #[cfg(test)]
@@ -415,6 +397,28 @@ mod tests {
                 assert_eq!(d.get(i, j), a.get(i, 0) * b.get(0, j));
             }
         }
+    }
+
+    #[test]
+    fn c_too_large_for_the_output_panics_in_every_mode() {
+        // An 8x9 C for an 8x8 D: rejected, never cut to its corner.
+        fn panics<T: Element>(mode: MxuMode) -> bool {
+            let k = MmaShape::BASELINE_FP16.for_mode(mode).k;
+            let z = |r, c| Matrix::<T>::zeros(r, c);
+            let run = || mma(mode, &z(8, k), &z(k, 8), &z(8, 9), &mut MmaStats::default());
+            std::panic::catch_unwind(run).is_err()
+        }
+        for mode in [
+            MxuMode::Fp16,
+            MxuMode::Bf16,
+            MxuMode::Tf32,
+            MxuMode::M3xuFp32,
+        ] {
+            assert!(panics::<f32>(mode), "{mode}");
+        }
+        assert!(panics::<Complex<f32>>(MxuMode::M3xuFp32c));
+        assert!(panics::<f64>(MxuMode::M3xuFp64));
+        assert!(panics::<Complex<f64>>(MxuMode::M3xuFp64c));
     }
 
     #[test]

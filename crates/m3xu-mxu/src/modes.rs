@@ -89,21 +89,13 @@ impl MxuMode {
         }
     }
 
-    /// Exact cross-product terms the mode schedules per MAC: `N²` for a
-    /// full N-slice schedule, `N(N+1)/2` for the truncated fast schedule,
-    /// 1 for the narrow single-entry modes. Complex modes count all four
-    /// component products. `lane_products = macs × terms_per_mac`.
+    /// Exact cross-product terms the mode schedules per MAC: the lanes of
+    /// one element in its [`crate::assign::schedule`] — `N²` for a full
+    /// N-entry schedule, `N(N+1)/2` for the truncated fast one, all four
+    /// component products' terms in the complex modes.
+    /// `lane_products = macs × terms_per_mac`.
     pub fn terms_per_mac(self) -> u64 {
-        match self {
-            MxuMode::Fp16 | MxuMode::Bf16 | MxuMode::Tf32 => 1,
-            MxuMode::M3xuFp32 => FP32_SLICES_EXACT.full_terms() as u64,
-            MxuMode::M3xuFp32Fast => FP32_SLICES_EXACT.fast_terms() as u64,
-            // 4 component products × 4 cross terms each.
-            MxuMode::M3xuFp32c => 4 * FP32_SLICES_EXACT.full_terms() as u64,
-            MxuMode::M3xuFp64 => 4,
-            MxuMode::M3xuFp64Emu => FP64_SLICES_EMULATED.full_terms() as u64,
-            MxuMode::M3xuFp64c => 16,
-        }
+        crate::assign::schedule(self).lanes.len() as u64
     }
 
     /// The slice configuration behind a 12-bit slice-family mode, `None`

@@ -20,13 +20,12 @@
 //!
 //! ## One element body per precision
 //!
-//! Each precision family spells its lane schedule once: `real_schedule`
-//! (the N-slice cross product, full or truncated, FP16 through emulated
-//! FP64) and `c32_schedule` (the FP32C 16-lane stream). One element body
+//! The element bodies spell no schedule of their own: each walks its
+//! mode's [`crate::assign`] table over the decoded chunk. One element body
 //! per precision runs it through two consumers, the 128-bit fast window
 //! and the Kulisch drain; it is the differential oracle of the SIMD
-//! panels below. ABFT checking is a tap on that same body: given
-//! a [`ChunkCheck`], the per-chunk executors also report each element's
+//! panels below. ABFT checking is a tap on that same body: given a
+//! [`ChunkCheck`], the per-chunk executors also report each element's
 //! `F_p` residue, and the injected fault lands on the drained output, so
 //! a checked chunk cannot compute different bits from an unchecked one.
 //!
@@ -87,10 +86,11 @@
 pub mod simd;
 
 use crate::abft::Checksum;
+use crate::assign::{self, Lane, Schedule, COMPLEX, NATIVE, SLICES5, SPLIT, SPLIT_FAST};
 use crate::buffer::{
     decode_fp32, decode_fp64_slices, decode_narrow_f32, round_f32_to_narrow, BufferEntry,
 };
-use crate::dpu::{DotProductUnit, LaneOp, Target};
+use crate::dpu::{DotProductUnit, Target};
 use crate::error::M3xuError;
 use crate::fault::{corrupt_f32, corrupt_f64, MmaFault};
 use crate::matrix::{MatSource, Matrix};
@@ -104,18 +104,11 @@ use m3xu_fp::residue::{
 use m3xu_fp::split::FP64_SLICES_EMULATED;
 
 /// Buffer entries the data-assignment stage provisions per operand element
-/// in `mode` — 1 for the narrow formats, 2 for the hi/lo split of the FP32
-/// and FP64 modes (the fast FP32 variant packs the identical two slices;
-/// truncation happens at term scheduling, not at decode), 5 for the
-/// emulated-FP64 mantissa slices, 4 for the complex modes' component-half
-/// planes.
+/// in `mode`: its [`assign::schedule`]'s entries (the fast FP32 variant
+/// packs the identical two slices; truncation happens at term scheduling,
+/// not at decode).
 pub const fn entries_per_element(mode: MxuMode) -> usize {
-    match mode {
-        MxuMode::Fp16 | MxuMode::Bf16 | MxuMode::Tf32 => 1,
-        MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast | MxuMode::M3xuFp64 => 2,
-        MxuMode::M3xuFp64Emu => 5,
-        MxuMode::M3xuFp32c | MxuMode::M3xuFp64c => 4,
-    }
+    assign::schedule(mode).entries
 }
 
 /// The statistics one full fragment of `shape` contributes in `mode` —
@@ -660,16 +653,6 @@ fn rerun<R>(
     body(&e[0][..n], &e[1][..n])
 }
 
-#[inline]
-fn lane(a: BufferEntry, b: BufferEntry, negate: bool, target: Target) -> LaneOp {
-    LaneOp {
-        a,
-        b,
-        negate,
-        target,
-    }
-}
-
 /// One finite dot-product contribution `±mant · 2^pow` with `mant < 2^24`
 /// (a 12x12-bit lane product, or the seeded `C` element's significand).
 type Contrib = (u64, i32, bool);
@@ -891,60 +874,44 @@ impl FastDot {
     }
 }
 
-/// The real N-slice term schedule of one output element over a decoded
-/// chunk (`av` and `bv` hold the same number of `epe`-entry elements):
-/// calls `visit` on every slice pair the mode multiplies and stops at the
-/// first `None`. Every `(i, j)` pair for the full modes (emulated FP64 is this
-/// schedule at N = 5), only the pairs with `i + j < N` when `truncated`
-/// (the fast schedule — for N = 2 that drops the lo·lo term, whose
-/// magnitude sits below the FP32 rounding boundary of the leading term).
-/// The specialised `epe` 1 and 2 arms are the historical unrolls. Lane
-/// order is irrelevant to the result: both consumers — the fast window and
-/// the Kulisch register — are exact, and the specials state machine's
-/// final value is a pure function of the lane multiset.
+/// Walk `schedule` over one output element's decoded chunk (`av` and `bv`
+/// hold [`Schedule::entries`] entries per element): call `visit` with each
+/// element's entries and each of its lanes in turn, and stop at the first
+/// `None`. Lane order is irrelevant to the result: both consumers — the
+/// fast window and the Kulisch register — are exact, and the specials
+/// state machine's final value is a pure function of the lane multiset.
+///
+/// The tables the hot paths run are walked unrolled, so that every lane's
+/// entry indices are constants: a loop over a table reads them from
+/// memory, which costs the FP32-family and FP32C bodies 15–20%. Their
+/// lane counts tell them apart.
 #[inline(always)]
-fn real_schedule(
+fn walk(
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    epe: usize,
-    truncated: bool,
-    mut visit: impl FnMut(&BufferEntry, &BufferEntry) -> Option<()>,
+    schedule: &Schedule,
+    mut visit: impl FnMut(&[BufferEntry], &[BufferEntry], &Lane) -> Option<()>,
 ) -> Option<()> {
-    let elems = av.chunks_exact(epe).zip(bv.chunks_exact(epe));
-    match (epe, truncated) {
-        (1, _) => {
-            for (a, b) in elems {
-                visit(&a[0], &b[0])?;
+    macro_rules! unrolled {
+        ($table:expr; $($i:literal)*) => {{
+            const S: Schedule<'static> = $table;
+            const _: () = assert!(S.lanes.len() == [$($i),*].len());
+            debug_assert_eq!(*schedule, S);
+            for (x, y) in av.chunks_exact(S.entries).zip(bv.chunks_exact(S.entries)) {
+                $( visit(x, y, &const { S.lanes[$i] })?; )*
             }
-        }
-        (2, false) => {
-            // The fused 2-step FP32 stream: HH, LL (step 1) then HL, LH
-            // (step 2) for each element.
-            for (a, b) in elems {
-                let (ah, al, bh, bl) = (&a[0], &a[1], &b[0], &b[1]);
-                visit(ah, bh)?;
-                visit(al, bl)?;
-                visit(ah, bl)?;
-                visit(al, bh)?;
-            }
-        }
-        (2, true) => {
-            // The fast 3-term schedule: HH (step 1), HL, LH (step 2).
-            for (a, b) in elems {
-                let (ah, al, bh, bl) = (&a[0], &a[1], &b[0], &b[1]);
-                visit(ah, bh)?;
-                visit(ah, bl)?;
-                visit(al, bh)?;
-            }
-        }
-        (n, truncated) => {
-            for (a, b) in elems {
-                for (i, ai) in a.iter().enumerate() {
-                    for (j, bj) in b.iter().enumerate() {
-                        if !truncated || i + j < n {
-                            visit(ai, bj)?;
-                        }
-                    }
+        }};
+    }
+    match schedule.lanes.len() {
+        1 => unrolled!(NATIVE; 0),
+        3 => unrolled!(SPLIT_FAST; 0 1 2),
+        4 => unrolled!(SPLIT; 0 1 2 3),
+        16 => unrolled!(COMPLEX; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15),
+        _ => {
+            let n = schedule.entries;
+            for (x, y) in av.chunks_exact(n).zip(bv.chunks_exact(n)) {
+                for l in schedule.lanes {
+                    visit(x, y, l)?;
                 }
             }
         }
@@ -952,45 +919,9 @@ fn real_schedule(
     Some(())
 }
 
-/// The FP32C 16-lane schedule of one output element over a decoded chunk
-/// of 4-entry elements: calls `visit(x, y, negate, target)` for every lane and stops at the
-/// first `None`. Steps 1-2 feed the real accumulator `a_R·b_R - a_I·b_I`,
-/// matching then crossed halves (the subtraction is the flipped sign bit
-/// on the imaginary-imaginary lanes); steps 3-4 feed the imaginary one
-/// `a_R·b_I + a_I·b_R`.
-#[inline(always)]
-fn c32_schedule(
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    mut visit: impl FnMut(&BufferEntry, &BufferEntry, bool, Target) -> Option<()>,
-) -> Option<()> {
-    use Target::{Imag, Real};
-    for (x, y) in av.chunks_exact(4).zip(bv.chunks_exact(4)) {
-        let (xrh, xrl, xih, xil) = (&x[0], &x[1], &x[2], &x[3]);
-        let (yrh, yrl, yih, yil) = (&y[0], &y[1], &y[2], &y[3]);
-        visit(xrh, yrh, false, Real)?;
-        visit(xrl, yrl, false, Real)?;
-        visit(xih, yih, true, Real)?;
-        visit(xil, yil, true, Real)?;
-        visit(xrh, yrl, false, Real)?;
-        visit(xrl, yrh, false, Real)?;
-        visit(xih, yil, true, Real)?;
-        visit(xil, yih, true, Real)?;
-        visit(xrh, yih, false, Imag)?;
-        visit(xrl, yil, false, Imag)?;
-        visit(xih, yrh, false, Imag)?;
-        visit(xil, yrl, false, Imag)?;
-        visit(xrh, yil, false, Imag)?;
-        visit(xrl, yih, false, Imag)?;
-        visit(xih, yrl, false, Imag)?;
-        visit(xil, yrh, false, Imag)?;
-    }
-    Some(())
-}
-
-/// The Kulisch drain of the real schedule: clear and seed the real
-/// register and execute every lane, leaving the result for the caller to
-/// read. With `tap`, returns the register's residue (see
+/// The Kulisch drain of a real schedule: clear and seed the real register
+/// and execute every lane, leaving the result for the caller to read.
+/// With `tap`, returns the register's residue (see
 /// [`scalar_element_real`]).
 #[inline]
 fn kulisch_real(
@@ -998,24 +929,23 @@ fn kulisch_real(
     seed: f64,
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    epe: usize,
-    truncated: bool,
+    schedule: &Schedule,
     tap: bool,
 ) -> Option<u64> {
     dpu.clear_real();
     dpu.seed_real(seed);
-    real_schedule(av, bv, epe, truncated, |x, y| {
-        dpu.execute_lane_op(&lane(*x, *y, false, Target::Real));
+    walk(av, bv, schedule, |x, y, l| {
+        dpu.execute_lane_op(&l.op(x, y));
         Some(())
     });
     tap.then(|| dpu.real_residue_m61()).flatten()
 }
 
 /// One real-mode output element over a decoded chunk: the fast exact
-/// window, else the Kulisch drain, both fed by [`real_schedule`]. The
-/// single definition shared by the per-chunk executor, checked or not, and
-/// the SIMD panel's fallback — every path is the same code, not merely
-/// equivalent code.
+/// window, else the Kulisch drain, both walking the mode's `schedule`.
+/// The single definition shared by the per-chunk executor, checked or
+/// not, and the SIMD panel's fallback — every path is the same code, not
+/// merely equivalent code.
 ///
 /// With `tap`, also returns the `F_p` residue (`p = 2^61 - 1`) of the
 /// exact pre-rounding value the result was rounded from: the fast window's
@@ -1023,15 +953,13 @@ fn kulisch_real(
 /// poisoned it). Either way it is the residue of the term schedule the
 /// datapath ran, truncated or full, which the expected side mirrors.
 /// Without `tap` the residue is `None` and costs nothing.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn scalar_element_real(
     dpu: &mut DotProductUnit,
     seed: f32,
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    epe: usize,
-    truncated: bool,
+    schedule: &Schedule,
     lanes_per_element: u64,
     tap: bool,
 ) -> (f32, Option<u64>) {
@@ -1040,23 +968,24 @@ fn scalar_element_real(
     // Specials, wide exponent spreads, and oversized reductions fall
     // through to the general path.
     if let Some(mut dot) = FastDot::new(seed) {
-        let pushed = real_schedule(av, bv, epe, truncated, |x, y| dot.push_pair(x, y, false));
+        let pushed = walk(av, bv, schedule, |x, y, l| {
+            dot.push_pair(&x[l.a], &y[l.b], l.negate)
+        });
         if let Some(v) = pushed.and_then(|()| dot.reduce()) {
             dpu.lane_ops += lanes_per_element;
             return (v, tap.then(|| dot.residue_m61()));
         }
     }
-    let res = kulisch_real(dpu, seed as f64, av, bv, epe, truncated, tap);
+    let res = kulisch_real(dpu, seed as f64, av, bv, schedule, tap);
     (dpu.read_real_f32(), res)
 }
 
-/// One emulated-FP64 output element over a decoded chunk: the full
-/// `N x N` slice schedule accumulated exactly in the Kulisch register,
-/// seeded with the incoming `f64` accumulator (exact — no narrowing) and
-/// drained back to `f64` once per chunk; `tap` as in
-/// [`scalar_element_real`]. There is no 128-bit fast window here: the
-/// 53-bit seed and the wider slice family exceed its design envelope.
-/// This is the oracle of the FMA row kernel
+/// One emulated-FP64 output element over a decoded chunk: [`SLICES5`]
+/// accumulated exactly in the Kulisch register, seeded with the incoming
+/// `f64` accumulator (exact — no narrowing) and drained back to `f64` once
+/// per chunk; `tap` as in [`scalar_element_real`]. There is no 128-bit
+/// fast window here: the 53-bit seed and the wider slice family exceed its
+/// design envelope. This is the oracle of the FMA row kernel
 /// ([`DotProductUnit::mma_f64_panel_into`]), the path of its zero and
 /// non-finite lanes, and the body every checked chunk runs.
 fn scalar_element_f64(
@@ -1064,16 +993,15 @@ fn scalar_element_f64(
     seed: f64,
     av: &[BufferEntry],
     bv: &[BufferEntry],
-    epe: usize,
     tap: bool,
 ) -> (f64, Option<u64>) {
-    let res = kulisch_real(dpu, seed, av, bv, epe, false, tap);
+    let res = kulisch_real(dpu, seed, av, bv, &SLICES5, tap);
     (dpu.read_real_f64(), res)
 }
 
 /// One FP32C output element over a decoded chunk — the complex
-/// counterpart of [`scalar_element_real`], fed by [`c32_schedule`]; the
-/// tap returns the real and the imaginary component's residues.
+/// counterpart of [`scalar_element_real`], walking [`COMPLEX`]; the tap
+/// returns the real and the imaginary component's residues.
 #[inline]
 fn scalar_element_c32(
     dpu: &mut DotProductUnit,
@@ -1087,9 +1015,12 @@ fn scalar_element_c32(
     // exactly in 128-bit windows, or the whole element falls back to the
     // Kulisch pipeline.
     if let (Some(mut re), Some(mut im)) = (FastDot::new(seed.re), FastDot::new(seed.im)) {
-        let pushed = c32_schedule(av, bv, |x, y, negate, target| match target {
-            Target::Real => re.push_pair(x, y, negate),
-            Target::Imag => im.push_pair(x, y, negate),
+        let pushed = walk(av, bv, &COMPLEX, |x, y, l| {
+            let dot = match l.target {
+                Target::Real => &mut re,
+                Target::Imag => &mut im,
+            };
+            dot.push_pair(&x[l.a], &y[l.b], l.negate)
         });
         if let Some(v) = pushed.and_then(|()| Some(Complex::new(re.reduce()?, im.reduce()?))) {
             dpu.lane_ops += lanes_per_element;
@@ -1099,8 +1030,8 @@ fn scalar_element_c32(
     dpu.clear();
     dpu.seed_real(seed.re as f64);
     dpu.seed_imag(seed.im as f64);
-    c32_schedule(av, bv, |x, y, negate, target| {
-        dpu.execute_lane_op(&lane(*x, *y, negate, target));
+    walk(av, bv, &COMPLEX, |x, y, l| {
+        dpu.execute_lane_op(&l.op(x, y));
         Some(())
     });
     let res = tap.then(|| dpu.real_residue_m61().zip(dpu.imag_residue_m61()));
@@ -1292,7 +1223,7 @@ impl DotProductUnit {
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         let kend = (k0 + klen).min(a.len).max(k0);
-        let truncated = a.mode == MxuMode::M3xuFp32Fast;
+        let schedule = assign::schedule(a.mode);
         let lanes_per_element = (kend - k0) as u64 * a.mode.terms_per_mac();
         let tap = check.is_some();
         let mut buf = std::mem::take(&mut self.decoded);
@@ -1303,16 +1234,8 @@ impl DotProductUnit {
             for j in 0..cols {
                 let bv = &be[j * w..(j + 1) * w];
                 let d = &mut acc[i * cols + j];
-                let (v, res) = scalar_element_real(
-                    self,
-                    *d,
-                    av,
-                    bv,
-                    a.epe(),
-                    truncated,
-                    lanes_per_element,
-                    tap,
-                );
+                let (v, res) =
+                    scalar_element_real(self, *d, av, bv, &schedule, lanes_per_element, tap);
                 *d = v;
                 if let Some(check) = check.as_deref_mut() {
                     check.computed.absorb_re(res);
@@ -1405,7 +1328,7 @@ impl DotProductUnit {
             for j in 0..cols {
                 let bv = &be[j * w..(j + 1) * w];
                 let d = &mut acc[i * cols + j];
-                let (v, res) = scalar_element_f64(self, *d, av, bv, a.epe(), tap);
+                let (v, res) = scalar_element_f64(self, *d, av, bv, tap);
                 *d = v;
                 if let Some(check) = check.as_deref_mut() {
                     check.computed.absorb_re(res);
@@ -1848,7 +1771,7 @@ impl DotProductUnit {
                         rr.out
                     } else {
                         let i = g.i + r;
-                        self.rerun_real(at, i, ck0, ck0 + T, TRUNC, false, seeds, rr.out, refused)
+                        self.rerun_real(at, i, ck0, ck0 + T, false, seeds, rr.out, refused)
                     };
                 }
             }
@@ -1870,7 +1793,7 @@ impl DotProductUnit {
                 rr.out
             } else {
                 let (seeds, out) = (*row, rr.out);
-                self.rerun_real(at, g.i + r, ck0, ck0 + T, TRUNC, TAP, seeds, out, refused)
+                self.rerun_real(at, g.i + r, ck0, ck0 + T, TAP, seeds, out, refused)
             };
         }
         vector
@@ -1891,7 +1814,6 @@ impl DotProductUnit {
         i: usize,
         ck0: usize,
         kend: usize,
-        truncated: bool,
         tap: bool,
         seeds: [f32; simd::COLS],
         mut out: [f32; simd::COLS],
@@ -1899,10 +1821,11 @@ impl DotProductUnit {
     ) -> [f32; simd::COLS] {
         let (a, b) = (at.a, at.b);
         let lanes = (kend - ck0) as u64 * at.terms;
+        let schedule = assign::schedule(a.mode);
         for_each_bit(refused, |j| {
             self.simd_fallbacks += 1;
             let (d, res) = rerun(a, b, at.r0 + i, at.c0 + j, ck0, kend, |av, bv| {
-                scalar_element_real(self, seeds[j], av, bv, a.epe(), truncated, lanes, tap)
+                scalar_element_real(self, seeds[j], av, bv, &schedule, lanes, tap)
             });
             if tap {
                 at.computed.absorb_re(res);
@@ -1983,7 +1906,7 @@ impl DotProductUnit {
     ) -> f64 {
         self.simd_fallbacks += 1;
         let (d, _) = rerun(a, b, row, col, k, k + 1, |av, bv| {
-            scalar_element_f64(self, seed, av, bv, a.epe(), false)
+            scalar_element_f64(self, seed, av, bv, false)
         });
         d
     }
@@ -2411,14 +2334,8 @@ mod tests {
             for (r, (a, b, seed)) in rows.iter().enumerate() {
                 let (out, oracle) = simd::fma_row(level, *a, b, seed);
                 for j in 0..8 {
-                    let (want, _) = scalar_element_f64(
-                        &mut dpu,
-                        seed[j],
-                        &f64_slices(*a),
-                        &f64_slices(b[j]),
-                        5,
-                        false,
-                    );
+                    let (av, bv) = (f64_slices(*a), f64_slices(b[j]));
+                    let (want, _) = scalar_element_f64(&mut dpu, seed[j], &av, &bv, false);
                     let what = format!(
                         "{level:?} row {r} lane {j}: {:e} + {a:e}·{:e}",
                         seed[j], b[j]
@@ -2640,7 +2557,15 @@ mod tests {
                 for i in 0..rows.len() {
                     for j in 0..8 {
                         let (want, _) = rerun(&pa, &pb, i, j, 0, 1, |av, bv| {
-                            scalar_element_real(&mut dpu, c.get(i, j), av, bv, 2, true, 3, false)
+                            scalar_element_real(
+                                &mut dpu,
+                                c.get(i, j),
+                                av,
+                                bv,
+                                &assign::SPLIT_FAST,
+                                3,
+                                false,
+                            )
                         });
                         assert_eq!(
                             got[i * 8 + j].to_bits(),

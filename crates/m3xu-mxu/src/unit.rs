@@ -10,7 +10,7 @@
 //! no FP32C support, 3.55x the area (Table III).
 
 use crate::matrix::Matrix;
-use crate::mma::{self, MmaShape, MmaStats};
+use crate::mma::{self, Element, MmaShape, MmaStats};
 use crate::modes::{MxuMode, PipelineVariant};
 use m3xu_fp::complex::Complex;
 
@@ -92,50 +92,45 @@ impl Mxu {
         self.config.fp16_shape.for_mode(mode)
     }
 
-    fn check_shape<T, U>(&self, mode: MxuMode, a: &Matrix<T>, b: &Matrix<U>) {
+    /// One MMA in `mode`, checked against the unit's fragment shape and
+    /// recorded in its counters.
+    fn issue<T: Element>(
+        &mut self,
+        mode: MxuMode,
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        c: &Matrix<T>,
+    ) -> Matrix<T> {
         let s = self.shape(mode);
         assert_eq!(
             (a.rows(), a.cols(), b.cols()),
             (s.m, s.k, s.n),
             "fragment shape mismatch for {mode}: unit expects {s}"
         );
-        assert_eq!(a.cols(), b.rows());
+        let mut stats = MmaStats::default();
+        let d = mma::mma(mode, a, b, c, &mut stats);
+        self.counters.record(mode, &stats);
+        d
     }
 
     /// One FP16-mode MMA (values must be FP16-representable).
     pub fn mma_fp16(&mut self, a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>) -> Matrix<f32> {
-        self.check_shape(MxuMode::Fp16, a, b);
-        let mut s = MmaStats::default();
-        let d = mma::mma_narrow(m3xu_fp::format::FP16, a, b, c, &mut s);
-        self.counters.record(MxuMode::Fp16, &s);
-        d
+        self.issue(MxuMode::Fp16, a, b, c)
     }
 
     /// One BF16-mode MMA.
     pub fn mma_bf16(&mut self, a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>) -> Matrix<f32> {
-        self.check_shape(MxuMode::Bf16, a, b);
-        let mut s = MmaStats::default();
-        let d = mma::mma_narrow(m3xu_fp::format::BF16, a, b, c, &mut s);
-        self.counters.record(MxuMode::Bf16, &s);
-        d
+        self.issue(MxuMode::Bf16, a, b, c)
     }
 
     /// One TF32-mode MMA (FP32 operands, rounded to TF32 at the buffers).
     pub fn mma_tf32(&mut self, a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>) -> Matrix<f32> {
-        self.check_shape(MxuMode::Tf32, a, b);
-        let mut s = MmaStats::default();
-        let d = mma::mma_tf32(a, b, c, &mut s);
-        self.counters.record(MxuMode::Tf32, &s);
-        d
+        self.issue(MxuMode::Tf32, a, b, c)
     }
 
     /// One M3XU FP32 MMA — the paper's contribution, bit-exact.
     pub fn mma_fp32(&mut self, a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>) -> Matrix<f32> {
-        self.check_shape(MxuMode::M3xuFp32, a, b);
-        let mut s = MmaStats::default();
-        let d = mma::mma_fp32(a, b, c, &mut s);
-        self.counters.record(MxuMode::M3xuFp32, &s);
-        d
+        self.issue(MxuMode::M3xuFp32, a, b, c)
     }
 
     /// One M3XU FP32C MMA.
@@ -145,20 +140,12 @@ impl Mxu {
         b: &Matrix<Complex<f32>>,
         c: &Matrix<Complex<f32>>,
     ) -> Matrix<Complex<f32>> {
-        self.check_shape(MxuMode::M3xuFp32c, a, b);
-        let mut s = MmaStats::default();
-        let d = mma::mma_fp32c(a, b, c, &mut s);
-        self.counters.record(MxuMode::M3xuFp32c, &s);
-        d
+        self.issue(MxuMode::M3xuFp32c, a, b, c)
     }
 
     /// One M3XU FP64 MMA (§IV-C extension).
     pub fn mma_fp64(&mut self, a: &Matrix<f64>, b: &Matrix<f64>, c: &Matrix<f64>) -> Matrix<f64> {
-        self.check_shape(MxuMode::M3xuFp64, a, b);
-        let mut s = MmaStats::default();
-        let d = mma::mma_fp64(a, b, c, &mut s);
-        self.counters.record(MxuMode::M3xuFp64, &s);
-        d
+        self.issue(MxuMode::M3xuFp64, a, b, c)
     }
 
     /// One M3XU FP64C MMA (§IV-C extension).
@@ -168,11 +155,7 @@ impl Mxu {
         b: &Matrix<Complex<f64>>,
         c: &Matrix<Complex<f64>>,
     ) -> Matrix<Complex<f64>> {
-        self.check_shape(MxuMode::M3xuFp64c, a, b);
-        let mut s = MmaStats::default();
-        let d = mma::mma_fp64c(a, b, c, &mut s);
-        self.counters.record(MxuMode::M3xuFp64c, &s);
-        d
+        self.issue(MxuMode::M3xuFp64c, a, b, c)
     }
 
     /// Wall-clock time the recorded instruction stream would take on this

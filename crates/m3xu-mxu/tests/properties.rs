@@ -11,6 +11,7 @@
 use m3xu_fp::complex::Complex;
 use m3xu_fp::Kulisch;
 use m3xu_mxu::assign;
+use m3xu_mxu::buffer::{decode_fp32, BufferEntry};
 use m3xu_mxu::dpu::{DotProductUnit, LaneOp};
 use m3xu_mxu::matrix::Matrix;
 use m3xu_mxu::mma::{self, MmaStats};
@@ -64,6 +65,13 @@ impl Rng {
     }
 }
 
+/// FP32 operands as the input buffers decode them: hi, lo per element.
+fn halves(v: &[f32]) -> Vec<BufferEntry> {
+    v.iter()
+        .flat_map(|&x| <[_; 2]>::from(decode_fp32(x)))
+        .collect()
+}
+
 /// Exact dot product + seed, rounded once — the M3XU accumulation contract.
 fn exact_dot_f32(a: &[f32], b: &[f32], c: f32) -> f32 {
     let mut acc = Kulisch::new();
@@ -86,7 +94,7 @@ fn fp32_two_step_dot_is_exact() {
         let expect = exact_dot_f32(&a, &b, c);
         let mut dpu = DotProductUnit::new();
         dpu.seed_real(c as f64);
-        for step in &assign::plan_fp32(&a, &b) {
+        for step in &assign::plan(&assign::SPLIT, &halves(&a), &halves(&b)) {
             dpu.execute_step(step);
         }
         assert_eq!(
@@ -105,7 +113,7 @@ fn step_partition_matches_observation_1() {
     let mut rng = Rng::new(2);
     for _ in 0..CASES {
         let (a, b) = (rng.finite_f32(), rng.finite_f32());
-        let plan = assign::plan_fp32(&[a], &[b]);
+        let plan = assign::plan(&assign::SPLIT, &halves(&[a]), &halves(&[b]));
         let run = |steps: &[Vec<LaneOp>]| {
             let mut dpu = DotProductUnit::new();
             for s in steps {
@@ -142,7 +150,9 @@ fn fp32c_four_step_dot_is_exact() {
             im.add_product_f32(x.im, y.re);
         }
         let mut dpu = DotProductUnit::new();
-        for step in &assign::plan_fp32c(&a, &b) {
+        let parts =
+            |v: &[Complex<f32>]| halves(&v.iter().flat_map(|x| [x.re, x.im]).collect::<Vec<_>>());
+        for step in &assign::plan(&assign::COMPLEX, &parts(&a), &parts(&b)) {
             dpu.execute_step(step);
         }
         assert_eq!(dpu.read_real_f32().to_bits(), re.to_f32().to_bits());

@@ -22,6 +22,7 @@
 use crate::components::*;
 use crate::gates::{adder_depth_fo4, multiplier_depth_fo4, shifter_depth_fo4};
 use crate::gates::{DRIVE_GAMMA, FO4_PS, GE_AREA_UM2};
+use m3xu_mxu::assign::{COMPLEX, SPLIT};
 
 /// A complete synthesisable design.
 #[derive(Debug, Clone)]
@@ -188,12 +189,13 @@ pub fn native_fp32() -> Design {
 /// split-entry buffers for the b-side halves, the half-select multiplexer
 /// network, and the step FSM. Gated during FP16 MMAs.
 fn assignment_stage_fp32() -> Vec<Block> {
-    // b-side halves buffered per lane: LANES lanes x 21-bit entries x 2
-    // halves (the a-side entries feed both steps unchanged — only the b
-    // multiplexers flip, Fig. 3a).
+    // b-side halves buffered per lane: LANES lanes x 21-bit entries x the
+    // halves the lane's multiplexer selects among (the a-side entries feed
+    // both steps unchanged — only the b multiplexers flip, Fig. 3a).
+    let ways = SPLIT.b_fan_in() as u32;
     vec![
-        registers("assign buffers (b halves)", LANES * 21 * 2, ACT_GATED),
-        mux("assign half-select mux", 21 * LANES, 2, ACT_GATED),
+        registers("assign buffers (b halves)", LANES * 21 * ways, ACT_GATED),
+        mux("assign half-select mux", 21 * LANES, ways, ACT_GATED),
         control("step FSM + split wiring", 370.0, ACT_GATED),
     ]
 }
@@ -241,13 +243,15 @@ pub fn m3xu_no_fp32c() -> Design {
 /// overhead than just supporting FP32".
 pub fn m3xu() -> Design {
     let mut d = m3xu_no_fp32c();
-    // Upgrade the half-select mux to 4-way (half flip x re/im swap).
+    // Widen the half-select mux to FP32C's fan-in (half flip x re/im
+    // swap, Fig. 3c).
     if let Some(b) = d
         .blocks
         .iter_mut()
         .find(|b| b.name == "assign half-select mux")
     {
-        *b = mux("assign half/reim-select mux", 21 * LANES, 4, ACT_GATED);
+        let ways = COMPLEX.b_fan_in() as u32;
+        *b = mux("assign half/reim-select mux", 21 * LANES, ways, ACT_GATED);
     }
     d.blocks
         .push(control("4-step select pattern store", 80.0, ACT_GATED));
