@@ -80,7 +80,8 @@ pub(crate) struct GemmSample {
 }
 
 /// Element-chunks a call's SIMD panels reduced on the vector path and
-/// sent to the scalar oracle, and those in rows the quick tier refused:
+/// sent to the scalar oracle, and those in rows the quick or the exact
+/// tier refused:
 /// the per-tile deltas of each worker's [`DotProductUnit`] counters,
 /// summed into one per-call total.
 #[derive(Default)]
@@ -91,6 +92,8 @@ pub(crate) struct SimdChunks {
     pub fallbacks: AtomicU64,
     /// Element-chunks in rows the quick tier refused.
     pub quick_refusals: AtomicU64,
+    /// Element-chunks in rows the exact tier refused.
+    pub exact_refusals: AtomicU64,
 }
 
 impl SimdChunks {
@@ -101,14 +104,16 @@ impl SimdChunks {
         f: impl FnOnce(&mut DotProductUnit) -> R,
     ) -> R {
         let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
-        let refusals = dpu.quick_refusals;
+        let (quick, exact) = (dpu.quick_refusals, dpu.exact_refusals);
         let r = f(dpu);
         self.chunks
             .fetch_add(dpu.simd_chunks - chunks, Ordering::Relaxed);
         self.fallbacks
             .fetch_add(dpu.simd_fallbacks - fallbacks, Ordering::Relaxed);
         self.quick_refusals
-            .fetch_add(dpu.quick_refusals - refusals, Ordering::Relaxed);
+            .fetch_add(dpu.quick_refusals - quick, Ordering::Relaxed);
+        self.exact_refusals
+            .fetch_add(dpu.exact_refusals - exact, Ordering::Relaxed);
         r
     }
 }
@@ -136,6 +141,7 @@ pub(crate) struct ExecCounters {
     simd_chunks: AtomicU64,
     simd_fallbacks: AtomicU64,
     quick_refusals: AtomicU64,
+    exact_refusals: AtomicU64,
     per_mode: [ModeCounters; MODE_COUNT],
 }
 
@@ -154,6 +160,10 @@ impl ExecCounters {
             .fetch_add(s.simd.fallbacks.load(Ordering::Relaxed), Ordering::Relaxed);
         self.quick_refusals.fetch_add(
             s.simd.quick_refusals.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
+        self.exact_refusals.fetch_add(
+            s.simd.exact_refusals.load(Ordering::Relaxed),
             Ordering::Relaxed,
         );
         let m = &self.per_mode[mode_index(s.mode)];
@@ -195,6 +205,7 @@ impl ExecCounters {
             simd_chunks: self.simd_chunks.load(Ordering::Relaxed),
             simd_fallbacks: self.simd_fallbacks.load(Ordering::Relaxed),
             quick_refusals: self.quick_refusals.load(Ordering::Relaxed),
+            exact_refusals: self.exact_refusals.load(Ordering::Relaxed),
             per_mode,
         }
     }
@@ -212,6 +223,7 @@ impl ExecCounters {
         self.simd_chunks.store(0, Ordering::Relaxed);
         self.simd_fallbacks.store(0, Ordering::Relaxed);
         self.quick_refusals.store(0, Ordering::Relaxed);
+        self.exact_refusals.store(0, Ordering::Relaxed);
         for m in &self.per_mode {
             m.instructions.store(0, Ordering::Relaxed);
             m.steps.store(0, Ordering::Relaxed);
@@ -249,8 +261,8 @@ pub struct ExecStats {
     /// performed.
     pub fault_retries: u64,
     /// Element-chunks (one output element × one fragment chunk) the SIMD
-    /// panels rounded on the vector path, by the quick tier or by the
-    /// certified pair.
+    /// panels rounded on the vector path, by the quick or the exact tier
+    /// or by the certified pair.
     pub simd_chunks: u64,
     /// Element-chunks the SIMD panels sent to the scalar oracle instead —
     /// a special operand, or a chunk whose exact pair the certificate
@@ -263,9 +275,14 @@ pub struct ExecStats {
     /// Element-chunks in fragment rows the quick tier refused (its
     /// interval around a plain `f64` sum held an FP32 rounding boundary,
     /// or an input was special), each then rounded by the certified pair
-    /// or by the oracle. Narrow modes and checked calls run the pair
-    /// alone and never add to it.
+    /// or by the oracle. Narrow modes start on the exact tier and checked
+    /// calls run the pair alone: neither adds to it.
     pub quick_refusals: u64,
+    /// Element-chunks in fragment rows the exact tier refused (an
+    /// addition of a column's plain `f64` sum was inexact, or an input
+    /// was special), each then rounded by the certified pair or by the
+    /// oracle. Only unchecked FP16, BF16 and TF32 chunks run that tier.
+    pub exact_refusals: u64,
     per_mode: [MmaStats; MODE_COUNT],
 }
 
@@ -307,6 +324,7 @@ impl ExecStats {
             simd_chunks: self.simd_chunks + other.simd_chunks,
             simd_fallbacks: self.simd_fallbacks + other.simd_fallbacks,
             quick_refusals: self.quick_refusals + other.quick_refusals,
+            exact_refusals: self.exact_refusals + other.exact_refusals,
             per_mode,
         }
     }
@@ -333,6 +351,7 @@ impl ExecStats {
             simd_chunks: self.simd_chunks.saturating_sub(earlier.simd_chunks),
             simd_fallbacks: self.simd_fallbacks.saturating_sub(earlier.simd_fallbacks),
             quick_refusals: self.quick_refusals.saturating_sub(earlier.quick_refusals),
+            exact_refusals: self.exact_refusals.saturating_sub(earlier.exact_refusals),
             per_mode,
         }
     }

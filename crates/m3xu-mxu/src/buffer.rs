@@ -417,53 +417,70 @@ fn narrow_quantum(lead: i32, fmt: FloatFormat) -> i32 {
 }
 
 /// Round an `f32` to the narrow format `fmt` (FP16, BF16 or TF32), as an
-/// `f32`: round-to-nearest-even with gradual underflow and overflow to
-/// ±Inf, done with integer operations on the bits. Every such value is
-/// exactly an `f32`. Bit-identical to `round_to_format(x as f64, fmt) as
-/// f32` for every finite `x`; a NaN or an infinity comes back as itself.
+/// `f32`, with no branch: bit-identical to `round_to_format(x as f64, fmt)
+/// as f32` for every finite `x`; a NaN or an infinity comes back as
+/// itself. Every such value is exactly an `f32`.
 ///
-/// The packing stage quantises each narrow element once, here, and
-/// decodes its buffer entry from the result with [`decode_narrow_f32`].
-#[inline]
-pub(crate) fn round_f32_to_narrow(x: f32, fmt: FloatFormat) -> f32 {
+/// BF16 and TF32 share `f32`'s exponent field, so round-to-nearest-even is
+/// an integer add on the magnitude's bits, half an ulp less one plus the
+/// kept lsb, and a mask that drops the `23 − mantissa_bits` low bits. A
+/// carry into the exponent field is the next binade: past the largest
+/// finite value it lands on +Inf's bits, and `f32` subnormals, linear in
+/// their bits, round to the format's own (gradual underflow). FP16 takes
+/// the same add in its normal range, becomes ±Inf from `2^16` on (`|x| ≥
+/// 65520` rounds there), and below `2^-14` rounds to its subnormal quantum
+/// `2^-24` as `(|x| + 0.5) − 0.5`: `0.5`'s ulp is `2^-24`, so the IEEE
+/// addition rounds `|x|` to that quantum, ties to even, and the
+/// subtraction is exact. Selects keep NaN and ±Inf, and the sign is put
+/// back last, so a negative value that rounds to zero is `−0`.
+///
+/// Written as plain integer and `f32` operations with selects, so a loop
+/// over a plane of values ([`narrow_plane`]) vectorises.
+#[inline(always)]
+pub(crate) fn narrow_f32(x: f32, fmt: FloatFormat) -> f32 {
     debug_assert!(
         fmt.exp_bits <= 8 && fmt.mantissa_bits < 23,
         "{fmt} is not narrow"
     );
+    const INF: u32 = 0x7f80_0000;
+    // The `f32` bits of `2^e`, for `e` in the normal range.
+    let pow2 = |e: i32| ((e + 127) as u32) << 23;
+    let drop = 23 - fmt.mantissa_bits;
     let bits = x.to_bits();
-    if (bits >> 23) & 0xff == 0xff {
-        return x;
+    let (sign, mag) = (bits & 0x8000_0000, bits & !0x8000_0000);
+    let lsb = mag >> drop & 1;
+    let mut r = (mag + (1 << (drop - 1)) - 1 + lsb) & !((1 << drop) - 1);
+    if fmt.exp_bits < 8 {
+        // A narrower range: overflow past the largest finite value, and
+        // the subnormal quantum `2^(min_normal_exp − mantissa_bits)`, the
+        // ulp of `2^(min_normal_exp − mantissa_bits + 23)` in `f32`.
+        let c = f32::from_bits(pow2(fmt.min_normal_exp() - fmt.mantissa_bits as i32 + 23));
+        let tiny = ((f32::from_bits(mag) + c) - c).to_bits();
+        r = if r >= pow2(fmt.max_exp() + 1) { INF } else { r };
+        r = if mag < pow2(fmt.min_normal_exp()) {
+            tiny
+        } else {
+            r
+        };
     }
-    let sign = bits & 0x8000_0000;
-    let (m, lsb, lead) = f32_significand(bits);
-    let q = narrow_quantum(lead, fmt);
-    // At least 23 - mantissa_bits >= 13 bits drop. From 25 on the whole
-    // significand sits below the round bit, so the clamp changes nothing.
-    let d = (q - lsb).min(25) as u32;
-    let kept = m >> d;
-    let half = 1u32 << (d - 1);
-    let rest = m & ((half << 1) - 1);
-    let r = kept + (rest > half || (rest == half && kept & 1 == 1)) as u32;
-    if r == 0 {
-        return f32::from_bits(sign);
-    }
-    // The result is `r · 2^q`, `r <= 2^(mantissa_bits + 1)`.
-    let width = 31 - r.leading_zeros() as i32;
-    let top = q + width;
-    if top > fmt.max_exp() {
-        return f32::from_bits(sign | 0x7f80_0000);
-    }
-    let mag = if top >= -126 {
-        (((top + 127) as u32) << 23) | ((r << (23 - width)) & 0x7f_ffff)
-    } else {
-        // An f32 subnormal (a TF32/BF16 subnormal): r counts 2^q units.
-        r << (q + 149)
-    };
+    let mag = if mag >= INF { mag } else { r };
     f32::from_bits(sign | mag)
 }
 
+/// Round every value of a plane to the narrow format `fmt` in place, one
+/// [`narrow_f32`] each: the packing stage's single pass over a narrow
+/// operand's value plane, after the same copy the FP32 pack makes. Inlined
+/// with a constant `fmt`, the loop vectorises at every level, the
+/// baseline's included.
+#[inline(always)]
+pub(crate) fn narrow_plane(vals: &mut [f32], fmt: FloatFormat) {
+    for x in vals {
+        *x = narrow_f32(*x, fmt);
+    }
+}
+
 /// Decode an `f32` that is exactly representable in the narrow format
-/// `fmt` (a [`round_f32_to_narrow`] result) into its buffer entry —
+/// `fmt` (a [`narrow_f32`] result) into its buffer entry —
 /// field for field what [`decode_narrow`] returns for the same value,
 /// with no rounding and no softfloat re-encode. NaN and ±Inf are flagged
 /// as there.

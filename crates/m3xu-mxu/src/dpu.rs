@@ -207,6 +207,9 @@ pub struct DotProductUnit {
     /// rounded by the certified pair (counted in `simd_chunks`) or by the
     /// oracle (in `simd_fallbacks`).
     pub quick_refusals: u64,
+    /// Element-chunks in fragment rows the exact tier refused (FP16, BF16
+    /// and TF32), each then rounded as after a quick-tier refusal.
+    pub exact_refusals: u64,
     /// Buffer entries the packed per-chunk executors decode into, reused.
     pub(crate) decoded: Vec<BufferEntry>,
 }

@@ -62,8 +62,12 @@
 //! unchecked FP32, fast-FP32 and FP32C panels a quick tier,
 //! `simd::round_chunk_quick`, runs first: a plain `f64` sum and an error
 //! interval whose two ends must round alike, so only the rows it refuses
-//! run the pair. The bodies round several fragment rows per chunk step,
-//! so the rows' independent seed chains overlap. The fast FP32 mode forms
+//! run the pair. Unchecked FP16, BF16 and TF32 panels start on an exact
+//! tier instead, `simd::round_chunk_exact`: a plain `f64` sum whose
+//! TwoSum errors are all zero is the exact value, and its conversion the
+//! correct rounding. The rung is chosen per panel from the mode, as a
+//! `const` generic. The bodies round several fragment rows per chunk
+//! step, so the rows' independent seed chains overlap. The fast FP32 mode forms
 //! its truncated product exactly in `f64`, and emulated FP64 runs one
 //! fused multiply-add per chunk. No body switches on the level but the
 //! FP64 one, for its FMA row. The scalar element bodies stay the
@@ -76,9 +80,9 @@
 //! ([`DotProductUnit::mma_f32_checked_into`],
 //! [`DotProductUnit::mma_c32_checked_into`]) runs the same panel body
 //! with its residue tap, a `const` generic, turned on, and without the
-//! quick tier: each vector column's residue is that of its exact pair,
-//! `residue(h) + residue(l)`, each fallback column's is the scalar element
-//! body's tap.
+//! quick or the exact tier: each vector column's residue is that of its
+//! exact pair, `residue(h) + residue(l)`, each fallback column's is the
+//! scalar element body's tap.
 //! Emulated-FP64 chunks stay on the slice/Kulisch body when checked: the
 //! FMA row rounds in one instruction and keeps no exact pre-rounding
 //! value to take a residue from.
@@ -88,7 +92,7 @@ pub mod simd;
 use crate::abft::Checksum;
 use crate::assign::{self, Lane, Schedule, COMPLEX, NATIVE, SLICES5, SPLIT, SPLIT_FAST};
 use crate::buffer::{
-    decode_fp32, decode_fp64_slices, decode_narrow_f32, round_f32_to_narrow, BufferEntry,
+    decode_fp32, decode_fp64_slices, decode_narrow_f32, narrow_plane, BufferEntry,
 };
 use crate::dpu::{DotProductUnit, Target};
 use crate::error::M3xuError;
@@ -194,7 +198,9 @@ const fn is_real_f32_mode(mode: MxuMode) -> bool {
 /// reconstruct it), else rounded to the narrow format (every TF32/FP16/
 /// BF16 value, a rounded-to-infinity overflow included, is an `f32`).
 /// Specials pass through as themselves, so the row kernels'
-/// non-finite-product abort routes them to the oracle path.
+/// non-finite-product abort routes them to the oracle path. Every mode
+/// makes the FP32 copy; a narrow one then quantises the appended plane in
+/// one [`narrow_plane`] pass, a loop per format that vectorises.
 #[inline]
 fn extend_quantised(
     vals: &mut Vec<f32>,
@@ -203,25 +209,16 @@ fn extend_quantised(
     mode: MxuMode,
     f: impl Fn(usize, usize) -> f32,
 ) {
+    let start = vals.len();
     for i in 0..rows {
-        let row = (0..cols).map(|j| f(i, j));
-        match mode {
-            MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => vals.extend(row),
-            _ => vals.extend(row.map(|x| quantise_narrow(x, mode))),
-        }
+        vals.extend((0..cols).map(|j| f(i, j)));
     }
-}
-
-/// [`round_f32_to_narrow`] to the format of the narrow mode `mode`. Kept
-/// out of line: the pack loop took ~40% less time calling it than with
-/// the rounder inlined (11–14 against 19–23 ns per element, 256² operands,
-/// AVX2 Xeon).
-#[inline(never)]
-fn quantise_narrow(x: f32, mode: MxuMode) -> f32 {
+    let plane = &mut vals[start..];
     match mode {
-        MxuMode::Tf32 => round_f32_to_narrow(x, TF32),
-        MxuMode::Fp16 => round_f32_to_narrow(x, FP16),
-        _ => round_f32_to_narrow(x, BF16),
+        MxuMode::Tf32 => narrow_plane(plane, TF32),
+        MxuMode::Fp16 => narrow_plane(plane, FP16),
+        MxuMode::Bf16 => narrow_plane(plane, BF16),
+        _ => {}
     }
 }
 
@@ -1155,14 +1152,9 @@ struct RowGroup<'p, const R: usize> {
     /// whole. They are made once per group: made per chunk, they would be
     /// zeroed per chunk, a `memset` call in the AVX2 builds.
     rounded: [simd::RoundedRow; R],
-    /// The current chunk's seeds, kept for the pair while the quick tier
-    /// writes its results over `rows`.
+    /// The current chunk's seeds, kept for the pair while the quick or
+    /// exact tier writes its results over `rows`.
     seeds: [[f32; simd::COLS]; R],
-    /// Whether an unchecked chunk of depth 1 or 2 runs the quick tier
-    /// first: in every mode but TF32, whose 22-bit products often sum
-    /// exactly onto an FP32 midpoint, which the tier refuses, so that most
-    /// rows would be refused (DESIGN §4).
-    quick: bool,
 }
 
 /// A fragment row's `T` values of `A` for the chunk at `ck0`.
@@ -1566,8 +1558,11 @@ impl DotProductUnit {
     }
 
     /// Run the real-mode SIMD panel body at `level`. The product kernel
-    /// is picked once per panel: whole products, or the fast mode's
-    /// truncated ones (`TRUNC`).
+    /// and the first rung of an unchecked chunk are picked once per panel
+    /// from the mode, as `const` generics: whole products, or the fast
+    /// mode's truncated ones (`TRUNC`); the quick tier, or for FP16, BF16
+    /// and TF32 the exact tier (`EXACT`). Checked chunks stay on the
+    /// pair, so a tapped panel takes no exact build.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_f32<const TAP: bool>(
@@ -1584,26 +1579,34 @@ impl DotProductUnit {
         acc: &mut [f32],
         computed: &mut Checksum,
     ) {
-        if a.mode == MxuMode::M3xuFp32Fast {
-            simd::dispatch(
+        match a.mode {
+            MxuMode::M3xuFp32Fast => simd::dispatch(
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_f32_body::<true, TAP>(
+                    self.simd_panel_f32_body::<true, false, TAP>(
                         a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
-            );
-        } else {
-            simd::dispatch(
+            ),
+            MxuMode::Fp16 | MxuMode::Bf16 | MxuMode::Tf32 if !TAP => simd::dispatch(
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_f32_body::<false, TAP>(
+                    self.simd_panel_f32_body::<false, true, TAP>(
                         a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
                     )
                 },
-            );
+            ),
+            _ => simd::dispatch(
+                level,
+                #[inline(always)]
+                move |_| {
+                    self.simd_panel_f32_body::<false, false, TAP>(
+                        a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
+                    )
+                },
+            ),
         }
     }
 
@@ -1613,8 +1616,9 @@ impl DotProductUnit {
     /// chunk, form each row's `klen` whole (or, with `TRUNC`, truncated)
     /// products for all 8 columns from the chunk's shared `B` rows, then
     /// round each column's exact chunk value with [`simd::round_chunk`],
-    /// without `TAP` first with [`simd::round_chunk_quick`] (depths 1
-    /// and 2, TF32 apart), a row it refuses going to the pair. Any
+    /// without `TAP` first with [`simd::round_chunk_exact`] (`EXACT`, any
+    /// depth) or [`simd::round_chunk_quick`] (depths 1 and 2), a row it
+    /// refuses going to the pair. Any
     /// column the pair refuses (specials, a failed certificate) reruns
     /// that one (element, chunk) on the scalar element path — the shared
     /// [`scalar_element_real`], on the same schedule — so results match
@@ -1623,7 +1627,7 @@ impl DotProductUnit {
     /// `computed`; without it `computed` is never touched.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32_body<const TRUNC: bool, const TAP: bool>(
+    fn simd_panel_f32_body<const TRUNC: bool, const EXACT: bool, const TAP: bool>(
         &mut self,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -1658,13 +1662,13 @@ impl DotProductUnit {
         let full = rows - rows % simd::F32_ROWS;
         for i in (0..full).step_by(simd::F32_ROWS) {
             let b_rows = b_panel.clone();
-            self.simd_rows_f32::<{ simd::F32_ROWS }, TRUNC, TAP>(
+            self.simd_rows_f32::<{ simd::F32_ROWS }, TRUNC, EXACT, TAP>(
                 &mut at, b_rows, i, k0, kend, frag_k, acc,
             );
         }
         for i in full..rows {
             let b_rows = b_panel.clone();
-            self.simd_rows_f32::<1, TRUNC, TAP>(&mut at, b_rows, i, k0, kend, frag_k, acc);
+            self.simd_rows_f32::<1, TRUNC, EXACT, TAP>(&mut at, b_rows, i, k0, kend, frag_k, acc);
         }
     }
 
@@ -1673,7 +1677,7 @@ impl DotProductUnit {
     /// once.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_rows_f32<const R: usize, const TRUNC: bool, const TAP: bool>(
+    fn simd_rows_f32<const R: usize, const TRUNC: bool, const EXACT: bool, const TAP: bool>(
         &mut self,
         at: &mut PanelAt<'_>,
         b_rows: std::slice::ChunksExact<'_, f32>,
@@ -1694,7 +1698,6 @@ impl DotProductUnit {
             b_rows,
             rounded: [simd::RoundedRow::NONE; R],
             seeds: [[0f32; simd::COLS]; R],
-            quick: a.mode != MxuMode::Tf32,
         };
         for (r, (arow, row)) in g.arows.iter_mut().zip(&mut g.rows).enumerate() {
             let a0 = (at.r0 + i + r) * alen;
@@ -1708,10 +1711,10 @@ impl DotProductUnit {
             // Constant-depth dispatch: the chunk fully unrolls for each
             // depth.
             let vector = match klen {
-                1 => self.simd_rows_chunk::<R, 1, TRUNC, TAP>(at, &mut g, ck0),
-                2 => self.simd_rows_chunk::<R, 2, TRUNC, TAP>(at, &mut g, ck0),
-                3 => self.simd_rows_chunk::<R, 3, TRUNC, TAP>(at, &mut g, ck0),
-                4 => self.simd_rows_chunk::<R, 4, TRUNC, TAP>(at, &mut g, ck0),
+                1 => self.simd_rows_chunk::<R, 1, TRUNC, EXACT, TAP>(at, &mut g, ck0),
+                2 => self.simd_rows_chunk::<R, 2, TRUNC, EXACT, TAP>(at, &mut g, ck0),
+                3 => self.simd_rows_chunk::<R, 3, TRUNC, EXACT, TAP>(at, &mut g, ck0),
+                4 => self.simd_rows_chunk::<R, 4, TRUNC, EXACT, TAP>(at, &mut g, ck0),
                 _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
             };
             chunks += vector;
@@ -1728,36 +1731,53 @@ impl DotProductUnit {
     /// One `T`-deep chunk across a row group: the chunk's `B` rows are
     /// widened once for all its rows, and every row's 8 columns go through
     /// [`simd::round_chunk`] before any refused column reruns on the
-    /// oracle, so the rows' seed chains overlap. Without `TAP`, at depths
-    /// 1 and 2 and outside TF32 ([`RowGroup::quick`]), every row goes
-    /// through [`simd::round_chunk_quick`] first, and only the rows it
-    /// refuses through the pair. Returns the element-chunks rounded on the
-    /// vector path.
+    /// oracle, so the rows' seed chains overlap. Without `TAP`, every row
+    /// goes through a cheaper tier first, and only the rows it refuses
+    /// through the pair: with `EXACT` [`simd::round_chunk_exact`], else at
+    /// depths 1 and 2 [`simd::round_chunk_quick`]. Returns the
+    /// element-chunks rounded on the vector path.
     #[inline(always)]
-    fn simd_rows_chunk<const R: usize, const T: usize, const TRUNC: bool, const TAP: bool>(
+    fn simd_rows_chunk<
+        const R: usize,
+        const T: usize,
+        const TRUNC: bool,
+        const EXACT: bool,
+        const TAP: bool,
+    >(
         &mut self,
         at: &mut PanelAt<'_>,
         g: &mut RowGroup<'_, R>,
         ck0: usize,
     ) -> u64 {
         let chunk = simd::ChunkB::<T>::load::<TRUNC>(&mut g.b_rows, at.c0);
-        if !TAP && T <= 2 && g.quick {
-            // Pass 1: the quick tier on every row, its results written over
+        if !TAP && (EXACT || T <= 2) {
+            // Pass 1: the first tier on every row, its results written over
             // the rows in place, and the rows it refuses. The rows are
             // indexed, not zipped: a loop zipping `g.arows` by value stayed
             // rolled, and the panel took twice as long.
             let mut refused_rows = 0u32;
             for (r, seed) in g.seeds.iter_mut().enumerate() {
                 let prods = chunk.products::<TRUNC>(chunk_a(g.arows[r], ck0));
-                let q = simd::round_chunk_quick(&g.rows[r], &prods);
-                (*seed, g.rows[r]) = (g.rows[r], q.out);
-                refused_rows |= (!q.passed() as u32) << r;
+                let (out, passed) = if EXACT {
+                    let x = simd::round_chunk_exact(&g.rows[r], &prods);
+                    (x.out, x.passed())
+                } else {
+                    let q = simd::round_chunk_quick(&g.rows[r], &prods);
+                    (q.out, q.passed())
+                };
+                (*seed, g.rows[r]) = (g.rows[r], out);
+                refused_rows |= (!passed as u32) << r;
             }
             let mut vector = (R * simd::COLS) as u64;
             // Pass 2: each refused row's products again, on the pair, and
             // the columns the pair refuses on the oracle.
             if refused_rows != 0 {
-                self.quick_refusals += (refused_rows.count_ones() as usize * simd::COLS) as u64;
+                let refusals = (refused_rows.count_ones() as usize * simd::COLS) as u64;
+                if EXACT {
+                    self.exact_refusals += refusals;
+                } else {
+                    self.quick_refusals += refusals;
+                }
                 for (r, row) in g.rows.iter_mut().enumerate() {
                     if refused_rows >> r & 1 == 0 {
                         continue;
@@ -2540,7 +2560,7 @@ mod tests {
                     level,
                     #[inline(always)]
                     |_| {
-                        dpu.simd_panel_f32_body::<true, false>(
+                        dpu.simd_panel_f32_body::<true, false, false>(
                             &pa,
                             &pb,
                             0,
@@ -2594,7 +2614,7 @@ mod tests {
                 level,
                 #[inline(always)]
                 |_| {
-                    dpu.simd_panel_f32_body::<true, false>(
+                    dpu.simd_panel_f32_body::<true, false, false>(
                         &pa,
                         &pb,
                         0,
@@ -2825,6 +2845,7 @@ mod tests {
 
     #[test]
     fn pack_layout_and_values() {
+        use crate::buffer::narrow_f32;
         use crate::matrix::{MatOp, OpView};
         // In every mode, rows and columns, the decoder's entries for
         // element `k` of vector `v` are the `decode_*` of the value the
@@ -2860,9 +2881,9 @@ mod tests {
         ] {
             let want = |x: f32| match mode {
                 MxuMode::M3xuFp32 | MxuMode::M3xuFp32Fast => fp32(x),
-                MxuMode::Tf32 => vec![decode_narrow_f32(round_f32_to_narrow(x, TF32), TF32)],
-                MxuMode::Fp16 => vec![decode_narrow_f32(round_f32_to_narrow(x, FP16), FP16)],
-                _ => vec![decode_narrow_f32(round_f32_to_narrow(x, BF16), BF16)],
+                MxuMode::Tf32 => vec![decode_narrow_f32(narrow_f32(x, TF32), TF32)],
+                MxuMode::Fp16 => vec![decode_narrow_f32(narrow_f32(x, FP16), FP16)],
+                _ => vec![decode_narrow_f32(narrow_f32(x, BF16), BF16)],
             };
             let rows = PackedOperand::pack_rows_f32(&m, mode);
             check(&rows, (2, 3), &|v, k| want(m.get(v, k)));

@@ -68,12 +68,24 @@
 //! input. The unchecked FP32, fast-FP32 and FP32C panels run it on every
 //! row of a chunk step, then the pair on the rows it refused, then the
 //! oracle on the columns the pair refuses, so every output keeps the
-//! oracle's bits.
-//! FP16 and BF16 chunks are four deep, past its depths. TF32 chunks are
-//! two deep but stay on the pair: their quantised products are short, so
-//! their chunk sums often land exactly on FP32 midpoints, which the test
-//! must refuse, and most rows hold one. Checked chunks stay on it too:
-//! their tap reads the pair.
+//! oracle's bits. Checked chunks stay on the pair: their tap reads it.
+//!
+//! ## The exact tier
+//!
+//! The narrow modes' products are short (at most 22 bits), so their chunk
+//! sums often land exactly on an FP32 midpoint, which any interval test
+//! must refuse; but then the plain `f64` sum is usually exact, and
+//! converting an exact sum is already the correct rounding.
+//! `round_chunk_exact` folds a chunk's products (one to four) and then its
+//! seed through TwoSums in plain `f64` and ORs the bits of every error's
+//! magnitude: a row whose errors are all zero holds `s = X` in every
+//! column, and `(s + 0.0) as f32` is `RN_24(X)`, ties to even, subnormal
+//! results, overflow to ±Inf and the `+0` rule included. A special input
+//! makes an error NaN, so its row is refused. The unchecked FP16, BF16 and
+//! TF32 panels start on it, then the pair, then the oracle, as the other
+//! modes start on the quick tier; the rung is a `const` generic of the
+//! panel body, chosen once per panel from the mode, so the FP32 builds
+//! hold no exact tier and the narrow build no quick one.
 //!
 //! ## The panels
 //!
@@ -493,6 +505,66 @@ pub(crate) fn round_chunk_quick<const T: usize>(seed: &[f32; COLS], prods: &[Row
     QuickRow { out: lo, miss }
 }
 
+/// One fragment row's chunk, rounded by [`round_chunk_exact`].
+pub(crate) struct ExactRow {
+    /// Each column's chunk value correctly rounded to FP32, when the row
+    /// passed.
+    pub(crate) out: [f32; COLS],
+    /// The OR of the bits of every `|error|` a column's TwoSums left:
+    /// zero when each of its additions was exact.
+    miss: [u64; COLS],
+}
+
+impl ExactRow {
+    /// Whether every column's sum was exact: one OR over the row, one
+    /// mask test.
+    #[inline(always)]
+    pub(crate) fn passed(&self) -> bool {
+        self.miss.iter().fold(0, |m, x| m | x) == 0
+    }
+}
+
+/// Round each column's chunk value `X = seed[j] + Σ_t prods[t][j]`, one to
+/// four exact products deep, to FP32 from a plain `f64` sum that is exact,
+/// or refuse the row. A row it refuses ([`ExactRow::passed`] false) goes
+/// to [`round_chunk`] on the same products; its values are then
+/// meaningless.
+///
+/// Per column, the products and then the seed are folded through
+/// [`two_sum`], and the bits of each error's magnitude are ORed together.
+/// When none is set, every partial sum was exact, so the plain sum `s` is
+/// `X` itself, and `(s + 0.0) as f32` is `RN_24(X)`: the IEEE conversion
+/// rounds to nearest, ties to even, subnormal results and overflow to
+/// ±Inf included, and `+ 0.0` turns an exact-zero `−0` sum into `+0`, the
+/// scalar path's signed-zero rule. A NaN or infinite input makes an error
+/// NaN, so its row is refused. No TwoSum overflows or underflows: every
+/// value is a multiple of `2^-298` below `2^260`. Narrow products have at
+/// most 22 significant bits and `f32` seeds 24, so their sums are usually
+/// exact. See DESIGN §4, "The exact tier".
+///
+/// The seed's chain is one conversion in, one addition, the `+ 0.0` and
+/// one conversion out; the products' TwoSums lie off it. Like
+/// [`round_chunk`], it is whole-row steps, one vector instruction each.
+#[inline(always)]
+pub(crate) fn round_chunk_exact<const T: usize>(seed: &[f32; COLS], prods: &[Row; T]) -> ExactRow {
+    let mut miss = [0u64; COLS];
+    let mut u = prods[0];
+    for p in &prods[1..] {
+        let e;
+        (u, e) = two_sum(&u, p);
+        for (m, e) in miss.iter_mut().zip(&e) {
+            *m |= e.abs().to_bits();
+        }
+    }
+    let (s, e) = two_sum(&seed.map(f64::from), &u);
+    let mut out = [0f32; COLS];
+    for j in 0..COLS {
+        miss[j] |= e[j].abs().to_bits();
+        out[j] = (s[j] + 0.0) as f32;
+    }
+    ExactRow { out, miss }
+}
+
 /// The AVX2 and AVX-512 levels' own code: per level, the frame
 /// `dispatch` compiles the panel bodies in (`avx2`, `avx512`), and the
 /// FP64 FMA row.
@@ -807,28 +879,59 @@ mod tests {
         (ok != 0).then_some(r.out[0])
     }
 
-    /// One chunk value `seed + Σ terms` (one or two terms) through the
-    /// quick tier in every column of a row, at every level this host runs,
-    /// which must agree on the verdict and the bits: `None` when refused.
-    fn quick_one<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
+    /// One chunk value `seed + Σ terms` through a tier, `round` (the row's
+    /// values and whether it passed), in every column of a row, at every
+    /// level this host runs, which must agree on the verdict and the bits:
+    /// `None` when refused.
+    fn tier_one<const T: usize>(
+        seed: f32,
+        terms: &[f64; T],
+        round: impl Fn(&[f32; COLS], &[Row; T]) -> ([f32; COLS], bool) + Copy,
+    ) -> Option<f32> {
         let (seeds, prods) = ([seed; COLS], terms.map(|t| [t; COLS]));
-        let want = round_chunk_quick(&seeds, &prods);
+        let (want, passed) = round(&seeds, &prods);
         for lvl in vector_levels() {
-            let got = dispatch(
+            let (got, got_passed) = dispatch(
                 lvl,
                 #[inline(always)]
-                |_| round_chunk_quick(&seeds, &prods),
+                |_| round(&seeds, &prods),
             );
-            assert_eq!(got.passed(), want.passed(), "{lvl:?}: {seed:e} + {terms:?}");
-            if want.passed() {
+            assert_eq!(got_passed, passed, "{lvl:?}: {seed:e} + {terms:?}");
+            if passed {
                 assert_eq!(
-                    got.out.map(f32::to_bits),
-                    want.out.map(f32::to_bits),
+                    got.map(f32::to_bits),
+                    want.map(f32::to_bits),
                     "{lvl:?}: {seed:e} + {terms:?}"
                 );
             }
         }
-        want.passed().then_some(want.out[0])
+        passed.then_some(want[0])
+    }
+
+    /// [`tier_one`] on the quick tier (one or two terms).
+    fn quick_one<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
+        tier_one(
+            seed,
+            terms,
+            #[inline(always)]
+            |s, p| {
+                let q = round_chunk_quick(s, p);
+                (q.out, q.passed())
+            },
+        )
+    }
+
+    /// [`tier_one`] on the exact tier (one to four terms).
+    fn exact_one<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
+        tier_one(
+            seed,
+            terms,
+            #[inline(always)]
+            |s, p| {
+                let x = round_chunk_exact(s, p);
+                (x.out, x.passed())
+            },
+        )
     }
 
     #[test]
@@ -909,7 +1012,7 @@ mod tests {
         // f32 subnormal boundary (gradual underflow rounding). The fifth is
         // the GEMM-FFT's shape: a running sum beside x·w for a unit twiddle
         // w and for one about 2^-54 (f32 cos(pi/2)). The sixth, below, is
-        // the ties.
+        // the ties, and the seventh the narrow modes' chunks.
         let classes: [(i32, [i32; 2], Option<i32>); 5] = [
             (0, [0, 0], Some(-15)),
             (-40, [0, 0], Some(-55)),
@@ -917,18 +1020,40 @@ mod tests {
             (-60, [-55, -55], None),
             (0, [0, -54], Some(-15)),
         ];
-        let mut accepted = [0u32; 6];
+        // The narrow class: operands with 11- or 8-bit significands (FP16
+        // and TF32, or BF16) within eight binades, and a full `f32` seed at
+        // the products' scale, as a narrow panel's running sum is.
+        let narrow = |r: u64, exp0: i32| -> f32 {
+            let drop = if r & 2 == 0 { 13 } else { 16 };
+            let bits = rf32(r, 0).to_bits() & !(0xff << 23) & !((1 << drop) - 1);
+            f32::from_bits(bits | ((exp0 + (r >> 40) as i32 % 8) as u32) << 23)
+        };
+        const CLASSES: usize = 7;
+        let mut accepted = [0u32; CLASSES];
         // The quick tier, over the same cases of depth 1 and 2 (the only
-        // depths it covers): tried and accepted per class.
-        let (mut quick_tried, mut quick_accepted) = ([0u32; 6], [0u32; 6]);
-        for row in 0..9000 / COLS {
+        // depths it covers), and the exact tier over every case: tried and
+        // accepted per class.
+        let (mut quick_tried, mut quick_accepted) = ([0u32; CLASSES], [0u32; CLASSES]);
+        let (mut exact_tried, mut exact_accepted) = ([0u32; CLASSES], [0u32; CLASSES]);
+        for row in 0..(1500 * CLASSES) / COLS {
             let klen = 1 + (next() % 4) as usize;
             let mut seeds = [0f32; COLS];
             let mut terms = [[0f64; COLS]; 4];
             let mut want = [0f32; COLS];
             for (j, (seed, want)) in seeds.iter_mut().zip(&mut want).enumerate() {
                 let mut kul = m3xu_fp::Kulisch::new();
-                if let Some(&(s0, s1, ss)) = classes.get((row * COLS + j) % 6) {
+                let class = (row * COLS + j) % CLASSES;
+                if class == 6 {
+                    let r = next();
+                    *seed = f32::from_bits(
+                        r as u32 & 0x807f_ffff | ((109 + (r >> 40) % 16) << 23) as u32,
+                    );
+                    for term in terms.iter_mut().take(klen) {
+                        let (x, y) = (narrow(next(), 118), narrow(next(), 118));
+                        term[j] = x as f64 * y as f64;
+                        kul.add_product_f32(x, y);
+                    }
+                } else if let Some(&(s0, s1, ss)) = classes.get(class) {
                     *seed = ss.map_or(0.0, |ss| rf32(next(), ss));
                     for (t, term) in terms.iter_mut().enumerate().take(klen) {
                         let (x, y) = (rf32(next(), s0), rf32(next(), s1[t % 2]));
@@ -959,7 +1084,21 @@ mod tests {
                 }
                 kul.add_f64(*seed as f64);
                 *want = kul.to_f32();
-                let class = (row * COLS + j) % 6;
+                let exact = match klen {
+                    1 => exact_one(*seed, &[terms[0][j]]),
+                    2 => exact_one(*seed, &[terms[0][j], terms[1][j]]),
+                    3 => exact_one(*seed, &[terms[0][j], terms[1][j], terms[2][j]]),
+                    _ => exact_one(*seed, &[0, 1, 2, 3].map(|t| terms[t][j])),
+                };
+                exact_tried[class] += 1;
+                if let Some(got) = exact {
+                    exact_accepted[class] += 1;
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "row {row} column {j}: exact tier {got:e} vs kulisch {want:e}"
+                    );
+                }
                 let quick = match klen {
                     1 => quick_one(*seed, &[terms[0][j]]),
                     2 => quick_one(*seed, &[terms[0][j], terms[1][j]]),
@@ -982,7 +1121,7 @@ mod tests {
                 _ => round_row(&seeds, &terms),
             };
             for_each_bit(r.ok, |j| {
-                accepted[(row * COLS + j) % 6] += 1;
+                accepted[(row * COLS + j) % CLASSES] += 1;
                 assert_eq!(
                     r.out[j].to_bits(),
                     want[j].to_bits(),
@@ -997,6 +1136,14 @@ mod tests {
         assert!(
             accepted.iter().all(|&a| a > 1000),
             "cases accepted per class (of 1500): {accepted:?}"
+        );
+        // The exact tier must accept nearly every narrow case, so a tier
+        // that refused everything would fail here. Of the other classes'
+        // 48-bit products it accepts only the sums that happen to be
+        // exact, and those must round as the Kulisch drain does (above).
+        assert!(
+            exact_tried[6] > 1000 && exact_accepted[6] * 100 >= exact_tried[6] * 99,
+            "exact tier: accepted {exact_accepted:?} of {exact_tried:?} per class"
         );
         // The quick tier must accept nearly every random case, so a bound
         // that refused everything would fail here; only the ties, which
@@ -1080,6 +1227,47 @@ mod tests {
         assert_eq!(quick_one(0.0, &[0.0, -0.0]).map(f32::to_bits), Some(0));
         assert_eq!(quick_one(1.5, &[-1.0, -0.5]), None);
         assert_eq!(quick_one(0.0, &three), Some(three[0] as f32));
+
+        // The exact tier refuses every special input: an error is NaN.
+        assert_eq!(exact_one(f32::NAN, &[1.0]), None);
+        assert_eq!(exact_one(f32::INFINITY, &[1.0]), None);
+        assert_eq!(exact_one(f32::NEG_INFINITY, &[1.0, -2.0]), None);
+        assert_eq!(exact_one(f32::INFINITY, &[0.0, 0.0, 0.0, 0.0]), None);
+        assert_eq!(exact_one(1.0, &[f64::INFINITY]), None);
+        assert_eq!(exact_one(1.0, &[f64::NAN]), None);
+        assert_eq!(exact_one(1.0, &[2.0, f64::NEG_INFINITY, 0.0]), None);
+        assert_eq!(exact_one(0.0, &[f64::INFINITY, f64::NEG_INFINITY]), None);
+        // Exact-zero sums of `−0` addends, and an exact cancellation, are
+        // `+0`, as on the pair.
+        assert_eq!(exact_one(-0.0, &[-0.0]).map(f32::to_bits), Some(0));
+        assert_eq!(exact_one(-0.0, &[-0.0, -0.0]).map(f32::to_bits), Some(0));
+        assert_eq!(exact_one(-0.0, &[-0.0; 4]).map(f32::to_bits), Some(0));
+        assert_eq!(exact_one(1.5, &[-1.0, -0.5]).map(f32::to_bits), Some(0));
+        // A finite exact sum beyond the f32 range overflows to ±Inf in
+        // the conversion, and a tiny negative one underflows to −0.
+        assert_eq!(exact_one(0.0, &[huge]), Some(f32::INFINITY));
+        assert_eq!(exact_one(0.0, &[-huge]), Some(f32::NEG_INFINITY));
+        assert_eq!(
+            exact_one(f32::MAX, &[f32::MAX as f64 * 16.0]),
+            Some(f32::INFINITY)
+        );
+        assert_eq!(exact_one(0.0, &[tiny]).map(f32::to_bits), Some(0x8000_0000));
+        // Exact midpoints, which the quick tier refuses, round to even:
+        // 1 + 2^-24 down to 1, and 1 + 3·2^-24 up to 1 + 2^-22.
+        assert_eq!(exact_one(1.0, &[half_ulp]), Some(1.0));
+        assert_eq!(
+            exact_one(1.0 + f32::EPSILON, &[half_ulp]),
+            Some(1.0 + 2.0 * f32::EPSILON)
+        );
+        assert_eq!(
+            exact_one(1.0, &[half_ulp / 2.0, half_ulp / 4.0, half_ulp / 4.0]),
+            Some(1.0)
+        );
+        // The three-scale chunk's sum is inexact: refused, as by the pair.
+        assert_eq!(exact_one(1.0, &three), None);
+        assert_eq!(exact_one(1.0, &[three[1], three[0], 0.0, 0.0]), None);
+        // Its two scales alone sum exactly beside zero.
+        assert_eq!(exact_one(0.0, &[three[0]]), Some(three[0] as f32));
     }
 
     #[test]
@@ -1154,6 +1342,21 @@ mod tests {
             }
         });
         println!("panel total: {panel:.2} ns/element-chunk ({lvl:?})");
+        // The narrow panels on the exact tier, per element-chunk of their
+        // own depth: FP16 four deep, TF32 two deep, as FP32.
+        for (mode, frag_k) in [(MxuMode::Fp16, 4), (MxuMode::Tf32, 2)] {
+            let (na, nb) = (
+                PackedOperand::pack_rows_f32(&a, mode),
+                PackedOperand::pack_cols_f32(&b, mode),
+            );
+            let scale = 2.0 / frag_k as f64;
+            let narrow = best_of(&mut || {
+                for _ in 0..reps {
+                    dpu.mma_f32_panel_into(&na, &nb, 0, 8, 0, 8, 0, k, frag_k, &mut acc);
+                }
+            }) / scale;
+            println!("{mode} panel total: {narrow:.2} ns/element-chunk");
+        }
         let ca = Matrix::random_c32(8, k / 2, 3);
         let cb = Matrix::random_c32(k / 2, 8, 4);
         let (pca, pcb) = (

@@ -684,9 +684,13 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     // them, `quick_refusals` counts the element-chunks in fragment rows
     // the quick tier refused: none for random FP32 operands, the rows of
     // the few exact FP32 ties among the random FP32C and fast-FP32 ones,
-    // none for FP16 (four-deep chunks), TF32 and checked calls, which run
-    // the pair alone, and a fixed count for the GEMM-FFT, whose ±1 and ±i
-    // DFT entries put chunk sums on or beside FP32 ties.
+    // none for the narrow modes, which start on the exact tier, and for
+    // checked calls, which run the pair alone, and a fixed count for the
+    // GEMM-FFT, whose ±1 and ±i DFT entries put chunk sums on or beside
+    // FP32 ties. `exact_refusals` counts those the exact tier refused:
+    // none for FP16, BF16 and TF32 on random operands, whose plain `f64`
+    // sums are exact, and a fixed count for a narrow call built to defeat
+    // it.
     use m3xu::mxu::packed::simd::{self, SimdLevel};
     let vector = simd::level() != SimdLevel::Scalar;
     let ctx = M3xuContext::with_threads(2);
@@ -697,7 +701,10 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     let s = ctx.stats();
     // 64 x 64 outputs x 32 two-deep chunks.
     assert_eq!(s.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
-    assert_eq!((s.simd_fallbacks, s.quick_refusals), (0, 0));
+    assert_eq!(
+        (s.simd_fallbacks, s.quick_refusals, s.exact_refusals),
+        (0, 0, 0)
+    );
 
     let ca = Matrix::random_c32(64, 64, 13);
     let cb = Matrix::random_c32(64, 64, 14);
@@ -732,8 +739,13 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     assert_eq!(plain.d, checked.d);
     let ck = armed.stats();
     assert_eq!(
-        (ck.simd_chunks, ck.simd_fallbacks, ck.quick_refusals),
-        (s.simd_chunks, 0, 0)
+        (
+            ck.simd_chunks,
+            ck.simd_fallbacks,
+            ck.quick_refusals,
+            ck.exact_refusals
+        ),
+        (s.simd_chunks, 0, 0, 0)
     );
     let (plain, checked) = (
         unarmed
@@ -811,6 +823,7 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
             w.quick_refusals
         )
     );
+    assert_eq!(w.exact_refusals, 0);
 
     // The fast FP32 dial runs its truncated products on the same panels:
     // 64 x 64 outputs x 32 two-deep chunks. Dropping `lo_a·lo_b` leaves
@@ -827,24 +840,62 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
         (0, if vector { 8 * 91 } else { 0 })
     );
 
-    // FP16 runs the pair alone: 64 x 64 outputs x 16 four-deep chunks,
-    // past the quick tier's depths.
+    // The narrow modes start on the exact tier, on operands like the
+    // benchmark's (uniform in [-1, 1), multiples of 2^-23, C included):
+    // every value is then a multiple of 2^-46 below 2^7 in magnitude, so
+    // every partial sum holds in 53 bits and no row is refused. FP16 and
+    // BF16 run 64 x 64 outputs x 16 four-deep chunks, TF32 x 32 two-deep
+    // ones: its 22-bit products often sum exactly onto an FP32 midpoint,
+    // which the quick tier would refuse, and which a correctly rounded
+    // conversion of the exact sum settles.
+    let nc = Matrix::<f32>::random(64, 64, 17);
+    for (p, chunks) in [
+        (GemmPrecision::Fp16, 16),
+        (GemmPrecision::Bf16, 16),
+        (GemmPrecision::Tf32, 32),
+    ] {
+        let before = ctx.stats();
+        ctx.try_gemm_f32(p, &a, &b, &nc).unwrap();
+        let d = ctx.stats().delta_since(&before);
+        assert_eq!(
+            d.simd_chunks,
+            if vector { 64 * 64 * chunks } else { 0 },
+            "{p:?}"
+        );
+        assert_eq!(
+            (d.simd_fallbacks, d.quick_refusals, d.exact_refusals),
+            (0, 0, 0),
+            "{p:?}"
+        );
+    }
+
+    // A narrow call built to defeat the exact tier: C's column 5 holds
+    // seeds near 2^30 (an ulp of 2^7) beside products near 2^-20 (FP16
+    // values near 2^-10, ten fraction bits), whose bits lie more than 53
+    // below the seed's, so every chunk's plain sum in that column is
+    // inexact and the tier refuses its fragment row: 64 rows x 16 chunks
+    // x 8 columns. The pair certifies that two-scale sum, so nothing
+    // falls back, and every bit is the Scalar oracle's.
+    let small = |m: &Matrix<f32>| Matrix::from_fn(64, 64, |i, j| m.get(i, j) * 2f32.powi(-10));
+    let (sa, sb) = (small(&a), small(&b));
+    let mut sc = Matrix::<f32>::random(64, 64, 18);
+    for i in 0..64 {
+        sc.set(i, 5, 2f32.powi(30) + 128.0 * i as f32);
+    }
     let before = ctx.stats();
-    ctx.try_gemm_f32(GemmPrecision::Fp16, &a, &b, &Matrix::zeros(64, 64))
+    let got = ctx
+        .try_gemm_f32(GemmPrecision::Fp16, &sa, &sb, &sc)
         .unwrap();
     let d = ctx.stats().delta_since(&before);
     assert_eq!(d.simd_chunks, if vector { 64 * 64 * 16 } else { 0 });
-    assert_eq!((d.simd_fallbacks, d.quick_refusals), (0, 0));
-
-    // TF32's chunks are two deep, as FP32's, but it runs the pair alone:
-    // its 22-bit products often sum exactly onto an FP32 midpoint, so the
-    // quick tier would refuse most rows. 64 x 64 x 32 chunks.
-    let before = ctx.stats();
-    ctx.try_gemm_f32(GemmPrecision::Tf32, &a, &b, &Matrix::zeros(64, 64))
-        .unwrap();
-    let d = ctx.stats().delta_since(&before);
-    assert_eq!(d.simd_chunks, if vector { 64 * 64 * 32 } else { 0 });
-    assert_eq!((d.simd_fallbacks, d.quick_refusals), (0, 0));
+    assert_eq!(
+        (d.simd_fallbacks, d.quick_refusals, d.exact_refusals),
+        (0, 0, if vector { 64 * 16 * 8 } else { 0 })
+    );
+    let want = gemm::baseline::gemm_f32(GemmPrecision::Fp16, &sa, &sb, &sc);
+    for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
 
     // Emulated FP64 runs one FMA per one-deep chunk: 64 x 64 x 64.
     let da = Matrix::<f64>::random_f64(64, 64, 15);

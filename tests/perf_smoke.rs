@@ -15,6 +15,12 @@
 //!   FP32 (the truncated product on the f32 panels, floor 3x) and 128³
 //!   emulated FP64 (the FMA row kernel, floor 20x). Per fragment, the
 //!   benchmark's layer probe reads ~7x and several hundred x for them.
+//!   Two rows gate the narrow panels' own build, on the exact tier: 128³
+//!   FP16 (floor 10x) and TF32 (floor 11x), each about a third of the
+//!   lowest of 10 runs on a 2-vCPU AVX-512 host (32.3–40.7x and
+//!   33.6–42.1x; forced AVX2 read 25.8x and 21.0x, forced SSE2 15.5x and
+//!   14.2x). A narrow chunk sent to the scalar oracle reads ~1x there; a
+//!   narrow build compiled for the baseline still clears them.
 //!   Two more rows gate the ABFT-checked body: 128³ FP32 and FP32C on a
 //!   context armed with a rate-0 fault plan, at the vector level against
 //!   forced `Scalar`, floor 3x each. A checked chunk that drops back to
@@ -118,6 +124,22 @@ fn simd_pipeline_beats_scalar_floor() {
                 .unwrap(),
         );
     });
+    // The narrow panels: FP16 (four-deep chunks) and TF32 (two-deep), each
+    // on its own exact-tier build.
+    let fp16 = over_scalar(&format!("FP16 {n}^3"), &|| {
+        std::hint::black_box(
+            default_context()
+                .try_gemm_f32(GemmPrecision::Fp16, &fa, &fb, &fc)
+                .unwrap(),
+        );
+    });
+    let tf32 = over_scalar(&format!("TF32 {n}^3"), &|| {
+        std::hint::black_box(
+            default_context()
+                .try_gemm_f32(GemmPrecision::Tf32, &fa, &fb, &fc)
+                .unwrap(),
+        );
+    });
     let da = Matrix::<f64>::random_f64(n, n, 0x59);
     let db = Matrix::<f64>::random_f64(n, n, 0x5A);
     let dc = Matrix::<f64>::zeros(n, n);
@@ -147,12 +169,15 @@ fn simd_pipeline_beats_scalar_floor() {
     // floor (measured ~7.8x) trips when its chunks leave the vector path. The
     // fast-FP32 floor (3x) and the emulated-FP64 one (20x) trip when
     // either mode drops back to the scalar oracle, where both read ~1x,
-    // and the checked rows' (3x) when checked chunks do.
+    // and the checked rows' (3x) when checked chunks do. The FP16 (10x)
+    // and TF32 (11x) floors are a third of the lowest of 10 runs.
     let mut rows = vec![
         ("FP32", fp32, 3.0),
         ("FP32C", fp32c, 3.0),
         ("GEMM-FFT", fft, 4.0),
         ("FP32-fast", fast, 3.0),
+        ("FP16", fp16, 10.0),
+        ("TF32", tf32, 11.0),
         ("FP64-emulated", fp64, 20.0),
         ("checked FP32", checked, 3.0),
         ("checked FP32C", checked_c, 3.0),
@@ -238,17 +263,20 @@ fn serve_batching_pools_resident_batches_only() {
             "served result differs from the single-thread context"
         );
     };
-    let submit = |a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>| {
+    let submit_owned = |(a, b, c): (Matrix<f32>, Matrix<f32>, Matrix<f32>)| {
         serve
             .submit_gemm_f32(
                 "gate",
                 GemmPrecision::M3xuFp32,
-                a.clone(),
-                b.clone(),
-                c.clone(),
+                a,
+                b,
+                c,
                 SubmitOpts::default(),
             )
             .expect("submit")
+    };
+    let submit = |a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>| {
+        submit_owned((a.clone(), b.clone(), c.clone()))
     };
     // Wall seconds for `count` GEMMs with at most `in_flight` outstanding,
     // every result checked bit for bit as it resolves.
@@ -285,23 +313,34 @@ fn serve_batching_pools_resident_batches_only() {
         pooled > 0,
         "no batch of {n}^3 requests formed in {trials} trials"
     );
-    // A batch holding a 256³ request is past the residency bound. The
-    // first request is drained alone; the next three queue while it runs
-    // and drain together.
-    let big = 256;
-    let (ba, bb, bc) = (
-        Matrix::<f32>::random(big, big, 0x60),
-        Matrix::<f32>::random(big, big, 0x61),
-        Matrix::<f32>::zeros(big, big),
-    );
+    // A batch holding a 256³ request is past the residency bound. A 512³
+    // request is drained alone first, and the next three queue while it
+    // runs and drain together. It takes tens of ms on two cores: a 256³
+    // first request, a few ms, could finish before the submitting thread,
+    // which shares the cores with the shard's workers, had queued the
+    // other three, and each then drained alone. Their inputs are made
+    // before the first is submitted, so their submissions follow one
+    // another with no copy between them.
+    let (big, first) = (256, 512);
+    let operands = |n: usize, seed: u64| {
+        (
+            Matrix::<f32>::random(n, n, seed),
+            Matrix::<f32>::random(n, n, seed + 1),
+            Matrix::<f32>::zeros(n, n),
+        )
+    };
+    let blocker = operands(first, 0x62);
+    let queued = [
+        operands(big, 0x60),
+        operands(big, 0x60),
+        (a.clone(), b.clone(), c.clone()),
+    ];
     let before = counts();
-    let mut tickets = vec![submit(&ba, &bb, &bc)];
+    let mut tickets = vec![submit_owned(blocker)];
     while serve.queue_len() > 0 {
         std::thread::yield_now();
     }
-    tickets.push(submit(&ba, &bb, &bc));
-    tickets.push(submit(&ba, &bb, &bc));
-    tickets.push(submit(&a, &b, &c));
+    tickets.extend(queued.map(submit_owned));
     for t in tickets {
         t.wait().expect("served GEMM");
     }

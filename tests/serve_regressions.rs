@@ -260,13 +260,19 @@ fn rate_limit_sheds_over_burst_and_counts_as_rejected() {
 fn high_priority_overtakes_low_in_the_queue() {
     // One shard, one-request drains: occupy the scheduler, queue a big
     // Low request then a tiny High one. Priority drain order means the
-    // High request must *complete* before the Low one does.
+    // High request must *complete* before the Low one does. Both must be
+    // queued while the blocker runs: it takes a few ms in either build
+    // (a 128^3 blocker finishes within about 0.5 ms in release), and the
+    // wait below spins, where a 1 ms sleep let the blocker finish first
+    // and Low reach an idle shard before High was queued. Low is as big
+    // as the blocker, so it outlasts the wake-up of the thread that
+    // stamps High's completion.
     let serve = M3xuServe::new(ServeConfig {
         workers: 1,
         max_batch: 1,
         ..ServeConfig::default()
     });
-    let n = 128;
+    let n = if cfg!(debug_assertions) { 128 } else { 256 };
     let blocker = serve
         .submit_gemm_f32(
             "t",
@@ -278,19 +284,21 @@ fn high_priority_overtakes_low_in_the_queue() {
         )
         .unwrap();
     // Wait until the blocker is off the queue (executing).
-    for _ in 0..10_000 {
-        if serve.queue_len() == 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    let waited = Instant::now();
+    while serve.queue_len() > 0 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the blocker was never drained"
+        );
+        std::thread::yield_now();
     }
     let low = serve
         .submit_gemm_f32(
             "t",
             GemmPrecision::M3xuFp32,
-            Matrix::<f32>::random(96, 96, 3),
-            Matrix::<f32>::random(96, 96, 4),
-            Matrix::<f32>::zeros(96, 96),
+            Matrix::<f32>::random(n, n, 3),
+            Matrix::<f32>::random(n, n, 4),
+            Matrix::<f32>::zeros(n, n),
             SubmitOpts {
                 priority: Priority::Low,
                 ..SubmitOpts::default()
