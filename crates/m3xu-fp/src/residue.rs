@@ -149,21 +149,6 @@ fn f32_rotated(x: f32) -> (u64, bool) {
     )
 }
 
-/// Residue of the exact sum of `xs`, `None` when any of them is NaN or
-/// infinite — the sum of their [`residue_f32`]s, formed without a branch
-/// or a reduction per value: each rotated significand adds, signed, into
-/// an `i128`, which [`residue_i128`] folds once.
-pub fn residue_sum_f32(xs: impl IntoIterator<Item = f32>) -> Option<u64> {
-    let (mut sum, mut finite) = (0i128, true);
-    for x in xs {
-        finite &= x.is_finite();
-        let (r, negative) = f32_rotated(x);
-        let s = -(negative as i128);
-        sum += (r as i128 ^ s) - s;
-    }
-    finite.then(|| residue_i128(sum, 0))
-}
-
 /// Residue of a finite `f64` value (`±m · 2^e` exactly); `None` for
 /// NaN/infinity. The 53-bit significand is already reduced, and exponents
 /// down to the subnormal floor `2^-1074` reduce mod 61 like any other
@@ -179,13 +164,16 @@ pub fn residue_f64(x: f64) -> Option<u64> {
 /// its least bit's weight `max(e, 1) − 1075 ≡ (max(e, 1) + 23) mod 61`
 /// for biased exponent `e`, and the sign negates. The result is below
 /// `2^61` and reduced, except that a negative zero gives `M61 ≡ 0`. A NaN
-/// or infinite `x` gives a meaningless value.
+/// or infinite `x` gives a meaningless value. The `mod 61` is a multiply
+/// and a shift in 64-bit lanes (`⌊n · 2149 / 2^17⌋ = ⌊n / 61⌋` for every
+/// `n < 2100`), which every vector level has.
 #[inline(always)]
 pub fn residue_f64_lane(x: f64) -> u64 {
     let bits = x.to_bits();
-    let e = (bits >> 52 & 0x7ff) as u32;
+    let e = bits >> 52 & 0x7ff;
     let m = bits & 0xf_ffff_ffff_ffff | ((e != 0) as u64) << 52;
-    let s = (e.max(1) + 23) % 61;
+    let n = e.max(1) + 23;
+    let s = n - 61 * ((n * 2149) >> 17);
     let r = (m << s | m >> (61 - s)) & M61;
     if bits >> 63 == 1 {
         M61 - r
@@ -384,31 +372,6 @@ mod tests {
             let r = add_m61(pow2_m61(100), 7);
             mul_m61(r, pow2_m61(-149))
         });
-    }
-
-    #[test]
-    fn residue_sum_f32_equals_the_sum_of_residues() {
-        // Every exponent field, both signs, subnormals and zeros, summed
-        // whole and in short runs; any NaN or infinity makes it `None`.
-        let mut xs = Vec::new();
-        for e in 0..255u32 {
-            for (sign, frac) in [(0, 0), (1, 1), (0, 0x7f_ffff), (1, 0x40_0001)] {
-                xs.push(f32::from_bits(sign << 31 | e << 23 | frac));
-            }
-        }
-        let want = |xs: &[f32]| {
-            xs.iter()
-                .fold(0, |r, &x| add_m61(r, residue_f32(x).unwrap()))
-        };
-        assert_eq!(residue_sum_f32(xs.iter().copied()), Some(want(&xs)));
-        for run in xs.chunks(7) {
-            assert_eq!(residue_sum_f32(run.iter().copied()), Some(want(run)));
-        }
-        assert_eq!(residue_sum_f32([]), Some(0));
-        assert_eq!(residue_sum_f32([1.5, -1.5, 0.25]), residue_f32(0.25));
-        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            assert_eq!(residue_sum_f32([1.0, special, 2.0]), None);
-        }
     }
 
     #[test]

@@ -275,13 +275,15 @@ pub struct ExecStats {
     /// Element-chunks in fragment rows the quick tier refused (its
     /// interval around a plain `f64` sum held an FP32 rounding boundary,
     /// or an input was special), each then rounded by the certified pair
-    /// or by the oracle. Narrow modes start on the exact tier and checked
-    /// calls run the pair alone: neither adds to it.
+    /// or by the oracle. Narrow modes start on the exact tier instead, so
+    /// they never add to it. Checked calls run the same tiers and count
+    /// alike; a chunk re-executed on the recovery path counts again.
     pub quick_refusals: u64,
     /// Element-chunks in fragment rows the exact tier refused (an
     /// addition of a column's plain `f64` sum was inexact, or an input
     /// was special), each then rounded by the certified pair or by the
-    /// oracle. Only unchecked FP16, BF16 and TF32 chunks run that tier.
+    /// oracle. Only FP16, BF16 and TF32 chunks, checked or not, run that
+    /// tier.
     pub exact_refusals: u64,
     per_mode: [MmaStats; MODE_COUNT],
 }

@@ -49,7 +49,7 @@ use m3xu_fp::complex::Complex;
 use m3xu_mxu::abft::{self, BandSums, Checksum};
 use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
-use m3xu_mxu::fault::{FaultPlan, FaultSummary, MmaFault, TaskFault};
+use m3xu_mxu::fault::{FaultPlan, FaultSummary, TaskFault};
 use m3xu_mxu::matrix::{MatSource, Matrix, Triangle};
 use m3xu_mxu::mma::{MmaShape, MmaStats};
 use m3xu_mxu::modes::MxuMode;
@@ -205,8 +205,8 @@ pub fn workers() -> usize {
 
 /// An element type the driver can multiply: the source-generic packers,
 /// the alpha/beta scalar algebra, the SIMD-eligible panel executor, and
-/// the per-k-chunk ABFT checksum pair of the checked body.
-pub(crate) trait GemmElem: Copy + Default + Send + Sync + 'static {
+/// its checked twin with the fault injector of the checked body.
+pub(crate) trait GemmElem: abft::Seed + Default + Send + Sync + 'static {
     /// Bytes per reduction element in the packed value plane (`B` side) —
     /// what the cache-blocking plan sizes its panels around.
     const VAL_BYTES: usize;
@@ -256,28 +256,12 @@ pub(crate) trait GemmElem: Copy + Default + Send + Sync + 'static {
         frag_k: usize,
         acc: &mut [Self],
     );
-    /// Expected checksum of k-chunk `[k0, kend)` of output tile `(ti,
-    /// tj)`, from the call's [`BandSums`] of the **packed** operands and
-    /// the tile's pre-chunk accumulator (`seeds`, row-major `rows ×
-    /// cols`). Reading the packed planes (not the source matrices) is
-    /// what makes every precision checkable: quantisation, alpha folding,
-    /// and op views all happen at pack time, so the expected side
-    /// predicts exactly what the MMA multiplies.
-    fn expected_chunk(
-        a: &BandSums,
-        b: &BandSums,
-        seeds: &[Self],
-        ti: usize,
-        tj: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum;
-    /// Execute one fragment chunk in place on `acc` through the same body
-    /// as an unchecked chunk — the SIMD panel body where the unchecked
-    /// panel runs it (FP32 family, FP32C), else the per-chunk element
-    /// body — with the residue tap on: returns the computed checksum,
-    /// after `fault` (if any) corrupted one output component on its way
-    /// out of the datapath.
+    /// Execute the `[k0, kend)` reduction panel of one tile checked,
+    /// chunked at `frag_k`, in place on `acc`, through the same body as
+    /// [`GemmElem::execute_panel`] with the residue tap on — the SIMD
+    /// panel body where the unchecked panel runs it (FP32 family, FP32C),
+    /// else the per-chunk element body: `computed[c]` receives chunk `c`'s
+    /// computed checksum, the residue of its exact products.
     #[allow(clippy::too_many_arguments)]
     fn execute_checked(
         dpu: &mut DotProductUnit,
@@ -288,10 +272,14 @@ pub(crate) trait GemmElem: Copy + Default + Send + Sync + 'static {
         c0: usize,
         cols: usize,
         k0: usize,
-        klen: usize,
+        kend: usize,
+        frag_k: usize,
         acc: &mut [Self],
-        fault: Option<&MmaFault>,
-    ) -> Checksum;
+        computed: &mut [Checksum],
+    );
+    /// Corrupt one output component of a chunk just executed with
+    /// `check`'s fault, if any, moving its computed checksum alike.
+    fn inject(check: &mut ChunkCheck, acc: &mut [Self]);
 }
 
 impl GemmElem for f32 {
@@ -355,17 +343,6 @@ impl GemmElem for f32 {
     ) {
         dpu.mma_f32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
     }
-    fn expected_chunk(
-        a: &BandSums,
-        b: &BandSums,
-        seeds: &[f32],
-        ti: usize,
-        tj: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum {
-        abft::expected_chunk_f32(a, b, seeds, ti, tj, k0, kend)
-    }
     fn execute_checked(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
@@ -375,13 +352,15 @@ impl GemmElem for f32 {
         c0: usize,
         cols: usize,
         k0: usize,
-        klen: usize,
+        kend: usize,
+        frag_k: usize,
         acc: &mut [f32],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        let mut check = ChunkCheck::new(fault.copied());
-        dpu.mma_f32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, &mut check);
-        check.computed
+        computed: &mut [Checksum],
+    ) {
+        dpu.mma_f32_checked_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, computed);
+    }
+    fn inject(check: &mut ChunkCheck, acc: &mut [f32]) {
+        check.inject_f32(acc);
     }
 }
 
@@ -446,17 +425,6 @@ impl GemmElem for Complex<f32> {
     ) {
         dpu.mma_c32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
     }
-    fn expected_chunk(
-        a: &BandSums,
-        b: &BandSums,
-        seeds: &[Complex<f32>],
-        ti: usize,
-        tj: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum {
-        abft::expected_chunk_c32(a, b, seeds, ti, tj, k0, kend)
-    }
     fn execute_checked(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
@@ -466,13 +434,15 @@ impl GemmElem for Complex<f32> {
         c0: usize,
         cols: usize,
         k0: usize,
-        klen: usize,
+        kend: usize,
+        frag_k: usize,
         acc: &mut [Complex<f32>],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        let mut check = ChunkCheck::new(fault.copied());
-        dpu.mma_c32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, &mut check);
-        check.computed
+        computed: &mut [Checksum],
+    ) {
+        dpu.mma_c32_checked_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, computed);
+    }
+    fn inject(check: &mut ChunkCheck, acc: &mut [Complex<f32>]) {
+        check.inject_c32(acc);
     }
 }
 
@@ -537,17 +507,6 @@ impl GemmElem for f64 {
     ) {
         dpu.mma_f64_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
     }
-    fn expected_chunk(
-        a: &BandSums,
-        b: &BandSums,
-        seeds: &[f64],
-        ti: usize,
-        tj: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum {
-        abft::expected_chunk_f64(a, b, seeds, ti, tj, k0, kend)
-    }
     fn execute_checked(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
@@ -557,16 +516,22 @@ impl GemmElem for f64 {
         c0: usize,
         cols: usize,
         k0: usize,
-        klen: usize,
+        kend: usize,
+        frag_k: usize,
         acc: &mut [f64],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        // The FMA row rounds in one instruction and keeps no exact
-        // pre-rounding value to take a residue from: checked emulated-FP64
-        // chunks run the slice/Kulisch body.
-        let mut check = ChunkCheck::new(fault.copied());
-        dpu.mma_f64_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(&mut check));
-        check.computed
+        computed: &mut [Checksum],
+    ) {
+        // The FMA row keeps no product apart from its seed to take a
+        // residue from: checked emulated-FP64 chunks run the slice/Kulisch
+        // body, one chunk at a time.
+        for (slot, ck0) in computed.iter_mut().zip((k0..kend).step_by(frag_k)) {
+            let mut check = ChunkCheck::new(None);
+            dpu.mma_f64_into(a, b, r0, rows, c0, cols, ck0, frag_k, acc, Some(&mut check));
+            *slot = check.computed;
+        }
+    }
+    fn inject(check: &mut ChunkCheck, acc: &mut [f64]) {
+        check.inject_f64(acc);
     }
 }
 
@@ -597,6 +562,11 @@ thread_local! {
 /// failure probability is `rate^4` per chunk); a plan with rate 1.0
 /// exhausts them and exercises the error path.
 const MAX_TILE_ATTEMPTS: u64 = 4;
+
+/// Chunks a checked tile verifies per panel call: one call runs the whole
+/// block with the residue tap on, and the driver compares each chunk's
+/// checksum after it.
+const BLOCK_CHUNKS: usize = 64;
 
 /// Pool-epoch re-submissions the checked body performs when an injected
 /// task panic (or an abruptly-killed worker) loses a whole epoch.
@@ -818,13 +788,19 @@ impl<E: GemmElem> Job<'_, E> {
     /// checked against the expected checksum of its packed operand bands,
     /// with the fault-injection hooks of `plan`. Returns the invocation's
     /// [`FaultSummary`] and the number of tiles left unrepaired. The
-    /// operands' [`BandSums`] are built once, up front, and every tile of
-    /// a band reads them; each execution's element-chunks are metered
-    /// into `simd` as in the production body (a re-executed chunk counts
-    /// again).
+    /// operands' [`BandSums`] are built once, up front, one pool task per
+    /// band, and every tile of a band reads them; each execution's
+    /// element-chunks are metered into `simd` as in the production body (a
+    /// re-executed chunk counts again).
     ///
-    /// Recovery is hierarchical, mirroring the blast radius of each fault
-    /// class:
+    /// A tile runs its `K` loop in blocks of `BLOCK_CHUNKS` chunks, one
+    /// checked panel call each, and compares every chunk's checksum after
+    /// it. The expected side reads no seeds there: the seed term left both
+    /// sides, and no fault can land on such a block. A block goes to the
+    /// per-chunk loop below instead, from its entry state, when the plan
+    /// would fault any of its chunks' first attempts, or when any chunk
+    /// mismatches. That loop is the recovery path, and it draws the same
+    /// fault sites in the same order with or without blocks:
     ///
     /// * a **checksum mismatch** restores the chunk's seeds and re-executes
     ///   only the corrupted k-chunk (each attempt is a fresh fault site, so
@@ -844,10 +820,20 @@ impl<E: GemmElem> Job<'_, E> {
         // One salt per driver invocation: a serve-layer retry of this whole
         // call draws an independent fault schedule.
         let salt = plan.next_call();
+        // Bands are independent; a lost band task reruns them all serially.
+        let band_sums = |p: &PackedOperand, width: usize| {
+            BandSums::new_on(p, width, |bands, sum_band| {
+                if catch_unwind(AssertUnwindSafe(|| pool.run(bands, sum_band))).is_err() {
+                    (0..bands).for_each(sum_band);
+                }
+            })
+        };
         let (sa, sb) = (
-            BandSums::new(self.pa, self.frag.m),
-            BandSums::new(self.pb, self.frag.n),
+            band_sums(self.pa, self.frag.m),
+            band_sums(self.pb, self.frag.n),
         );
+        let (fk, k) = (self.frag.k, self.k);
+        let k_chunks = k.div_ceil(fk);
         // Cumulative telemetry across every epoch attempt.
         let detected = AtomicU64::new(0);
         let retries = AtomicU64::new(0);
@@ -872,79 +858,121 @@ impl<E: GemmElem> Job<'_, E> {
                     None => {}
                 }
                 let t = self.tile(tid);
+                let n = t.rows * t.cols;
                 let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
-                let acc = &mut acc[..t.rows * t.cols];
-                // Snapshot of the accumulator at each chunk's entry: restoring
-                // it makes a chunk re-execution exactly idempotent, so a
-                // mismatch re-runs only the corrupted chunk, never the tile's
-                // whole K loop.
+                let acc = &mut acc[..n];
+                // Snapshots of the accumulator at a block's and at a chunk's
+                // entry: restoring one makes a re-execution exactly
+                // idempotent, so a mismatch re-runs only the corrupted
+                // chunk, never the tile's whole K loop.
+                let mut block_seeds = [E::default(); ACC_SCRATCH];
+                let block_seeds = &mut block_seeds[..n];
                 let mut seeds = [E::default(); ACC_SCRATCH];
-                let seeds = &mut seeds[..t.rows * t.cols];
+                let seeds = &mut seeds[..n];
+                let mut computed = [Checksum::ZERO; BLOCK_CHUNKS];
                 for (i, row) in acc.chunks_exact_mut(t.cols).enumerate() {
                     for (j, v) in row.iter_mut().enumerate() {
                         *v = self.call.seed(self.c, t.i0 + i, t.j0 + j);
                     }
                 }
+                // Chunk `ci`'s reduction range.
+                let chunk = |ci: usize| (ci * fk, (ci * fk + fk).min(k));
                 let mut tile_detected = 0u64;
                 let mut tile_retries = 0u64;
                 let mut tile_uncorrected = 0u64;
                 let mut tile_failed = false;
                 DPU.with(|dpu| {
                     simd.meter(&mut dpu.borrow_mut(), |dpu| {
-                        for (ci, k0) in (0..self.k).step_by(self.frag.k).enumerate() {
-                            let kend = (k0 + self.frag.k).min(self.k);
-                            seeds.copy_from_slice(acc);
-                            // The expected side reads the chunk's seeds once; the
-                            // retries below restore them bit-exactly.
-                            let expected = E::expected_chunk(&sa, &sb, seeds, t.ti, t.tj, k0, kend);
-                            let mut chunk_fails = 0u64;
-                            let mut chunk_ok = false;
-                            for attempt in 0..MAX_TILE_ATTEMPTS {
-                                if attempt > 0 {
-                                    acc.copy_from_slice(seeds);
+                        let tile = tid as u64;
+                        // One checked panel call over chunks `c0..c1`.
+                        let run = |dpu: &mut DotProductUnit,
+                                   acc: &mut [E],
+                                   (c0, c1): (usize, usize),
+                                   computed: &mut [Checksum]| {
+                            let (kb0, kb1) = (chunk(c0).0, chunk(c1 - 1).1);
+                            let (pa, pb) = (self.pa, self.pb);
+                            let (i0, rows, j0, cols) = (t.i0, t.rows, t.j0, t.cols);
+                            E::execute_checked(
+                                dpu, pa, pb, i0, rows, j0, cols, kb0, kb1, fk, acc, computed,
+                            );
+                        };
+                        let mut c0 = 0;
+                        while c0 < k_chunks && !tile_failed {
+                            let c1 = (c0 + BLOCK_CHUNKS).min(k_chunks);
+                            let faulted = (c0..c1).any(|ci| {
+                                plan.mma_fault(salt, epoch_attempt, tile, ci as u64, 0)
+                                    .is_some()
+                            });
+                            if !faulted {
+                                block_seeds.copy_from_slice(acc);
+                                let computed = &mut computed[..c1 - c0];
+                                run(dpu, acc, (c0, c1), computed);
+                                if plan.block_mismatches() {
+                                    computed[0] = Checksum::UNVERIFIABLE;
                                 }
-                                // Specials bypass the multiplier array: an
-                                // unverifiable chunk is not a fault target.
-                                let fault = if expected.ok {
-                                    plan.mma_fault(
-                                        salt,
-                                        epoch_attempt,
-                                        tid as u64,
-                                        ci as u64,
-                                        attempt,
-                                    )
+                                let verified = (c0..c1).zip(computed.iter()).all(|(ci, got)| {
+                                    let (k0, kend) = chunk(ci);
+                                    abft::expected_chunk::<E>(&sa, &sb, &[], t.ti, t.tj, k0, kend)
+                                        .matches(got)
+                                });
+                                if verified {
+                                    c0 = c1;
+                                    continue;
+                                }
+                                acc.copy_from_slice(block_seeds);
+                            }
+                            for ci in c0..c1 {
+                                let (k0, kend) = chunk(ci);
+                                seeds.copy_from_slice(acc);
+                                // The expected side reads the chunk's seeds
+                                // once; the retries below restore them
+                                // bit-exactly.
+                                let expected =
+                                    abft::expected_chunk(&sa, &sb, seeds, t.ti, t.tj, k0, kend);
+                                let mut chunk_fails = 0u64;
+                                let mut chunk_ok = false;
+                                for attempt in 0..MAX_TILE_ATTEMPTS {
+                                    if attempt > 0 {
+                                        acc.copy_from_slice(seeds);
+                                    }
+                                    // Specials bypass the multiplier array:
+                                    // an unverifiable chunk is not a fault
+                                    // target.
+                                    let fault = if expected.ok {
+                                        plan.mma_fault(
+                                            salt,
+                                            epoch_attempt,
+                                            tile,
+                                            ci as u64,
+                                            attempt,
+                                        )
+                                    } else {
+                                        None
+                                    };
+                                    // A chunk is a block of one, its fault
+                                    // landing on the output.
+                                    let mut check = ChunkCheck::new(fault);
+                                    let slot = std::slice::from_mut(&mut check.computed);
+                                    run(dpu, acc, (ci, ci + 1), slot);
+                                    E::inject(&mut check, acc);
+                                    if expected.matches(&check.computed) {
+                                        chunk_ok = true;
+                                        break;
+                                    }
+                                    chunk_fails += 1;
+                                }
+                                tile_detected += chunk_fails;
+                                if chunk_ok {
+                                    // Every detection triggered one repairing rerun.
+                                    tile_retries += chunk_fails;
                                 } else {
-                                    None
-                                };
-                                let computed = E::execute_checked(
-                                    dpu,
-                                    self.pa,
-                                    self.pb,
-                                    t.i0,
-                                    t.rows,
-                                    t.j0,
-                                    t.cols,
-                                    k0,
-                                    self.frag.k,
-                                    acc,
-                                    fault.as_ref(),
-                                );
-                                if expected.matches(&computed) {
-                                    chunk_ok = true;
+                                    tile_retries += chunk_fails.saturating_sub(1);
+                                    tile_uncorrected += chunk_fails;
+                                    tile_failed = true;
                                     break;
                                 }
-                                chunk_fails += 1;
                             }
-                            tile_detected += chunk_fails;
-                            if chunk_ok {
-                                // Every detection triggered one repairing rerun.
-                                tile_retries += chunk_fails;
-                            } else {
-                                tile_retries += chunk_fails.saturating_sub(1);
-                                tile_uncorrected += chunk_fails;
-                                tile_failed = true;
-                                break;
-                            }
+                            c0 = c1;
                         }
                     })
                 });

@@ -13,27 +13,28 @@
 //! ```
 //!
 //! (the hi/lo 12-bit split is error-free and the Kulisch register is
-//! exact), then rounds it once to FP32. Summing over the tile and
-//! swapping the summation order gives the checksum identity
+//! exact), then rounds it once to FP32. Both sides of a checksum over the
+//! tile would carry the seeds' sum, so neither does: summing the products
+//! over the tile and swapping the summation order gives the identity
 //!
 //! ```text
-//! Σ_(i,j) pre_round(i, j) = Σ_(i,j) seed(i, j) + Σ_k (Σ_i a[i][k]) · (Σ_j b[k][j])
+//! Σ_(i,j) Σ_k a[i][k] · b[k][j] = Σ_k (Σ_i a[i][k]) · (Σ_j b[k][j])
 //! ```
 //!
 //! which holds *exactly* in the dyadic rationals — and therefore exactly
 //! in their homomorphic image mod `p = 2^61 - 1` ([`m3xu_fp::residue`]).
 //! The right-hand side is the **expected** checksum; the left-hand side,
-//! the **computed** checksum, is the residue sum of the exact values the
-//! checked MMA rounds from: each SIMD column's exact pair `h + l` of
-//! `f64`s, the residues of the two added (`2^61 ≡ 1`, so a significand's
-//! weight `2^e` is a rotation), or, on the scalar element body, the fast
-//! window's contribution list or the Kulisch register. A corrupted product shifts the computed side by a
-//! nonzero dyadic delta, whose residue is nonzero because `p` is prime —
-//! detection of a single corrupted product is *certain*, not
+//! the **computed** checksum, is the residue sum of the exact products
+//! the checked MMA forms, `pre_round − seed` per element: each SIMD row's
+//! product lanes (`2^61 ≡ 1`, so a significand's weight `2^e` is a
+//! rotation), or, on the scalar element body, its decoded lanes. An
+//! injected fault corrupts a rounded output and shifts the computed side
+//! by a nonzero dyadic delta, whose residue is nonzero because `p` is
+//! prime — detection of a single corrupted value is *certain*, not
 //! probabilistic.
 //!
-//! The identity must be checked per k-chunk: each chunk rounds its
-//! results and re-seeds the next one, and rounding is not additive.
+//! The identity is checked per k-chunk: each chunk rounds its results
+//! and re-seeds the next one, and a fault lands on a chunk's output.
 //!
 //! ## Expected checksums come from the packed planes
 //!
@@ -58,13 +59,14 @@
 //! A checked call sums each operand's residues once, per output-tile band
 //! and per `k` ([`BandSums`]): `S_A[k]` over a tile row's `A` vectors and
 //! `S_B[k]` over a tile column's `B` vectors. Every tile of the band
-//! reads the same sums, so a chunk's expected checksum costs its seeds'
-//! residues plus `klen` products, not a rescan of both bands.
+//! reads the same sums, so a chunk's expected checksum costs `klen`
+//! products, not a rescan of both bands, and never reads the seeds' values.
 //!
 //! ## Special values
 //!
 //! NaN/Inf have no dyadic value. A chunk whose seeds or operand band
-//! contain specials is *unverifiable* ([`Checksum::ok`] is false) and is
+//! contain specials is *unverifiable* ([`Checksum::ok`] is false: a
+//! non-finite seed leaves no output the injector targets) and is
 //! skipped by the verifier — ABFT coverage extends exactly as far as the
 //! arithmetic the checksum algebra models, matching the fault injector,
 //! which never targets special-valued lanes (they bypass the multiplier
@@ -74,7 +76,7 @@ use crate::buffer::{decode_fp32, BufferEntry};
 use crate::modes::MxuMode;
 use crate::packed::PackedOperand;
 use m3xu_fp::residue::{
-    add_m61, mul_m61, mul_pow2_m61, neg_m61, residue_f32, residue_f64, residue_sum_f32, sub_m61,
+    add_m61, mul_m61, mul_pow2_m61, neg_m61, residue_f32, residue_f64, sub_m61,
 };
 use m3xu_fp::C32;
 
@@ -149,7 +151,7 @@ fn cmul_m61(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
 /// `F_p` residue of the exact dyadic value one [`BufferEntry`] denotes
 /// (`±mant · 2^pow`); `None` for a special-valued entry, which has no
 /// dyadic value. This is the same map the element bodies' residue tap
-/// applies to their contribution lists, so expected and computed sides
+/// applies to their decoded lanes, so expected and computed sides
 /// agree definitionally on what each lane is worth.
 pub fn entry_residue(e: &BufferEntry) -> Option<u64> {
     if e.special.is_some() {
@@ -193,6 +195,19 @@ impl BandSums {
     /// Sum `p`'s value residues in bands of `width` vectors: one per
     /// element, FP32C component, or truncated schedule's hi/lo slice.
     pub fn new(p: &PackedOperand, width: usize) -> BandSums {
+        Self::new_on(p, width, |bands, sum_band| (0..bands).for_each(sum_band))
+    }
+
+    /// [`BandSums::new`], each band summed by a task: `run(bands, f)` must
+    /// call `f(t)` once for every band `t < bands`, in any order and on
+    /// any threads (a worker pool's `run`). Each task writes only its own
+    /// band, from zero, so the sums are [`BandSums::new`]'s whatever the
+    /// schedule, and a band rerun after a lost task is harmless.
+    pub fn new_on(
+        p: &PackedOperand,
+        width: usize,
+        run: impl FnOnce(usize, &(dyn Fn(usize) + Sync)),
+    ) -> BandSums {
         assert!(width > 0, "band width must be positive");
         let len = p.len();
         let (schedule, slots) = match p.mode() {
@@ -218,18 +233,32 @@ impl BandSums {
         let bands = p.vecs().div_ceil(width);
         let mut sums = vec![0u64; bands * len * slots];
         let mut special = vec![false; bands * len];
-        for v in 0..p.vecs() {
-            let at = v / width * len;
-            for k in 0..len {
-                match residues(v, k) {
-                    Some(r) => {
-                        let out = &mut sums[(at + k) * slots..(at + k + 1) * slots];
-                        out.iter_mut().zip(r).for_each(|(s, r)| *s = add_m61(*s, r));
+        // One lock per band, each taken once, by the task that fills it;
+        // an empty reduction leaves nothing to fill.
+        let out: Vec<_> = sums
+            .chunks_mut((len * slots).max(1))
+            .zip(special.chunks_mut(len.max(1)))
+            .map(std::sync::Mutex::new)
+            .collect();
+        run(out.len(), &|t| {
+            let mut band = out[t].lock().unwrap_or_else(|e| e.into_inner());
+            let (sums, special) = &mut *band;
+            // A task may be rerun whole: it starts from zero either way.
+            sums.fill(0);
+            special.fill(false);
+            for v in t * width..((t + 1) * width).min(p.vecs()) {
+                for k in 0..len {
+                    match residues(v, k) {
+                        Some(r) => {
+                            let out = &mut sums[k * slots..(k + 1) * slots];
+                            out.iter_mut().zip(r).for_each(|(s, r)| *s = add_m61(*s, r));
+                        }
+                        None => special[k] = true,
                     }
-                    None => special[at + k] = true,
                 }
             }
-        }
+        });
+        drop(out);
         BandSums {
             schedule,
             len,
@@ -247,22 +276,58 @@ impl BandSums {
     }
 }
 
-/// Add `Σ_k S_A[ta][k] · S_B[tb][k]` over `k0..kend` to `sum` (the
-/// chunk's seeds), under the operands' schedule. Unverifiable when the
-/// seeds or either band hold a special in the chunk.
-fn add_band_products(
+/// An accumulator element whose finiteness decides whether its chunk is
+/// verifiable: `f32`, `f64` or [`C32`].
+pub trait Seed: Copy {
+    /// False for NaN or an infinity (either component of a complex one).
+    fn is_finite(self) -> bool;
+}
+
+impl Seed for f32 {
+    fn is_finite(self) -> bool {
+        f32::is_finite(self)
+    }
+}
+
+impl Seed for f64 {
+    fn is_finite(self) -> bool {
+        f64::is_finite(self)
+    }
+}
+
+impl Seed for C32 {
+    fn is_finite(self) -> bool {
+        self.re.is_finite() && self.im.is_finite()
+    }
+}
+
+/// Expected checksum of one k-chunk `k0..kend` of output tile `(ta, tb)`:
+/// `Σ_k Σ_(s,t) S_A[s][k]·S_B[t][k]` under the operands' schedule, with
+/// `S_A` from `a`'s band `ta` (the tile's rows) and `S_B` from `b`'s band
+/// `tb` (its columns) — one sum per element, per truncated slice pair, or
+/// FP32C's product in `F_p × F_p`, which absorbs the 16-lane component
+/// schedule in one multiplication. Unverifiable when either band holds a
+/// special in the chunk, or when one of `seeds`, the tile's accumulator
+/// before the chunk runs, is not finite. The seeds' values play no part;
+/// pass none where no fault can land on the chunk.
+///
+/// Because the entries are the values the multiplier array consumes —
+/// quantised, alpha-folded, op-viewed — this one function covers every
+/// mode, the truncated fast schedule and emulated FP64 included.
+pub fn expected_chunk<S: Seed>(
     a: &BandSums,
     b: &BandSums,
-    mut sum: Checksum,
+    seeds: &[S],
     ta: usize,
     tb: usize,
     k0: usize,
     kend: usize,
 ) -> Checksum {
     debug_assert_eq!(a.schedule, b.schedule, "operand modes disagree");
-    if !sum.ok {
+    if !seeds.iter().all(|s| s.is_finite()) {
         return Checksum::UNVERIFIABLE;
     }
+    let mut sum = Checksum::ZERO;
     for k in k0..kend {
         let (Some(sa), Some(sb)) = (a.at(ta, k), b.at(tb, k)) else {
             return Checksum::UNVERIFIABLE;
@@ -285,71 +350,6 @@ fn add_band_products(
         }
     }
     sum
-}
-
-/// Expected checksum of one real k-chunk of output tile `(ta, tb)`:
-/// `Σ seeds + Σ_k Σ_(s,t) S_A[s][k]·S_B[t][k]` over `k0..kend`, with
-/// `S_A` from `a`'s band `ta` (the tile's rows) and `S_B` from `b`'s
-/// band `tb` (its columns). `seeds` is the tile's accumulator *before*
-/// the chunk runs, row-major.
-///
-/// Because the entries are the values the multiplier array consumes —
-/// quantised, alpha-folded, op-viewed — this one function covers every
-/// real f32 mode, including the truncated fast schedule.
-pub fn expected_chunk_f32(
-    a: &BandSums,
-    b: &BandSums,
-    seeds: &[f32],
-    ta: usize,
-    tb: usize,
-    k0: usize,
-    kend: usize,
-) -> Checksum {
-    let mut sum = Checksum::ZERO;
-    sum.absorb_re(residue_sum_f32(seeds.iter().copied()));
-    add_band_products(a, b, sum, ta, tb, k0, kend)
-}
-
-/// [`expected_chunk_f32`] for the emulated-FP64 pipeline: `f64` seeds
-/// (the accumulator is `f64` end-to-end) and the full `N × N` slice
-/// cross product per element.
-pub fn expected_chunk_f64(
-    a: &BandSums,
-    b: &BandSums,
-    seeds: &[f64],
-    ta: usize,
-    tb: usize,
-    k0: usize,
-    kend: usize,
-) -> Checksum {
-    let mut sum = Checksum::ZERO;
-    for &s in seeds {
-        sum.absorb_re(residue_f64(s));
-    }
-    add_band_products(a, b, sum, ta, tb, k0, kend)
-}
-
-/// Expected checksum of one complex k-chunk. Each packed element holds
-/// `[re_hi, re_lo, im_hi, im_lo]`; its residue pair is the half sums,
-/// and the per-k product uses the complex field structure of
-/// `F_p × F_p` — which absorbs the 16-lane component schedule in one
-/// multiplication.
-pub fn expected_chunk_c32(
-    a: &BandSums,
-    b: &BandSums,
-    seeds: &[C32],
-    ta: usize,
-    tb: usize,
-    k0: usize,
-    kend: usize,
-) -> Checksum {
-    let (re, im) = (
-        residue_sum_f32(seeds.iter().map(|z| z.re)),
-        residue_sum_f32(seeds.iter().map(|z| z.im)),
-    );
-    let mut sum = Checksum::ZERO;
-    sum.absorb_pair(re.zip(im));
-    add_band_products(a, b, sum, ta, tb, k0, kend)
 }
 
 #[cfg(test)]
@@ -386,15 +386,27 @@ mod tests {
         let sb = BandSums::new(&PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32), 4);
         let sums =
             |m: &Matrix<f32>| BandSums::new(&PackedOperand::pack_rows_f32(m, MxuMode::M3xuFp32), 4);
-        assert!(expected_chunk_f32(&sums(&a), &sb, &seeds, 0, 0, 0, 4).ok);
+        assert!(expected_chunk(&sums(&a), &sb, &seeds, 0, 0, 0, 4).ok);
         a.set(2, 3, f32::NAN);
-        assert!(!expected_chunk_f32(&sums(&a), &sb, &seeds, 0, 0, 0, 4).ok);
+        assert!(!expected_chunk(&sums(&a), &sb, &seeds, 0, 0, 0, 4).ok);
         // A NaN outside the chunk's k-range does not poison it.
-        assert!(expected_chunk_f32(&sums(&a), &sb, &seeds, 0, 0, 0, 3).ok);
-        // A NaN seed does, regardless of the operands.
+        assert!(expected_chunk(&sums(&a), &sb, &seeds, 0, 0, 0, 3).ok);
+        // A NaN or infinite seed does, regardless of the operands, and an
+        // infinite complex component too.
         let mut bad_seeds = seeds;
         bad_seeds[5] = f32::NAN;
-        assert!(!expected_chunk_f32(&sums(&b), &sb, &bad_seeds, 0, 0, 0, 3).ok);
+        assert!(!expected_chunk(&sums(&b), &sb, &bad_seeds, 0, 0, 0, 3).ok);
+        let z = [C32::new(1.0, f32::INFINITY)];
+        let (za, zb) = (Matrix::random_c32(4, 4, 3), Matrix::random_c32(4, 4, 4));
+        let za = BandSums::new(&PackedOperand::pack_rows_c32(&za), 4);
+        let zb = BandSums::new(&PackedOperand::pack_cols_c32(&zb), 4);
+        assert!(expected_chunk(&za, &zb, &[C32::new(1.0, 2.0)], 0, 0, 0, 4).ok);
+        assert!(!expected_chunk(&za, &zb, &z, 0, 0, 0, 4).ok);
+        // Finite seeds add nothing: the seed term left both sides.
+        assert_eq!(
+            expected_chunk(&za, &zb, &[C32::new(1.0, 2.0)], 0, 0, 0, 4),
+            expected_chunk::<C32>(&za, &zb, &[], 0, 0, 0, 4)
+        );
     }
 
     #[test]
@@ -493,8 +505,8 @@ mod tests {
         // bands included (11 rows and 7 columns in bands of 4 and 3),
         // equals the residue sum of every lane product the element bodies
         // issue — each slice pair (the fast mode's `s + t < N` ones), or
-        // FP32C's 16 component lanes — plus the seeds, with no
-        // factoring. Each entry's residue is spelled out as a product.
+        // FP32C's 16 component lanes — with no factoring. Each entry's
+        // residue is spelled out as a product.
         let res = |e: &BufferEntry| {
             let r = mul_m61(e.mant as u64, pow2_m61(e.pow as i64));
             if e.sign {
@@ -576,7 +588,7 @@ mod tests {
             );
             let (sa, sb) = (BandSums::new(&pa, wa), BandSums::new(&pb, wb));
             check(&pa, &pb, &|ta, tb, k0, kend| {
-                expected_chunk_f32(&sa, &sb, &[], ta, tb, k0, kend)
+                expected_chunk::<f32>(&sa, &sb, &[], ta, tb, k0, kend)
             });
         }
         let (a, b) = (Matrix::random_c32(m, k, 43), Matrix::random_c32(k, n, 44));
@@ -586,7 +598,7 @@ mod tests {
         );
         let (sa, sb) = (BandSums::new(&pa, wa), BandSums::new(&pb, wb));
         check(&pa, &pb, &|ta, tb, k0, kend| {
-            expected_chunk_c32(&sa, &sb, &[], ta, tb, k0, kend)
+            expected_chunk::<C32>(&sa, &sb, &[], ta, tb, k0, kend)
         });
         let a = Matrix::from_fn(m, k, |i, j| ((1 + i * k + j) as f64 / 7.0).sin());
         let b = Matrix::from_fn(k, n, |i, j| ((2 + i * n + j) as f64 / 11.0).cos());
@@ -594,16 +606,13 @@ mod tests {
         let pb = PackedOperand::try_pack_cols_f64(&b, MxuMode::M3xuFp64Emu).unwrap();
         let (sa, sb) = (BandSums::new(&pa, wa), BandSums::new(&pb, wb));
         check(&pa, &pb, &|ta, tb, k0, kend| {
-            expected_chunk_f64(&sa, &sb, &[], ta, tb, k0, kend)
+            expected_chunk::<f64>(&sa, &sb, &[], ta, tb, k0, kend)
         });
-        // The seeds add their residues on top.
-        let seeds = [0.25f32, -3.5, 1e-40, 7.0];
-        let with = expected_chunk_f32(&sa, &sb, &seeds, 1, 1, 0, 2);
-        let without = expected_chunk_f32(&sa, &sb, &[], 1, 1, 0, 2);
-        let seed_sum = seeds
-            .iter()
-            .fold(0, |r, &s| add_m61(r, residue_f32(s).unwrap()));
-        assert_eq!(with.re, add_m61(without.re, seed_sum));
+        // Finite seeds add nothing, an infinite one makes it unverifiable.
+        let seeds = [0.25, -3.5, 1e-300, 7.0];
+        let with = expected_chunk(&sa, &sb, &seeds, 1, 1, 0, 2);
+        assert_eq!(with, expected_chunk::<f64>(&sa, &sb, &[], 1, 1, 0, 2));
+        assert!(!expected_chunk(&sa, &sb, &[f64::INFINITY], 1, 1, 0, 2).ok);
     }
 
     #[test]
@@ -624,8 +633,8 @@ mod tests {
             let sb =
                 PackedOperand::try_pack_cols_f32_src_in(&vb, mode, Default::default()).unwrap();
             let band = |p: &PackedOperand| BandSums::new(p, 4);
-            let want = expected_chunk_f32(&band(&pa), &band(&pb), &seeds, 0, 0, 0, 6);
-            let got = expected_chunk_f32(&band(&sa), &band(&sb), &seeds, 0, 0, 0, 6);
+            let want = expected_chunk(&band(&pa), &band(&pb), &seeds, 0, 0, 0, 6);
+            let got = expected_chunk(&band(&sa), &band(&sb), &seeds, 0, 0, 0, 6);
             assert!(want.ok);
             assert_eq!(want, got, "{mode:?}");
         }

@@ -319,24 +319,6 @@ impl DotProductUnit {
         self.real.read_f32()
     }
 
-    /// `F_p` residue (`p = 2^61 - 1`) of the real register's *exact*
-    /// pre-rounding value; `None` once specials poisoned the state (the
-    /// ABFT layer treats such elements as unverifiable).
-    pub fn real_residue_m61(&self) -> Option<u64> {
-        match self.real.state {
-            AccState::Finite => Some(self.real.acc.residue_m61()),
-            _ => None,
-        }
-    }
-
-    /// `F_p` residue of the imaginary register's exact pre-rounding value.
-    pub fn imag_residue_m61(&self) -> Option<u64> {
-        match self.imag.state {
-            AccState::Finite => Some(self.imag.acc.residue_m61()),
-            _ => None,
-        }
-    }
-
     /// Drain the real accumulator as FP32 together with the IEEE exception
     /// flags this output element raised — the observability lossy MXUs
     /// cannot offer (§II-C2).

@@ -137,6 +137,8 @@ pub struct FaultPlan {
     threshold: u64,
     task_threshold: u64,
     calls: AtomicU64,
+    /// See [`FaultPlan::with_block_mismatches`].
+    block_mismatches: bool,
 }
 
 /// Domain separators: the same site must draw independent decisions for
@@ -175,7 +177,24 @@ impl FaultPlan {
             threshold,
             task_threshold: threshold / TASK_FAULT_DIVISOR,
             calls: AtomicU64::new(0),
+            block_mismatches: false,
         }
+    }
+
+    /// A test seam: the checked driver treats every verified block of
+    /// chunks as mismatched, as a fault the plan did not inject would make
+    /// it, so each block reruns chunk by chunk. Telemetry and outputs stay
+    /// the plan's own; only the work doubles.
+    #[doc(hidden)]
+    pub fn with_block_mismatches(mut self) -> FaultPlan {
+        self.block_mismatches = true;
+        self
+    }
+
+    /// Whether [`FaultPlan::with_block_mismatches`] armed the seam.
+    #[doc(hidden)]
+    pub fn block_mismatches(&self) -> bool {
+        self.block_mismatches
     }
 
     /// The plan's seed.

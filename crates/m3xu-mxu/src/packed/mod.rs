@@ -24,10 +24,11 @@
 //! mode's [`crate::assign`] table over the decoded chunk. One element body
 //! per precision runs it through two consumers, the 128-bit fast window
 //! and the Kulisch drain; it is the differential oracle of the SIMD
-//! panels below. ABFT checking is a tap on that same body: given a
-//! [`ChunkCheck`], the per-chunk executors also report each element's
-//! `F_p` residue, and the injected fault lands on the drained output, so
-//! a checked chunk cannot compute different bits from an unchecked one.
+//! panels below. ABFT checking is a tap beside that same body: given a
+//! [`ChunkCheck`], the per-chunk executors also report the `F_p` residue
+//! of each element's chunk products, and the injected fault lands on the
+//! drained output, so a checked chunk cannot compute different bits from
+//! an unchecked one.
 //!
 //! ## Bit-exactness
 //!
@@ -76,16 +77,17 @@
 //! only the element-chunk it reruns, out of line, so the panel rows stay
 //! in registers.
 //!
-//! A checked FP32-family or FP32C chunk
+//! A checked FP32-family or FP32C panel
 //! ([`DotProductUnit::mma_f32_checked_into`],
-//! [`DotProductUnit::mma_c32_checked_into`]) runs the same panel body
-//! with its residue tap, a `const` generic, turned on, and without the
-//! quick or the exact tier: each vector column's residue is that of its
-//! exact pair, `residue(h) + residue(l)`, each fallback column's is the
-//! scalar element body's tap.
+//! [`DotProductUnit::mma_c32_checked_into`]) runs the same panel body,
+//! the same tiers in the same order, with its residue tap, a `const`
+//! generic, turned on: the first pass over each row takes the residues of
+//! the exact products it forms, lane by lane, and reports one sum per
+//! chunk. That is the chunk value's residue less its seed's, `res(X) −
+//! res(seed)`, whichever tier then rounds `X`, so reruns add nothing. The
+//! scalar element body's tap reports the same, from its decoded lanes.
 //! Emulated-FP64 chunks stay on the slice/Kulisch body when checked: the
-//! FMA row rounds in one instruction and keeps no exact pre-rounding
-//! value to take a residue from.
+//! FMA row keeps no product apart from its seed to take a residue from.
 
 pub mod simd;
 
@@ -772,6 +774,21 @@ fn fast_round_assemble(sign: u32, frac: u64, weight: i32, finite: bool) -> f32 {
     f32::from_bits(sign | ((ebits * hi) << 23) | (frac as u32 & 0x007f_ffff))
 }
 
+/// The checksum slots of a checked panel's chunks `[k0, kend)`, `frag_k`
+/// deep, each reset to [`Checksum::ZERO`] for the tap to accumulate into.
+fn checked_slots(
+    computed: &mut [Checksum],
+    k0: usize,
+    kend: usize,
+    frag_k: usize,
+) -> &mut [Checksum] {
+    let chunks = kend.saturating_sub(k0).div_ceil(frag_k);
+    assert!(computed.len() >= chunks, "one checksum slot per chunk");
+    let slots = &mut computed[..chunks];
+    slots.fill(Checksum::ZERO);
+    slots
+}
+
 /// Every column of a SIMD fragment row, as a bitmask.
 const ROW_MASK: u32 = (1 << simd::COLS) - 1;
 
@@ -857,18 +874,6 @@ impl FastDot {
         }
         Some(fast_round_f32(sum, pmin))
     }
-
-    /// `F_p` residue (`p = 2^61 - 1`) of the exact pre-rounding sum: the
-    /// contribution list *is* the dyadic value, so the residue is the
-    /// signed sum of the homomorphic images — no shifting, no window.
-    fn residue_m61(&self) -> u64 {
-        let mut r = 0u64;
-        for &(m, p, neg) in &self.contrib[..self.n] {
-            let t = mul_pow2_m61(m, p as i64);
-            r = if neg { sub_m61(r, t) } else { add_m61(r, t) };
-        }
-        r
-    }
 }
 
 /// Walk `schedule` over one output element's decoded chunk (`av` and `bv`
@@ -918,8 +923,6 @@ fn walk(
 
 /// The Kulisch drain of a real schedule: clear and seed the real register
 /// and execute every lane, leaving the result for the caller to read.
-/// With `tap`, returns the register's residue (see
-/// [`scalar_element_real`]).
 #[inline]
 fn kulisch_real(
     dpu: &mut DotProductUnit,
@@ -927,15 +930,45 @@ fn kulisch_real(
     av: &[BufferEntry],
     bv: &[BufferEntry],
     schedule: &Schedule,
-    tap: bool,
-) -> Option<u64> {
+) {
     dpu.clear_real();
     dpu.seed_real(seed);
     walk(av, bv, schedule, |x, y, l| {
         dpu.execute_lane_op(&l.op(x, y));
         Some(())
     });
-    tap.then(|| dpu.real_residue_m61()).flatten()
+}
+
+/// The ABFT tap of one element-chunk: the `F_p` residue (`p = 2^61 − 1`)
+/// of its lane products, `±x.mant · y.mant · 2^(x.pow + y.pow)` each,
+/// summed per target (the real part, and FP32C's imaginary one). That is
+/// `res(X) − res(seed)` for the exact value `X` the element rounds, and
+/// the seed plays no part, so a NaN or infinite seed leaves it defined.
+/// `None` when an entry is special: such lanes have no dyadic value.
+fn products_residue(
+    av: &[BufferEntry],
+    bv: &[BufferEntry],
+    schedule: &Schedule,
+) -> Option<(u64, u64)> {
+    let mut r = [0u64; 2];
+    walk(av, bv, schedule, |x, y, l| {
+        let (x, y) = (&x[l.a], &y[l.b]);
+        if x.special.is_some() || y.special.is_some() {
+            return None;
+        }
+        let t = mul_pow2_m61(
+            reduce_u64(x.mant as u64 * y.mant as u64),
+            (x.pow + y.pow) as i64,
+        );
+        let part = &mut r[(l.target == Target::Imag) as usize];
+        *part = if x.sign ^ y.sign ^ l.negate {
+            sub_m61(*part, t)
+        } else {
+            add_m61(*part, t)
+        };
+        Some(())
+    })?;
+    Some((r[0], r[1]))
 }
 
 /// One real-mode output element over a decoded chunk: the fast exact
@@ -944,12 +977,9 @@ fn kulisch_real(
 /// not, and the SIMD panel's fallback — every path is the same code, not
 /// merely equivalent code.
 ///
-/// With `tap`, also returns the `F_p` residue (`p = 2^61 - 1`) of the
-/// exact pre-rounding value the result was rounded from: the fast window's
-/// contribution list, or the Kulisch register (`None` once specials
-/// poisoned it). Either way it is the residue of the term schedule the
-/// datapath ran, truncated or full, which the expected side mirrors.
-/// Without `tap` the residue is `None` and costs nothing.
+/// With `tap`, also returns [`products_residue`]: the residue of the
+/// term schedule the datapath ran, truncated or full, which the expected
+/// side mirrors. Without `tap` the residue is `None` and costs nothing.
 #[inline]
 fn scalar_element_real(
     dpu: &mut DotProductUnit,
@@ -970,11 +1000,18 @@ fn scalar_element_real(
         });
         if let Some(v) = pushed.and_then(|()| dot.reduce()) {
             dpu.lane_ops += lanes_per_element;
-            return (v, tap.then(|| dot.residue_m61()));
+            return (v, tap_re(tap, av, bv, schedule));
         }
     }
-    let res = kulisch_real(dpu, seed as f64, av, bv, schedule, tap);
-    (dpu.read_real_f32(), res)
+    kulisch_real(dpu, seed as f64, av, bv, schedule);
+    (dpu.read_real_f32(), tap_re(tap, av, bv, schedule))
+}
+
+/// [`products_residue`]'s real part when `tap` is on, else `None`.
+#[inline]
+fn tap_re(tap: bool, av: &[BufferEntry], bv: &[BufferEntry], schedule: &Schedule) -> Option<u64> {
+    tap.then(|| products_residue(av, bv, schedule).map(|(re, _)| re))
+        .flatten()
 }
 
 /// One emulated-FP64 output element over a decoded chunk: [`SLICES5`]
@@ -992,8 +1029,8 @@ fn scalar_element_f64(
     bv: &[BufferEntry],
     tap: bool,
 ) -> (f64, Option<u64>) {
-    let res = kulisch_real(dpu, seed, av, bv, &SLICES5, tap);
-    (dpu.read_real_f64(), res)
+    kulisch_real(dpu, seed, av, bv, &SLICES5);
+    (dpu.read_real_f64(), tap_re(tap, av, bv, &SLICES5))
 }
 
 /// One FP32C output element over a decoded chunk — the complex
@@ -1021,7 +1058,7 @@ fn scalar_element_c32(
         });
         if let Some(v) = pushed.and_then(|()| Some(Complex::new(re.reduce()?, im.reduce()?))) {
             dpu.lane_ops += lanes_per_element;
-            return (v, tap.then(|| (re.residue_m61(), im.residue_m61())));
+            return (v, tap.then(|| products_residue(av, bv, &COMPLEX)).flatten());
         }
     }
     dpu.clear();
@@ -1031,23 +1068,21 @@ fn scalar_element_c32(
         dpu.execute_lane_op(&l.op(x, y));
         Some(())
     });
-    let res = tap.then(|| dpu.real_residue_m61().zip(dpu.imag_residue_m61()));
     let v = Complex::new(dpu.read_real_f32(), dpu.read_imag_f32());
-    (v, res.flatten())
+    (v, tap.then(|| products_residue(av, bv, &COMPLEX)).flatten())
 }
 
-/// The ABFT tap of one checked chunk: pass it to
-/// [`DotProductUnit::mma_f32_checked_into`] or
-/// [`DotProductUnit::mma_c32_checked_into`] (the SIMD panel body, where
-/// the panel would run it), or as `Some(&mut check)` to the scalar
-/// per-chunk executors [`DotProductUnit::mma_f32_into`],
-/// [`DotProductUnit::mma_c32_into`] and [`DotProductUnit::mma_f64_into`].
+/// The ABFT tap of one checked chunk: pass it as `Some(&mut check)` to
+/// the scalar per-chunk executors [`DotProductUnit::mma_f32_into`],
+/// [`DotProductUnit::mma_c32_into`] and [`DotProductUnit::mma_f64_into`],
+/// or run the chunk through [`DotProductUnit::mma_f32_checked_into`] or
+/// [`DotProductUnit::mma_c32_checked_into`] into `computed` and then
+/// [`ChunkCheck::inject_f32`] or [`ChunkCheck::inject_c32`].
 ///
 /// The executor accumulates the **computed** chunk checksum: the `F_p`
-/// residue sum of every output element's exact pre-rounding value — a
-/// SIMD column's exact pair `h + l`, or the scalar body's fast-path
-/// contribution list or Kulisch register — the same state the rounded
-/// value is drained from. An injected fault then corrupts one drained
+/// residue sum of every output element's exact chunk products, the value
+/// it rounds less its seed — a SIMD row's product lanes, or the scalar
+/// body's decoded lanes. An injected fault then corrupts one drained
 /// output component and moves the checksum by the residue difference,
 /// exactly as a flipped storage bit would shift the value; the checksum
 /// identity exposes it against the expected side. Fault-free, a checked
@@ -1105,9 +1140,21 @@ impl ChunkCheck {
         *v = cv;
     }
 
-    /// [`ChunkCheck::inject`] over an FP32C output, two component slots
-    /// per element.
-    fn inject_c32(&mut self, acc: &mut [Complex<f32>]) {
+    /// Apply the fault, if any, to a real chunk's output, one slot per
+    /// element, and move the computed checksum by the residue difference
+    /// (a special value is no fault target).
+    pub fn inject_f32(&mut self, acc: &mut [f32]) {
+        self.inject(acc.len(), corrupt_f32, |slot| (&mut acc[slot], false));
+    }
+
+    /// [`ChunkCheck::inject_f32`] over an emulated-FP64 chunk's output.
+    pub fn inject_f64(&mut self, acc: &mut [f64]) {
+        self.inject(acc.len(), corrupt_f64, |slot| (&mut acc[slot], false));
+    }
+
+    /// [`ChunkCheck::inject_f32`] over an FP32C output, two component
+    /// slots per element (re at even slots, im at odd).
+    pub fn inject_c32(&mut self, acc: &mut [Complex<f32>]) {
         self.inject(acc.len() * 2, corrupt_f32, |slot| {
             let z = &mut acc[slot / 2];
             if slot % 2 == 0 {
@@ -1135,8 +1182,9 @@ struct PanelAt<'p> {
     c0: usize,
     /// Lane products per MAC ([`MxuMode::terms_per_mac`]).
     terms: u64,
-    /// The tapped residues' sum (a tapped body only).
-    computed: &'p mut Checksum,
+    /// Each chunk's tapped residue sum, indexed from the panel's first
+    /// chunk (a tapped body only).
+    computed: &'p mut [Checksum],
 }
 
 /// `R` fragment rows of a real-mode SIMD panel in flight: their `A`
@@ -1163,24 +1211,43 @@ fn chunk_a<const T: usize>(arow: &[f32], ck0: usize) -> &[f32; T] {
     arow[ck0..ck0 + T].try_into().expect("T elements")
 }
 
-/// The `F_p` residue of the exact chunk values in the columns of `mask`
-/// of one rounded row, whose pairs are `(h[j], l[j])`: the sum of
-/// `residue(h) + residue(l)` over those columns. Lane-wise
-/// ([`residue_f64_lane`]), so the compiler vectorises it across the row.
+/// The residue tap of one chunk step: per column, the `F_p` residue sum
+/// of the exact products `prods` of each row added so far, whichever tier
+/// then rounds them. Lane-wise ([`residue_f64_lane`]) and a product row at
+/// a time, so the compiler vectorises it across the row's columns (summed
+/// as one expression over a row's products, it paired each column's
+/// products in 128-bit registers instead). Every column stays below
+/// `M61`. A NaN or infinite product gives a meaningless residue, but only
+/// beside a special operand, which leaves the expected side unverifiable.
 #[inline(always)]
-fn pair_residues(h: &simd::Row, l: &simd::Row, mask: u32) -> u64 {
-    let mut cols = [0u64; simd::COLS];
-    for (j, col) in cols.iter_mut().enumerate() {
-        let sum = residue_f64_lane(h[j]) + residue_f64_lane(l[j]);
-        // Two terms of at most `M61` fold to at most `M61`, so the row's
-        // eight columns sum below 2^64.
-        *col = if mask >> j & 1 == 1 {
-            (sum & M61) + (sum >> 61)
-        } else {
-            0
-        };
+fn tap_products<const N: usize, const T: usize>(tap: &mut [u64; N], prods: &[[f64; N]; T]) {
+    for p in prods {
+        for (t, &x) in tap.iter_mut().zip(p) {
+            // Two terms below 2^61 fold to at most `M61 + 1`, then reduce.
+            let s = *t + residue_f64_lane(x);
+            let s = (s & M61) + (s >> 61);
+            *t = s.min(s.wrapping_sub(M61));
+        }
     }
-    reduce_u64(cols.iter().sum())
+}
+
+/// The residue of a chunk step's tap: its eight columns, each below
+/// `M61`, summed below 2^64 and reduced.
+#[inline(always)]
+fn tap_residue(tap: &[u64]) -> u64 {
+    debug_assert!(tap.len() <= simd::COLS);
+    reduce_u64(tap.iter().sum())
+}
+
+/// Two fragment rows side by side, one 16-lane row: FP32C's real and
+/// imaginary terms share one tap, whose lanes the compiler then fills
+/// whole (two 8-lane taps, alike op for op, it paired column by column).
+#[inline(always)]
+fn join_rows(lo: &simd::Row, hi: &simd::Row) -> [f64; 2 * simd::COLS] {
+    let mut row = [0.0; 2 * simd::COLS];
+    row[..simd::COLS].copy_from_slice(lo);
+    row[simd::COLS..].copy_from_slice(hi);
+    row
 }
 
 impl DotProductUnit {
@@ -1236,7 +1303,7 @@ impl DotProductUnit {
         }
         self.decoded = buf;
         if let Some(check) = check {
-            check.inject(rows * cols, corrupt_f32, |slot| (&mut acc[slot], false));
+            check.inject_f32(&mut acc[..rows * cols]);
         }
     }
 
@@ -1329,7 +1396,7 @@ impl DotProductUnit {
         }
         self.decoded = buf;
         if let Some(check) = check {
-            check.inject(rows * cols, corrupt_f64, |slot| (&mut acc[slot], false));
+            check.inject_f64(&mut acc[..rows * cols]);
         }
     }
 
@@ -1416,11 +1483,7 @@ impl DotProductUnit {
         let kend = kend.min(a.len);
         let level = simd::level();
         if vector_panel(level, a, b, cols) && frag_k <= simd::MAX_KLEN && k0 < kend {
-            let mut unused = Checksum::ZERO;
-            let computed = &mut unused;
-            self.simd_panel_f32::<false>(
-                level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed,
-            );
+            self.simd_panel_f32::<false>(level, a, b, r0, rows, c0, k0, kend, frag_k, acc, &mut []);
             return;
         }
         let mut ck0 = k0;
@@ -1431,15 +1494,15 @@ impl DotProductUnit {
         }
     }
 
-    /// Execute one real-mode fragment chunk `[k0, k0 + klen)` checked:
-    /// bit-identical to [`mma_f32_into`](DotProductUnit::mma_f32_into)
-    /// with `Some(check)`, the same [`ChunkCheck`] result included. Where
-    /// [`mma_f32_panel_into`](DotProductUnit::mma_f32_panel_into) would
-    /// run the SIMD panel body, the chunk runs that body on the certified
-    /// pair alone, with its residue tap on — each vector column's exact
-    /// pair `(h, l)` folded into `F_p`, each fallback column's scalar tap
-    /// — and the fault lands on the drained output; elsewhere it runs the
-    /// scalar tapped chunk.
+    /// Execute a whole `K`-panel `[k0, kend)` of one real-mode output tile
+    /// checked, chunked at `frag_k`: bit-identical to
+    /// [`mma_f32_panel_into`](DotProductUnit::mma_f32_panel_into), with
+    /// `computed[c]` set to chunk `c`'s computed checksum, the residue of
+    /// its products (see [`ChunkCheck`]). Where the unchecked panel would
+    /// run the SIMD panel body, so does this one, on the same tiers, with
+    /// its residue tap on; elsewhere each chunk runs the scalar tapped
+    /// chunk. A single chunk is a panel of one: inject its fault with
+    /// [`ChunkCheck::inject_f32`] afterwards.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_f32_checked_into(
         &mut self,
@@ -1450,23 +1513,26 @@ impl DotProductUnit {
         c0: usize,
         cols: usize,
         k0: usize,
-        klen: usize,
+        kend: usize,
+        frag_k: usize,
         acc: &mut [f32],
-        check: &mut ChunkCheck,
+        computed: &mut [Checksum],
     ) {
         assert_eq!(a.mode, b.mode, "operand modes disagree");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
+        assert!(frag_k > 0, "fragment depth must be positive");
+        let kend = kend.min(a.len);
+        let computed = checked_slots(computed, k0, kend, frag_k);
         let level = simd::level();
-        if vector_panel(level, a, b, cols)
-            && (1..=simd::MAX_KLEN).contains(&(kend.saturating_sub(k0)))
-        {
-            let computed = &mut check.computed;
-            self.simd_panel_f32::<true>(level, a, b, r0, rows, c0, k0, kend, klen, acc, computed);
-            check.inject(rows * cols, corrupt_f32, |slot| (&mut acc[slot], false));
-        } else {
-            self.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(check));
+        if vector_panel(level, a, b, cols) && frag_k <= simd::MAX_KLEN && k0 < kend {
+            self.simd_panel_f32::<true>(level, a, b, r0, rows, c0, k0, kend, frag_k, acc, computed);
+            return;
+        }
+        for (slot, ck0) in computed.iter_mut().zip((k0..kend).step_by(frag_k)) {
+            let mut check = ChunkCheck::new(None);
+            self.mma_f32_into(a, b, r0, rows, c0, cols, ck0, frag_k, acc, Some(&mut check));
+            *slot = check.computed;
         }
     }
 
@@ -1497,13 +1563,11 @@ impl DotProductUnit {
         let kend = kend.min(a.len);
         let level = simd::level();
         if vector_panel(level, a, b, cols) && frag_k == 1 {
-            let mut unused = Checksum::ZERO;
-            let computed = &mut unused;
             simd::dispatch(
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_c32_body::<false>(a, b, r0, rows, c0, k0, kend, acc, computed)
+                    self.simd_panel_c32_body::<false>(a, b, r0, rows, c0, k0, kend, acc, &mut [])
                 },
             );
             return;
@@ -1516,12 +1580,12 @@ impl DotProductUnit {
         }
     }
 
-    /// Execute one FP32C fragment chunk `[k0, k0 + klen)` checked — the
-    /// complex counterpart of
-    /// [`mma_f32_checked_into`](DotProductUnit::mma_f32_checked_into),
-    /// bit-identical to [`mma_c32_into`](DotProductUnit::mma_c32_into)
-    /// with `Some(check)`, on the SIMD panel body with its residue tap
-    /// where the panel runs it.
+    /// The FP32C counterpart of
+    /// [`mma_f32_checked_into`](DotProductUnit::mma_f32_checked_into): a
+    /// checked `K`-panel, bit-identical to
+    /// [`mma_c32_panel_into`](DotProductUnit::mma_c32_panel_into), one
+    /// residue pair per chunk in `computed`; inject a single chunk's fault
+    /// with [`ChunkCheck::inject_c32`] afterwards.
     #[allow(clippy::too_many_arguments)]
     pub fn mma_c32_checked_into(
         &mut self,
@@ -1532,37 +1596,42 @@ impl DotProductUnit {
         c0: usize,
         cols: usize,
         k0: usize,
-        klen: usize,
+        kend: usize,
+        frag_k: usize,
         acc: &mut [Complex<f32>],
-        check: &mut ChunkCheck,
+        computed: &mut [Checksum],
     ) {
         assert_eq!(a.mode, MxuMode::M3xuFp32c, "a is not FP32C-packed");
         assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
+        assert!(frag_k > 0, "fragment depth must be positive");
+        let kend = kend.min(a.len);
+        let computed = checked_slots(computed, k0, kend, frag_k);
         let level = simd::level();
-        if vector_panel(level, a, b, cols) && kend.saturating_sub(k0) == 1 {
-            let (out, computed) = (&mut *acc, &mut check.computed);
+        if vector_panel(level, a, b, cols) && frag_k == 1 {
             simd::dispatch(
                 level,
                 #[inline(always)]
                 move |_| {
-                    self.simd_panel_c32_body::<true>(a, b, r0, rows, c0, k0, kend, out, computed)
+                    self.simd_panel_c32_body::<true>(a, b, r0, rows, c0, k0, kend, acc, computed)
                 },
             );
-            check.inject_c32(&mut acc[..rows * cols]);
-        } else {
-            self.mma_c32_into(a, b, r0, rows, c0, cols, k0, klen, acc, Some(check));
+            return;
+        }
+        for (slot, ck0) in computed.iter_mut().zip((k0..kend).step_by(frag_k)) {
+            let mut check = ChunkCheck::new(None);
+            self.mma_c32_into(a, b, r0, rows, c0, cols, ck0, frag_k, acc, Some(&mut check));
+            *slot = check.computed;
         }
     }
 
     /// Run the real-mode SIMD panel body at `level`. The product kernel
-    /// and the first rung of an unchecked chunk are picked once per panel
-    /// from the mode, as `const` generics: whole products, or the fast
-    /// mode's truncated ones (`TRUNC`); the quick tier, or for FP16, BF16
-    /// and TF32 the exact tier (`EXACT`). Checked chunks stay on the
-    /// pair, so a tapped panel takes no exact build.
+    /// and the first rung of a chunk are picked once per panel from the
+    /// mode, as `const` generics: whole products, or the fast mode's
+    /// truncated ones (`TRUNC`); the quick tier, or for FP16, BF16 and
+    /// TF32 the exact tier (`EXACT`). A tapped panel takes the same rung,
+    /// so each of the three has a tapped build too.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_f32<const TAP: bool>(
@@ -1577,7 +1646,7 @@ impl DotProductUnit {
         kend: usize,
         frag_k: usize,
         acc: &mut [f32],
-        computed: &mut Checksum,
+        computed: &mut [Checksum],
     ) {
         match a.mode {
             MxuMode::M3xuFp32Fast => simd::dispatch(
@@ -1589,7 +1658,7 @@ impl DotProductUnit {
                     )
                 },
             ),
-            MxuMode::Fp16 | MxuMode::Bf16 | MxuMode::Tf32 if !TAP => simd::dispatch(
+            MxuMode::Fp16 | MxuMode::Bf16 | MxuMode::Tf32 => simd::dispatch(
                 level,
                 #[inline(always)]
                 move |_| {
@@ -1616,15 +1685,15 @@ impl DotProductUnit {
     /// chunk, form each row's `klen` whole (or, with `TRUNC`, truncated)
     /// products for all 8 columns from the chunk's shared `B` rows, then
     /// round each column's exact chunk value with [`simd::round_chunk`],
-    /// without `TAP` first with [`simd::round_chunk_exact`] (`EXACT`, any
-    /// depth) or [`simd::round_chunk_quick`] (depths 1 and 2), a row it
-    /// refuses going to the pair. Any
+    /// first with [`simd::round_chunk_exact`] (`EXACT`, any depth) or
+    /// [`simd::round_chunk_quick`] (depths 1 and 2), a row it refuses
+    /// going to the pair. Any
     /// column the pair refuses (specials, a failed certificate) reruns
     /// that one (element, chunk) on the scalar element path — the shared
     /// [`scalar_element_real`], on the same schedule — so results match
     /// the scalar pipeline bit for bit no matter which path each element
-    /// took. With `TAP`, every element-chunk's residue goes into
-    /// `computed`; without it `computed` is never touched.
+    /// took. With `TAP`, each row's product residues go into its chunk's
+    /// slot of `computed`; without it `computed` is never touched.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_f32_body<const TRUNC: bool, const EXACT: bool, const TAP: bool>(
@@ -1638,7 +1707,7 @@ impl DotProductUnit {
         kend: usize,
         frag_k: usize,
         acc: &mut [f32],
-        computed: &mut Checksum,
+        computed: &mut [Checksum],
     ) {
         // B's value rows of the panel, one per reduction index, and the
         // fragment row's columns within them, checked once: each row group
@@ -1706,20 +1775,22 @@ impl DotProductUnit {
         }
         let (mut chunks, mut lanes) = (0u64, 0u64);
         let mut ck0 = k0;
+        let mut ci = 0;
         while ck0 < kend {
             let klen = frag_k.min(kend - ck0);
             // Constant-depth dispatch: the chunk fully unrolls for each
             // depth.
             let vector = match klen {
-                1 => self.simd_rows_chunk::<R, 1, TRUNC, EXACT, TAP>(at, &mut g, ck0),
-                2 => self.simd_rows_chunk::<R, 2, TRUNC, EXACT, TAP>(at, &mut g, ck0),
-                3 => self.simd_rows_chunk::<R, 3, TRUNC, EXACT, TAP>(at, &mut g, ck0),
-                4 => self.simd_rows_chunk::<R, 4, TRUNC, EXACT, TAP>(at, &mut g, ck0),
+                1 => self.simd_rows_chunk::<R, 1, TRUNC, EXACT, TAP>(at, &mut g, ck0, ci),
+                2 => self.simd_rows_chunk::<R, 2, TRUNC, EXACT, TAP>(at, &mut g, ck0, ci),
+                3 => self.simd_rows_chunk::<R, 3, TRUNC, EXACT, TAP>(at, &mut g, ck0, ci),
+                4 => self.simd_rows_chunk::<R, 4, TRUNC, EXACT, TAP>(at, &mut g, ck0, ci),
                 _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
             };
             chunks += vector;
             lanes += vector * klen as u64 * at.terms;
             ck0 += klen;
+            ci += 1;
         }
         for (d, row) in out.chunks_exact_mut(simd::COLS).zip(&g.rows) {
             d.copy_from_slice(row);
@@ -1730,11 +1801,13 @@ impl DotProductUnit {
 
     /// One `T`-deep chunk across a row group: the chunk's `B` rows are
     /// widened once for all its rows, and every row's 8 columns go through
-    /// [`simd::round_chunk`] before any refused column reruns on the
-    /// oracle, so the rows' seed chains overlap. Without `TAP`, every row
-    /// goes through a cheaper tier first, and only the rows it refuses
-    /// through the pair: with `EXACT` [`simd::round_chunk_exact`], else at
-    /// depths 1 and 2 [`simd::round_chunk_quick`]. Returns the
+    /// a rounder before any refused column reruns on the oracle, so the
+    /// rows' seed chains overlap. Every row goes through a cheaper tier
+    /// first, and only the rows it refuses through the pair: with `EXACT`
+    /// [`simd::round_chunk_exact`], else at depths 1 and 2
+    /// [`simd::round_chunk_quick`]; deeper FP32 chunks, which no mode
+    /// issues, take the pair alone. With `TAP`, the rows' product residues
+    /// go into chunk `ci`'s slot, once per chunk step. Returns the
     /// element-chunks rounded on the vector path.
     #[inline(always)]
     fn simd_rows_chunk<
@@ -1748,9 +1821,11 @@ impl DotProductUnit {
         at: &mut PanelAt<'_>,
         g: &mut RowGroup<'_, R>,
         ck0: usize,
+        ci: usize,
     ) -> u64 {
         let chunk = simd::ChunkB::<T>::load::<TRUNC>(&mut g.b_rows, at.c0);
-        if !TAP && (EXACT || T <= 2) {
+        let mut tap = [0u64; simd::COLS];
+        if EXACT || T <= 2 {
             // Pass 1: the first tier on every row, its results written over
             // the rows in place, and the rows it refuses. The rows are
             // indexed, not zipped: a loop zipping `g.arows` by value stayed
@@ -1758,6 +1833,9 @@ impl DotProductUnit {
             let mut refused_rows = 0u32;
             for (r, seed) in g.seeds.iter_mut().enumerate() {
                 let prods = chunk.products::<TRUNC>(chunk_a(g.arows[r], ck0));
+                if TAP {
+                    tap_products(&mut tap, &prods);
+                }
                 let (out, passed) = if EXACT {
                     let x = simd::round_chunk_exact(&g.rows[r], &prods);
                     (x.out, x.passed())
@@ -1767,6 +1845,9 @@ impl DotProductUnit {
                 };
                 (*seed, g.rows[r]) = (g.rows[r], out);
                 refused_rows |= (!passed as u32) << r;
+            }
+            if TAP {
+                at.computed[ci].absorb_re(Some(tap_residue(&tap)));
             }
             let mut vector = (R * simd::COLS) as u64;
             // Pass 2: each refused row's products again, on the pair, and
@@ -1791,29 +1872,32 @@ impl DotProductUnit {
                         rr.out
                     } else {
                         let i = g.i + r;
-                        self.rerun_real(at, i, ck0, ck0 + T, false, seeds, rr.out, refused)
+                        self.rerun_real(at, i, ck0, ck0 + T, seeds, rr.out, refused)
                     };
                 }
             }
             return vector;
         }
         for ((rr, arow), row) in g.rounded.iter_mut().zip(g.arows).zip(&g.rows) {
-            *rr = simd::round_chunk(row, &chunk.products::<TRUNC>(chunk_a(arow, ck0)));
+            let prods = chunk.products::<TRUNC>(chunk_a(arow, ck0));
+            if TAP {
+                tap_products(&mut tap, &prods);
+            }
+            *rr = simd::round_chunk(row, &prods);
+        }
+        if TAP {
+            at.computed[ci].absorb_re(Some(tap_residue(&tap)));
         }
         let mut vector = 0;
         for (r, (row, rr)) in g.rows.iter_mut().zip(&g.rounded).enumerate() {
             let ok = rr.ok();
             vector += ok.count_ones() as u64;
-            if TAP {
-                let res = pair_residues(&rr.pair[0], &rr.pair[1], ok);
-                at.computed.absorb_re(Some(res));
-            }
             let refused = !ok & ROW_MASK;
             *row = if refused == 0 {
                 rr.out
             } else {
                 let (seeds, out) = (*row, rr.out);
-                self.rerun_real(at, g.i + r, ck0, ck0 + T, TAP, seeds, out, refused)
+                self.rerun_real(at, g.i + r, ck0, ck0 + T, seeds, out, refused)
             };
         }
         vector
@@ -1821,10 +1905,10 @@ impl DotProductUnit {
 
     /// Rerun the `refused` columns of fragment row `i`'s chunk `[ck0,
     /// kend)` on the scalar oracle, [`scalar_element_real`], each from its
-    /// seed in `seeds`, and return `out` with those columns replaced (and,
-    /// with `tap`, their residues absorbed). Out of line and cold, called
-    /// only when a column is refused, so the panel's rows stay in
-    /// registers.
+    /// seed in `seeds`, and return `out` with those columns replaced. A
+    /// tapped panel took their residues with the row's. Out of line and
+    /// cold, called only when a column is refused, so the panel's rows
+    /// stay in registers.
     #[allow(clippy::too_many_arguments)]
     #[cold]
     #[inline(never)]
@@ -1834,7 +1918,6 @@ impl DotProductUnit {
         i: usize,
         ck0: usize,
         kend: usize,
-        tap: bool,
         seeds: [f32; simd::COLS],
         mut out: [f32; simd::COLS],
         refused: u32,
@@ -1844,12 +1927,9 @@ impl DotProductUnit {
         let schedule = assign::schedule(a.mode);
         for_each_bit(refused, |j| {
             self.simd_fallbacks += 1;
-            let (d, res) = rerun(a, b, at.r0 + i, at.c0 + j, ck0, kend, |av, bv| {
-                scalar_element_real(self, seeds[j], av, bv, &schedule, lanes, tap)
+            let (d, _) = rerun(a, b, at.r0 + i, at.c0 + j, ck0, kend, |av, bv| {
+                scalar_element_real(self, seeds[j], av, bv, &schedule, lanes, false)
             });
-            if tap {
-                at.computed.absorb_re(res);
-            }
             out[j] = d;
         });
         out
@@ -1940,10 +2020,11 @@ impl DotProductUnit {
     /// a_I·b_R` with one [`simd::round_chunk`] each. Both components'
     /// accumulators stay `f32` rows across the `K`-panel. Either component
     /// refused sends that (element, chunk) to the shared
-    /// [`scalar_element_c32`] fallback. `TAP` and `computed` as in the
-    /// FP32 body, one residue pair per element-chunk. Without `TAP` each
-    /// row runs [`simd::round_chunk_quick`] on both components first, and
-    /// only a row whose either component it refuses runs the pair.
+    /// [`scalar_element_c32`] fallback. Each row runs
+    /// [`simd::round_chunk_quick`] on both components first, and only a
+    /// row whose either component it refuses runs the pair. `TAP` and
+    /// `computed` as in the FP32 body: the quick pass's four component
+    /// product rows give each chunk's residue pair.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn simd_panel_c32_body<const TAP: bool>(
@@ -1956,7 +2037,7 @@ impl DotProductUnit {
         k0: usize,
         kend: usize,
         acc: &mut [Complex<f32>],
-        computed: &mut Checksum,
+        computed: &mut [Checksum],
     ) {
         let terms = a.mode.terms_per_mac();
         let mut at = PanelAt {
@@ -2006,9 +2087,6 @@ impl DotProductUnit {
             }
         }
         let mut chunks = 0u64;
-        // Every chunk overwrites these whole. Made per chunk, they would
-        // be zeroed per chunk, as in `RowGroup::rounded`.
-        let mut rounded = [[simd::RoundedRow::NONE; 2]; R];
         for k in k0..kend {
             let cols = |plane: &[f32]| -> [f32; simd::COLS] {
                 plane[k * n + c0..k * n + c0 + simd::COLS]
@@ -2016,85 +2094,65 @@ impl DotProductUnit {
                     .expect("B's value row holds the fragment row's columns")
             };
             let (bre, bim) = (cols(bre_plane), cols(bim_plane));
-            if !TAP {
-                // The quick tier on every row, then the pair on the rows it
-                // refuses, as in `simd_rows_chunk`.
-                let (mut qre, mut qim) = ([[0f32; simd::COLS]; R], [[0f32; simd::COLS]; R]);
-                let mut refused_rows = 0u32;
-                for r in 0..R {
-                    let arow = arows[r];
-                    let [rr, ri, ir, ii] =
-                        simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
-                    let q_re = simd::round_chunk_quick(&re[r], &[rr, ri]);
-                    let q_im = simd::round_chunk_quick(&im[r], &[ir, ii]);
-                    (qre[r], qim[r]) = (q_re.out, q_im.out);
-                    // `&&`: a `vptest` per component. Any form the
-                    // compiler could merge into one test over both
-                    // components' 16 words became a horizontal reduction,
-                    // and the FP32C panel ran about 15% slower.
-                    refused_rows |= (!(q_re.passed() && q_im.passed()) as u32) << r;
-                }
-                chunks += (R * simd::COLS) as u64;
-                if refused_rows != 0 {
-                    self.quick_refusals += (refused_rows.count_ones() as usize * simd::COLS) as u64;
-                    // This loop's row index is not a constant, so it runs on
-                    // copies and fills `next`, which the merge below reads at
-                    // constant indices: the rows every chunk carries stay in
-                    // registers.
-                    let (rows_a, seeds) = (arows, (re, im));
-                    let mut next = ([[0f32; simd::COLS]; R], [[0f32; simd::COLS]; R]);
-                    for (r, arow) in rows_a.iter().enumerate() {
-                        if refused_rows >> r & 1 == 0 {
-                            continue;
-                        }
-                        let [rr, ri, ir, ii] =
-                            simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
-                        let rre = simd::round_chunk(&seeds.0[r], &[rr, ri]);
-                        let rim = simd::round_chunk(&seeds.1[r], &[ir, ii]);
-                        let refused = !(rre.ok() & rim.ok()) & ROW_MASK;
-                        chunks -= refused.count_ones() as u64;
-                        (next.0[r], next.1[r]) = if refused == 0 {
-                            (rre.out, rim.out)
-                        } else {
-                            let (seeds, out) = ((seeds.0[r], seeds.1[r]), (rre.out, rim.out));
-                            self.rerun_c32(at, i + r, k, false, seeds, out, refused)
-                        };
-                    }
-                    for r in 0..R {
-                        if refused_rows >> r & 1 == 1 {
-                            (qre[r], qim[r]) = (next.0[r], next.1[r]);
-                        }
-                    }
-                }
-                (re, im) = (qre, qim);
-                continue;
-            }
-            for (r, (rounded, arow)) in rounded.iter_mut().zip(arows).enumerate() {
+            // The quick tier on every row, then the pair on the rows it
+            // refuses, as in `simd_rows_chunk`.
+            let (mut qre, mut qim) = ([[0f32; simd::COLS]; R], [[0f32; simd::COLS]; R]);
+            // The real terms in the low eight lanes, the imaginary high.
+            let mut tap = [0u64; 2 * simd::COLS];
+            let mut refused_rows = 0u32;
+            for r in 0..R {
+                let arow = arows[r];
                 let [rr, ri, ir, ii] =
                     simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
-                *rounded = [
-                    simd::round_chunk(&re[r], &[rr, ri]),
-                    simd::round_chunk(&im[r], &[ir, ii]),
-                ];
-            }
-            for (r, [rre, rim]) in rounded.iter().enumerate() {
-                let ok = rre.ok() & rim.ok();
-                chunks += ok.count_ones() as u64;
                 if TAP {
-                    let res = (
-                        pair_residues(&rre.pair[0], &rre.pair[1], ok),
-                        pair_residues(&rim.pair[0], &rim.pair[1], ok),
-                    );
-                    at.computed.absorb_pair(Some(res));
+                    tap_products(&mut tap, &[join_rows(&rr, &ir), join_rows(&ri, &ii)]);
                 }
-                let refused = !ok & ROW_MASK;
-                (re[r], im[r]) = if refused == 0 {
-                    (rre.out, rim.out)
-                } else {
-                    let (seeds, out) = ((re[r], im[r]), (rre.out, rim.out));
-                    self.rerun_c32(at, i + r, k, TAP, seeds, out, refused)
-                };
+                let q_re = simd::round_chunk_quick(&re[r], &[rr, ri]);
+                let q_im = simd::round_chunk_quick(&im[r], &[ir, ii]);
+                (qre[r], qim[r]) = (q_re.out, q_im.out);
+                // `&&`: a `vptest` per component. Any form the
+                // compiler could merge into one test over both
+                // components' 16 words became a horizontal reduction,
+                // and the FP32C panel ran about 15% slower.
+                refused_rows |= (!(q_re.passed() && q_im.passed()) as u32) << r;
             }
+            if TAP {
+                let (re, im) = tap.split_at(simd::COLS);
+                at.computed[k - k0].absorb_pair(Some((tap_residue(re), tap_residue(im))));
+            }
+            chunks += (R * simd::COLS) as u64;
+            if refused_rows != 0 {
+                self.quick_refusals += (refused_rows.count_ones() as usize * simd::COLS) as u64;
+                // This loop's row index is not a constant, so it runs on
+                // copies and fills `next`, which the merge below reads at
+                // constant indices: the rows every chunk carries stay in
+                // registers.
+                let (rows_a, seeds) = (arows, (re, im));
+                let mut next = ([[0f32; simd::COLS]; R], [[0f32; simd::COLS]; R]);
+                for (r, arow) in rows_a.iter().enumerate() {
+                    if refused_rows >> r & 1 == 0 {
+                        continue;
+                    }
+                    let [rr, ri, ir, ii] =
+                        simd::row_products_c32(arow[2 * k], arow[2 * k + 1], &bre, &bim);
+                    let rre = simd::round_chunk(&seeds.0[r], &[rr, ri]);
+                    let rim = simd::round_chunk(&seeds.1[r], &[ir, ii]);
+                    let refused = !(rre.ok() & rim.ok()) & ROW_MASK;
+                    chunks -= refused.count_ones() as u64;
+                    (next.0[r], next.1[r]) = if refused == 0 {
+                        (rre.out, rim.out)
+                    } else {
+                        let (seeds, out) = ((seeds.0[r], seeds.1[r]), (rre.out, rim.out));
+                        self.rerun_c32(at, i + r, k, seeds, out, refused)
+                    };
+                }
+                for r in 0..R {
+                    if refused_rows >> r & 1 == 1 {
+                        (qre[r], qim[r]) = (next.0[r], next.1[r]);
+                    }
+                }
+            }
+            (re, im) = (qre, qim);
         }
         for ((row, re), im) in out.chunks_exact_mut(simd::COLS).zip(&re).zip(&im) {
             for (j, d) in row.iter_mut().enumerate() {
@@ -2109,7 +2167,6 @@ impl DotProductUnit {
     /// on the scalar oracle, [`scalar_element_c32`], each from its seeds in
     /// `seeds` (re, im), and return `out` with those columns replaced —
     /// [`DotProductUnit::rerun_real`]'s counterpart.
-    #[allow(clippy::too_many_arguments)]
     #[cold]
     #[inline(never)]
     fn rerun_c32(
@@ -2117,7 +2174,6 @@ impl DotProductUnit {
         at: &mut PanelAt<'_>,
         i: usize,
         k: usize,
-        tap: bool,
         seeds: ([f32; simd::COLS], [f32; simd::COLS]),
         mut out: ([f32; simd::COLS], [f32; simd::COLS]),
         refused: u32,
@@ -2126,12 +2182,9 @@ impl DotProductUnit {
         for_each_bit(refused, |j| {
             self.simd_fallbacks += 1;
             let seed = Complex::new(seeds.0[j], seeds.1[j]);
-            let (d, res) = rerun(a, b, at.r0 + i, at.c0 + j, k, k + 1, |av, bv| {
-                scalar_element_c32(self, seed, av, bv, at.terms, tap)
+            let (d, _) = rerun(a, b, at.r0 + i, at.c0 + j, k, k + 1, |av, bv| {
+                scalar_element_c32(self, seed, av, bv, at.terms, false)
             });
-            if tap {
-                at.computed.absorb_pair(res);
-            }
             (out.0[j], out.1[j]) = (d.re, d.im);
         });
         out
@@ -2555,7 +2608,6 @@ mod tests {
                 let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32Fast);
                 let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32Fast);
                 let mut got: Vec<f32> = c.as_slice().to_vec();
-                let mut unused = Checksum::ZERO;
                 simd::dispatch(
                     level,
                     #[inline(always)]
@@ -2570,7 +2622,7 @@ mod tests {
                             1,
                             1,
                             &mut got,
-                            &mut unused,
+                            &mut [],
                         )
                     },
                 );
@@ -2609,7 +2661,6 @@ mod tests {
                 dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut want, None);
             }
             let mut got: Vec<f32> = c.as_slice().to_vec();
-            let mut unused = Checksum::ZERO;
             simd::dispatch(
                 level,
                 #[inline(always)]
@@ -2624,7 +2675,7 @@ mod tests {
                         12,
                         2,
                         &mut got,
-                        &mut unused,
+                        &mut [],
                     )
                 },
             );
@@ -3169,18 +3220,19 @@ mod tests {
 
     /// One checked chunk on an 8 x 8 tile, at every level: the scalar
     /// tapped chunk (`scalar`, the per-chunk executor with `Some(check)`),
-    /// then the vector checked chunk (`vector`) with the level set to each
-    /// `vector_levels()` entry. Every vector run must write the scalar
-    /// run's output bits and compute its exact `Checksum`. Returns the
-    /// scalar output bits and checksum, and each vector run's
-    /// `(simd_chunks, simd_fallbacks)` delta.
+    /// then the vector checked chunk (`vector`, the checked panel of one
+    /// chunk, then the fault) with the level set to each `vector_levels()`
+    /// entry. Every vector run must write the scalar run's output bits and
+    /// compute its exact `Checksum` wherever that is verifiable. Returns the scalar output bits and
+    /// checksum, and each vector run's `(simd_chunks, simd_fallbacks,
+    /// quick_refusals, exact_refusals)` delta.
     fn checked_at_every_level<T: Copy>(
         c: &[T],
         fault: Option<MmaFault>,
         bits: fn(&[T]) -> Vec<u64>,
         scalar: impl Fn(&mut DotProductUnit, &mut [T], &mut ChunkCheck),
         vector: impl Fn(&mut DotProductUnit, &mut [T], &mut ChunkCheck),
-    ) -> (Vec<u64>, Checksum, Vec<(u64, u64)>) {
+    ) -> (Vec<u64>, Checksum, Vec<[u64; 4]>) {
         let _guard = simd::TEST_LEVEL_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -3190,18 +3242,45 @@ mod tests {
         let mut check = ChunkCheck::new(fault);
         scalar(&mut dpu, &mut want, &mut check);
         let mut counts = Vec::new();
+        let meter = |d: &DotProductUnit| {
+            [
+                d.simd_chunks,
+                d.simd_fallbacks,
+                d.quick_refusals,
+                d.exact_refusals,
+            ]
+        };
         for level in simd::vector_levels() {
             simd::set_level(level);
-            let (chunks, fallbacks) = (dpu.simd_chunks, dpu.simd_fallbacks);
+            let before = meter(&dpu);
             let mut got = c.to_vec();
             let mut vcheck = ChunkCheck::new(fault);
             vector(&mut dpu, &mut got, &mut vcheck);
             assert_eq!(bits(&got), bits(&want), "{level:?} {fault:?}");
-            assert_eq!(vcheck.computed, check.computed, "{level:?} {fault:?}");
-            counts.push((dpu.simd_chunks - chunks, dpu.simd_fallbacks - fallbacks));
+            // A special operand leaves the scalar tap unverifiable and the
+            // vector tap's residue meaningless; the expected side of such a
+            // chunk is unverifiable too, so neither is compared.
+            if check.computed.ok {
+                assert_eq!(vcheck.computed, check.computed, "{level:?} {fault:?}");
+            }
+            let after = meter(&dpu);
+            counts.push(std::array::from_fn(|i| after[i] - before[i]));
         }
         simd::set_level(entry);
         (bits(&want), check.computed, counts)
+    }
+
+    /// The vector checked FP32C chunk `[0, 1)` of an 8 x 8 tile: the
+    /// checked panel of one chunk, then the fault.
+    fn c32_checked_chunk<'p>(
+        pa: &'p PackedOperand,
+        pb: &'p PackedOperand,
+    ) -> impl Fn(&mut DotProductUnit, &mut [Complex<f32>], &mut ChunkCheck) + 'p {
+        |dpu, acc, check| {
+            let slot = std::slice::from_mut(&mut check.computed);
+            dpu.mma_c32_checked_into(pa, pb, 0, 8, 0, 8, 0, 1, 1, acc, slot);
+            check.inject_c32(acc);
+        }
     }
 
     fn bits_f32(acc: &[f32]) -> Vec<u64> {
@@ -3216,12 +3295,12 @@ mod tests {
 
     #[test]
     fn checked_mma_f32_is_bit_identical_and_checksum_verifies() {
-        use crate::abft::{expected_chunk_f32, BandSums};
+        use crate::abft::{expected_chunk, BandSums};
         // Every real f32 mode — including the truncated fast schedule and
-        // the narrow formats — plus a wide-exponent-spread row that forces
-        // the fallback; all must verify, on the scalar tapped chunk and on
-        // the vector checked chunk at every level, which must agree bit
-        // for bit and checksum for checksum.
+        // the narrow formats — plus a wide-exponent-spread row; all must
+        // verify, on the scalar tapped chunk and on the vector checked
+        // chunk at every level, which must agree bit for bit and checksum
+        // for checksum, and count what the unchecked panel counts.
         for mode in [
             MxuMode::M3xuFp32,
             MxuMode::M3xuFp32Fast,
@@ -3243,7 +3322,7 @@ mod tests {
                 let mut plain: Vec<f32> = c.as_slice().to_vec();
                 dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain, None);
                 let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
-                let expected = expected_chunk_f32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
+                let expected = expected_chunk(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
                 let (checked, computed, counts) = checked_at_every_level(
                     c.as_slice(),
                     None,
@@ -3252,17 +3331,32 @@ mod tests {
                         dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, Some(check));
                     },
                     |dpu, acc, check| {
-                        dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, check);
+                        let slot = std::slice::from_mut(&mut check.computed);
+                        dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, 2, acc, slot);
+                        check.inject_f32(acc);
                     },
                 );
                 assert_eq!(checked, bits_f32(&plain), "{mode:?}");
-                // Checked chunks run the certified pair alone: the wide
-                // row's 8 chunks fall back to the oracle at every vector
-                // level, and the pair rounds everything else.
-                let row0 = if scale == 1.0 { 0 } else { 8 };
-                for &n in &counts {
-                    assert_eq!(n, (64 - row0, row0), "{mode:?} scale {scale:e}");
+                // Checked chunks run the unchecked panel's tiers: the same
+                // counters, level by level.
+                let _guard = simd::TEST_LEVEL_LOCK
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                let entry = simd::level();
+                for (&level, n) in simd::vector_levels().iter().zip(&counts) {
+                    simd::set_level(level);
+                    let mut dpu = DotProductUnit::new();
+                    let mut acc: Vec<f32> = c.as_slice().to_vec();
+                    dpu.mma_f32_panel_into(&pa, &pb, 0, 8, 0, 8, 0, 2, 2, &mut acc);
+                    let want = [
+                        dpu.simd_chunks,
+                        dpu.simd_fallbacks,
+                        dpu.quick_refusals,
+                        dpu.exact_refusals,
+                    ];
+                    assert_eq!(*n, want, "{mode:?} scale {scale:e} {level:?}");
                 }
+                simd::set_level(entry);
                 // The scaled case overflows the narrow formats to Inf at
                 // quantisation — those chunks are correctly unverifiable;
                 // a special-free band must always verify.
@@ -3279,7 +3373,7 @@ mod tests {
 
     #[test]
     fn checked_mma_f64_is_bit_identical_and_checksum_verifies() {
-        use crate::abft::{expected_chunk_f64, BandSums};
+        use crate::abft::{expected_chunk, BandSums};
         let a = Matrix::from_fn(8, 2, |i, j| ((i * 2 + j) as f64 - 7.5) / 3.0);
         let b = Matrix::from_fn(2, 8, |i, j| ((i * 8 + j) as f64 - 6.5) / 7.0);
         let c = Matrix::from_fn(8, 8, |i, j| ((i * 8 + j) as f64 - 31.5) / 11.0);
@@ -3290,7 +3384,7 @@ mod tests {
         dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain, None);
         let mut checked: Vec<f64> = c.as_slice().to_vec();
         let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
-        let expected = expected_chunk_f64(&sums_a, &sums_b, &checked, 0, 0, 0, 2);
+        let expected = expected_chunk(&sums_a, &sums_b, &checked, 0, 0, 0, 2);
         let mut check = ChunkCheck::new(None);
         dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, Some(&mut check));
         for (x, y) in checked.iter().zip(&plain) {
@@ -3302,16 +3396,16 @@ mod tests {
 
     #[test]
     fn checked_mma_c32_is_bit_identical_and_checksum_verifies() {
-        use crate::abft::{expected_chunk_c32, BandSums};
+        use crate::abft::{expected_chunk, BandSums};
         let b = Matrix::random_c32(1, 8, 62);
         let c = Matrix::random_c32(8, 8, 63);
         let pb = PackedOperand::pack_cols_c32(&b);
         // Random operands stay on the scalar oracle's 128-bit fast window
-        // and on the vector checked chunk's certified pair; `a[0][0] =
-        // 1e20 + 1e-20i` spreads both components of row 0 past both, onto
-        // the Kulisch drain, whose real and imaginary residues must each
-        // be reported. The vector checked chunk sends that row to the
-        // same fallback and must agree at every level.
+        // and on the vector checked chunk's quick tier; `a[0][0] = 1e20 +
+        // 1e-20i` spreads both components of row 0 past the window, onto
+        // the Kulisch drain, whose real and imaginary product residues
+        // must each be reported. The vector checked chunk's tap reads the
+        // same products and must agree at every level.
         let mut wide = Matrix::random_c32(8, 1, 61);
         wide.set(0, 0, Complex::new(1.0e20, 1.0e-20));
         for (a, row0) in [(Matrix::random_c32(8, 1, 61), 0), (wide, 8)] {
@@ -3320,17 +3414,21 @@ mod tests {
             let mut plain: Vec<Complex<f32>> = c.as_slice().to_vec();
             dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut plain, None);
             let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
-            let expected = expected_chunk_c32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 1);
+            let expected = expected_chunk(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 1);
             let (checked, computed, counts) = checked_at_every_level(
                 c.as_slice(),
                 None,
                 bits_c32,
                 |dpu, acc, check| dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, Some(check)),
-                |dpu, acc, check| dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, check),
+                c32_checked_chunk(&pa, &pb),
             );
             assert_eq!(checked, bits_c32(&plain));
+            // Each level counts what its unchecked panel counts: every
+            // element-chunk on the vector path, and the wide row refused by
+            // the quick tier only where the row is wide.
             for &n in &counts {
-                assert_eq!(n, (64 - row0, row0));
+                assert_eq!([n[0] + n[1], n[3]], [64, 0]);
+                assert!(row0 > 0 || n[2] == 0, "{n:?}");
             }
             assert!(expected.ok && expected.matches(&computed));
         }
@@ -3338,7 +3436,7 @@ mod tests {
 
     #[test]
     fn injected_faults_are_always_detected() {
-        use crate::abft::{expected_chunk_c32, expected_chunk_f32, expected_chunk_f64, BandSums};
+        use crate::abft::{expected_chunk, BandSums};
         use crate::fault::MmaFault;
         // Burst and single-bit faults, plus an LSB flip of every component
         // slot (128 covers FP32C's 8 x 8 x 2).
@@ -3386,7 +3484,7 @@ mod tests {
             let mut clean: Vec<f32> = c.as_slice().to_vec();
             dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut clean, None);
             let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
-            let expected = expected_chunk_f32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
+            let expected = expected_chunk(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
             for f in &faults {
                 let (got, computed, _) = checked_at_every_level(
                     c.as_slice(),
@@ -3396,7 +3494,9 @@ mod tests {
                         dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, Some(check));
                     },
                     |dpu, acc, check| {
-                        dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, acc, check);
+                        let slot = std::slice::from_mut(&mut check.computed);
+                        dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, 2, acc, slot);
+                        check.inject_f32(acc);
                     },
                 );
                 assert!(
@@ -3418,7 +3518,7 @@ mod tests {
         let mut clean: Vec<f64> = c.as_slice().to_vec();
         dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut clean, None);
         let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
-        let expected = expected_chunk_f64(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
+        let expected = expected_chunk(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 2);
         for f in &faults {
             let mut acc: Vec<f64> = c.as_slice().to_vec();
             let mut check = ChunkCheck::new(Some(*f));
@@ -3439,14 +3539,14 @@ mod tests {
         let mut clean: Vec<Complex<f32>> = c.as_slice().to_vec();
         dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut clean, None);
         let (sums_a, sums_b) = (BandSums::new(&pa, 8), BandSums::new(&pb, 8));
-        let expected = expected_chunk_c32(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 1);
+        let expected = expected_chunk(&sums_a, &sums_b, c.as_slice(), 0, 0, 0, 1);
         for f in &faults {
             let (got, computed, _) = checked_at_every_level(
                 c.as_slice(),
                 Some(*f),
                 bits_c32,
                 |dpu, acc, check| dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, Some(check)),
-                |dpu, acc, check| dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, acc, check),
+                c32_checked_chunk(&pa, &pb),
             );
             assert!(
                 !expected.matches(&computed),

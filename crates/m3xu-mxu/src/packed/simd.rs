@@ -51,8 +51,7 @@
 //! element-chunk** to the scalar executor, which remains the differential
 //! oracle. The GEMM-FFT's running sum beside `x·w` for `w` some 2^-54
 //! (f32 cos(pi/2)) is a two-scale chunk and stays on the vector path. The
-//! pair is also the ABFT tap: a checked chunk's residue is `residue(h) +
-//! residue(l)`. The kill switch `M3XU_SIMD=0` (or
+//! kill switch `M3XU_SIMD=0` (or
 //! [`set_level`]`(SimdLevel::Scalar)`) routes every element through the
 //! oracle path.
 //!
@@ -68,7 +67,9 @@
 //! input. The unchecked FP32, fast-FP32 and FP32C panels run it on every
 //! row of a chunk step, then the pair on the rows it refused, then the
 //! oracle on the columns the pair refuses, so every output keeps the
-//! oracle's bits. Checked chunks stay on the pair: their tap reads it.
+//! oracle's bits. Checked panels run the same ladder: the ABFT tap reads
+//! the exact products the first pass forms, `X − seed`, not any rounder's
+//! sums.
 //!
 //! ## The exact tier
 //!
@@ -83,9 +84,9 @@
 //! results, overflow to ±Inf and the `+0` rule included. A special input
 //! makes an error NaN, so its row is refused. The unchecked FP16, BF16 and
 //! TF32 panels start on it, then the pair, then the oracle, as the other
-//! modes start on the quick tier; the rung is a `const` generic of the
-//! panel body, chosen once per panel from the mode, so the FP32 builds
-//! hold no exact tier and the narrow build no quick one.
+//! modes start on the quick tier, checked or not; the rung is a `const`
+//! generic of the panel body, chosen once per panel from the mode, so the
+//! FP32 builds hold no exact tier and the narrow builds no quick one.
 //!
 //! ## The panels
 //!
@@ -331,9 +332,6 @@ pub(crate) struct RoundedRow {
     /// Each column's chunk value correctly rounded to FP32. Only the
     /// columns of [`RoundedRow::ok`] are meaningful.
     pub(crate) out: [f32; COLS],
-    /// Each column's pair `(h, l)`: the chunk value is exactly `h + l`,
-    /// and `h` is its `f64` rounding. The residue tap reads it.
-    pub(crate) pair: [Row; 2],
     /// Zero for a column whose pair is certified exact and is finite;
     /// positive or NaN for a refused one.
     refusal: Row,
@@ -343,7 +341,6 @@ impl RoundedRow {
     /// A row before rounding.
     pub(crate) const NONE: RoundedRow = RoundedRow {
         out: [0.0; COLS],
-        pair: [[0.0; COLS]; 2],
         refusal: [0.0; COLS],
     };
 
@@ -423,7 +420,6 @@ pub(crate) fn round_chunk<const T: usize>(seed: &[f32; COLS], prods: &[Row; T]) 
         // zero leaves a `+0` refusal `+0`.
         row.refusal[j] = refusal[j] + l[j] * 0.0;
     }
-    row.pair = [h, l];
     row
 }
 
@@ -829,12 +825,11 @@ mod tests {
     use super::super::for_each_bit;
     use super::*;
 
-    /// One row of the rounder's result: the accepted columns, the rounded
-    /// values and the pairs.
+    /// One row of the rounder's result: the accepted columns and the
+    /// rounded values.
     struct Rounded {
         ok: u32,
         out: [f32; COLS],
-        pair: [Row; 2],
     }
 
     /// What the tests read of a rounded row.
@@ -842,7 +837,6 @@ mod tests {
         Rounded {
             ok: row.ok(),
             out: row.out,
-            pair: row.pair,
         }
     }
 
@@ -861,8 +855,8 @@ mod tests {
             assert_eq!(got.ok, want.ok, "{lvl:?}: seeds {seed:?} prods {prods:?}");
             for_each_bit(want.ok, |j| {
                 assert_eq!(
-                    (got.out[j].to_bits(), got.pair[0][j], got.pair[1][j]),
-                    (want.out[j].to_bits(), want.pair[0][j], want.pair[1][j]),
+                    got.out[j].to_bits(),
+                    want.out[j].to_bits(),
                     "{lvl:?} column {j}"
                 );
             });
@@ -1342,6 +1336,31 @@ mod tests {
             }
         });
         println!("panel total: {panel:.2} ns/element-chunk ({lvl:?})");
+        // The tapped panel as a checked tile's block path runs it: 64
+        // chunks per call, one residue each.
+        let mut computed = [crate::abft::Checksum::ZERO; 64];
+        let block = 64 * 2;
+        let tapped = best_of(&mut || {
+            for _ in 0..reps {
+                for k0 in (0..k).step_by(block) {
+                    let kend = k0 + block;
+                    dpu.mma_f32_checked_into(
+                        &pa,
+                        &pb,
+                        0,
+                        8,
+                        0,
+                        8,
+                        k0,
+                        kend,
+                        2,
+                        &mut acc,
+                        &mut computed,
+                    );
+                }
+            }
+        });
+        println!("tapped panel, 64-chunk blocks: {tapped:.2} ns/element-chunk");
         // The narrow panels on the exact tier, per element-chunk of their
         // own depth: FP16 four deep, TF32 two deep, as FP32.
         for (mode, frag_k) in [(MxuMode::Fp16, 4), (MxuMode::Tf32, 2)] {
@@ -1370,6 +1389,26 @@ mod tests {
             }
         });
         println!("FP32C panel total: {complex:.2} ns/element-chunk");
+        let tapped = best_of(&mut || {
+            for _ in 0..reps {
+                for k0 in (0..k / 2).step_by(64) {
+                    dpu.mma_c32_checked_into(
+                        &pca,
+                        &pcb,
+                        0,
+                        8,
+                        0,
+                        8,
+                        k0,
+                        k0 + 64,
+                        1,
+                        &mut cacc,
+                        &mut computed,
+                    );
+                }
+            }
+        });
+        println!("tapped FP32C panel, 64-chunk blocks: {tapped:.2} ns/element-chunk");
 
         // One two-deep chunk's products for a fragment row, from its `B`
         // rows (loaded once per chunk for every row of a step).
@@ -1393,6 +1432,30 @@ mod tests {
             )
         });
         println!("row products: {products:.2} ns/element-chunk");
+
+        // The lane tap alone: one two-deep row's product residues, folded
+        // and summed, per element-chunk.
+        let mut sum = 0u64;
+        let tap = best_of(&mut || {
+            dispatch(
+                lvl,
+                #[inline(always)]
+                |_| {
+                    for _ in 0..reps * 8 {
+                        let mut rows = bt.chunks_exact(8);
+                        for a in av.chunks_exact(2) {
+                            let b = ChunkB::<2>::load::<false>(&mut rows, 0);
+                            let prods = black_box(b.products::<false>(a.try_into().unwrap()));
+                            let mut tap = [0u64; COLS];
+                            super::super::tap_products(&mut tap, &prods);
+                            sum = m3xu_fp::residue::add_m61(sum, super::super::tap_residue(&tap));
+                        }
+                    }
+                },
+            )
+        }) - products;
+        black_box(sum);
+        println!("lane tap (beyond the products): {tap:.2} ns/element-chunk");
 
         // Each rounder on a two-deep chunk per step, each result seeding
         // the next: one row's chain alone, then `F32_ROWS` chains at once,

@@ -53,7 +53,9 @@ cargo test --release -q --test cross_validation
 # `simd_fallbacks` counts, checked calls' included, which are zero at
 # `Scalar`. The armed chaos run recovers injected faults on each level's
 # checked chunks, whose residues come from each level's build of the
-# rounder's exact pair or from the scalar element body. On a host
+# lane tap on the row products, or from the scalar element body's
+# decoded lanes, and its golden table pins every chunk's match decision
+# at each level. On a host
 # without AVX-512, `1` and `avx2` run the same level. The level is
 # resolved once per process, hence one cargo invocation per setting.
 for simd in 1 avx2 sse2 0; do
@@ -95,7 +97,8 @@ done
 
 # Chaos gate: the fault-injection suite, debug and release. The first
 # run (no env arming) includes the zero-fault differential gate, the
-# universal-ABFT BLAS-3/f64 sweeps, and the shard self-healing tests
+# golden fault-telemetry table, the universal-ABFT BLAS-3/f64 sweeps, and
+# the shard self-healing tests
 # (watchdog kill + poison quarantine); the seed x rate grid then re-runs
 # the whole suite with every process-wide context armed — recoverable by
 # construction, so everything must still be bit-identical.
@@ -104,6 +107,8 @@ for profile in "" "--release"; do
     cargo test -q ${profile} --test chaos_faults --test chaos_env --test serve_edge
     echo "== universal-ABFT gate ${profile:-debug} (BLAS-3/f64 sweeps + self-healing, named)"
     cargo test -q ${profile} --test chaos_faults -- \
+        golden_fault_summaries_match_the_committed_table \
+        mismatched_blocks_rerun_chunk_by_chunk_to_the_unchecked_bits \
         armed_blas3_and_f64_sweep_recovers_bit_identically \
         serve_blas3_chaos_single_shard_reconciles \
         serve_blas3_chaos_four_shards_reconcile \

@@ -1042,3 +1042,295 @@ fn poison_request_quarantines_alone_without_tripping_the_breaker() {
         "conservation law"
     );
 }
+
+// ---- golden fault telemetry ---------------------------------------------
+
+/// FNV-1a over a result's output bits, one `u64` per element.
+fn digest(bits: impl IntoIterator<Item = u64>) -> u64 {
+    bits.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One armed call's outcome as a golden-table cell: the result's
+/// `(detected, corrected, retries)` and a digest of `D`, or the
+/// `FaultDetected` error's fields.
+fn golden_cell<T: Copy + Default>(
+    res: Result<GemmResult<T>, M3xuError>,
+    bits: impl Fn(&T) -> u64,
+) -> String {
+    match res {
+        Ok(r) => {
+            let f = r.faults;
+            let d = digest(r.d.as_slice().iter().map(bits));
+            format!("ok {}/{}/{} {d:016x}", f.detected, f.corrected, f.retries)
+        }
+        Err(M3xuError::FaultDetected {
+            op,
+            tiles,
+            detected,
+            corrected,
+            retries,
+            ..
+        }) => format!("{op} fault tiles={tiles} {detected}/{corrected}/{retries}"),
+        Err(e) => panic!("unexpected error {e}"),
+    }
+}
+
+/// The checked calls of one golden grid point, in a fixed order on one
+/// freshly armed context (so each call's salt is its index): FP32, fast
+/// FP32 and FP16 GEMMs, an FP32C CGEMM, a HERK and an emulated-FP64 GEMM.
+fn golden_calls(ctx: &M3xuContext, (m, k, n): (usize, usize, usize)) -> Vec<String> {
+    let c32_bits = |z: &C32| (z.re.to_bits() as u64) << 32 | z.im.to_bits() as u64;
+    let (a, b, c) = (
+        Matrix::<f32>::random(m, k, 901),
+        Matrix::<f32>::random(k, n, 902),
+        Matrix::<f32>::random(m, n, 903),
+    );
+    let mut cells = Vec::new();
+    for p in [
+        GemmPrecision::M3xuFp32,
+        GemmPrecision::Fp32Fast,
+        GemmPrecision::Fp16,
+    ] {
+        let cell = golden_cell(ctx.try_gemm_f32(p, &a, &b, &c), |x| x.to_bits() as u64);
+        cells.push(format!("{p:?} {cell}"));
+    }
+    let (ca, cb, cc) = (
+        Matrix::random_c32(m, k, 904),
+        Matrix::random_c32(k, n, 905),
+        Matrix::random_c32(m, n, 906),
+    );
+    cells.push(format!(
+        "Fp32c {}",
+        golden_cell(ctx.try_cgemm_c32(&ca, &cb, &cc), c32_bits)
+    ));
+    let hc = Matrix::random_c32(m, m, 907);
+    let herk = ctx.try_herk_c32(Triangle::Upper, MatOp::N, &ca, 0.75, -0.5, &hc);
+    cells.push(format!("Herk {}", golden_cell(herk, c32_bits)));
+    let (da, db, dc) = (
+        Matrix::<f64>::random_f64(m, k, 908),
+        Matrix::<f64>::random_f64(k, n, 909),
+        Matrix::<f64>::random_f64(m, n, 910),
+    );
+    let f64 = ctx.try_gemm_f64(GemmPrecision::Fp64Emulated, &da, &db, &dc);
+    cells.push(format!("Fp64 {}", golden_cell(f64, |x| x.to_bits())));
+    cells
+}
+
+/// The fault telemetry of every checked call in the grid below, one line
+/// per call: `shape seed rate op outcome`, where an outcome is `ok
+/// detected/corrected/retries digest` or the error's `op fault
+/// tiles=... detected/corrected/retries`. It was produced by this test on
+/// the code before checked tiles verified whole blocks of chunks, and
+/// must not move with how a tile is scheduled. Regenerate it by running
+/// this test with `--nocapture` and copying the table it prints on a
+/// mismatch, after reviewing why the telemetry moved.
+const GOLDEN_FAULTS: &str = "
+64x64x64 seed=1 rate=0.001 M3xuFp32 ok 2/2/2 48f68a4da5e58647
+64x64x64 seed=1 rate=0.001 Fp32Fast ok 1/1/1 2de25eaad5bc840a
+64x64x64 seed=1 rate=0.001 Fp16 ok 1/1/1 52c2ec55928b4984
+64x64x64 seed=1 rate=0.001 Fp32c ok 6/6/6 33a75c48969ba802
+64x64x64 seed=1 rate=0.001 Herk ok 3/3/3 8c82f93c874589ff
+64x64x64 seed=1 rate=0.001 Fp64 ok 6/6/6 b54df542f1465c88
+64x64x64 seed=1 rate=0.02 M3xuFp32 ok 42/42/42 48f68a4da5e58647
+64x64x64 seed=1 rate=0.02 Fp32Fast ok 39/39/39 2de25eaad5bc840a
+64x64x64 seed=1 rate=0.02 Fp16 ok 25/25/25 52c2ec55928b4984
+64x64x64 seed=1 rate=0.02 Fp32c ok 88/88/88 33a75c48969ba802
+64x64x64 seed=1 rate=0.02 Herk ok 50/50/50 8c82f93c874589ff
+64x64x64 seed=1 rate=0.02 Fp64 ok 91/91/91 b54df542f1465c88
+64x64x64 seed=1 rate=0.25 M3xuFp32 gemm fault tiles=11 1378/1334/1362
+64x64x64 seed=1 rate=0.25 Fp32Fast gemm fault tiles=6 655/631/649
+64x64x64 seed=1 rate=0.25 Fp16 gemm fault tiles=5 674/654/662
+64x64x64 seed=1 rate=0.25 Fp32c cgemm fault tiles=9 2361/2325/2340
+64x64x64 seed=1 rate=0.25 Herk herk fault tiles=8 653/621/645
+64x64x64 seed=1 rate=0.25 Fp64 gemm_f64 fault tiles=11 2414/2370/2386
+64x64x64 seed=7 rate=0.001 M3xuFp32 ok 1/1/1 48f68a4da5e58647
+64x64x64 seed=7 rate=0.001 Fp32Fast ok 0/0/0 2de25eaad5bc840a
+64x64x64 seed=7 rate=0.001 Fp16 ok 2/2/2 52c2ec55928b4984
+64x64x64 seed=7 rate=0.001 Fp32c ok 5/5/5 33a75c48969ba802
+64x64x64 seed=7 rate=0.001 Herk ok 4/4/4 8c82f93c874589ff
+64x64x64 seed=7 rate=0.001 Fp64 ok 5/5/5 b54df542f1465c88
+64x64x64 seed=7 rate=0.02 M3xuFp32 ok 49/49/49 48f68a4da5e58647
+64x64x64 seed=7 rate=0.02 Fp32Fast ok 50/50/50 2de25eaad5bc840a
+64x64x64 seed=7 rate=0.02 Fp16 ok 26/26/26 52c2ec55928b4984
+64x64x64 seed=7 rate=0.02 Fp32c ok 92/92/92 33a75c48969ba802
+64x64x64 seed=7 rate=0.02 Herk ok 50/50/50 8c82f93c874589ff
+64x64x64 seed=7 rate=0.02 Fp64 ok 82/82/82 b54df542f1465c88
+64x64x64 seed=7 rate=0.25 M3xuFp32 gemm fault tiles=6 655/631/649
+64x64x64 seed=7 rate=0.25 Fp32Fast gemm fault tiles=10 729/689/719
+64x64x64 seed=7 rate=0.25 Fp16 gemm fault tiles=4 349/333/345
+64x64x64 seed=7 rate=0.25 Fp32c cgemm fault tiles=9 1218/1182/1209
+64x64x64 seed=7 rate=0.25 Herk herk fault tiles=7 680/652/673
+64x64x64 seed=7 rate=0.25 Fp64 gemm_f64 fault tiles=12 1184/1136/1172
+64x64x64 seed=23 rate=0.001 M3xuFp32 ok 1/1/1 48f68a4da5e58647
+64x64x64 seed=23 rate=0.001 Fp32Fast ok 3/3/3 2de25eaad5bc840a
+64x64x64 seed=23 rate=0.001 Fp16 ok 0/0/0 52c2ec55928b4984
+64x64x64 seed=23 rate=0.001 Fp32c ok 6/6/6 33a75c48969ba802
+64x64x64 seed=23 rate=0.001 Herk ok 0/0/0 8c82f93c874589ff
+64x64x64 seed=23 rate=0.001 Fp64 ok 2/2/2 b54df542f1465c88
+64x64x64 seed=23 rate=0.02 M3xuFp32 ok 37/37/37 48f68a4da5e58647
+64x64x64 seed=23 rate=0.02 Fp32Fast ok 37/37/37 2de25eaad5bc840a
+64x64x64 seed=23 rate=0.02 Fp16 ok 26/26/26 52c2ec55928b4984
+64x64x64 seed=23 rate=0.02 Fp32c ok 100/100/100 33a75c48969ba802
+64x64x64 seed=23 rate=0.02 Herk ok 41/41/41 8c82f93c874589ff
+64x64x64 seed=23 rate=0.02 Fp64 ok 74/74/74 b54df542f1465c88
+64x64x64 seed=23 rate=0.25 M3xuFp32 gemm fault tiles=6 653/629/647
+64x64x64 seed=23 rate=0.25 Fp32Fast gemm fault tiles=5 657/637/652
+64x64x64 seed=23 rate=0.25 Fp16 gemm fault tiles=5 936/916/922
+64x64x64 seed=23 rate=0.25 Fp32c cgemm fault tiles=16 1189/1125/1173
+64x64x64 seed=23 rate=0.25 Herk herk fault tiles=5 721/701/716
+64x64x64 seed=23 rate=0.25 Fp64 gemm_f64 fault tiles=9 2395/2359/2370
+37x29x53 seed=1 rate=0.001 M3xuFp32 ok 0/0/0 f7c7d36797a801f0
+37x29x53 seed=1 rate=0.001 Fp32Fast ok 0/0/0 cfebd9aec4e686d4
+37x29x53 seed=1 rate=0.001 Fp16 ok 0/0/0 3d84448faa9d96a2
+37x29x53 seed=1 rate=0.001 Fp32c ok 2/2/2 f609e4a82679fc6e
+37x29x53 seed=1 rate=0.001 Herk ok 2/2/2 5dec47e34946c3e2
+37x29x53 seed=1 rate=0.001 Fp64 ok 3/3/3 3649221c735b5fb7
+37x29x53 seed=1 rate=0.02 M3xuFp32 ok 7/7/7 f7c7d36797a801f0
+37x29x53 seed=1 rate=0.02 Fp32Fast ok 9/9/9 cfebd9aec4e686d4
+37x29x53 seed=1 rate=0.02 Fp16 ok 6/6/6 3d84448faa9d96a2
+37x29x53 seed=1 rate=0.02 Fp32c ok 20/20/20 f609e4a82679fc6e
+37x29x53 seed=1 rate=0.02 Herk ok 8/8/8 5dec47e34946c3e2
+37x29x53 seed=1 rate=0.02 Fp64 ok 36/36/36 3649221c735b5fb7
+37x29x53 seed=1 rate=0.25 M3xuFp32 gemm fault tiles=3 360/348/356
+37x29x53 seed=1 rate=0.25 Fp32Fast gemm fault tiles=2 176/168/174
+37x29x53 seed=1 rate=0.25 Fp16 gemm fault tiles=2 191/183/188
+37x29x53 seed=1 rate=0.25 Fp32c cgemm fault tiles=3 581/569/575
+37x29x53 seed=1 rate=0.25 Herk herk fault tiles=1 120/116/119
+37x29x53 seed=1 rate=0.25 Fp64 gemm_f64 fault tiles=7 316/288/309
+37x29x53 seed=7 rate=0.001 M3xuFp32 ok 0/0/0 f7c7d36797a801f0
+37x29x53 seed=7 rate=0.001 Fp32Fast ok 0/0/0 cfebd9aec4e686d4
+37x29x53 seed=7 rate=0.001 Fp16 ok 2/2/2 3d84448faa9d96a2
+37x29x53 seed=7 rate=0.001 Fp32c ok 2/2/2 f609e4a82679fc6e
+37x29x53 seed=7 rate=0.001 Herk ok 0/0/0 5dec47e34946c3e2
+37x29x53 seed=7 rate=0.001 Fp64 ok 2/2/2 3649221c735b5fb7
+37x29x53 seed=7 rate=0.02 M3xuFp32 ok 14/14/14 f7c7d36797a801f0
+37x29x53 seed=7 rate=0.02 Fp32Fast ok 19/19/19 cfebd9aec4e686d4
+37x29x53 seed=7 rate=0.02 Fp16 ok 7/7/7 3d84448faa9d96a2
+37x29x53 seed=7 rate=0.02 Fp32c ok 19/19/19 f609e4a82679fc6e
+37x29x53 seed=7 rate=0.02 Herk ok 5/5/5 5dec47e34946c3e2
+37x29x53 seed=7 rate=0.02 Fp64 ok 22/22/22 3649221c735b5fb7
+37x29x53 seed=7 rate=0.25 M3xuFp32 gemm fault tiles=4 169/153/165
+37x29x53 seed=7 rate=0.25 Fp32Fast gemm fault tiles=3 205/193/202
+37x29x53 seed=7 rate=0.25 Fp16 gemm fault tiles=1 105/101/104
+37x29x53 seed=7 rate=0.25 Fp32c cgemm fault tiles=2 326/318/324
+37x29x53 seed=7 rate=0.25 Herk herk fault tiles=2 125/117/123
+37x29x53 seed=7 rate=0.25 Fp64 gemm_f64 fault tiles=5 300/280/295
+37x29x53 seed=23 rate=0.001 M3xuFp32 ok 0/0/0 f7c7d36797a801f0
+37x29x53 seed=23 rate=0.001 Fp32Fast ok 0/0/0 cfebd9aec4e686d4
+37x29x53 seed=23 rate=0.001 Fp16 ok 0/0/0 3d84448faa9d96a2
+37x29x53 seed=23 rate=0.001 Fp32c ok 2/2/2 f609e4a82679fc6e
+37x29x53 seed=23 rate=0.001 Herk ok 0/0/0 5dec47e34946c3e2
+37x29x53 seed=23 rate=0.001 Fp64 ok 0/0/0 3649221c735b5fb7
+37x29x53 seed=23 rate=0.02 M3xuFp32 ok 7/7/7 f7c7d36797a801f0
+37x29x53 seed=23 rate=0.02 Fp32Fast ok 3/3/3 cfebd9aec4e686d4
+37x29x53 seed=23 rate=0.02 Fp16 ok 6/6/6 3d84448faa9d96a2
+37x29x53 seed=23 rate=0.02 Fp32c ok 26/26/26 f609e4a82679fc6e
+37x29x53 seed=23 rate=0.02 Herk ok 11/11/11 5dec47e34946c3e2
+37x29x53 seed=23 rate=0.02 Fp64 ok 21/21/21 3649221c735b5fb7
+37x29x53 seed=23 rate=0.25 M3xuFp32 ok 147/147/147 f7c7d36797a801f0
+37x29x53 seed=23 rate=0.25 Fp32Fast gemm fault tiles=3 152/140/149
+37x29x53 seed=23 rate=0.25 Fp16 gemm fault tiles=1 245/241/242
+37x29x53 seed=23 rate=0.25 Fp32c cgemm fault tiles=3 332/320/329
+37x29x53 seed=23 rate=0.25 Herk herk fault tiles=1 144/140/143
+37x29x53 seed=23 rate=0.25 Fp64 gemm_f64 fault tiles=1 639/635/634
+";
+
+#[test]
+fn golden_fault_summaries_match_the_committed_table() {
+    // Every chunk's match decision, and with it each call's detected,
+    // corrected and retried counts (or its `FaultDetected` error), is a
+    // pure function of the plan, the operands and the checksum algebra,
+    // the same at every thread count and SIMD level.
+    let mut got = Vec::new();
+    for shape in [(64, 64, 64), (37, 29, 53)] {
+        for seed in [1u64, 7, 23] {
+            for rate in [1e-3, 2e-2, 0.25] {
+                let mut rows: Option<Vec<String>> = None;
+                for threads in [1, 2] {
+                    let plan = Arc::new(FaultPlan::new(seed, rate));
+                    let ctx = M3xuContext::with_threads(threads).with_fault_plan(plan);
+                    let (m, k, n) = shape;
+                    let cells: Vec<String> = golden_calls(&ctx, shape)
+                        .into_iter()
+                        .map(|cell| format!("{m}x{k}x{n} seed={seed} rate={rate} {cell}"))
+                        .collect();
+                    match &rows {
+                        None => rows = Some(cells),
+                        Some(r) => assert_eq!(r, &cells, "threads 1 and {threads} disagree"),
+                    }
+                }
+                got.extend(rows.unwrap());
+            }
+        }
+    }
+    let want: Vec<&str> = GOLDEN_FAULTS
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    if got != want {
+        println!("GOLDEN_FAULTS table:");
+        for row in &got {
+            println!("{row}");
+        }
+    }
+    assert_eq!(got.len(), want.len(), "golden table length");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "golden fault telemetry moved");
+    }
+    assert!(
+        got.iter().any(|row| row.contains(" fault tiles=")),
+        "the grid must reach an unrecoverable call"
+    );
+}
+
+#[test]
+fn mismatched_blocks_rerun_chunk_by_chunk_to_the_unchecked_bits() {
+    // A checked tile verifies its chunks a block at a time; a block whose
+    // checksums disagree reruns chunk by chunk from its entry state. The
+    // seam marks every block mismatched at rate 0: each chunk then
+    // verifies on the per-chunk path, the output is the unchecked call's,
+    // nothing counts as detected, and every element-chunk runs twice,
+    // against a rate-0 checked context without the seam, which counts
+    // what an unchecked call does (an explicit plan overrides any the
+    // environment arms). K = 200 puts 100 two-deep FP32 chunks in two
+    // blocks, one partial.
+    let reference = M3xuContext::with_threads(2).with_fault_plan(Arc::new(FaultPlan::new(5, 0.0)));
+    let plan = FaultPlan::new(5, 0.0).with_block_mismatches();
+    let armed = M3xuContext::with_threads(2).with_fault_plan(Arc::new(plan));
+    let (a, b, c) = (
+        Matrix::<f32>::random(40, 200, 71),
+        Matrix::<f32>::random(200, 24, 72),
+        Matrix::<f32>::random(40, 24, 73),
+    );
+    let p = GemmPrecision::M3xuFp32;
+    let plain = reference.try_gemm_f32(p, &a, &b, &c).unwrap();
+    let checked = armed.try_gemm_f32(p, &a, &b, &c).unwrap();
+    let want = gemm::baseline::gemm_f32(p, &a, &b, &c);
+    assert_bits_f32(&plain.d, &want.d, "FP32 on the block path");
+    assert_bits_f32(&checked.d, &want.d, "FP32 through the per-chunk path");
+    assert_eq!(checked.faults, FaultSummary::default());
+    let (ca, cb, cc) = (
+        Matrix::random_c32(24, 100, 74),
+        Matrix::random_c32(100, 16, 75),
+        Matrix::random_c32(24, 16, 76),
+    );
+    let plain_c = reference.try_cgemm_c32(&ca, &cb, &cc).unwrap();
+    let checked_c = armed.try_cgemm_c32(&ca, &cb, &cc).unwrap();
+    let want_c = gemm::baseline::cgemm_c32(&ca, &cb, &cc);
+    assert_bits_c32(&plain_c.d, &want_c.d, "FP32C on the block path");
+    assert_bits_c32(&checked_c.d, &want_c.d, "FP32C through the per-chunk path");
+    assert_eq!(checked_c.faults, FaultSummary::default());
+    let (u, s) = (reference.stats(), armed.stats());
+    assert_eq!(
+        (s.simd_chunks, s.simd_fallbacks, s.quick_refusals),
+        (
+            2 * u.simd_chunks,
+            2 * u.simd_fallbacks,
+            2 * u.quick_refusals
+        )
+    );
+    assert_eq!((s.faults_detected, s.fault_retries), (0, 0));
+}

@@ -683,9 +683,9 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     // three-scale near-tie that both vector tiers refuse, does. Beside
     // them, `quick_refusals` counts the element-chunks in fragment rows
     // the quick tier refused: none for random FP32 operands, the rows of
-    // the few exact FP32 ties among the random FP32C and fast-FP32 ones,
-    // none for the narrow modes, which start on the exact tier, and for
-    // checked calls, which run the pair alone, and a fixed count for the
+    // the few exact FP32 ties among the random FP32C and fast-FP32 ones
+    // (checked calls, on the same tiers, count the same), none for the
+    // narrow modes, which start on the exact tier, and a fixed count for the
     // GEMM-FFT, whose ±1 and ±i DFT entries put chunk sums on or beside
     // FP32 ties. `exact_refusals` counts those the exact tier refused:
     // none for FP16, BF16 and TF32 on random operands, whose plain `f64`
@@ -721,45 +721,48 @@ fn simd_fallbacks_are_counted_per_element_chunk() {
     );
 
     // Checked at fault rate 0, both calls run their chunks on the same
-    // panel bodies with the residue tap on, on the pair alone: same bits,
-    // and the counters of the unchecked calls (0/0 at `Scalar`).
+    // panel bodies and tiers with the residue tap on: same bits, and the
+    // unchecked calls' delta in every counter (0 at `Scalar`).
     use m3xu::kernels::FaultPlan;
     use std::sync::Arc;
     let armed = M3xuContext::with_threads(2).with_fault_plan(Arc::new(FaultPlan::new(0, 0.0)));
     let unarmed = M3xuContext::with_threads(2);
     let z = Matrix::zeros(64, 64);
-    let (plain, checked) = (
-        unarmed
-            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &z)
-            .unwrap(),
-        armed
-            .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &z)
-            .unwrap(),
-    );
-    assert_eq!(plain.d, checked.d);
-    let ck = armed.stats();
+    let same_delta = |what: &str, run: &dyn Fn(&M3xuContext) -> Vec<u64>| {
+        let (u0, a0) = (unarmed.stats(), armed.stats());
+        assert_eq!(run(&unarmed), run(&armed), "{what}: bits");
+        let mut du = unarmed.stats().delta_since(&u0);
+        let mut da = armed.stats().delta_since(&a0);
+        for d in [&mut du, &mut da] {
+            (d.pack_ns, d.exec_ns) = (0, 0);
+        }
+        assert_eq!(da, du, "{what}: counters");
+        du
+    };
+    let bits = |d: &[f32]| d.iter().map(|x| x.to_bits() as u64).collect::<Vec<_>>();
+    let du = same_delta("FP32", &|ctx| {
+        let r = ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &z);
+        bits(r.unwrap().d.as_slice())
+    });
     assert_eq!(
         (
-            ck.simd_chunks,
-            ck.simd_fallbacks,
-            ck.quick_refusals,
-            ck.exact_refusals
+            du.simd_chunks,
+            du.simd_fallbacks,
+            du.quick_refusals,
+            du.exact_refusals
         ),
         (s.simd_chunks, 0, 0, 0)
     );
-    let (plain, checked) = (
-        unarmed
-            .try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64))
-            .unwrap(),
-        armed
-            .try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64))
-            .unwrap(),
-    );
-    assert_eq!(plain.d, checked.d);
-    let cd = armed.stats().delta_since(&ck);
+    let du = same_delta("FP32C", &|ctx| {
+        let r = ctx.try_cgemm_c32(&ca, &cb, &Matrix::zeros(64, 64)).unwrap();
+        r.d.as_slice()
+            .iter()
+            .flat_map(|z| [z.re.to_bits() as u64, z.im.to_bits() as u64])
+            .collect()
+    });
     assert_eq!(
-        (cd.simd_chunks, cd.simd_fallbacks, cd.quick_refusals),
-        (d.simd_chunks, 0, 0)
+        (du.simd_chunks, du.simd_fallbacks, du.quick_refusals),
+        (d.simd_chunks, 0, d.quick_refusals)
     );
     assert_eq!(armed.stats().faults_detected, 0);
 

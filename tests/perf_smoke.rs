@@ -23,8 +23,11 @@
 //!   narrow build compiled for the baseline still clears them.
 //!   Two more rows gate the ABFT-checked body: 128³ FP32 and FP32C on a
 //!   context armed with a rate-0 fault plan, at the vector level against
-//!   forced `Scalar`, floor 3x each. A checked chunk that drops back to
-//!   the scalar element body reads ~1x there. On a host that resolves to
+//!   forced `Scalar`, floors 9.9x and 12x, a third of the lowest of 10
+//!   runs on a 2-vCPU AVX-512 host (29.9–36.1x and 36.4–50.1x; the FP32
+//!   row read 2.93–5.01x when checked chunks ran the pair alone, one
+//!   panel call per chunk). A checked chunk that drops back to the
+//!   scalar element body reads ~1x there. On a host that resolves to
 //!   `Avx512`, three rows time the FP32, FP32C and GEMM-FFT runs above
 //!   at forced `Avx2` against `Avx512`, floor 1.1x each (measured
 //!   1.1–1.4x on a 2-vCPU host): a body compiled for a lower level reads
@@ -169,8 +172,9 @@ fn simd_pipeline_beats_scalar_floor() {
     // floor (measured ~7.8x) trips when its chunks leave the vector path. The
     // fast-FP32 floor (3x) and the emulated-FP64 one (20x) trip when
     // either mode drops back to the scalar oracle, where both read ~1x,
-    // and the checked rows' (3x) when checked chunks do. The FP16 (10x)
-    // and TF32 (11x) floors are a third of the lowest of 10 runs.
+    // and the checked rows' when checked chunks do. The FP16 (10x),
+    // TF32 (11x), checked FP32 (9.9x) and checked FP32C (12x) floors are
+    // a third of the lowest of 10 runs.
     let mut rows = vec![
         ("FP32", fp32, 3.0),
         ("FP32C", fp32c, 3.0),
@@ -179,8 +183,8 @@ fn simd_pipeline_beats_scalar_floor() {
         ("FP16", fp16, 10.0),
         ("TF32", tf32, 11.0),
         ("FP64-emulated", fp64, 20.0),
-        ("checked FP32", checked, 3.0),
-        ("checked FP32C", checked_c, 3.0),
+        ("checked FP32", checked, 9.9),
+        ("checked FP32C", checked_c, 12.0),
     ];
     // On an AVX-512 host, the x86-64-v4 build against the forced AVX2
     // one, floor 1.1x (measured over 12 runs 1.11–1.35x, 1.17–1.35x and
